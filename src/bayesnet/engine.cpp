@@ -7,7 +7,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <limits>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -25,26 +26,17 @@ namespace sysuq::bayesnet {
 namespace {
 
 // Engine instruments, registered once on first use. Counters aggregate
-// across every engine in the process; per-engine windows come from
-// cache_stats().
+// across every engine in the process; the cache instruments belong to
+// the engine's memos.
 struct EngineMetrics {
   obs::Histogram& query_seconds;
   obs::Histogram& elimination_width;
   obs::Counter& queries;
   obs::Counter& batch_queries;
   obs::Counter& sampled_queries;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
-  obs::Gauge& cache_entries;
   obs::Counter& jt_queries;
-  obs::Counter& jt_cache_hits;
-  obs::Counter& jt_cache_misses;
-  obs::Gauge& jt_cache_entries;
   obs::Counter& bp_queries;
   obs::Counter& bp_escalations;
-  obs::Counter& bp_cache_hits;
-  obs::Counter& bp_cache_misses;
-  obs::Gauge& bp_cache_entries;
 
   static EngineMetrics& instance() {
     auto& reg = obs::Registry::global();
@@ -55,22 +47,25 @@ struct EngineMetrics {
         reg.counter("bayesnet.engine.queries"),
         reg.counter("bayesnet.engine.batch_queries"),
         reg.counter("bayesnet.engine.sampled_queries"),
-        reg.counter("bayesnet.engine.ordering_cache.hits"),
-        reg.counter("bayesnet.engine.ordering_cache.misses"),
-        reg.gauge("bayesnet.engine.ordering_cache.entries"),
         reg.counter("bayesnet.jt.queries"),
-        reg.counter("bayesnet.jt.cache.hits"),
-        reg.counter("bayesnet.jt.cache.misses"),
-        reg.gauge("bayesnet.jt.cache.entries"),
         reg.counter("bayesnet.bp.queries"),
         reg.counter("bayesnet.bp.escalations"),
-        reg.counter("bayesnet.bp.cache.hits"),
-        reg.counter("bayesnet.bp.cache.misses"),
-        reg.gauge("bayesnet.bp.cache.entries"),
     };
     return m;
   }
 };
+
+std::vector<VariableId> signature(const Evidence& evidence) {
+  std::vector<VariableId> keys;
+  keys.reserve(evidence.size());
+  for (const auto& [v, _] : evidence) keys.push_back(v);  // map: sorted
+  return keys;
+}
+
+std::vector<std::pair<VariableId, std::size_t>> assignment(
+    const Evidence& evidence) {
+  return {evidence.begin(), evidence.end()};  // map: sorted pairs
+}
 
 }  // namespace
 
@@ -205,34 +200,147 @@ InferenceEngine::InferenceEngine(const BayesianNetwork& net, Options options)
 
 InferenceEngine::~InferenceEngine() = default;
 
-std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
-    const Evidence& evidence) const {
-  OrderingKey key;
-  key.reserve(evidence.size());
-  for (const auto& [v, _] : evidence) key.push_back(v);  // map: sorted
+// One batch's answers, one slot per batch index, each filled by the unit
+// that answers it.
+struct InferenceEngine::Slots {
+  std::vector<std::optional<prob::Categorical>> results;
+  std::vector<std::exception_ptr> errors;
 
-  auto& metrics = EngineMetrics::instance();
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++cache_hits_;
-      metrics.cache_hits.inc();
-      return it->second;
+  explicit Slots(std::size_t n) : results(n), errors(n) {}
+
+  /// Stores answer() in slot i, or the exception it throws.
+  template <class Answer>
+  void fill(std::size_t i, Answer&& answer) noexcept {
+    try {
+      results[i] = answer();
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
   }
-  // Miss. The ordering heuristics walk the whole moral graph — far too
-  // slow to run under cache_mu_, where a cold cache would serialize
-  // every concurrent query. Compute unlocked; on a race the first
-  // insert wins and the duplicate ordering is dropped (both threads
-  // ran the same deterministic heuristic, so the results are equal).
-  auto ordering = std::make_shared<const EliminationOrdering>(
-      compute_elimination_order(net_, /*keep=*/{}, key, options_.heuristic));
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  ++cache_misses_;
-  metrics.cache_misses.inc();
-  const auto [it, inserted] = cache_.emplace(std::move(key), std::move(ordering));
-  metrics.cache_entries.set(static_cast<double>(cache_.size()));
-  return it->second;
+};
+
+InferenceEngine::Route InferenceEngine::route(const Ask& ask,
+                                              const Evidence& evidence,
+                                              std::string* reason) const {
+  for (const auto& [v, state] : evidence) {
+    if (v >= net_.size())
+      throw std::out_of_range("InferenceEngine: evidence variable id");
+    if (state >= net_.variable(v).cardinality())
+      throw std::out_of_range("InferenceEngine: evidence state index");
+  }
+  const auto because = [reason](const char* why) {
+    if (reason != nullptr) *reason = why;
+  };
+  if (ask.kind == Ask::kQuery) {
+    if (ask.query >= net_.size())
+      throw std::out_of_range("InferenceEngine::query: variable id");
+    if (evidence.contains(ask.query)) {
+      because("query variable is observed; the posterior is its evidence delta");
+      return Route::kDelta;
+    }
+  }
+  const bool exact_only = ask.kind == Ask::kEvidence || ask.kind == Ask::kJoint;
+  switch (options_.backend) {
+    case Backend::kVariableElimination:
+      because("Backend::kVariableElimination runs one elimination per query");
+      return Route::kVariableElimination;
+    case Backend::kJunctionTree:
+      because("Backend::kJunctionTree routes every query through the "
+              "calibrated clique tree");
+      return ask.kind == Ask::kJoint ? Route::kVariableElimination
+                                     : Route::kJunctionTree;
+    case Backend::kLoopyBP:
+      because("Backend::kLoopyBP routes every query through flooding belief "
+              "propagation with certified bounds");
+      return exact_only ? Route::kVariableElimination : Route::kLoopyBP;
+    case Backend::kAuto:
+      break;
+  }
+  // kAuto: the feasibility guard runs before any exact work.
+  const std::size_t cells = exact_plan_max_cells(evidence);
+  if (cells > options_.max_exact_table_cells) {
+    if (options_.enable_bp && !exact_only) {
+      EngineMetrics::instance().bp_escalations.inc();
+      if (reason != nullptr) {
+        *reason =
+            "Backend::kAuto escalated: the exact elimination plan exceeds "
+            "Options::max_exact_table_cells (largest table " +
+            std::to_string(cells) + " cells)";
+      }
+      return Route::kLoopyBP;
+    }
+    contracts::fail(
+        "precondition", "exact_plan_max_cells <= max_exact_table_cells",
+        "InferenceEngine: exact inference is infeasible (largest elimination "
+        "table needs " +
+            std::to_string(cells) + " cells, ceiling " +
+            std::to_string(options_.max_exact_table_cells) + ") and " +
+            (exact_only ? "loopy BP cannot answer P(e) or joint — raise "
+                          "max_exact_table_cells"
+                        : "Options::enable_bp is false — raise "
+                          "max_exact_table_cells or enable the loopy-BP "
+                          "escalation"));
+    // contracts::Mode::kOff: fall through to the exact path.
+  }
+  if (ask.kind == Ask::kAllMarginals ||
+      (ask.kind == Ask::kBatchGroup &&
+       ask.distinct >= options_.jt_batch_threshold))
+    return Route::kJunctionTree;
+  because("Backend::kAuto keeps single queries on variable elimination "
+          "(the junction tree amortizes only across batch groups)");
+  return Route::kVariableElimination;
+}
+
+std::size_t InferenceEngine::exact_plan_max_cells(
+    const Evidence& evidence) const {
+  const OrderingKey key = signature(evidence);
+  return plan_cells_.get(key, [&] {
+    // One symbolic replay of the full-elimination plan per signature,
+    // invisible to the ordering cache's stats: a cached ordering is
+    // peeked, and a cold signature computes one privately without
+    // inserting it.
+    const auto cached = orderings_.peek(key);
+    const std::vector<VariableId> order =
+        cached ? (*cached)->order
+               : compute_elimination_order(net_, /*keep=*/{}, key).order;
+    std::size_t max_cells = 0;
+    for (const auto& step : simulate_elimination(net_, evidence, order, {}))
+      max_cells = std::max(max_cells, step.table_cells);
+    return max_cells;
+  });
+}
+
+std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
+    const Evidence& evidence) const {
+  const OrderingKey key = signature(evidence);
+  return orderings_.get(key, [&] {
+    return std::make_shared<const EliminationOrdering>(
+        compute_elimination_order(net_, /*keep=*/{}, key));
+  });
+}
+
+std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
+    const Evidence& evidence) const {
+  return trees_.get(assignment(evidence), [&] {
+    return std::make_shared<const JunctionTree>(net_, evidence);
+  });
+}
+
+std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
+    const Evidence& evidence) const {
+  return bp_runs_.get(assignment(evidence), [&] {
+    // A run that oscillates under the configured damping gets one
+    // deterministic retry at damping 0.5 — the standard fix for
+    // flooding-schedule limit cycles — and the converged run is kept.
+    auto bp = std::make_shared<const LoopyBP>(net_, evidence, options_.bp);
+    if (!bp->converged() && options_.bp.damping < 0.5) {
+      LoopyBP::Options damped = options_.bp;
+      damped.damping = 0.5;
+      auto retry = std::make_shared<const LoopyBP>(net_, evidence, damped);
+      if (retry->converged()) bp = std::move(retry);
+    }
+    return bp;
+  });
 }
 
 kernels::ScaledFactor InferenceEngine::eliminate_all_but(
@@ -271,115 +379,6 @@ kernels::ScaledFactor InferenceEngine::eliminate_all_but(
   return out;
 }
 
-std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
-    const Evidence& evidence) const {
-  TreeKey key(evidence.begin(), evidence.end());  // map: sorted pairs
-  auto& metrics = EngineMetrics::instance();
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (const auto it = jt_cache_.find(key); it != jt_cache_.end()) {
-      ++jt_cache_hits_;
-      metrics.jt_cache_hits.inc();
-      return it->second;
-    }
-    ++jt_cache_misses_;
-    metrics.jt_cache_misses.inc();
-  }
-  // Calibrated outside the lock so concurrent batch groups build in
-  // parallel; a racing builder produces an identical tree (construction
-  // is deterministic), so first-insert-wins is harmless.
-  auto tree =
-      std::make_shared<const JunctionTree>(net_, evidence, options_.heuristic);
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  const auto it = jt_cache_.emplace(std::move(key), std::move(tree)).first;
-  metrics.jt_cache_entries.set(static_cast<double>(jt_cache_.size()));
-  return it->second;
-}
-
-std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
-    const Evidence& evidence) const {
-  TreeKey key(evidence.begin(), evidence.end());  // map: sorted pairs
-  auto& metrics = EngineMetrics::instance();
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (const auto it = bp_cache_.find(key); it != bp_cache_.end()) {
-      ++bp_cache_hits_;
-      metrics.bp_cache_hits.inc();
-      return it->second;
-    }
-    ++bp_cache_misses_;
-    metrics.bp_cache_misses.inc();
-  }
-  // Run outside the lock (first insert wins; the schedule is
-  // deterministic, so racing builders agree byte for byte). A run that
-  // oscillates under the configured damping gets one deterministic
-  // retry at damping 0.5 — the standard fix for flooding-schedule
-  // limit cycles — and the converged run is kept.
-  auto bp = std::make_shared<const LoopyBP>(net_, evidence, options_.bp);
-  if (!bp->converged() && options_.bp.damping < 0.5) {
-    LoopyBP::Options damped = options_.bp;
-    damped.damping = 0.5;
-    auto retry = std::make_shared<const LoopyBP>(net_, evidence, damped);
-    if (retry->converged()) bp = std::move(retry);
-  }
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  const auto it = bp_cache_.emplace(std::move(key), std::move(bp)).first;
-  metrics.bp_cache_entries.set(static_cast<double>(bp_cache_.size()));
-  return it->second;
-}
-
-std::size_t InferenceEngine::exact_plan_max_cells(
-    const Evidence& evidence) const {
-  OrderingKey key;
-  key.reserve(evidence.size());
-  for (const auto& [v, _] : evidence) key.push_back(v);  // map: sorted
-  std::shared_ptr<const EliminationOrdering> cached;
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    if (const auto it = plan_cells_.find(key); it != plan_cells_.end())
-      return it->second;
-    if (const auto it = cache_.find(key); it != cache_.end())
-      cached = it->second;
-  }
-  // One symbolic replay of the full-elimination plan per evidence-keys
-  // signature. Stats-invisible by design: an already-cached ordering is
-  // read without counting, and a cold signature runs the heuristic
-  // privately without inserting — the guard is a pre-flight check, and
-  // the documented ordering-cache accounting stays owned by the query
-  // paths alone.
-  EliminationOrdering local;
-  const EliminationOrdering* ordering = cached.get();
-  if (ordering == nullptr) {
-    local = compute_elimination_order(net_, /*keep=*/{}, key,
-                                      options_.heuristic);
-    ordering = &local;
-  }
-  const auto steps = simulate_elimination(net_, evidence, ordering->order, {});
-  std::size_t max_cells = 0;
-  for (const auto& step : steps) max_cells = std::max(max_cells, step.table_cells);
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return plan_cells_.emplace(std::move(key), max_cells).first->second;
-}
-
-bool InferenceEngine::auto_escalates_to_bp(const Evidence& evidence) const {
-  if (options_.backend != Backend::kAuto) return false;
-  const std::size_t cells = exact_plan_max_cells(evidence);
-  if (cells <= options_.max_exact_table_cells) return false;
-  if (!options_.enable_bp) {
-    contracts::fail(
-        "precondition", "exact_plan_max_cells <= max_exact_table_cells",
-        "InferenceEngine: exact inference is infeasible (largest elimination "
-        "table needs " +
-            std::to_string(cells) + " cells, ceiling " +
-            std::to_string(options_.max_exact_table_cells) +
-            ") and Options::enable_bp is false — raise max_exact_table_cells "
-            "or enable the loopy-BP escalation");
-    return false;  // contracts::Mode::kOff: fall through to the exact path
-  }
-  EngineMetrics::instance().bp_escalations.inc();
-  return true;
-}
-
 prob::Categorical InferenceEngine::query_ve(VariableId query,
                                             const Evidence& evidence) const {
   const kernels::ScaledFactor sf = eliminate_all_but({query}, evidence);
@@ -404,19 +403,18 @@ prob::Categorical InferenceEngine::query(VariableId query,
   if ((sample_seq.fetch_add(1, std::memory_order_relaxed) & 7u) == 0)
     timer.emplace(metrics.query_seconds);
   metrics.queries.inc();
-  if (query >= net_.size())
-    throw std::out_of_range("InferenceEngine::query: variable id");
-  if (evidence.contains(query)) {
-    return prob::Categorical::delta(evidence.at(query),
-                                    net_.variable(query).cardinality());
-  }
-  if (options_.backend == Backend::kJunctionTree) {
-    metrics.jt_queries.inc();
-    return calibrated_tree_for(evidence)->query(query);
-  }
-  if (options_.backend == Backend::kLoopyBP || auto_escalates_to_bp(evidence)) {
-    metrics.bp_queries.inc();
-    return bp_for(evidence)->query(query).point;
+  switch (route({Ask::kQuery, query}, evidence)) {
+    case Route::kDelta:
+      return prob::Categorical::delta(evidence.at(query),
+                                      net_.variable(query).cardinality());
+    case Route::kJunctionTree:
+      metrics.jt_queries.inc();
+      return calibrated_tree_for(evidence)->query(query);
+    case Route::kLoopyBP:
+      metrics.bp_queries.inc();
+      return bp_for(evidence)->query(query).point;
+    case Route::kVariableElimination:
+      break;
   }
   return query_ve(query, evidence);
 }
@@ -440,28 +438,27 @@ std::vector<BoundedPosterior> InferenceEngine::all_marginals_bounded(
 std::vector<prob::Categorical> InferenceEngine::all_marginals(
     const Evidence& evidence) const {
   const obs::Span span("bayesnet.engine.all_marginals");
-  if (options_.backend == Backend::kVariableElimination) {
-    std::vector<prob::Categorical> out;
-    out.reserve(net_.size());
-    for (VariableId v = 0; v < net_.size(); ++v)
-      out.push_back(query(v, evidence));
-    return out;
+  auto& metrics = EngineMetrics::instance();
+  std::vector<prob::Categorical> out;
+  out.reserve(net_.size());
+  switch (route({Ask::kAllMarginals}, evidence)) {
+    case Route::kJunctionTree:
+      metrics.jt_queries.inc(net_.size());
+      return calibrated_tree_for(evidence)->all_marginals();
+    case Route::kLoopyBP:
+      metrics.bp_queries.inc(net_.size());
+      for (const auto& b : bp_for(evidence)->all_marginals())
+        out.push_back(b.point);
+      return out;
+    default:
+      for (VariableId v = 0; v < net_.size(); ++v)
+        out.push_back(query(v, evidence));
+      return out;
   }
-  if (options_.backend == Backend::kLoopyBP || auto_escalates_to_bp(evidence)) {
-    EngineMetrics::instance().bp_queries.inc(net_.size());
-    const auto& bounded = bp_for(evidence)->all_marginals();
-    std::vector<prob::Categorical> out;
-    out.reserve(bounded.size());
-    for (const auto& b : bounded) out.push_back(b.point);
-    return out;
-  }
-  const auto tree = calibrated_tree_for(evidence);
-  EngineMetrics::instance().jt_queries.inc(net_.size());
-  return tree->all_marginals();
 }
 
 double InferenceEngine::evidence_probability(const Evidence& evidence) const {
-  if (options_.backend == Backend::kJunctionTree)
+  if (route({Ask::kEvidence}, evidence) == Route::kJunctionTree)
     return calibrated_tree_for(evidence)->evidence_probability();
   const kernels::ScaledFactor sf = eliminate_all_but({}, evidence);
   // exp(log_scale) is exactly 1 unless a rescale fired, so the common
@@ -471,7 +468,7 @@ double InferenceEngine::evidence_probability(const Evidence& evidence) const {
 
 double InferenceEngine::log_evidence_probability(
     const Evidence& evidence) const {
-  if (options_.backend != Backend::kVariableElimination)
+  if (route({Ask::kEvidence}, evidence) == Route::kJunctionTree)
     return calibrated_tree_for(evidence)->log_evidence_probability();
   // The scaled path keeps log P(e) finite even when the linear value
   // underflows a double (deep evidence chains).
@@ -484,6 +481,8 @@ prob::JointTable InferenceEngine::joint(VariableId a, VariableId b,
   if (evidence.contains(a) || evidence.contains(b))
     throw std::invalid_argument(
         "InferenceEngine::joint: query variable in evidence");
+  // Always VE; routing still validates the evidence and runs the guard.
+  (void)route({Ask::kJoint}, evidence);
   const kernels::ScaledFactor sf = eliminate_all_but({a, b}, evidence);
   if (sf.impossible())
     throw std::domain_error(impossible_evidence_message(net_, evidence));
@@ -500,175 +499,112 @@ prob::JointTable InferenceEngine::joint(VariableId a, VariableId b,
   return prob::JointTable(std::move(table));
 }
 
-std::vector<prob::Categorical> InferenceEngine::query_batch(
-    const std::vector<QuerySpec>& batch) const {
-  const obs::Span span("bayesnet.engine.query_batch");
-  // Capture the batch span's context *after* opening it, so every task
-  // — on workers and on this thread — parents into this batch's trace
-  // instead of fragmenting into per-worker roots.
+std::vector<prob::Categorical> InferenceEngine::run_units(
+    Slots& slots, std::size_t units,
+    const std::function<void(std::size_t)>& unit) const {
+  // Captured inside the caller's batch span, so every unit — on workers
+  // and on this thread — parents into that batch's trace instead of
+  // fragmenting into per-worker roots.
   const obs::TraceContext trace_ctx = obs::current_context();
-  auto& metrics = EngineMetrics::instance();
-  metrics.batch_queries.inc(batch.size());
-
-  // Backend resolution: group the batch by full evidence assignment and
-  // route each group to the junction tree when the backend (or the kAuto
-  // distinct-query threshold) says one calibration will amortize. Every
-  // remaining index stays on the per-query VE path.
-  std::vector<std::size_t> ve_indices;
-  std::vector<std::vector<std::size_t>> jt_groups;
-  std::vector<std::vector<std::size_t>> bp_groups;
-  if (options_.backend == Backend::kVariableElimination) {
-    ve_indices.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) ve_indices[i] = i;
-  } else {
-    std::map<TreeKey, std::vector<std::size_t>> by_evidence;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      by_evidence[TreeKey(batch[i].evidence.begin(), batch[i].evidence.end())]
-          .push_back(i);
-    }
-    for (auto& [key, indices] : by_evidence) {
-      if (options_.backend == Backend::kLoopyBP ||
-          auto_escalates_to_bp(batch[indices.front()].evidence)) {
-        bp_groups.push_back(std::move(indices));
-        continue;
-      }
-      bool use_jt = options_.backend == Backend::kJunctionTree;
-      if (!use_jt) {
-        std::set<VariableId> distinct;
-        for (const std::size_t i : indices) distinct.insert(batch[i].query);
-        use_jt = distinct.size() >= options_.jt_batch_threshold;
-      }
-      if (use_jt) {
-        jt_groups.push_back(std::move(indices));
-      } else {
-        ve_indices.insert(ve_indices.end(), indices.begin(), indices.end());
-      }
-    }
-  }
-
-  std::vector<std::optional<prob::Categorical>> results(batch.size());
-  std::vector<std::exception_ptr> errors(batch.size());
-  // One unit per VE query plus one per JT group; result slots stay fixed
-  // per batch index, so scheduling cannot perturb the output.
   const std::function<void(std::size_t)> task = [&](std::size_t u) {
     const obs::ContextScope trace_scope(trace_ctx);
-    if (u < ve_indices.size()) {
-      const std::size_t i = ve_indices[u];
-      try {
-        results[i] = query(batch[i].query, batch[i].evidence);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-      return;
-    }
-    if (u < ve_indices.size() + jt_groups.size()) {
-      const auto& group = jt_groups[u - ve_indices.size()];
-      std::shared_ptr<const JunctionTree> tree;
-      try {
-        tree = calibrated_tree_for(batch[group.front()].evidence);
-      } catch (...) {
-        for (const std::size_t i : group) errors[i] = std::current_exception();
-        return;
-      }
-      metrics.jt_queries.inc(group.size());
-      for (const std::size_t i : group) {
-        try {
-          if (batch[i].query >= net_.size())
-            throw std::out_of_range("InferenceEngine::query: variable id");
-          results[i] = tree->query(batch[i].query);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-      return;
-    }
-    const auto& group = bp_groups[u - ve_indices.size() - jt_groups.size()];
-    std::shared_ptr<const LoopyBP> bp;
-    try {
-      bp = bp_for(batch[group.front()].evidence);
-    } catch (...) {
-      for (const std::size_t i : group) errors[i] = std::current_exception();
-      return;
-    }
-    metrics.bp_queries.inc(group.size());
-    for (const std::size_t i : group) {
-      try {
-        if (batch[i].query >= net_.size())
-          throw std::out_of_range("InferenceEngine::query: variable id");
-        results[i] = bp->query(batch[i].query).point;
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
+    unit(u);
   };
-  const std::size_t units =
-      ve_indices.size() + jt_groups.size() + bp_groups.size();
   if (pool_) {
     pool_->run(units, task);
   } else {
     for (std::size_t u = 0; u < units; ++u) task(u);
   }
-  for (const auto& e : errors) {
+  for (const auto& e : slots.errors) {
     if (e) std::rethrow_exception(e);
   }
   std::vector<prob::Categorical> out;
-  out.reserve(batch.size());
-  for (auto& r : results) out.push_back(std::move(*r));
+  out.reserve(slots.results.size());
+  for (auto& r : slots.results) out.push_back(std::move(*r));
   return out;
+}
+
+std::vector<prob::Categorical> InferenceEngine::query_batch(
+    const std::vector<QuerySpec>& batch) const {
+  const obs::Span span("bayesnet.engine.query_batch");
+  auto& metrics = EngineMetrics::instance();
+  metrics.batch_queries.inc(batch.size());
+
+  // Route once per evidence assignment. A VE group splits into one unit
+  // per query; a JT or BP group stays one unit, so one calibration or BP
+  // run serves all of it. Slots stay fixed per batch index, so
+  // scheduling cannot perturb the output.
+  Slots slots(batch.size());
+  std::map<TreeKey, std::vector<std::size_t>> by_evidence;
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    by_evidence[assignment(batch[i].evidence)].push_back(i);
+  std::vector<std::size_t> ve;
+  std::vector<std::pair<Route, std::vector<std::size_t>>> groups;
+  for (auto& [key, indices] : by_evidence) {
+    std::set<VariableId> distinct;
+    for (const std::size_t i : indices) distinct.insert(batch[i].query);
+    Route r = Route::kVariableElimination;
+    try {
+      r = route({Ask::kBatchGroup, 0, distinct.size()},
+                batch[indices.front()].evidence);
+    } catch (...) {
+      for (const std::size_t i : indices) slots.errors[i] = std::current_exception();
+      continue;
+    }
+    if (r == Route::kVariableElimination) {
+      ve.insert(ve.end(), indices.begin(), indices.end());
+    } else {
+      groups.emplace_back(r, std::move(indices));
+    }
+  }
+
+  return run_units(slots, ve.size() + groups.size(), [&](std::size_t u) {
+    if (u < ve.size()) {
+      const QuerySpec& spec = batch[ve[u]];
+      slots.fill(ve[u], [&] { return query(spec.query, spec.evidence); });
+      return;
+    }
+    const auto& [r, indices] = groups[u - ve.size()];
+    const Evidence& evidence = batch[indices.front()].evidence;
+    std::shared_ptr<const JunctionTree> tree;
+    std::shared_ptr<const LoopyBP> bp;
+    try {
+      if (r == Route::kJunctionTree) {
+        tree = calibrated_tree_for(evidence);
+      } else {
+        bp = bp_for(evidence);
+      }
+    } catch (...) {
+      for (const std::size_t i : indices) slots.errors[i] = std::current_exception();
+      return;
+    }
+    (tree ? metrics.jt_queries : metrics.bp_queries).inc(indices.size());
+    for (const std::size_t i : indices) {
+      slots.fill(i, [&] {
+        const VariableId q = batch[i].query;
+        if (q >= net_.size())
+          throw std::out_of_range("InferenceEngine::query: variable id");
+        return tree ? tree->query(q) : bp->query(q).point;
+      });
+    }
+  });
 }
 
 std::vector<prob::Categorical> InferenceEngine::sample_batch(
     const std::vector<QuerySpec>& batch, std::size_t samples,
     std::uint64_t seed) const {
   const obs::Span span("bayesnet.engine.sample_batch");
-  const obs::TraceContext trace_ctx = obs::current_context();
   EngineMetrics::instance().sampled_queries.inc(batch.size());
-  std::vector<std::optional<prob::Categorical>> results(batch.size());
-  std::vector<std::exception_ptr> errors(batch.size());
-  const std::function<void(std::size_t)> task = [&](std::size_t i) {
-    const obs::ContextScope trace_scope(trace_ctx);
-    try {
+  Slots slots(batch.size());
+  return run_units(slots, batch.size(), [&](std::size_t i) {
+    slots.fill(i, [&] {
       // Stream (seed, i) is independent of which thread runs the query.
       prob::Rng base(seed);
       prob::Rng rng = base.split(i);
-      results[i] = likelihood_weighting(net_, batch[i].query,
-                                        batch[i].evidence, samples, rng);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-  if (pool_) {
-    pool_->run(batch.size(), task);
-  } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) task(i);
-  }
-  for (const auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  std::vector<prob::Categorical> out;
-  out.reserve(batch.size());
-  for (auto& r : results) out.push_back(std::move(*r));
-  return out;
-}
-
-bool InferenceEngine::ordering_cached(const Evidence& evidence) const {
-  OrderingKey key;
-  key.reserve(evidence.size());
-  for (const auto& [v, _] : evidence) key.push_back(v);  // map: sorted
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return cache_.find(key) != cache_.end();
-}
-
-bool InferenceEngine::tree_cached(const Evidence& evidence) const {
-  const TreeKey key(evidence.begin(), evidence.end());
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return jt_cache_.find(key) != jt_cache_.end();
-}
-
-bool InferenceEngine::bp_cached(const Evidence& evidence) const {
-  const TreeKey key(evidence.begin(), evidence.end());
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  return bp_cache_.find(key) != bp_cache_.end();
+      return likelihood_weighting(net_, batch[i].query, batch[i].evidence,
+                                  samples, rng);
+    });
+  });
 }
 
 QueryProfile InferenceEngine::explain(VariableId query,
@@ -677,153 +613,98 @@ QueryProfile InferenceEngine::explain(VariableId query,
   const auto since = [](clock::time_point a, clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
   };
-  if (query >= net_.size())
-    throw std::out_of_range("InferenceEngine::query: variable id");
-
   const obs::Span span("bayesnet.engine.explain");
   QueryProfile p;
+  const auto t0 = clock::now();
+  const Route r = route({Ask::kQuery, query}, evidence, &p.backend_reason);
   p.query = net_.variable(query).name();
   for (const auto& [v, state] : evidence) {
-    if (v >= net_.size())
-      throw std::out_of_range("InferenceEngine::explain: evidence variable id");
     p.evidence.emplace_back(net_.variable(v).name(),
                             net_.variable(v).state_name(state));
   }
   p.states = net_.variable(query).states();
 
-  const auto t0 = clock::now();
-  if (evidence.contains(query)) {
-    p.backend = "evidence_delta";
-    p.backend_reason =
-        "query variable is observed; the posterior is its evidence delta";
-    const auto d = prob::Categorical::delta(
-        evidence.at(query), net_.variable(query).cardinality());
-    p.posterior = d.probs();
-    p.total_seconds = since(t0, clock::now());
-    return p;
-  }
-
-  if (options_.backend == Backend::kLoopyBP || auto_escalates_to_bp(evidence)) {
-    p.backend = "loopy_bp";
-    p.backend_reason =
-        options_.backend == Backend::kLoopyBP
-            ? "Backend::kLoopyBP routes every query through flooding belief "
-              "propagation with certified bounds"
-            : "Backend::kAuto escalated: the exact elimination plan exceeds "
-              "Options::max_exact_table_cells (largest table " +
-                  std::to_string(exact_plan_max_cells(evidence)) + " cells)";
-    p.bp_cache_hit = bp_cached(evidence);
-    const auto t_prop0 = clock::now();
-    const auto bp = bp_for(evidence);
-    const auto t_prop1 = clock::now();
-    p.schedule = LoopyBP::schedule();
-    p.bp_iterations = bp->iterations();
-    p.bp_converged = bp->converged();
-    p.bp_damping = options_.bp.damping;
-    p.final_residual = bp->final_residual();
-    p.bound_width = bp->max_bound_width();
-    p.propagation_seconds = bp->build_seconds();
-    p.arena_high_water_bytes = bp->arena_high_water_bytes();
-    const auto& posterior = bp->query(query);  // throws when P(e) = 0
-    const auto t_read = clock::now();
-    p.stages.push_back({"propagate", since(t_prop0, t_prop1)});
-    p.stages.push_back({"read_marginal", since(t_prop1, t_read)});
-    p.posterior = posterior.point.probs();
-  } else if (options_.backend == Backend::kJunctionTree) {
-    p.backend = "junction_tree";
-    p.backend_reason =
-        "Backend::kJunctionTree routes every query through the calibrated "
-        "clique tree";
-    p.jt_cache_hit = tree_cached(evidence);
-    const auto t_cal0 = clock::now();
-    const auto tree = calibrated_tree_for(evidence);
-    const auto t_cal1 = clock::now();
-    for (const auto& clique : tree->cliques())
-      p.clique_sizes.push_back(clique.size());
-    p.max_clique_size = tree->max_clique_size();
-    p.calibration_seconds = tree->build_seconds();
-    p.arena_high_water_bytes = tree->arena_high_water_bytes();
-    const auto posterior = tree->query(query);  // throws when P(e) = 0
-    const auto t_read = clock::now();
-    p.stages.push_back({"calibrate", since(t_cal0, t_cal1)});
-    p.stages.push_back({"read_marginal", since(t_cal1, t_read)});
-    p.posterior = posterior.probs();
-  } else {
-    p.backend = "variable_elimination";
-    p.backend_reason =
-        options_.backend == Backend::kVariableElimination
-            ? "Backend::kVariableElimination runs one elimination per query"
-            : "Backend::kAuto keeps single queries on variable elimination "
-              "(the junction tree amortizes only across batch groups)";
-    p.ordering_cache_hit = ordering_cached(evidence);
-    const auto t_plan0 = clock::now();
-    const auto ordering = ordering_for(evidence);
-    const auto t_plan1 = clock::now();
-    p.induced_width = ordering->induced_width;
-    p.fill_edges = ordering->fill_edges;
-    p.steps = simulate_elimination(net_, evidence, ordering->order, {query});
-    const auto t_sim = clock::now();
-    const auto posterior = query_ve(query, evidence);  // throws when P(e) = 0
-    const auto t_exec = clock::now();
-    p.arena_high_water_bytes =
-        last_ve_arena_high_water_.load(std::memory_order_relaxed);
-    p.stages.push_back({"plan", since(t_plan0, t_plan1)});
-    p.stages.push_back({"analyze", since(t_plan1, t_sim)});
-    p.stages.push_back({"execute", since(t_sim, t_exec)});
-    p.posterior = posterior.probs();
+  switch (r) {
+    case Route::kDelta:
+      p.backend = "evidence_delta";
+      p.posterior = prob::Categorical::delta(evidence.at(query),
+                                             net_.variable(query).cardinality())
+                        .probs();
+      break;
+    case Route::kLoopyBP: {
+      p.backend = "loopy_bp";
+      p.bp_cache_hit = bp_runs_.peek(assignment(evidence)).has_value();
+      const auto t_prop0 = clock::now();
+      const auto bp = bp_for(evidence);
+      const auto t_prop1 = clock::now();
+      p.schedule = LoopyBP::schedule();
+      p.bp_iterations = bp->iterations();
+      p.bp_converged = bp->converged();
+      p.bp_damping = options_.bp.damping;
+      p.final_residual = bp->final_residual();
+      p.bound_width = bp->max_bound_width();
+      p.propagation_seconds = bp->build_seconds();
+      p.arena_high_water_bytes = bp->arena_high_water_bytes();
+      const auto& posterior = bp->query(query);  // throws when P(e) = 0
+      const auto t_read = clock::now();
+      p.stages.push_back({"propagate", since(t_prop0, t_prop1)});
+      p.stages.push_back({"read_marginal", since(t_prop1, t_read)});
+      p.posterior = posterior.point.probs();
+      break;
+    }
+    case Route::kJunctionTree: {
+      p.backend = "junction_tree";
+      p.jt_cache_hit = trees_.peek(assignment(evidence)).has_value();
+      const auto t_cal0 = clock::now();
+      const auto tree = calibrated_tree_for(evidence);
+      const auto t_cal1 = clock::now();
+      for (const auto& clique : tree->cliques())
+        p.clique_sizes.push_back(clique.size());
+      p.max_clique_size = tree->max_clique_size();
+      p.calibration_seconds = tree->build_seconds();
+      p.arena_high_water_bytes = tree->arena_high_water_bytes();
+      const auto posterior = tree->query(query);  // throws when P(e) = 0
+      const auto t_read = clock::now();
+      p.stages.push_back({"calibrate", since(t_cal0, t_cal1)});
+      p.stages.push_back({"read_marginal", since(t_cal1, t_read)});
+      p.posterior = posterior.probs();
+      break;
+    }
+    case Route::kVariableElimination: {
+      p.backend = "variable_elimination";
+      p.ordering_cache_hit = orderings_.peek(signature(evidence)).has_value();
+      const auto t_plan0 = clock::now();
+      const auto ordering = ordering_for(evidence);
+      const auto t_plan1 = clock::now();
+      p.induced_width = ordering->induced_width;
+      p.fill_edges = ordering->fill_edges;
+      p.steps = simulate_elimination(net_, evidence, ordering->order, {query});
+      const auto t_sim = clock::now();
+      const auto posterior = query_ve(query, evidence);  // throws when P(e) = 0
+      const auto t_exec = clock::now();
+      p.arena_high_water_bytes =
+          last_ve_arena_high_water_.load(std::memory_order_relaxed);
+      p.stages.push_back({"plan", since(t_plan0, t_plan1)});
+      p.stages.push_back({"analyze", since(t_plan1, t_sim)});
+      p.stages.push_back({"execute", since(t_sim, t_exec)});
+      p.posterior = posterior.probs();
+      break;
+    }
   }
   p.total_seconds = since(t0, clock::now());
   return p;
 }
 
-InferenceEngine::CacheStats InferenceEngine::cache_stats() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  CacheStats s;
-  s.hits = cache_hits_;
-  s.misses = cache_misses_;
-  s.entries = cache_.size();
-  return s;
-}
-
-InferenceEngine::CacheStats InferenceEngine::jt_cache_stats() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  CacheStats s;
-  s.hits = jt_cache_hits_;
-  s.misses = jt_cache_misses_;
-  s.entries = jt_cache_.size();
-  return s;
-}
-
-InferenceEngine::CacheStats InferenceEngine::bp_cache_stats() const {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  CacheStats s;
-  s.hits = bp_cache_hits_;
-  s.misses = bp_cache_misses_;
-  s.entries = bp_cache_.size();
-  return s;
-}
-
 void InferenceEngine::reset_cache_stats() {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  jt_cache_hits_ = 0;
-  jt_cache_misses_ = 0;
-  bp_cache_hits_ = 0;
-  bp_cache_misses_ = 0;
+  orderings_.reset_stats();
+  trees_.reset_stats();
+  bp_runs_.reset_stats();
 }
 
 void InferenceEngine::clear_cache() {
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  cache_.clear();
-  cache_hits_ = 0;
-  cache_misses_ = 0;
-  jt_cache_.clear();
-  jt_cache_hits_ = 0;
-  jt_cache_misses_ = 0;
-  bp_cache_.clear();
-  bp_cache_hits_ = 0;
-  bp_cache_misses_ = 0;
+  orderings_.clear();
+  trees_.clear();
+  bp_runs_.clear();
   plan_cells_.clear();
 }
 

@@ -1,23 +1,16 @@
 // The production inference engine: batched, multithreaded posterior
-// queries over one Bayesian network, with two exact backends behind one
-// contract — per-query variable elimination and calibrated junction
-// trees — plus elimination orderings computed once per evidence-keys
-// signature and cached.
+// queries over one Bayesian network, answered by variable elimination
+// (VE), calibrated junction trees (JT) or loopy belief propagation with
+// certified bounds (BP).
 //
 // Relationship to VariableElimination: same exact-inference contract and
 // identical error semantics, plus
 //  * CPT factors are materialized once at construction instead of per
 //    query;
-//  * elimination orderings (min-fill by default) are cached by the set of
-//    evidence *keys* — repeated queries that observe the same variables
-//    (with any values and any query variable) reuse the plan;
-//  * calibrated junction trees are cached by the full evidence
-//    *assignment* (keys and values): an all-marginals workload pays one
-//    message pass instead of one elimination per query. The `Backend`
-//    option selects the strategy; `kAuto` (default) keeps single queries
-//    on VE and switches a batch group to the junction tree once it has
-//    `jt_batch_threshold` distinct query variables under one evidence
-//    assignment;
+//  * four memos (bayesnet/memo.hpp) hold the reusable work: min-fill
+//    elimination orderings and the kAuto guard's plan sizes by evidence
+//    *keys* (any values, any query variable), calibrated junction trees
+//    and BP runs by the full evidence *assignment*;
 //  * `query_batch` fans a vector of (query, evidence) pairs across a
 //    fixed thread pool; results are deterministic and independent of the
 //    thread count because every query's slot and arithmetic are fixed up
@@ -26,26 +19,43 @@
 //    derived from (seed, query index), so a fixed seed gives byte-identical
 //    posteriors regardless of scheduling.
 //
+// Routing: `query`, `explain`, `all_marginals`, `query_batch` (once per
+// evidence assignment), `evidence_probability`,
+// `log_evidence_probability` and `joint` all ask one rule which backend
+// answers them:
+//  1. Evidence ids and states are validated (std::out_of_range).
+//  2. An observed query variable answers with its evidence delta.
+//  3. A fixed backend answers what it can and hands the rest to VE:
+//     kVariableElimination answers everything, kJunctionTree everything
+//     but `joint`, kLoopyBP everything but P(e) and `joint`.
+//  4. kAuto first checks the exact plan's largest table against
+//     `max_exact_table_cells`. Over the ceiling, posteriors escalate to
+//     BP (ContractViolation when `enable_bp` is false) and P(e) and
+//     `joint`, which BP cannot answer, throw ContractViolation naming
+//     the cell count and the ceiling. Within it, `all_marginals` runs on
+//     JT, a batch group on JT once it holds `jt_batch_threshold`
+//     distinct query variables, and everything else on VE.
+// `query_bounded` and `all_marginals_bounded` always run BP.
+//
 // Thread safety: all query methods are const and safe to call from
-// multiple threads concurrently; the ordering and junction-tree caches
-// are internally locked. The engine holds a reference to the network —
-// the network must outlive the engine and must not be mutated while
-// queries run.
+// multiple threads concurrently; the memos are internally locked. The
+// engine holds a reference to the network — the network must outlive
+// the engine and must not be mutated while queries run.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
-
-#include <atomic>
 
 #include "bayesnet/junction_tree.hpp"
 #include "bayesnet/kernels.hpp"
 #include "bayesnet/loopy_bp.hpp"
+#include "bayesnet/memo.hpp"
 #include "bayesnet/network.hpp"
 #include "bayesnet/ordering.hpp"
 #include "bayesnet/profile.hpp"
@@ -74,7 +84,6 @@ class InferenceEngine {
   struct Options {
     /// Worker threads for the batch APIs. 0 = hardware concurrency.
     std::size_t threads = 0;
-    OrderingHeuristic heuristic = OrderingHeuristic::kMinFill;
     Backend backend = Backend::kAuto;
     /// Under kAuto, a batch group switches to the junction tree once it
     /// holds at least this many *distinct* query variables under one
@@ -83,10 +92,11 @@ class InferenceEngine {
     /// Under kAuto, the feasibility ceiling for exact inference: when
     /// the cached elimination plan's largest intermediate table would
     /// exceed this many cells (simulate_elimination's estimate, also a
-    /// proxy for the junction tree's largest clique), the query
+    /// proxy for the junction tree's largest clique), a posterior
     /// escalates to loopy BP instead of materializing it — or throws a
-    /// ContractViolation when `enable_bp` is false. The default is 2^24
-    /// cells (128 MiB of doubles per table).
+    /// ContractViolation when `enable_bp` is false, as P(e) and `joint`
+    /// always do (BP cannot answer them). The default is 2^24 cells
+    /// (128 MiB of doubles per table).
     std::size_t max_exact_table_cells = std::size_t{1} << 24;
     /// Permits the kAuto escalation to loopy BP. When false, a query
     /// whose exact plan exceeds `max_exact_table_cells` fails fast with
@@ -96,20 +106,10 @@ class InferenceEngine {
     LoopyBP::Options bp = {};
   };
 
-  /// A point-in-time view of this engine's ordering-cache counters.
-  /// The process-wide aggregates live on the obs registry
-  /// (`bayesnet.engine.ordering_cache.*`); this struct is the
-  /// per-engine window over the same events.
-  struct CacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t entries = 0;
-    [[nodiscard]] double hit_rate() const {
-      const std::size_t lookups = hits + misses;
-      if (lookups == 0) return 0.0;
-      return static_cast<double>(hits) / static_cast<double>(lookups);
-    }
-  };
+  /// One cache's per-engine window; the process-wide aggregates are the
+  /// `bayesnet.engine.ordering_cache.*`, `bayesnet.{jt,bp}.cache.*`
+  /// instruments.
+  using CacheStats = bayesnet::CacheStats;
 
   explicit InferenceEngine(const BayesianNetwork& net);
   InferenceEngine(const BayesianNetwork& net, Options options);
@@ -137,10 +137,10 @@ class InferenceEngine {
   [[nodiscard]] QueryProfile explain(VariableId query,
                                      const Evidence& evidence = {}) const;
 
-  /// Exact posteriors of *every* variable given `evidence`, indexed by
-  /// VariableId (observed variables hold their deltas). Under the
-  /// kJunctionTree and kAuto backends this is one calibrated message
-  /// pass; under kVariableElimination it loops `query`. Throws like
+  /// Posteriors of *every* variable given `evidence`, indexed by
+  /// VariableId (observed variables hold their deltas): one calibrated
+  /// message pass under kJunctionTree and kAuto, one BP run under
+  /// kLoopyBP, a `query` loop under kVariableElimination. Throws like
   /// `query` on impossible evidence.
   [[nodiscard]] std::vector<prob::Categorical> all_marginals(
       const Evidence& evidence = {}) const;
@@ -183,28 +183,40 @@ class InferenceEngine {
 
   /// Ordering-cache statistics since construction / the last clear /
   /// the last reset_cache_stats().
-  [[nodiscard]] CacheStats cache_stats() const;
+  [[nodiscard]] CacheStats cache_stats() const { return orderings_.stats(); }
 
   /// Calibrated-tree cache statistics (same windowing rules). Unlike the
   /// ordering cache, entries here are keyed by the *full* evidence
   /// assignment — two evidence maps sharing keys but differing in any
   /// value never share a calibrated tree.
-  [[nodiscard]] CacheStats jt_cache_stats() const;
+  [[nodiscard]] CacheStats jt_cache_stats() const { return trees_.stats(); }
 
   /// Loopy-BP run cache statistics (same windowing rules; keyed by the
   /// full evidence assignment like the junction-tree cache).
-  [[nodiscard]] CacheStats bp_cache_stats() const;
+  [[nodiscard]] CacheStats bp_cache_stats() const { return bp_runs_.stats(); }
 
-  /// Zeroes the hit/miss counters (ordering and junction-tree caches)
-  /// without dropping cached plans or calibrated trees, so long-running
-  /// batch loops can window their stats per batch. The process-wide obs
-  /// counters are unaffected (they aggregate forever).
+  /// Zeroes the hit/miss counters of all three caches without dropping
+  /// cached plans, trees or BP runs, so long-running batch loops can
+  /// window their stats per batch. The process-wide obs counters are
+  /// unaffected (they aggregate forever).
   void reset_cache_stats();
 
   void clear_cache();
 
  private:
   class Pool;
+  struct Slots;
+
+  /// The backend that answers a call; kDelta is an observed query
+  /// variable's evidence delta.
+  enum class Route { kDelta, kVariableElimination, kJunctionTree, kLoopyBP };
+  /// What a call asks route() for.
+  struct Ask {
+    enum Kind { kQuery, kAllMarginals, kBatchGroup, kEvidence, kJoint };
+    Kind kind;
+    VariableId query = 0;      ///< kQuery: the query variable
+    std::size_t distinct = 0;  ///< kBatchGroup: distinct query variables
+  };
 
   // Key: sorted evidence keys. The cached ordering eliminates *every*
   // unobserved variable; queries skip their kept variables at execution
@@ -222,31 +234,37 @@ class InferenceEngine {
   std::vector<Factor> cpt_factors_;
   std::unique_ptr<Pool> pool_;              // sysuq-thread-confined(init)
 
-  mutable std::mutex cache_mu_;
-  // sysuq-guarded-by(cache_mu_)
-  mutable std::map<OrderingKey, std::shared_ptr<const EliminationOrdering>> cache_;
-  mutable std::size_t cache_hits_ = 0;      // sysuq-guarded-by(cache_mu_)
-  mutable std::size_t cache_misses_ = 0;    // sysuq-guarded-by(cache_mu_)
-  // sysuq-guarded-by(cache_mu_)
-  mutable std::map<TreeKey, std::shared_ptr<const JunctionTree>> jt_cache_;
-  mutable std::size_t jt_cache_hits_ = 0;   // sysuq-guarded-by(cache_mu_)
-  mutable std::size_t jt_cache_misses_ = 0; // sysuq-guarded-by(cache_mu_)
-  // sysuq-guarded-by(cache_mu_)
-  mutable std::map<TreeKey, std::shared_ptr<const LoopyBP>> bp_cache_;
-  mutable std::size_t bp_cache_hits_ = 0;   // sysuq-guarded-by(cache_mu_)
-  mutable std::size_t bp_cache_misses_ = 0; // sysuq-guarded-by(cache_mu_)
-  // kAuto feasibility guard memo: largest simulated elimination table
-  // (cells) per evidence-keys signature — one symbolic replay per
-  // signature, not per query.  sysuq-guarded-by(cache_mu_)
-  mutable std::map<OrderingKey, std::size_t> plan_cells_;
+  // The four memos lock internally; see bayesnet/memo.hpp.
+  mutable Memo<OrderingKey, std::shared_ptr<const EliminationOrdering>>
+      orderings_{"bayesnet.engine.ordering_cache"};
+  mutable Memo<TreeKey, std::shared_ptr<const JunctionTree>> trees_{
+      "bayesnet.jt.cache"};
+  mutable Memo<TreeKey, std::shared_ptr<const LoopyBP>> bp_runs_{
+      "bayesnet.bp.cache"};
+  // The kAuto guard's largest simulated elimination table (cells) per
+  // evidence-keys signature; invisible to every CacheStats.
+  mutable Memo<OrderingKey, std::size_t> plan_cells_;
   // Arena bytes live at the peak of the most recent VE elimination on
   // any thread (captured before the final arena reset). Relaxed: a
   // diagnostic figure for explain(), not synchronization.
   mutable std::atomic<std::size_t> last_ve_arena_high_water_{0};
 
-  // Takes cache_mu_ itself; calling it with the lock held self-deadlocks.
-  // sysuq-excludes(cache_mu_)
+  /// The routing rule of the class comment, throws included. `reason`,
+  /// when given, receives the one-line why explain() prints for a query.
+  [[nodiscard]] Route route(const Ask& ask, const Evidence& evidence,
+                            std::string* reason = nullptr) const;
+  /// kAuto feasibility guard: largest intermediate table (cells) of the
+  /// full elimination plan under `evidence`, memoized per signature.
+  [[nodiscard]] std::size_t exact_plan_max_cells(const Evidence& evidence) const;
   [[nodiscard]] std::shared_ptr<const EliminationOrdering> ordering_for(
+      const Evidence& evidence) const;
+  /// The calibrated tree for `evidence`, built on a miss and memoized.
+  [[nodiscard]] std::shared_ptr<const JunctionTree> calibrated_tree_for(
+      const Evidence& evidence) const;
+  /// The loopy-BP run for `evidence`, built on a miss and memoized. A
+  /// run that fails to converge under the configured damping is retried
+  /// once at damping 0.5 (deterministic), keeping whichever converged.
+  [[nodiscard]] std::shared_ptr<const LoopyBP> bp_for(
       const Evidence& evidence) const;
   /// Scaled elimination over views of the cached CPT factors (no
   /// per-query deep copies); evidence reductions and all intermediates
@@ -255,29 +273,14 @@ class InferenceEngine {
   /// deep-chain underflow.
   [[nodiscard]] kernels::ScaledFactor eliminate_all_but(
       const std::vector<VariableId>& keep, const Evidence& evidence) const;
-  /// The calibrated tree for `evidence`, built on a miss and memoized.
-  // sysuq-excludes(cache_mu_)
-  [[nodiscard]] std::shared_ptr<const JunctionTree> calibrated_tree_for(
-      const Evidence& evidence) const;
-  /// The loopy-BP run for `evidence`, built on a miss and memoized. A
-  /// run that fails to converge under the configured damping is retried
-  /// once at damping 0.5 (deterministic), keeping whichever converged.
-  // sysuq-excludes(cache_mu_)
-  [[nodiscard]] std::shared_ptr<const LoopyBP> bp_for(
-      const Evidence& evidence) const;
-  /// kAuto feasibility guard: largest intermediate table (cells) of the
-  /// cached elimination plan under `evidence` (memoized per signature).
-  // sysuq-excludes(cache_mu_)
-  [[nodiscard]] std::size_t exact_plan_max_cells(const Evidence& evidence) const;
-  /// True when kAuto must leave the exact backends for `evidence`;
-  /// throws ContractViolation when escalation is needed but disabled.
-  [[nodiscard]] bool auto_escalates_to_bp(const Evidence& evidence) const;
   [[nodiscard]] prob::Categorical query_ve(VariableId query,
                                            const Evidence& evidence) const;
-  /// Cache peeks for explain()'s hit attribution (no stats recorded).
-  [[nodiscard]] bool ordering_cached(const Evidence& evidence) const;
-  [[nodiscard]] bool tree_cached(const Evidence& evidence) const;
-  [[nodiscard]] bool bp_cached(const Evidence& evidence) const;
+  /// Runs `unit(0..units-1)` across the pool under the caller's trace
+  /// context, then rethrows the first failed slot's exception or returns
+  /// every slot's posterior in slot order.
+  [[nodiscard]] std::vector<prob::Categorical> run_units(
+      Slots& slots, std::size_t units,
+      const std::function<void(std::size_t)>& unit) const;
 };
 
 }  // namespace sysuq::bayesnet

@@ -2,7 +2,8 @@
 //
 // Three engines with one contract (posterior marginal of a query variable
 // given evidence):
-//  * VariableElimination — exact, the production path.
+//  * VariableElimination — exact, per query; the reference the tests
+//    check InferenceEngine against.
 //  * enumeration oracle — exact by brute force; the test oracle.
 //  * likelihood weighting / rejection sampling — approximate; used to
 //    demonstrate sampling-vs-exact tradeoffs in the Fig. 4 bench.
@@ -37,7 +38,7 @@ namespace sysuq::bayesnet {
     const BayesianNetwork& net, const Evidence& evidence);
 
 /// Exact posterior P(query | evidence) by variable elimination with a
-/// min-degree elimination ordering.
+/// min-fill elimination ordering.
 class VariableElimination {
  public:
   explicit VariableElimination(const BayesianNetwork& net);

@@ -83,8 +83,7 @@ std::vector<VariableId> intersection(const std::vector<VariableId>& a,
 
 }  // namespace
 
-JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
-                           OrderingHeuristic heuristic)
+JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
     : net_(net), evidence_(evidence) {
   net_.validate();
   for (const auto& [v, state] : evidence_) {
@@ -100,7 +99,7 @@ JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
   // while build_seconds() attributes this one build (and stays live
   // under SYSUQ_OBS=OFF for `explain`).
   const auto t0 = std::chrono::steady_clock::now();
-  calibrate(heuristic);
+  calibrate();
   build_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -109,7 +108,7 @@ JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
   metrics.max_clique_size.observe(static_cast<double>(max_clique_size_));
 }
 
-void JunctionTree::calibrate(OrderingHeuristic heuristic) {
+void JunctionTree::calibrate() {
   const std::size_t n = net_.size();
   std::vector<VariableId> keys;
   keys.reserve(evidence_.size());
@@ -121,7 +120,7 @@ void JunctionTree::calibrate(OrderingHeuristic heuristic) {
   // is gone from all later graphs), so one backward containment scan
   // suffices.
   const EliminationOrdering ordering =
-      compute_elimination_order(net_, /*keep=*/{}, keys, heuristic);
+      compute_elimination_order(net_, /*keep=*/{}, keys);
   const auto raw = elimination_cliques(net_, keys, ordering.order);
   for (std::size_t i = 0; i < raw.size(); ++i) {
     bool subsumed = false;

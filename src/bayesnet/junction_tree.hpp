@@ -11,8 +11,8 @@
 // which issue many queries against the same network and evidence.
 //
 // Construction pipeline (all reusing bayesnet/ordering):
-//  1. moralize + triangulate: `compute_elimination_order` (min-fill by
-//     default) over the moral graph with evidence vertices deleted;
+//  1. moralize + triangulate: `compute_elimination_order` (min-fill)
+//     over the moral graph with evidence vertices deleted;
 //  2. elimination cliques via `elimination_cliques`, pruned to maximal
 //     cliques (running-intersection property holds by chordality);
 //  3. clique tree: deterministic maximum-weight spanning tree over
@@ -49,8 +49,7 @@ class JunctionTree {
   /// Throws std::out_of_range for unknown evidence ids; evidence with
   /// probability zero is absorbed silently here and surfaces as
   /// std::domain_error from the marginal accessors.
-  explicit JunctionTree(const BayesianNetwork& net, const Evidence& evidence = {},
-                        OrderingHeuristic heuristic = OrderingHeuristic::kMinFill);
+  explicit JunctionTree(const BayesianNetwork& net, const Evidence& evidence = {});
 
   [[nodiscard]] const BayesianNetwork& network() const { return net_; }
   [[nodiscard]] const Evidence& evidence() const { return evidence_; }
@@ -100,7 +99,7 @@ class JunctionTree {
   double build_seconds_ = 0.0;
   std::size_t arena_high_water_ = 0;
 
-  void calibrate(OrderingHeuristic heuristic);
+  void calibrate();
   [[noreturn]] void throw_impossible() const;
 };
 

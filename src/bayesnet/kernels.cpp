@@ -41,63 +41,6 @@ std::size_t map_strides(const View& op, const VariableId* scope,
   return pos;
 }
 
-// Shared skeleton of the linear and log-space products. Because scopes
-// are sorted, the merged inner (fastest) dimension has stride 1 in each
-// operand that contains it and 0 otherwise, so every inner loop is a
-// contiguous combine or a broadcast.
-template <typename Op>
-void combine_into(const View& a, const View& b, const VariableId* scope,
-                  const std::size_t* cards, std::size_t rank, double* out,
-                  Op op, const char* what) {
-  SYSUQ_EXPECT(rank <= kMaxRank, "factor kernels: rank exceeds kMaxRank");
-  if (rank == 0) {
-    out[0] = op(a.values[0], b.values[0]);
-    return;
-  }
-  std::size_t oa[kMaxRank], ob[kMaxRank];
-  own_strides(a.cards, a.rank, oa);
-  own_strides(b.cards, b.rank, ob);
-  std::size_t sa[kMaxRank], sb[kMaxRank];
-  SYSUQ_EXPECT(map_strides(a, scope, rank, oa, sa) == a.rank, what);
-  SYSUQ_EXPECT(map_strides(b, scope, rank, ob, sb) == b.rank, what);
-
-  const std::size_t total_cells = checked_table_size(cards, rank, what);
-  const std::size_t inner = rank - 1;
-  const std::size_t cin = cards[inner];
-  const bool a_in = sa[inner] != 0;  // stride is 1 when present (sorted)
-  const bool b_in = sb[inner] != 0;
-  SYSUQ_EXPECT(a_in || b_in, what);
-
-  std::size_t idx[kMaxRank];
-  std::fill(idx, idx + rank, std::size_t{0});
-  const double* av = a.values;
-  const double* bv = b.values;
-  std::size_t ia = 0, ib = 0;
-  const std::size_t blocks = total_cells / cin;
-  for (std::size_t blk = 0;;) {
-    const double* pa = av + ia;
-    const double* pb = bv + ib;
-    if (a_in && b_in) {
-      for (std::size_t j = 0; j < cin; ++j) out[j] = op(pa[j], pb[j]);
-    } else if (a_in) {
-      const double vb = *pb;
-      for (std::size_t j = 0; j < cin; ++j) out[j] = op(pa[j], vb);
-    } else {
-      const double va = *pa;
-      for (std::size_t j = 0; j < cin; ++j) out[j] = op(va, pb[j]);
-    }
-    out += cin;
-    if (++blk == blocks) break;
-    for (std::size_t k = inner; k-- > 0;) {
-      ia += sa[k];
-      ib += sb[k];
-      if (++idx[k] < cards[k]) break;
-      ia -= sa[k] * cards[k];
-      ib -= sb[k] * cards[k];
-      idx[k] = 0;
-    }
-  }
-}
 
 Factor materialize(const View& v) {
   return Factor(std::vector<VariableId>(v.scope, v.scope + v.rank),
@@ -124,15 +67,13 @@ struct ElimOutcome {
   bool impossible = false;
 };
 
-// Core elimination loop shared by the scaled and legacy paths. With
-// `rescale`, every fresh intermediate whose total leaves
-// [kRescaleFloor, 1/kRescaleFloor] is renormalized and the log of the
-// factored-out total accumulated; an exactly-zero intermediate short-
-// circuits as impossible (zeros only propagate outward in a product of
-// non-negative factors).
+// Core elimination loop of eliminate_scaled. Every fresh intermediate
+// whose total leaves [kRescaleFloor, 1/kRescaleFloor] is renormalized
+// and the log of the factored-out total accumulated; an exactly-zero
+// intermediate short-circuits as impossible (zeros only propagate
+// outward in a product of non-negative factors).
 ElimOutcome eliminate_core(std::vector<View>& live,
-                           const std::vector<VariableId>& order, Arena& arena,
-                           bool rescale) {
+                           const std::vector<VariableId>& order, Arena& arena) {
   ElimOutcome out;
   const auto rescale_table = [&](Table& t) -> bool {
     const double mass = total(t.values, t.size);
@@ -163,7 +104,7 @@ ElimOutcome eliminate_core(std::vector<View>& live,
     if (!have) continue;  // variable absent from every live factor
     live.resize(w);
     Table m = marginalize_out_one(acc, v, arena);
-    if (rescale && !rescale_table(m)) {
+    if (!rescale_table(m)) {
       out.impossible = true;
       return out;
     }
@@ -177,7 +118,7 @@ ElimOutcome eliminate_core(std::vector<View>& live,
   View acc = live.front();
   for (std::size_t i = 1; i < live.size(); ++i) {
     Table t = product(acc, live[i], arena);
-    if (rescale && !rescale_table(t)) {
+    if (!rescale_table(t)) {
       out.impossible = true;
       return out;
     }
@@ -255,15 +196,66 @@ std::size_t merge_scopes(const View& a, const View& b, VariableId* scope,
   return k;
 }
 
+// Because scopes are sorted, the merged inner (fastest) dimension has
+// stride 1 in each operand that contains it and 0 otherwise, so every
+// inner loop is a contiguous product or a broadcast.
 void product_into(const View& a, const View& b, const VariableId* scope,
                   const std::size_t* cards, std::size_t rank, double* out) {
   SYSUQ_EXPECT(a.rank <= rank && b.rank <= rank,
                "kernels::product_into: operand rank exceeds merged rank");
-  combine_into(
-      a, b, scope, cards, rank, out,
-      [](double x, double y) { return x * y; },
+  SYSUQ_EXPECT(rank <= kMaxRank, "factor kernels: rank exceeds kMaxRank");
+  if (rank == 0) {
+    out[0] = a.values[0] * b.values[0];
+    return;
+  }
+  const char* what =
       "kernels::product_into: operand scopes must be subsets of the merged "
-      "scope");
+      "scope";
+  std::size_t oa[kMaxRank], ob[kMaxRank];
+  own_strides(a.cards, a.rank, oa);
+  own_strides(b.cards, b.rank, ob);
+  // Built outside the contract: Mode::kOff evaluates no condition.
+  std::size_t sa[kMaxRank], sb[kMaxRank];
+  const std::size_t a_matched = map_strides(a, scope, rank, oa, sa);
+  const std::size_t b_matched = map_strides(b, scope, rank, ob, sb);
+  SYSUQ_EXPECT(a_matched == a.rank && b_matched == b.rank, what);
+
+  const std::size_t total_cells = checked_table_size(cards, rank, what);
+  const std::size_t inner = rank - 1;
+  const std::size_t cin = cards[inner];
+  const bool a_in = sa[inner] != 0;  // stride is 1 when present (sorted)
+  const bool b_in = sb[inner] != 0;
+  SYSUQ_EXPECT(a_in || b_in, what);
+
+  std::size_t idx[kMaxRank];
+  std::fill(idx, idx + rank, std::size_t{0});
+  const double* av = a.values;
+  const double* bv = b.values;
+  std::size_t ia = 0, ib = 0;
+  const std::size_t blocks = total_cells / cin;
+  for (std::size_t blk = 0;;) {
+    const double* pa = av + ia;
+    const double* pb = bv + ib;
+    if (a_in && b_in) {
+      for (std::size_t j = 0; j < cin; ++j) out[j] = pa[j] * pb[j];
+    } else if (a_in) {
+      const double vb = *pb;
+      for (std::size_t j = 0; j < cin; ++j) out[j] = pa[j] * vb;
+    } else {
+      const double va = *pa;
+      for (std::size_t j = 0; j < cin; ++j) out[j] = va * pb[j];
+    }
+    out += cin;
+    if (++blk == blocks) break;
+    for (std::size_t k = inner; k-- > 0;) {
+      ia += sa[k];
+      ib += sb[k];
+      if (++idx[k] < cards[k]) break;
+      ia -= sa[k] * cards[k];
+      ib -= sb[k] * cards[k];
+      idx[k] = 0;
+    }
+  }
 }
 
 Table product(const View& a, const View& b, Arena& arena) {
@@ -449,111 +441,6 @@ void scale(double* values, std::size_t n, double s) noexcept {
   for (std::size_t i = 0; i < n; ++i) values[i] *= s;
 }
 
-void to_log(const double* in, std::size_t n, double* out) {
-  SYSUQ_EXPECT(std::all_of(in, in + n, [](double x) { return x >= 0.0; }),
-               "kernels::to_log: values must be non-negative");
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::log(in[i]);
-}
-
-void from_log(const double* in, std::size_t n, double* out) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(in[i]);
-}
-
-void log_product_into(const View& a, const View& b, const VariableId* scope,
-                      const std::size_t* cards, std::size_t rank,
-                      double* out) {
-  SYSUQ_EXPECT(a.rank <= rank && b.rank <= rank,
-               "kernels::log_product_into: operand rank exceeds merged rank");
-  combine_into(
-      a, b, scope, cards, rank, out,
-      [](double x, double y) { return x + y; },
-      "kernels::log_product_into: operand scopes must be subsets of the "
-      "merged scope");
-}
-
-void log_marginalize_keep_into(const View& f, const VariableId* keep,
-                               std::size_t nkeep, Arena& arena, double* out) {
-  SYSUQ_EXPECT(f.rank <= kMaxRank,
-               "kernels::log_marginalize_keep_into: rank exceeds kMaxRank");
-  bool kept[kMaxRank];
-  std::size_t pos = 0;
-  for (std::size_t i = 0; i < f.rank; ++i) {
-    if (pos < nkeep && f.scope[i] == keep[pos]) {
-      kept[i] = true;
-      ++pos;
-    } else {
-      kept[i] = false;
-    }
-  }
-  SYSUQ_EXPECT(pos == nkeep,
-               "kernels::log_marginalize_keep_into: keep must be a sorted "
-               "subset of the scope");
-  std::size_t out_stride[kMaxRank];
-  std::size_t out_size = 1;
-  for (std::size_t i = f.rank; i-- > 0;) {
-    if (kept[i]) {
-      out_stride[i] = out_size;
-      out_size *= f.cards[i];
-    } else {
-      out_stride[i] = 0;
-    }
-  }
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  if (f.rank == 0) {
-    out[0] = f.values[0];
-    return;
-  }
-  // Max-shifted log-sum-exp per output cell, two passes over the input
-  // with the same incremental output index walk as the linear kernel.
-  double* cell_max = arena.alloc<double>(out_size);
-  double* cell_acc = arena.alloc<double>(out_size);
-  std::fill(cell_max, cell_max + out_size, kNegInf);
-  std::fill(cell_acc, cell_acc + out_size, 0.0);
-
-  const std::size_t inner = f.rank - 1;
-  const std::size_t cin = f.cards[inner];
-  const std::size_t sin_out = kept[inner] ? 1 : 0;
-  const auto sweep = [&](auto&& visit) {
-    std::size_t idx[kMaxRank];
-    std::fill(idx, idx + f.rank, std::size_t{0});
-    const double* v = f.values;
-    std::size_t o = 0;
-    const std::size_t blocks = f.size / cin;
-    for (std::size_t blk = 0;;) {
-      for (std::size_t j = 0; j < cin; ++j) visit(o + j * sin_out, v[j]);
-      v += cin;
-      if (++blk == blocks) break;
-      for (std::size_t k = inner; k-- > 0;) {
-        o += out_stride[k];
-        if (++idx[k] < f.cards[k]) break;
-        o -= out_stride[k] * f.cards[k];
-        idx[k] = 0;
-      }
-    }
-  };
-  sweep([&](std::size_t o, double x) {
-    if (x > cell_max[o]) cell_max[o] = x;
-  });
-  sweep([&](std::size_t o, double x) {
-    if (x > kNegInf) cell_acc[o] += std::exp(x - cell_max[o]);
-  });
-  for (std::size_t o = 0; o < out_size; ++o) {
-    out[o] = cell_acc[o] > 0.0 ? cell_max[o] + std::log(cell_acc[o]) : kNegInf;
-  }
-}
-
-double log_total(const double* values, std::size_t n) noexcept {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  double m = kNegInf;
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, values[i]);
-  if (!(m > kNegInf)) return kNegInf;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] > kNegInf) acc += std::exp(values[i] - m);
-  }
-  return m + std::log(acc);
-}
-
 double ScaledFactor::log_total() const {
   return log_scale + std::log(factor.total());
 }
@@ -561,19 +448,12 @@ double ScaledFactor::log_total() const {
 ScaledFactor eliminate_scaled(std::vector<View> factors,
                               const std::vector<VariableId>& order,
                               Arena& arena) {
-  ElimOutcome outcome = eliminate_core(factors, order, arena, /*rescale=*/true);
+  ElimOutcome outcome = eliminate_core(factors, order, arena);
   if (outcome.impossible) {
     return ScaledFactor{Factor({}, {}, {0.0}),
                         -std::numeric_limits<double>::infinity()};
   }
   return ScaledFactor{materialize(outcome.result), outcome.log_scale};
-}
-
-Factor eliminate_linear(std::vector<View> factors,
-                        const std::vector<VariableId>& order, Arena& arena) {
-  ElimOutcome outcome =
-      eliminate_core(factors, order, arena, /*rescale=*/false);
-  return materialize(outcome.result);
 }
 
 Arena& thread_scratch() {

@@ -16,9 +16,8 @@
 // (stride 0), which is what the auto-vectorizer needs.
 //
 // Intermediate tables live in a bump Arena (bayesnet/arena.hpp); only
-// final results are materialized as owning Factors. Log-space variants
-// (log_product / log_marginalize = log-sum-exp) and scaled elimination
-// (per-round renormalization with an accumulated log normalizer) let
+// final results are materialized as owning Factors. Scaled elimination
+// (per-round renormalization with an accumulated log normalizer) lets
 // callers survive deep-evidence underflow without paying repeated
 // normalization in the linear hot path.
 #pragma once
@@ -135,31 +134,6 @@ void reduce_into(const View& f, std::size_t pos, std::size_t state,
 void scale(double* values, std::size_t n, double s) noexcept;
 
 // ---------------------------------------------------------------------
-// Log-space kernels. Tables hold log-potentials; zero mass is -inf.
-
-/// Elementwise log: log(0) = -inf. SYSUQ_EXPECT rejects negatives.
-void to_log(const double* in, std::size_t n, double* out);
-
-/// Elementwise exp into `out`.
-// sysuq-lint-allow(contract-coverage): total elementwise map over any span
-void from_log(const double* in, std::size_t n, double* out) noexcept;
-
-/// Log-space product (elementwise addition) over the merged scope, as
-/// product_into.
-void log_product_into(const View& a, const View& b, const VariableId* scope,
-                      const std::size_t* cards, std::size_t rank, double* out);
-
-/// Log-space marginalization of every variable not in `keep`: per output
-/// cell a max-shifted log-sum-exp, so P(e) ~ 1e-5000 stays finite.
-/// Uses `arena` for the per-cell running-max scratch.
-void log_marginalize_keep_into(const View& f, const VariableId* keep,
-                               std::size_t nkeep, Arena& arena, double* out);
-
-/// log(sum(exp(values))) with max shifting; -inf for an all - (-inf)
-/// table.
-[[nodiscard]] double log_total(const double* values, std::size_t n) noexcept;
-
-// ---------------------------------------------------------------------
 // Scaled elimination: the production path under VE.
 
 /// Result of a scaled elimination run: `factor` is the eliminated
@@ -192,14 +166,6 @@ struct ScaledFactor {
 [[nodiscard]] ScaledFactor eliminate_scaled(std::vector<View> factors,
                                             const std::vector<VariableId>& order,
                                             Arena& arena);
-
-/// Legacy-semantics elimination: no rescaling, no short-circuit; the
-/// returned factor's total is the raw linear mass (which may underflow,
-/// exactly as the historical mixed-radix path did). Kept for
-/// eliminate_with_order compatibility.
-[[nodiscard]] Factor eliminate_linear(std::vector<View> factors,
-                                      const std::vector<VariableId>& order,
-                                      Arena& arena);
 
 /// Per-thread scratch arena for the inference hot paths. Reset it at
 /// the top of each query/calibration frame; never hold tables across a

@@ -1,0 +1,112 @@
+// Memo: the inference engine's one cache type — a thread-safe map from a
+// key to a value built on first use, with per-instance hit/miss/entry
+// counts and their process-wide obs mirrors.
+//
+// A miss builds its value outside the lock, so a slow build (an ordering
+// heuristic, a junction-tree calibration, a BP run) never serializes
+// lookups of other keys. Two callers racing on one key both build and
+// the first insert is kept; every builder the engine passes is
+// deterministic, so the copies agree. `peek` reads without counting, for
+// pre-flight checks and explain()'s cache-hit attribution.
+#pragma once
+
+#include <cstddef>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
+
+#include "obs/registry.hpp"
+
+namespace sysuq::bayesnet {
+
+/// A point-in-time view of one memo's counters: hits and misses since
+/// construction, the last clear() or the last reset_stats(), and the
+/// entries currently stored.
+struct CacheStats {
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  std::size_t entries = 0;
+  [[nodiscard]] double hit_rate() const {
+    const std::size_t lookups = hits + misses;
+    if (lookups == 0) return 0.0;
+    return static_cast<double>(hits) / static_cast<double>(lookups);
+  }
+};
+
+template <class Key, class Value>
+class Memo {
+ public:
+  /// A memo whose counts are visible through stats() alone.
+  Memo() = default;
+  /// Also mirrors its events on the global registry: counters
+  /// `<prefix>.hits` and `<prefix>.misses`, gauge `<prefix>.entries`.
+  explicit Memo(std::string_view prefix)
+      : hits_metric_(&obs::Registry::global().counter(std::string(prefix) + ".hits")),
+        misses_metric_(&obs::Registry::global().counter(std::string(prefix) + ".misses")),
+        entries_metric_(&obs::Registry::global().gauge(std::string(prefix) + ".entries")) {}
+
+  /// The value stored for `key`. On a miss, `build()` runs outside the
+  /// lock and its result is stored unless a racing caller stored first;
+  /// either way the first insert is returned.
+  template <class Build>
+  Value get(const Key& key, Build&& build) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (const auto it = map_.find(key); it != map_.end()) {
+        ++hits_;
+        if (hits_metric_ != nullptr) hits_metric_->inc();
+        return it->second;
+      }
+      ++misses_;
+      if (misses_metric_ != nullptr) misses_metric_->inc();
+    }
+    Value value = std::forward<Build>(build)();
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = map_.emplace(key, std::move(value)).first;
+    if (entries_metric_ != nullptr)
+      entries_metric_->set(static_cast<double>(map_.size()));
+    return it->second;
+  }
+
+  /// The value stored for `key`, if any. Counts nothing.
+  [[nodiscard]] std::optional<Value> peek(const Key& key) const {
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = map_.find(key);
+    return it == map_.end() ? std::nullopt : std::optional<Value>(it->second);
+  }
+
+  [[nodiscard]] CacheStats stats() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return {hits_, misses_, map_.size()};
+  }
+
+  /// Zeroes hits and misses, keeping every entry.
+  void reset_stats() {
+    std::lock_guard<std::mutex> lk(mu_);
+    hits_ = 0;
+    misses_ = 0;
+  }
+
+  /// Drops every entry and zeroes hits and misses.
+  void clear() {
+    std::lock_guard<std::mutex> lk(mu_);
+    map_.clear();
+    hits_ = 0;
+    misses_ = 0;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<Key, Value> map_;  // sysuq-guarded-by(mu_)
+  std::size_t hits_ = 0;      // sysuq-guarded-by(mu_)
+  std::size_t misses_ = 0;    // sysuq-guarded-by(mu_)
+  // Registry mirrors; null when unobserved.  sysuq-thread-confined(init)
+  obs::Counter* hits_metric_ = nullptr;
+  obs::Counter* misses_metric_ = nullptr;  // sysuq-thread-confined(init)
+  obs::Gauge* entries_metric_ = nullptr;   // sysuq-thread-confined(init)
+};
+
+}  // namespace sysuq::bayesnet

@@ -5,8 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "bayesnet/kernels.hpp"
-
 namespace sysuq::bayesnet {
 
 namespace {
@@ -52,7 +50,7 @@ std::vector<std::set<VariableId>> moral_graph(const BayesianNetwork& net,
 
 EliminationOrdering compute_elimination_order(
     const BayesianNetwork& net, const std::vector<VariableId>& keep,
-    const std::vector<VariableId>& evidence_keys, OrderingHeuristic heuristic) {
+    const std::vector<VariableId>& evidence_keys) {
   net.validate();
   const std::size_t n = net.size();
   std::vector<char> is_evidence(n, 0), is_kept(n, 0);
@@ -83,9 +81,7 @@ EliminationOrdering compute_elimination_order(
     std::size_t best_cost = std::numeric_limits<std::size_t>::max();
     for (VariableId v = 0; v < n; ++v) {
       if (!pending[v]) continue;
-      const std::size_t cost = heuristic == OrderingHeuristic::kMinDegree
-                                   ? adj[v].size()
-                                   : fill_cost(adj, v);
+      const std::size_t cost = fill_cost(adj, v);
       if (cost < best_cost) {  // strict: ties break toward the smallest id
         best_cost = cost;
         best = v;
@@ -150,20 +146,6 @@ std::vector<std::vector<VariableId>> elimination_cliques(
     adj[v].clear();
   }
   return cliques;
-}
-
-Factor eliminate_with_order(std::vector<Factor> factors,
-                            const std::vector<VariableId>& order) {
-  // All intermediates live in the per-thread scratch arena; only the
-  // final result is materialized as an owning Factor.
-  Arena& arena = kernels::thread_scratch();
-  arena.reset();
-  std::vector<kernels::View> views;
-  views.reserve(factors.size());
-  for (const Factor& f : factors) views.push_back(kernels::view_of(f));
-  Factor result = kernels::eliminate_linear(std::move(views), order, arena);
-  arena.reset();
-  return result;
 }
 
 }  // namespace sysuq::bayesnet

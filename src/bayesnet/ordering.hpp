@@ -16,12 +16,6 @@
 
 namespace sysuq::bayesnet {
 
-/// Greedy ordering heuristic.
-enum class OrderingHeuristic {
-  kMinDegree,  ///< eliminate the vertex with fewest live neighbours
-  kMinFill,    ///< eliminate the vertex introducing fewest fill edges
-};
-
 /// An elimination ordering plus the quality statistics the planner and
 /// the benches report.
 struct EliminationOrdering {
@@ -35,20 +29,15 @@ struct EliminationOrdering {
   std::size_t fill_edges = 0;
 };
 
-/// Computes an elimination ordering for `net` with `keep` retained in the
-/// result factor and `evidence_keys` observed (their factors are reduced
-/// before elimination, so they are deleted from the interaction graph).
-/// Deterministic: ties break toward the smallest VariableId.
+/// Computes a greedy min-fill elimination ordering (each step eliminates
+/// the vertex introducing the fewest fill edges) for `net` with `keep`
+/// retained in the result factor and `evidence_keys` observed (their
+/// factors are reduced before elimination, so they are deleted from the
+/// interaction graph). Deterministic: ties break toward the smallest
+/// VariableId.
 [[nodiscard]] EliminationOrdering compute_elimination_order(
     const BayesianNetwork& net, const std::vector<VariableId>& keep,
-    const std::vector<VariableId>& evidence_keys,
-    OrderingHeuristic heuristic = OrderingHeuristic::kMinFill);
-
-/// Runs variable elimination over `factors` following `order`: for each
-/// variable, multiplies every live factor containing it and sums it out.
-/// Returns the product of all remaining factors (over the kept scope).
-[[nodiscard]] Factor eliminate_with_order(std::vector<Factor> factors,
-                                          const std::vector<VariableId>& order);
+    const std::vector<VariableId>& evidence_keys);
 
 /// Replays `order` over the moral graph of `net` (with `evidence_keys`
 /// deleted, exactly as `compute_elimination_order` builds it) and returns

@@ -15,6 +15,7 @@
 #include "bayesnet/inference.hpp"
 #include "bayesnet/junction_tree.hpp"
 #include "bayesnet/ordering.hpp"
+#include "core/contracts.hpp"
 #include "evidence/evidential_network.hpp"
 #include "fta/analysis.hpp"
 #include "fta/fta_to_bn.hpp"
@@ -241,6 +242,53 @@ TEST(Engine, ResetCacheStatsWindowsWithoutDroppingPlans) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.hit_rate(), 1.0);
+}
+
+TEST(Engine, ResetAndClearWindowEveryCache) {
+  // One row per cache: the backend whose query makes exactly one lookup
+  // in it, and the accessor that reports it.
+  struct Row {
+    const char* cache;
+    bn::Backend backend;
+    bn::InferenceEngine::CacheStats (bn::InferenceEngine::*stats)() const;
+  };
+  const Row rows[] = {
+      {"ordering", bn::Backend::kVariableElimination,
+       &bn::InferenceEngine::cache_stats},
+      {"junction tree", bn::Backend::kJunctionTree,
+       &bn::InferenceEngine::jt_cache_stats},
+      {"loopy bp", bn::Backend::kLoopyBP, &bn::InferenceEngine::bp_cache_stats},
+  };
+  const auto net = paper_network();
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.cache);
+    bn::InferenceEngine engine(net, {.threads = 1, .backend = row.backend});
+    const auto lookup = [&] { (void)engine.query(0, {{1, 0}}); };
+    const auto stats = [&] { return (engine.*row.stats)(); };
+    lookup();
+    lookup();
+    EXPECT_EQ(stats().misses, 1u);
+    EXPECT_EQ(stats().hits, 1u);
+    EXPECT_EQ(stats().entries, 1u);
+
+    // reset_cache_stats zeroes the window and keeps the entry ...
+    engine.reset_cache_stats();
+    EXPECT_EQ(stats().hits, 0u);
+    EXPECT_EQ(stats().misses, 0u);
+    EXPECT_EQ(stats().entries, 1u);
+    lookup();
+    EXPECT_EQ(stats().hits, 1u);
+    EXPECT_EQ(stats().misses, 0u);
+
+    // ... while clear_cache drops it, so the next lookup misses again.
+    engine.clear_cache();
+    EXPECT_EQ(stats().hits, 0u);
+    EXPECT_EQ(stats().misses, 0u);
+    EXPECT_EQ(stats().entries, 0u);
+    lookup();
+    EXPECT_EQ(stats().misses, 1u);
+    EXPECT_EQ(stats().entries, 1u);
+  }
 }
 
 TEST(Engine, JointMatchesVariableElimination) {
@@ -536,6 +584,49 @@ TEST(EngineExplain, ThrowsLikeQuery) {
   const bn::InferenceEngine engine(net, {.threads = 1});
   EXPECT_THROW((void)engine.explain(99), std::out_of_range);
   EXPECT_THROW((void)engine.explain(0, {{99, 0}}), std::out_of_range);
+}
+
+TEST(EngineErrors, OutOfRangeEvidenceThrowsOutOfRangeOnEveryBackend) {
+  // a -> b -> c with a 3-state b: state 7 of b and variable 9 do not
+  // exist. Every backend rejects them with std::out_of_range before any
+  // CPT is read, whether or not contracts are enforced.
+  bn::BayesianNetwork net;
+  const auto a = net.add_variable("a", {"0", "1"});
+  const auto b = net.add_variable("b", {"0", "1", "2"});
+  const auto c = net.add_variable("c", {"0", "1"});
+  net.set_cpt(a, {}, {pr::Categorical({0.5, 0.5})});
+  net.set_cpt(b, {a},
+              {pr::Categorical({0.5, 0.25, 0.25}),
+               pr::Categorical({0.25, 0.25, 0.5})});
+  net.set_cpt(c, {b},
+              {pr::Categorical({0.5, 0.5}), pr::Categorical({0.75, 0.25}),
+               pr::Categorical({0.25, 0.75})});
+  const bn::Evidence bad_state{{b, 7}};
+  const bn::Evidence bad_id{{9, 0}};
+  const auto saved = sysuq::contracts::mode();
+  for (const auto mode :
+       {sysuq::contracts::Mode::kThrow, sysuq::contracts::Mode::kOff}) {
+    sysuq::contracts::set_mode(mode);
+    for (const auto backend :
+         {bn::Backend::kVariableElimination, bn::Backend::kJunctionTree,
+          bn::Backend::kAuto, bn::Backend::kLoopyBP}) {
+      SCOPED_TRACE(static_cast<int>(mode) * 10 + static_cast<int>(backend));
+      const bn::InferenceEngine engine(net,
+                                       {.threads = 1, .backend = backend});
+      for (const bn::Evidence& ev : {bad_state, bad_id}) {
+        EXPECT_THROW((void)engine.query(a, ev), std::out_of_range);
+        EXPECT_THROW((void)engine.query(b, ev), std::out_of_range);
+        EXPECT_THROW((void)engine.explain(a, ev), std::out_of_range);
+        EXPECT_THROW((void)engine.all_marginals(ev), std::out_of_range);
+        EXPECT_THROW((void)engine.query_batch({{a, ev}}), std::out_of_range);
+        EXPECT_THROW((void)engine.evidence_probability(ev), std::out_of_range);
+        EXPECT_THROW((void)engine.log_evidence_probability(ev),
+                     std::out_of_range);
+        EXPECT_THROW((void)engine.joint(a, c, ev), std::out_of_range);
+      }
+    }
+  }
+  sysuq::contracts::set_mode(saved);
 }
 
 TEST(EngineErrors, UnifiedImpossibleEvidenceMessage) {

@@ -2,7 +2,7 @@
 // (bayesnet/kernels) and the arena they allocate from are pinned against
 // an in-test copy of the legacy mixed-radix factor algebra over
 // randomized scopes (cardinalities 2-6), evidence reductions, and
-// log-space round trips. Also carries the factor-algebra bug-sweep
+// scaled elimination. Also carries the factor-algebra bug-sweep
 // regressions: checked table-size overflow in the Factor constructor
 // and pairwise (cascade) summation in Factor::total().
 //
@@ -20,7 +20,6 @@
 #include "bayesnet/arena.hpp"
 #include "bayesnet/factor.hpp"
 #include "bayesnet/kernels.hpp"
-#include "bayesnet/ordering.hpp"
 #include "core/contracts.hpp"
 #include "prob/rng.hpp"
 #include "core/tolerance.hpp"
@@ -234,6 +233,21 @@ TEST(Kernels, ProductMatchesLegacyOverRandomScopes) {
   }
 }
 
+TEST(Kernels, ProductIsExactWithContractsOff) {
+  // Mode::kOff skips every contract condition; the product's stride
+  // tables must still be built.
+  const auto saved = sysuq::contracts::mode();
+  sysuq::contracts::set_mode(sysuq::contracts::Mode::kOff);
+  pr::Rng rng(differential_seed() + 8);
+  for (int round = 0; round < 50; ++round) {
+    const Universe u = random_universe(rng, 6);
+    const bn::Factor a = random_factor(rng, u, rng.uniform_index(4));
+    const bn::Factor b = random_factor(rng, u, 1 + rng.uniform_index(3));
+    expect_factors_equal(a.product(b), ref_product(a, b));
+  }
+  sysuq::contracts::set_mode(saved);
+}
+
 TEST(Kernels, MarginalizeMatchesLegacyOverRandomScopes) {
   pr::Rng rng(differential_seed() + 1);
   for (int round = 0; round < 200; ++round) {
@@ -302,88 +316,7 @@ TEST(Kernels, ProductIsCommutativeAndUnitIsIdentity) {
   }
 }
 
-// ---- log-space kernels ----
-
-TEST(Kernels, LogProductMatchesLinearProduct) {
-  pr::Rng rng(differential_seed() + 5);
-  bn::Arena arena;
-  for (int round = 0; round < 100; ++round) {
-    arena.reset();
-    const Universe u = random_universe(rng, 5);
-    const bn::Factor a =
-        random_factor(rng, u, rng.uniform_index(4), /*with_zeros=*/true);
-    const bn::Factor b =
-        random_factor(rng, u, 1 + rng.uniform_index(3), /*with_zeros=*/true);
-    const bn::Factor linear = a.product(b);
-
-    double* la = arena.alloc<double>(a.size());
-    double* lb = arena.alloc<double>(b.size());
-    kn::to_log(a.values().data(), a.size(), la);
-    kn::to_log(b.values().data(), b.size(), lb);
-    kn::View va = kn::view_of(a);
-    va.values = la;
-    kn::View vb = kn::view_of(b);
-    vb.values = lb;
-    double* lout = arena.alloc<double>(linear.size());
-    kn::log_product_into(va, vb, linear.scope().data(),
-                         linear.cardinalities().data(), linear.scope().size(),
-                         lout);
-    for (std::size_t i = 0; i < linear.size(); ++i) {
-      const double want = linear.values()[i];
-      if (want == 0.0) {
-        EXPECT_EQ(lout[i], -std::numeric_limits<double>::infinity());
-      } else {
-        EXPECT_NEAR(std::exp(lout[i]), want, tol::kTiny * want);
-      }
-    }
-  }
-}
-
-TEST(Kernels, LogMarginalizeMatchesLinearMarginalize) {
-  pr::Rng rng(differential_seed() + 6);
-  bn::Arena arena;
-  for (int round = 0; round < 100; ++round) {
-    arena.reset();
-    const Universe u = random_universe(rng, 5);
-    const std::size_t rank = 1 + rng.uniform_index(4);
-    const bn::Factor f = random_factor(rng, u, rank, /*with_zeros=*/true);
-    std::vector<bn::VariableId> keep;
-    for (const bn::VariableId v : f.scope()) {
-      if (rng.bernoulli(0.5)) keep.push_back(v);
-    }
-    const kn::Table linear =
-        kn::marginalize_keep(kn::view_of(f), keep.data(), keep.size(), arena);
-
-    double* lf = arena.alloc<double>(f.size());
-    kn::to_log(f.values().data(), f.size(), lf);
-    kn::View vf = kn::view_of(f);
-    vf.values = lf;
-    double* lout = arena.alloc<double>(linear.size);
-    kn::log_marginalize_keep_into(vf, keep.data(), keep.size(), arena, lout);
-    for (std::size_t i = 0; i < linear.size; ++i) {
-      const double want = linear.values[i];
-      if (want == 0.0) {
-        EXPECT_EQ(lout[i], -std::numeric_limits<double>::infinity());
-      } else {
-        EXPECT_NEAR(std::exp(lout[i]), want, tol::kTiny * want);
-      }
-    }
-  }
-}
-
-TEST(Kernels, LogTotalSurvivesMagnitudesALinearSumCannot) {
-  // 400 cells each carrying log-mass -1840 (~1e-800 linear): exp()
-  // underflows every cell to zero, so a linear sum-then-log gives -inf.
-  // The max-shifted log-sum-exp must return -1840 + log(400).
-  std::vector<double> logs(400, -1840.0);
-  const double lt = kn::log_total(logs.data(), logs.size());
-  EXPECT_TRUE(std::isfinite(lt));
-  EXPECT_NEAR(lt, -1840.0 + std::log(400.0), tol::kProbSum);
-  EXPECT_EQ(kn::log_total(nullptr, 0),
-            -std::numeric_limits<double>::infinity());
-}
-
-// ---- scaled / linear elimination ----
+// ---- scaled elimination ----
 
 TEST(Kernels, EliminateLinearMatchesLegacyEliminateWithOrder) {
   pr::Rng rng(differential_seed() + 7);
@@ -423,29 +356,26 @@ TEST(Kernels, EliminateLinearMatchesLegacyEliminateWithOrder) {
       for (const bn::Factor& f : live) want = ref_product(want, f);
     }
 
-    const bn::Factor got = bn::eliminate_with_order(factors, order);
+    std::vector<kn::View> views;
+    for (const bn::Factor& f : factors) views.push_back(kn::view_of(f));
+    const kn::ScaledFactor scaled =
+        kn::eliminate_scaled(std::move(views), order, arena);
+    // Ordinary magnitudes: no rescale may fire, so the scaled result is
+    // the plain linear elimination.
+    EXPECT_EQ(scaled.log_scale, 0.0);
+    const bn::Factor& got = scaled.factor;
     ASSERT_EQ(got.scope(), want.scope());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_NEAR(got.values()[i], want.values()[i],
                   tol::kTiny * std::max(1.0, want.values()[i]));
     }
-
-    std::vector<kn::View> views;
-    for (const bn::Factor& f : factors) views.push_back(kn::view_of(f));
-    const kn::ScaledFactor scaled =
-        kn::eliminate_scaled(std::move(views), order, arena);
-    // Ordinary magnitudes: no rescale may fire, and the scaled result
-    // must equal the linear one exactly.
-    EXPECT_EQ(scaled.log_scale, 0.0);
-    expect_factors_equal(scaled.factor, got);
   }
 }
 
 TEST(Kernels, EliminateScaledSurvivesDeepUnderflow) {
   // 250 chained binary factors with constant mass 1e-2 per cell: the
-  // linear total is 2^251 * 1e-500, far below the smallest double, so
-  // the legacy path returns an exactly-zero factor. The scaled path
-  // must keep log P finite and match the analytic value.
+  // linear total is 2^251 * 1e-500, far below the smallest double. The
+  // scaled path must keep log P finite and match the analytic value.
   const std::size_t n = 250;
   std::vector<bn::Factor> factors;
   factors.emplace_back(std::vector<bn::VariableId>{0},
@@ -458,9 +388,6 @@ TEST(Kernels, EliminateScaledSurvivesDeepUnderflow) {
   }
   std::vector<bn::VariableId> order(n);
   std::iota(order.begin(), order.end(), 0);
-
-  const bn::Factor linear = bn::eliminate_with_order(factors, order);
-  EXPECT_EQ(linear.total(), 0.0);  // the legacy underflow this PR fixes
 
   bn::Arena arena;
   std::vector<kn::View> views;

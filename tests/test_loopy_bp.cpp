@@ -410,6 +410,22 @@ TEST(LoopyBP, AutoEscalatesToBpWhenExactPlanExceedsCeiling) {
   EXPECT_NE(profile.backend_reason.find("escalated"), std::string::npos);
   EXPECT_NE(profile.backend_reason.find("max_exact_table_cells"),
             std::string::npos);
+
+  // BP cannot answer P(e), log P(e) or a joint, so past the ceiling they
+  // throw the guard's contract instead of materializing the exact plan.
+  const auto expect_guard = [](auto&& fn, const char* tag) {
+    try {
+      fn();
+      ADD_FAILURE() << tag << ": expected ContractViolation";
+    } catch (const sysuq::contracts::ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("infeasible"), std::string::npos) << what;
+      EXPECT_NE(what.find(" cells, ceiling 1)"), std::string::npos) << what;
+    }
+  };
+  expect_guard([&] { (void)engine.evidence_probability({}); }, "P(e)");
+  expect_guard([&] { (void)engine.log_evidence_probability({}); }, "log P(e)");
+  expect_guard([&] { (void)engine.joint(0, 1); }, "joint");
 }
 
 TEST(LoopyBP, AutoWithBpDisabledFailsFastWithAClearContract) {
