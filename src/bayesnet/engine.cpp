@@ -55,13 +55,6 @@ struct EngineMetrics {
   }
 };
 
-std::vector<VariableId> signature(const Evidence& evidence) {
-  std::vector<VariableId> keys;
-  keys.reserve(evidence.size());
-  for (const auto& [v, _] : evidence) keys.push_back(v);  // map: sorted
-  return keys;
-}
-
 std::vector<std::pair<VariableId, std::size_t>> assignment(
     const Evidence& evidence) {
   return {evidence.begin(), evidence.end()};  // map: sorted pairs
@@ -219,16 +212,16 @@ struct InferenceEngine::Slots {
   }
 };
 
-InferenceEngine::Route InferenceEngine::route(const Ask& ask,
-                                              const Evidence& evidence,
-                                              std::string* reason) const {
+InferenceEngine::Plan InferenceEngine::route(const Ask& ask,
+                                             const Evidence& evidence,
+                                             std::string* reason) const {
   for (const auto& [v, state] : evidence) {
     if (v >= net_.size())
       throw std::out_of_range("InferenceEngine: evidence variable id");
     if (state >= net_.variable(v).cardinality())
       throw std::out_of_range("InferenceEngine: evidence state index");
   }
-  const auto because = [reason](const char* why) {
+  const auto because = [reason](auto&& why) {
     if (reason != nullptr) *reason = why;
   };
   if (ask.kind == Ask::kQuery) {
@@ -236,41 +229,42 @@ InferenceEngine::Route InferenceEngine::route(const Ask& ask,
       throw std::out_of_range("InferenceEngine::query: variable id");
     if (evidence.contains(ask.query)) {
       because("query variable is observed; the posterior is its evidence delta");
-      return Route::kDelta;
+      return {};
     }
   }
   const bool exact_only = ask.kind == Ask::kEvidence || ask.kind == Ask::kJoint;
+  const auto ve = [&] {
+    return Plan{Route::kVariableElimination, ordering_for(evidence)};
+  };
   switch (options_.backend) {
     case Backend::kVariableElimination:
       because("Backend::kVariableElimination runs one elimination per query");
-      return Route::kVariableElimination;
+      return ve();
     case Backend::kJunctionTree:
       because("Backend::kJunctionTree routes every query through the "
               "calibrated clique tree");
-      return ask.kind == Ask::kJoint ? Route::kVariableElimination
-                                     : Route::kJunctionTree;
+      return ask.kind == Ask::kJoint ? ve() : Plan{Route::kJunctionTree, nullptr};
     case Backend::kLoopyBP:
       because("Backend::kLoopyBP routes every query through flooding belief "
               "propagation with certified bounds");
-      return exact_only ? Route::kVariableElimination : Route::kLoopyBP;
+      return exact_only ? ve() : Plan{Route::kLoopyBP, nullptr};
     case Backend::kAuto:
       break;
   }
-  // kAuto: the feasibility guard runs before any exact work.
-  const std::size_t cells = exact_plan_max_cells(evidence);
+  // kAuto: the feasibility guard runs before any exact work, on the
+  // signature's cached ordering, which that work then reuses.
+  Plan plan = ve();
+  const std::size_t cells = plan.ordering->max_table_cells;
   if (cells > options_.max_exact_table_cells) {
     if (options_.enable_bp && !exact_only) {
       EngineMetrics::instance().bp_escalations.inc();
-      if (reason != nullptr) {
-        *reason =
-            "Backend::kAuto escalated: the exact elimination plan exceeds "
-            "Options::max_exact_table_cells (largest table " +
-            std::to_string(cells) + " cells)";
-      }
-      return Route::kLoopyBP;
+      because("Backend::kAuto escalated: the exact elimination plan exceeds "
+              "Options::max_exact_table_cells (largest table " +
+              std::to_string(cells) + " cells)");
+      return {Route::kLoopyBP, nullptr};
     }
     contracts::fail(
-        "precondition", "exact_plan_max_cells <= max_exact_table_cells",
+        "precondition", "max_table_cells <= max_exact_table_cells",
         "InferenceEngine: exact inference is infeasible (largest elimination "
         "table needs " +
             std::to_string(cells) + " cells, ceiling " +
@@ -285,34 +279,16 @@ InferenceEngine::Route InferenceEngine::route(const Ask& ask,
   if (ask.kind == Ask::kAllMarginals ||
       (ask.kind == Ask::kBatchGroup &&
        ask.distinct >= options_.jt_batch_threshold))
-    return Route::kJunctionTree;
-  because("Backend::kAuto keeps single queries on variable elimination "
-          "(the junction tree amortizes only across batch groups)");
-  return Route::kVariableElimination;
-}
-
-std::size_t InferenceEngine::exact_plan_max_cells(
-    const Evidence& evidence) const {
-  const OrderingKey key = signature(evidence);
-  return plan_cells_.get(key, [&] {
-    // One symbolic replay of the full-elimination plan per signature,
-    // invisible to the ordering cache's stats: a cached ordering is
-    // peeked, and a cold signature computes one privately without
-    // inserting it.
-    const auto cached = orderings_.peek(key);
-    const std::vector<VariableId> order =
-        cached ? (*cached)->order
-               : compute_elimination_order(net_, /*keep=*/{}, key).order;
-    std::size_t max_cells = 0;
-    for (const auto& step : simulate_elimination(net_, evidence, order, {}))
-      max_cells = std::max(max_cells, step.table_cells);
-    return max_cells;
-  });
+    plan.route = Route::kJunctionTree;
+  else
+    because("Backend::kAuto keeps single queries on variable elimination "
+            "(the junction tree amortizes only across batch groups)");
+  return plan;
 }
 
 std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
     const Evidence& evidence) const {
-  const OrderingKey key = signature(evidence);
+  const OrderingKey key = evidence_keys(evidence);
   return orderings_.get(key, [&] {
     return std::make_shared<const EliminationOrdering>(
         compute_elimination_order(net_, /*keep=*/{}, key));
@@ -320,9 +296,11 @@ std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
 }
 
 std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
-    const Evidence& evidence) const {
+    const Evidence& evidence,
+    const std::shared_ptr<const EliminationOrdering>& ordering) const {
   return trees_.get(assignment(evidence), [&] {
-    return std::make_shared<const JunctionTree>(net_, evidence);
+    return std::make_shared<const JunctionTree>(
+        net_, evidence, ordering ? *ordering : *ordering_for(evidence));
   });
 }
 
@@ -344,10 +322,10 @@ std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
 }
 
 kernels::ScaledFactor InferenceEngine::eliminate_all_but(
-    const std::vector<VariableId>& keep, const Evidence& evidence) const {
-  const auto ordering = ordering_for(evidence);
+    const std::vector<VariableId>& keep, const Evidence& evidence,
+    const EliminationOrdering& ordering) const {
   EngineMetrics::instance().elimination_width.observe(
-      static_cast<double>(ordering->induced_width));
+      static_cast<double>(ordering.induced_width));
   // Cached CPT factors are viewed in place; only evidence-bearing ones
   // are reduced (into the arena). No per-query deep copies.
   Arena& arena = kernels::thread_scratch();
@@ -366,8 +344,8 @@ kernels::ScaledFactor InferenceEngine::eliminate_all_but(
   // kept ones at execution time keeps them in the result scope (any
   // suffix-restricted order is still exact).
   std::vector<VariableId> order;
-  order.reserve(ordering->order.size());
-  for (VariableId v : ordering->order) {
+  order.reserve(ordering.order.size());
+  for (VariableId v : ordering.order) {
     if (keep.empty() || std::find(keep.begin(), keep.end(), v) == keep.end())
       order.push_back(v);
   }
@@ -379,9 +357,9 @@ kernels::ScaledFactor InferenceEngine::eliminate_all_but(
   return out;
 }
 
-prob::Categorical InferenceEngine::query_ve(VariableId query,
-                                            const Evidence& evidence) const {
-  const kernels::ScaledFactor sf = eliminate_all_but({query}, evidence);
+prob::Categorical InferenceEngine::query_ve(VariableId query, const Evidence& evidence,
+                                            const EliminationOrdering& ordering) const {
+  const kernels::ScaledFactor sf = eliminate_all_but({query}, evidence, ordering);
   if (sf.impossible())
     throw std::domain_error(impossible_evidence_message(net_, evidence));
   const Factor& f = sf.factor;
@@ -403,20 +381,21 @@ prob::Categorical InferenceEngine::query(VariableId query,
   if ((sample_seq.fetch_add(1, std::memory_order_relaxed) & 7u) == 0)
     timer.emplace(metrics.query_seconds);
   metrics.queries.inc();
-  switch (route({Ask::kQuery, query}, evidence)) {
+  const Plan plan = route({Ask::kQuery, query}, evidence);
+  switch (plan.route) {
     case Route::kDelta:
       return prob::Categorical::delta(evidence.at(query),
                                       net_.variable(query).cardinality());
     case Route::kJunctionTree:
       metrics.jt_queries.inc();
-      return calibrated_tree_for(evidence)->query(query);
+      return calibrated_tree_for(evidence, plan.ordering)->query(query);
     case Route::kLoopyBP:
       metrics.bp_queries.inc();
       return bp_for(evidence)->query(query).point;
     case Route::kVariableElimination:
       break;
   }
-  return query_ve(query, evidence);
+  return query_ve(query, evidence, *plan.ordering);
 }
 
 BoundedPosterior InferenceEngine::query_bounded(VariableId query,
@@ -441,26 +420,32 @@ std::vector<prob::Categorical> InferenceEngine::all_marginals(
   auto& metrics = EngineMetrics::instance();
   std::vector<prob::Categorical> out;
   out.reserve(net_.size());
-  switch (route({Ask::kAllMarginals}, evidence)) {
+  const Plan plan = route({Ask::kAllMarginals}, evidence);
+  switch (plan.route) {
     case Route::kJunctionTree:
       metrics.jt_queries.inc(net_.size());
-      return calibrated_tree_for(evidence)->all_marginals();
+      return calibrated_tree_for(evidence, plan.ordering)->all_marginals();
     case Route::kLoopyBP:
       metrics.bp_queries.inc(net_.size());
       for (const auto& b : bp_for(evidence)->all_marginals())
         out.push_back(b.point);
       return out;
-    default:
-      for (VariableId v = 0; v < net_.size(); ++v)
-        out.push_back(query(v, evidence));
+    default:  // one elimination per unobserved variable, one ordering
+      for (VariableId v = 0; v < net_.size(); ++v) {
+        const std::size_t card = net_.variable(v).cardinality();
+        out.push_back(evidence.contains(v)
+                          ? prob::Categorical::delta(evidence.at(v), card)
+                          : query_ve(v, evidence, *plan.ordering));
+      }
       return out;
   }
 }
 
 double InferenceEngine::evidence_probability(const Evidence& evidence) const {
-  if (route({Ask::kEvidence}, evidence) == Route::kJunctionTree)
-    return calibrated_tree_for(evidence)->evidence_probability();
-  const kernels::ScaledFactor sf = eliminate_all_but({}, evidence);
+  const Plan plan = route({Ask::kEvidence}, evidence);
+  if (plan.route == Route::kJunctionTree)
+    return calibrated_tree_for(evidence, plan.ordering)->evidence_probability();
+  const kernels::ScaledFactor sf = eliminate_all_but({}, evidence, *plan.ordering);
   // exp(log_scale) is exactly 1 unless a rescale fired, so the common
   // case returns the unscaled total bit for bit.
   return sf.factor.total() * std::exp(sf.log_scale);
@@ -468,11 +453,12 @@ double InferenceEngine::evidence_probability(const Evidence& evidence) const {
 
 double InferenceEngine::log_evidence_probability(
     const Evidence& evidence) const {
-  if (route({Ask::kEvidence}, evidence) == Route::kJunctionTree)
-    return calibrated_tree_for(evidence)->log_evidence_probability();
+  const Plan plan = route({Ask::kEvidence}, evidence);
+  if (plan.route == Route::kJunctionTree)
+    return calibrated_tree_for(evidence, plan.ordering)->log_evidence_probability();
   // The scaled path keeps log P(e) finite even when the linear value
   // underflows a double (deep evidence chains).
-  return eliminate_all_but({}, evidence).log_total();
+  return eliminate_all_but({}, evidence, *plan.ordering).log_total();
 }
 
 prob::JointTable InferenceEngine::joint(VariableId a, VariableId b,
@@ -482,8 +468,9 @@ prob::JointTable InferenceEngine::joint(VariableId a, VariableId b,
     throw std::invalid_argument(
         "InferenceEngine::joint: query variable in evidence");
   // Always VE; routing still validates the evidence and runs the guard.
-  (void)route({Ask::kJoint}, evidence);
-  const kernels::ScaledFactor sf = eliminate_all_but({a, b}, evidence);
+  const Plan plan = route({Ask::kJoint}, evidence);
+  const kernels::ScaledFactor sf =
+      eliminate_all_but({a, b}, evidence, *plan.ordering);
   if (sf.impossible())
     throw std::domain_error(impossible_evidence_message(net_, evidence));
   const Factor f = sf.factor.normalized();
@@ -530,31 +517,32 @@ std::vector<prob::Categorical> InferenceEngine::query_batch(
   auto& metrics = EngineMetrics::instance();
   metrics.batch_queries.inc(batch.size());
 
-  // Route once per evidence assignment. A VE group splits into one unit
-  // per query; a JT or BP group stays one unit, so one calibration or BP
-  // run serves all of it. Slots stay fixed per batch index, so
+  // Route once per evidence assignment, on this thread, so every group's
+  // ordering is cached before any unit runs. A VE group splits into one
+  // unit per query; a JT or BP group stays one unit, so one calibration
+  // or BP run serves all of it. Slots stay fixed per batch index, so
   // scheduling cannot perturb the output.
   Slots slots(batch.size());
   std::map<TreeKey, std::vector<std::size_t>> by_evidence;
   for (std::size_t i = 0; i < batch.size(); ++i)
     by_evidence[assignment(batch[i].evidence)].push_back(i);
   std::vector<std::size_t> ve;
-  std::vector<std::pair<Route, std::vector<std::size_t>>> groups;
+  std::vector<std::pair<Plan, std::vector<std::size_t>>> groups;
   for (auto& [key, indices] : by_evidence) {
     std::set<VariableId> distinct;
     for (const std::size_t i : indices) distinct.insert(batch[i].query);
-    Route r = Route::kVariableElimination;
+    Plan plan;
     try {
-      r = route({Ask::kBatchGroup, 0, distinct.size()},
-                batch[indices.front()].evidence);
+      plan = route({Ask::kBatchGroup, 0, distinct.size()},
+                   batch[indices.front()].evidence);
     } catch (...) {
       for (const std::size_t i : indices) slots.errors[i] = std::current_exception();
       continue;
     }
-    if (r == Route::kVariableElimination) {
+    if (plan.route == Route::kVariableElimination) {
       ve.insert(ve.end(), indices.begin(), indices.end());
     } else {
-      groups.emplace_back(r, std::move(indices));
+      groups.emplace_back(std::move(plan), std::move(indices));
     }
   }
 
@@ -564,13 +552,13 @@ std::vector<prob::Categorical> InferenceEngine::query_batch(
       slots.fill(ve[u], [&] { return query(spec.query, spec.evidence); });
       return;
     }
-    const auto& [r, indices] = groups[u - ve.size()];
+    const auto& [plan, indices] = groups[u - ve.size()];
     const Evidence& evidence = batch[indices.front()].evidence;
     std::shared_ptr<const JunctionTree> tree;
     std::shared_ptr<const LoopyBP> bp;
     try {
-      if (r == Route::kJunctionTree) {
-        tree = calibrated_tree_for(evidence);
+      if (plan.route == Route::kJunctionTree) {
+        tree = calibrated_tree_for(evidence, plan.ordering);
       } else {
         bp = bp_for(evidence);
       }
@@ -615,8 +603,11 @@ QueryProfile InferenceEngine::explain(VariableId query,
   };
   const obs::Span span("bayesnet.engine.explain");
   QueryProfile p;
+  // Peeked before routing, which looks the ordering up for VE and kAuto.
+  const bool ordering_cached = orderings_.peek(evidence_keys(evidence)).has_value();
   const auto t0 = clock::now();
-  const Route r = route({Ask::kQuery, query}, evidence, &p.backend_reason);
+  const Plan plan = route({Ask::kQuery, query}, evidence, &p.backend_reason);
+  const auto t_plan = clock::now();
   p.query = net_.variable(query).name();
   for (const auto& [v, state] : evidence) {
     p.evidence.emplace_back(net_.variable(v).name(),
@@ -624,7 +615,7 @@ QueryProfile InferenceEngine::explain(VariableId query,
   }
   p.states = net_.variable(query).states();
 
-  switch (r) {
+  switch (plan.route) {
     case Route::kDelta:
       p.backend = "evidence_delta";
       p.posterior = prob::Categorical::delta(evidence.at(query),
@@ -656,7 +647,7 @@ QueryProfile InferenceEngine::explain(VariableId query,
       p.backend = "junction_tree";
       p.jt_cache_hit = trees_.peek(assignment(evidence)).has_value();
       const auto t_cal0 = clock::now();
-      const auto tree = calibrated_tree_for(evidence);
+      const auto tree = calibrated_tree_for(evidence, plan.ordering);
       const auto t_cal1 = clock::now();
       for (const auto& clique : tree->cliques())
         p.clique_sizes.push_back(clique.size());
@@ -672,20 +663,18 @@ QueryProfile InferenceEngine::explain(VariableId query,
     }
     case Route::kVariableElimination: {
       p.backend = "variable_elimination";
-      p.ordering_cache_hit = orderings_.peek(signature(evidence)).has_value();
-      const auto t_plan0 = clock::now();
-      const auto ordering = ordering_for(evidence);
-      const auto t_plan1 = clock::now();
-      p.induced_width = ordering->induced_width;
-      p.fill_edges = ordering->fill_edges;
-      p.steps = simulate_elimination(net_, evidence, ordering->order, {query});
+      p.ordering_cache_hit = ordering_cached;
+      const EliminationOrdering& ordering = *plan.ordering;
+      p.induced_width = ordering.induced_width;
+      p.fill_edges = ordering.fill_edges;
+      p.steps = simulate_elimination(net_, evidence, ordering.order, {query});
       const auto t_sim = clock::now();
-      const auto posterior = query_ve(query, evidence);  // throws when P(e) = 0
+      const auto posterior = query_ve(query, evidence, ordering);  // throws when P(e) = 0
       const auto t_exec = clock::now();
       p.arena_high_water_bytes =
           last_ve_arena_high_water_.load(std::memory_order_relaxed);
-      p.stages.push_back({"plan", since(t_plan0, t_plan1)});
-      p.stages.push_back({"analyze", since(t_plan1, t_sim)});
+      p.stages.push_back({"plan", since(t0, t_plan)});  // routing's lookup
+      p.stages.push_back({"analyze", since(t_plan, t_sim)});
       p.stages.push_back({"execute", since(t_sim, t_exec)});
       p.posterior = posterior.probs();
       break;
@@ -705,7 +694,6 @@ void InferenceEngine::clear_cache() {
   orderings_.clear();
   trees_.clear();
   bp_runs_.clear();
-  plan_cells_.clear();
 }
 
 }  // namespace sysuq::bayesnet

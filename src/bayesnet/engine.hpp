@@ -7,10 +7,11 @@
 // identical error semantics, plus
 //  * CPT factors are materialized once at construction instead of per
 //    query;
-//  * four memos (bayesnet/memo.hpp) hold the reusable work: min-fill
-//    elimination orderings and the kAuto guard's plan sizes by evidence
-//    *keys* (any values, any query variable), calibrated junction trees
-//    and BP runs by the full evidence *assignment*;
+//  * three memos (bayesnet/memo.hpp) hold the reusable work: one min-fill
+//    elimination ordering per evidence *keys* signature (any values, any
+//    query variable), which VE runs, trees triangulate with and the kAuto
+//    guard reads, and calibrated junction trees and BP runs per full
+//    evidence *assignment*;
 //  * `query_batch` fans a vector of (query, evidence) pairs across a
 //    fixed thread pool; results are deterministic and independent of the
 //    thread count because every query's slot and arithmetic are fixed up
@@ -28,13 +29,14 @@
 //  3. A fixed backend answers what it can and hands the rest to VE:
 //     kVariableElimination answers everything, kJunctionTree everything
 //     but `joint`, kLoopyBP everything but P(e) and `joint`.
-//  4. kAuto first checks the exact plan's largest table against
-//     `max_exact_table_cells`. Over the ceiling, posteriors escalate to
-//     BP (ContractViolation when `enable_bp` is false) and P(e) and
-//     `joint`, which BP cannot answer, throw ContractViolation naming
-//     the cell count and the ceiling. Within it, `all_marginals` runs on
-//     JT, a batch group on JT once it holds `jt_batch_threshold`
-//     distinct query variables, and everything else on VE.
+//  4. kAuto first checks the largest elimination clique of the
+//     signature's cached ordering against `max_exact_table_cells`. Over
+//     the ceiling, posteriors escalate to BP (ContractViolation when
+//     `enable_bp` is false) and P(e) and `joint`, which BP cannot
+//     answer, throw ContractViolation naming the cell count and the
+//     ceiling. Within it, `all_marginals` runs on JT, a batch group on JT
+//     once it holds `jt_batch_threshold` distinct query variables, and
+//     everything else on VE, each on the guard's ordering.
 // `query_bounded` and `all_marginals_bounded` always run BP.
 //
 // Thread safety: all query methods are const and safe to call from
@@ -90,9 +92,9 @@ class InferenceEngine {
     /// evidence assignment (one calibration then amortizes across them).
     std::size_t jt_batch_threshold = 8;
     /// Under kAuto, the feasibility ceiling for exact inference: when
-    /// the cached elimination plan's largest intermediate table would
-    /// exceed this many cells (simulate_elimination's estimate, also a
-    /// proxy for the junction tree's largest clique), a posterior
+    /// the largest elimination clique of the signature's cached min-fill
+    /// ordering — the largest table VE materializes, and the junction
+    /// tree's largest clique table — exceeds this many cells, a posterior
     /// escalates to loopy BP instead of materializing it — or throws a
     /// ContractViolation when `enable_bp` is false, as P(e) and `joint`
     /// always do (BP cannot answer them). The default is 2^24 cells
@@ -182,7 +184,8 @@ class InferenceEngine {
       std::uint64_t seed) const;
 
   /// Ordering-cache statistics since construction / the last clear /
-  /// the last reset_cache_stats().
+  /// the last reset_cache_stats(), counting the kAuto guard's and the
+  /// junction-tree builds' lookups as well as VE's.
   [[nodiscard]] CacheStats cache_stats() const { return orderings_.stats(); }
 
   /// Calibrated-tree cache statistics (same windowing rules). Unlike the
@@ -210,6 +213,12 @@ class InferenceEngine {
   /// The backend that answers a call; kDelta is an observed query
   /// variable's evidence delta.
   enum class Route { kDelta, kVariableElimination, kJunctionTree, kLoopyBP };
+  /// route()'s answer. `ordering` is the signature's, looked up for every
+  /// VE route and every exact kAuto route; null otherwise.
+  struct Plan {
+    Route route = Route::kDelta;
+    std::shared_ptr<const EliminationOrdering> ordering;
+  };
   /// What a call asks route() for.
   struct Ask {
     enum Kind { kQuery, kAllMarginals, kBatchGroup, kEvidence, kJoint };
@@ -234,16 +243,13 @@ class InferenceEngine {
   std::vector<Factor> cpt_factors_;
   std::unique_ptr<Pool> pool_;              // sysuq-thread-confined(init)
 
-  // The four memos lock internally; see bayesnet/memo.hpp.
+  // The three memos lock internally; see bayesnet/memo.hpp.
   mutable Memo<OrderingKey, std::shared_ptr<const EliminationOrdering>>
       orderings_{"bayesnet.engine.ordering_cache"};
   mutable Memo<TreeKey, std::shared_ptr<const JunctionTree>> trees_{
       "bayesnet.jt.cache"};
   mutable Memo<TreeKey, std::shared_ptr<const LoopyBP>> bp_runs_{
       "bayesnet.bp.cache"};
-  // The kAuto guard's largest simulated elimination table (cells) per
-  // evidence-keys signature; invisible to every CacheStats.
-  mutable Memo<OrderingKey, std::size_t> plan_cells_;
   // Arena bytes live at the peak of the most recent VE elimination on
   // any thread (captured before the final arena reset). Relaxed: a
   // diagnostic figure for explain(), not synchronization.
@@ -251,16 +257,15 @@ class InferenceEngine {
 
   /// The routing rule of the class comment, throws included. `reason`,
   /// when given, receives the one-line why explain() prints for a query.
-  [[nodiscard]] Route route(const Ask& ask, const Evidence& evidence,
-                            std::string* reason = nullptr) const;
-  /// kAuto feasibility guard: largest intermediate table (cells) of the
-  /// full elimination plan under `evidence`, memoized per signature.
-  [[nodiscard]] std::size_t exact_plan_max_cells(const Evidence& evidence) const;
+  [[nodiscard]] Plan route(const Ask& ask, const Evidence& evidence,
+                           std::string* reason = nullptr) const;
   [[nodiscard]] std::shared_ptr<const EliminationOrdering> ordering_for(
       const Evidence& evidence) const;
-  /// The calibrated tree for `evidence`, built on a miss and memoized.
+  /// The calibrated tree for `evidence`, built on a miss (from `ordering`,
+  /// or the signature's cached one when null) and memoized.
   [[nodiscard]] std::shared_ptr<const JunctionTree> calibrated_tree_for(
-      const Evidence& evidence) const;
+      const Evidence& evidence,
+      const std::shared_ptr<const EliminationOrdering>& ordering) const;
   /// The loopy-BP run for `evidence`, built on a miss and memoized. A
   /// run that fails to converge under the configured damping is retried
   /// once at damping 0.5 (deterministic), keeping whichever converged.
@@ -272,9 +277,10 @@ class InferenceEngine {
   /// impossible-evidence checks distinguish genuine zero mass from
   /// deep-chain underflow.
   [[nodiscard]] kernels::ScaledFactor eliminate_all_but(
-      const std::vector<VariableId>& keep, const Evidence& evidence) const;
-  [[nodiscard]] prob::Categorical query_ve(VariableId query,
-                                           const Evidence& evidence) const;
+      const std::vector<VariableId>& keep, const Evidence& evidence,
+      const EliminationOrdering& ordering) const;
+  [[nodiscard]] prob::Categorical query_ve(VariableId query, const Evidence& evidence,
+                                           const EliminationOrdering& ordering) const;
   /// Runs `unit(0..units-1)` across the pool under the caller's trace
   /// context, then rethrows the first failed slot's exception or returns
   /// every slot's posterior in slot order.

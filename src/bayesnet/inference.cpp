@@ -96,12 +96,8 @@ kernels::ScaledFactor VariableElimination::eliminate_all_but(
     views.push_back(view);
   }
 
-  std::vector<VariableId> evidence_keys;
-  evidence_keys.reserve(evidence.size());
-  for (const auto& [ev, _] : evidence) evidence_keys.push_back(ev);
-
   const EliminationOrdering ordering =
-      compute_elimination_order(net_, keep, evidence_keys);
+      compute_elimination_order(net_, keep, evidence_keys(evidence));
   kernels::ScaledFactor out =
       kernels::eliminate_scaled(std::move(views), ordering.order, arena);
   arena.reset();

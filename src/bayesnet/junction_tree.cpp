@@ -10,6 +10,7 @@
 
 #include "bayesnet/inference.hpp"
 #include "bayesnet/kernels.hpp"
+#include "bayesnet/profile.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -84,6 +85,11 @@ std::vector<VariableId> intersection(const std::vector<VariableId>& a,
 }  // namespace
 
 JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
+    : JunctionTree(net, evidence,
+                   compute_elimination_order(net, /*keep=*/{}, evidence_keys(evidence))) {}
+
+JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
+                           const EliminationOrdering& ordering)
     : net_(net), evidence_(evidence) {
   net_.validate();
   for (const auto& [v, state] : evidence_) {
@@ -92,6 +98,16 @@ JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
     if (state >= net_.variable(v).cardinality())
       throw std::out_of_range("JunctionTree: evidence state index");
   }
+  // The ordering must eliminate each unobserved variable exactly once.
+  std::vector<char> seen(net_.size(), 0);
+  for (const auto& [v, _] : evidence_) seen[v] = 1;
+  bool exact = ordering.order.size() + evidence_.size() == net_.size();
+  for (const VariableId v : ordering.order)
+    exact = exact && v < net_.size() && std::exchange(seen[v], 1) == 0;
+  if (!exact)
+    throw std::invalid_argument(
+        "JunctionTree: the ordering must eliminate exactly the unobserved "
+        "variables");
   const obs::Span span("bayesnet.jt.calibrate");
   auto& metrics = JtMetrics::instance();
   const obs::HistogramTimer timer(metrics.calibration_seconds);
@@ -99,7 +115,7 @@ JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
   // while build_seconds() attributes this one build (and stays live
   // under SYSUQ_OBS=OFF for `explain`).
   const auto t0 = std::chrono::steady_clock::now();
-  calibrate();
+  calibrate(ordering);
   build_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -108,27 +124,22 @@ JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
   metrics.max_clique_size.observe(static_cast<double>(max_clique_size_));
 }
 
-void JunctionTree::calibrate() {
+void JunctionTree::calibrate(const EliminationOrdering& ordering) {
   const std::size_t n = net_.size();
-  std::vector<VariableId> keys;
-  keys.reserve(evidence_.size());
-  for (const auto& [v, _] : evidence_) keys.push_back(v);  // map: sorted
 
-  // 1–2: moralize + triangulate via the shared ordering machinery, then
-  // collect the elimination cliques and keep the maximal ones. A later
-  // clique can only be subsumed by an earlier one (its eliminated vertex
-  // is gone from all later graphs), so one backward containment scan
-  // suffices.
-  const EliminationOrdering ordering =
-      compute_elimination_order(net_, /*keep=*/{}, keys);
-  const auto raw = elimination_cliques(net_, keys, ordering.order);
+  // 1–2: the elimination cliques are the product scopes of the
+  // ordering's replay; keep the maximal ones. A later clique can only be
+  // subsumed by an earlier one (its eliminated vertex is gone from all
+  // later graphs), so one backward containment scan suffices.
+  const auto raw = simulate_elimination(net_, evidence_, ordering.order, /*keep=*/{});
   for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto& clique = raw[i].scope;
     bool subsumed = false;
     for (std::size_t j = 0; j < i && !subsumed; ++j) {
-      subsumed = std::includes(raw[j].begin(), raw[j].end(), raw[i].begin(),
-                               raw[i].end());
+      subsumed = std::includes(raw[j].scope.begin(), raw[j].scope.end(),
+                               clique.begin(), clique.end());
     }
-    if (!subsumed) cliques_.push_back(raw[i]);
+    if (!subsumed) cliques_.push_back(clique);
   }
   for (const auto& clique : cliques_)
     max_clique_size_ = std::max(max_clique_size_, clique.size());

@@ -10,11 +10,13 @@
 // — fta::diagnose_top_event, evidential networks, perception::BnFusion —
 // which issue many queries against the same network and evidence.
 //
-// Construction pipeline (all reusing bayesnet/ordering):
-//  1. moralize + triangulate: `compute_elimination_order` (min-fill)
-//     over the moral graph with evidence vertices deleted;
-//  2. elimination cliques via `elimination_cliques`, pruned to maximal
-//     cliques (running-intersection property holds by chordality);
+// Construction pipeline (reusing bayesnet/ordering and bayesnet/profile):
+//  1. moralize + triangulate: a min-fill `compute_elimination_order` over
+//     the moral graph with evidence vertices deleted, given (the engine's
+//     cached one) or computed by the two-argument constructor;
+//  2. elimination cliques: the step scopes of `simulate_elimination`
+//     replaying it with `keep = {}`, pruned to maximal cliques
+//     (running-intersection property holds by chordality);
 //  3. clique tree: deterministic maximum-weight spanning tree over
 //     separator cardinalities (Jensen's theorem gives the RIP);
 //  4. evidence absorption: every CPT factor is reduced by the evidence
@@ -45,11 +47,18 @@ namespace sysuq::bayesnet {
 
 class JunctionTree {
  public:
-  /// Builds the clique tree for `net` and calibrates it under `evidence`.
+  /// Builds the clique tree for `net` and calibrates it under `evidence`,
+  /// triangulating with the min-fill ordering of the evidence keys.
   /// Throws std::out_of_range for unknown evidence ids; evidence with
   /// probability zero is absorbed silently here and surfaces as
   /// std::domain_error from the marginal accessors.
   explicit JunctionTree(const BayesianNetwork& net, const Evidence& evidence = {});
+
+  /// Same, triangulating with `ordering`, which must eliminate exactly the
+  /// unobserved variables (`compute_elimination_order(net, {}, keys)`);
+  /// throws std::invalid_argument otherwise.
+  JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
+               const EliminationOrdering& ordering);
 
   [[nodiscard]] const BayesianNetwork& network() const { return net_; }
   [[nodiscard]] const Evidence& evidence() const { return evidence_; }
@@ -78,9 +87,10 @@ class JunctionTree {
   [[nodiscard]] std::size_t clique_count() const { return cliques_.size(); }
   /// Variables in the largest clique (treewidth + 1 of the triangulation).
   [[nodiscard]] std::size_t max_clique_size() const { return max_clique_size_; }
-  /// Wall seconds the constructor spent calibrating this tree. Measured
-  /// directly (not via obs), so `InferenceEngine::explain` can attribute
-  /// calibration cost in every build mode.
+  /// Wall seconds the constructor spent calibrating this tree from its
+  /// ordering (computing the ordering excluded). Measured directly (not
+  /// via obs), so `InferenceEngine::explain` can attribute calibration
+  /// cost in every build mode.
   [[nodiscard]] double build_seconds() const { return build_seconds_; }
   /// Scratch-arena bytes live at the calibration's peak (captured before
   /// the final reset).
@@ -99,7 +109,7 @@ class JunctionTree {
   double build_seconds_ = 0.0;
   std::size_t arena_high_water_ = 0;
 
-  void calibrate();
+  void calibrate(const EliminationOrdering& ordering);
   [[noreturn]] void throw_impossible() const;
 };
 

@@ -5,9 +5,10 @@
 // on the factor graph of the evidence-reduced CPTs. Where the exact
 // backends pay for treewidth — table sizes exponential in the largest
 // clique — BP's cost is linear in the total CPT size per iteration, so
-// it keeps answering on the treewidth-hostile networks where
-// `simulate_elimination` predicts the exact backends would die
-// (bench_cpt_explosion's regime, ROADMAP item 2).
+// it keeps answering on the treewidth-hostile networks where the
+// min-fill ordering's largest elimination clique
+// (`EliminationOrdering::max_table_cells`) predicts the exact backends
+// would die (bench_cpt_explosion's regime, ROADMAP item 2).
 //
 // The price is exactness: on graphs with cycles the BP fixpoint is an
 // approximation. Every posterior is therefore surfaced as a

@@ -7,7 +7,7 @@
 // lookups of other keys. Two callers racing on one key both build and
 // the first insert is kept; every builder the engine passes is
 // deterministic, so the copies agree. `peek` reads without counting, for
-// pre-flight checks and explain()'s cache-hit attribution.
+// explain()'s cache-hit attribution.
 #pragma once
 
 #include <cstddef>
@@ -39,14 +39,12 @@ struct CacheStats {
 template <class Key, class Value>
 class Memo {
  public:
-  /// A memo whose counts are visible through stats() alone.
-  Memo() = default;
-  /// Also mirrors its events on the global registry: counters
+  /// Mirrors its events on the global registry: counters
   /// `<prefix>.hits` and `<prefix>.misses`, gauge `<prefix>.entries`.
   explicit Memo(std::string_view prefix)
-      : hits_metric_(&obs::Registry::global().counter(std::string(prefix) + ".hits")),
-        misses_metric_(&obs::Registry::global().counter(std::string(prefix) + ".misses")),
-        entries_metric_(&obs::Registry::global().gauge(std::string(prefix) + ".entries")) {}
+      : hits_metric_(obs::Registry::global().counter(std::string(prefix) + ".hits")),
+        misses_metric_(obs::Registry::global().counter(std::string(prefix) + ".misses")),
+        entries_metric_(obs::Registry::global().gauge(std::string(prefix) + ".entries")) {}
 
   /// The value stored for `key`. On a miss, `build()` runs outside the
   /// lock and its result is stored unless a racing caller stored first;
@@ -57,17 +55,16 @@ class Memo {
       std::lock_guard<std::mutex> lk(mu_);
       if (const auto it = map_.find(key); it != map_.end()) {
         ++hits_;
-        if (hits_metric_ != nullptr) hits_metric_->inc();
+        hits_metric_.inc();
         return it->second;
       }
       ++misses_;
-      if (misses_metric_ != nullptr) misses_metric_->inc();
+      misses_metric_.inc();
     }
     Value value = std::forward<Build>(build)();
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = map_.emplace(key, std::move(value)).first;
-    if (entries_metric_ != nullptr)
-      entries_metric_->set(static_cast<double>(map_.size()));
+    entries_metric_.set(static_cast<double>(map_.size()));
     return it->second;
   }
 
@@ -90,12 +87,13 @@ class Memo {
     misses_ = 0;
   }
 
-  /// Drops every entry and zeroes hits and misses.
+  /// Drops every entry and zeroes hits and misses (and the entries gauge).
   void clear() {
     std::lock_guard<std::mutex> lk(mu_);
     map_.clear();
     hits_ = 0;
     misses_ = 0;
+    entries_metric_.set(0.0);
   }
 
  private:
@@ -103,10 +101,10 @@ class Memo {
   std::map<Key, Value> map_;  // sysuq-guarded-by(mu_)
   std::size_t hits_ = 0;      // sysuq-guarded-by(mu_)
   std::size_t misses_ = 0;    // sysuq-guarded-by(mu_)
-  // Registry mirrors; null when unobserved.  sysuq-thread-confined(init)
-  obs::Counter* hits_metric_ = nullptr;
-  obs::Counter* misses_metric_ = nullptr;  // sysuq-thread-confined(init)
-  obs::Gauge* entries_metric_ = nullptr;   // sysuq-thread-confined(init)
+  // Registry mirrors.  sysuq-thread-confined(init)
+  obs::Counter& hits_metric_;
+  obs::Counter& misses_metric_;  // sysuq-thread-confined(init)
+  obs::Gauge& entries_metric_;   // sysuq-thread-confined(init)
 };
 
 }  // namespace sysuq::bayesnet

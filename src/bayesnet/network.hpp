@@ -22,6 +22,14 @@ namespace sysuq::bayesnet {
 /// Evidence: observed states for a subset of variables.
 using Evidence = std::map<VariableId, std::size_t>;
 
+/// The observed variable ids of `evidence`, ascending: its signature.
+[[nodiscard]] inline std::vector<VariableId> evidence_keys(const Evidence& evidence) {
+  std::vector<VariableId> keys;
+  keys.reserve(evidence.size());
+  for (const auto& [v, _] : evidence) keys.push_back(v);
+  return keys;
+}
+
 /// A discrete Bayesian network under construction and query.
 ///
 /// Build protocol: add all variables, then attach one CPT per variable

@@ -1,9 +1,12 @@
 #include "bayesnet/ordering.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
+
+#include "bayesnet/kernels.hpp"
 
 namespace sysuq::bayesnet {
 
@@ -90,6 +93,12 @@ EliminationOrdering compute_elimination_order(
 
     out.order.push_back(best);
     out.induced_width = std::max(out.induced_width, adj[best].size());
+    std::size_t cells = net.variable(best).cardinality();
+    for (VariableId nb : adj[best]) {
+      const std::size_t card = net.variable(nb).cardinality();
+      cells = kernels::mul_overflows(cells, card) ? SIZE_MAX : cells * card;
+    }
+    out.max_table_cells = std::max(out.max_table_cells, cells);
 
     // Connect the eliminated vertex's neighbours into a clique (the fill
     // edges), then delete it — the incremental graph update.
@@ -108,44 +117,6 @@ EliminationOrdering compute_elimination_order(
     --remaining;
   }
   return out;
-}
-
-std::vector<std::vector<VariableId>> elimination_cliques(
-    const BayesianNetwork& net, const std::vector<VariableId>& evidence_keys,
-    const std::vector<VariableId>& order) {
-  net.validate();
-  const std::size_t n = net.size();
-  std::vector<char> is_evidence(n, 0);
-  for (VariableId v : evidence_keys) {
-    if (v >= n) throw std::out_of_range("elimination_cliques: evidence id");
-    is_evidence[v] = 1;
-  }
-  std::vector<std::set<VariableId>> adj = moral_graph(net, is_evidence);
-
-  std::vector<std::vector<VariableId>> cliques;
-  cliques.reserve(order.size());
-  for (VariableId v : order) {
-    if (v >= n) throw std::out_of_range("elimination_cliques: order id");
-    std::vector<VariableId> clique;
-    clique.reserve(adj[v].size() + 1);
-    clique.push_back(v);
-    clique.insert(clique.end(), adj[v].begin(), adj[v].end());
-    std::sort(clique.begin(), clique.end());
-    cliques.push_back(std::move(clique));
-
-    // Same incremental update as the ordering pass: fill in the
-    // neighbourhood, then delete the vertex.
-    for (auto a = adj[v].begin(); a != adj[v].end(); ++a) {
-      auto b = a;
-      for (++b; b != adj[v].end(); ++b) {
-        adj[*a].insert(*b);
-        adj[*b].insert(*a);
-      }
-    }
-    for (VariableId nb : adj[v]) adj[nb].erase(v);
-    adj[v].clear();
-  }
-  return cliques;
 }
 
 }  // namespace sysuq::bayesnet

@@ -27,6 +27,12 @@ struct EliminationOrdering {
   std::size_t induced_width = 0;
   /// Total fill edges introduced by the ordering.
   std::size_t fill_edges = 0;
+  /// Cells of the largest elimination clique (an eliminated vertex plus
+  /// its live neighbours), saturating at SIZE_MAX: the largest product
+  /// table that eliminating `order` materializes and, for the `keep = {}`
+  /// form, the junction tree's largest clique table. 0 when nothing is
+  /// eliminated.
+  std::size_t max_table_cells = 0;
 };
 
 /// Computes a greedy min-fill elimination ordering (each step eliminates
@@ -38,16 +44,5 @@ struct EliminationOrdering {
 [[nodiscard]] EliminationOrdering compute_elimination_order(
     const BayesianNetwork& net, const std::vector<VariableId>& keep,
     const std::vector<VariableId>& evidence_keys);
-
-/// Replays `order` over the moral graph of `net` (with `evidence_keys`
-/// deleted, exactly as `compute_elimination_order` builds it) and returns
-/// one elimination clique per step: the eliminated vertex plus its live
-/// neighbours at elimination time, sorted by VariableId. These are the
-/// cliques of the triangulation induced by the ordering — the raw
-/// material of the junction tree. `order` must cover every non-evidence
-/// variable exactly once (the `keep = {}` form of the ordering).
-[[nodiscard]] std::vector<std::vector<VariableId>> elimination_cliques(
-    const BayesianNetwork& net, const std::vector<VariableId>& evidence_keys,
-    const std::vector<VariableId>& order);
 
 }  // namespace sysuq::bayesnet

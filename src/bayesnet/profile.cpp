@@ -79,14 +79,9 @@ std::vector<EliminationStepProfile> simulate_elimination(
     }
     if (product.empty()) continue;  // variable already summed away
 
-    EliminationStepProfile step;
-    step.variable = v;
-    step.name = net.variable(v).name();
-    step.width = product.size() - 1;
-    step.table_cells = 1;
-    for (const VariableId s : product)
-      step.table_cells *= net.variable(s).cardinality();
-    steps.push_back(std::move(step));
+    std::size_t cells = 1;
+    for (const VariableId s : product) cells *= net.variable(s).cardinality();
+    steps.push_back({v, net.variable(v).name(), product, cells});
 
     product.erase(std::remove(product.begin(), product.end(), v),
                   product.end());
@@ -124,7 +119,7 @@ std::string QueryProfile::to_json() const {
       if (!first) out += ",";
       first = false;
       out += "{\"eliminate\":" + quoted(s.name) +
-             ",\"width\":" + std::to_string(s.width) +
+             ",\"width\":" + std::to_string(s.scope.size() - 1) +
              ",\"table_cells\":" + std::to_string(s.table_cells) + "}";
     }
     out += "]";
@@ -193,7 +188,7 @@ std::string QueryProfile::to_plan() const {
     std::size_t n = 0;
     for (const auto& s : steps) {
       out += "  step " + std::to_string(++n) + ": eliminate " + s.name +
-             "  width " + std::to_string(s.width) + "  " +
+             "  width " + std::to_string(s.scope.size() - 1) + "  " +
              std::to_string(s.table_cells) + " cells\n";
     }
   } else if (backend == "junction_tree") {

@@ -29,12 +29,13 @@
 namespace sysuq::bayesnet {
 
 /// One step of a variable-elimination run: the product factor
-/// materialized when `variable` is summed out.
+/// materialized when `variable` is summed out; its width is the scope
+/// minus the eliminated variable.
 struct EliminationStepProfile {
   VariableId variable = 0;
-  std::string name;             ///< variable name
-  std::size_t width = 0;        ///< scope of the product factor minus the eliminated var
-  std::size_t table_cells = 0;  ///< cells of the product factor (cost of the step)
+  std::string name;               ///< variable name
+  std::vector<VariableId> scope;  ///< the product factor's scope, sorted
+  std::size_t table_cells = 0;    ///< cells of the product factor (cost of the step)
 };
 
 /// One timed stage of answering a query (plan, execute, ...).
@@ -97,13 +98,15 @@ struct QueryProfile {
   [[nodiscard]] std::string to_plan() const;
 };
 
-/// Symbolic replay of a variable-elimination run: starting from the
-/// network's CPT scopes with `evidence` variables reduced away, each
-/// `order` variable not in `keep` is eliminated — every live scope
-/// containing it merges into the step's product factor — and the step's
-/// width and table size are recorded. This mirrors what
-/// `kernels::eliminate_scaled` materializes without touching any
-/// factor data, so `explain` can cost a plan exactly.
+/// The library's one symbolic replay of a variable-elimination run:
+/// starting from the network's CPT scopes with `evidence` variables
+/// reduced away, each `order` variable not in `keep` is eliminated —
+/// every live scope containing it merges into the step's product factor
+/// — and the step's scope and table size are recorded. This
+/// mirrors what `kernels::eliminate_scaled` materializes without
+/// touching any factor data, so `explain` can cost a plan exactly; with
+/// `keep = {}` the step scopes are the elimination cliques a
+/// `JunctionTree` is built from.
 [[nodiscard]] std::vector<EliminationStepProfile> simulate_elimination(
     const BayesianNetwork& net, const Evidence& evidence,
     const std::vector<VariableId>& order, const std::vector<VariableId>& keep);

@@ -29,6 +29,8 @@
 #include "bayesnet/inference.hpp"
 #include "bayesnet/junction_tree.hpp"
 #include "bayesnet/loopy_bp.hpp"
+#include "bayesnet/ordering.hpp"
+#include "bayesnet/profile.hpp"
 #include "sys/decomposition.hpp"
 #include "core/tolerance.hpp"
 #include "perception/table1.hpp"
@@ -173,6 +175,22 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
         ++pairs;
         ASSERT_NEAR(jt.evidence_probability(), ve.evidence_probability(ev),
                     sysuq::tolerance::kProbSum)
+            << "topo " << static_cast<int>(topo) << " net " << t;
+        // The kAuto guard's figure is exactly the largest table of the
+        // replayed plan and of the tree.
+        const auto ordering =
+            bn::compute_elimination_order(net, {}, bn::evidence_keys(ev));
+        std::size_t replay_cells = 0, tree_cells = 0;
+        for (const auto& step : bn::simulate_elimination(net, ev, ordering.order, {}))
+          replay_cells = std::max(replay_cells, step.table_cells);
+        for (const auto& clique : jt.cliques()) {
+          std::size_t cells = 1;
+          for (const bn::VariableId v : clique) cells *= net.variable(v).cardinality();
+          tree_cells = std::max(tree_cells, cells);
+        }
+        ASSERT_EQ(ordering.max_table_cells, replay_cells)
+            << "topo " << static_cast<int>(topo) << " net " << t;
+        ASSERT_EQ(ordering.max_table_cells, tree_cells)
             << "topo " << static_cast<int>(topo) << " net " << t;
         const auto& marginals = jt.all_marginals();
         ASSERT_EQ(marginals.size(), net.size());

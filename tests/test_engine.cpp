@@ -19,6 +19,7 @@
 #include "evidence/evidential_network.hpp"
 #include "fta/analysis.hpp"
 #include "fta/fta_to_bn.hpp"
+#include "obs/registry.hpp"
 #include "perception/fusion.hpp"
 #include "perception/table1.hpp"
 #include "core/tolerance.hpp"
@@ -245,23 +246,24 @@ TEST(Engine, ResetCacheStatsWindowsWithoutDroppingPlans) {
 }
 
 TEST(Engine, ResetAndClearWindowEveryCache) {
-  // One row per cache: the backend whose query makes exactly one lookup
-  // in it, and the accessor that reports it.
+  // One row per cache: its entries gauge, the backend whose query makes
+  // exactly one lookup in it, and the accessor that reports it.
   struct Row {
-    const char* cache;
+    const char* gauge;
     bn::Backend backend;
     bn::InferenceEngine::CacheStats (bn::InferenceEngine::*stats)() const;
   };
   const Row rows[] = {
-      {"ordering", bn::Backend::kVariableElimination,
-       &bn::InferenceEngine::cache_stats},
-      {"junction tree", bn::Backend::kJunctionTree,
+      {"bayesnet.engine.ordering_cache.entries",
+       bn::Backend::kVariableElimination, &bn::InferenceEngine::cache_stats},
+      {"bayesnet.jt.cache.entries", bn::Backend::kJunctionTree,
        &bn::InferenceEngine::jt_cache_stats},
-      {"loopy bp", bn::Backend::kLoopyBP, &bn::InferenceEngine::bp_cache_stats},
+      {"bayesnet.bp.cache.entries", bn::Backend::kLoopyBP,
+       &bn::InferenceEngine::bp_cache_stats},
   };
   const auto net = paper_network();
   for (const Row& row : rows) {
-    SCOPED_TRACE(row.cache);
+    SCOPED_TRACE(row.gauge);
     bn::InferenceEngine engine(net, {.threads = 1, .backend = row.backend});
     const auto lookup = [&] { (void)engine.query(0, {{1, 0}}); };
     const auto stats = [&] { return (engine.*row.stats)(); };
@@ -285,6 +287,7 @@ TEST(Engine, ResetAndClearWindowEveryCache) {
     EXPECT_EQ(stats().hits, 0u);
     EXPECT_EQ(stats().misses, 0u);
     EXPECT_EQ(stats().entries, 0u);
+    EXPECT_EQ(sysuq::obs::Registry::global().gauge(row.gauge).value(), 0.0);
     lookup();
     EXPECT_EQ(stats().misses, 1u);
     EXPECT_EQ(stats().entries, 1u);
@@ -323,6 +326,19 @@ TEST(EngineBackends, JunctionTreeStructureOnChain) {
   // Deterministic: a rebuild yields the identical clique list.
   const bn::JunctionTree again(net);
   EXPECT_EQ(jt.cliques(), again.cliques());
+
+  // A tree built from a given ordering is the tree the two-argument
+  // constructor builds; an ordering under other evidence keys is rejected.
+  const bn::Evidence ev{{2, 1}};
+  const bn::JunctionTree computed(net, ev);
+  const bn::JunctionTree given(net, ev, bn::compute_elimination_order(net, {}, {2}));
+  EXPECT_EQ(given.cliques(), computed.cliques());
+  for (bn::VariableId v = 0; v < n; ++v)
+    EXPECT_EQ(given.query(v).probs(), computed.query(v).probs()) << v;
+  for (const auto& keys : {std::vector<bn::VariableId>{}, {2, 4}})
+    EXPECT_THROW((void)bn::JunctionTree(
+                     net, ev, bn::compute_elimination_order(net, {}, keys)),
+                 std::invalid_argument);
 }
 
 TEST(EngineBackends, JunctionTreeBackendMatchesDefaultEngine) {
@@ -353,6 +369,11 @@ TEST(EngineBackends, AllMarginalsMatchesPerQueryLoop) {
     bn::InferenceEngine engine(net, {.threads = 1, .backend = backend});
     const bn::Evidence ev{{1, 3}};
     const auto all = engine.all_marginals(ev);
+    // One ordering lookup on every backend: kAuto's tree is built from
+    // the ordering its guard looked up.
+    EXPECT_EQ(engine.cache_stats().misses, 1u);
+    EXPECT_EQ(engine.cache_stats().hits, 0u);
+    EXPECT_EQ(engine.cache_stats().entries, 1u);
     ASSERT_EQ(all.size(), net.size());
     EXPECT_EQ(all[1].p(3), 1.0);  // observed variable holds its delta
     const auto direct = engine.query(0, ev);
@@ -442,6 +463,7 @@ TEST(EngineBackends, TreeCacheKeyedByFullAssignmentNotSignature) {
   // Two distinct calibrated trees, one shared ordering signature.
   EXPECT_EQ(engine.jt_cache_stats().entries, 2u);
   EXPECT_EQ(engine.jt_cache_stats().misses, 2u);
+  EXPECT_EQ(engine.cache_stats().entries, 1u);
 
   // Each answer matches its own evidence's exact posterior - and the
   // two posteriors genuinely differ, so sharing would have been caught.
@@ -638,17 +660,14 @@ TEST(EngineErrors, UnifiedImpossibleEvidenceMessage) {
   EXPECT_EQ(expected,
             "bayesnet: impossible evidence (P(e) = 0): "
             "ground_truth=unknown, perception=car");
-
-  bn::VariableElimination ve(net);
-  bn::InferenceEngine engine(net, {.threads = 1});
   pr::Rng rng(5);
 
-  const auto check = [&](auto&& fn) {
+  const auto check = [](const std::string& want, auto&& fn) {
     try {
       fn();
       FAIL() << "expected std::domain_error";
     } catch (const std::domain_error& e) {
-      EXPECT_EQ(std::string(e.what()), expected);
+      EXPECT_EQ(std::string(e.what()), want);
     }
   };
 
@@ -670,49 +689,14 @@ TEST(EngineErrors, UnifiedImpossibleEvidenceMessage) {
       bn::impossible_evidence_message(net3, impossible);
 
   // Every entry point throws the one documented error.
-  try {
-    (void)ve3.query(extra, impossible);
-    FAIL();
-  } catch (const std::domain_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected3);
-  }
-  try {
-    (void)engine3.query(extra, impossible);
-    FAIL();
-  } catch (const std::domain_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected3);
-  }
-  try {
-    (void)engine3.query_batch({{extra, impossible}});
-    FAIL();
-  } catch (const std::domain_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected3);
-  }
-  try {
-    (void)ve3.joint(extra, extra2, impossible);
-    FAIL();
-  } catch (const std::domain_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected3);
-  }
-  try {
-    (void)engine3.joint(extra, extra2, impossible);
-    FAIL();
-  } catch (const std::domain_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected3);
-  }
-  try {
-    (void)bn::enumerate_posterior(net3, extra, impossible);
-    FAIL();
-  } catch (const std::domain_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected3);
-  }
-  try {
-    (void)bn::enumerate_mpe(net3, impossible);
-    FAIL();
-  } catch (const std::domain_error& e) {
-    EXPECT_EQ(std::string(e.what()), expected3);
-  }
-  check([&] { (void)bn::rejection_sampling(net, 0, impossible, 500, rng); });
+  check(expected3, [&] { (void)ve3.query(extra, impossible); });
+  check(expected3, [&] { (void)engine3.query(extra, impossible); });
+  check(expected3, [&] { (void)engine3.query_batch({{extra, impossible}}); });
+  check(expected3, [&] { (void)ve3.joint(extra, extra2, impossible); });
+  check(expected3, [&] { (void)engine3.joint(extra, extra2, impossible); });
+  check(expected3, [&] { (void)bn::enumerate_posterior(net3, extra, impossible); });
+  check(expected3, [&] { (void)bn::enumerate_mpe(net3, impossible); });
+  check(expected, [&] { (void)bn::rejection_sampling(net, 0, impossible, 500, rng); });
 }
 
 TEST(EngineErrors, LikelihoodWeightingAllZeroWeightsThrows) {
@@ -807,8 +791,11 @@ TEST(EngineWiring, FtaDiagnosisMatchesExactAnalysis) {
         bn::enumerate_posterior(compiled.network, compiled.node_map[i], ev);
     EXPECT_NEAR(diag.posterior_given_top[i], oracle.p(1), tol::kProbSum) << i;
   }
-  // One ordering signature served the whole batch.
-  EXPECT_GE(engine.cache_stats().hit_rate(), 0.5);
+  // {} and {top} each miss once, on the calling thread; the batch's four
+  // unobserved queries then hit, whichever thread answers them.
+  EXPECT_EQ(engine.cache_stats().misses, 2u);
+  EXPECT_EQ(engine.cache_stats().hits, 4u);
+  EXPECT_EQ(engine.cache_stats().entries, 2u);
 
   bn::BayesianNetwork other;
   other.add_variable("x", {"0", "1"});
