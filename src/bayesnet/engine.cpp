@@ -307,14 +307,13 @@ std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
 std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
     const Evidence& evidence) const {
   return bp_runs_.get(assignment(evidence), [&] {
-    // A run that oscillates under the configured damping gets one
-    // deterministic retry at damping 0.5 — the standard fix for
-    // flooding-schedule limit cycles — and the converged run is kept.
-    auto bp = std::make_shared<const LoopyBP>(net_, evidence, options_.bp);
-    if (!bp->converged() && options_.bp.damping < 0.5) {
-      LoopyBP::Options damped = options_.bp;
-      damped.damping = 0.5;
-      auto retry = std::make_shared<const LoopyBP>(net_, evidence, damped);
+    // A run that oscillates undamped gets one deterministic retry at
+    // damping 0.5 — the standard fix for flooding-schedule limit cycles
+    // — and the converged run is kept.
+    auto bp = std::make_shared<const LoopyBP>(net_, evidence);
+    if (!bp->converged()) {
+      auto retry = std::make_shared<const LoopyBP>(
+          net_, evidence, LoopyBP::Options{.damping = 0.5});
       if (retry->converged()) bp = std::move(retry);
     }
     return bp;
@@ -631,7 +630,7 @@ QueryProfile InferenceEngine::explain(VariableId query,
       p.schedule = LoopyBP::schedule();
       p.bp_iterations = bp->iterations();
       p.bp_converged = bp->converged();
-      p.bp_damping = options_.bp.damping;
+      p.bp_damping = bp->damping();
       p.final_residual = bp->final_residual();
       p.bound_width = bp->max_bound_width();
       p.propagation_seconds = bp->build_seconds();

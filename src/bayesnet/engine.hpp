@@ -104,8 +104,6 @@ class InferenceEngine {
     /// whose exact plan exceeds `max_exact_table_cells` fails fast with
     /// a ContractViolation instead of silently approximating.
     bool enable_bp = true;
-    /// Loopy-BP options, used by Backend::kLoopyBP and kAuto escalations.
-    LoopyBP::Options bp = {};
   };
 
   /// One cache's per-engine window; the process-wide aggregates are the
@@ -267,8 +265,8 @@ class InferenceEngine {
       const Evidence& evidence,
       const std::shared_ptr<const EliminationOrdering>& ordering) const;
   /// The loopy-BP run for `evidence`, built on a miss and memoized. A
-  /// run that fails to converge under the configured damping is retried
-  /// once at damping 0.5 (deterministic), keeping whichever converged.
+  /// run that fails to converge undamped is retried once at damping 0.5
+  /// (deterministic), keeping whichever converged.
   [[nodiscard]] std::shared_ptr<const LoopyBP> bp_for(
       const Evidence& evidence) const;
   /// Scaled elimination over views of the cached CPT factors (no

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -55,33 +54,6 @@ kernels::Table marginalize_to(const kernels::View& f,
   return kernels::marginalize_keep(f, kept, nkept, arena);
 }
 
-std::size_t intersection_size(const std::vector<VariableId>& a,
-                              const std::vector<VariableId>& b) {
-  std::size_t count = 0;
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++count;
-      ++ia;
-      ++ib;
-    }
-  }
-  return count;
-}
-
-std::vector<VariableId> intersection(const std::vector<VariableId>& a,
-                                     const std::vector<VariableId>& b) {
-  std::vector<VariableId> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
 }  // namespace
 
 JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
@@ -127,22 +99,35 @@ JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
 void JunctionTree::calibrate(const EliminationOrdering& ordering) {
   const std::size_t n = net_.size();
 
-  // 1–2: the elimination cliques are the product scopes of the
-  // ordering's replay; keep the maximal ones. A later clique can only be
-  // subsumed by an earlier one (its eliminated vertex is gone from all
-  // later graphs), so one backward containment scan suffices.
-  const auto raw = simulate_elimination(net_, evidence_, ordering.order, /*keep=*/{});
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const auto& clique = raw[i].scope;
-    bool subsumed = false;
-    for (std::size_t j = 0; j < i && !subsumed; ++j) {
-      subsumed = std::includes(raw[j].scope.begin(), raw[j].scope.end(),
-                               clique.begin(), clique.end());
+  // 1–2: the ordering's replay has one step per unobserved variable, and
+  // its elimination tree is a clique tree (Blair & Peyton 1993): step
+  // i's parent is the step of the earliest-eliminated variable in its
+  // scope besides its own. A step whose scope is one variable smaller
+  // than a child's is that child's scope minus the child's variable —
+  // not maximal — and joins the child's clique; every non-maximal step
+  // has such a child, so the rest are the maximal cliques, in step order.
+  const auto steps = simulate_elimination(net_, evidence_, ordering.order, /*keep=*/{});
+  const std::size_t k = steps.size();
+  std::vector<std::size_t> step_of(n, kNone);
+  std::vector<std::size_t> parent_step(k, kNone);
+  std::vector<std::size_t> clique_of(k, kNone);
+  for (std::size_t i = 0; i < k; ++i) step_of[steps[i].variable] = i;
+  for (std::size_t i = 0; i < k; ++i) {
+    // Every child precedes its parent, so clique_of[i] is final here.
+    if (clique_of[i] == kNone) {
+      clique_of[i] = cliques_.size();
+      cliques_.push_back(steps[i].scope);
+      max_clique_size_ = std::max(max_clique_size_, steps[i].scope.size());
     }
-    if (!subsumed) cliques_.push_back(clique);
+    for (const VariableId u : steps[i].scope) {
+      if (u != steps[i].variable)
+        parent_step[i] = std::min(parent_step[i], step_of[u]);
+    }
+    const std::size_t p = parent_step[i];
+    if (p != kNone && clique_of[p] == kNone &&
+        steps[i].scope.size() == steps[p].scope.size() + 1)
+      clique_of[p] = clique_of[i];
   }
-  for (const auto& clique : cliques_)
-    max_clique_size_ = std::max(max_clique_size_, clique.size());
 
   // Degenerate case: every variable observed. The joint probability of
   // the evidence is the product of the fully reduced CPT constants.
@@ -168,45 +153,26 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
     return;
   }
 
-  // 3: clique tree as a deterministic maximum-weight spanning tree over
-  // separator cardinalities (Prim from clique 0; ties break toward the
-  // smallest clique index, then the smallest attachment index). For a
-  // chordal graph any such tree has the running-intersection property.
+  // 3: clique tree. A clique's steps form a chain up the elimination
+  // tree; its parent is the clique holding the first step above that
+  // chain, and the separator is the chain's top scope minus its variable.
+  // The last step's clique is the root; the roots of other components
+  // attach to it through an empty separator. Walking the steps backward
+  // meets every chain top after its parent's: a parents-first order.
   const std::size_t m = cliques_.size();
-  std::vector<char> in_tree(m, 0);
-  std::vector<std::size_t> parent(m, kNone);
-  std::vector<std::size_t> order;  // insertion order: parents first
+  const std::size_t root = clique_of[k - 1];
+  std::vector<std::size_t> order{root};
   order.reserve(m);
-  in_tree[0] = 1;
-  order.push_back(0);
-  for (std::size_t step = 1; step < m; ++step) {
-    std::size_t best_new = kNone;
-    std::size_t best_attach = kNone;
-    std::size_t best_w = 0;
-    bool found = false;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (in_tree[i]) continue;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (!in_tree[j]) continue;
-        const std::size_t w = intersection_size(cliques_[i], cliques_[j]);
-        if (!found || w > best_w) {
-          found = true;
-          best_w = w;
-          best_new = i;
-          best_attach = j;
-        }
-      }
-    }
-    in_tree[best_new] = 1;
-    parent[best_new] = best_attach;
-    order.push_back(best_new);
-  }
   std::vector<std::vector<std::size_t>> children(m);
   std::vector<std::vector<VariableId>> sep(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (parent[i] == kNone) continue;
-    children[parent[i]].push_back(i);
-    sep[i] = intersection(cliques_[i], cliques_[parent[i]]);
+  for (std::size_t i = k; i-- > 0;) {
+    const std::size_t c = clique_of[i];
+    const std::size_t p = parent_step[i] == kNone ? root : clique_of[parent_step[i]];
+    if (p == c) continue;  // inside the chain, or the root itself
+    order.push_back(c);
+    children[p].push_back(c);
+    sep[c] = steps[i].scope;
+    sep[c].erase(std::find(sep[c].begin(), sep[c].end(), steps[i].variable));
   }
 
   // Potentials, messages, and beliefs are strided arena tables; only
@@ -216,8 +182,9 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
   arena.reset();
 
   // 4: evidence absorption — every CPT factor, reduced by the evidence,
-  // lands in the first clique covering its reduced scope (one exists:
-  // each reduced family is a clique of the evidence-deleted moral graph).
+  // lands in the clique holding the step of its earliest-eliminated
+  // variable (that step's scope merged the whole family); scalar
+  // families land in the root.
   std::vector<Factor> owned;
   owned.reserve(n);
   std::vector<kernels::View> potential(m, kernels::unit_view());
@@ -227,19 +194,14 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
     for (const auto& [ev, state] : evidence_) {
       if (f.contains(ev)) f = kernels::reduce(f, ev, state, arena).view();
     }
-    std::size_t home = kNone;
-    for (std::size_t c = 0; c < m && home == kNone; ++c) {
-      if (std::includes(cliques_[c].begin(), cliques_[c].end(), f.scope,
-                        f.scope + f.rank)) {
-        home = c;
-      }
-    }
-    if (home == kNone)
-      throw std::logic_error("JunctionTree: factor scope not covered");
+    std::size_t first = kNone;
+    for (std::size_t r = 0; r < f.rank; ++r)
+      first = std::min(first, step_of[f.scope[r]]);
+    const std::size_t home = first == kNone ? root : clique_of[first];
     potential[home] = kernels::product(potential[home], f, arena).view();
   }
 
-  // 5a: collect — leaves toward the root (reverse insertion order).
+  // 5a: collect — leaves toward the root (parents-first order reversed).
   // Each message is normalized as it flows and its log-normalizer
   // accumulated, so P(e) never underflows; an all-zero message means the
   // evidence is impossible (zeros only propagate outward).
@@ -271,7 +233,7 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
     log_evidence_ += std::log(t);
   }
 
-  // 5b: distribute — root toward the leaves (insertion order). Messages
+  // 5b: distribute — root toward the leaves (parents-first order). Messages
   // are normalized for stability only; per-variable marginals are
   // normalized at extraction, so the constants cancel.
   std::vector<kernels::View> down(m, kernels::unit_view());
@@ -293,7 +255,7 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
   }
 
   // 6: calibrated beliefs and eager marginal extraction. Each variable
-  // reads off the first clique containing it.
+  // reads off the clique holding its own step.
   std::vector<kernels::View> belief;
   belief.reserve(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -302,12 +264,6 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
       b = kernels::product(b, up[c], arena).view();
     belief.push_back(b);
   }
-  std::vector<std::size_t> home(n, kNone);
-  for (std::size_t c = 0; c < m; ++c) {
-    for (const VariableId v : cliques_[c]) {
-      if (home[v] == kNone) home[v] = c;
-    }
-  }
   marginals_.reserve(n);
   for (VariableId v = 0; v < n; ++v) {
     if (const auto it = evidence_.find(v); it != evidence_.end()) {
@@ -315,9 +271,8 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
           prob::Categorical::delta(it->second, net_.variable(v).cardinality()));
       continue;
     }
-    if (home[v] == kNone)
-      throw std::logic_error("JunctionTree: variable in no clique");
-    const kernels::Table f = marginalize_to(belief[home[v]], {v}, arena);
+    const kernels::Table f =
+        marginalize_to(belief[clique_of[step_of[v]]], {v}, arena);
     marginals_.push_back(prob::Categorical::normalized(
         std::vector<double>(f.values, f.values + f.size)));
   }

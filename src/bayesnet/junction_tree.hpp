@@ -15,12 +15,13 @@
 //     the moral graph with evidence vertices deleted, given (the engine's
 //     cached one) or computed by the two-argument constructor;
 //  2. elimination cliques: the step scopes of `simulate_elimination`
-//     replaying it with `keep = {}`, pruned to maximal cliques
-//     (running-intersection property holds by chordality);
-//  3. clique tree: deterministic maximum-weight spanning tree over
-//     separator cardinalities (Jensen's theorem gives the RIP);
+//     replaying it with `keep = {}`; a step one variable smaller than
+//     an elimination-tree child joins that child's clique, the rest are
+//     the maximal cliques;
+//  3. clique tree: the elimination tree over those cliques (Blair &
+//     Peyton 1993), other components' roots joined to the root;
 //  4. evidence absorption: every CPT factor is reduced by the evidence
-//     and assigned to the first clique covering its scope;
+//     and assigned to its earliest-eliminated variable's clique;
 //  5. calibration: sum-product collect toward the root, then distribute.
 //     Messages are normalized as they flow and the log-normalizers are
 //     accumulated, so P(e) is available in log space without underflow.
@@ -80,7 +81,8 @@ class JunctionTree {
 
   // --- structure, for tests, benches and the obs instruments ---
 
-  /// Maximal cliques of the triangulation, sorted scopes, tree order.
+  /// Maximal cliques of the triangulation, sorted scopes, in
+  /// elimination order (where each clique's first step falls).
   [[nodiscard]] const std::vector<std::vector<VariableId>>& cliques() const {
     return cliques_;
   }

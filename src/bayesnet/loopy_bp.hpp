@@ -132,6 +132,8 @@ class LoopyBP {
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
   /// Max absolute undamped message delta of the final iteration.
   [[nodiscard]] double final_residual() const { return final_residual_; }
+  /// The damping factor this run used (Options::damping).
+  [[nodiscard]] double damping() const { return options_.damping; }
   /// Largest certified interval width over all unobserved variables
   /// (0 when the evidence is impossible).
   [[nodiscard]] double max_bound_width() const { return max_bound_width_; }

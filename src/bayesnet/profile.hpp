@@ -61,7 +61,7 @@ struct QueryProfile {
 
   // Junction-tree plan (empty under the other backends).
   bool jt_cache_hit = false;
-  std::vector<std::size_t> clique_sizes;  ///< one per clique, tree order
+  std::vector<std::size_t> clique_sizes;  ///< one per clique, elimination order
   std::size_t max_clique_size = 0;
   double calibration_seconds = 0.0;  ///< the tree's build cost (0 when unknown)
 

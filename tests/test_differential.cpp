@@ -181,8 +181,22 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
         const auto ordering =
             bn::compute_elimination_order(net, {}, bn::evidence_keys(ev));
         std::size_t replay_cells = 0, tree_cells = 0;
-        for (const auto& step : bn::simulate_elimination(net, ev, ordering.order, {}))
+        const auto steps = bn::simulate_elimination(net, ev, ordering.order, {});
+        for (const auto& step : steps)
           replay_cells = std::max(replay_cells, step.table_cells);
+        // The tree's cliques are the inclusion-maximal step scopes, in
+        // step order (a later scope can only lie inside an earlier one).
+        std::vector<std::vector<bn::VariableId>> maximal;
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+          const auto& s = steps[i].scope;
+          if (std::none_of(steps.begin(), steps.begin() + i, [&](const auto& e) {
+                return std::includes(e.scope.begin(), e.scope.end(), s.begin(),
+                                     s.end());
+              }))
+            maximal.push_back(s);
+        }
+        ASSERT_EQ(jt.cliques(), maximal)
+            << "topo " << static_cast<int>(topo) << " net " << t;
         for (const auto& clique : jt.cliques()) {
           std::size_t cells = 1;
           for (const bn::VariableId v : clique) cells *= net.variable(v).cardinality();

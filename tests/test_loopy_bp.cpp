@@ -390,6 +390,44 @@ TEST(LoopyBP, EngineExplainReportsTheBpPlan) {
   EXPECT_NE(p.to_json().find("\"schedule\""), std::string::npos);
 }
 
+TEST(LoopyBP, EngineExplainReportsTheDampedRetry) {
+  // Near-deterministic CPTs and two observations: undamped flooding BP
+  // oscillates to the iteration cap, the engine's damping-0.5 retry
+  // converges, and explain() must describe the retry it kept.
+  using C = pr::Categorical;
+  bn::BayesianNetwork net;
+  for (int i = 0; i < 7; ++i)
+    net.add_variable("v" + std::to_string(i), {"0", "1"});
+  net.set_cpt(0, {}, {C({0.92, 0.08})});
+  net.set_cpt(1, {}, {C({0.09, 0.91})});
+  net.set_cpt(2, {0, 1},
+              {C({0.12, 0.88}), C({0.93, 0.07}), C({0.06, 0.94}),
+               C({0.96, 0.04})});
+  net.set_cpt(3, {1}, {C({0.14, 0.86}), C({0.91, 0.09})});
+  net.set_cpt(4, {0, 1},
+              {C({0.13, 0.87}), C({0.98, 0.02}), C({0.98, 0.02}),
+               C({0.09, 0.91})});
+  net.set_cpt(5, {1, 2, 3},
+              {C({0.17, 0.83}), C({0.10, 0.90}), C({0.17, 0.83}),
+               C({0.92, 0.08}), C({0.99, 0.01}), C({0.89, 0.11}),
+               C({0.97, 0.03}), C({0.04, 0.96})});
+  net.set_cpt(6, {2, 4},
+              {C({0.93, 0.07}), C({0.85, 0.15}), C({0.14, 0.86}),
+               C({0.08, 0.92})});
+  const bn::Evidence ev{{0, 0}, {5, 1}};
+  ASSERT_FALSE(bn::LoopyBP(net, ev).converged());
+  const bn::LoopyBP damped(net, ev, {.damping = 0.5});
+  ASSERT_TRUE(damped.converged());
+
+  const bn::InferenceEngine engine(
+      net, {.threads = 1, .backend = bn::Backend::kLoopyBP});
+  const auto p = engine.explain(3, ev);
+  EXPECT_EQ(p.bp_damping, 0.5);
+  EXPECT_TRUE(p.bp_converged);
+  EXPECT_EQ(p.bp_iterations, damped.iterations());
+  EXPECT_NE(p.to_plan().find("damping 0.5"), std::string::npos);
+}
+
 // ---- kAuto checked-table-size guard (regression for the escalation) ----
 
 TEST(LoopyBP, AutoEscalatesToBpWhenExactPlanExceedsCeiling) {
