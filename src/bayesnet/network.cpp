@@ -186,31 +186,32 @@ void BayesianNetwork::validate() const {
 }
 
 std::vector<VariableId> BayesianNetwork::topological_order() const {
-  std::vector<std::size_t> indegree(nodes_.size(), 0);
-  for (VariableId c = 0; c < nodes_.size(); ++c) {
+  // Children are filed in id order, so each list is ascending.
+  const std::size_t n = nodes_.size();
+  std::vector<std::size_t> indegree(n, 0);
+  std::vector<std::vector<VariableId>> children(n);
+  for (VariableId c = 0; c < n; ++c) {
     if (!nodes_[c].parents)
       throw std::logic_error("BayesianNetwork: CPT missing for '" +
                              nodes_[c].var.name() + "'");
     indegree[c] = nodes_[c].parents->size();
+    for (VariableId p : *nodes_[c].parents) children[p].push_back(c);
   }
   std::queue<VariableId> ready;
-  for (VariableId v = 0; v < nodes_.size(); ++v) {
+  for (VariableId v = 0; v < n; ++v) {
     if (indegree[v] == 0) ready.push(v);
   }
   std::vector<VariableId> order;
-  order.reserve(nodes_.size());
+  order.reserve(n);
   while (!ready.empty()) {
     const VariableId v = ready.front();
     ready.pop();
     order.push_back(v);
-    for (VariableId c = 0; c < nodes_.size(); ++c) {
-      const auto& ps = *nodes_[c].parents;
-      for (VariableId p : ps) {
-        if (p == v && --indegree[c] == 0) ready.push(c);
-      }
+    for (VariableId c : children[v]) {
+      if (--indegree[c] == 0) ready.push(c);
     }
   }
-  if (order.size() != nodes_.size())
+  if (order.size() != n)
     throw std::logic_error("BayesianNetwork: graph contains a cycle");
   return order;
 }

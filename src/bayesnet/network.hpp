@@ -78,10 +78,14 @@ class BayesianNetwork {
   [[nodiscard]] Factor cpt_factor(VariableId child) const;
 
   /// Throws std::logic_error unless every variable has a CPT and the
-  /// graph is acyclic.
+  /// graph is acyclic. O(V + E): one `topological_order()`.
   void validate() const;
 
-  /// Topological order (parents before children); validates first.
+  /// Topological order (parents before children); throws
+  /// std::logic_error on a missing CPT or a cycle. Kahn's algorithm over
+  /// child lists built once, O(V + E); ready variables leave in FIFO order
+  /// and each releases its children in ascending id, so the order (and
+  /// every seeded `sample`) is fixed.
   [[nodiscard]] std::vector<VariableId> topological_order() const;
 
   /// Total number of free parameters: sum over nodes of

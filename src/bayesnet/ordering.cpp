@@ -2,25 +2,32 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "bayesnet/kernels.hpp"
+#include "obs/trace.hpp"
 
 namespace sysuq::bayesnet {
 
 namespace {
 
+// Interaction graph: each vertex's neighbours as a sorted id vector.
+using Adjacency = std::vector<std::vector<VariableId>>;
+
+bool adjacent(const Adjacency& adj, VariableId a, VariableId b) {
+  return std::binary_search(adj[a].begin(), adj[a].end(), b);
+}
+
 // Fill-in cost of eliminating `v` now: pairs of v's neighbours that are
 // not yet adjacent to each other.
-std::size_t fill_cost(const std::vector<std::set<VariableId>>& adj,
-                      VariableId v) {
+std::size_t fill_cost(const Adjacency& adj, VariableId v) {
+  const auto& nb = adj[v];
   std::size_t fill = 0;
-  for (auto a = adj[v].begin(); a != adj[v].end(); ++a) {
-    auto b = a;
-    for (++b; b != adj[v].end(); ++b) {
-      if (!adj[*a].contains(*b)) ++fill;
+  for (std::size_t i = 0; i < nb.size(); ++i) {
+    for (std::size_t j = i + 1; j < nb.size(); ++j) {
+      if (!adjacent(adj, nb[i], nb[j])) ++fill;
     }
   }
   return fill;
@@ -29,10 +36,10 @@ std::size_t fill_cost(const std::vector<std::set<VariableId>>& adj,
 // Moral graph: each CPT family {v} ∪ parents(v) forms a clique. Evidence
 // vertices are deleted (their factors are reduced before elimination);
 // the rest of each family stays pairwise connected.
-std::vector<std::set<VariableId>> moral_graph(const BayesianNetwork& net,
-                                              const std::vector<char>& is_evidence) {
+Adjacency moral_graph(const BayesianNetwork& net,
+                      const std::vector<char>& is_evidence) {
   const std::size_t n = net.size();
-  std::vector<std::set<VariableId>> adj(n);
+  Adjacency adj(n);
   for (VariableId v = 0; v < n; ++v) {
     std::vector<VariableId> family;
     if (!is_evidence[v]) family.push_back(v);
@@ -41,10 +48,14 @@ std::vector<std::set<VariableId>> moral_graph(const BayesianNetwork& net,
     }
     for (std::size_t i = 0; i < family.size(); ++i) {
       for (std::size_t j = i + 1; j < family.size(); ++j) {
-        adj[family[i]].insert(family[j]);
-        adj[family[j]].insert(family[i]);
+        adj[family[i]].push_back(family[j]);
+        adj[family[j]].push_back(family[i]);
       }
     }
+  }
+  for (auto& nb : adj) {
+    std::sort(nb.begin(), nb.end());
+    nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
   }
   return adj;
 }
@@ -54,6 +65,7 @@ std::vector<std::set<VariableId>> moral_graph(const BayesianNetwork& net,
 EliminationOrdering compute_elimination_order(
     const BayesianNetwork& net, const std::vector<VariableId>& keep,
     const std::vector<VariableId>& evidence_keys) {
+  const obs::Span span("bayesnet.ordering.min_fill");
   net.validate();
   const std::size_t n = net.size();
   std::vector<char> is_evidence(n, 0), is_kept(n, 0);
@@ -66,55 +78,79 @@ EliminationOrdering compute_elimination_order(
     is_kept[v] = 1;
   }
 
-  std::vector<std::set<VariableId>> adj = moral_graph(net, is_evidence);
+  Adjacency adj = moral_graph(net, is_evidence);
 
-  std::vector<char> pending(n, 0);
-  std::size_t remaining = 0;
+  // Every pending vertex scored by its fill cost; the first entry is the
+  // pick, ties breaking toward the smallest id. Kept vertices stay in the
+  // graph but are never scored.
+  std::vector<std::size_t> cost(n, 0);
+  std::set<std::pair<std::size_t, VariableId>> scored;
   for (VariableId v = 0; v < n; ++v) {
     if (!is_kept[v] && !is_evidence[v]) {
-      pending[v] = 1;
-      ++remaining;
+      cost[v] = fill_cost(adj, v);
+      scored.emplace(cost[v], v);
     }
   }
+  const auto rescore = [&](VariableId v, std::size_t c) {
+    scored.erase({cost[v], v});
+    cost[v] = c;
+    scored.emplace(c, v);
+  };
 
   EliminationOrdering out;
-  out.order.reserve(remaining);
-  while (remaining > 0) {
-    VariableId best = 0;
-    std::size_t best_cost = std::numeric_limits<std::size_t>::max();
-    for (VariableId v = 0; v < n; ++v) {
-      if (!pending[v]) continue;
-      const std::size_t cost = fill_cost(adj, v);
-      if (cost < best_cost) {  // strict: ties break toward the smallest id
-        best_cost = cost;
-        best = v;
-      }
-    }
+  out.order.reserve(scored.size());
+  std::vector<char> in_clique(n, 0);  // marks the eliminated vertex's neighbours
+  while (!scored.empty()) {
+    const VariableId best = scored.begin()->second;
+    scored.erase(scored.begin());
+    const std::vector<VariableId> nbrs = std::move(adj[best]);  // never read again
 
     out.order.push_back(best);
-    out.induced_width = std::max(out.induced_width, adj[best].size());
+    out.induced_width = std::max(out.induced_width, nbrs.size());
     std::size_t cells = net.variable(best).cardinality();
-    for (VariableId nb : adj[best]) {
+    for (VariableId nb : nbrs) {
       const std::size_t card = net.variable(nb).cardinality();
       cells = kernels::mul_overflows(cells, card) ? SIZE_MAX : cells * card;
     }
     out.max_table_cells = std::max(out.max_table_cells, cells);
 
-    // Connect the eliminated vertex's neighbours into a clique (the fill
-    // edges), then delete it — the incremental graph update.
-    for (auto a = adj[best].begin(); a != adj[best].end(); ++a) {
-      auto b = a;
-      for (++b; b != adj[best].end(); ++b) {
-        if (adj[*a].insert(*b).second) {
-          adj[*b].insert(*a);
-          ++out.fill_edges;
+    // Delete the eliminated vertex, then connect its neighbours into a
+    // clique (the fill edges). A fill edge (a, b) lowers by one the cost
+    // of every pending common neighbour of a and b outside the clique —
+    // the only scores outside the clique that change.
+    for (VariableId u : nbrs) {
+      in_clique[u] = 1;
+      auto& list = adj[u];
+      list.erase(std::lower_bound(list.begin(), list.end(), best));
+    }
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+        const VariableId a = nbrs[i], b = nbrs[j];
+        auto& la = adj[a];
+        auto& lb = adj[b];
+        const auto at = std::lower_bound(la.begin(), la.end(), b);
+        if (at != la.end() && *at == b) continue;
+        for (auto x = la.begin(), y = lb.begin(); x != la.end() && y != lb.end();) {
+          if (*x < *y) {
+            ++x;
+          } else if (*y < *x) {
+            ++y;
+          } else {
+            if (!in_clique[*x] && !is_kept[*x]) rescore(*x, cost[*x] - 1);
+            ++x;
+            ++y;
+          }
         }
+        la.insert(at, b);
+        lb.insert(std::lower_bound(lb.begin(), lb.end(), a), a);
+        ++out.fill_edges;
       }
     }
-    for (VariableId nb : adj[best]) adj[nb].erase(best);
-    adj[best].clear();
-    pending[best] = 0;
-    --remaining;
+    // The clique's own neighbourhoods changed: re-score them in full.
+    for (VariableId u : nbrs) {
+      in_clique[u] = 0;
+      if (!is_kept[u]) rescore(u, fill_cost(adj, u));
+    }
   }
   return out;
 }

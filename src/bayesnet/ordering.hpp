@@ -4,8 +4,10 @@
 // the run — the size of the largest intermediate factor — which dominates
 // both time and memory of exact inference. This module computes orderings
 // over an *interaction graph* (the moral graph of the network, restricted
-// by evidence) that is maintained incrementally while the ordering is
-// built, instead of rescanning every factor's scope per elimination round.
+// by evidence, as sorted adjacency vectors) that is maintained
+// incrementally while the ordering is built: an elimination updates only
+// the edges and fill costs it touches, so no round rescans the factor
+// scopes or re-scores every vertex.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +43,13 @@ struct EliminationOrdering {
 /// factors are reduced before elimination, so they are deleted from the
 /// interaction graph). Deterministic: ties break toward the smallest
 /// VariableId.
+///
+/// Every pending vertex's fill cost sits in one ordered set of
+/// (cost, id), whose first entry is the next pick. Eliminating v changes
+/// only two kinds of score: each fill edge (a, b) lowers by one the cost
+/// of every pending common neighbour of a and b outside N(v), and v's
+/// pending neighbours are re-scored in full. Nothing else is rescanned.
+/// Opens a `bayesnet.ordering.min_fill` trace span.
 [[nodiscard]] EliminationOrdering compute_elimination_order(
     const BayesianNetwork& net, const std::vector<VariableId>& keep,
     const std::vector<VariableId>& evidence_keys);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 
+#include "bayesnet/kernels.hpp"
 #include "core/contracts.hpp"
 
 namespace sysuq::bayesnet {
@@ -42,51 +44,57 @@ std::string quoted(const std::string& s) {
 std::vector<EliminationStepProfile> simulate_elimination(
     const BayesianNetwork& net, const Evidence& evidence,
     const std::vector<VariableId>& order, const std::vector<VariableId>& keep) {
-  for (const VariableId v : order) {
-    SYSUQ_EXPECT(v < net.size(),
-                 "simulate_elimination: order names an unknown variable");
+  const std::size_t n = net.size();
+  // The step that eliminates each variable: its first entry in `order`.
+  // Kept variables, and variables the order never names, get none.
+  constexpr std::size_t kNever = SIZE_MAX;
+  std::vector<std::size_t> step_of(n, kNever);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const VariableId v = order[i];
+    SYSUQ_EXPECT(v < n, "simulate_elimination: order names an unknown variable");
+    if (step_of[v] == kNever && std::find(keep.begin(), keep.end(), v) == keep.end())
+      step_of[v] = i;
   }
-  // Live scopes: one per CPT, with evidence variables reduced away.
-  // Scopes are kept as sorted VariableId vectors.
-  std::vector<std::vector<VariableId>> scopes;
-  scopes.reserve(net.size());
-  for (VariableId v = 0; v < net.size(); ++v) {
+  // Each live scope (a sorted VariableId vector) waits in the bucket of
+  // its earliest-eliminated variable, so step i merges exactly bucket i:
+  // every earlier variable is already summed out of every live scope.
+  std::vector<std::vector<std::vector<VariableId>>> buckets(order.size());
+  const auto file = [&](std::vector<VariableId> scope) {
+    std::size_t first = kNever;
+    for (const VariableId s : scope) first = std::min(first, step_of[s]);
+    if (first != kNever) buckets[first].push_back(std::move(scope));
+  };
+  // One live scope per CPT, with evidence variables reduced away.
+  for (VariableId v = 0; v < n; ++v) {
     std::vector<VariableId> scope = net.parents(v);
     scope.push_back(v);
     std::sort(scope.begin(), scope.end());
     scope.erase(std::remove_if(scope.begin(), scope.end(),
                                [&](VariableId s) { return evidence.contains(s); }),
                 scope.end());
-    if (!scope.empty()) scopes.push_back(std::move(scope));
+    file(std::move(scope));
   }
 
   std::vector<EliminationStepProfile> steps;
-  for (const VariableId v : order) {
-    if (std::find(keep.begin(), keep.end(), v) != keep.end()) continue;
-    // Merge every live scope containing v into the step's product scope.
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    // Empty for a kept, observed or repeated entry: nothing to merge.
+    if (buckets[i].empty()) continue;
     std::vector<VariableId> product;
-    std::vector<std::vector<VariableId>> survivors;
-    survivors.reserve(scopes.size());
-    for (auto& scope : scopes) {
-      if (std::find(scope.begin(), scope.end(), v) == scope.end()) {
-        survivors.push_back(std::move(scope));
-        continue;
-      }
-      std::vector<VariableId> merged;
-      std::set_union(product.begin(), product.end(), scope.begin(), scope.end(),
-                     std::back_inserter(merged));
-      product = std::move(merged);
-    }
-    if (product.empty()) continue;  // variable already summed away
+    for (const auto& scope : buckets[i])
+      product.insert(product.end(), scope.begin(), scope.end());
+    std::sort(product.begin(), product.end());
+    product.erase(std::unique(product.begin(), product.end()), product.end());
 
     std::size_t cells = 1;
-    for (const VariableId s : product) cells *= net.variable(s).cardinality();
+    for (const VariableId s : product) {
+      const std::size_t card = net.variable(s).cardinality();
+      cells = kernels::mul_overflows(cells, card) ? SIZE_MAX : cells * card;
+    }
+    const VariableId v = order[i];
     steps.push_back({v, net.variable(v).name(), product, cells});
 
-    product.erase(std::remove(product.begin(), product.end(), v),
-                  product.end());
-    if (!product.empty()) survivors.push_back(std::move(product));
-    scopes = std::move(survivors);
+    product.erase(std::find(product.begin(), product.end(), v));
+    file(std::move(product));
   }
   return steps;
 }

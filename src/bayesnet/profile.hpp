@@ -35,7 +35,9 @@ struct EliminationStepProfile {
   VariableId variable = 0;
   std::string name;               ///< variable name
   std::vector<VariableId> scope;  ///< the product factor's scope, sorted
-  std::size_t table_cells = 0;    ///< cells of the product factor (cost of the step)
+  /// Cells of the product factor (cost of the step), saturating at
+  /// SIZE_MAX like `EliminationOrdering::max_table_cells`.
+  std::size_t table_cells = 0;
 };
 
 /// One timed stage of answering a query (plan, execute, ...).
@@ -107,6 +109,12 @@ struct QueryProfile {
 /// touching any factor data, so `explain` can cost a plan exactly; with
 /// `keep = {}` the step scopes are the elimination cliques a
 /// `JunctionTree` is built from.
+///
+/// Each live scope waits in the bucket of its earliest-eliminated
+/// variable, so a step merges exactly its own bucket and the replay
+/// costs O(total scope size), not a scan of every live scope per step.
+/// An entry with nothing to merge (a kept, observed or repeated
+/// variable) records no step and leaves the other scopes live.
 [[nodiscard]] std::vector<EliminationStepProfile> simulate_elimination(
     const BayesianNetwork& net, const Evidence& evidence,
     const std::vector<VariableId>& order, const std::vector<VariableId>& keep);

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <queue>
 
 #include "bayesnet/io.hpp"
 #include "perception/table1.hpp"
@@ -17,6 +19,30 @@ namespace {
 // The paper's Fig. 4 / Table I network (default repair: deficit -> none).
 bn::BayesianNetwork paper_network() {
   return sysuq::perception::table1_network();
+}
+
+// Reference topological order: the former O(V·E) scan, which on popping
+// v walks every node in id order and releases the children of v. The
+// library's Kahn order must match it exactly (seeded sampling follows it).
+std::vector<bn::VariableId> reference_topological_order(
+    const bn::BayesianNetwork& net) {
+  std::vector<std::size_t> indegree(net.size());
+  std::queue<bn::VariableId> ready;
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    indegree[v] = net.parents(v).size();
+    if (indegree[v] == 0) ready.push(v);
+  }
+  std::vector<bn::VariableId> order;
+  while (!ready.empty()) {
+    const bn::VariableId v = ready.front();
+    ready.pop();
+    order.push_back(v);
+    for (bn::VariableId c = 0; c < net.size(); ++c) {
+      for (const bn::VariableId p : net.parents(c))
+        if (p == v && --indegree[c] == 0) ready.push(c);
+    }
+  }
+  return order;
 }
 
 }  // namespace
@@ -108,6 +134,22 @@ TEST(Network, TopologicalOrderRespectsEdges) {
   };
   EXPECT_LT(pos(a), pos(b));
   EXPECT_LT(pos(b), pos(c));
+
+  // Ids out of topological order, with shared children and several roots:
+  // the order is pinned, not just edge-consistent.
+  bn::BayesianNetwork shuffled;
+  for (std::size_t i = 0; i < 8; ++i)
+    shuffled.add_variable("v" + std::to_string(i), {"0", "1"});
+  const std::vector<std::vector<bn::VariableId>> parents = {
+      {5, 3}, {}, {1}, {2, 7}, {}, {4, 1}, {0}, {}};
+  for (bn::VariableId v = 0; v < parents.size(); ++v) {
+    shuffled.set_cpt(v, parents[v],
+                     std::vector<pr::Categorical>(std::size_t{1} << parents[v].size(),
+                                                  pr::Categorical::uniform(2)));
+  }
+  const auto kahn = shuffled.topological_order();
+  EXPECT_EQ(kahn, reference_topological_order(shuffled));
+  EXPECT_EQ(kahn, (std::vector<bn::VariableId>{1, 4, 7, 2, 5, 3, 0, 6}));
 }
 
 TEST(Network, PaperNetworkBasics) {

@@ -7,7 +7,10 @@
 // impossible-evidence message, and the Table I perception figures are
 // pinned to hard-coded golden values under both exact backends. A
 // pinned treewidth-hostile grid checks that Backend::kAuto escalates
-// to BP and keeps answering where the exact plans are infeasible.
+// to BP and keeps answering where the exact plans are infeasible. The
+// incremental min-fill ordering and the bucketed replay are pinned to
+// in-test copies of the full scans they replaced, on every generated
+// pair and on the grid.
 //
 // The generator is seeded from SYSUQ_DIFFERENTIAL_SEED (decimal) so CI
 // can sweep several fixed seeds; unset, it uses a fixed default.
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,6 +32,7 @@
 #include "bayesnet/engine.hpp"
 #include "bayesnet/inference.hpp"
 #include "bayesnet/junction_tree.hpp"
+#include "bayesnet/kernels.hpp"
 #include "bayesnet/loopy_bp.hpp"
 #include "bayesnet/ordering.hpp"
 #include "bayesnet/profile.hpp"
@@ -153,6 +158,146 @@ bn::BayesianNetwork grid_network(std::size_t w, std::size_t h) {
   return net;
 }
 
+// Reference min-fill: the library's former scan, which re-scores every
+// pending vertex in every round over std::set adjacencies. The
+// incremental ordering must reproduce it field for field.
+bn::EliminationOrdering reference_min_fill(const bn::BayesianNetwork& net,
+                                           const std::vector<bn::VariableId>& keep,
+                                           const std::vector<bn::VariableId>& evidence_keys) {
+  const std::size_t n = net.size();
+  std::vector<char> is_evidence(n, 0), is_kept(n, 0);
+  for (const bn::VariableId v : evidence_keys) is_evidence[v] = 1;
+  for (const bn::VariableId v : keep) is_kept[v] = 1;
+  std::vector<std::set<bn::VariableId>> adj(n);
+  for (bn::VariableId v = 0; v < n; ++v) {
+    std::vector<bn::VariableId> family;
+    if (!is_evidence[v]) family.push_back(v);
+    for (const bn::VariableId p : net.parents(v))
+      if (!is_evidence[p]) family.push_back(p);
+    for (std::size_t i = 0; i < family.size(); ++i)
+      for (std::size_t j = i + 1; j < family.size(); ++j) {
+        adj[family[i]].insert(family[j]);
+        adj[family[j]].insert(family[i]);
+      }
+  }
+  const auto fill_cost = [&](bn::VariableId v) {
+    std::size_t fill = 0;
+    for (auto a = adj[v].begin(); a != adj[v].end(); ++a)
+      for (auto b = std::next(a); b != adj[v].end(); ++b)
+        if (!adj[*a].contains(*b)) ++fill;
+    return fill;
+  };
+  std::vector<char> pending(n, 0);
+  std::size_t remaining = 0;
+  for (bn::VariableId v = 0; v < n; ++v) {
+    if (!is_kept[v] && !is_evidence[v]) {
+      pending[v] = 1;
+      ++remaining;
+    }
+  }
+  bn::EliminationOrdering out;
+  while (remaining > 0) {
+    bn::VariableId best = 0;
+    std::size_t best_cost = std::numeric_limits<std::size_t>::max();
+    for (bn::VariableId v = 0; v < n; ++v) {
+      if (!pending[v]) continue;
+      const std::size_t cost = fill_cost(v);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best = v;
+      }
+    }
+    out.order.push_back(best);
+    out.induced_width = std::max(out.induced_width, adj[best].size());
+    std::size_t cells = net.variable(best).cardinality();
+    for (const bn::VariableId nb : adj[best]) {
+      const std::size_t card = net.variable(nb).cardinality();
+      cells = bn::kernels::mul_overflows(cells, card) ? SIZE_MAX : cells * card;
+    }
+    out.max_table_cells = std::max(out.max_table_cells, cells);
+    for (auto a = adj[best].begin(); a != adj[best].end(); ++a)
+      for (auto b = std::next(a); b != adj[best].end(); ++b)
+        if (adj[*a].insert(*b).second) {
+          adj[*b].insert(*a);
+          ++out.fill_edges;
+        }
+    for (const bn::VariableId nb : adj[best]) adj[nb].erase(best);
+    adj[best].clear();
+    pending[best] = 0;
+    --remaining;
+  }
+  return out;
+}
+
+// Reference replay: the library's former simulate_elimination, which
+// scans every live scope at every step (exact on orders that name each
+// unobserved variable once, as every engine order does).
+std::vector<bn::EliminationStepProfile> reference_replay(
+    const bn::BayesianNetwork& net, const bn::Evidence& evidence,
+    const std::vector<bn::VariableId>& order,
+    const std::vector<bn::VariableId>& keep) {
+  std::vector<std::vector<bn::VariableId>> scopes;
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    std::vector<bn::VariableId> scope = net.parents(v);
+    scope.push_back(v);
+    std::sort(scope.begin(), scope.end());
+    std::erase_if(scope, [&](bn::VariableId s) { return evidence.contains(s); });
+    if (!scope.empty()) scopes.push_back(std::move(scope));
+  }
+  std::vector<bn::EliminationStepProfile> steps;
+  for (const bn::VariableId v : order) {
+    if (std::find(keep.begin(), keep.end(), v) != keep.end()) continue;
+    std::vector<bn::VariableId> product;
+    std::vector<std::vector<bn::VariableId>> survivors;
+    for (auto& scope : scopes) {
+      if (std::find(scope.begin(), scope.end(), v) == scope.end()) {
+        survivors.push_back(std::move(scope));
+        continue;
+      }
+      std::vector<bn::VariableId> merged;
+      std::set_union(product.begin(), product.end(), scope.begin(), scope.end(),
+                     std::back_inserter(merged));
+      product = std::move(merged);
+    }
+    if (product.empty()) continue;
+    std::size_t cells = 1;
+    for (const bn::VariableId s : product) cells *= net.variable(s).cardinality();
+    steps.push_back({v, net.variable(v).name(), product, cells});
+    std::erase(product, v);
+    if (!product.empty()) survivors.push_back(std::move(product));
+    scopes = std::move(survivors);
+  }
+  return steps;
+}
+
+::testing::AssertionResult same_ordering(const bn::EliminationOrdering& got,
+                                         const bn::EliminationOrdering& want) {
+  if (got.order != want.order) return ::testing::AssertionFailure() << "order differs";
+  if (got.induced_width != want.induced_width)
+    return ::testing::AssertionFailure()
+           << "induced_width " << got.induced_width << " vs " << want.induced_width;
+  if (got.fill_edges != want.fill_edges)
+    return ::testing::AssertionFailure()
+           << "fill_edges " << got.fill_edges << " vs " << want.fill_edges;
+  if (got.max_table_cells != want.max_table_cells)
+    return ::testing::AssertionFailure() << "max_table_cells " << got.max_table_cells
+                                         << " vs " << want.max_table_cells;
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_steps(const std::vector<bn::EliminationStepProfile>& got,
+                                      const std::vector<bn::EliminationStepProfile>& want) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure()
+           << got.size() << " steps vs " << want.size();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].variable != want[i].variable || got[i].scope != want[i].scope ||
+        got[i].table_cells != want[i].table_cells)
+      return ::testing::AssertionFailure() << "step " << i << " differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace
 
 // ---- VE vs JT over generated network/evidence pairs ----
@@ -204,6 +349,21 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
         }
         ASSERT_EQ(ordering.max_table_cells, replay_cells)
             << "topo " << static_cast<int>(topo) << " net " << t;
+        // The incremental ordering and the bucketed replay reproduce the
+        // former full scans, with no kept variable and with one kept.
+        bn::VariableId q = (t + ec) % net.size();
+        while (ev.contains(q)) q = (q + 1) % net.size();
+        const auto keys = bn::evidence_keys(ev);
+        ASSERT_TRUE(same_ordering(ordering, reference_min_fill(net, {}, keys)))
+            << "topo " << static_cast<int>(topo) << " net " << t;
+        ASSERT_TRUE(same_ordering(bn::compute_elimination_order(net, {q}, keys),
+                                  reference_min_fill(net, {q}, keys)))
+            << "topo " << static_cast<int>(topo) << " net " << t << " keep " << q;
+        ASSERT_TRUE(same_steps(steps, reference_replay(net, ev, ordering.order, {})))
+            << "topo " << static_cast<int>(topo) << " net " << t;
+        ASSERT_TRUE(same_steps(bn::simulate_elimination(net, ev, ordering.order, {q}),
+                               reference_replay(net, ev, ordering.order, {q})))
+            << "topo " << static_cast<int>(topo) << " net " << t << " keep " << q;
         ASSERT_EQ(ordering.max_table_cells, tree_cells)
             << "topo " << static_cast<int>(topo) << " net " << t;
         const auto& marginals = jt.all_marginals();
@@ -354,9 +514,21 @@ TEST(Differential, AutoEscalatesOnTreewidthHostileGrid) {
   bn::InferenceEngine engine(net,
                              {.threads = 2, .backend = bn::Backend::kAuto});
   const bn::Evidence ev{{0, 1}, {net.size() - 1, 0}};
+  const bn::VariableId center = 12 * 25 + 12;
+
+  // Many fill costs tie on the grid: the incremental ordering and the
+  // bucketed replay still reproduce the former full scans.
+  const auto keys = bn::evidence_keys(ev);
+  const auto ordering = bn::compute_elimination_order(net, {}, keys);
+  EXPECT_TRUE(same_ordering(ordering, reference_min_fill(net, {}, keys)));
+  EXPECT_TRUE(same_ordering(bn::compute_elimination_order(net, {center}, keys),
+                            reference_min_fill(net, {center}, keys)));
+  EXPECT_TRUE(same_steps(bn::simulate_elimination(net, ev, ordering.order, {}),
+                         reference_replay(net, ev, ordering.order, {})));
+  EXPECT_TRUE(same_steps(bn::simulate_elimination(net, ev, ordering.order, {center}),
+                         reference_replay(net, ev, ordering.order, {center})));
 
   // The guard is load-bearing: the plain query path must route to BP.
-  const bn::VariableId center = 12 * 25 + 12;
   const auto point = engine.query(center, ev);
   EXPECT_NEAR(point.p(0) + point.p(1), 1.0, sysuq::tolerance::kProbSum);
   EXPECT_GE(engine.bp_cache_stats().entries, 1u);

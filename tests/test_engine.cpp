@@ -11,10 +11,12 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "bayesnet/inference.hpp"
 #include "bayesnet/junction_tree.hpp"
 #include "bayesnet/ordering.hpp"
+#include "bayesnet/profile.hpp"
 #include "core/contracts.hpp"
 #include "evidence/evidential_network.hpp"
 #include "fta/analysis.hpp"
@@ -761,6 +763,67 @@ TEST(Ordering, EvidenceKeysLeaveTheInteractionGraph) {
   // Variable 2 is evidence: it is neither eliminated nor kept.
   EXPECT_EQ(ord.order.size(), 3u);
   for (const auto v : ord.order) EXPECT_NE(v, 2u);
+}
+
+namespace {
+
+// Each replayed step as (variable, scope, table cells).
+std::vector<std::tuple<bn::VariableId, std::vector<bn::VariableId>, std::size_t>>
+step_list(const std::vector<bn::EliminationStepProfile>& steps) {
+  std::vector<std::tuple<bn::VariableId, std::vector<bn::VariableId>, std::size_t>> out;
+  for (const auto& s : steps) out.emplace_back(s.variable, s.scope, s.table_cells);
+  return out;
+}
+
+}  // namespace
+
+TEST(Ordering, ReplaySkipsEntriesWithNothingToMerge) {
+  // Chain a -> b -> c. An order entry with nothing to merge — an observed
+  // or a repeated variable — must not drop the steps after it.
+  bn::BayesianNetwork net;
+  for (const char* name : {"a", "b", "c"}) net.add_variable(name, {"0", "1"});
+  net.set_cpt(0, {}, {pr::Categorical({0.4, 0.6})});
+  for (bn::VariableId v = 1; v < 3; ++v)
+    net.set_cpt(v, {v - 1},
+                {pr::Categorical({0.8, 0.2}), pr::Categorical({0.3, 0.7})});
+
+  const bn::Evidence b_seen{{1, 0}};
+  const auto clean = step_list(bn::simulate_elimination(net, b_seen, {0, 2}, {}));
+  ASSERT_EQ(clean.size(), 2u);
+  EXPECT_EQ(step_list(bn::simulate_elimination(net, b_seen, {0, 1, 2}, {})), clean);
+
+  const auto free_clean = step_list(bn::simulate_elimination(net, {}, {0, 1, 2}, {}));
+  ASSERT_EQ(free_clean.size(), 3u);
+  EXPECT_EQ(step_list(bn::simulate_elimination(net, {}, {0, 0, 1, 2}, {})),
+            free_clean);
+}
+
+TEST(Ordering, ReplayCellsSaturateLikeTheOrdering) {
+  // 17 roots of 16 states and one binary child per pair of roots: the
+  // roots' elimination clique needs 16^17 = 2^68 cells, past SIZE_MAX.
+  bn::BayesianNetwork net;
+  std::vector<std::string> states;
+  for (std::size_t s = 0; s < 16; ++s) states.push_back("s" + std::to_string(s));
+  for (bn::VariableId r = 0; r < 17; ++r) {
+    net.add_variable("r" + std::to_string(r), states);
+    net.set_cpt(r, {}, {pr::Categorical::uniform(16)});
+  }
+  for (bn::VariableId i = 0; i < 17; ++i) {
+    for (bn::VariableId j = i + 1; j < 17; ++j) {
+      const auto c = net.add_variable(
+          "c" + std::to_string(i) + "_" + std::to_string(j), {"0", "1"});
+      net.set_cpt(c, {i, j},
+                  std::vector<pr::Categorical>(256, pr::Categorical::uniform(2)));
+    }
+  }
+  ASSERT_EQ(net.size(), 153u);
+
+  const auto ordering = bn::compute_elimination_order(net, {}, {});
+  std::size_t largest = 0;
+  for (const auto& step : bn::simulate_elimination(net, {}, ordering.order, {}))
+    largest = std::max(largest, step.table_cells);
+  EXPECT_EQ(ordering.max_table_cells, SIZE_MAX);
+  EXPECT_EQ(largest, ordering.max_table_cells);
 }
 
 // ---- module wiring ----

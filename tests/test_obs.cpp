@@ -568,6 +568,40 @@ TEST(ObsIntegration, QueryBatchFormsOneTraceAcrossWorkers) {
   EXPECT_EQ(query_spans, batch.size());
 }
 
+// A cold all_marginals computes its signature's min-fill ordering once,
+// inside the query's span; the repeat reads the cached ordering.
+TEST(ObsIntegration, ColdAllMarginalsTracesOneMinFillOrdering) {
+  const auto net = tiny_network();
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  auto& sink = obs::TraceSink::global();
+  const auto traced_all_marginals = [&] {
+    sink.clear();
+    sink.set_enabled(true);
+    (void)engine.all_marginals({{1, 0}});
+    sink.set_enabled(false);
+    auto events = sink.snapshot();
+    sink.clear();
+    return events;
+  };
+
+  const auto cold = traced_all_marginals();
+  const obs::TraceEvent* root = nullptr;
+  for (const auto& e : cold)
+    if (e.name == "bayesnet.engine.all_marginals") root = &e;
+  ASSERT_NE(root, nullptr);
+  std::size_t min_fill = 0;
+  for (const auto& e : cold) {
+    if (e.name != "bayesnet.ordering.min_fill") continue;
+    ++min_fill;
+    EXPECT_EQ(e.trace_id, root->trace_id);
+    EXPECT_EQ(e.parent_span, root->span_id);
+  }
+  EXPECT_EQ(min_fill, 1u);
+
+  for (const auto& e : traced_all_marginals())
+    EXPECT_NE(e.name, "bayesnet.ordering.min_fill");
+}
+
 #else  // SYSUQ_OBS_OFF — the no-op layer must compile and record nothing.
 
 TEST(ObsOffMode, RegistryIsInertAndEmpty) {
