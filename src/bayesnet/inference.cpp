@@ -76,10 +76,9 @@ VariableElimination::VariableElimination(const BayesianNetwork& net) : net_(net)
 
 kernels::ScaledFactor VariableElimination::eliminate_all_but(
     const std::vector<VariableId>& keep, const Evidence& evidence) const {
-  // Collect CPT factors; evidence-bearing ones are reduced into the
-  // per-thread arena, the rest are viewed in place. Only the final
-  // result is materialized (by eliminate_scaled), so the arena can be
-  // reset before returning.
+  // Collect the evidence-reduced CPT factors. Intermediates live in the
+  // per-thread arena and only the final result is materialized (by
+  // eliminate_scaled), so the arena can be reset before returning.
   Arena& arena = kernels::thread_scratch();
   arena.reset();
   std::vector<Factor> owned;
@@ -87,13 +86,8 @@ kernels::ScaledFactor VariableElimination::eliminate_all_but(
   std::vector<kernels::View> views;
   views.reserve(net_.size());
   for (VariableId v = 0; v < net_.size(); ++v) {
-    owned.push_back(net_.cpt_factor(v));
-    kernels::View view = kernels::view_of(owned.back());
-    for (const auto& [ev, state] : evidence) {
-      if (view.contains(ev))
-        view = kernels::reduce(view, ev, state, arena).view();
-    }
-    views.push_back(view);
+    owned.push_back(net_.cpt_factor(v, evidence));
+    views.push_back(kernels::view_of(owned.back()));
   }
 
   const EliminationOrdering ordering =

@@ -133,11 +133,7 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
   // the evidence is the product of the fully reduced CPT constants.
   if (cliques_.empty()) {
     for (VariableId v = 0; v < n; ++v) {
-      Factor f = net_.cpt_factor(v);
-      for (const auto& [ev, state] : evidence_) {
-        if (f.contains(ev)) f = f.reduce(ev, state);
-      }
-      const double t = f.total();
+      const double t = net_.cpt_factor(v, evidence_).total();
       if (!(t > 0.0)) {
         impossible_ = true;
         log_evidence_ = -std::numeric_limits<double>::infinity();
@@ -189,11 +185,8 @@ void JunctionTree::calibrate(const EliminationOrdering& ordering) {
   owned.reserve(n);
   std::vector<kernels::View> potential(m, kernels::unit_view());
   for (VariableId v = 0; v < n; ++v) {
-    owned.push_back(net_.cpt_factor(v));
-    kernels::View f = kernels::view_of(owned.back());
-    for (const auto& [ev, state] : evidence_) {
-      if (f.contains(ev)) f = kernels::reduce(f, ev, state, arena).view();
-    }
+    owned.push_back(net_.cpt_factor(v, evidence_));
+    const kernels::View f = kernels::view_of(owned.back());
     std::size_t first = kNone;
     for (std::size_t r = 0; r < f.rank; ++r)
       first = std::min(first, step_of[f.scope[r]]);

@@ -73,14 +73,13 @@ class DisjointSets {
   std::vector<std::size_t> parent_;
 };
 
-/// Log dynamic range between two normalized message vectors:
+/// Log dynamic range between two normalized messages of `n` entries:
 /// max_i log(a[i]/b[i]) - min_i log(a[i]/b[i]). Entries where both are
 /// zero agree exactly and are skipped; a one-sided zero is an infinite
-/// ratio. 0 when every entry is skipped or the vectors coincide.
-double log_range_between(const std::vector<double>& a,
-                         const std::vector<double>& b) {
+/// ratio. 0 when every entry is skipped or the messages coincide.
+double log_range_between(const double* a, const double* b, std::size_t n) {
   double lo = kInf, hi = -kInf;
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (a[i] == 0.0 && b[i] == 0.0) continue;  // sysuq-lint-allow(float-eq): exactly-zero mass agrees exactly
     if (a[i] == 0.0 || b[i] == 0.0) return kInf;  // sysuq-lint-allow(float-eq): one-sided exact zero is an infinite ratio
     // sysuq-lint-allow(log-domain): ratio of two linear probabilities, logged once
@@ -93,6 +92,92 @@ double log_range_between(const std::vector<double>& a,
 }
 
 }  // namespace
+
+struct LoopyBP::FactorGraph {
+  // One directed edge pair of the factor graph: factor `factor` <->
+  // variable `var` at position `pos` of the factor's reduced scope. Both
+  // of its messages sit at [msg, msg + card) of the flat buffers below.
+  struct Edge {
+    std::size_t factor = 0;
+    VariableId var = 0;
+    std::size_t pos = 0;
+    std::size_t msg = 0;
+    std::size_t card = 0;
+    // The final undamped update's log-range residual, and the certified
+    // log-range distance to the fixpoint: the contraction system's terms.
+    double residual_log_range = 0.0;
+    double fixpoint_eps = 0.0;
+  };
+
+  std::vector<Factor> factors;  // evidence-reduced, scalars dropped
+  // Edges run in factor-index then scope order: factor fi's edge for
+  // scope position k is first_edge[fi] + k.
+  std::vector<std::size_t> first_edge;
+  std::vector<Edge> edges;
+  std::vector<std::vector<std::size_t>> edges_of_var;  // var -> edge ids
+  std::vector<double> to_var;     // m_{factor -> var}, normalized
+  std::vector<double> to_factor;  // m_{var -> factor}, normalized
+  // Sweep scratch: the prefix-product tables and the suffix sums.
+  std::vector<double> prefix, suffix;
+
+  /// Writes the undamped update of every message factor `fi` sends into
+  /// `out` (same layout as to_var, not normalized), from the current
+  /// var->factor messages; see the file comment of loopy_bp.hpp.
+  void sweep(std::size_t fi, double* out) {
+    const Factor& f = factors[fi];
+    const auto& cards = f.cardinalities();
+    const Edge* edge = edges.data() + first_edge[fi];
+    const std::size_t d = cards.size();
+
+    // Prefix tables P_0 = {1}, P_{k+1}(x<k, t) = P_k(x<k) * mu_k(t), back
+    // to back; P_k holds prod_{i<k} c_i entries.
+    std::size_t at = 0, n = 1, need = 1;
+    for (std::size_t k = 0; k + 1 < d; ++k) {
+      n *= cards[k];
+      need += n;
+    }
+    prefix.resize(need);
+    suffix.resize(n);
+    prefix[0] = 1.0;
+    n = 1;
+    for (std::size_t k = 0; k + 1 < d; ++k) {
+      const double* mu = to_factor.data() + edge[k].msg;
+      const double* p = prefix.data() + at;
+      double* next = prefix.data() + at + n;
+      for (std::size_t b = 0; b < n; ++b) {
+        for (std::size_t t = 0; t < cards[k]; ++t)
+          next[b * cards[k] + t] = p[b] * mu[t];
+      }
+      at += n;
+      n *= cards[k];
+    }
+
+    // Levels d-1 down to 0: R_{k+1} (psi itself first) scatters into
+    // m_k and sums its fastest position out into R_k, in place.
+    const double* r = f.values().data();
+    for (std::size_t k = d; k-- > 0;) {
+      const std::size_t c = cards[k];
+      const double* mu = to_factor.data() + edge[k].msg;
+      const double* p = prefix.data() + at;
+      double* m = out + edge[k].msg;
+      std::fill(m, m + c, 0.0);
+      for (std::size_t b = 0; b < n; ++b) {
+        const double* cell = r + b * c;
+        double sum = 0.0;
+        for (std::size_t t = 0; t < c; ++t) {
+          m[t] += p[b] * cell[t];
+          sum += cell[t] * mu[t];
+        }
+        suffix[b] = sum;
+      }
+      r = suffix.data();
+      if (k > 0) {
+        n /= cards[k - 1];
+        at -= n;
+      }
+    }
+  }
+};
 
 double BoundedPosterior::width() const {
   double w = 0.0;
@@ -132,10 +217,14 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
 
   const obs::Span span("bayesnet.bp.run");
   const auto t0 = std::chrono::steady_clock::now();
-  build_factor_graph();
-  if (!impossible_) run_message_passing();
-  if (!impossible_) extract_marginals();
-  if (!impossible_) certify_bounds();
+  FactorGraph graph;
+  build_factor_graph(graph);
+  if (!impossible_) run_message_passing(graph);
+  if (!impossible_) extract_marginals(graph);
+  if (!impossible_) {
+    const obs::Span certify("bayesnet.bp.certify");
+    certify_bounds(graph);
+  }
   build_seconds_ = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -148,128 +237,103 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
   metrics.bound_width.observe(max_bound_width_);
 }
 
-void LoopyBP::build_factor_graph() {
-  edges_of_var_.assign(net_.size(), {});
-  factors_.reserve(net_.size());
+void LoopyBP::build_factor_graph(FactorGraph& g) {
+  g.edges_of_var.assign(net_.size(), {});
+  g.factors.reserve(net_.size());
   for (VariableId child = 0; child < net_.size(); ++child) {
-    Factor f = net_.cpt_factor(child);
-    for (const auto& [ev, state] : evidence_) {
-      if (f.contains(ev)) f = f.reduce(ev, state);
-    }
+    Factor f = net_.cpt_factor(child, evidence_);
     if (f.scope().empty()) {
       // Fully observed family: a constant multiplying P(e). Zero means
       // the evidence directly contradicts this CPT.
-      if (f.values().empty() || f.values().front() <= 0.0) impossible_ = true;
+      if (f.values().front() <= 0.0) impossible_ = true;
       continue;
     }
-    factors_.push_back(std::move(f));
+    g.factors.push_back(std::move(f));
   }
 
   // Edges in factor-index then scope-position order — this IS the
   // deterministic flooding schedule.
-  DisjointSets components(net_.size() + factors_.size());
+  DisjointSets components(net_.size() + g.factors.size());
   acyclic_ = true;
-  for (std::size_t fi = 0; fi < factors_.size(); ++fi) {
-    const auto& scope = factors_[fi].scope();
+  std::size_t msg = 0;
+  for (std::size_t fi = 0; fi < g.factors.size(); ++fi) {
+    g.first_edge.push_back(g.edges.size());
+    const auto& scope = g.factors[fi].scope();
     for (std::size_t pos = 0; pos < scope.size(); ++pos) {
       const VariableId v = scope[pos];
-      Edge e;
-      e.factor = fi;
-      e.var = v;
-      e.pos = pos;
-      const double card = static_cast<double>(net_.variable(v).cardinality());
-      e.to_var.assign(net_.variable(v).cardinality(), 1.0 / card);
-      e.to_factor = e.to_var;
-      edges_of_var_[v].push_back(edges_.size());
-      edges_.push_back(std::move(e));
+      const std::size_t card = g.factors[fi].cardinalities()[pos];
+      g.edges_of_var[v].push_back(g.edges.size());
+      g.edges.push_back(
+          {.factor = fi, .var = v, .pos = pos, .msg = msg, .card = card});
+      msg += card;
       if (!components.unite(v, net_.size() + fi)) acyclic_ = false;
     }
   }
+  g.to_var.resize(msg);
+  for (const auto& e : g.edges) {
+    std::fill_n(g.to_var.data() + e.msg, e.card,
+                1.0 / static_cast<double>(e.card));
+  }
+  g.to_factor = g.to_var;
 }
 
-void LoopyBP::run_message_passing() {
-  auto& arena = kernels::thread_scratch();
-  arena.reset();
-
-  // Edge ids are contiguous per factor; first_edge[fi] + pos addresses
-  // the (factor fi, scope position pos) pair in O(1).
-  std::vector<std::size_t> first_edge(factors_.size(), 0);
-  for (std::size_t e = 0; e < edges_.size(); ++e) {
-    if (edges_[e].pos == 0) first_edge[edges_[e].factor] = e;
-  }
-
-  // One undamped factor->var update for edge e, computed from the
-  // previous iteration's var->factor messages. Returns the linear total
-  // before normalization (zero total = impossible evidence).
-  std::vector<double> staged_msg;
-  const auto update_to_var = [&](std::size_t eid, std::vector<double>& out) {
-    const Edge& e = edges_[eid];
-    const Factor& fac = factors_[e.factor];
-    kernels::View cur = kernels::view_of(fac);
-    const auto& scope = fac.scope();
-    for (std::size_t pos = 0; pos < scope.size(); ++pos) {
-      if (pos == e.pos) continue;
-      const Edge& in = edges_[first_edge[e.factor] + pos];
-      const std::size_t card = in.to_factor.size();
-      kernels::View msg{&scope[pos], &card, in.to_factor.data(), 1, card};
-      cur = kernels::product(cur, msg, arena).view();
+void LoopyBP::run_message_passing(FactorGraph& g) {
+  const auto& edges = g.edges;
+  // Normalizes every message of `staged` in place; false when one has
+  // zero mass (impossible evidence).
+  const auto normalize_all = [&](std::vector<double>& staged) {
+    for (const auto& e : edges) {
+      const double total = kernels::total(staged.data() + e.msg, e.card);
+      if (total <= 0.0) return false;
+      kernels::scale(staged.data() + e.msg, e.card, 1.0 / total);
     }
-    const kernels::Table marg =
-        kernels::marginalize_keep(cur, &e.var, 1, arena);
-    out.assign(marg.values, marg.values + marg.size);
-    arena_high_water_ = std::max(arena_high_water_, arena.bytes_used());
-    arena.reset();
-    const double total = kernels::total(out.data(), out.size());
-    if (total > 0.0) kernels::scale(out.data(), out.size(), 1.0 / total);
-    return total;
+    return true;
   };
 
-  std::vector<std::vector<double>> staged(edges_.size());
+  std::vector<double> staged(g.to_var.size());
   for (std::size_t iter = 1; iter <= options_.max_iterations; ++iter) {
     iterations_ = iter;
-    double residual = 0.0;
 
     // Phase 1: every factor->var message from the old var->factor set.
-    for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-      if (update_to_var(eid, staged[eid]) <= 0.0) {
-        impossible_ = true;
-        return;
-      }
-      const Edge& e = edges_[eid];
-      for (std::size_t i = 0; i < staged[eid].size(); ++i) {
-        residual = std::max(residual, std::abs(staged[eid][i] - e.to_var[i]));
-      }
+    for (std::size_t fi = 0; fi < g.factors.size(); ++fi) {
+      g.sweep(fi, staged.data());
     }
-    for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-      Edge& e = edges_[eid];
-      if (options_.damping > 0.0) {
-        for (std::size_t i = 0; i < e.to_var.size(); ++i) {
-          e.to_var[i] = (1.0 - options_.damping) * staged[eid][i] +
-                        options_.damping * e.to_var[i];
+    if (!normalize_all(staged)) {
+      impossible_ = true;
+      return;
+    }
+    double residual = 0.0;
+    for (std::size_t i = 0; i < staged.size(); ++i)
+      residual = std::max(residual, std::abs(staged[i] - g.to_var[i]));
+    if (options_.damping > 0.0) {
+      for (const auto& e : edges) {
+        double* m = g.to_var.data() + e.msg;
+        for (std::size_t i = 0; i < e.card; ++i) {
+          m[i] = (1.0 - options_.damping) * staged[e.msg + i] +
+                 options_.damping * m[i];
         }
-        const double total = kernels::total(e.to_var.data(), e.to_var.size());
-        kernels::scale(e.to_var.data(), e.to_var.size(), 1.0 / total);
-      } else {
-        e.to_var = staged[eid];
+        kernels::scale(m, e.card, 1.0 / kernels::total(m, e.card));
       }
+    } else {
+      g.to_var.swap(staged);
     }
 
     // Phase 2: every var->factor message from the fresh factor->var set.
-    for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-      Edge& e = edges_[eid];
-      std::fill(e.to_factor.begin(), e.to_factor.end(), 1.0);
-      for (const std::size_t other : edges_of_var_[e.var]) {
+    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+      const auto& e = edges[eid];
+      double* m = g.to_factor.data() + e.msg;
+      std::fill_n(m, e.card, 1.0);
+      for (const std::size_t other : g.edges_of_var[e.var]) {
         if (other == eid) continue;
-        const auto& m = edges_[other].to_var;
-        for (std::size_t i = 0; i < m.size(); ++i) e.to_factor[i] *= m[i];
+        const double* in = g.to_var.data() + edges[other].msg;
+        for (std::size_t i = 0; i < e.card; ++i) m[i] *= in[i];
       }
-      const double total =
-          kernels::total(e.to_factor.data(), e.to_factor.size());
+      const double total = kernels::total(m, e.card);
       if (total <= 0.0) {
         impossible_ = true;
         return;
       }
-      kernels::scale(e.to_factor.data(), e.to_factor.size(), 1.0 / total);
+      kernels::scale(m, e.card, 1.0 / total);
     }
 
     final_residual_ = residual;
@@ -282,17 +346,20 @@ void LoopyBP::run_message_passing() {
   // One extra undamped sweep measures how far the resting messages are
   // from a single application of the update operator — the residual
   // input b_e of the contraction system.
-  for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-    if (update_to_var(eid, staged_msg) <= 0.0) {
-      impossible_ = true;
-      return;
-    }
-    edges_[eid].residual_log_range =
-        log_range_between(staged_msg, edges_[eid].to_var);
+  for (std::size_t fi = 0; fi < g.factors.size(); ++fi) {
+    g.sweep(fi, staged.data());
+  }
+  if (!normalize_all(staged)) {
+    impossible_ = true;
+    return;
+  }
+  for (auto& e : g.edges) {
+    e.residual_log_range = log_range_between(staged.data() + e.msg,
+                                             g.to_var.data() + e.msg, e.card);
   }
 }
 
-void LoopyBP::extract_marginals() {
+void LoopyBP::extract_marginals(const FactorGraph& g) {
   marginals_.resize(net_.size());
   std::vector<double> belief;
   for (VariableId v = 0; v < net_.size(); ++v) {
@@ -306,9 +373,9 @@ void LoopyBP::extract_marginals() {
       continue;
     }
     belief.assign(net_.variable(v).cardinality(), 1.0);
-    for (const std::size_t eid : edges_of_var_[v]) {
-      const auto& m = edges_[eid].to_var;
-      for (std::size_t i = 0; i < m.size(); ++i) belief[i] *= m[i];
+    for (const std::size_t eid : g.edges_of_var[v]) {
+      const double* m = g.to_var.data() + g.edges[eid].msg;
+      for (std::size_t i = 0; i < belief.size(); ++i) belief[i] *= m[i];
     }
     const double total = kernels::total(belief.data(), belief.size());
     if (total <= 0.0) {
@@ -323,16 +390,18 @@ void LoopyBP::extract_marginals() {
   }
 }
 
-void LoopyBP::certify_bounds() {
+void LoopyBP::certify_bounds(FactorGraph& g) {
+  auto& edges = g.edges;
+  const auto& factors = g.factors;
   // --- Contraction system over the factor-graph edges -----------------
   // Per factor: dynamic range D = max psi / min psi, Dobrushin-style
   // contraction rate (D-1)/(D+1), and an absolute log-range cap log D
   // (a single factor cannot skew any message by more than its own
   // dynamic range). A factor with zero entries has D = inf: rate 1,
   // no cap.
-  std::vector<double> rate(factors_.size()), cap(factors_.size());
-  for (std::size_t fi = 0; fi < factors_.size(); ++fi) {
-    const auto& vals = factors_[fi].values();
+  std::vector<double> rate(factors.size()), cap(factors.size());
+  for (std::size_t fi = 0; fi < factors.size(); ++fi) {
+    const auto& vals = factors[fi].values();
     double vmin = kInf, vmax = 0.0;
     for (const double x : vals) {
       vmin = std::min(vmin, x);
@@ -353,21 +422,21 @@ void LoopyBP::certify_bounds() {
   //   eps_e = b_e + min(cap_f, rate_f * sum of upstream eps),
   // seeded from the sound overestimate b_e + cap_f and iterated
   // monotonically downward (every iterate stays a valid bound).
-  for (Edge& e : edges_) {
+  for (auto& e : edges) {
     e.fixpoint_eps = e.residual_log_range + cap[e.factor];
   }
-  std::vector<double> next_eps(edges_.size());
+  std::vector<double> next_eps(edges.size());
   for (std::size_t sweep = 0; sweep < 100; ++sweep) {
     double change = 0.0;
-    for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-      const Edge& e = edges_[eid];
+    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+      const auto& e = edges[eid];
       double upstream = 0.0;
-      const auto& scope = factors_[e.factor].scope();
+      const auto& scope = factors[e.factor].scope();
       for (std::size_t pos = 0; pos < scope.size(); ++pos) {
         if (pos == e.pos) continue;
-        for (const std::size_t in : edges_of_var_[scope[pos]]) {
-          if (edges_[in].factor == e.factor) continue;
-          upstream += edges_[in].fixpoint_eps;
+        for (const std::size_t in : g.edges_of_var[scope[pos]]) {
+          if (edges[in].factor == e.factor) continue;
+          upstream += edges[in].fixpoint_eps;
         }
       }
       // sysuq-lint-allow(log-domain): contraction rate scaling a log-range magnitude — the Ihler bound, not a domain mixup
@@ -380,8 +449,8 @@ void LoopyBP::certify_bounds() {
         change = std::max(change, std::abs(e.fixpoint_eps - next_eps[eid]));
       }
     }
-    for (std::size_t eid = 0; eid < edges_.size(); ++eid) {
-      edges_[eid].fixpoint_eps = next_eps[eid];
+    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+      edges[eid].fixpoint_eps = next_eps[eid];
     }
     if (change < tolerance::kFixpoint) break;
   }
@@ -389,6 +458,10 @@ void LoopyBP::certify_bounds() {
   // --- Per-variable certified intervals -------------------------------
   max_bound_width_ = 0.0;
   std::vector<double> w_lo, w_hi;
+  std::vector<std::size_t> touching, states, cards, step, offset, vstride;
+  std::vector<VariableId> blanket;
+  std::vector<const double*> tables;
+  std::vector<double> w;
   for (VariableId v = 0; v < net_.size(); ++v) {
     if (evidence_.contains(v)) continue;
     BoundedPosterior& out = marginals_[v];
@@ -399,13 +472,13 @@ void LoopyBP::certify_bounds() {
     // P(v | B = b, e), and given the full blanket only the factors
     // touching v matter. Enumerate b exactly while feasible; otherwise
     // relax each factor to its per-state min/max envelope.
-    std::vector<std::size_t> touching;
-    for (const std::size_t eid : edges_of_var_[v]) {
-      touching.push_back(edges_[eid].factor);
+    touching.clear();
+    for (const std::size_t eid : g.edges_of_var[v]) {
+      touching.push_back(edges[eid].factor);
     }
-    std::vector<VariableId> blanket;
+    blanket.clear();
     for (const std::size_t fi : touching) {
-      for (const VariableId u : factors_[fi].scope()) {
+      for (const VariableId u : factors[fi].scope()) {
         if (u != v) blanket.push_back(u);
       }
     }
@@ -426,35 +499,46 @@ void LoopyBP::certify_bounds() {
     bool any_feasible = false;
     if (configs <= options_.max_blanket_configs) {
       // Exact enumeration: walk every blanket assignment in mixed-radix
-      // order and envelope the conditional P(v | B = b, e).
+      // order (last variable fastest) and envelope the conditional
+      // P(v | B = b, e). Touching factor t's cell for v = i sits at
+      // offset[t] + i * vstride[t]; each state of blanket variable k
+      // moves offset[t] by step[k * nt + t] (0 when t does not hold k).
+      const std::size_t nt = touching.size(), nb = blanket.size();
       out.lo.assign(card, 1.0);
       out.hi.assign(card, 0.0);
-      std::vector<std::size_t> states(blanket.size(), 0);
-      std::vector<std::vector<std::size_t>> slot(touching.size());
-      std::vector<std::vector<std::size_t>> fstates(touching.size());
-      for (std::size_t t = 0; t < touching.size(); ++t) {
-        const auto& scope = factors_[touching[t]].scope();
-        fstates[t].assign(scope.size(), 0);
-        slot[t].assign(scope.size(), blanket.size());  // sentinel = v itself
-        for (std::size_t pos = 0; pos < scope.size(); ++pos) {
-          if (scope[pos] == v) continue;
-          slot[t][pos] = static_cast<std::size_t>(
-              std::lower_bound(blanket.begin(), blanket.end(), scope[pos]) -
-              blanket.begin());
+      states.assign(nb, 0);
+      cards.resize(nb);
+      for (std::size_t k = 0; k < nb; ++k) {
+        cards[k] = net_.variable(blanket[k]).cardinality();
+      }
+      step.assign(nb * nt, 0);
+      offset.assign(nt, 0);
+      vstride.assign(nt, 0);
+      tables.resize(nt);
+      for (std::size_t t = 0; t < nt; ++t) {
+        const Factor& f = factors[touching[t]];
+        tables[t] = f.values().data();
+        std::size_t stride = 1;
+        for (std::size_t pos = f.scope().size(); pos-- > 0;) {
+          const VariableId u = f.scope()[pos];
+          if (u == v) {
+            vstride[t] = stride;
+          } else {
+            const auto k = static_cast<std::size_t>(
+                std::lower_bound(blanket.begin(), blanket.end(), u) -
+                blanket.begin());
+            step[k * nt + t] = stride;
+          }
+          stride *= f.cardinalities()[pos];
         }
       }
-      std::vector<double> w(card);
+      w.resize(card);
       for (std::size_t c = 0; c < configs; ++c) {
         double wsum = 0.0;
         for (std::size_t i = 0; i < card; ++i) {
           double prod = 1.0;
-          for (std::size_t t = 0; t < touching.size(); ++t) {
-            const auto& scope = factors_[touching[t]].scope();
-            for (std::size_t pos = 0; pos < scope.size(); ++pos) {
-              fstates[t][pos] =
-                  slot[t][pos] == blanket.size() ? i : states[slot[t][pos]];
-            }
-            prod *= factors_[touching[t]].at(fstates[t]);
+          for (std::size_t t = 0; t < nt; ++t) {
+            prod *= tables[t][offset[t] + i * vstride[t]];
           }
           w[i] = prod;
           wsum += prod;
@@ -466,9 +550,12 @@ void LoopyBP::certify_bounds() {
             out.hi[i] = std::max(out.hi[i], w[i] / wsum);
           }
         }
-        // Next mixed-radix blanket assignment (last variable fastest).
-        for (std::size_t k = blanket.size(); k-- > 0;) {
-          if (++states[k] < net_.variable(blanket[k]).cardinality()) break;
+        // Next blanket assignment.
+        for (std::size_t k = nb; k-- > 0;) {
+          const std::size_t* s = step.data() + k * nt;
+          for (std::size_t t = 0; t < nt; ++t) offset[t] += s[t];
+          if (++states[k] < cards[k]) break;
+          for (std::size_t t = 0; t < nt; ++t) offset[t] -= s[t] * cards[k];
           states[k] = 0;
         }
       }
@@ -479,7 +566,7 @@ void LoopyBP::certify_bounds() {
       w_lo.assign(card, 1.0);
       w_hi.assign(card, 1.0);
       for (const std::size_t fi : touching) {
-        const Factor& fac = factors_[fi];
+        const Factor& fac = factors[fi];
         const auto& scope = fac.scope();
         const std::size_t pos = static_cast<std::size_t>(
             std::lower_bound(scope.begin(), scope.end(), v) - scope.begin());
@@ -487,16 +574,20 @@ void LoopyBP::certify_bounds() {
         for (std::size_t k = scope.size(); k-- > pos + 1;) {
           stride *= fac.cardinalities()[k];
         }
-        std::vector<double> fmin(card, kInf), fmax(card, 0.0);
+        // v's state i owns runs of `stride` cells, one per block of
+        // card * stride; min and max are exact in any order.
         const auto& vals = fac.values();
-        for (std::size_t idx = 0; idx < vals.size(); ++idx) {
-          const std::size_t i = (idx / stride) % card;
-          fmin[i] = std::min(fmin[i], vals[idx]);
-          fmax[i] = std::max(fmax[i], vals[idx]);
-        }
         for (std::size_t i = 0; i < card; ++i) {
-          w_lo[i] *= fmin[i];
-          w_hi[i] *= fmax[i];
+          double fmin = kInf, fmax = 0.0;
+          for (std::size_t block = i * stride; block < vals.size();
+               block += card * stride) {
+            for (std::size_t j = block; j < block + stride; ++j) {
+              fmin = std::min(fmin, vals[j]);
+              fmax = std::max(fmax, vals[j]);
+            }
+          }
+          w_lo[i] *= fmin;
+          w_hi[i] *= fmax;
         }
       }
       out.lo.assign(card, 0.0);
@@ -536,8 +627,8 @@ void LoopyBP::certify_bounds() {
     // applied.
     if (acyclic_) {
       double belief_log_range = 0.0;
-      for (const std::size_t eid : edges_of_var_[v]) {
-        belief_log_range += edges_[eid].fixpoint_eps;
+      for (const std::size_t eid : g.edges_of_var[v]) {
+        belief_log_range += edges[eid].fixpoint_eps;
       }
       for (std::size_t i = 0; i < card; ++i) {
         const double p = out.point.p(i);

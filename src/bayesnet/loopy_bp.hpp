@@ -8,7 +8,18 @@
 // it keeps answering on the treewidth-hostile networks where the
 // min-fill ordering's largest elimination clique
 // (`EliminationOrdering::max_table_cells`) predicts the exact backends
-// would die (bench_cpt_explosion's regime, ROADMAP item 2).
+// would die (bench_cpt_explosion's regime).
+//
+// Messages: one sweep per factor per iteration yields all d of its
+// outgoing messages. With the incoming messages mu_k, prefix products
+// P_k = prod_{i<k} mu_i over the leading scope positions and suffix sums
+// R_k = sum over the trailing positions of psi * prod_{i>=k} mu_i, the
+// message to position j is m_j(t) = sum_{x<j} P_j * R_{j+1}(x<j, t).
+// R_d is the table psi itself and each R_k sums the fastest position out
+// of R_{k+1}, so psi is walked once and every later level is at most
+// half the size of the one before: O(|psi|) per factor for all d
+// messages. The sweep only multiplies and adds — it never divides a
+// total by an own message — so exact zeros stay exact zeros.
 //
 // The price is exactness: on graphs with cycles the BP fixpoint is an
 // approximation. Every posterior is therefore surfaced as a
@@ -20,7 +31,8 @@
 //    blanket configurations b of P(v=i | B=b, e), and the conditional
 //    given the full blanket depends only on the factors touching v. We
 //    enumerate blanket configurations exactly up to
-//    `Options::max_blanket_configs` and take the min/max envelope;
+//    `Options::max_blanket_configs` (a mixed-radix counter moving one
+//    stride offset per touching factor) and take the min/max envelope;
 //    past the cap a per-factor min/max relaxation bounds the same
 //    quantity from outside.
 //  * Dobrushin-style contraction estimate: per-factor dynamic ranges
@@ -61,7 +73,6 @@
 #include <string>
 #include <vector>
 
-#include "bayesnet/factor.hpp"
 #include "bayesnet/network.hpp"
 #include "core/tolerance.hpp"
 #include "prob/discrete.hpp"
@@ -143,34 +154,22 @@ class LoopyBP {
   [[nodiscard]] static const char* schedule() { return "flooding"; }
   /// Wall seconds the constructor spent in message passing + bounds.
   [[nodiscard]] double build_seconds() const { return build_seconds_; }
-  /// Scratch-arena bytes live at the run's peak.
-  [[nodiscard]] std::size_t arena_high_water_bytes() const {
-    return arena_high_water_;
-  }
+  /// Scratch-arena bytes live at the run's peak. Always 0: a run keeps
+  /// its messages in its own buffers and never touches the per-thread
+  /// scratch arena. Kept so explain() and benches report every backend
+  /// alike.
+  [[nodiscard]] std::size_t arena_high_water_bytes() const { return 0; }
 
  private:
-  // One directed edge pair of the factor graph: factor `factor` <->
-  // variable `var` (position `pos` in the factor's reduced scope).
-  struct Edge {
-    std::size_t factor = 0;
-    VariableId var = 0;
-    std::size_t pos = 0;
-    std::vector<double> to_var;     // m_{factor -> var}, normalized
-    std::vector<double> to_factor;  // m_{var -> factor}, normalized
-    // Log dynamic range of factor `factor` restricted as seen from
-    // this edge, and the final undamped update's log-range residual —
-    // inputs to the contraction system.
-    double residual_log_range = 0.0;
-    double fixpoint_eps = 0.0;  // certified log-range to the fixpoint
-  };
+  // The evidence-reduced factor graph and its messages. It lives only
+  // while the constructor runs: a finished run keeps its marginals and
+  // diagnostics, which is all the accessors read.
+  struct FactorGraph;
 
   const BayesianNetwork& net_;
   Evidence evidence_;
   Options options_;
-  std::vector<Factor> factors_;        // evidence-reduced, scalars dropped
-  std::vector<Edge> edges_;            // factor-index then scope order
-  std::vector<std::vector<std::size_t>> edges_of_var_;  // var -> edge ids
-  std::vector<BoundedPosterior> marginals_;             // one per variable
+  std::vector<BoundedPosterior> marginals_;  // one per variable
   bool impossible_ = false;
   bool converged_ = false;
   bool acyclic_ = false;
@@ -178,12 +177,11 @@ class LoopyBP {
   double final_residual_ = 0.0;
   double max_bound_width_ = 0.0;
   double build_seconds_ = 0.0;
-  std::size_t arena_high_water_ = 0;
 
-  void build_factor_graph();
-  void run_message_passing();
-  void extract_marginals();
-  void certify_bounds();
+  void build_factor_graph(FactorGraph& g);
+  void run_message_passing(FactorGraph& g);
+  void extract_marginals(const FactorGraph& g);
+  void certify_bounds(FactorGraph& g);
   [[noreturn]] void throw_impossible() const;
 };
 

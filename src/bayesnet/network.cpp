@@ -125,54 +125,70 @@ const std::vector<prob::Categorical>& BayesianNetwork::cpt_rows(
   return nodes_[child].rows;
 }
 
-Factor BayesianNetwork::cpt_factor(VariableId child) const {
+Factor BayesianNetwork::cpt_factor(VariableId child,
+                                   const Evidence& evidence) const {
   const auto& ps = parents(child);
+  const auto& rows = nodes_[child].rows;
 
-  // Factor scope must be sorted by id; CPT layout is (parents..., child)
-  // with last varying fastest. Build the factor by enumerating the CPT and
-  // scattering into the sorted layout.
-  std::vector<VariableId> scope = ps;
-  scope.push_back(child);
-  std::vector<VariableId> sorted = scope;
-  std::sort(sorted.begin(), sorted.end());
+  // The CPT holds entry (row r, child state s) at rows[r].p(s), where r
+  // is the mixed-radix parent index (last parent fastest). A family
+  // member moves r by `row_step` per state and s by `state_step`.
+  struct Member {
+    VariableId id;
+    std::size_t card;
+    std::size_t row_step;
+    std::size_t state_step;
+  };
+  std::vector<Member> family;
+  family.reserve(ps.size() + 1);
+  std::size_t row_step = 1;
+  for (std::size_t i = ps.size(); i-- > 0;) {
+    const std::size_t card = nodes_[ps[i]].var.cardinality();
+    family.push_back({ps[i], card, row_step, 0});
+    row_step *= card;
+  }
+  family.push_back({child, nodes_[child].var.cardinality(), 0, 1});
+  // Factor scopes are sorted by id, last varying fastest.
+  std::sort(family.begin(), family.end(),
+            [](const Member& a, const Member& b) { return a.id < b.id; });
 
-  std::vector<std::size_t> sorted_cards(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i)
-    sorted_cards[i] = nodes_[sorted[i]].var.cardinality();
-
-  std::size_t total = 1;
-  for (std::size_t c : sorted_cards) total *= c;
-  std::vector<double> values(total, 0.0);
-
-  // position of each scope var in the sorted scope
-  std::vector<std::size_t> pos(scope.size());
-  for (std::size_t i = 0; i < scope.size(); ++i) {
-    pos[i] = static_cast<std::size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), scope[i]) -
-        sorted.begin());
+  // Observed members fix the first consistent cell; the open ones span
+  // the factor.
+  std::size_t row = 0, state = 0, total = 1;
+  std::vector<Member> open;
+  std::vector<VariableId> scope;
+  std::vector<std::size_t> cards;
+  for (const Member& m : family) {
+    const auto it = evidence.find(m.id);
+    if (it == evidence.end()) {
+      open.push_back(m);
+      scope.push_back(m.id);
+      cards.push_back(m.card);
+      total *= m.card;
+      continue;
+    }
+    if (it->second >= m.card)
+      throw std::out_of_range("BayesianNetwork::cpt_factor: evidence state");
+    row += it->second * m.row_step;
+    state += it->second * m.state_step;
   }
 
-  const std::size_t child_card = nodes_[child].var.cardinality();
-  std::vector<std::size_t> pstate(ps.size(), 0);
-  const std::size_t nrows = nodes_[child].rows.size();
-  std::vector<std::size_t> sorted_state(sorted.size(), 0);
-  for (std::size_t r = 0; r < nrows; ++r) {
-    for (std::size_t cstate = 0; cstate < child_card; ++cstate) {
-      for (std::size_t i = 0; i < ps.size(); ++i)
-        sorted_state[pos[i]] = pstate[i];
-      sorted_state[pos[ps.size()]] = cstate;
-      std::size_t flat = 0;
-      for (std::size_t i = 0; i < sorted.size(); ++i)
-        flat = flat * sorted_cards[i] + sorted_state[i];
-      values[flat] = nodes_[child].rows[r].p(cstate);
-    }
-    // advance parent mixed-radix counter (last parent fastest)
-    for (std::size_t k = ps.size(); k-- > 0;) {
-      if (++pstate[k] < nodes_[ps[k]].var.cardinality()) break;
-      pstate[k] = 0;
+  // Walk the consistent cells in the factor's row-major order, moving
+  // (row, state) with a mixed-radix counter over the open members.
+  std::vector<double> values(total);
+  std::vector<std::size_t> counter(open.size(), 0);
+  for (double& value : values) {
+    value = rows[row].p(state);
+    for (std::size_t k = open.size(); k-- > 0;) {
+      row += open[k].row_step;
+      state += open[k].state_step;
+      if (++counter[k] < open[k].card) break;
+      row -= open[k].row_step * open[k].card;
+      state -= open[k].state_step * open[k].card;
+      counter[k] = 0;
     }
   }
-  return Factor(std::move(sorted), std::move(sorted_cards), std::move(values));
+  return Factor(std::move(scope), std::move(cards), std::move(values));
 }
 
 void BayesianNetwork::validate() const {

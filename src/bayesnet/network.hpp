@@ -74,8 +74,16 @@ class BayesianNetwork {
   [[nodiscard]] const std::vector<prob::Categorical>& cpt_rows(
       VariableId child) const;
 
-  /// The CPT of `child` as a factor over {parents, child}.
-  [[nodiscard]] Factor cpt_factor(VariableId child) const;
+  /// The CPT of `child` as a factor over {parents, child}, reduced by
+  /// `evidence`: each observed family member is fixed to its state and
+  /// leaves the scope (a wholly observed family gives a scalar), and
+  /// evidence off the family is ignored. Built in one pass over the
+  /// consistent cells, so it equals the full factor reduced one variable
+  /// at a time with `Factor::reduce`, value for value. Throws
+  /// std::out_of_range for an observed family state past its
+  /// variable's cardinality.
+  [[nodiscard]] Factor cpt_factor(VariableId child,
+                                  const Evidence& evidence = {}) const;
 
   /// Throws std::logic_error unless every variable has a CPT and the
   /// graph is acyclic. O(V + E): one `topological_order()`.

@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <string>
+#include <vector>
 
 #include "bayesnet/io.hpp"
 #include "perception/table1.hpp"
+#include "prob/rng.hpp"
 
 namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
@@ -43,6 +46,40 @@ std::vector<bn::VariableId> reference_topological_order(
     }
   }
   return order;
+}
+
+// Random DAG of 2-4-state variables whose parents may carry larger ids
+// than the child and are listed in a shuffled order, so a CPT's row
+// layout differs from its factor's sorted scope.
+bn::BayesianNetwork random_shuffled_network(pr::Rng& rng, std::size_t n) {
+  bn::BayesianNetwork net;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::string> states(2 + rng.uniform_index(3));
+    for (std::size_t s = 0; s < states.size(); ++s) states[s] = "s" + std::to_string(s);
+    net.add_variable("v" + std::to_string(i), std::move(states));
+  }
+  // A random topological order: each variable draws parents from those
+  // placed before it.
+  std::vector<bn::VariableId> topo(n);
+  for (std::size_t i = 0; i < n; ++i) topo[i] = i;
+  for (std::size_t i = n; i > 1; --i) std::swap(topo[i - 1], topo[rng.uniform_index(i)]);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<bn::VariableId> parents;
+    for (std::size_t j = 0; j < i && parents.size() < 3; ++j)
+      if (rng.bernoulli(0.5)) parents.push_back(topo[j]);
+    for (std::size_t k = parents.size(); k > 1; --k)
+      std::swap(parents[k - 1], parents[rng.uniform_index(k)]);
+    std::size_t rows = 1;
+    for (const auto p : parents) rows *= net.variable(p).cardinality();
+    std::vector<pr::Categorical> cpt;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::vector<double> w(net.variable(topo[i]).cardinality());
+      for (double& x : w) x = rng.uniform() + 0.05;
+      cpt.push_back(pr::Categorical::normalized(std::move(w)));
+    }
+    net.set_cpt(topo[i], std::move(parents), std::move(cpt));
+  }
+  return net;
 }
 
 }  // namespace
@@ -184,6 +221,68 @@ TEST(Network, CptFactorMatchesRows) {
   const auto fr = net.cpt_factor(0);
   EXPECT_DOUBLE_EQ(fr.at({0}), 0.6);
   EXPECT_DOUBLE_EQ(fr.at({2}), 0.1);
+}
+
+TEST(Network, CptFactorUnderEvidenceEqualsStepwiseReduction) {
+  pr::Rng rng(20261017ULL);
+  std::size_t scalars = 0;
+  for (std::size_t t = 0; t < 30; ++t) {
+    const auto net = random_shuffled_network(rng, 4 + rng.uniform_index(4));
+    for (bn::VariableId v = 0; v < net.size(); ++v) {
+      const auto& parents = net.parents(v);
+      // The unreduced factor reads every CPT entry off its row.
+      const bn::Factor full = net.cpt_factor(v);
+      std::vector<std::size_t> states(full.scope().size(), 0);
+      for (double value : full.values()) {
+        std::vector<std::size_t> parent_states;
+        std::size_t child_state = 0;
+        for (const auto p : parents) {
+          const auto it = std::lower_bound(full.scope().begin(), full.scope().end(), p);
+          parent_states.push_back(states[static_cast<std::size_t>(it - full.scope().begin())]);
+        }
+        for (std::size_t k = 0; k < full.scope().size(); ++k)
+          if (full.scope()[k] == v) child_state = states[k];
+        ASSERT_EQ(value, net.cpt_row(v, parent_states).p(child_state)) << "net " << t << " var " << v;
+        for (std::size_t k = states.size(); k-- > 0;) {
+          if (++states[k] < full.cardinalities()[k]) break;
+          states[k] = 0;
+        }
+      }
+
+      // Evidence on the parents, on the child, off the family, on the
+      // whole family, and on a random subset of all variables.
+      const auto draw = [&](bn::VariableId u) { return rng.uniform_index(net.variable(u).cardinality()); };
+      std::vector<bn::Evidence> cases(5);
+      for (const auto p : parents) cases[0][p] = draw(p);
+      cases[1][v] = draw(v);
+      for (bn::VariableId u = 0; u < net.size(); ++u)
+        if (u != v && std::find(parents.begin(), parents.end(), u) == parents.end()) cases[2][u] = draw(u);
+      cases[3] = cases[0];
+      cases[3][v] = draw(v);
+      for (bn::VariableId u = 0; u < net.size(); ++u)
+        if (rng.bernoulli(0.4)) cases[4][u] = draw(u);
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        bn::Factor want = full;
+        for (const auto& [u, state] : cases[c])
+          if (want.contains(u)) want = want.reduce(u, state);
+        const bn::Factor got = net.cpt_factor(v, cases[c]);
+        ASSERT_EQ(got.scope(), want.scope()) << "net " << t << " var " << v << " case " << c;
+        ASSERT_EQ(got.cardinalities(), want.cardinalities()) << "net " << t << " var " << v;
+        ASSERT_EQ(got.values(), want.values()) << "net " << t << " var " << v << " case " << c;
+        if (got.scope().empty()) ++scalars;
+      }
+    }
+  }
+  EXPECT_GT(scalars, 0u);  // the whole-family case reduces to a scalar
+}
+
+TEST(Network, CptFactorRejectsAnOutOfRangeEvidenceState) {
+  const auto net = paper_network();  // 0: ground truth (3 states) -> 1: perception (4)
+  EXPECT_THROW((void)net.cpt_factor(1, {{0, 3}}), std::out_of_range);
+  EXPECT_THROW((void)net.cpt_factor(1, {{1, 4}}), std::out_of_range);
+  EXPECT_THROW((void)net.cpt_factor(0, {{0, 3}}), std::out_of_range);
+  // Evidence off the family is not the factor's business.
+  EXPECT_EQ(net.cpt_factor(0, {{1, 0}}).values(), net.cpt_factor(0).values());
 }
 
 TEST(Network, DSeparationChainForkCollider) {

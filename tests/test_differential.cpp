@@ -10,7 +10,8 @@
 // to BP and keeps answering where the exact plans are infeasible. The
 // incremental min-fill ordering and the bucketed replay are pinned to
 // in-test copies of the full scans they replaced, on every generated
-// pair and on the grid.
+// pair and on the grid, and loopy BP's one-sweep messages to an in-test
+// copy of the per-edge update they replaced.
 //
 // The generator is seeded from SYSUQ_DIFFERENTIAL_SEED (decimal) so CI
 // can sweep several fixed seeds; unset, it uses a fixed default.
@@ -298,6 +299,157 @@ std::vector<bn::EliminationStepProfile> reference_replay(
   return ::testing::AssertionSuccess();
 }
 
+// Reference loopy BP: the library's former flooding loop, whose per-edge
+// update multiplies the factor by its other d-1 incoming messages one
+// Factor::product at a time and then sums the rest out with
+// Factor::marginalize — O(d^2 |psi|) per factor per iteration. The
+// one-sweep update must reproduce its iteration count, converged flag,
+// impossible-evidence verdict and points.
+struct ReferenceBp {
+  std::size_t iterations = 0;
+  bool converged = false;
+  bool impossible = false;
+  std::vector<std::vector<double>> points;  // per variable; empty if observed
+};
+
+ReferenceBp reference_loopy_bp(const bn::BayesianNetwork& net, const bn::Evidence& ev,
+                               const bn::LoopyBP::Options& options) {
+  ReferenceBp out;
+  std::vector<bn::Factor> factors;
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    bn::Factor f = net.cpt_factor(v);
+    for (const auto& [u, state] : ev)
+      if (f.contains(u)) f = f.reduce(u, state);
+    if (!f.scope().empty()) {
+      factors.push_back(std::move(f));
+    } else if (f.values().front() <= 0.0) {
+      out.impossible = true;
+      return out;
+    }
+  }
+  struct Edge {
+    std::size_t factor;
+    bn::VariableId var;
+    std::vector<double> to_var, to_factor;
+  };
+  std::vector<Edge> edges;
+  std::vector<std::vector<std::size_t>> edges_of_var(net.size());
+  std::vector<std::size_t> first_edge;
+  for (std::size_t fi = 0; fi < factors.size(); ++fi) {
+    first_edge.push_back(edges.size());
+    for (const bn::VariableId v : factors[fi].scope()) {
+      const std::size_t card = net.variable(v).cardinality();
+      const std::vector<double> uniform(card, 1.0 / static_cast<double>(card));
+      edges_of_var[v].push_back(edges.size());
+      edges.push_back({fi, v, uniform, uniform});
+    }
+  }
+  const auto normalize = [](std::vector<double>& m) {
+    const double total = bn::kernels::total(m.data(), m.size());
+    if (total > 0.0) bn::kernels::scale(m.data(), m.size(), 1.0 / total);
+    return total > 0.0;
+  };
+  const auto update = [&](std::size_t eid) {
+    const Edge& e = edges[eid];
+    bn::Factor cur = factors[e.factor];
+    const auto& scope = factors[e.factor].scope();
+    for (std::size_t pos = 0; pos < scope.size(); ++pos) {
+      const Edge& in = edges[first_edge[e.factor] + pos];
+      if (in.var == e.var) continue;
+      cur = cur.product(bn::Factor({in.var}, {in.to_factor.size()}, in.to_factor));
+    }
+    for (const bn::VariableId u : scope)
+      if (u != e.var) cur = cur.marginalize(u);
+    return cur.values();
+  };
+
+  std::vector<std::vector<double>> staged(edges.size());
+  for (std::size_t iter = 1; iter <= options.max_iterations; ++iter) {
+    out.iterations = iter;
+    double residual = 0.0;
+    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+      staged[eid] = update(eid);
+      if (!normalize(staged[eid])) {
+        out.impossible = true;
+        return out;
+      }
+      for (std::size_t i = 0; i < staged[eid].size(); ++i)
+        residual = std::max(residual, std::abs(staged[eid][i] - edges[eid].to_var[i]));
+    }
+    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+      auto& m = edges[eid].to_var;
+      if (!(options.damping > 0.0)) {
+        m = staged[eid];
+        continue;
+      }
+      for (std::size_t i = 0; i < m.size(); ++i)
+        m[i] = (1.0 - options.damping) * staged[eid][i] + options.damping * m[i];
+      normalize(m);
+    }
+    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+      auto& m = edges[eid].to_factor;
+      std::fill(m.begin(), m.end(), 1.0);
+      for (const std::size_t other : edges_of_var[edges[eid].var]) {
+        if (other == eid) continue;
+        for (std::size_t i = 0; i < m.size(); ++i) m[i] *= edges[other].to_var[i];
+      }
+      if (!normalize(m)) {
+        out.impossible = true;
+        return out;
+      }
+    }
+    if (residual < options.tolerance) {
+      out.converged = true;
+      break;
+    }
+  }
+  out.points.resize(net.size());
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    if (ev.contains(v)) continue;
+    std::vector<double> belief(net.variable(v).cardinality(), 1.0);
+    for (const std::size_t eid : edges_of_var[v])
+      for (std::size_t i = 0; i < belief.size(); ++i) belief[i] *= edges[eid].to_var[i];
+    if (!normalize(belief)) {
+      out.impossible = true;
+      return out;
+    }
+    out.points[v] = std::move(belief);
+  }
+  return out;
+}
+
+// The run against the reference above: the same iterations, converged
+// flag and verdict, and points within tolerance::kTiny (1e-12).
+::testing::AssertionResult matches_reference_bp(const bn::LoopyBP& bp,
+                                                const bn::BayesianNetwork& net,
+                                                const bn::Evidence& ev,
+                                                const bn::LoopyBP::Options& options) {
+  const ReferenceBp want = reference_loopy_bp(net, ev, options);
+  if (bp.iterations() != want.iterations)
+    return ::testing::AssertionFailure()
+           << bp.iterations() << " iterations vs " << want.iterations;
+  if (bp.converged() != want.converged)
+    return ::testing::AssertionFailure() << "converged flag differs";
+  if (want.impossible) {
+    try {
+      (void)bp.all_marginals();
+    } catch (const std::domain_error&) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "the reference finds the evidence impossible";
+  }
+  const auto& got = bp.all_marginals();
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    for (std::size_t s = 0; s < want.points[v].size(); ++s) {
+      if (!(std::abs(got[v].point.p(s) - want.points[v][s]) <= tol::kTiny))
+        return ::testing::AssertionFailure()
+               << "var " << v << " state " << s << ": " << got[v].point.p(s)
+               << " vs " << want.points[v][s];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace
 
 // ---- VE vs JT over generated network/evidence pairs ----
@@ -419,6 +571,8 @@ TEST(Differential, LoopyBpCertifiedAndBandedAgainstExactBackends) {
         const auto ev = random_evidence(rng, net, ec);
         const bn::JunctionTree jt(net, ev);
         auto bp = std::make_unique<bn::LoopyBP>(net, ev);
+        ASSERT_TRUE(matches_reference_bp(*bp, net, ev, {}))
+            << "topo " << static_cast<int>(topo) << " net " << t;
         if (!bp->converged()) {
           // Mirror the engine's deterministic retry: damp the flooding
           // updates when pure Jacobi oscillates on a loopy graph.
@@ -426,6 +580,8 @@ TEST(Differential, LoopyBpCertifiedAndBandedAgainstExactBackends) {
           damped.damping = 0.5;
           damped.max_iterations = 2000;
           bp = std::make_unique<bn::LoopyBP>(net, ev, damped);
+          ASSERT_TRUE(matches_reference_bp(*bp, net, ev, damped))
+              << "topo " << static_cast<int>(topo) << " net " << t << " (damped)";
         }
         ++pairs;
         if (topo != Topology::kDense) {
@@ -527,6 +683,9 @@ TEST(Differential, AutoEscalatesOnTreewidthHostileGrid) {
                          reference_replay(net, ev, ordering.order, {})));
   EXPECT_TRUE(same_steps(bn::simulate_elimination(net, ev, ordering.order, {center}),
                          reference_replay(net, ev, ordering.order, {center})));
+
+  // The one-sweep messages reproduce the former per-edge update here too.
+  EXPECT_TRUE(matches_reference_bp(bn::LoopyBP(net, ev), net, ev, {}));
 
   // The guard is load-bearing: the plain query path must route to BP.
   const auto point = engine.query(center, ev);

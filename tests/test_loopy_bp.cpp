@@ -10,6 +10,7 @@
 // escalation is disabled.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -222,6 +223,44 @@ TEST(LoopyBP, ConvergedRunBeatsItsTolerance) {
   for (bn::VariableId q = 0; q < net.size(); ++q) {
     const auto& bounded = bp.query(q);
     EXPECT_TRUE(bounded.contains(ve.query(q, {{3, 1}}).probs())) << q;
+  }
+}
+
+TEST(LoopyBP, SweepKeepsExactZeros) {
+  // A deterministic OR of four parents, observed false, with parent a
+  // certainly off: a's message into the OR factor is (1, 0). A sweep
+  // that divided a cell total by a's own message would read 0/0 on a's
+  // "on" state; multiplying prefix and suffix products keeps it 0.
+  bn::BayesianNetwork net;
+  std::vector<bn::VariableId> parents;
+  const std::vector<double> priors{0.0, 0.3, 0.4, 0.5};  // P(on)
+  for (std::size_t i = 0; i < priors.size(); ++i) {
+    const auto id = net.add_variable("p" + std::to_string(i), {"off", "on"});
+    net.set_cpt(id, {}, {pr::Categorical({1.0 - priors[i], priors[i]})});
+    parents.push_back(id);
+  }
+  const auto any = net.add_variable("any", {"false", "true"});
+  std::vector<pr::Categorical> rows;
+  for (std::size_t row = 0; row < (std::size_t{1} << parents.size()); ++row)
+    rows.push_back(row == 0 ? pr::Categorical({1.0, 0.0}) : pr::Categorical({0.0, 1.0}));
+  net.set_cpt(any, parents, std::move(rows));
+
+  const bn::Evidence ev{{any, 0}};
+  const bn::LoopyBP bp(net, ev);
+  EXPECT_TRUE(bp.converged());
+  bn::VariableElimination ve(net);
+  for (const auto p : parents) {
+    const auto& bounded = bp.query(p);
+    const auto exact = ve.query(p, ev);
+    for (std::size_t s = 0; s < 2; ++s) {
+      EXPECT_TRUE(std::isfinite(bounded.point.p(s))) << p << "/" << s;
+      EXPECT_TRUE(std::isfinite(bounded.lo[s]) && std::isfinite(bounded.hi[s])) << p;
+    }
+    // Every parent is off for certain; its "on" state is an exact zero.
+    ASSERT_EQ(exact.p(1), 0.0) << p;
+    EXPECT_EQ(bounded.point.p(1), 0.0) << p;
+    EXPECT_EQ(bounded.point.p(0), 1.0) << p;
+    EXPECT_TRUE(bounded.contains(exact.probs())) << p;
   }
 }
 

@@ -602,6 +602,39 @@ TEST(ObsIntegration, ColdAllMarginalsTracesOneMinFillOrdering) {
     EXPECT_NE(e.name, "bayesnet.ordering.min_fill");
 }
 
+TEST(ObsIntegration, ColdQueryBoundedTracesOneBpCertifySpan) {
+  const auto net = tiny_network();
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  auto& sink = obs::TraceSink::global();
+  const auto traced_query_bounded = [&] {
+    sink.clear();
+    sink.set_enabled(true);
+    (void)engine.query_bounded(1, {{0, 1}});
+    sink.set_enabled(false);
+    auto events = sink.snapshot();
+    sink.clear();
+    return events;
+  };
+
+  const auto cold = traced_query_bounded();
+  const obs::TraceEvent* run = nullptr;
+  for (const auto& e : cold)
+    if (e.name == "bayesnet.bp.run") run = &e;
+  ASSERT_NE(run, nullptr);
+  std::size_t certify = 0;
+  for (const auto& e : cold) {
+    if (e.name != "bayesnet.bp.certify") continue;
+    ++certify;
+    EXPECT_EQ(e.trace_id, run->trace_id);
+    EXPECT_EQ(e.parent_span, run->span_id);
+  }
+  EXPECT_EQ(certify, 1u);
+
+  // A cached run is not certified again.
+  for (const auto& e : traced_query_bounded())
+    EXPECT_NE(e.name, "bayesnet.bp.certify");
+}
+
 #else  // SYSUQ_OBS_OFF — the no-op layer must compile and record nothing.
 
 TEST(ObsOffMode, RegistryIsInertAndEmpty) {
