@@ -320,36 +320,62 @@ std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
   });
 }
 
+InferenceEngine::VeRun InferenceEngine::ve_run(
+    const std::vector<VariableId>& keep, const Evidence& evidence,
+    const EliminationOrdering& ordering) const {
+  // Marks the ancestral set by a walk up the CPT scopes (a CPT's scope
+  // is its variable and its parents).
+  std::vector<char> in(net_.size(), 0);
+  std::vector<VariableId> stack = keep;
+  for (const auto& [v, _] : evidence) stack.push_back(v);
+  for (const VariableId v : stack) in[v] = 1;
+  while (!stack.empty()) {
+    const VariableId v = stack.back();
+    stack.pop_back();
+    for (const VariableId p : cpt_factors_[v].scope()) {
+      if (in[p] == 0) {
+        in[p] = 1;
+        stack.push_back(p);
+      }
+    }
+  }
+  VeRun run;
+  for (VariableId v = 0; v < net_.size(); ++v) {
+    if (in[v] != 0) run.cpts.push_back(v);
+  }
+  // The cached plan eliminates every unobserved variable; skipping the
+  // kept and barren ones at execution time keeps the kept ones in the
+  // result scope (any suffix-restricted order is still exact).
+  run.order.reserve(run.cpts.size());
+  for (const VariableId v : ordering.order) {
+    if (in[v] != 0 && std::find(keep.begin(), keep.end(), v) == keep.end())
+      run.order.push_back(v);
+  }
+  return run;
+}
+
 kernels::ScaledFactor InferenceEngine::eliminate_all_but(
     const std::vector<VariableId>& keep, const Evidence& evidence,
     const EliminationOrdering& ordering) const {
   EngineMetrics::instance().elimination_width.observe(
       static_cast<double>(ordering.induced_width));
+  const VeRun run = ve_run(keep, evidence, ordering);
   // Cached CPT factors are viewed in place; only evidence-bearing ones
   // are reduced (into the arena). No per-query deep copies.
   Arena& arena = kernels::thread_scratch();
   arena.reset();
   std::vector<kernels::View> views;
-  views.reserve(cpt_factors_.size());
-  for (const Factor& base : cpt_factors_) {
-    kernels::View view = kernels::view_of(base);
+  views.reserve(run.cpts.size());
+  for (const VariableId v : run.cpts) {
+    kernels::View view = kernels::view_of(cpt_factors_[v]);
     for (const auto& [ev, state] : evidence) {
       if (view.contains(ev))
         view = kernels::reduce(view, ev, state, arena).view();
     }
     views.push_back(view);
   }
-  // The cached plan eliminates every unobserved variable; skipping the
-  // kept ones at execution time keeps them in the result scope (any
-  // suffix-restricted order is still exact).
-  std::vector<VariableId> order;
-  order.reserve(ordering.order.size());
-  for (VariableId v : ordering.order) {
-    if (keep.empty() || std::find(keep.begin(), keep.end(), v) == keep.end())
-      order.push_back(v);
-  }
   kernels::ScaledFactor out =
-      kernels::eliminate_scaled(std::move(views), order, arena);
+      kernels::eliminate_scaled(std::move(views), run.order, arena);
   last_ve_arena_high_water_.store(arena.bytes_used(),
                                   std::memory_order_relaxed);
   arena.reset();
@@ -462,6 +488,8 @@ double InferenceEngine::log_evidence_probability(
 
 prob::JointTable InferenceEngine::joint(VariableId a, VariableId b,
                                         const Evidence& evidence) const {
+  if (a >= net_.size() || b >= net_.size())
+    throw std::out_of_range("InferenceEngine::joint: variable id");
   if (a == b) throw std::invalid_argument("InferenceEngine::joint: a == b");
   if (evidence.contains(a) || evidence.contains(b))
     throw std::invalid_argument(
@@ -666,7 +694,9 @@ QueryProfile InferenceEngine::explain(VariableId query,
       const EliminationOrdering& ordering = *plan.ordering;
       p.induced_width = ordering.induced_width;
       p.fill_edges = ordering.fill_edges;
-      p.steps = simulate_elimination(net_, evidence, ordering.order, {query});
+      // The plan that runs: ancestral CPTs only, the order filtered to them.
+      const VeRun run = ve_run({query}, evidence, ordering);
+      p.steps = simulate_elimination(net_, evidence, run.order, {query}, run.cpts);
       const auto t_sim = clock::now();
       const auto posterior = query_ve(query, evidence, ordering);  // throws when P(e) = 0
       const auto t_exec = clock::now();

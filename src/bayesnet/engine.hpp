@@ -7,6 +7,9 @@
 // identical error semantics, plus
 //  * CPT factors are materialized once at construction instead of per
 //    query;
+//  * a VE run multiplies only the CPTs of the ancestors of its kept and
+//    observed variables — every other CPT is barren and sums to one —
+//    and eliminates the signature's ordering filtered to them;
 //  * three memos (bayesnet/memo.hpp) hold the reusable work: one min-fill
 //    elimination ordering per evidence *keys* signature (any values, any
 //    query variable), which VE runs, trees triangulate with and the kAuto
@@ -93,9 +96,9 @@ class InferenceEngine {
     std::size_t jt_batch_threshold = 8;
     /// Under kAuto, the feasibility ceiling for exact inference: when
     /// the largest elimination clique of the signature's cached min-fill
-    /// ordering — the largest table VE materializes, and the junction
-    /// tree's largest clique table — exceeds this many cells, a posterior
-    /// escalates to loopy BP instead of materializing it — or throws a
+    /// ordering — the largest product a VE step sums over, and the
+    /// junction tree's largest clique table — exceeds this many cells, a
+    /// posterior escalates to loopy BP instead of running it — or throws a
     /// ContractViolation when `enable_bp` is false, as P(e) and `joint`
     /// always do (BP cannot answer them). The default is 2^24 cells
     /// (128 MiB of doubles per table).
@@ -128,10 +131,11 @@ class InferenceEngine {
 
   /// EXPLAIN ANALYZE for one query: answers it on the same code path as
   /// `query` and returns the full cost attribution — backend chosen and
-  /// why, the elimination plan (per-step factor widths and table sizes)
-  /// or the calibrated tree's clique structure, ordering/JT cache hit
-  /// flags, the scratch-arena high-water mark, and wall seconds per
-  /// stage. Throws exactly like `query` (unknown id, impossible
+  /// why, the elimination plan VE executes (per-step factor widths and
+  /// table sizes over the query's ancestral CPTs, so barren variables
+  /// get no step) or the calibrated tree's clique structure,
+  /// ordering/JT cache hit flags, the scratch-arena high-water mark, and
+  /// wall seconds per stage. Throws exactly like `query` (unknown id, impossible
   /// evidence). Structure fields are deterministic; see
   /// `QueryProfile::zero_costs` for byte-reproducible rendering.
   [[nodiscard]] QueryProfile explain(VariableId query,
@@ -226,8 +230,9 @@ class InferenceEngine {
   };
 
   // Key: sorted evidence keys. The cached ordering eliminates *every*
-  // unobserved variable; queries skip their kept variables at execution
-  // time, so one plan serves all queries sharing an evidence signature.
+  // unobserved variable; a VE run skips its kept and barren variables at
+  // execution time, so one plan serves all queries sharing an evidence
+  // signature. The kAuto guard and junction trees read it unfiltered.
   using OrderingKey = std::vector<VariableId>;
   // Key: the full evidence assignment (sorted key/value pairs). Exact —
   // calibrated beliefs depend on evidence values, so signatures that a
@@ -269,11 +274,26 @@ class InferenceEngine {
   /// (deterministic), keeping whichever converged.
   [[nodiscard]] std::shared_ptr<const LoopyBP> bp_for(
       const Evidence& evidence) const;
-  /// Scaled elimination over views of the cached CPT factors (no
-  /// per-query deep copies); evidence reductions and all intermediates
-  /// live in the per-thread scratch arena. The log normalizer lets the
-  /// impossible-evidence checks distinguish genuine zero mass from
-  /// deep-chain underflow.
+  /// What one VE run executes. A CPT outside the ancestors of `keep`
+  /// and the observed variables is barren: summed over its child it is
+  /// one (Shachter 1986). So a run multiplies only the ancestral CPTs,
+  /// `cpts` (ascending), and eliminates the signature's order filtered
+  /// to them, minus `keep`. Every observed variable's ancestors stay in,
+  /// so impossible evidence still yields zero mass.
+  struct VeRun {
+    std::vector<VariableId> cpts;
+    std::vector<VariableId> order;
+  };
+  /// The one helper that computes the set; VE and explain() both use it.
+  /// `keep` ids must be valid.
+  [[nodiscard]] VeRun ve_run(const std::vector<VariableId>& keep,
+                             const Evidence& evidence,
+                             const EliminationOrdering& ordering) const;
+  /// Scaled elimination of ve_run()'s plan over views of the cached CPT
+  /// factors (no per-query deep copies); evidence reductions and all
+  /// intermediates live in the per-thread scratch arena. The log
+  /// normalizer lets the impossible-evidence checks distinguish genuine
+  /// zero mass from deep-chain underflow.
   [[nodiscard]] kernels::ScaledFactor eliminate_all_but(
       const std::vector<VariableId>& keep, const Evidence& evidence,
       const EliminationOrdering& ordering) const;

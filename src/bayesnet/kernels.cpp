@@ -48,17 +48,141 @@ Factor materialize(const View& v) {
                 std::vector<double>(v.values, v.values + v.size));
 }
 
-// Sums `v` out of `acc` (which must contain it) into a fresh arena
-// table over the remaining scope.
-Table marginalize_out_one(const View& acc, VariableId v, Arena& arena) {
-  VariableId keep[kMaxRank];
-  std::size_t nkeep = 0;
-  for (std::size_t i = 0; i < acc.rank; ++i) {
-    if (acc.scope[i] != v) keep[nkeep++] = acc.scope[i];
+// Operands a fused step multiplies directly. A larger bucket first folds
+// its leading operands with product(), in order.
+constexpr std::size_t kStepOperands = 8;
+
+// The pass of multiply_sum_out. `sv[j]` is operand j's stride along the
+// eliminated variable (cv states), `ost[d][j]` along output dimension d.
+// K fixes the operand count so the common small buckets unroll; K = 0
+// reads the runtime count k.
+template <std::size_t K>
+void multiply_sum_loop(const double* const* vals, const std::size_t* sv,
+                       const std::size_t (*ost)[kStepOperands],
+                       const std::size_t* ocards, std::size_t orank,
+                       std::size_t cv, std::size_t k, double* out,
+                       std::size_t out_size) {
+  const std::size_t n = K == 0 ? k : K;
+  // The innermost output dimension is a plain loop; an odometer walks
+  // the outer ones.
+  const std::size_t outer = orank == 0 ? 0 : orank - 1;
+  const std::size_t cin = orank == 0 ? 1 : ocards[outer];
+  std::size_t si[kStepOperands] = {};
+  if (orank != 0) std::copy(ost[outer], ost[outer] + n, si);
+  std::size_t off[kStepOperands] = {};
+  std::size_t idx[kMaxRank];
+  std::fill(idx, idx + outer, std::size_t{0});
+  const std::size_t blocks = out_size / cin;
+  for (std::size_t blk = 0;;) {
+    for (std::size_t c = 0; c < cin; ++c) {
+      double sum = 0.0;
+      for (std::size_t s = 0; s < cv; ++s) {
+        double p = vals[0][off[0] + c * si[0] + s * sv[0]];
+        for (std::size_t j = 1; j < n; ++j) p *= vals[j][off[j] + c * si[j] + s * sv[j]];
+        sum += p;
+      }
+      out[c] = sum;
+    }
+    out += cin;
+    if (++blk == blocks) break;
+    for (std::size_t d = outer; d-- > 0;) {
+      for (std::size_t j = 0; j < n; ++j) off[j] += ost[d][j];
+      if (++idx[d] < ocards[d]) break;
+      for (std::size_t j = 0; j < n; ++j) off[j] -= ost[d][j] * ocards[d];
+      idx[d] = 0;
+    }
   }
-  SYSUQ_EXPECT(nkeep + 1 == acc.rank,
-               "factor kernels: eliminated variable not in scope");
-  return marginalize_keep(acc, keep, nkeep, arena);
+}
+
+// One bucket-elimination step: sums `v` out of the product of
+// `ops[0..k)` in a single pass, into a fresh arena table over the merged
+// scope minus `v`. Each output cell multiplies the operands left to
+// right and adds v's states in index order, starting from 0.0: the
+// arithmetic of a left-to-right product() fold followed by
+// marginalize_keep, bit for bit, without the intermediate table. The
+// checks are folded into few contracts: this runs once per step of
+// every VE query.
+Table multiply_sum_out(const View* ops, std::size_t k, VariableId v,
+                       Arena& arena) {
+  // The bucket's merged scope, ping-ponged between two buffers.
+  VariableId sbuf[2][2 * kMaxRank];
+  std::size_t cbuf[2][2 * kMaxRank];
+  std::size_t rank = ops[0].rank;
+  bool fits = rank <= kMaxRank;
+  std::size_t cur = 0;
+  if (fits) {
+    std::copy(ops[0].scope, ops[0].scope + rank, sbuf[0]);
+    std::copy(ops[0].cards, ops[0].cards + rank, cbuf[0]);
+  }
+  for (std::size_t j = 1; fits && j < k; ++j) {
+    fits = ops[j].rank <= kMaxRank;
+    if (!fits) break;
+    const View acc{sbuf[cur], cbuf[cur], nullptr, rank, 0};
+    rank = merge_scopes(acc, ops[j], sbuf[1 - cur], cbuf[1 - cur]);
+    cur = 1 - cur;
+    fits = rank <= kMaxRank;
+  }
+  SYSUQ_EXPECT(fits, "kernels::eliminate_scaled: step rank exceeds kMaxRank");
+  const VariableId* scope = sbuf[cur];
+  const std::size_t* cards = cbuf[cur];
+  std::size_t pv = rank;
+  std::size_t size = 1;
+  bool sized = true;
+  for (std::size_t d = 0; d < rank; ++d) {
+    if (scope[d] == v) pv = d;
+    sized = sized && cards[d] != 0 && !mul_overflows(size, cards[d]);
+    size *= cards[d];
+  }
+  SYSUQ_EXPECT(pv < rank && sized,
+               "kernels::eliminate_scaled: eliminated variable not in the step "
+               "scope, or step table size overflows");
+
+  // The output: the merged dimensions minus v's, pv.
+  const std::size_t orank = rank - 1;
+  const std::size_t cv = cards[pv];
+  Table out;
+  out.rank = orank;
+  out.size = size / cv;
+  out.scope = arena.alloc<VariableId>(orank);
+  out.cards = arena.alloc<std::size_t>(orank);
+  out.values = arena.alloc<double>(out.size);
+  std::copy(scope, scope + pv, out.scope);
+  std::copy(scope + pv + 1, scope + rank, out.scope + pv);
+  std::copy(cards, cards + pv, out.cards);
+  std::copy(cards + pv + 1, cards + rank, out.cards + pv);
+
+  // Per operand: its stride along v and along each output dimension (0
+  // when absent), from one walk down both sorted scopes, last dimension
+  // first (one loop instead of own_strides + map_strides: this is ~10%
+  // of a relay step).
+  const double* vals[kStepOperands];
+  std::size_t sv[kStepOperands];
+  std::size_t ost[kMaxRank][kStepOperands];
+  for (std::size_t j = 0; j < k; ++j) {
+    const View& op = ops[j];
+    vals[j] = op.values;
+    std::size_t stride = 1;
+    std::size_t i = op.rank;
+    for (std::size_t d = rank; d-- > 0;) {
+      std::size_t st = 0;
+      if (i > 0 && op.scope[i - 1] == scope[d]) {
+        st = stride;
+        stride *= op.cards[--i];
+      }
+      if (d == pv) {
+        sv[j] = st;
+      } else {
+        ost[d < pv ? d : d - 1][j] = st;
+      }
+    }
+  }
+  switch (k) {
+    case 1: multiply_sum_loop<1>(vals, sv, ost, out.cards, orank, cv, k, out.values, out.size); break;
+    case 2: multiply_sum_loop<2>(vals, sv, ost, out.cards, orank, cv, k, out.values, out.size); break;
+    case 3: multiply_sum_loop<3>(vals, sv, ost, out.cards, orank, cv, k, out.values, out.size); break;
+    default: multiply_sum_loop<0>(vals, sv, ost, out.cards, orank, cv, k, out.values, out.size); break;
+  }
+  return out;
 }
 
 struct ElimOutcome {
@@ -67,12 +191,19 @@ struct ElimOutcome {
   bool impossible = false;
 };
 
-// Core elimination loop of eliminate_scaled. Every fresh intermediate
-// whose total leaves [kRescaleFloor, 1/kRescaleFloor] is renormalized
-// and the log of the factored-out total accumulated; an exactly-zero
-// intermediate short-circuits as impossible (zeros only propagate
+// Core of eliminate_scaled: bucket elimination (Dechter 1996). Each view
+// waits in the bucket of its earliest-eliminated variable, so a step
+// multiplies exactly its bucket and files its message the same way;
+// views with nothing left to eliminate wait in a final bucket for the
+// closing product. Buckets are singly linked lists appended at the tail:
+// inputs are filed by index before any message, messages as they are
+// made, so every bucket meets its factors in the order a scan of the
+// live views would. Every message, and every pairwise product of the
+// closing fold, whose total leaves [kRescaleFloor, 1/kRescaleFloor] is
+// renormalized and the log of the factored-out total accumulated; an
+// exactly-zero table short-circuits as impossible (zeros only propagate
 // outward in a product of non-negative factors).
-ElimOutcome eliminate_core(std::vector<View>& live,
+ElimOutcome eliminate_core(const std::vector<View>& inputs,
                            const std::vector<VariableId>& order, Arena& arena) {
   ElimOutcome out;
   const auto rescale_table = [&](Table& t) -> bool {
@@ -85,39 +216,67 @@ ElimOutcome eliminate_core(std::vector<View>& live,
     return true;
   };
 
-  for (const VariableId v : order) {
-    View acc;
-    bool have = false;
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      if (live[i].contains(v)) {
-        if (!have) {
-          acc = live[i];
-          have = true;
-        } else {
-          acc = product(acc, live[i], arena).view();
-        }
-      } else {
-        live[w++] = live[i];
-      }
+  // The step that eliminates each variable: its first entry in `order`.
+  constexpr std::size_t kNone = SIZE_MAX;
+  const std::size_t steps = order.size();
+  std::size_t ids = 0;
+  for (const VariableId v : order) ids = std::max<std::size_t>(ids, v + 1);
+  std::size_t* step_of = arena.alloc<std::size_t>(ids);
+  std::fill(step_of, step_of + ids, kNone);
+  for (std::size_t i = steps; i-- > 0;) step_of[order[i]] = i;
+
+  // Bucket b < steps belongs to step b; bucket `steps` is the final one.
+  const std::size_t cap = inputs.size() + steps;
+  View* items = arena.alloc<View>(cap);
+  std::size_t* next = arena.alloc<std::size_t>(cap);
+  std::size_t* head = arena.alloc<std::size_t>(steps + 1);
+  std::size_t* tail = arena.alloc<std::size_t>(steps + 1);
+  std::fill(head, head + steps + 1, kNone);
+  std::size_t filed = 0;
+  const auto file = [&](const View& view) {
+    std::size_t b = steps;
+    for (std::size_t d = 0; d < view.rank; ++d) {
+      if (view.scope[d] < ids) b = std::min(b, step_of[view.scope[d]]);
     }
-    if (!have) continue;  // variable absent from every live factor
-    live.resize(w);
-    Table m = marginalize_out_one(acc, v, arena);
+    items[filed] = view;
+    next[filed] = kNone;
+    (head[b] == kNone ? head[b] : next[tail[b]]) = filed;
+    tail[b] = filed++;
+  };
+  for (const View& view : inputs) file(view);
+
+  for (std::size_t i = 0; i < steps; ++i) {
+    // Empty for a repeated entry or a variable no factor holds.
+    std::size_t it = head[i];
+    if (it == kNone) continue;
+    std::size_t n = 0;
+    for (std::size_t j = it; j != kNone; j = next[j]) ++n;
+    View ops[kStepOperands];
+    std::size_t k = 0;
+    if (n > kStepOperands) {
+      View acc = items[it];
+      it = next[it];
+      for (std::size_t j = 1; j + kStepOperands <= n; ++j, it = next[it])
+        acc = product(acc, items[it], arena).view();
+      ops[k++] = acc;
+    }
+    for (; it != kNone; it = next[it]) ops[k++] = items[it];
+    Table m = multiply_sum_out(ops, k, order[i], arena);
     if (!rescale_table(m)) {
       out.impossible = true;
       return out;
     }
-    live.push_back(m.view());
+    file(m.view());
   }
 
-  if (live.empty()) {
+  std::size_t it = head[steps];
+  if (it == kNone) {
     out.result = unit_view();
     return out;
   }
-  View acc = live.front();
-  for (std::size_t i = 1; i < live.size(); ++i) {
-    Table t = product(acc, live[i], arena);
+  View acc = items[it];
+  for (it = next[it]; it != kNone; it = next[it]) {
+    Table t = product(acc, items[it], arena);
     if (!rescale_table(t)) {
       out.impossible = true;
       return out;

@@ -163,6 +163,22 @@ struct ScaledFactor {
 /// intermediates live in `arena` (caller resets it afterwards). An
 /// all-zero intermediate short-circuits to an impossible result (a zero
 /// scalar factor with log_scale = -inf).
+///
+/// Bucket elimination (Dechter 1996): each factor waits in the bucket of
+/// its earliest-eliminated variable, so no step scans the live factors.
+/// A bucket holds the inputs by index, then messages by creation — the
+/// order a scan of the live factors would meet them. The first entry of
+/// a repeated variable is its step; an entry with an empty bucket is
+/// skipped. A step is one fused pass: each output cell multiplies the
+/// bucket's factors left to right and adds the eliminated variable's
+/// states in index order, starting from 0.0 (a bucket past the pass's
+/// operand array first folds its leading factors with `product`, in
+/// order). Factors with nothing left to eliminate are multiplied left to
+/// right at the end, each pairwise product rescaled. The arithmetic is
+/// therefore that of pairwise `product` calls and `marginalize_keep`,
+/// bit for bit, as long as the compiler does not contract a multiply and
+/// the following add into an FMA; the library build compiles kernels.cpp
+/// with `-ffp-contract=off` for that reason.
 [[nodiscard]] ScaledFactor eliminate_scaled(std::vector<View> factors,
                                             const std::vector<VariableId>& order,
                                             Arena& arena);

@@ -31,7 +31,7 @@ struct EliminationOrdering {
   std::size_t fill_edges = 0;
   /// Cells of the largest elimination clique (an eliminated vertex plus
   /// its live neighbours), saturating at SIZE_MAX: the largest product
-  /// table that eliminating `order` materializes and, for the `keep = {}`
+  /// a step of eliminating `order` sums over and, for the `keep = {}`
   /// form, the junction tree's largest clique table. 0 when nothing is
   /// eliminated.
   std::size_t max_table_cells = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <numeric>
 
 #include "bayesnet/kernels.hpp"
 #include "core/contracts.hpp"
@@ -44,6 +45,15 @@ std::string quoted(const std::string& s) {
 std::vector<EliminationStepProfile> simulate_elimination(
     const BayesianNetwork& net, const Evidence& evidence,
     const std::vector<VariableId>& order, const std::vector<VariableId>& keep) {
+  std::vector<VariableId> cpts(net.size());
+  std::iota(cpts.begin(), cpts.end(), VariableId{0});
+  return simulate_elimination(net, evidence, order, keep, cpts);
+}
+
+std::vector<EliminationStepProfile> simulate_elimination(
+    const BayesianNetwork& net, const Evidence& evidence,
+    const std::vector<VariableId>& order, const std::vector<VariableId>& keep,
+    const std::vector<VariableId>& cpts) {
   const std::size_t n = net.size();
   // The step that eliminates each variable: its first entry in `order`.
   // Kept variables, and variables the order never names, get none.
@@ -65,7 +75,7 @@ std::vector<EliminationStepProfile> simulate_elimination(
     if (first != kNever) buckets[first].push_back(std::move(scope));
   };
   // One live scope per CPT, with evidence variables reduced away.
-  for (VariableId v = 0; v < n; ++v) {
+  for (const VariableId v : cpts) {
     std::vector<VariableId> scope = net.parents(v);
     scope.push_back(v);
     std::sort(scope.begin(), scope.end());

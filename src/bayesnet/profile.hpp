@@ -28,9 +28,9 @@
 
 namespace sysuq::bayesnet {
 
-/// One step of a variable-elimination run: the product factor
-/// materialized when `variable` is summed out; its width is the scope
-/// minus the eliminated variable.
+/// One step of a variable-elimination run: the product factor summed
+/// over when `variable` is eliminated (one fused pass; the product is
+/// not stored); its width is the scope minus the eliminated variable.
 struct EliminationStepProfile {
   VariableId variable = 0;
   std::string name;               ///< variable name
@@ -56,6 +56,10 @@ struct QueryProfile {
   std::string backend_reason;
 
   // Variable-elimination plan (empty under the other backends).
+  // `induced_width` and `fill_edges` describe the signature's full cached
+  // ordering, the one the kAuto guard reads; `steps` is the plan VE ran,
+  // over the query's ancestral CPTs only, so the width can exceed every
+  // listed step's.
   bool ordering_cache_hit = false;
   std::size_t induced_width = 0;
   std::size_t fill_edges = 0;
@@ -105,18 +109,26 @@ struct QueryProfile {
 /// reduced away, each `order` variable not in `keep` is eliminated —
 /// every live scope containing it merges into the step's product factor
 /// — and the step's scope and table size are recorded. This
-/// mirrors what `kernels::eliminate_scaled` materializes without
-/// touching any factor data, so `explain` can cost a plan exactly; with
-/// `keep = {}` the step scopes are the elimination cliques a
-/// `JunctionTree` is built from.
+/// mirrors the buckets `kernels::eliminate_scaled` multiplies out, without
+/// touching any factor data; with `keep = {}` the step scopes are the
+/// elimination cliques a `JunctionTree` is built from.
 ///
 /// Each live scope waits in the bucket of its earliest-eliminated
 /// variable, so a step merges exactly its own bucket and the replay
 /// costs O(total scope size), not a scan of every live scope per step.
-/// An entry with nothing to merge (a kept, observed or repeated
+/// An entry with nothing to merge (a kept, observed, barren or repeated
 /// variable) records no step and leaves the other scopes live.
 [[nodiscard]] std::vector<EliminationStepProfile> simulate_elimination(
     const BayesianNetwork& net, const Evidence& evidence,
     const std::vector<VariableId>& order, const std::vector<VariableId>& keep);
+
+/// The same replay starting from the CPTs of `cpts` only. `explain`
+/// prints this form over the plan VE executes: the query's ancestral
+/// CPTs and the signature's order filtered to them, so EXPLAIN lists
+/// exactly the steps that ran.
+[[nodiscard]] std::vector<EliminationStepProfile> simulate_elimination(
+    const BayesianNetwork& net, const Evidence& evidence,
+    const std::vector<VariableId>& order, const std::vector<VariableId>& keep,
+    const std::vector<VariableId>& cpts);
 
 }  // namespace sysuq::bayesnet

@@ -11,7 +11,9 @@
 // incremental min-fill ordering and the bucketed replay are pinned to
 // in-test copies of the full scans they replaced, on every generated
 // pair and on the grid, and loopy BP's one-sweep messages to an in-test
-// copy of the per-edge update they replaced.
+// copy of the per-edge update they replaced. On the same pairs, the
+// bucketed elimination executor is pinned bit for bit to an in-test copy
+// of the live-scan core it replaced.
 //
 // The generator is seeded from SYSUQ_DIFFERENTIAL_SEED (decimal) so CI
 // can sweep several fixed seeds; unset, it uses a fixed default.
@@ -41,6 +43,7 @@
 #include "core/tolerance.hpp"
 #include "perception/table1.hpp"
 #include "prob/rng.hpp"
+#include "tests/legacy_elimination.hpp"
 
 namespace tol = sysuq::tolerance;
 
@@ -540,6 +543,53 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
   }
   // The acceptance bar: at least 200 generated network/evidence pairs.
   EXPECT_GE(pairs, 200u);
+}
+
+// ---- bucket elimination vs the live scan it replaced ----
+
+TEST(Differential, BucketEliminationMatchesLegacyScanOnGeneratedPairs) {
+  // The same 207 pairs as the VE-vs-JT sweep (same seed, same generator
+  // calls). Each pair's evidence-reduced CPTs are eliminated along the
+  // signature's min-fill order, with nothing kept and with one query
+  // variable kept, by kernels::eliminate_scaled and by the in-test copy
+  // of the live-scan core (legacy_elimination.hpp): bit for bit.
+  pr::Rng rng(differential_seed());
+  std::size_t pairs = 0;
+  bn::Arena arena;
+  for (const Topology topo : kTopologies) {
+    const std::size_t nets = 23;
+    for (std::size_t t = 0; t < nets; ++t) {
+      const std::size_t n = topo == Topology::kDense
+                                ? 5 + rng.uniform_index(3)   // 5..7
+                                : 6 + rng.uniform_index(5);  // 6..10
+      const auto net = random_network(rng, topo, n);
+      for (std::size_t ec = 0; ec < 3; ++ec) {
+        const auto ev = random_evidence(rng, net, ec);
+        ++pairs;
+        std::vector<bn::Factor> cpts;
+        for (bn::VariableId v = 0; v < net.size(); ++v)
+          cpts.push_back(net.cpt_factor(v, ev));
+        std::vector<bn::kernels::View> views;
+        for (const bn::Factor& f : cpts) views.push_back(bn::kernels::view_of(f));
+        const auto full =
+            bn::compute_elimination_order(net, {}, bn::evidence_keys(ev)).order;
+        bn::VariableId q = (t + ec) % net.size();
+        while (ev.contains(q)) q = (q + 1) % net.size();
+        std::vector<bn::VariableId> kept_q;
+        for (const bn::VariableId v : full)
+          if (v != q) kept_q.push_back(v);
+        for (const auto& order : {full, kept_q}) {
+          arena.reset();
+          const auto want = legacy::eliminate_scaled(views, order, arena);
+          const auto got = bn::kernels::eliminate_scaled(views, order, arena);
+          ASSERT_TRUE(legacy::bit_identical(got, want))
+              << "topo " << static_cast<int>(topo) << " net " << t
+              << " keep " << (order.size() == full.size() ? "{}" : "{q}");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 207u);
 }
 
 // ---- loopy BP vs VE==JT: certified containment + tolerance bands ----

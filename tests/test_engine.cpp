@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -307,6 +308,128 @@ TEST(Engine, JointMatchesVariableElimination) {
       EXPECT_DOUBLE_EQ(a.p(i, j), b.p(i, j));
   EXPECT_THROW((void)engine.joint(0, 0), std::invalid_argument);
   EXPECT_THROW((void)engine.joint(0, 1, {{1, 0}}), std::invalid_argument);
+}
+
+namespace {
+
+// Roots r and s; a | r holds an exact zero and b | a, s. A barren
+// subtree hangs off a: z1 | a, z2 | z1 and z3 | z1, s, with exact-zero
+// rows. A query outside the subtree never multiplies its CPTs in.
+bn::BayesianNetwork barren_subtree_network() {
+  bn::BayesianNetwork net;
+  const auto r = net.add_variable("r", {"r0", "r1"});
+  const auto s = net.add_variable("s", {"s0", "s1", "s2"});
+  const auto a = net.add_variable("a", {"a0", "a1", "a2"});
+  const auto b = net.add_variable("b", {"b0", "b1"});
+  const auto z1 = net.add_variable("z1", {"z0", "z1", "z2"});
+  const auto z2 = net.add_variable("z2", {"y0", "y1"});
+  const auto z3 = net.add_variable("z3", {"x0", "x1"});
+  net.set_cpt(r, {}, {pr::Categorical({0.3, 0.7})});
+  net.set_cpt(s, {}, {pr::Categorical({0.2, 0.5, 0.3})});
+  net.set_cpt(a, {r},
+              {pr::Categorical({0.5, 0.5, 0.0}), pr::Categorical({0.2, 0.3, 0.5})});
+  std::vector<pr::Categorical> b_rows;
+  for (std::size_t i = 0; i < 9; ++i)
+    b_rows.push_back(pr::Categorical::normalized({1.0 + i, 9.0 - i}));
+  net.set_cpt(b, {a, s}, std::move(b_rows));
+  net.set_cpt(z1, {a},
+              {pr::Categorical({1.0, 0.0, 0.0}), pr::Categorical({0.0, 1.0, 0.0}),
+               pr::Categorical({0.0, 0.4, 0.6})});
+  net.set_cpt(z2, {z1},
+              {pr::Categorical({1.0, 0.0}), pr::Categorical({0.0, 1.0}),
+               pr::Categorical({0.5, 0.5})});
+  std::vector<pr::Categorical> z3_rows;
+  for (std::size_t i = 0; i < 9; ++i)
+    z3_rows.push_back(i % 2 == 0 ? pr::Categorical({1.0, 0.0})
+                                 : pr::Categorical({0.25, 0.75}));
+  net.set_cpt(z3, {z1, s}, std::move(z3_rows));
+  return net;
+}
+
+}  // namespace
+
+TEST(Engine, AncestralSetKeepsEveryContract) {
+  // VE multiplies only the CPTs of the ancestors of the kept and observed
+  // variables. Over random evidence on a network with a barren subtree
+  // of exact zeros, every VE entry point must still match enumeration,
+  // impossible evidence must still throw, and explain() must list only
+  // the steps that ran.
+  const auto net = barren_subtree_network();
+  const bn::InferenceEngine engine(
+      net, {.threads = 1, .backend = bn::Backend::kVariableElimination});
+  pr::Rng rng(29);
+  std::size_t possible = 0, impossible = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    bn::Evidence ev;
+    const std::size_t count = rng.uniform_index(4);
+    for (std::size_t k = 0; k < count; ++k) {
+      const bn::VariableId v = rng.uniform_index(net.size());
+      ev[v] = rng.uniform_index(net.variable(v).cardinality());
+    }
+    std::vector<bn::VariableId> free;
+    for (bn::VariableId v = 0; v < net.size(); ++v)
+      if (!ev.contains(v)) free.push_back(v);
+    const double pe = bn::enumerate_evidence_probability(net, ev);
+    if (!(pe > 0.0)) {
+      ++impossible;
+      const std::string msg = bn::impossible_evidence_message(net, ev);
+      for (const bn::VariableId q : free) {
+        try {
+          (void)engine.query(q, ev);
+          FAIL() << "expected std::domain_error, trial " << trial;
+        } catch (const std::domain_error& e) {
+          EXPECT_EQ(std::string(e.what()), msg);
+        }
+      }
+      EXPECT_NEAR(engine.evidence_probability(ev), 0.0, tol::kTiny);
+      EXPECT_EQ(engine.log_evidence_probability(ev),
+                -std::numeric_limits<double>::infinity());
+      continue;
+    }
+    ++possible;
+    EXPECT_NEAR(engine.evidence_probability(ev), pe, tol::kTiny) << trial;
+    EXPECT_NEAR(engine.log_evidence_probability(ev), std::log(pe), tol::kTiny)
+        << trial;
+    for (const bn::VariableId q : free) {
+      const auto want = bn::enumerate_posterior(net, q, ev);
+      const auto got = engine.query(q, ev);
+      for (std::size_t st = 0; st < want.size(); ++st)
+        ASSERT_NEAR(got.p(st), want.p(st), tol::kTiny) << trial << " q " << q;
+    }
+    const bn::VariableId x = free[rng.uniform_index(free.size())];
+    bn::VariableId y = free[rng.uniform_index(free.size())];
+    if (y == x) y = free[(std::find(free.begin(), free.end(), x) - free.begin() + 1) % free.size()];
+    const auto joint = engine.joint(x, y, ev);
+    for (std::size_t i = 0; i < net.variable(x).cardinality(); ++i) {
+      for (std::size_t j = 0; j < net.variable(y).cardinality(); ++j) {
+        bn::Evidence cell = ev;
+        cell[x] = i;
+        cell[y] = j;
+        ASSERT_NEAR(joint.p(i, j), bn::enumerate_evidence_probability(net, cell) / pe,
+                    tol::kTiny)
+            << trial << " joint " << x << "," << y;
+      }
+    }
+  }
+  EXPECT_GE(possible, 100u);
+  EXPECT_GE(impossible, 10u);
+
+  // r = r0 rules out a = a2: impossible inside b's ancestral set, while
+  // the barren subtree's zeros stay out of the product.
+  const bn::Evidence ruled_out{{0, 0}, {2, 2}};
+  EXPECT_THROW((void)engine.query(3, ruled_out), std::domain_error);
+  EXPECT_THROW((void)engine.joint(1, 3, ruled_out), std::domain_error);
+
+  // P(b | s = s1) runs on {r, s, a, b}: s is observed and b kept, so r
+  // and a are the only steps, and no barren z variable gets one.
+  const auto profile = engine.explain(3, {{1, 1}});
+  std::vector<std::string> steps;
+  for (const auto& step : profile.steps) steps.push_back(step.name);
+  std::sort(steps.begin(), steps.end());
+  EXPECT_EQ(steps, (std::vector<std::string>{"a", "r"}));
+  const auto want = bn::enumerate_posterior(net, 3, {{1, 1}});
+  for (std::size_t st = 0; st < want.size(); ++st)
+    EXPECT_NEAR(profile.posterior[st], want.p(st), tol::kTiny);
 }
 
 // ---- junction-tree backend ----
@@ -613,7 +736,8 @@ TEST(EngineExplain, ThrowsLikeQuery) {
 TEST(EngineErrors, OutOfRangeEvidenceThrowsOutOfRangeOnEveryBackend) {
   // a -> b -> c with a 3-state b: state 7 of b and variable 9 do not
   // exist. Every backend rejects them with std::out_of_range before any
-  // CPT is read, whether or not contracts are enforced.
+  // CPT is read, and joint() before any ordering lookup, whether or not
+  // contracts are enforced.
   bn::BayesianNetwork net;
   const auto a = net.add_variable("a", {"0", "1"});
   const auto b = net.add_variable("b", {"0", "1", "2"});
@@ -637,6 +761,10 @@ TEST(EngineErrors, OutOfRangeEvidenceThrowsOutOfRangeOnEveryBackend) {
       SCOPED_TRACE(static_cast<int>(mode) * 10 + static_cast<int>(backend));
       const bn::InferenceEngine engine(net,
                                        {.threads = 1, .backend = backend});
+      // joint() rejects an unknown variable before any lookup or work.
+      EXPECT_THROW((void)engine.joint(9, c), std::out_of_range);
+      EXPECT_THROW((void)engine.joint(a, 9), std::out_of_range);
+      EXPECT_EQ(engine.cache_stats().hits + engine.cache_stats().misses, 0u);
       for (const bn::Evidence& ev : {bad_state, bad_id}) {
         EXPECT_THROW((void)engine.query(a, ev), std::out_of_range);
         EXPECT_THROW((void)engine.query(b, ev), std::out_of_range);

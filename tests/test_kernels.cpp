@@ -2,7 +2,9 @@
 // (bayesnet/kernels) and the arena they allocate from are pinned against
 // an in-test copy of the legacy mixed-radix factor algebra over
 // randomized scopes (cardinalities 2-6), evidence reductions, and
-// scaled elimination. Also carries the factor-algebra bug-sweep
+// scaled elimination, and the bucketed elimination executor against an
+// in-test copy of the live-scan core it replaced, bit for bit. Also
+// carries the factor-algebra bug-sweep
 // regressions: checked table-size overflow in the Factor constructor
 // and pairwise (cascade) summation in Factor::total().
 //
@@ -23,6 +25,7 @@
 #include "core/contracts.hpp"
 #include "prob/rng.hpp"
 #include "core/tolerance.hpp"
+#include "tests/legacy_elimination.hpp"
 
 namespace tol = sysuq::tolerance;
 
@@ -372,6 +375,48 @@ TEST(Kernels, EliminateLinearMatchesLegacyEliminateWithOrder) {
   }
 }
 
+TEST(Kernels, EliminateScaledMatchesLegacyScanBitForBit) {
+  // The bucketed, fused executor against the live-scan core it replaced
+  // (legacy_elimination.hpp), bit for bit: the inputs of the test above,
+  // plus order entries that repeat or name no factor, scalar inputs,
+  // orders that eliminate a whole scope (rank-0 messages) and buckets
+  // past the fused step's operand array.
+  pr::Rng rng(differential_seed() + 8);
+  bn::Arena arena;
+  for (int round = 0; round < 200; ++round) {
+    arena.reset();
+    const bool crowded = round % 4 == 3;  // many factors over few variables
+    const Universe u = random_universe(rng, crowded ? 3 : 6);
+    std::vector<bn::Factor> factors;
+    const std::size_t nf = crowded ? 9 + rng.uniform_index(6) : 2 + rng.uniform_index(4);
+    for (std::size_t i = 0; i < nf; ++i) {
+      const std::size_t rank = rng.bernoulli(0.1) ? 0 : 1 + rng.uniform_index(3);
+      factors.push_back(random_factor(rng, u, rank, /*with_zeros=*/round % 2 == 1));
+    }
+    std::vector<bn::VariableId> order;
+    const bool whole = round % 3 == 0;
+    for (bn::VariableId v = 0; v < u.cards.size(); ++v) {
+      if (whole || rng.bernoulli(0.6)) order.push_back(v);
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::size_t j = i + rng.uniform_index(order.size() - i);
+      std::swap(order[i], order[j]);
+    }
+    if (!order.empty() && rng.bernoulli(0.5))  // a repeated entry
+      order.insert(order.begin() + static_cast<std::ptrdiff_t>(rng.uniform_index(order.size() + 1)),
+                   order[rng.uniform_index(order.size())]);
+    if (rng.bernoulli(0.5))  // an entry no factor holds
+      order.insert(order.begin() + static_cast<std::ptrdiff_t>(rng.uniform_index(order.size() + 1)),
+                   u.cards.size() + rng.uniform_index(3));
+
+    std::vector<kn::View> views;
+    for (const bn::Factor& f : factors) views.push_back(kn::view_of(f));
+    const kn::ScaledFactor want = legacy::eliminate_scaled(views, order, arena);
+    const kn::ScaledFactor got = kn::eliminate_scaled(std::move(views), order, arena);
+    ASSERT_TRUE(legacy::bit_identical(got, want)) << "round " << round;
+  }
+}
+
 TEST(Kernels, EliminateScaledSurvivesDeepUnderflow) {
   // 250 chained binary factors with constant mass 1e-2 per cell: the
   // linear total is 2^251 * 1e-500, far below the smallest double. The
@@ -392,6 +437,7 @@ TEST(Kernels, EliminateScaledSurvivesDeepUnderflow) {
   bn::Arena arena;
   std::vector<kn::View> views;
   for (const bn::Factor& f : factors) views.push_back(kn::view_of(f));
+  const kn::ScaledFactor want = legacy::eliminate_scaled(views, order, arena);
   const kn::ScaledFactor scaled =
       kn::eliminate_scaled(std::move(views), order, arena);
   ASSERT_FALSE(scaled.impossible());
@@ -399,6 +445,9 @@ TEST(Kernels, EliminateScaledSurvivesDeepUnderflow) {
   const double expected =
       static_cast<double>(n) * std::log(2.0) + static_cast<double>(n) * std::log(1e-2);
   EXPECT_NEAR(scaled.log_total(), expected, 1e-6 * std::abs(expected));
+  // A rescale fired, and the bucketed executor fires it identically.
+  EXPECT_LT(scaled.log_scale, 0.0);
+  EXPECT_TRUE(legacy::bit_identical(scaled, want));
 }
 
 TEST(Kernels, EliminateScaledShortCircuitsGenuineZeroMass) {
@@ -413,10 +462,12 @@ TEST(Kernels, EliminateScaledShortCircuitsGenuineZeroMass) {
   bn::Arena arena;
   std::vector<kn::View> views;
   for (const bn::Factor& f : factors) views.push_back(kn::view_of(f));
+  const kn::ScaledFactor want = legacy::eliminate_scaled(views, {0}, arena);
   const kn::ScaledFactor scaled =
       kn::eliminate_scaled(std::move(views), {0}, arena);
   EXPECT_TRUE(scaled.impossible());
   EXPECT_EQ(scaled.log_total(), -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(legacy::bit_identical(scaled, want));
 }
 
 // ---- arena ----
