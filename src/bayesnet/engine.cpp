@@ -286,12 +286,31 @@ InferenceEngine::Plan InferenceEngine::route(const Ask& ask,
   return plan;
 }
 
+std::shared_ptr<const EliminationOrdering> InferenceEngine::network_plan() const {
+  return network_plan_.get([&]() -> std::shared_ptr<const EliminationOrdering> {
+    auto plan = std::make_shared<const EliminationOrdering>(
+        compute_elimination_order(net_, /*keep=*/{}, /*evidence_keys=*/{}));
+    if (plan->max_table_cells > options_.max_exact_table_cells) return nullptr;
+    return plan;
+  });
+}
+
+std::shared_ptr<const JunctionTreeStructure> InferenceEngine::network_tree() const {
+  return network_tree_.get([&]() -> std::shared_ptr<const JunctionTreeStructure> {
+    const auto plan = network_plan();
+    if (!plan) return nullptr;
+    return std::make_shared<const JunctionTreeStructure>(net_, *plan);
+  });
+}
+
 std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
     const Evidence& evidence) const {
   const OrderingKey key = evidence_keys(evidence);
   return orderings_.get(key, [&] {
+    const auto plan = network_plan();
     return std::make_shared<const EliminationOrdering>(
-        compute_elimination_order(net_, /*keep=*/{}, key));
+        plan ? restrict_elimination_order(net_, *plan, key)
+             : compute_elimination_order(net_, /*keep=*/{}, key));
   });
 }
 
@@ -299,8 +318,11 @@ std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
     const Evidence& evidence,
     const std::shared_ptr<const EliminationOrdering>& ordering) const {
   return trees_.get(assignment(evidence), [&] {
+    if (const auto structure = network_tree())
+      return std::make_shared<const JunctionTree>(*structure, evidence);
     return std::make_shared<const JunctionTree>(
-        net_, evidence, ordering ? *ordering : *ordering_for(evidence));
+        JunctionTreeStructure(net_, ordering ? *ordering : *ordering_for(evidence)),
+        evidence);
   });
 }
 
@@ -679,7 +701,7 @@ QueryProfile InferenceEngine::explain(VariableId query,
       for (const auto& clique : tree->cliques())
         p.clique_sizes.push_back(clique.size());
       p.max_clique_size = tree->max_clique_size();
-      p.calibration_seconds = tree->build_seconds();
+      p.calibration_seconds = tree->calibration_seconds();
       p.arena_high_water_bytes = tree->arena_high_water_bytes();
       const auto posterior = tree->query(query);  // throws when P(e) = 0
       const auto t_read = clock::now();

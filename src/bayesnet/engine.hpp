@@ -10,11 +10,19 @@
 //  * a VE run multiplies only the CPTs of the ancestors of its kept and
 //    observed variables — every other CPT is barren and sums to one —
 //    and eliminates the signature's ordering filtered to them;
-//  * three memos (bayesnet/memo.hpp) hold the reusable work: one min-fill
+//  * one network-wide plan, `compute_elimination_order(net, {}, {})`,
+//    computed once, on first use. When its largest table is within
+//    `max_exact_table_cells`, every signature's plan is that order
+//    filtered to the signature's unobserved variables (filtering never
+//    grows a clique, so such a plan always fits), and one junction-tree
+//    structure compiled from it, spanning every variable, serves every
+//    calibration. Otherwise each signature runs min-fill, and each
+//    calibration compiles a tree from its signature's plan;
+//  * three memos (bayesnet/memo.hpp) hold the reusable work: one
 //    elimination ordering per evidence *keys* signature (any values, any
-//    query variable), which VE runs, trees triangulate with and the kAuto
-//    guard reads, and calibrated junction trees and BP runs per full
-//    evidence *assignment*;
+//    query variable), which VE runs and the kAuto guard reads, and
+//    calibrated junction trees and BP runs per full evidence
+//    *assignment*;
 //  * `query_batch` fans a vector of (query, evidence) pairs across a
 //    fixed thread pool; results are deterministic and independent of the
 //    thread count because every query's slot and arithmetic are fixed up
@@ -31,15 +39,19 @@
 //  2. An observed query variable answers with its evidence delta.
 //  3. A fixed backend answers what it can and hands the rest to VE:
 //     kVariableElimination answers everything, kJunctionTree everything
-//     but `joint`, kLoopyBP everything but P(e) and `joint`.
+//     but `joint`, kLoopyBP everything but P(e) and `joint`. A
+//     kJunctionTree call looks up no signature plan while the network's
+//     compiled tree exists.
 //  4. kAuto first checks the largest elimination clique of the
-//     signature's cached ordering against `max_exact_table_cells`. Over
-//     the ceiling, posteriors escalate to BP (ContractViolation when
-//     `enable_bp` is false) and P(e) and `joint`, which BP cannot
-//     answer, throw ContractViolation naming the cell count and the
-//     ceiling. Within it, `all_marginals` runs on JT, a batch group on JT
-//     once it holds `jt_batch_threshold` distinct query variables, and
-//     everything else on VE, each on the guard's ordering.
+//     signature's cached ordering against `max_exact_table_cells` (one
+//     lookup per exact call). Over the ceiling, posteriors escalate to BP
+//     (ContractViolation when `enable_bp` is false) and P(e) and `joint`,
+//     which BP cannot answer, throw ContractViolation naming the cell
+//     count and the ceiling. Within it, `all_marginals` runs on JT, a
+//     batch group on JT once it holds `jt_batch_threshold` distinct query
+//     variables, and everything else on VE: VE on the guard's ordering,
+//     JT on the network's compiled tree (or, without one, a tree compiled
+//     from the guard's ordering).
 // `query_bounded` and `all_marginals_bounded` always run BP.
 //
 // Thread safety: all query methods are const and safe to call from
@@ -101,7 +113,9 @@ class InferenceEngine {
     /// posterior escalates to loopy BP instead of running it — or throws a
     /// ContractViolation when `enable_bp` is false, as P(e) and `joint`
     /// always do (BP cannot answer them). The default is 2^24 cells
-    /// (128 MiB of doubles per table).
+    /// (128 MiB of doubles per table). Under every backend it also
+    /// decides, once, whether the network-wide plan is used (see the file
+    /// comment).
     std::size_t max_exact_table_cells = std::size_t{1} << 24;
     /// Permits the kAuto escalation to loopy BP. When false, a query
     /// whose exact plan exceeds `max_exact_table_cells` fails fast with
@@ -186,8 +200,9 @@ class InferenceEngine {
       std::uint64_t seed) const;
 
   /// Ordering-cache statistics since construction / the last clear /
-  /// the last reset_cache_stats(), counting the kAuto guard's and the
-  /// junction-tree builds' lookups as well as VE's.
+  /// the last reset_cache_stats(), counting the kAuto guard's lookups and
+  /// those of trees compiled per signature as well as VE's. The
+  /// network-wide plan is held outside this cache.
   [[nodiscard]] CacheStats cache_stats() const { return orderings_.stats(); }
 
   /// Calibrated-tree cache statistics (same windowing rules). Unlike the
@@ -206,6 +221,9 @@ class InferenceEngine {
   /// unaffected (they aggregate forever).
   void reset_cache_stats();
 
+  /// Drops every cached plan, calibrated tree and BP run. The
+  /// network-wide plan and compiled tree stay: they depend only on the
+  /// network.
   void clear_cache();
 
  private:
@@ -232,7 +250,8 @@ class InferenceEngine {
   // Key: sorted evidence keys. The cached ordering eliminates *every*
   // unobserved variable; a VE run skips its kept and barren variables at
   // execution time, so one plan serves all queries sharing an evidence
-  // signature. The kAuto guard and junction trees read it unfiltered.
+  // signature. The kAuto guard reads it unfiltered, and so does a tree
+  // compiled per signature (when there is no network plan).
   using OrderingKey = std::vector<VariableId>;
   // Key: the full evidence assignment (sorted key/value pairs). Exact —
   // calibrated beliefs depend on evidence values, so signatures that a
@@ -246,7 +265,11 @@ class InferenceEngine {
   std::vector<Factor> cpt_factors_;
   std::unique_ptr<Pool> pool_;              // sysuq-thread-confined(init)
 
-  // The three memos lock internally; see bayesnet/memo.hpp.
+  // The memos and the lazily built network plan and tree lock
+  // internally; see bayesnet/memo.hpp. The latter two depend only on the
+  // network, so clear_cache() keeps them.
+  mutable Lazy<std::shared_ptr<const EliminationOrdering>> network_plan_;
+  mutable Lazy<std::shared_ptr<const JunctionTreeStructure>> network_tree_;
   mutable Memo<OrderingKey, std::shared_ptr<const EliminationOrdering>>
       orderings_{"bayesnet.engine.ordering_cache"};
   mutable Memo<TreeKey, std::shared_ptr<const JunctionTree>> trees_{
@@ -262,10 +285,19 @@ class InferenceEngine {
   /// when given, receives the one-line why explain() prints for a query.
   [[nodiscard]] Plan route(const Ask& ask, const Evidence& evidence,
                            std::string* reason = nullptr) const;
+  /// The signature's plan, memoized: network_plan() filtered to the
+  /// unobserved variables when there is one, else min-fill.
   [[nodiscard]] std::shared_ptr<const EliminationOrdering> ordering_for(
       const Evidence& evidence) const;
-  /// The calibrated tree for `evidence`, built on a miss (from `ordering`,
-  /// or the signature's cached one when null) and memoized.
+  /// `compute_elimination_order(net, {}, {})`, computed once, on first
+  /// use; null when its largest table exceeds `max_exact_table_cells`.
+  [[nodiscard]] std::shared_ptr<const EliminationOrdering> network_plan() const;
+  /// The structure compiled from network_plan(), once, on first use;
+  /// null when there is no network plan.
+  [[nodiscard]] std::shared_ptr<const JunctionTreeStructure> network_tree() const;
+  /// The calibrated tree for `evidence`, built on a miss and memoized: a
+  /// calibration of network_tree(), or, without one, of a structure
+  /// compiled from `ordering` (the signature's cached one when null).
   [[nodiscard]] std::shared_ptr<const JunctionTree> calibrated_tree_for(
       const Evidence& evidence,
       const std::shared_ptr<const EliminationOrdering>& ordering) const;

@@ -10,34 +10,61 @@
 // — fta::diagnose_top_event, evidential networks, perception::BnFusion —
 // which issue many queries against the same network and evidence.
 //
-// Construction pipeline (reusing bayesnet/ordering and bayesnet/profile):
-//  1. moralize + triangulate: a min-fill `compute_elimination_order` over
-//     the moral graph with evidence vertices deleted, given (the engine's
-//     cached one) or computed by the two-argument constructor;
-//  2. elimination cliques: the step scopes of `simulate_elimination`
-//     replaying it with `keep = {}`; a step one variable smaller than
-//     an elimination-tree child joins that child's clique, the rest are
-//     the maximal cliques;
-//  3. clique tree: the elimination tree over those cliques (Blair &
-//     Peyton 1993), other components' roots joined to the root;
-//  4. evidence absorption: every CPT factor is reduced by the evidence
-//     and assigned to its earliest-eliminated variable's clique;
-//  5. calibration: sum-product collect toward the root, then distribute.
-//     Messages are normalized as they flow and the log-normalizers are
-//     accumulated, so P(e) is available in log space without underflow.
+// A tree has two halves (Lauritzen & Spiegelhalter 1988):
+//
+// * `JunctionTreeStructure` — compiled once from an elimination ordering,
+//   independent of evidence values:
+//    1. elimination cliques: the step scopes of `simulate_elimination`
+//       replaying the ordering with `keep = {}`; a step one variable
+//       smaller than an elimination-tree child joins that child's clique,
+//       the rest are the maximal cliques;
+//    2. clique tree: the elimination tree over those cliques (Blair &
+//       Peyton 1993), other components' roots joined to the root, and
+//       each separator's index map into its two cliques;
+//    3. potentials: every CPT over spanned variables only is multiplied
+//       into the clique of its earliest-eliminated variable, once;
+//    4. the clique each variable reads its marginal from (its smallest).
+//   The variables the ordering eliminates are the ones the structure
+//   *spans*; the others are *omitted* and must be observed whenever the
+//   structure is calibrated.
+//
+// * `JunctionTree` — one calibration of a structure under one evidence
+//   assignment, numeric passes only: copy the compiled potentials, enter
+//   the evidence, collect toward the root, distribute back (Hugin
+//   division by the collect message, 0/0 = 0, so exact zeros stay exact),
+//   read the marginals. Messages are normalized as they flow and the
+//   log-normalizers accumulated, so P(e) is available in log space
+//   without underflow. Evidence enters in one of two ways:
+//    - on a spanned variable, as a 0/1 indicator in the clique it reads
+//      its marginal from;
+//    - on an omitted variable, by fixing that dimension of each CPT that
+//      holds it, as `BayesianNetwork::cpt_factor(v, evidence)` does.
+//
+// `JunctionTree(net, evidence[, ordering])` compiles a structure from the
+// signature's ordering (omitting exactly the observed variables), then
+// calibrates it. `InferenceEngine` compiles one structure per network
+// from its network-wide plan, which spans every variable, and calibrates
+// it per assignment. A calibrated tree keeps its marginals and shares the
+// structure's clique list; it keeps none of the structure's tables, so a
+// structure compiled for one calibration is freed once it is built.
 //
 // Impossible evidence (P(e) = 0) is detected during collect; the tree
 // then reports `log_evidence_probability() == -inf` and every marginal
 // accessor throws std::domain_error with `impossible_evidence_message` —
 // the same per-query semantics as the other engines.
 //
-// Thread safety: all accessors are const and safe to call concurrently
-// once the constructor returns (marginals are extracted eagerly). The
-// tree holds a reference to the network — the network must outlive the
-// tree and must not be mutated while it is in use.
+// Thread safety: a structure is immutable once compiled and may back any
+// number of concurrent calibrations; a calibrated tree's accessors are
+// const and safe to call concurrently once the constructor returns
+// (marginals are extracted eagerly). Both hold a reference to the network
+// — the network must outlive them and must not be mutated while they are
+// in use.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "bayesnet/network.hpp"
@@ -45,6 +72,78 @@
 #include "prob/discrete.hpp"
 
 namespace sysuq::bayesnet {
+
+/// The evidence-independent half of a junction tree, compiled from an
+/// elimination ordering (see the file comment). Opens a
+/// `bayesnet.jt.compile` span and counts `bayesnet.jt.compiles`.
+class JunctionTreeStructure {
+ public:
+  /// Compiles the clique tree that eliminating `ordering.order` induces
+  /// with every variable it does not name omitted. Throws
+  /// std::invalid_argument when the order names an unknown variable or
+  /// one variable twice.
+  JunctionTreeStructure(const BayesianNetwork& net,
+                        const EliminationOrdering& ordering);
+
+  [[nodiscard]] const BayesianNetwork& network() const { return net_; }
+
+  /// Maximal cliques of the triangulation, sorted scopes, in
+  /// elimination order (where each clique's first step falls).
+  [[nodiscard]] const std::vector<std::vector<VariableId>>& cliques() const {
+    return *cliques_;
+  }
+  /// Variables in the largest clique (treewidth + 1 of the triangulation).
+  [[nodiscard]] std::size_t max_clique_size() const { return max_clique_size_; }
+  /// True when the ordering eliminates `v` (the structure spans it).
+  [[nodiscard]] bool spans(VariableId v) const {
+    return v < reader_.size() && reader_[v].clique != kNone;
+  }
+
+ private:
+  friend class JunctionTree;
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// One clique's table in the flat belief array, and its separator with
+  /// the parent in the flat separator array.
+  struct Clique {
+    std::size_t offset = 0;  ///< first cell in the belief array
+    std::size_t size = 0;    ///< cells
+    std::size_t parent = kNone;
+    std::size_t sep_offset = 0;
+    std::size_t sep_size = 1;
+    std::vector<std::uint32_t> to_sep;         ///< own cell -> separator cell
+    std::vector<std::uint32_t> parent_to_sep;  ///< parent cell -> separator cell
+  };
+  /// Where a spanned variable reads its marginal and takes its indicator:
+  /// a clique and the variable's stride and cardinality in it.
+  struct Reader {
+    std::size_t clique = kNone;
+    std::size_t stride = 0;
+    std::size_t card = 0;
+  };
+  /// A CPT holding an omitted variable: its full table, the cell each
+  /// home-clique cell reads with every omitted state 0, and the stride of
+  /// each omitted family member (evidence shifts the read by state x
+  /// stride). `clique` is kNone for a wholly omitted family, whose one
+  /// selected entry is a constant factor of P(e).
+  struct ReducedCpt {
+    std::size_t clique = kNone;
+    std::vector<double> values;
+    std::vector<std::uint32_t> cell;
+    std::vector<std::pair<VariableId, std::size_t>> omitted;
+  };
+
+  const BayesianNetwork& net_;
+  std::shared_ptr<const std::vector<std::vector<VariableId>>> cliques_;
+  std::size_t max_clique_size_ = 0;
+  std::vector<Clique> tree_;         ///< by clique index
+  std::vector<std::size_t> order_;   ///< parents first; order_[0] is the root
+  std::vector<double> potentials_;   ///< spanned CPT products, flat by clique
+  std::vector<ReducedCpt> reduced_;
+  std::vector<Reader> reader_;       ///< by variable; kNone clique when omitted
+  std::size_t sep_cells_ = 0;
+  std::size_t max_sep_size_ = 0;
+};
 
 class JunctionTree {
  public:
@@ -60,6 +159,12 @@ class JunctionTree {
   /// throws std::invalid_argument otherwise.
   JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
                const EliminationOrdering& ordering);
+
+  /// Calibrates a compiled `structure` under `evidence`. Throws
+  /// std::out_of_range for unknown evidence ids or states, and
+  /// std::invalid_argument when a variable the structure omits is not
+  /// observed.
+  JunctionTree(const JunctionTreeStructure& structure, const Evidence& evidence);
 
   [[nodiscard]] const BayesianNetwork& network() const { return net_; }
   [[nodiscard]] const Evidence& evidence() const { return evidence_; }
@@ -81,19 +186,18 @@ class JunctionTree {
 
   // --- structure, for tests, benches and the obs instruments ---
 
-  /// Maximal cliques of the triangulation, sorted scopes, in
-  /// elimination order (where each clique's first step falls).
+  /// The structure's cliques (see JunctionTreeStructure::cliques).
   [[nodiscard]] const std::vector<std::vector<VariableId>>& cliques() const {
-    return cliques_;
+    return *cliques_;
   }
-  [[nodiscard]] std::size_t clique_count() const { return cliques_.size(); }
+  [[nodiscard]] std::size_t clique_count() const { return cliques_->size(); }
   /// Variables in the largest clique (treewidth + 1 of the triangulation).
   [[nodiscard]] std::size_t max_clique_size() const { return max_clique_size_; }
-  /// Wall seconds the constructor spent calibrating this tree from its
-  /// ordering (computing the ordering excluded). Measured directly (not
-  /// via obs), so `InferenceEngine::explain` can attribute calibration
-  /// cost in every build mode.
-  [[nodiscard]] double build_seconds() const { return build_seconds_; }
+  /// Wall seconds this tree's calibration took (compiling the structure
+  /// and computing the ordering excluded). Measured directly (not via
+  /// obs), so `InferenceEngine::explain` can attribute calibration cost
+  /// in every build mode.
+  [[nodiscard]] double calibration_seconds() const { return calibration_seconds_; }
   /// Scratch-arena bytes live at the calibration's peak (captured before
   /// the final reset).
   [[nodiscard]] std::size_t arena_high_water_bytes() const {
@@ -103,15 +207,15 @@ class JunctionTree {
  private:
   const BayesianNetwork& net_;
   Evidence evidence_;
-  std::vector<std::vector<VariableId>> cliques_;
-  std::vector<prob::Categorical> marginals_;  // one per variable
+  std::shared_ptr<const std::vector<std::vector<VariableId>>> cliques_;
   std::size_t max_clique_size_ = 0;
+  std::vector<prob::Categorical> marginals_;  // one per variable
   double log_evidence_ = 0.0;
   bool impossible_ = false;
-  double build_seconds_ = 0.0;
+  double calibration_seconds_ = 0.0;
   std::size_t arena_high_water_ = 0;
 
-  void calibrate(const EliminationOrdering& ordering);
+  void calibrate(const JunctionTreeStructure& s);
   [[noreturn]] void throw_impossible() const;
 };
 

@@ -1,6 +1,7 @@
 // Memo: the inference engine's one cache type — a thread-safe map from a
 // key to a value built on first use, with per-instance hit/miss/entry
-// counts and their process-wide obs mirrors.
+// counts and their process-wide obs mirrors. Lazy, below, holds one
+// unkeyed value built once.
 //
 // A miss builds its value outside the lock, so a slow build (an ordering
 // heuristic, a junction-tree calibration, a BP run) never serializes
@@ -105,6 +106,26 @@ class Memo {
   obs::Counter& hits_metric_;
   obs::Counter& misses_metric_;  // sysuq-thread-confined(init)
   obs::Gauge& entries_metric_;   // sysuq-thread-confined(init)
+};
+
+/// A value built once, on first use, and kept for the owner's life: the
+/// engine's network-wide plan and compiled clique tree. Unlike Memo, the
+/// first caller builds under the lock, so racing first callers wait for
+/// that one build instead of building copies. A build that throws stores
+/// nothing, and the next caller builds again.
+template <class Value>
+class Lazy {
+ public:
+  template <class Build>
+  const Value& get(Build&& build) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!value_) value_.emplace(std::forward<Build>(build)());
+    return *value_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::optional<Value> value_;  // sysuq-guarded-by(mu_)
 };
 
 }  // namespace sysuq::bayesnet

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "bayesnet/kernels.hpp"
 #include "core/contracts.hpp"
@@ -65,35 +66,51 @@ std::vector<EliminationStepProfile> simulate_elimination(
     if (step_of[v] == kNever && std::find(keep.begin(), keep.end(), v) == keep.end())
       step_of[v] = i;
   }
-  // Each live scope (a sorted VariableId vector) waits in the bucket of
-  // its earliest-eliminated variable, so step i merges exactly bucket i:
-  // every earlier variable is already summed out of every live scope.
-  std::vector<std::vector<std::vector<VariableId>>> buckets(order.size());
-  const auto file = [&](std::vector<VariableId> scope) {
+  // Each live scope is a run of `pool` and waits in the bucket of its
+  // earliest-eliminated variable, so step i merges exactly bucket i:
+  // every earlier variable is already summed out of every live scope. A
+  // bucket is a linked list of runs; a scope with no variable left to
+  // eliminate is dropped.
+  struct Run {
+    std::size_t begin, end, next;
+  };
+  std::vector<VariableId> pool;
+  std::vector<Run> runs;
+  std::vector<std::size_t> head(order.size(), kNever);
+  const auto file = [&](std::size_t begin) {  // the run pool[begin, end)
     std::size_t first = kNever;
-    for (const VariableId s : scope) first = std::min(first, step_of[s]);
-    if (first != kNever) buckets[first].push_back(std::move(scope));
+    for (std::size_t j = begin; j < pool.size(); ++j)
+      first = std::min(first, step_of[pool[j]]);
+    if (first == kNever) {
+      pool.resize(begin);
+      return;
+    }
+    runs.push_back({begin, pool.size(), head[first]});
+    head[first] = runs.size() - 1;
   };
   // One live scope per CPT, with evidence variables reduced away.
   for (const VariableId v : cpts) {
-    std::vector<VariableId> scope = net.parents(v);
-    scope.push_back(v);
-    std::sort(scope.begin(), scope.end());
-    scope.erase(std::remove_if(scope.begin(), scope.end(),
-                               [&](VariableId s) { return evidence.contains(s); }),
-                scope.end());
-    file(std::move(scope));
+    const std::size_t begin = pool.size();
+    for (const VariableId p : net.parents(v)) {
+      if (!evidence.contains(p)) pool.push_back(p);
+    }
+    if (!evidence.contains(v)) pool.push_back(v);
+    file(begin);
   }
 
   std::vector<EliminationStepProfile> steps;
+  std::vector<std::size_t> merged_at(n, kNever);  // the step that merged a variable last
+  std::vector<VariableId> product;
   for (std::size_t i = 0; i < order.size(); ++i) {
     // Empty for a kept, observed or repeated entry: nothing to merge.
-    if (buckets[i].empty()) continue;
-    std::vector<VariableId> product;
-    for (const auto& scope : buckets[i])
-      product.insert(product.end(), scope.begin(), scope.end());
+    if (head[i] == kNever) continue;
+    product.clear();
+    for (std::size_t r = head[i]; r != kNever; r = runs[r].next) {
+      for (std::size_t j = runs[r].begin; j < runs[r].end; ++j) {
+        if (std::exchange(merged_at[pool[j]], i) != i) product.push_back(pool[j]);
+      }
+    }
     std::sort(product.begin(), product.end());
-    product.erase(std::unique(product.begin(), product.end()), product.end());
 
     std::size_t cells = 1;
     for (const VariableId s : product) {
@@ -103,8 +120,11 @@ std::vector<EliminationStepProfile> simulate_elimination(
     const VariableId v = order[i];
     steps.push_back({v, net.variable(v).name(), product, cells});
 
-    product.erase(std::find(product.begin(), product.end(), v));
-    file(std::move(product));
+    const std::size_t begin = pool.size();
+    for (const VariableId s : product) {
+      if (s != v) pool.push_back(s);
+    }
+    file(begin);
   }
   return steps;
 }

@@ -468,11 +468,23 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
                                 : 6 + rng.uniform_index(5);  // 6..10
       const auto net = random_network(rng, topo, n);
       bn::VariableElimination ve(net);
+      // The engine's form of the tree: compiled once per network from the
+      // network-wide plan, which spans every variable, with each pair's
+      // evidence entered at calibration.
+      const bn::JunctionTreeStructure compiled(net,
+                                               bn::compute_elimination_order(net, {}, {}));
       // Evidence cases: none, one observed variable, two observed.
       for (std::size_t ec = 0; ec < 3; ++ec) {
         const auto ev = random_evidence(rng, net, ec);
         const bn::JunctionTree jt(net, ev);
+        const bn::JunctionTree calibrated(compiled, ev);
         ++pairs;
+        ASSERT_NEAR(calibrated.evidence_probability(), ve.evidence_probability(ev),
+                    sysuq::tolerance::kProbSum)
+            << "topo " << static_cast<int>(topo) << " net " << t;
+        ASSERT_NEAR(calibrated.log_evidence_probability(),
+                    std::log(ve.evidence_probability(ev)), sysuq::tolerance::kProbSum)
+            << "topo " << static_cast<int>(topo) << " net " << t;
         ASSERT_NEAR(jt.evidence_probability(), ve.evidence_probability(ev),
                     sysuq::tolerance::kProbSum)
             << "topo " << static_cast<int>(topo) << " net " << t;
@@ -522,11 +534,14 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
         ASSERT_EQ(ordering.max_table_cells, tree_cells)
             << "topo " << static_cast<int>(topo) << " net " << t;
         const auto& marginals = jt.all_marginals();
+        const auto& calibrated_marginals = calibrated.all_marginals();
         ASSERT_EQ(marginals.size(), net.size());
+        ASSERT_EQ(calibrated_marginals.size(), net.size());
         for (bn::VariableId q = 0; q < net.size(); ++q) {
           if (ev.contains(q)) {
             // Observed variables hold their deltas.
             EXPECT_EQ(marginals[q].p(ev.at(q)), 1.0);
+            EXPECT_EQ(calibrated_marginals[q].p(ev.at(q)), 1.0);
             continue;
           }
           const auto exact = ve.query(q, ev);
@@ -535,6 +550,10 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
             ASSERT_NEAR(marginals[q].p(s), exact.p(s),
                         sysuq::tolerance::kProbSum)
                 << "topo " << static_cast<int>(topo) << " net " << t
+                << " var " << q << " state " << s;
+            ASSERT_NEAR(calibrated_marginals[q].p(s), exact.p(s),
+                        sysuq::tolerance::kProbSum)
+                << "compiled: topo " << static_cast<int>(topo) << " net " << t
                 << " var " << q << " state " << s;
           }
         }
@@ -766,6 +785,54 @@ TEST(Differential, AutoEscalatesOnTreewidthHostileGrid) {
   // Finite, non-vacuous certification: the blanket box must beat the
   // trivial [0, 1] interval everywhere on this weakly coupled grid.
   EXPECT_LT(max_width, 1.0);
+}
+
+TEST(Differential, OverCeilingNetworkPlanKeepsPerSignatureMinFill) {
+  // The plan rule's other side: a 12x12 grid whose network-wide plan has
+  // a table past a 1024-cell ceiling. Every signature then keeps its own
+  // min-fill plan, which VE runs and explain() reports, and kAuto still
+  // escalates to BP.
+  const auto net = grid_network(12, 12);
+  constexpr std::size_t kCeiling = 1024;
+  ASSERT_GT(bn::compute_elimination_order(net, {}, {}).max_table_cells, kCeiling);
+  const bn::InferenceEngine ve(
+      net, {.threads = 1, .backend = bn::Backend::kVariableElimination,
+            .max_exact_table_cells = kCeiling});
+  const bn::InferenceEngine auto_engine(
+      net, {.threads = 1, .max_exact_table_cells = kCeiling});
+  pr::Rng rng(differential_seed() + 5);
+  for (int round = 0; round < 4; ++round) {
+    bn::Evidence ev;
+    while (ev.size() < 2) ev[rng.uniform_index(net.size())] = rng.uniform_index(2);
+    bn::VariableId q = rng.uniform_index(net.size());
+    while (ev.contains(q)) q = (q + 1) % net.size();
+    const auto want = bn::compute_elimination_order(net, {}, bn::evidence_keys(ev));
+    ASSERT_GT(want.max_table_cells, kCeiling);
+
+    // explain() prints the signature plan's figures and runs its order
+    // over the ancestors of q and the observed variables, minus q.
+    const auto profile = ve.explain(q, ev);
+    EXPECT_EQ(profile.induced_width, want.induced_width) << "round " << round;
+    EXPECT_EQ(profile.fill_edges, want.fill_edges) << "round " << round;
+    std::vector<char> ancestral(net.size(), 0);
+    std::vector<bn::VariableId> stack{q};
+    for (const auto& [v, _] : ev) stack.push_back(v);
+    while (!stack.empty()) {
+      const bn::VariableId v = stack.back();
+      stack.pop_back();
+      if (std::exchange(ancestral[v], 1) != 0) continue;
+      for (const bn::VariableId p : net.parents(v)) stack.push_back(p);
+    }
+    std::vector<bn::VariableId> expected, got;
+    for (const bn::VariableId v : want.order) {
+      if (ancestral[v] != 0 && v != q) expected.push_back(v);
+    }
+    for (const auto& step : profile.steps) got.push_back(step.variable);
+    EXPECT_EQ(got, expected) << "round " << round;
+
+    const auto escalated = auto_engine.explain(q, ev);
+    EXPECT_EQ(escalated.backend, "loopy_bp") << "round " << round;
+  }
 }
 
 // ---- likelihood weighting within sampling tolerance ----

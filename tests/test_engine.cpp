@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "bayesnet/inference.hpp"
 #include "bayesnet/junction_tree.hpp"
@@ -494,11 +496,13 @@ TEST(EngineBackends, AllMarginalsMatchesPerQueryLoop) {
     bn::InferenceEngine engine(net, {.threads = 1, .backend = backend});
     const bn::Evidence ev{{1, 3}};
     const auto all = engine.all_marginals(ev);
-    // One ordering lookup on every backend: kAuto's tree is built from
-    // the ordering its guard looked up.
-    EXPECT_EQ(engine.cache_stats().misses, 1u);
+    // One ordering lookup under VE and kAuto (its guard's); the
+    // kJunctionTree engine calibrates the network's compiled tree and
+    // needs no signature plan.
+    const std::size_t lookups = backend == bn::Backend::kJunctionTree ? 0 : 1;
+    EXPECT_EQ(engine.cache_stats().misses, lookups);
     EXPECT_EQ(engine.cache_stats().hits, 0u);
-    EXPECT_EQ(engine.cache_stats().entries, 1u);
+    EXPECT_EQ(engine.cache_stats().entries, lookups);
     ASSERT_EQ(all.size(), net.size());
     EXPECT_EQ(all[1].p(3), 1.0);  // observed variable holds its delta
     const auto direct = engine.query(0, ev);
@@ -585,10 +589,11 @@ TEST(EngineBackends, TreeCacheKeyedByFullAssignmentNotSignature) {
   const auto m1 = engine.query(monitor, e1);
   const auto m2 = engine.query(monitor, e2);
 
-  // Two distinct calibrated trees, one shared ordering signature.
+  // Two distinct calibrated trees of the network's one compiled tree; no
+  // signature plan is looked up.
   EXPECT_EQ(engine.jt_cache_stats().entries, 2u);
   EXPECT_EQ(engine.jt_cache_stats().misses, 2u);
-  EXPECT_EQ(engine.cache_stats().entries, 1u);
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
 
   // Each answer matches its own evidence's exact posterior - and the
   // two posteriors genuinely differ, so sharing would have been caught.
@@ -686,7 +691,7 @@ TEST(EngineExplain, JunctionTreeJsonGolden) {
             "\"state\":\"a0\"}],\"backend\":\"junction_tree\","
             "\"reason\":\"Backend::kJunctionTree routes every query through "
             "the calibrated clique tree\",\"plan\":{\"jt_cache_hit\":false,"
-            "\"cliques\":[2],\"max_clique_size\":2,"
+            "\"cliques\":[2,2],\"max_clique_size\":2,"
             "\"calibration_seconds\":0},"
             "\"cost\":{\"arena_high_water_bytes\":0,\"stages\":["
             "{\"stage\":\"calibrate\",\"seconds\":0},"
@@ -952,6 +957,178 @@ TEST(Ordering, ReplayCellsSaturateLikeTheOrdering) {
     largest = std::max(largest, step.table_cells);
   EXPECT_EQ(ordering.max_table_cells, SIZE_MAX);
   EXPECT_EQ(largest, ordering.max_table_cells);
+}
+
+// ---- the network's compiled junction tree ----
+
+namespace {
+
+// Six basic events under AND / OR / 2-of-3 gates (e3 shared), OR top:
+// every gate CPT is a 0/1 table.
+sysuq::fta::CompiledNetwork small_fault_tree() {
+  namespace ft = sysuq::fta;
+  ft::FaultTree tree;
+  std::vector<ft::NodeId> e;
+  for (int i = 0; i < 6; ++i)
+    e.push_back(tree.add_basic_event("e" + std::to_string(i), 0.05 + 0.03 * i));
+  const auto both = tree.add_gate("both", ft::GateType::kAnd, {e[0], e[1]});
+  const auto either = tree.add_gate("either", ft::GateType::kOr, {e[2], e[3]});
+  const auto vote = tree.add_gate("vote", ft::GateType::kKooN, {e[3], e[4], e[5]}, 2);
+  tree.set_top(tree.add_gate("top", ft::GateType::kOr, {both, either, vote}));
+  return ft::compile_to_bayesnet(tree);
+}
+
+// Width and fill of eliminating `order` from the moral graph of `net`
+// with `observed` deleted: the former full scan, one pair at a time.
+std::pair<std::size_t, std::size_t> eliminate_in_test(
+    const bn::BayesianNetwork& net, const std::vector<bn::VariableId>& order,
+    const bn::Evidence& observed) {
+  std::vector<std::set<bn::VariableId>> adj(net.size());
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    std::vector<bn::VariableId> family = net.parents(v);
+    family.push_back(v);
+    for (const auto a : family)
+      for (const auto b : family)
+        if (a != b && !observed.contains(a) && !observed.contains(b)) adj[a].insert(b);
+  }
+  std::size_t width = 0, fill = 0;
+  for (const bn::VariableId v : order) {
+    const std::set<bn::VariableId> nbrs = adj[v];
+    width = std::max(width, nbrs.size());
+    for (const auto a : nbrs) {
+      adj[a].erase(v);
+      for (const auto b : nbrs)
+        if (a < b && adj[a].insert(b).second) {
+          adj[b].insert(a);
+          ++fill;
+        }
+    }
+  }
+  return {width, fill};
+}
+
+}  // namespace
+
+TEST(EngineCompiledTree, FaultTreeWithZeroOneGatesIsExact) {
+  const auto compiled = small_fault_tree();
+  const auto& net = compiled.network;
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  const bn::InferenceEngine jt(net, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+  const auto id = [&](const char* name) { return net.id_of(name); };
+
+  // Consistent evidence: all_marginals runs on the compiled tree and
+  // equals enumeration.
+  const std::vector<bn::Evidence> consistent = {
+      {},
+      {{compiled.top, 1}},
+      {{compiled.top, 1}, {id("e3"), 1}},
+      {{compiled.top, 1}, {id("either"), 0}, {id("e0"), 1}},
+      {{id("vote"), 1}, {id("e4"), 0}},
+  };
+  for (const auto& ev : consistent) {
+    const auto all = engine.all_marginals(ev);
+    for (bn::VariableId v = 0; v < net.size(); ++v) {
+      if (ev.contains(v)) continue;
+      const auto want = bn::enumerate_posterior(net, v, ev);
+      for (std::size_t s = 0; s < want.size(); ++s)
+        EXPECT_NEAR(all[v].p(s), want.p(s), tol::kTiny) << net.variable(v).name();
+    }
+    EXPECT_NEAR(jt.evidence_probability(ev),
+                bn::enumerate_evidence_probability(net, ev), tol::kTiny);
+  }
+
+  // Evidence contradicting a gate: the unified error, and log P(e) = -inf
+  // on the compiled tree and on VE.
+  const bn::Evidence contradiction{{id("both"), 1}, {id("e0"), 0}};
+  try {
+    (void)engine.all_marginals(contradiction);
+    ADD_FAILURE() << "impossible evidence did not throw";
+  } catch (const std::domain_error& e) {
+    EXPECT_EQ(std::string(e.what()), bn::impossible_evidence_message(net, contradiction));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(jt.log_evidence_probability(contradiction), -inf);
+  EXPECT_EQ(engine.log_evidence_probability(contradiction), -inf);
+
+  // Every variable observed: P(e) is the product of the CPT entries the
+  // assignment selects.
+  pr::Rng rng(53);
+  for (int round = 0; round < 8; ++round) {
+    const auto states = net.sample(rng);
+    bn::Evidence ev;
+    double want = 1.0;
+    for (bn::VariableId v = 0; v < net.size(); ++v) {
+      ev[v] = states[v];
+      std::vector<std::size_t> parent_states;
+      for (const bn::VariableId p : net.parents(v)) parent_states.push_back(states[p]);
+      want *= net.cpt_row(v, parent_states).p(states[v]);
+    }
+    EXPECT_NEAR(jt.evidence_probability(ev), want, tol::kTiny * want);
+    EXPECT_NEAR(engine.evidence_probability(ev), want, tol::kTiny * want);
+    const auto all = engine.all_marginals(ev);
+    for (bn::VariableId v = 0; v < net.size(); ++v) EXPECT_EQ(all[v].p(states[v]), 1.0);
+  }
+}
+
+TEST(EngineCompiledTree, FaultTreeSignaturesFilterTheNetworkPlan) {
+  // The plan rule when the network-wide plan fits the ceiling: each
+  // signature's plan is that order without the observed variables, with
+  // the figures of eliminating exactly that order.
+  const auto compiled = small_fault_tree();
+  const auto& net = compiled.network;
+  const auto network = bn::compute_elimination_order(net, {}, {});
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  const auto id = [&](const char* name) { return net.id_of(name); };
+  const std::vector<bn::Evidence> signatures = {
+      {{compiled.top, 1}},
+      {{compiled.top, 1}, {id("e3"), 0}},
+      {{compiled.top, 1}, {id("vote"), 1}, {id("e1"), 1}},
+      {{compiled.top, 0}, {id("either"), 0}, {id("e5"), 0}},
+  };
+  for (const auto& ev : signatures) {
+    std::vector<bn::VariableId> filtered;
+    for (const bn::VariableId v : network.order)
+      if (!ev.contains(v)) filtered.push_back(v);
+    const auto [width, fill] = eliminate_in_test(net, filtered, ev);
+    for (const bn::VariableId q : {id("both"), id("e2")}) {
+      const auto profile = engine.explain(q, ev);
+      ASSERT_EQ(profile.backend, "variable_elimination");
+      EXPECT_EQ(profile.induced_width, width);
+      EXPECT_EQ(profile.fill_edges, fill);
+      // The top is observed, so every CPT is ancestral: VE runs the
+      // filtered order minus the query.
+      std::vector<bn::VariableId> want, got;
+      for (const bn::VariableId v : filtered)
+        if (v != q) want.push_back(v);
+      for (const auto& step : profile.steps) got.push_back(step.variable);
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+TEST(EngineCompiledTree, ConcurrentFirstUseCompilesOnce) {
+  // A fresh 4-thread engine whose first call is a batch of six groups
+  // that each run on the junction tree: the workers race to the network
+  // tree, which is compiled exactly once, and the answers are the
+  // 1-thread engine's, byte for byte.
+  pr::Rng rng(47);
+  const auto net = random_network(rng, 12);
+  std::vector<bn::QuerySpec> batch;
+  for (std::size_t g = 0; g < 6; ++g) {
+    const bn::Evidence ev{{0, g % 2}, {1 + g / 2, 0}};
+    for (bn::VariableId q = 4; q < net.size(); ++q) batch.push_back({q, ev});
+  }
+  const auto& compiles = sysuq::obs::Registry::global().counter("bayesnet.jt.compiles");
+  const std::uint64_t before = compiles.value();
+  const bn::InferenceEngine pooled(net, {.threads = 4, .jt_batch_threshold = 4});
+  const auto got = pooled.query_batch(batch);
+  EXPECT_EQ(compiles.value() - before, sysuq::obs::metrics_enabled() ? 1u : 0u);
+  EXPECT_EQ(pooled.jt_cache_stats().entries, 6u);
+
+  const bn::InferenceEngine single(net, {.threads = 1, .jt_batch_threshold = 4});
+  const auto want = single.query_batch(batch);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].probs(), want[i].probs()) << i;
 }
 
 // ---- module wiring ----
