@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -26,6 +27,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct BpMetrics {
   obs::Counter& runs;
   obs::Counter& nonconverged;
+  obs::Counter& blanket_configs;
+  obs::Counter& relaxed_blankets;
   obs::Histogram& iterations;
   obs::Histogram& residual;
   obs::Histogram& bound_width;
@@ -35,6 +38,8 @@ struct BpMetrics {
     static BpMetrics m{
         reg.counter("bayesnet.bp.runs"),
         reg.counter("bayesnet.bp.nonconverged"),
+        reg.counter("bayesnet.bp.blanket_configs"),
+        reg.counter("bayesnet.bp.relaxed_blankets"),
         reg.histogram("bayesnet.bp.iterations", obs::count_buckets()),
         reg.histogram(
             "bayesnet.bp.residual",
@@ -89,6 +94,184 @@ double log_range_between(const double* a, const double* b, std::size_t n) {
   }
   if (!(hi >= lo)) return 0.0;  // all entries skipped
   return hi - lo;
+}
+
+/// One level of FactorGraph::sweep: R_{k+1} (`r`, n blocks of c cells)
+/// scatters into the message `m` (m(t) = sum_b p[b] * R_{k+1}(b, t)) and
+/// sums its fastest position out into `suffix` against the incoming
+/// message `mu`; `suffix` may be `r` itself. C fixes the cardinality so
+/// a binary level accumulates m in locals and writes it once, instead of
+/// a load and a store through `m` per block; C = 0 reads c at run time
+/// and accumulates in `m`. Both add the same terms in the same order.
+template <std::size_t C>
+void sweep_level(const double* r, const double* p, const double* mu,
+                 std::size_t n, std::size_t c_rt, double* m,
+                 double* suffix) {
+  const std::size_t c = C == 0 ? c_rt : C;
+  double local[C == 0 ? 1 : C] = {};
+  double* acc = C == 0 ? m : local;
+  std::fill(acc, acc + c, 0.0);
+  for (std::size_t b = 0; b < n; ++b) {
+    const double* cell = r + b * c;
+    double sum = 0.0;
+    for (std::size_t t = 0; t < c; ++t) {
+      acc[t] += p[b] * cell[t];
+      sum += cell[t] * mu[t];
+    }
+    suffix[b] = sum;
+  }
+  if constexpr (C != 0) std::copy(local, local + C, m);
+}
+
+// The exact Markov-blanket box of one variable v, walked over coalesced
+// runs (see the file comment of loopy_bp.hpp). Touching factor t's cell
+// for v = i at position j of the inner run sits at
+// tables[t][off[t] + j * inner[t] + i * vstride[t]]; the outer runs move
+// off[] like a mixed-radix counter, last run fastest.
+struct BlanketWalk {
+  std::size_t card = 0;               // v's states
+  std::size_t nt = 0;                 // touching factors
+  std::size_t len = 1;                // configurations of the inner run
+  std::size_t configs = 1;            // configurations of the blanket
+  std::vector<const double*> tables;  // per touching factor
+  std::vector<std::size_t> vstride;   // per touching factor, along v
+  std::vector<std::size_t> inner;     // per touching factor, along the inner run
+  std::vector<std::size_t> cards;     // per outer run
+  std::vector<std::size_t> strides;   // outer run r, factor t at r * nt + t
+  // Walk scratch; off and w serve the runtime instantiation only.
+  std::vector<std::size_t> off, idx;
+  std::vector<double> w;
+
+  /// Lays out the runs from `step` (blanket variable k's stride in
+  /// touching factor t at k * nt + t, 0 when t lacks k) and the blanket
+  /// variables' cardinalities, in blanket order. Variable k joins the
+  /// run of k - 1 when every touching factor stores the two
+  /// contiguously, step[k - 1] == step[k] * card_k (0 = 0 * c counts;
+  /// v's own dimension breaks contiguity in every touching factor, since
+  /// all of them hold v). The run with the most configurations becomes
+  /// the inner loop.
+  void coalesce(const std::vector<std::size_t>& step,
+                const std::vector<std::size_t>& blanket_cards);
+
+  /// Envelopes the run's configurations into lo/hi and returns the
+  /// any-feasible flag; see blanket_envelope.
+  bool envelope(double* lo, double* hi);
+};
+
+/// Envelopes P(v = i | B = b, e) over every blanket configuration b of
+/// `walk` into lo/hi (min and max, in place); true when some
+/// configuration has positive mass. Per configuration and state i: w_i
+/// is 1.0 times each touching factor's cell, left to right; wsum adds
+/// w_0 .. w_{c-1} from 0.0; and a positive wsum moves lo_i and hi_i by
+/// w_i / wsum. C and T fix v's states and the touching factors, so a
+/// binary variable's envelope stays in registers; C = T = 0 reads both
+/// at run time. Min, max and the flag are exact in any visiting order,
+/// which lets the walk put its largest run innermost.
+template <std::size_t C, std::size_t T>
+bool blanket_envelope(BlanketWalk& walk, double* lo_out, double* hi_out) {
+  const std::size_t c = C == 0 ? walk.card : C;
+  const std::size_t nt = T == 0 ? walk.nt : T;
+  double lo_l[C == 0 ? 1 : C] = {}, hi_l[C == 0 ? 1 : C] = {};
+  double w_l[C == 0 ? 1 : C] = {};
+  std::size_t off_l[T == 0 ? 1 : T] = {};
+  double* lo = C == 0 ? lo_out : lo_l;
+  double* hi = C == 0 ? hi_out : hi_l;
+  double* w = C == 0 ? walk.w.data() : w_l;
+  std::size_t* off = T == 0 ? walk.off.data() : off_l;
+  if constexpr (C != 0) {
+    std::copy(lo_out, lo_out + C, lo);
+    std::copy(hi_out, hi_out + C, hi);
+  }
+  std::fill(off, off + nt, std::size_t{0});
+  std::fill(walk.idx.begin(), walk.idx.end(), std::size_t{0});
+  const double* const* tables = walk.tables.data();
+  const std::size_t* vstride = walk.vstride.data();
+  const std::size_t* inner = walk.inner.data();
+  const std::size_t len = walk.len;
+  const std::size_t blocks = walk.configs / len;
+  bool feasible = false;
+  for (std::size_t blk = 0;;) {
+    // -O2 leaves the state loops rolled, and a rolled loop sends w
+    // through memory; unrolled, a binary pass keeps it in registers.
+    for (std::size_t j = 0; j < len; ++j) {
+      double wsum = 0.0;
+#pragma GCC unroll 4
+      for (std::size_t i = 0; i < c; ++i) {
+        double prod = 1.0;
+#pragma GCC unroll 4
+        for (std::size_t t = 0; t < nt; ++t) {
+          prod *= tables[t][off[t] + j * inner[t] + i * vstride[t]];
+        }
+        w[i] = prod;
+        wsum += prod;
+      }
+      if (wsum > 0.0) {
+        feasible = true;
+#pragma GCC unroll 4
+        for (std::size_t i = 0; i < c; ++i) {
+          lo[i] = std::min(lo[i], w[i] / wsum);
+          hi[i] = std::max(hi[i], w[i] / wsum);
+        }
+      }
+    }
+    if (++blk == blocks) break;
+    // Next outer configuration.
+    for (std::size_t r = walk.cards.size(); r-- > 0;) {
+      const std::size_t* s = walk.strides.data() + r * nt;
+      for (std::size_t t = 0; t < nt; ++t) off[t] += s[t];
+      if (++walk.idx[r] < walk.cards[r]) break;
+      for (std::size_t t = 0; t < nt; ++t) off[t] -= s[t] * walk.cards[r];
+      walk.idx[r] = 0;
+    }
+  }
+  if constexpr (C != 0) {
+    std::copy(lo, lo + C, lo_out);
+    std::copy(hi, hi + C, hi_out);
+  }
+  return feasible;
+}
+
+void BlanketWalk::coalesce(const std::vector<std::size_t>& step,
+                           const std::vector<std::size_t>& blanket_cards) {
+  cards.clear();
+  strides.clear();
+  for (std::size_t k = 0; k < blanket_cards.size(); ++k) {
+    const std::size_t ck = blanket_cards[k];
+    const std::size_t* sk = step.data() + k * nt;
+    bool joins = k > 0;
+    for (std::size_t t = 0; joins && t < nt; ++t) {
+      joins = step[(k - 1) * nt + t] == sk[t] * ck;
+    }
+    if (joins) {
+      cards.back() *= ck;
+      std::copy(sk, sk + nt, strides.end() - static_cast<std::ptrdiff_t>(nt));
+    } else {
+      cards.push_back(ck);
+      strides.insert(strides.end(), sk, sk + nt);
+    }
+  }
+  len = 1;
+  inner.assign(nt, 0);
+  if (!cards.empty()) {
+    const auto longest = std::max_element(cards.begin(), cards.end());
+    const auto first = strides.begin() + (longest - cards.begin()) *
+                                             static_cast<std::ptrdiff_t>(nt);
+    const auto last = first + static_cast<std::ptrdiff_t>(nt);
+    len = *longest;
+    std::copy(first, last, inner.begin());
+    strides.erase(first, last);
+    cards.erase(longest);
+  }
+  idx.resize(cards.size());
+}
+
+bool BlanketWalk::envelope(double* lo, double* hi) {
+  if (card == 2 && nt == 1) return blanket_envelope<2, 1>(*this, lo, hi);
+  if (card == 2 && nt == 2) return blanket_envelope<2, 2>(*this, lo, hi);
+  if (card == 2 && nt == 3) return blanket_envelope<2, 3>(*this, lo, hi);
+  off.resize(nt);
+  w.resize(card);
+  return blanket_envelope<0, 0>(*this, lo, hi);
 }
 
 }  // namespace
@@ -156,19 +339,13 @@ struct LoopyBP::FactorGraph {
     // m_k and sums its fastest position out into R_k, in place.
     const double* r = f.values().data();
     for (std::size_t k = d; k-- > 0;) {
-      const std::size_t c = cards[k];
       const double* mu = to_factor.data() + edge[k].msg;
       const double* p = prefix.data() + at;
       double* m = out + edge[k].msg;
-      std::fill(m, m + c, 0.0);
-      for (std::size_t b = 0; b < n; ++b) {
-        const double* cell = r + b * c;
-        double sum = 0.0;
-        for (std::size_t t = 0; t < c; ++t) {
-          m[t] += p[b] * cell[t];
-          sum += cell[t] * mu[t];
-        }
-        suffix[b] = sum;
+      if (cards[k] == 2) {
+        sweep_level<2>(r, p, mu, n, 2, m, suffix.data());
+      } else {
+        sweep_level<0>(r, p, mu, n, cards[k], m, suffix.data());
       }
       r = suffix.data();
       if (k > 0) {
@@ -458,10 +635,10 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
   // --- Per-variable certified intervals -------------------------------
   max_bound_width_ = 0.0;
   std::vector<double> w_lo, w_hi;
-  std::vector<std::size_t> touching, states, cards, step, offset, vstride;
+  std::vector<std::size_t> touching, step, blanket_cards;
   std::vector<VariableId> blanket;
-  std::vector<const double*> tables;
-  std::vector<double> w;
+  BlanketWalk walk;
+  std::uint64_t enumerated = 0, relaxed = 0;
   for (VariableId v = 0; v < net_.size(); ++v) {
     if (evidence_.contains(v)) continue;
     BoundedPosterior& out = marginals_[v];
@@ -485,44 +662,43 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
     std::sort(blanket.begin(), blanket.end());
     blanket.erase(std::unique(blanket.begin(), blanket.end()), blanket.end());
 
+    // Too many configurations is its own flag: a count past the cap is
+    // never stored, so no cap (SIZE_MAX included) can wrap it.
     std::size_t configs = 1;
+    bool exact = true;
     for (const VariableId u : blanket) {
       const std::size_t c = net_.variable(u).cardinality();
-      if (kernels::mul_overflows(configs, c)) {
-        configs = options_.max_blanket_configs + 1;
+      if (kernels::mul_overflows(configs, c) ||
+          configs * c > options_.max_blanket_configs) {
+        exact = false;
         break;
       }
       configs *= c;
-      if (configs > options_.max_blanket_configs) break;
     }
 
     bool any_feasible = false;
-    if (configs <= options_.max_blanket_configs) {
-      // Exact enumeration: walk every blanket assignment in mixed-radix
-      // order (last variable fastest) and envelope the conditional
-      // P(v | B = b, e). Touching factor t's cell for v = i sits at
-      // offset[t] + i * vstride[t]; each state of blanket variable k
-      // moves offset[t] by step[k * nt + t] (0 when t does not hold k).
+    if (exact) {
+      // Exact enumeration. Touching factor t's cell for v = i sits at
+      // i * vstride[t] plus, per blanket variable k, its state times
+      // step[k * nt + t] (0 when t does not hold k); the walk coalesces
+      // those dimensions into runs.
       const std::size_t nt = touching.size(), nb = blanket.size();
       out.lo.assign(card, 1.0);
       out.hi.assign(card, 0.0);
-      states.assign(nb, 0);
-      cards.resize(nb);
-      for (std::size_t k = 0; k < nb; ++k) {
-        cards[k] = net_.variable(blanket[k]).cardinality();
-      }
+      walk.card = card;
+      walk.nt = nt;
+      walk.configs = configs;
+      walk.tables.resize(nt);
+      walk.vstride.assign(nt, 0);
       step.assign(nb * nt, 0);
-      offset.assign(nt, 0);
-      vstride.assign(nt, 0);
-      tables.resize(nt);
       for (std::size_t t = 0; t < nt; ++t) {
         const Factor& f = factors[touching[t]];
-        tables[t] = f.values().data();
+        walk.tables[t] = f.values().data();
         std::size_t stride = 1;
         for (std::size_t pos = f.scope().size(); pos-- > 0;) {
           const VariableId u = f.scope()[pos];
           if (u == v) {
-            vstride[t] = stride;
+            walk.vstride[t] = stride;
           } else {
             const auto k = static_cast<std::size_t>(
                 std::lower_bound(blanket.begin(), blanket.end(), u) -
@@ -532,37 +708,18 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
           stride *= f.cardinalities()[pos];
         }
       }
-      w.resize(card);
-      for (std::size_t c = 0; c < configs; ++c) {
-        double wsum = 0.0;
-        for (std::size_t i = 0; i < card; ++i) {
-          double prod = 1.0;
-          for (std::size_t t = 0; t < nt; ++t) {
-            prod *= tables[t][offset[t] + i * vstride[t]];
-          }
-          w[i] = prod;
-          wsum += prod;
-        }
-        if (wsum > 0.0) {
-          any_feasible = true;
-          for (std::size_t i = 0; i < card; ++i) {
-            out.lo[i] = std::min(out.lo[i], w[i] / wsum);
-            out.hi[i] = std::max(out.hi[i], w[i] / wsum);
-          }
-        }
-        // Next blanket assignment.
-        for (std::size_t k = nb; k-- > 0;) {
-          const std::size_t* s = step.data() + k * nt;
-          for (std::size_t t = 0; t < nt; ++t) offset[t] += s[t];
-          if (++states[k] < cards[k]) break;
-          for (std::size_t t = 0; t < nt; ++t) offset[t] -= s[t] * cards[k];
-          states[k] = 0;
-        }
+      blanket_cards.resize(nb);
+      for (std::size_t k = 0; k < nb; ++k) {
+        blanket_cards[k] = net_.variable(blanket[k]).cardinality();
       }
+      walk.coalesce(step, blanket_cards);
+      any_feasible = walk.envelope(out.lo.data(), out.hi.data());
+      enumerated += configs;
     } else {
       // Relaxation: per state i, bound the weight each factor can
       // contribute by its min/max over all blanket completions; the
       // worst-case mixture of those envelopes bounds the conditional.
+      ++relaxed;
       w_lo.assign(card, 1.0);
       w_hi.assign(card, 1.0);
       for (const std::size_t fi : touching) {
@@ -617,7 +774,7 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
       // is impossible. Message passing normally catches this first; the
       // envelope is the backstop.
       impossible_ = true;
-      return;
+      break;
     }
 
     // Contraction box: on an acyclic factor graph the BP fixpoint is
@@ -668,6 +825,9 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
     }
     max_bound_width_ = std::max(max_bound_width_, out.width());
   }
+  auto& metrics = BpMetrics::instance();
+  metrics.blanket_configs.inc(enumerated);
+  metrics.relaxed_blankets.inc(relaxed);
 }
 
 const BoundedPosterior& LoopyBP::query(VariableId v) const {

@@ -19,7 +19,10 @@
 // of R_{k+1}, so psi is walked once and every later level is at most
 // half the size of the one before: O(|psi|) per factor for all d
 // messages. The sweep only multiplies and adds — it never divides a
-// total by an own message — so exact zeros stay exact zeros.
+// total by an own message — so exact zeros stay exact zeros. A level
+// whose position has 2 states keeps m_0 and m_1 in registers and writes
+// them once; other levels accumulate in place. Both add the same terms
+// in the same order.
 //
 // The price is exactness: on graphs with cycles the BP fixpoint is an
 // approximation. Every posterior is therefore surfaced as a
@@ -31,10 +34,21 @@
 //    blanket configurations b of P(v=i | B=b, e), and the conditional
 //    given the full blanket depends only on the factors touching v. We
 //    enumerate blanket configurations exactly up to
-//    `Options::max_blanket_configs` (a mixed-radix counter moving one
-//    stride offset per touching factor) and take the min/max envelope;
-//    past the cap a per-factor min/max relaxation bounds the same
-//    quantity from outside.
+//    `Options::max_blanket_configs` and take the min/max envelope; past
+//    the cap a per-factor min/max relaxation bounds the same quantity
+//    from outside. The enumeration walks coalesced runs: adjacent
+//    blanket variables that every touching factor stores contiguously
+//    merge into one dimension (v's own dimension breaks contiguity, so
+//    a fan-in parent's blanket is two runs and the child's one). The
+//    envelope — a per-state min and max plus an any-feasible flag — is
+//    exact in any visiting order, so the largest run is a plain inner
+//    loop and a counter moves the rest. One fused pass per run computes,
+//    per configuration and state i, w_i = 1.0 times each touching
+//    factor's cell left to right, wsum = w_0 + ... + w_{c-1} from 0.0,
+//    and, when wsum > 0, moves [lo_i, hi_i] by w_i / wsum: the former
+//    per-configuration arithmetic, so every bound is unchanged bit for
+//    bit. Binary variables with 1-3 touching factors get an unrolled
+//    pass that keeps the envelope in registers.
 //  * Dobrushin-style contraction estimate: per-factor dynamic ranges
 //    D_f = max psi / min psi give contraction rates (D-1)/(D+1) and
 //    log-range caps log D (Ihler-style strength bounds). Propagating

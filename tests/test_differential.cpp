@@ -10,8 +10,10 @@
 // to BP and keeps answering where the exact plans are infeasible. The
 // incremental min-fill ordering and the bucketed replay are pinned to
 // in-test copies of the full scans they replaced, on every generated
-// pair and on the grid, and loopy BP's one-sweep messages to an in-test
-// copy of the per-edge update they replaced. On the same pairs, the
+// pair and on the grid, loopy BP's one-sweep messages to an in-test
+// copy of the per-edge update they replaced, and its coalesced blanket
+// certificate, bit for bit, to an in-test copy of the odometer
+// enumeration it replaced. On the same pairs, the
 // bucketed elimination executor is pinned bit for bit to an in-test copy
 // of the live-scan core it replaced.
 //
@@ -23,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -32,6 +35,7 @@
 
 #include <memory>
 
+#include "bayesnet/builders.hpp"
 #include "bayesnet/engine.hpp"
 #include "bayesnet/inference.hpp"
 #include "bayesnet/junction_tree.hpp"
@@ -61,17 +65,20 @@ std::uint64_t differential_seed() {
 
 enum class Topology { kChain, kTree, kDense };
 
-// Random network with 2-6 states per variable and a topology-controlled
-// parent structure. All CPT entries are strictly positive, so every
-// evidence assignment has P(e) > 0 (impossible evidence is exercised by
-// dedicated networks below).
+// Random network with 2-6 states per variable (min_card + [0, card_span)
+// when given) and a topology-controlled parent structure. All CPT
+// entries are strictly positive unless `zero_prob` > 0 zeroes entries,
+// so by default every evidence assignment has P(e) > 0 (impossible
+// evidence is exercised by dedicated networks below).
 bn::BayesianNetwork random_network(pr::Rng& rng, Topology topo,
-                                   std::size_t n) {
+                                   std::size_t n, std::size_t min_card = 2,
+                                   std::size_t card_span = 5,
+                                   double zero_prob = 0.0) {
   bn::BayesianNetwork net;
   std::vector<std::size_t> cards;
   cards.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t card = 2 + rng.uniform_index(5);  // 2..6 states
+    const std::size_t card = min_card + rng.uniform_index(card_span);
     cards.push_back(card);
     std::vector<std::string> states;
     states.reserve(card);
@@ -100,7 +107,10 @@ bn::BayesianNetwork random_network(pr::Rng& rng, Topology topo,
     cpt.reserve(rows);
     for (std::size_t r = 0; r < rows; ++r) {
       std::vector<double> w(cards[i]);
-      for (double& x : w) x = rng.uniform() + 0.05;
+      for (double& x : w) {
+        x = zero_prob > 0.0 && rng.bernoulli(zero_prob) ? 0.0 : rng.uniform() + 0.05;
+      }
+      if (*std::max_element(w.begin(), w.end()) <= 0.0) w[0] = 1.0;
       cpt.push_back(pr::Categorical::normalized(std::move(w)));
     }
     net.set_cpt(i, std::move(parents), std::move(cpt));
@@ -453,6 +463,161 @@ ReferenceBp reference_loopy_bp(const bn::BayesianNetwork& net, const bn::Evidenc
   return ::testing::AssertionSuccess();
 }
 
+// Reference blanket box: the library's former exact certificate for
+// variable v. It enumerates every blanket configuration with a
+// mixed-radix odometer (last blanket variable fastest) that moves one
+// stride offset per touching factor, over the evidence-reduced CPTs that
+// hold v in factor-index order, and envelopes P(v | B = b, e). Past
+// `max_configs` configurations the library relaxes instead, and
+// `enumerated` stays false.
+struct ReferenceBox {
+  bool enumerated = false;
+  bool feasible = false;
+  std::vector<double> lo, hi;
+};
+
+ReferenceBox reference_blanket_box(const bn::BayesianNetwork& net, const bn::Evidence& ev,
+                                   bn::VariableId v, std::size_t max_configs) {
+  ReferenceBox out;
+  std::vector<bn::Factor> touching;
+  for (bn::VariableId u = 0; u < net.size(); ++u) {
+    bn::Factor f = net.cpt_factor(u, ev);
+    if (f.contains(v)) touching.push_back(std::move(f));
+  }
+  std::vector<bn::VariableId> blanket;
+  for (const auto& f : touching)
+    for (const bn::VariableId u : f.scope())
+      if (u != v) blanket.push_back(u);
+  std::sort(blanket.begin(), blanket.end());
+  blanket.erase(std::unique(blanket.begin(), blanket.end()), blanket.end());
+  std::size_t configs = 1;
+  for (const bn::VariableId u : blanket) {
+    const std::size_t c = net.variable(u).cardinality();
+    if (bn::kernels::mul_overflows(configs, c) || configs * c > max_configs) return out;
+    configs *= c;
+  }
+  out.enumerated = true;
+
+  const std::size_t card = net.variable(v).cardinality();
+  const std::size_t nt = touching.size(), nb = blanket.size();
+  std::vector<std::size_t> step(nb * nt, 0), vstride(nt, 0), offset(nt, 0), states(nb, 0);
+  for (std::size_t t = 0; t < nt; ++t) {
+    const auto& f = touching[t];
+    std::size_t stride = 1;
+    for (std::size_t pos = f.scope().size(); pos-- > 0;) {
+      const bn::VariableId u = f.scope()[pos];
+      if (u == v) {
+        vstride[t] = stride;
+      } else {
+        const auto k = static_cast<std::size_t>(
+            std::lower_bound(blanket.begin(), blanket.end(), u) - blanket.begin());
+        step[k * nt + t] = stride;
+      }
+      stride *= f.cardinalities()[pos];
+    }
+  }
+  out.lo.assign(card, 1.0);
+  out.hi.assign(card, 0.0);
+  std::vector<double> w(card);
+  for (std::size_t c = 0; c < configs; ++c) {
+    double wsum = 0.0;
+    for (std::size_t i = 0; i < card; ++i) {
+      double prod = 1.0;
+      for (std::size_t t = 0; t < nt; ++t)
+        prod *= touching[t].values()[offset[t] + i * vstride[t]];
+      w[i] = prod;
+      wsum += prod;
+    }
+    if (wsum > 0.0) {
+      out.feasible = true;
+      for (std::size_t i = 0; i < card; ++i) {
+        out.lo[i] = std::min(out.lo[i], w[i] / wsum);
+        out.hi[i] = std::max(out.hi[i], w[i] / wsum);
+      }
+    }
+    for (std::size_t k = nb; k-- > 0;) {
+      const std::size_t ck = net.variable(blanket[k]).cardinality();
+      for (std::size_t t = 0; t < nt; ++t) offset[t] += step[k * nt + t];
+      if (++states[k] < ck) break;
+      for (std::size_t t = 0; t < nt; ++t) offset[t] -= step[k * nt + t] * ck;
+      states[k] = 0;
+    }
+  }
+  return out;
+}
+
+// A run on a factor graph with cycles against the reference box. There
+// the contraction box is not applied, so each unobserved variable's
+// interval is the blanket box hulled with the point and clamped to
+// [0, 1]: bit for bit where the reference enumerates, and containing the
+// exact posterior where the library relaxes. `enumerated` counts the
+// variables compared bit for bit. A run whose evidence is impossible is
+// skipped (the library throws; nothing to compare).
+::testing::AssertionResult matches_reference_box(const bn::LoopyBP& bp,
+                                                 const bn::BayesianNetwork& net,
+                                                 const bn::Evidence& ev,
+                                                 std::size_t max_configs,
+                                                 std::size_t& enumerated) {
+  if (bp.acyclic()) return ::testing::AssertionFailure() << "the factor graph is acyclic";
+  std::vector<bn::BoundedPosterior> got;
+  try {
+    got = bp.all_marginals();
+  } catch (const std::domain_error&) {
+    return ::testing::AssertionSuccess();
+  }
+  bn::VariableElimination ve(net);
+  for (bn::VariableId v = 0; v < net.size(); ++v) {
+    if (ev.contains(v)) continue;
+    const ReferenceBox box = reference_blanket_box(net, ev, v, max_configs);
+    if (!box.enumerated) {
+      if (!got[v].contains(ve.query(v, ev).probs()))
+        return ::testing::AssertionFailure() << "var " << v << ": relaxed box misses the truth";
+      continue;
+    }
+    if (!box.feasible) return ::testing::AssertionFailure() << "var " << v << ": no feasible configuration";
+    ++enumerated;
+    for (std::size_t i = 0; i < box.lo.size(); ++i) {
+      const double p = got[v].point.p(i);
+      const double lo = std::clamp(std::min(box.lo[i], p), 0.0, 1.0);
+      const double hi = std::clamp(std::max(box.hi[i], p), 0.0, 1.0);
+      if (std::memcmp(&lo, &got[v].lo[i], sizeof lo) != 0 ||
+          std::memcmp(&hi, &got[v].hi[i], sizeof hi) != 0)
+        return ::testing::AssertionFailure()
+               << "var " << v << " state " << i << ": [" << got[v].lo[i] << ", " << got[v].hi[i]
+               << "] vs [" << lo << ", " << hi << "]";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Two noisy-OR children sharing parents 0 and 1 of `parents` binary
+// causes (each further cause joins each child with probability 1/2),
+// plus a root r whose only child o is always observed, so r's touching
+// factors are both unary. A zero leak makes "child on" impossible with
+// every cause off: configurations of zero weight.
+bn::BayesianNetwork noisy_or_pair(pr::Rng& rng, std::size_t parents, double leak) {
+  bn::BayesianNetwork net;
+  for (std::size_t i = 0; i < parents; ++i) {
+    const auto id = net.add_variable("p" + std::to_string(i), {"off", "on"});
+    const double p = 0.05 + 0.5 * rng.uniform();
+    net.set_cpt(id, {}, {pr::Categorical({1.0 - p, p})});
+  }
+  for (int k = 0; k < 2; ++k) {
+    std::vector<bn::VariableId> causes{0, 1};
+    for (bn::VariableId i = 2; i < parents; ++i)
+      if (rng.bernoulli(0.5)) causes.push_back(i);
+    std::vector<double> links;
+    for (std::size_t i = 0; i < causes.size(); ++i) links.push_back(0.2 + 0.7 * rng.uniform());
+    const auto c = net.add_variable("c" + std::to_string(k), {"false", "true"});
+    net.set_cpt(c, std::move(causes), bn::noisy_or_cpt(links, leak));
+  }
+  const auto r = net.add_variable("r", {"0", "1"});
+  const auto o = net.add_variable("o", {"0", "1"});
+  net.set_cpt(r, {}, {pr::Categorical({0.25, 0.75})});
+  net.set_cpt(o, {r}, {pr::Categorical({0.9, 0.1}), pr::Categorical({0.2, 0.8})});
+  return net;
+}
+
 }  // namespace
 
 // ---- VE vs JT over generated network/evidence pairs ----
@@ -695,6 +860,82 @@ TEST(Differential, LoopyBpCertifiedAndBandedAgainstExactBackends) {
   // Flooding (with the damped retry) must converge on almost all of the
   // generated pairs — these are small, weakly coupled networks.
   EXPECT_LE(nonconverged, pairs / 20);
+}
+
+TEST(Differential, BlanketBoxMatchesOdometerEnumeration) {
+  // The coalesced blanket walk against the former odometer enumeration
+  // (reference_blanket_box), bit for bit, on factor graphs with cycles.
+  constexpr std::size_t kCap = bn::LoopyBP::Options{}.max_blanket_configs;
+  std::size_t enumerated = 0, runs = 0;
+
+  // The loopy pairs among the 207 of LoopyBpCertifiedAndBandedAgainstExactBackends
+  // (same seed, same generator calls).
+  {
+    pr::Rng rng(differential_seed());
+    for (const Topology topo : kTopologies) {
+      for (std::size_t t = 0; t < 23; ++t) {
+        const std::size_t n = topo == Topology::kDense ? 5 + rng.uniform_index(3)
+                                                       : 6 + rng.uniform_index(5);
+        const auto net = random_network(rng, topo, n);
+        for (std::size_t ec = 0; ec < 3; ++ec) {
+          const auto ev = random_evidence(rng, net, ec);
+          const bn::LoopyBP bp(net, ev);
+          if (bp.acyclic()) continue;
+          ++runs;
+          ASSERT_TRUE(matches_reference_box(bp, net, ev, kCap, enumerated))
+              << "topo " << static_cast<int>(topo) << " net " << t << " ev " << ec;
+        }
+      }
+    }
+  }
+  EXPECT_GE(runs, 20u);
+
+  // Noisy-OR pairs of 4-12 causes, 2-4 causes or children observed,
+  // zero leak on every third.
+  pr::Rng rng(differential_seed() + 7);
+  for (std::size_t t = 0; t < 24; ++t) {
+    const auto net = noisy_or_pair(rng, 4 + rng.uniform_index(9), t % 3 == 0 ? 0.0 : 0.02);
+    const std::size_t first_child = net.size() - 4;
+    bn::Evidence ev{{net.size() - 1, rng.uniform_index(2)}};
+    const std::size_t observed = 2 + rng.uniform_index(3);
+    while (ev.size() < observed + 1) ev[rng.uniform_index(first_child + 2)] = rng.uniform_index(2);
+    const bn::LoopyBP bp(net, ev);
+    if (bp.acyclic()) continue;  // the observed causes cut every cycle
+    ++runs;
+    ASSERT_TRUE(matches_reference_box(bp, net, ev, kCap, enumerated)) << "noisy-or " << t;
+
+    // Capped at exactly the first child's configuration count it is
+    // enumerated; one below, it is relaxed (containment only).
+    const bn::VariableId child = first_child;
+    if (ev.contains(child)) continue;
+    std::size_t configs = 1;
+    for (const bn::VariableId p : net.parents(child))
+      if (!ev.contains(p)) configs *= 2;
+    for (const std::size_t cap : {configs, configs - 1}) {
+      if (cap == 0) continue;
+      bn::LoopyBP::Options options;
+      options.max_blanket_configs = cap;
+      ASSERT_EQ(reference_blanket_box(net, ev, child, cap).enumerated, cap == configs);
+      const bn::LoopyBP capped(net, ev, options);
+      ASSERT_TRUE(matches_reference_box(capped, net, ev, cap, enumerated))
+          << "noisy-or " << t << " cap " << cap;
+    }
+  }
+
+  // 3- and 4-state dense DAGs, where coalescing merges non-binary
+  // dimensions, and 2-3-state ones with exact zeros (configurations of
+  // zero weight, some evidence impossible).
+  for (std::size_t t = 0; t < 40; ++t) {
+    const bool zeros = t % 2 == 1;
+    const auto net = zeros ? random_network(rng, Topology::kDense, 6 + rng.uniform_index(3), 2, 2, 0.3)
+                           : random_network(rng, Topology::kDense, 5 + rng.uniform_index(3), 3, 2);
+    const auto ev = random_evidence(rng, net, rng.uniform_index(3));
+    const bn::LoopyBP bp(net, ev);
+    if (bp.acyclic()) continue;
+    ++runs;
+    ASSERT_TRUE(matches_reference_box(bp, net, ev, kCap, enumerated)) << "dense " << t;
+  }
+  EXPECT_GE(enumerated, 300u);
 }
 
 TEST(Differential, EngineBackendsAgreeOnBatches) {

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -262,6 +263,30 @@ TEST(LoopyBP, SweepKeepsExactZeros) {
     EXPECT_EQ(bounded.point.p(0), 1.0) << p;
     EXPECT_TRUE(bounded.contains(exact.probs())) << p;
   }
+}
+
+TEST(LoopyBP, UnlimitedBlanketCapFallsBackOnOverflow) {
+  // A root with 65 binary children: its blanket has 2^65 configurations,
+  // past what a size_t counts. With no cap (SIZE_MAX) the root must still
+  // fall back to the relaxation, as at the default cap, and not read the
+  // overflow as an empty enumeration (impossible evidence).
+  bn::BayesianNetwork net;
+  const auto root = net.add_variable("root", {"off", "on"});
+  net.set_cpt(root, {}, {pr::Categorical({0.3, 0.7})});
+  for (std::size_t k = 0; k < 65; ++k) {
+    const auto child = net.add_variable("c" + std::to_string(k), {"0", "1"});
+    net.set_cpt(child, {root},
+                {pr::Categorical({0.8, 0.2}), pr::Categorical({0.4, 0.6})});
+  }
+  bn::LoopyBP::Options unlimited;
+  unlimited.max_blanket_configs = SIZE_MAX;
+  const bn::LoopyBP capped(net, {});
+  const bn::LoopyBP uncapped(net, {}, unlimited);
+  const auto& want = capped.query(root);
+  const auto& got = uncapped.query(root);
+  EXPECT_EQ(got.lo, want.lo);
+  EXPECT_EQ(got.hi, want.hi);
+  EXPECT_TRUE(got.contains({0.3, 0.7}));
 }
 
 TEST(LoopyBP, OptionContractsAreEnforced) {

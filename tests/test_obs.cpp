@@ -7,13 +7,17 @@
 // the instrumented library code has put on the global registry.
 #include "obs/registry.hpp"
 
+#include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bayesnet/builders.hpp"
 #include "bayesnet/engine.hpp"
+#include "bayesnet/loopy_bp.hpp"
 #include "bayesnet/network.hpp"
 #include "core/contracts.hpp"
 #include "obs/context.hpp"
@@ -40,6 +44,23 @@ bn::BayesianNetwork tiny_network() {
               {pr::Categorical({0.9, 0.1}), pr::Categorical({0.2, 0.8})});
   return net;
 }
+
+// A noisy-OR child of 6 binary causes, with causes 0 and 1 observed.
+// The 4 unobserved causes each have a blanket of 3 causes + the child
+// (16 configurations) and the child one of 4 causes (16): 80 in all.
+bn::BayesianNetwork six_cause_noisy_or() {
+  bn::BayesianNetwork net;
+  std::vector<bn::VariableId> causes;
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto id = net.add_variable("cause" + std::to_string(i), {"off", "on"});
+    net.set_cpt(id, {}, {pr::Categorical({0.8, 0.2})});
+    causes.push_back(id);
+  }
+  const auto effect = net.add_variable("effect", {"false", "true"});
+  net.set_cpt(effect, causes, bn::noisy_or_cpt({0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, 0.01));
+  return net;
+}
+const bn::Evidence kTwoCausesObserved{{0, 1}, {1, 0}};
 
 }  // namespace
 
@@ -635,6 +656,29 @@ TEST(ObsIntegration, ColdQueryBoundedTracesOneBpCertifySpan) {
     EXPECT_NE(e.name, "bayesnet.bp.certify");
 }
 
+// The certificate's work counters move once per run, by the run's
+// totals: configurations enumerated exactly, and variables relaxed.
+TEST(ObsIntegration, BpCountsBlanketConfigurationsAndRelaxations) {
+  auto& reg = obs::Registry::global();
+  obs::Counter& configs = reg.counter("bayesnet.bp.blanket_configs");
+  obs::Counter& relaxed = reg.counter("bayesnet.bp.relaxed_blankets");
+  const auto net = six_cause_noisy_or();
+  const auto deltas = [&](const bn::LoopyBP::Options& options) {
+    const std::uint64_t c0 = configs.value(), r0 = relaxed.value();
+    (void)bn::LoopyBP(net, kTwoCausesObserved, options);
+    return std::pair{configs.value() - c0, relaxed.value() - r0};
+  };
+  EXPECT_EQ(deltas({}), (std::pair<std::uint64_t, std::uint64_t>{80, 0}));
+  bn::LoopyBP::Options capped;
+  capped.max_blanket_configs = 8;
+  EXPECT_EQ(deltas(capped), (std::pair<std::uint64_t, std::uint64_t>{0, 5}));
+  // Suspended recording leaves both counters where they were.
+  obs::set_metrics_enabled(false);
+  const auto off = deltas({});
+  obs::set_metrics_enabled(true);
+  EXPECT_EQ(off, (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+}
+
 #else  // SYSUQ_OBS_OFF — the no-op layer must compile and record nothing.
 
 TEST(ObsOffMode, RegistryIsInertAndEmpty) {
@@ -677,6 +721,15 @@ TEST(ObsOffMode, InstrumentedEngineStillAnswersQueries) {
   EXPECT_NEAR(posterior.p(0), 0.9, tol::kTiny);
   // The whole instrumentation sweep registered nothing.
   EXPECT_EQ(obs::Registry::global().size(), 0u);
+}
+
+TEST(ObsOffMode, BpWorkCountersReadZero) {
+  const auto net = six_cause_noisy_or();
+  const bn::LoopyBP bp(net, kTwoCausesObserved);
+  EXPECT_TRUE(bp.converged());
+  auto& reg = obs::Registry::global();
+  EXPECT_EQ(reg.counter("bayesnet.bp.blanket_configs").value(), 0u);
+  EXPECT_EQ(reg.counter("bayesnet.bp.relaxed_blankets").value(), 0u);
 }
 
 TEST(ObsOffMode, ContextIsInert) {
