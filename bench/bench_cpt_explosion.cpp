@@ -25,7 +25,6 @@
 
 #include "bayesnet/builders.hpp"
 #include "bayesnet/engine.hpp"
-#include "bayesnet/inference.hpp"
 #include "bayesnet/loopy_bp.hpp"
 #include "core/tolerance.hpp"
 #include "obs/registry.hpp"
@@ -141,7 +140,8 @@ int main(int argc, char** argv) {
     net.set_cpt(child, parents,
                 bayesnet::noisy_or_cpt(std::vector<double>(n, 0.3), 0.01));
 
-    bayesnet::VariableElimination ve(net);
+    const bayesnet::InferenceEngine ve(
+        net, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
     const auto t0 = Clock::now();
     const auto exact = ve.query(child);
     const double ve_ms = ms_since(t0);

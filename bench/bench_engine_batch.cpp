@@ -1,6 +1,7 @@
 // Batched inference throughput: the InferenceEngine (prebuilt CPT
 // factors + cached min-fill orderings + thread pool) against the seed
-// baseline, a single-threaded loop over VariableElimination::query.
+// baseline, a single-threaded loop over the seed repository's
+// VariableElimination::query.
 //
 // Workload: the Table I perception network refined into a hierarchical
 // chain (as in bench_fig4), queried for P(ground truth | leaf state)
@@ -27,7 +28,6 @@
 
 #include "bayesnet/engine.hpp"
 #include "core/tolerance.hpp"
-#include "bayesnet/inference.hpp"
 #include "obs/registry.hpp"
 #include "perception/table1.hpp"
 
@@ -38,9 +38,8 @@ using Clock = std::chrono::steady_clock;
 // The seed repository's VariableElimination::query, reproduced verbatim
 // as the benchmark baseline: per query it rebuilds every CPT factor and
 // rescans all factor scopes per elimination round (O(V^2 * F) set
-// unions over a std::list). VariableElimination itself has since been
-// rewritten on the incremental interaction graph, so the historical
-// algorithm lives here to keep the comparison honest.
+// unions over a std::list). The library's only VE is now the engine's,
+// so the historical algorithm lives here to keep the comparison honest.
 class SeedVariableElimination {
  public:
   explicit SeedVariableElimination(const sysuq::bayesnet::BayesianNetwork& net)
@@ -199,15 +198,6 @@ int main(int argc, char** argv) {
     ref = std::move(out);
   }
 
-  // --- current VariableElimination (rewritten on the same ordering) ---
-  bayesnet::VariableElimination ve(net);
-  double ve_s = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = Clock::now();
-    for (const auto& q : batch) (void)ve.query(q.query, q.evidence);
-    ve_s = std::min(ve_s, seconds_since(t0));
-  }
-
   // --- engine, 1 thread ---
   bayesnet::InferenceEngine engine1(net, {.threads = 1});
   std::vector<prob::Categorical> r1;
@@ -276,7 +266,6 @@ int main(int argc, char** argv) {
   }
 
   const double qps_seed = kBatch / seed_s;
-  const double qps_ve = kBatch / ve_s;
   const double qps1 = kBatch / eng1_s;
   const double qps4 = kBatch / eng4_s;
   const auto stats = engine4.cache_stats();
@@ -285,8 +274,6 @@ int main(int argc, char** argv) {
               kStages, net.size());
   std::printf("batch:   %zu mixed queries, best of %d reps\n\n", kBatch, kReps);
   std::printf("  %-28s %10.0f queries/s\n", "seed VE::query loop", qps_seed);
-  std::printf("  %-28s %10.0f queries/s  (%.2fx)\n",
-              "current VE::query loop", qps_ve, qps_ve / qps_seed);
   std::printf("  %-28s %10.0f queries/s  (%.2fx)\n", "engine, 1 thread", qps1,
               qps1 / qps_seed);
   std::printf("  %-28s %10.0f queries/s  (%.2fx)\n", "engine, 4 threads", qps4,
@@ -308,12 +295,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "BENCH {\"bench\":\"engine_batch\",\"variables\":%zu,\"batch\":%zu,"
-      "\"qps_seed\":%.1f,\"qps_ve\":%.1f,\"qps_engine_1t\":%.1f,"
+      "\"qps_seed\":%.1f,\"qps_engine_1t\":%.1f,"
       "\"qps_engine_4t\":%.1f,\"speedup_1t\":%.2f,\"speedup_4t\":%.2f,"
       "\"cache_hit_rate\":%.4f,\"cache_entries\":%zu,\"byte_identical\":%s,"
       "\"max_abs_err\":%.3e,\"allmarg_queries\":%zu,\"qps_allmarg_ve\":%.1f,"
       "\"qps_allmarg_jt\":%.1f,\"jt_speedup\":%.2f,\"jt_max_abs_err\":%.3e}\n",
-      net.size(), kBatch, qps_seed, qps_ve, qps1, qps4, qps1 / qps_seed,
+      net.size(), kBatch, qps_seed, qps1, qps4, qps1 / qps_seed,
       qps4 / qps_seed, stats.hit_rate(), stats.entries,
       byte_identical ? "true" : "false", max_abs_vs_ve, am_batch.size(),
       am_qps_ve, am_qps_jt, jt_speedup, jt_max_abs);
@@ -333,12 +320,12 @@ int main(int argc, char** argv) {
     char results[1024];
     std::snprintf(
         results, sizeof(results),
-        "{\"qps_seed\":%.1f,\"qps_ve\":%.1f,\"qps_engine_1t\":%.1f,"
+        "{\"qps_seed\":%.1f,\"qps_engine_1t\":%.1f,"
         "\"qps_engine_4t\":%.1f,\"speedup_1t\":%.2f,\"speedup_4t\":%.2f,"
         "\"qps_allmarg_ve\":%.1f,\"qps_allmarg_jt\":%.1f,\"jt_speedup\":%.2f,"
         "\"byte_identical\":%s,\"max_abs_err\":%.3e,\"jt_max_abs_err\":%.3e,"
         "\"cache_hit_rate\":%.4f,\"cache_entries\":%zu}",
-        qps_seed, qps_ve, qps1, qps4, qps1 / qps_seed, qps4 / qps_seed,
+        qps_seed, qps1, qps4, qps1 / qps_seed, qps4 / qps_seed,
         am_qps_ve, am_qps_jt, jt_speedup, byte_identical ? "true" : "false",
         max_abs_vs_ve, jt_max_abs, stats.hit_rate(), stats.entries);
     out << "{\"bench\":\"engine_batch\",\"schema\":1"

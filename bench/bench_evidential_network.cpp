@@ -7,7 +7,7 @@
 // ablation (Dempster vs Yager vs Dubois-Prade) under sensor conflict.
 #include <cstdio>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "evidence/credal.hpp"
 #include "evidence/evidential_network.hpp"
 #include "perception/table1.hpp"
@@ -52,7 +52,8 @@ int main() {
                 {frame.singleton("unknown"), 0.1 * (1.0 - ig)},
                 {frame.theta(), ig}});
     ds_net.set_cpt(gt, {}, {evidence::mass_to_categorical(prior)});
-    bayesnet::VariableElimination ve(ds_net);
+    const bayesnet::InferenceEngine ve(
+        ds_net, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
     const auto marg = ve.query(gt);
     const auto car = evidence::belief_plausibility(frame, marg,
                                                    frame.singleton("car"));

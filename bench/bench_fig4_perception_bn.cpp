@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bayesnet/engine.hpp"
 #include "bayesnet/inference.hpp"
 #include "perception/table1.hpp"
 
@@ -50,7 +51,8 @@ int main() {
   std::puts("==== E4: Fig. 4 — the perception BN under four inference "
             "engines ====\n");
   const auto net = perception::table1_network();
-  bayesnet::VariableElimination ve(net);
+  const bayesnet::InferenceEngine ve(
+      net, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
   const bayesnet::Evidence none_evidence{{1, perception::kPercNone}};
 
   prob::Rng rng(99);
@@ -92,7 +94,8 @@ int main() {
   std::puts("  stages  parameters  VE query (ms)  enumeration (ms)");
   for (const std::size_t stages : {0u, 2u, 4u, 6u, 8u, 10u}) {
     const auto chain = make_chain(stages);
-    bayesnet::VariableElimination cve(chain);
+    const bayesnet::InferenceEngine cve(
+        chain, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
     const bayesnet::VariableId leaf = chain.size() - 1;
 
     const auto t0 = Clock::now();

@@ -9,7 +9,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "fta/analysis.hpp"
 #include "fta/fta_to_bn.hpp"
 #include "perception/table1.hpp"
@@ -54,7 +54,8 @@ int main() {
   const auto tree = make_tree(3);
   const double p_fta = fta::exact_top_probability(tree);
   const auto compiled = fta::compile_to_bayesnet(tree);
-  bayesnet::VariableElimination ve(compiled.network);
+  const bayesnet::InferenceEngine ve(
+      compiled.network, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
   const double p_bn = ve.query(compiled.top).p(1);
   std::printf("  P(top) FTA exact = %.8f | BN inference = %.8f | diff %.1e\n",
               p_fta, p_bn, std::fabs(p_fta - p_bn));
@@ -76,7 +77,8 @@ int main() {
   // correct operation, degraded ambiguity, and the unknown state in one
   // model — FTA has no vocabulary for the car/pedestrian state.
   const auto table1 = perception::table1_network();
-  bayesnet::VariableElimination tve(table1);
+  const bayesnet::InferenceEngine tve(
+      table1, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
   std::printf("  nominal+degraded states in one model: P(car/pedestrian) = "
               "%.4f (no FTA equivalent)\n",
               tve.query(1).p(perception::kPercCarPedestrian));
@@ -94,7 +96,8 @@ int main() {
     const double p = fta::exact_top_probability(t);
     const double fta_ms = ms_since(t0);
     const auto c = fta::compile_to_bayesnet(t);
-    bayesnet::VariableElimination cve(c.network);
+    const bayesnet::InferenceEngine cve(
+        c.network, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
     const auto t1 = Clock::now();
     const double q = cve.query(c.top).p(1);
     const double bn_ms = ms_since(t1);

@@ -110,15 +110,6 @@ void BM_EliminateScaledChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EliminateScaledChain)->Arg(32)->Arg(128);
 
-void BM_VariableEliminationTable1(benchmark::State& state) {
-  const auto net = perception::table1_network();
-  const bayesnet::VariableElimination ve(net);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ve.query(0, {{1, 3}}));
-  }
-}
-BENCHMARK(BM_VariableEliminationTable1);
-
 void BM_LikelihoodWeighting(benchmark::State& state) {
   const auto net = perception::table1_network();
   prob::Rng rng(7);

@@ -7,7 +7,7 @@
 // ontological unknown row).
 #include <cstdio>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "bayesnet/io.hpp"
 #include "sys/decomposition.hpp"
 #include "perception/table1.hpp"
@@ -46,7 +46,8 @@ int main() {
   for (const auto& policy : policies) {
     std::printf("\n---- repair policy: %s ----\n", policy.name);
     const auto net = perception::table1_network(policy.repair);
-    bayesnet::VariableElimination ve(net);
+    const bayesnet::InferenceEngine ve(
+        net, {.threads = 1, .backend = bayesnet::Backend::kVariableElimination});
 
     print_marginal("P(perception):", ve.query(1));
 

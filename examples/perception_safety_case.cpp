@@ -8,6 +8,7 @@
 // Ends with a means recommendation drawn from the taxonomy registry.
 #include <cstdio>
 
+#include "bayesnet/engine.hpp"
 #include "bayesnet/inference.hpp"
 #include "core/taxonomy.hpp"
 #include "evidence/credal.hpp"
@@ -81,10 +82,10 @@ int main() {
   // ---- 2. FTA -> BN: diagnosis ----
   std::puts("\n== same model as a Bayesian network: diagnosis ==");
   const auto compiled = fta::compile_to_bayesnet(tree);
-  bayesnet::VariableElimination ve(compiled.network);
+  const bayesnet::InferenceEngine engine(compiled.network);
   const bayesnet::Evidence failed{{compiled.top, 1}};
   for (const char* name : {"power", "cam1", "ecu"}) {
-    const auto post = ve.query(compiled.network.id_of(name), failed);
+    const auto post = engine.query(compiled.network.id_of(name), failed);
     std::printf("  P(%s failed | system failed) = %.4f\n", name, post.p(1));
   }
 

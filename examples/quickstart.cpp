@@ -5,7 +5,7 @@
 // three types.
 #include <cstdio>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "bayesnet/io.hpp"
 #include "sys/decomposition.hpp"
 #include "perception/table1.hpp"
@@ -20,14 +20,14 @@ int main() {
   std::puts(bayesnet::cpt_table(net, 1).c_str());
 
   // 2. Exact inference: what does the chain output, marginally?
-  bayesnet::VariableElimination ve(net);
-  const auto output = ve.query(net.id_of("perception"));
+  const bayesnet::InferenceEngine engine(net);
+  const auto output = engine.query(net.id_of("perception"));
   std::printf("P(perception): car=%.4f ped=%.4f car/ped=%.4f none=%.4f\n\n",
               output.p(0), output.p(1), output.p(2), output.p(3));
 
   // 3. Diagnosis: the chain reported nothing — what is out there?
   const bayesnet::Evidence none{{net.id_of("perception"), perception::kPercNone}};
-  const auto posterior = ve.query(net.id_of("ground_truth"), none);
+  const auto posterior = engine.query(net.id_of("ground_truth"), none);
   std::printf("P(ground_truth | none): car=%.3f ped=%.3f unknown=%.3f\n",
               posterior.p(0), posterior.p(1), posterior.p(2));
   std::printf("-> most likely explanation: %s (ontological state surfaced)\n\n",
@@ -35,7 +35,7 @@ int main() {
 
   // 4. The surprise factor (Sec. III.C): conditional entropy between the
   //    model's prediction and the system.
-  const auto joint = ve.joint(1, 0);
+  const auto joint = engine.joint(1, 0);
   std::printf("surprise factor H(truth | perception) = %.4f nats "
               "(normalized %.3f)\n\n",
               sys::surprise_factor(joint), sys::normalized_surprise(joint));
@@ -43,7 +43,7 @@ int main() {
   // 5. Uncertainty budget for the ambiguous car/pedestrian output state.
   const bayesnet::Evidence cp{{net.id_of("perception"),
                                perception::kPercCarPedestrian}};
-  const auto amb = ve.query(net.id_of("ground_truth"), cp);
+  const auto amb = engine.query(net.id_of("ground_truth"), cp);
   const auto budget = sys::decompose({amb}, /*ontological_mass=*/amb.p(2));
   std::printf("given 'car/pedestrian': aleatory=%.3f nats, ontological "
               "mass=%.3f -> dominant: %s\n",

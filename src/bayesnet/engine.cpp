@@ -215,12 +215,7 @@ struct InferenceEngine::Slots {
 InferenceEngine::Plan InferenceEngine::route(const Ask& ask,
                                              const Evidence& evidence,
                                              std::string* reason) const {
-  for (const auto& [v, state] : evidence) {
-    if (v >= net_.size())
-      throw std::out_of_range("InferenceEngine: evidence variable id");
-    if (state >= net_.variable(v).cardinality())
-      throw std::out_of_range("InferenceEngine: evidence state index");
-  }
+  net_.check_evidence(evidence);
   const auto because = [reason](auto&& why) {
     if (reason != nullptr) *reason = why;
   };

@@ -3,10 +3,12 @@
 // (VE), calibrated junction trees (JT) or loopy belief propagation with
 // certified bounds (BP).
 //
-// Relationship to VariableElimination: same exact-inference contract and
-// identical error semantics, plus
-//  * CPT factors are materialized once at construction instead of per
-//    query;
+// Contract: VE and JT answer the exact posterior P(query | evidence) that
+// the enumeration oracle of bayesnet/inference.hpp computes by brute
+// force, with the same error semantics (std::out_of_range for unknown
+// evidence ids or states, std::domain_error with
+// `impossible_evidence_message` when P(e) = 0). How the engine gets there:
+//  * CPT factors are materialized once, at construction;
 //  * a VE run multiplies only the CPTs of the ancestors of its kept and
 //    observed variables — every other CPT is barren and sums to one —
 //    and eliminates the signature's ordering filtered to them;

@@ -1,12 +1,17 @@
-// Inference over Bayesian networks.
+// Inference over Bayesian networks that needs no engine.
 //
-// Three engines with one contract (posterior marginal of a query variable
-// given evidence):
-//  * VariableElimination — exact, per query; the reference the tests
-//    check InferenceEngine against.
-//  * enumeration oracle — exact by brute force; the test oracle.
+// Two families with the engine's contract (posterior marginal of a query
+// variable given evidence):
+//  * enumeration oracle — exact by brute force over the full joint; it
+//    shares nothing with variable elimination but the CPT rows, so it is
+//    the reference the tests check InferenceEngine against.
 //  * likelihood weighting / rejection sampling — approximate; used to
 //    demonstrate sampling-vs-exact tradeoffs in the Fig. 4 bench.
+// Exact queries at scale — variable elimination, junction trees and loopy
+// BP — go through InferenceEngine (bayesnet/engine.hpp).
+//
+// Every function here throws std::out_of_range for evidence naming an
+// unknown variable or state (BayesianNetwork::check_evidence).
 #pragma once
 
 #include <cstddef>
@@ -14,19 +19,18 @@
 
 #include <string>
 
-#include "bayesnet/kernels.hpp"
 #include "bayesnet/network.hpp"
 #include "prob/discrete.hpp"
-#include "prob/information.hpp"
 
 namespace sysuq::bayesnet {
 
 /// The one impossible-evidence error message used across every inference
-/// entry point (`VariableElimination::query`/`joint`, `InferenceEngine`
-/// queries, `enumerate_posterior`, `enumerate_mpe`, `likelihood_weighting`,
-/// `rejection_sampling`). All of them throw `std::domain_error` with a
-/// message that starts with exactly this text when P(evidence) = 0 (or,
-/// for the samplers, when no draw is consistent with the evidence):
+/// entry point (`InferenceEngine` queries, `JunctionTree` and `LoopyBP`
+/// marginals, `enumerate_posterior`, `enumerate_mpe`,
+/// `likelihood_weighting`, `rejection_sampling`). All of them throw
+/// `std::domain_error` with a message that starts with exactly this text
+/// when P(evidence) = 0 (or, for the samplers, when no draw is consistent
+/// with the evidence):
 ///
 ///   "bayesnet: impossible evidence (P(e) = 0): name=state[, name=state...]"
 ///
@@ -36,37 +40,6 @@ namespace sysuq::bayesnet {
 /// count; every other entry point throws the text verbatim.
 [[nodiscard]] std::string impossible_evidence_message(
     const BayesianNetwork& net, const Evidence& evidence);
-
-/// Exact posterior P(query | evidence) by variable elimination with a
-/// min-fill elimination ordering.
-class VariableElimination {
- public:
-  explicit VariableElimination(const BayesianNetwork& net);
-
-  /// Posterior marginal of `query` given `evidence`. Throws
-  /// std::domain_error with `impossible_evidence_message` if the evidence
-  /// has probability zero.
-  [[nodiscard]] prob::Categorical query(VariableId query,
-                                        const Evidence& evidence = {}) const;
-
-  /// Probability of the evidence, P(e).
-  [[nodiscard]] double evidence_probability(const Evidence& evidence) const;
-
-  /// Exact joint distribution of two distinct variables given evidence,
-  /// as a JointTable (rows = a, cols = b) — feeds the conditional-entropy
-  /// "surprise factor" measures.
-  [[nodiscard]] prob::JointTable joint(VariableId a, VariableId b,
-                                       const Evidence& evidence = {}) const;
-
- private:
-  const BayesianNetwork& net_;
-
-  /// Scaled elimination of everything but `keep`: the returned factor
-  /// carries a log normalizer so deep-evidence chains cannot underflow
-  /// the linear total to exact zero (see kernels::eliminate_scaled).
-  [[nodiscard]] kernels::ScaledFactor eliminate_all_but(
-      const std::vector<VariableId>& keep, const Evidence& evidence) const;
-};
 
 /// Exact posterior by full joint enumeration — O(prod of cardinalities).
 /// Only for small networks; serves as the ground-truth oracle in tests.

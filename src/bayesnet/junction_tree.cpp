@@ -94,22 +94,13 @@ std::vector<std::uint32_t> index_map(const BayesianNetwork& net,
   return map;
 }
 
-void check_evidence(const BayesianNetwork& net, const Evidence& evidence) {
-  for (const auto& [v, state] : evidence) {
-    if (v >= net.size())
-      throw std::out_of_range("JunctionTree: evidence variable id");
-    if (state >= net.variable(v).cardinality())
-      throw std::out_of_range("JunctionTree: evidence state index");
-  }
-}
-
 // The structure of a per-signature tree: `ordering` must eliminate
 // exactly the unobserved variables, which the structure then spans.
 JunctionTreeStructure compile_for(
     const BayesianNetwork& net, const Evidence& evidence,
     const EliminationOrdering& ordering) {
   net.validate();
-  check_evidence(net, evidence);
+  net.check_evidence(evidence);
   std::vector<char> seen(net.size(), 0);
   for (const auto& [v, _] : evidence) seen[v] = 1;
   bool exact = ordering.order.size() + evidence.size() == net.size();
@@ -283,7 +274,7 @@ JunctionTree::JunctionTree(const JunctionTreeStructure& structure,
       evidence_(evidence),
       cliques_(structure.cliques_),
       max_clique_size_(structure.max_clique_size()) {
-  check_evidence(net_, evidence_);
+  net_.check_evidence(evidence_);
   for (VariableId v = 0; v < net_.size(); ++v) {
     if (!structure.spans(v) && !evidence_.contains(v))
       throw std::invalid_argument(

@@ -1,12 +1,12 @@
 // Junction-tree (clique-tree) exact inference: one calibration answers
 // every marginal under one evidence assignment.
 //
-// Relationship to VariableElimination: same exact-inference contract and
-// identical impossible-evidence error semantics, but a different cost
-// profile. VE answers one query per elimination run; a JunctionTree pays
-// one two-phase message pass (collect + distribute over the clique tree)
-// and then reads *all* posterior marginals and P(e) off the calibrated
-// beliefs. That is the right trade for the library's dominant workloads
+// Relationship to the engine's variable elimination (VE): same
+// exact-inference contract and identical impossible-evidence error
+// semantics, but a different cost profile. VE answers one query per
+// elimination run; a JunctionTree pays one two-phase message pass
+// (collect + distribute over the clique tree) and then reads *all*
+// posterior marginals and P(e) off the calibrated beliefs. That is the right trade for the library's dominant workloads
 // — fta::diagnose_top_event, evidential networks, perception::BnFusion —
 // which issue many queries against the same network and evidence.
 //

@@ -385,12 +385,7 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
   SYSUQ_EXPECT(options_.max_blanket_configs >= 1,
                "LoopyBP: max_blanket_configs must be >= 1");
   net_.validate();
-  for (const auto& [v, state] : evidence_) {
-    if (v >= net_.size())
-      throw std::out_of_range("LoopyBP: evidence variable id");
-    if (state >= net_.variable(v).cardinality())
-      throw std::out_of_range("LoopyBP: evidence state index");
-  }
+  net_.check_evidence(evidence_);
 
   const obs::Span span("bayesnet.bp.run");
   const auto t0 = std::chrono::steady_clock::now();

@@ -1,6 +1,6 @@
 // Loopy belief propagation with certified per-marginal error bounds.
 //
-// Third backend family next to VariableElimination and JunctionTree:
+// Third backend family next to variable elimination and JunctionTree:
 // flooding-schedule (synchronous / Jacobi) sum-product message passing
 // on the factor graph of the evidence-reduced CPTs. Where the exact
 // backends pay for treewidth — table sizes exponential in the largest

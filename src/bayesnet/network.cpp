@@ -191,6 +191,15 @@ Factor BayesianNetwork::cpt_factor(VariableId child,
   return Factor(std::move(scope), std::move(cards), std::move(values));
 }
 
+void BayesianNetwork::check_evidence(const Evidence& evidence) const {
+  for (const auto& [v, state] : evidence) {
+    if (v >= nodes_.size())
+      throw std::out_of_range("BayesianNetwork: evidence variable id");
+    if (state >= nodes_[v].var.cardinality())
+      throw std::out_of_range("BayesianNetwork: evidence state index");
+  }
+}
+
 void BayesianNetwork::validate() const {
   SYSUQ_EXPECT(!nodes_.empty(), "BayesianNetwork::validate: empty network");
   for (const auto& n : nodes_) {

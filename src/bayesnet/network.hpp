@@ -89,6 +89,11 @@ class BayesianNetwork {
   /// graph is acyclic. O(V + E): one `topological_order()`.
   void validate() const;
 
+  /// Throws std::out_of_range if `evidence` names a variable past the
+  /// network or a state past its variable's cardinality. Every exact and
+  /// sampling entry point calls it before reading a CPT.
+  void check_evidence(const Evidence& evidence) const;
+
   /// Topological order (parents before children); throws
   /// std::logic_error on a missing CPT or a cycle. Kahn's algorithm over
   /// child lists built once, O(V + E); ready variables leave in FIFO order

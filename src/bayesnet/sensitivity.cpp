@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "core/contracts.hpp"
 #include "core/tolerance.hpp"
 
@@ -36,10 +36,13 @@ std::vector<prob::Categorical> covary(const std::vector<prob::Categorical>& rows
   return out;
 }
 
+// Exact VE on one thread: kAuto could escalate a large network to BP,
+// and an approximate posterior would spoil the finite difference.
 double query_prob(const BayesianNetwork& net, VariableId query,
                   std::size_t qstate, const Evidence& evidence) {
-  VariableElimination ve(net);
-  return ve.query(query, evidence).p(qstate);
+  const InferenceEngine engine(
+      net, {.threads = 1, .backend = Backend::kVariableElimination});
+  return engine.query(query, evidence).p(qstate);
 }
 
 }  // namespace

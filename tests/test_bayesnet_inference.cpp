@@ -1,13 +1,16 @@
-// Inference tests: the paper's Table I posteriors computed exactly, VE
-// cross-checked against the enumeration oracle on randomized networks,
-// and the sampling engines' convergence.
+// Inference tests: the paper's Table I posteriors, joint and surprise
+// figures computed exactly by the engine's variable elimination, the MPE
+// by enumeration, the engine's VE cross-checked against the enumeration
+// oracle on randomized networks, and the sampling engines' convergence.
 #include "bayesnet/inference.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "bayesnet/engine.hpp"
 #include "perception/table1.hpp"
+#include "prob/information.hpp"
 #include "core/tolerance.hpp"
 
 namespace tol = sysuq::tolerance;
@@ -16,6 +19,10 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
 
 // Table I network with the default repair (unknown row deficit -> none):
 // unknown row becomes (0, 0, 0.2, 0.8).
@@ -63,7 +70,7 @@ TEST(Inference, PaperPriorMarginalOfPerception) {
   //   car/pedestrian: 0.6*0.05  + 0.3*0.05  + 0.1*0.2  = 0.065
   //   none:           0.6*0.045 + 0.3*0.045 + 0.1*0.8  = 0.1205
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto m = ve.query(net.id_of("perception"));
   EXPECT_NEAR(m.p(0), 0.5415, tol::kTiny);
   EXPECT_NEAR(m.p(1), 0.273, tol::kTiny);
@@ -76,7 +83,7 @@ TEST(Inference, PaperPosteriorGivenNone) {
   // relative to their 10% prior — the ontological state is surfaced by
   // diagnosis. P(unknown|none) = 0.08/0.1205.
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const bn::Evidence e{{net.id_of("perception"), 3}};
   const auto post = ve.query(net.id_of("ground_truth"), e);
   EXPECT_NEAR(post.p(0), 0.027 / 0.1205, tol::kTiny);
@@ -89,7 +96,7 @@ TEST(Inference, PaperPosteriorGivenNone) {
 TEST(Inference, PaperPosteriorGivenCarPedestrian) {
   // The car/pedestrian output is the *epistemic* indicator state.
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const bn::Evidence e{{net.id_of("perception"), 2}};
   const auto post = ve.query(net.id_of("ground_truth"), e);
   EXPECT_NEAR(post.p(0), 0.03 / 0.065, tol::kTiny);
@@ -99,7 +106,7 @@ TEST(Inference, PaperPosteriorGivenCarPedestrian) {
 
 TEST(Inference, EvidenceProbability) {
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   EXPECT_NEAR(ve.evidence_probability({{1, 3}}), 0.1205, tol::kTiny);
   EXPECT_NEAR(ve.evidence_probability({{0, 2}, {1, 0}}), 0.0, tol::kTiny);
   EXPECT_NEAR(ve.evidence_probability({}), 1.0, tol::kTiny);
@@ -117,21 +124,21 @@ TEST(Inference, ZeroProbabilityEvidenceThrows) {
               {pr::Categorical({1.0, 0.0}), pr::Categorical({1.0, 0.0})});
   net.set_cpt(c, {b},
               {pr::Categorical({0.5, 0.5}), pr::Categorical({0.5, 0.5})});
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   EXPECT_THROW((void)ve.query(c, {{b, 1}}), std::domain_error);
   EXPECT_NEAR(ve.evidence_probability({{b, 1}}), 0.0, tol::kSeries);
 }
 
 TEST(Inference, QueryObservedVariableReturnsDelta) {
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto d = ve.query(0, {{0, 1}});
   EXPECT_DOUBLE_EQ(d.p(1), 1.0);
 }
 
 TEST(Inference, JointMatchesCptComposition) {
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto joint = ve.joint(0, 1);
   EXPECT_NEAR(joint.p(0, 0), 0.6 * 0.9, tol::kTiny);
   // Marginals recover prior and output distribution.
@@ -143,12 +150,12 @@ TEST(Inference, JointMatchesCptComposition) {
 }
 
 TEST(Inference, VariableEliminationMatchesEnumerationOracle) {
-  // Property: on randomized DAGs, VE == brute-force enumeration for all
-  // query variables and several evidence choices.
+  // Property: on randomized DAGs, the engine's VE == brute-force
+  // enumeration for all query variables and several evidence choices.
   pr::Rng rng(2024);
   for (int trial = 0; trial < 12; ++trial) {
     const auto net = random_network(rng, 5 + rng.uniform_index(2));
-    bn::VariableElimination ve(net);
+    const bn::InferenceEngine ve(net, kExact);
 
     // No evidence.
     for (bn::VariableId q = 0; q < net.size(); ++q) {
@@ -178,7 +185,7 @@ TEST(Inference, VariableEliminationMatchesEnumerationOracle) {
 
 TEST(Inference, LikelihoodWeightingConverges) {
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const bn::Evidence e{{1, 3}};
   const auto exact = ve.query(0, e);
   pr::Rng rng(314);
@@ -189,7 +196,7 @@ TEST(Inference, LikelihoodWeightingConverges) {
 
 TEST(Inference, RejectionSamplingConvergesAndReportsAcceptance) {
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const bn::Evidence e{{1, 3}};
   const auto exact = ve.query(0, e);
   pr::Rng rng(2718);
@@ -223,7 +230,7 @@ TEST(Inference, ConditionalEntropySurpriseOnPaperNetwork) {
   // residual uncertainty after observing the perception output — the
   // paper's surprise-factor formalization applied to its own example.
   const auto net = paper_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto joint = ve.joint(0, 1);
   const double h_prior = joint.marginal_x().entropy();
   const double h_post = pr::conditional_entropy_x_given_y(joint);
@@ -269,6 +276,6 @@ TEST(Inference, MpeDiffersFromMarginalModes) {
   EXPECT_EQ(mpe.assignment[x], 0u);
   EXPECT_EQ(mpe.assignment[y], 1u);
   // Marginal mode of y is 0 (P(y=0) = 0.036 + 0.306 + 0.27 = 0.612).
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   EXPECT_EQ(ve.query(y).argmax(), 0u);
 }

@@ -9,7 +9,7 @@
 #include "sys/means.hpp"
 #include "sys/modeling.hpp"
 #include "core/taxonomy.hpp"
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "perception/table1.hpp"
 #include "core/tolerance.hpp"
 
@@ -22,6 +22,10 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
 
 pc::TrueWorld paper_world(double novel_rate = 0.1) {
   pc::WorldModel modeled({"car", "pedestrian"}, {2.0 / 3.0, 1.0 / 3.0});
@@ -99,7 +103,7 @@ TEST(Decomposition, SurpriseFactorOnPaperNetwork) {
   // Convention: rows = model prediction (perception), cols = system
   // (ground truth). A sharper perception chain has a lower surprise.
   const auto net = pc::table1_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto joint = ve.joint(1, 0);  // X = perception, Y = ground truth
   const double s = sy::surprise_factor(joint);
   const double ns = sy::normalized_surprise(joint);
@@ -112,7 +116,7 @@ TEST(Decomposition, SurpriseFactorOnPaperNetwork) {
   blind.update_cpt_rows(1, {pr::Categorical::uniform(4),
                             pr::Categorical::uniform(4),
                             pr::Categorical::uniform(4)});
-  bn::VariableElimination ve2(blind);
+  const bn::InferenceEngine ve2(blind, kExact);
   const auto joint2 = ve2.joint(1, 0);
   EXPECT_GT(sy::surprise_factor(joint2), s);
   EXPECT_NEAR(sy::normalized_surprise(joint2), 1.0, tol::kProbSum);
@@ -272,7 +276,7 @@ TEST(ModelFidelity, MatchesVariableEliminationJoint) {
   // Sampling the Table I network and tracking (perception, ground truth)
   // pairs converges to the exact joint's surprise factor.
   const auto net = pc::table1_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const double exact = sy::surprise_factor(ve.joint(1, 0));
   sy::ModelFidelityTracker tracker(4, 3);
   pr::Rng rng(13579);

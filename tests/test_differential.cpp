@@ -1,8 +1,8 @@
 // Differential tests (label: differential): the junction-tree backend is
-// checked against VariableElimination over hundreds of generated
-// network/evidence pairs, loopy BP's certified intervals must contain
-// the exact posteriors on the same pairs with its points tracking
-// VE==JT inside a topology-banded tolerance, likelihood weighting
+// checked against the engine's variable elimination (VE) over hundreds
+// of generated network/evidence pairs, loopy BP's certified intervals
+// must contain the exact posteriors on the same pairs with its points
+// tracking VE==JT inside a topology-banded tolerance, likelihood weighting
 // agrees within sampling tolerance, every backend throws the identical
 // impossible-evidence message, and the Table I perception figures are
 // pinned to hard-coded golden values under both exact backends. A
@@ -55,6 +55,10 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
 
 std::uint64_t differential_seed() {
   if (const char* env = std::getenv("SYSUQ_DIFFERENTIAL_SEED")) {
@@ -565,7 +569,7 @@ ReferenceBox reference_blanket_box(const bn::BayesianNetwork& net, const bn::Evi
   } catch (const std::domain_error&) {
     return ::testing::AssertionSuccess();
   }
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   for (bn::VariableId v = 0; v < net.size(); ++v) {
     if (ev.contains(v)) continue;
     const ReferenceBox box = reference_blanket_box(net, ev, v, max_configs);
@@ -632,7 +636,7 @@ TEST(Differential, JunctionTreeMatchesVariableElimination) {
                                 ? 5 + rng.uniform_index(3)   // 5..7
                                 : 6 + rng.uniform_index(5);  // 6..10
       const auto net = random_network(rng, topo, n);
-      bn::VariableElimination ve(net);
+      const bn::InferenceEngine ve(net, kExact);
       // The engine's form of the tree: compiled once per network from the
       // network-wide plan, which spans every variable, with each pair's
       // evidence entered at calibration.
@@ -800,7 +804,7 @@ TEST(Differential, LoopyBpCertifiedAndBandedAgainstExactBackends) {
                                 ? 5 + rng.uniform_index(3)   // 5..7
                                 : 6 + rng.uniform_index(5);  // 6..10
       const auto net = random_network(rng, topo, n);
-      bn::VariableElimination ve(net);
+      const bn::InferenceEngine ve(net, kExact);
       for (std::size_t ec = 0; ec < 3; ++ec) {
         const auto ev = random_evidence(rng, net, ec);
         const bn::JunctionTree jt(net, ev);
@@ -1133,9 +1137,6 @@ TEST(Differential, ImpossibleEvidenceMessageIdenticalAcrossBackends) {
       }
     };
 
-    bn::VariableElimination ve(net);
-    expect_throws([&] { (void)ve.query(query, impossible); }, "ve");
-
     const bn::JunctionTree jt(net, impossible);
     EXPECT_EQ(jt.log_evidence_probability(),
               -std::numeric_limits<double>::infinity());
@@ -1195,18 +1196,14 @@ TEST(Differential, DeepEvidenceChainIsNotSpuriouslyImpossible) {
   ASSERT_EQ(deep.size(), 150u);
 
   // VE query: previously threw the impossible-evidence domain_error.
-  bn::VariableElimination ve(net);
-  const pr::Categorical posterior = ve.query(0, deep);
+  const bn::InferenceEngine engine(net, kExact);
+  const pr::Categorical posterior = engine.query(0, deep);
 
   // P(e) underflows the linear double return — but must not throw.
-  EXPECT_EQ(ve.evidence_probability(deep), 0.0);
+  EXPECT_EQ(engine.evidence_probability(deep), 0.0);
 
-  // Engine VE backend: query works and log P(e) stays finite, matching
-  // the junction tree's per-message log accumulation.
-  bn::InferenceEngine engine(
-      net, {.threads = 1, .backend = bn::Backend::kVariableElimination});
-  const pr::Categorical engine_posterior = engine.query(0, deep);
-  EXPECT_NEAR(engine_posterior.p(0), posterior.p(0), tol::kTiny);
+  // log P(e) stays finite, matching the junction tree's per-message log
+  // accumulation.
   const double ve_log = engine.log_evidence_probability(deep);
   EXPECT_TRUE(std::isfinite(ve_log));
   EXPECT_LT(ve_log, -900.0);  // genuinely below linear-double range
@@ -1223,7 +1220,7 @@ TEST(Differential, DeepEvidenceChainIsNotSpuriouslyImpossible) {
   bn::BayesianNetwork hard = net;
   hard.set_cpt(1, {0},
                {pr::Categorical({1.0, 0.0}), pr::Categorical({1.0, 0.0})});
-  bn::VariableElimination hard_ve(hard);
+  const bn::InferenceEngine hard_ve(hard, kExact);
   EXPECT_THROW((void)hard_ve.query(0, bn::Evidence{{1, 1}}),
                std::domain_error);
 }
@@ -1276,7 +1273,7 @@ TEST(Differential, Table1GoldenDecompositionFigures) {
   // The uncertainty-attribution figures bench_table1_perception_cpt
   // prints for the default repair policy, pinned to full precision.
   const auto net = sysuq::perception::table1_network();
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto joint = ve.joint(1, 0);
   EXPECT_NEAR(net.cpt_rows(0)[0].entropy(), 0.8979457248567797, tol::kTiny);
   EXPECT_NEAR(sysuq::sys::surprise_factor(joint), 0.19831888266846187,

@@ -1,14 +1,16 @@
-// InferenceEngine tests: agreement with the exact engines on the Table I
-// perception network, byte-identical batch determinism across thread
-// counts, ordering-cache behaviour, the unified impossible-evidence error
-// semantics, and the engine-backed module wiring (FTA diagnosis,
-// evidential networks, BN fusion).
+// InferenceEngine tests: agreement with the enumeration oracle on the
+// Table I perception network and on random DAGs, byte-identical batch
+// determinism across thread counts, ordering-cache behaviour, the unified
+// out-of-range and impossible-evidence error semantics, and the
+// engine-backed module wiring (FTA diagnosis, evidential networks, BN
+// fusion).
 #include "bayesnet/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -36,11 +38,16 @@ namespace pr = sysuq::prob;
 
 namespace {
 
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
+
 bn::BayesianNetwork paper_network() {
   return sysuq::perception::table1_network();
 }
 
-// Random DAG, as in the VariableElimination property test.
+// Random DAG over n binary/ternary variables where each node's parents
+// are a random subset of lower-id nodes.
 bn::BayesianNetwork random_network(pr::Rng& rng, std::size_t n) {
   bn::BayesianNetwork net;
   std::vector<std::size_t> cards;
@@ -96,19 +103,15 @@ std::vector<bn::QuerySpec> table1_batch(const bn::BayesianNetwork& net,
 
 }  // namespace
 
-TEST(Engine, MatchesVariableEliminationAndOracleOnTable1) {
+TEST(Engine, MatchesOracleOnTable1) {
   const auto net = paper_network();
   bn::InferenceEngine engine(net);
-  bn::VariableElimination ve(net);
   for (std::size_t state = 0; state < 4; ++state) {
     const bn::Evidence e{{1, state}};
     const auto fast = engine.query(0, e);
-    const auto exact = ve.query(0, e);
     const auto oracle = bn::enumerate_posterior(net, 0, e);
-    for (std::size_t s = 0; s < exact.size(); ++s) {
-      EXPECT_DOUBLE_EQ(fast.p(s), exact.p(s)) << "state " << state;
+    for (std::size_t s = 0; s < oracle.size(); ++s)
       EXPECT_NEAR(fast.p(s), oracle.p(s), tol::kTiny) << "state " << state;
-    }
   }
   // Prior marginal (no evidence) agrees too.
   const auto prior = engine.query(net.id_of("perception"));
@@ -297,19 +300,6 @@ TEST(Engine, ResetAndClearWindowEveryCache) {
     EXPECT_EQ(stats().misses, 1u);
     EXPECT_EQ(stats().entries, 1u);
   }
-}
-
-TEST(Engine, JointMatchesVariableElimination) {
-  const auto net = paper_network();
-  bn::InferenceEngine engine(net);
-  bn::VariableElimination ve(net);
-  const auto a = engine.joint(0, 1);
-  const auto b = ve.joint(0, 1);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 4; ++j)
-      EXPECT_DOUBLE_EQ(a.p(i, j), b.p(i, j));
-  EXPECT_THROW((void)engine.joint(0, 0), std::invalid_argument);
-  EXPECT_THROW((void)engine.joint(0, 1, {{1, 0}}), std::invalid_argument);
 }
 
 namespace {
@@ -597,7 +587,7 @@ TEST(EngineBackends, TreeCacheKeyedByFullAssignmentNotSignature) {
 
   // Each answer matches its own evidence's exact posterior - and the
   // two posteriors genuinely differ, so sharing would have been caught.
-  bn::VariableElimination ve(wide);
+  const bn::InferenceEngine ve(wide, kExact);
   const auto x1 = ve.query(monitor, e1);
   const auto x2 = ve.query(monitor, e2);
   for (std::size_t s = 0; s < 2; ++s) {
@@ -786,6 +776,28 @@ TEST(EngineErrors, OutOfRangeEvidenceThrowsOutOfRangeOnEveryBackend) {
   sysuq::contracts::set_mode(saved);
 }
 
+TEST(EngineErrors, OutOfRangeEvidenceThrowsOutOfRangeInOracleAndSamplers) {
+  // The enumeration oracle, both samplers and sample_batch validate
+  // evidence like the engine's queries: an id past the network and a
+  // state past the variable's cardinality throw std::out_of_range before
+  // any joint state or CPT row is read.
+  const auto net = paper_network();  // ground_truth: 3 states, perception: 4
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  pr::Rng rng(3);
+  for (const bn::Evidence& ev : {bn::Evidence{{7, 0}}, bn::Evidence{{1, 4}}}) {
+    EXPECT_THROW((void)bn::enumerate_posterior(net, 0, ev), std::out_of_range);
+    EXPECT_THROW((void)bn::enumerate_evidence_probability(net, ev),
+                 std::out_of_range);
+    EXPECT_THROW((void)bn::enumerate_mpe(net, ev), std::out_of_range);
+    EXPECT_THROW((void)bn::likelihood_weighting(net, 0, ev, 100, rng),
+                 std::out_of_range);
+    EXPECT_THROW((void)bn::rejection_sampling(net, 0, ev, 100, rng),
+                 std::out_of_range);
+    EXPECT_THROW((void)engine.sample_batch({{0, ev}}, 100, /*seed=*/1),
+                 std::out_of_range);
+  }
+}
+
 TEST(EngineErrors, UnifiedImpossibleEvidenceMessage) {
   const auto net = paper_network();
   // gt = unknown AND perception = car has probability zero under Table I.
@@ -818,16 +830,13 @@ TEST(EngineErrors, UnifiedImpossibleEvidenceMessage) {
                 pr::Categorical({0.1, 0.9})});
   const auto extra2 = net3.add_variable("watchdog", {"ok", "tripped"});
   net3.set_cpt(extra2, {}, {pr::Categorical({0.95, 0.05})});
-  bn::VariableElimination ve3(net3);
   bn::InferenceEngine engine3(net3, {.threads = 1});
   const std::string expected3 =
       bn::impossible_evidence_message(net3, impossible);
 
   // Every entry point throws the one documented error.
-  check(expected3, [&] { (void)ve3.query(extra, impossible); });
   check(expected3, [&] { (void)engine3.query(extra, impossible); });
   check(expected3, [&] { (void)engine3.query_batch({{extra, impossible}}); });
-  check(expected3, [&] { (void)ve3.joint(extra, extra2, impossible); });
   check(expected3, [&] { (void)engine3.joint(extra, extra2, impossible); });
   check(expected3, [&] { (void)bn::enumerate_posterior(net3, extra, impossible); });
   check(expected3, [&] { (void)bn::enumerate_mpe(net3, impossible); });
@@ -852,9 +861,7 @@ TEST(EngineErrors, LikelihoodWeightingAllZeroWeightsThrows) {
               "bayesnet: impossible evidence (P(e) = 0): b=1 "
               "(likelihood weighting: all 1000 samples had weight zero)");
   }
-  // Exact engines agree on the semantics for the same evidence.
-  bn::VariableElimination ve(net);
-  EXPECT_THROW((void)ve.query(0, impossible), std::domain_error);
+  // The exact engine agrees on the semantics for the same evidence.
   bn::InferenceEngine engine(net);
   EXPECT_THROW((void)engine.query(0, impossible), std::domain_error);
   EXPECT_NEAR(engine.evidence_probability(impossible), 0.0, tol::kSeries);

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "evidence/evidential_network.hpp"
 #include "perception/table1.hpp"
 #include "prob/rng.hpp"
@@ -18,6 +18,10 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
 
 // Draws a random categorical inside a credal set (rejection from the
 // center-perturbed simplex; falls back to center when tight).
@@ -96,7 +100,7 @@ TEST(CredalChain, PreciseInputsReproduceExactInference) {
   const auto cpt = ev::IntervalCpt::precise(net.cpt_rows(1));
 
   const auto marg = ev::credal_chain_marginal(prior, cpt);
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto exact = ve.query(1);
   for (std::size_t y = 0; y < 4; ++y) {
     EXPECT_NEAR(marg.bound(y).lo(), exact.p(y), tol::kIteration) << y;
@@ -218,7 +222,7 @@ TEST(EvidentialNetwork, TableOneWithIgnoranceStates) {
                                         {f.theta(), 0.05}});
   net.set_cpt(gt, {}, {ev::mass_to_categorical(prior_mass)});
 
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   const auto marg = ve.query(gt);
   const auto iv = ev::belief_plausibility(f, marg, f.singleton("car"));
   EXPECT_NEAR(iv.lo(), 0.57, tol::kTiny);         // Bel

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "fta/fta_to_bn.hpp"
 #include "prob/distribution.hpp"
 #include "prob/rng.hpp"
@@ -21,6 +21,10 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
 
 // Brute-force P(top) by enumerating all basic-event states.
 double brute_force_top(const ft::FaultTree& t) {
@@ -260,7 +264,7 @@ TEST(FaultTree, FuzzyEvaluationNestsWithAlpha) {
 TEST(FtaToBn, CompiledNetworkReproducesExactProbability) {
   auto t = redundant_perception_tree();
   const auto compiled = ft::compile_to_bayesnet(t);
-  bn::VariableElimination ve(compiled.network);
+  const bn::InferenceEngine ve(compiled.network, kExact);
   const auto marginal = ve.query(compiled.top);
   EXPECT_NEAR(marginal.p(1), ft::exact_top_probability(t), tol::kTiny);
 }
@@ -270,7 +274,7 @@ TEST(FtaToBn, DiagnosisBeyondFta) {
   // cause is most likely (posterior over basic events).
   auto t = redundant_perception_tree();
   const auto compiled = ft::compile_to_bayesnet(t);
-  bn::VariableElimination ve(compiled.network);
+  const bn::InferenceEngine ve(compiled.network, kExact);
   const bn::Evidence failed{{compiled.top, 1}};
   const auto p_power = ve.query(compiled.network.id_of("power"), failed);
   const auto p_cam1 = ve.query(compiled.network.id_of("cam1"), failed);
@@ -290,7 +294,7 @@ TEST(FtaToBn, KooNAndNotGatesCompile) {
   const auto safe = t.add_gate("safe", ft::GateType::kNot, {koon});
   t.set_top(safe);
   const auto compiled = ft::compile_to_bayesnet(t);
-  bn::VariableElimination ve(compiled.network);
+  const bn::InferenceEngine ve(compiled.network, kExact);
   EXPECT_NEAR(ve.query(compiled.top).p(1), ft::exact_top_probability(t), tol::kTiny);
 }
 

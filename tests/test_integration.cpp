@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "bayesnet/learning.hpp"
 #include "bayesnet/sensitivity.hpp"
 #include "sys/decomposition.hpp"
@@ -26,6 +26,14 @@
 namespace tol = sysuq::tolerance;
 
 using namespace sysuq;
+
+namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bayesnet::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bayesnet::Backend::kVariableElimination};
+
+}  // namespace
 
 TEST(Integration, FieldLoopToCredalToRelease) {
   // World -> field observation -> learned CPT -> credal envelope sized by
@@ -52,7 +60,7 @@ TEST(Integration, FieldLoopToCredalToRelease) {
       evidence::credal_chain_marginal(prior, evidence::IntervalCpt(rows));
 
   // The true output marginal lies inside the learned credal envelope.
-  bayesnet::VariableElimination ve(truth);
+  const bayesnet::InferenceEngine ve(truth, kExact);
   const auto true_marg = ve.query(1);
   for (std::size_t y = 0; y < 4; ++y) {
     EXPECT_GE(true_marg.p(y), marg.bound(y).lo() - 0.02) << y;
@@ -235,7 +243,7 @@ TEST(Integration, EvidentialFusionMatchesTable1Indicator) {
   EXPECT_GT(fused.mass(f.make_set({"car", "pedestrian"})), 0.8);
 
   const auto net = perception::table1_network();
-  bayesnet::VariableElimination ve(net);
+  const bayesnet::InferenceEngine ve(net, kExact);
   const auto post = ve.query(0, {{1, perception::kPercCarPedestrian}});
   // Both views agree: car and pedestrian carry nearly all the mass, car
   // ahead of pedestrian (its prior is higher).

@@ -1,8 +1,8 @@
 // Loopy-BP backend tests (label: bp).
 //
 // Covers the checklist for the approximate backend: flooding BP is
-// exact on tree-structured networks (matches VariableElimination to
-// tolerance::kProbSum), damping / convergence / iteration-cap behavior,
+// exact on tree-structured networks (matches the engine's variable
+// elimination to tolerance::kProbSum), damping / convergence / iteration-cap behavior,
 // the deterministic message schedule (byte-identical posteriors across
 // runs and engine thread counts), impossible-evidence parity with the
 // unified domain_error message, and the kAuto checked-table-size guard
@@ -29,6 +29,10 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
 
 // Random tree-structured network: variable i > 0 picks one earlier
 // parent. All CPT entries strictly positive.
@@ -131,7 +135,7 @@ TEST(LoopyBP, ExactOnTreesAndIntervalsContainTruth) {
   pr::Rng rng(20260808ULL);
   for (int t = 0; t < 8; ++t) {
     const auto net = random_tree(rng, 6 + rng.uniform_index(5));
-    bn::VariableElimination ve(net);
+    const bn::InferenceEngine ve(net, kExact);
     for (std::size_t ec : {std::size_t{0}, std::size_t{2}}) {
       bn::Evidence ev;
       for (std::size_t k = 0; k < ec; ++k) {
@@ -203,7 +207,7 @@ TEST(LoopyBP, IterationCapReportsNonConvergenceButStaysSound) {
   EXPECT_GT(bp.final_residual(), opts.tolerance);
   // The Markov-blanket convexity box is sound regardless of
   // convergence: the exact posterior must still lie inside it.
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   for (bn::VariableId q = 0; q < net.size(); ++q) {
     const auto& bounded = bp.query(q);
     EXPECT_FALSE(bounded.converged);
@@ -220,7 +224,7 @@ TEST(LoopyBP, ConvergedRunBeatsItsTolerance) {
   EXPECT_LT(bp.final_residual(), bn::LoopyBP::Options{}.tolerance);
   // Loopy point estimates stay close to exact on this weakly coupled
   // diamond, and the certified interval always contains exact.
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   for (bn::VariableId q = 0; q < net.size(); ++q) {
     const auto& bounded = bp.query(q);
     EXPECT_TRUE(bounded.contains(ve.query(q, {{3, 1}}).probs())) << q;
@@ -249,7 +253,7 @@ TEST(LoopyBP, SweepKeepsExactZeros) {
   const bn::Evidence ev{{any, 0}};
   const bn::LoopyBP bp(net, ev);
   EXPECT_TRUE(bp.converged());
-  bn::VariableElimination ve(net);
+  const bn::InferenceEngine ve(net, kExact);
   for (const auto p : parents) {
     const auto& bounded = bp.query(p);
     const auto exact = ve.query(p, ev);

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "bayesnet/serialize.hpp"
 #include "evidence/mass.hpp"
 #include "markov/mdp.hpp"
@@ -18,6 +18,10 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bn::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bn::Backend::kVariableElimination};
 
 // Degraded-mode supervisor MDP: in `degraded` the controller can either
 // `continue` (risky, keeps service) or `mrm` (safe, ends service).
@@ -112,7 +116,8 @@ TEST(Serialize, RoundTripTable1) {
   EXPECT_EQ(back.id_of("perception"), net.id_of("perception"));
   EXPECT_EQ(back.parents(1), net.parents(1));
   // Probabilities preserved exactly (17 significant digits).
-  bn::VariableElimination ve1(net), ve2(back);
+  const bn::InferenceEngine ve1(net, kExact);
+  const bn::InferenceEngine ve2(back, kExact);
   const auto a = ve1.query(0, {{1, 3}});
   const auto b = ve2.query(0, {{1, 3}});
   for (std::size_t s = 0; s < a.size(); ++s)

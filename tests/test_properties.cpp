@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "bayesnet/inference.hpp"
+#include "bayesnet/engine.hpp"
 #include "bayesnet/loopy_bp.hpp"
 #include "bayesnet/serialize.hpp"
 #include "core/tolerance.hpp"
@@ -21,6 +21,14 @@
 namespace tol = sysuq::tolerance;
 
 using namespace sysuq;
+
+namespace {
+
+// Exact answers on one thread: never escalates to BP, starts no pool.
+const bayesnet::InferenceEngine::Options kExact{
+    .threads = 1, .backend = bayesnet::Backend::kVariableElimination};
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // DS theory: randomized algebraic invariants.
@@ -131,12 +139,12 @@ TEST_P(FtaBnProperty, CompiledNetworkMatchesExactProbability) {
 
   const double exact = fta::exact_top_probability(t);
   const auto compiled = fta::compile_to_bayesnet(t);
-  bayesnet::VariableElimination ve(compiled.network);
+  const bayesnet::InferenceEngine ve(compiled.network, kExact);
   ASSERT_NEAR(ve.query(compiled.top).p(1), exact, tol::kIteration);
 
   // Serialization round trip preserves inference on the compiled net.
   const auto back = bayesnet::from_text(bayesnet::to_text(compiled.network));
-  bayesnet::VariableElimination ve2(back);
+  const bayesnet::InferenceEngine ve2(back, kExact);
   ASSERT_NEAR(ve2.query(compiled.top).p(1), exact, tol::kIteration);
 }
 
@@ -188,7 +196,7 @@ TEST_P(LoopyBpProperty, CertifiedIntervalContainsExactPosterior) {
       ev[v] = rng.uniform_index(cards[v]);
     }
 
-    bayesnet::VariableElimination ve(net);
+    const bayesnet::InferenceEngine ve(net, kExact);
     const bayesnet::LoopyBP bp(net, ev);
     for (bayesnet::VariableId q = 0; q < n; ++q) {
       if (ev.contains(q)) continue;
