@@ -185,8 +185,10 @@ InferenceEngine::InferenceEngine(const BayesianNetwork& net, Options options)
                  ? options_.threads
                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   cpt_factors_.reserve(net_.size());
+  children_.resize(net_.size());
   for (VariableId v = 0; v < net_.size(); ++v) {
     cpt_factors_.push_back(net_.cpt_factor(v));
+    for (const VariableId p : net_.parents(v)) children_[p].push_back(v);
   }
   if (threads_ > 1) pool_ = std::make_unique<Pool>(threads_ - 1);
 }
@@ -246,7 +248,14 @@ InferenceEngine::Plan InferenceEngine::route(const Ask& ask,
     case Backend::kAuto:
       break;
   }
-  // kAuto: the feasibility guard runs before any exact work, on the
+  // kAuto: a call bound for the junction tree skips the guard while the
+  // network plan exists. That plan fits the ceiling, and so does every
+  // signature's plan filtered from it; the calibration reads its tree.
+  const bool jt_bound =
+      ask.kind == Ask::kAllMarginals ||
+      (ask.kind == Ask::kBatchGroup && ask.distinct >= options_.jt_batch_threshold);
+  if (jt_bound && network_plan()) return {Route::kJunctionTree, nullptr};
+  // Otherwise the feasibility guard runs before any exact work, on the
   // signature's cached ordering, which that work then reuses.
   Plan plan = ve();
   const std::size_t cells = plan.ordering->max_table_cells;
@@ -271,9 +280,7 @@ InferenceEngine::Plan InferenceEngine::route(const Ask& ask,
                           "escalation"));
     // contracts::Mode::kOff: fall through to the exact path.
   }
-  if (ask.kind == Ask::kAllMarginals ||
-      (ask.kind == Ask::kBatchGroup &&
-       ask.distinct >= options_.jt_batch_threshold))
+  if (jt_bound)
     plan.route = Route::kJunctionTree;
   else
     because("Backend::kAuto keeps single queries on variable elimination "
@@ -337,22 +344,93 @@ std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
   });
 }
 
+const std::vector<std::vector<char>>& InferenceEngine::always_possible() const {
+  return always_possible_.get([&] {
+    std::vector<std::vector<char>> table;
+    table.reserve(net_.size());
+    for (VariableId v = 0; v < net_.size(); ++v) {
+      // v's states index blocks of `stride` cells, repeated per row of
+      // the scope variables before it (last variable fastest).
+      const Factor& f = cpt_factors_[v];
+      const auto& scope = f.scope();
+      const std::size_t at = static_cast<std::size_t>(
+          std::find(scope.begin(), scope.end(), v) - scope.begin());
+      const std::size_t card = f.cardinalities()[at];
+      std::size_t stride = 1;
+      for (std::size_t i = at + 1; i < scope.size(); ++i) stride *= f.cardinalities()[i];
+      const std::vector<double>& values = f.values();
+      std::vector<char> possible(card, 1);
+      for (std::size_t base = 0; base < values.size(); base += card * stride) {
+        for (std::size_t s = 0; s < card; ++s) {
+          for (std::size_t k = 0; k < stride; ++k) {
+            if (!(values[base + s * stride + k] > 0.0)) possible[s] = 0;
+          }
+        }
+      }
+      table.push_back(std::move(possible));
+    }
+    return table;
+  });
+}
+
+bool InferenceEngine::mark_requisite(const std::vector<VariableId>& keep,
+                                     const Evidence& evidence,
+                                     std::vector<char>& in) const {
+  // Bayes-ball: a ball enters each kept variable as if from a child. An
+  // unobserved variable passes a ball from a child up to its parents
+  // (marking its top) and down to its children (marking its bottom), and
+  // one from a parent down only; an observed variable bounces a ball from
+  // a parent up to its parents and blocks one from a child. Each mark is
+  // set once, so each edge is walked at most twice.
+  enum : char { kObserved = 1, kTop = 2, kBottom = 4 };
+  std::vector<char> mark(net_.size(), 0);
+  for (const auto& [v, _] : evidence) mark[v] = kObserved;
+  std::vector<std::pair<VariableId, bool>> balls;  // (variable, from a child)
+  for (const VariableId v : keep) balls.emplace_back(v, true);
+  while (!balls.empty()) {
+    const auto [v, from_child] = balls.back();
+    balls.pop_back();
+    char& m = mark[v];
+    const bool observed = (m & kObserved) != 0;
+    if (from_child != observed && (m & kTop) == 0) {
+      m |= kTop;
+      for (const VariableId p : cpt_factors_[v].scope()) {
+        if (p != v) balls.emplace_back(p, true);
+      }
+    }
+    if (!observed && (m & kBottom) == 0) {
+      m |= kBottom;
+      for (const VariableId c : children_[v]) balls.emplace_back(c, false);
+    }
+  }
+  const std::vector<std::vector<char>>* possible = nullptr;
+  for (const auto& [v, state] : evidence) {
+    if ((mark[v] & kTop) != 0) continue;
+    if (possible == nullptr) possible = &always_possible();
+    if ((*possible)[v][state] == 0) return false;
+  }
+  for (VariableId v = 0; v < net_.size(); ++v) in[v] = (mark[v] & kTop) != 0;
+  return true;
+}
+
 InferenceEngine::VeRun InferenceEngine::ve_run(
     const std::vector<VariableId>& keep, const Evidence& evidence,
     const EliminationOrdering& ordering) const {
-  // Marks the ancestral set by a walk up the CPT scopes (a CPT's scope
-  // is its variable and its parents).
   std::vector<char> in(net_.size(), 0);
-  std::vector<VariableId> stack = keep;
-  for (const auto& [v, _] : evidence) stack.push_back(v);
-  for (const VariableId v : stack) in[v] = 1;
-  while (!stack.empty()) {
-    const VariableId v = stack.back();
-    stack.pop_back();
-    for (const VariableId p : cpt_factors_[v].scope()) {
-      if (in[p] == 0) {
-        in[p] = 1;
-        stack.push_back(p);
+  if (keep.empty() || !mark_requisite(keep, evidence, in)) {
+    // The ancestral set, by a walk up the CPT scopes (a CPT's scope is
+    // its variable and its parents).
+    std::vector<VariableId> stack = keep;
+    for (const auto& [v, _] : evidence) stack.push_back(v);
+    for (const VariableId v : stack) in[v] = 1;
+    while (!stack.empty()) {
+      const VariableId v = stack.back();
+      stack.pop_back();
+      for (const VariableId p : cpt_factors_[v].scope()) {
+        if (in[p] == 0) {
+          in[p] = 1;
+          stack.push_back(p);
+        }
       }
     }
   }
@@ -361,8 +439,9 @@ InferenceEngine::VeRun InferenceEngine::ve_run(
     if (in[v] != 0) run.cpts.push_back(v);
   }
   // The cached plan eliminates every unobserved variable; skipping the
-  // kept and barren ones at execution time keeps the kept ones in the
-  // result scope (any suffix-restricted order is still exact).
+  // kept ones and those outside the set at execution time keeps the kept
+  // ones in the result scope (any suffix-restricted order is still
+  // exact).
   run.order.reserve(run.cpts.size());
   for (const VariableId v : ordering.order) {
     if (in[v] != 0 && std::find(keep.begin(), keep.end(), v) == keep.end())
@@ -711,7 +790,7 @@ QueryProfile InferenceEngine::explain(VariableId query,
       const EliminationOrdering& ordering = *plan.ordering;
       p.induced_width = ordering.induced_width;
       p.fill_edges = ordering.fill_edges;
-      // The plan that runs: ancestral CPTs only, the order filtered to them.
+      // The plan that runs: ve_run's CPTs only, the order filtered to them.
       const VeRun run = ve_run({query}, evidence, ordering);
       p.steps = simulate_elimination(net_, evidence, run.order, {query}, run.cpts);
       const auto t_sim = clock::now();

@@ -8,10 +8,14 @@
 // force, with the same error semantics (std::out_of_range for unknown
 // evidence ids or states, std::domain_error with
 // `impossible_evidence_message` when P(e) = 0). How the engine gets there:
-//  * CPT factors are materialized once, at construction;
-//  * a VE run multiplies only the CPTs of the ancestors of its kept and
-//    observed variables — every other CPT is barren and sums to one —
-//    and eliminates the signature's ordering filtered to them;
+//  * CPT factors and child lists are materialized once, at construction;
+//  * a posterior or `joint` VE run multiplies only the CPTs that
+//    Bayes-ball (Shachter 1998) marks requisite for its kept variables
+//    given the observed ones, and eliminates the signature's ordering
+//    filtered to them. It multiplies the ancestral CPTs of its kept and
+//    observed variables instead when an observed variable outside the
+//    requisite set has its state impossible under some parent row, and
+//    always for P(e), so P(e) = 0 still yields zero mass;
 //  * one network-wide plan, `compute_elimination_order(net, {}, {})`,
 //    computed once, on first use. When its largest table is within
 //    `max_exact_table_cells`, every signature's plan is that order
@@ -44,16 +48,18 @@
 //     but `joint`, kLoopyBP everything but P(e) and `joint`. A
 //     kJunctionTree call looks up no signature plan while the network's
 //     compiled tree exists.
-//  4. kAuto first checks the largest elimination clique of the
-//     signature's cached ordering against `max_exact_table_cells` (one
-//     lookup per exact call). Over the ceiling, posteriors escalate to BP
+//  4. kAuto sends `all_marginals`, and a batch group once it holds
+//     `jt_batch_threshold` distinct query variables, to JT; everything
+//     else goes to VE. A JT-bound call on the network's compiled tree
+//     looks up no signature plan: the network plan fits
+//     `max_exact_table_cells`, and a filtered plan never has a larger
+//     clique. Every other call first checks the largest elimination
+//     clique of the signature's cached ordering against that ceiling (one
+//     lookup per call). Over the ceiling, posteriors escalate to BP
 //     (ContractViolation when `enable_bp` is false) and P(e) and `joint`,
 //     which BP cannot answer, throw ContractViolation naming the cell
-//     count and the ceiling. Within it, `all_marginals` runs on JT, a
-//     batch group on JT once it holds `jt_batch_threshold` distinct query
-//     variables, and everything else on VE: VE on the guard's ordering,
-//     JT on the network's compiled tree (or, without one, a tree compiled
-//     from the guard's ordering).
+//     count and the ceiling. Within it, VE runs on the guard's ordering,
+//     and JT on a tree compiled from it.
 // `query_bounded` and `all_marginals_bounded` always run BP.
 //
 // Thread safety: all query methods are const and safe to call from
@@ -148,8 +154,8 @@ class InferenceEngine {
   /// EXPLAIN ANALYZE for one query: answers it on the same code path as
   /// `query` and returns the full cost attribution — backend chosen and
   /// why, the elimination plan VE executes (per-step factor widths and
-  /// table sizes over the query's ancestral CPTs, so barren variables
-  /// get no step) or the calibrated tree's clique structure,
+  /// table sizes over the CPTs the run multiplies, so a variable outside
+  /// them gets no step) or the calibrated tree's clique structure,
   /// ordering/JT cache hit flags, the scratch-arena high-water mark, and
   /// wall seconds per stage. Throws exactly like `query` (unknown id, impossible
   /// evidence). Structure fields are deterministic; see
@@ -204,7 +210,8 @@ class InferenceEngine {
   /// Ordering-cache statistics since construction / the last clear /
   /// the last reset_cache_stats(), counting the kAuto guard's lookups and
   /// those of trees compiled per signature as well as VE's. The
-  /// network-wide plan is held outside this cache.
+  /// network-wide plan is held outside this cache, and a call answered
+  /// by its compiled tree looks nothing up.
   [[nodiscard]] CacheStats cache_stats() const { return orderings_.stats(); }
 
   /// Calibrated-tree cache statistics (same windowing rules). Unlike the
@@ -236,7 +243,8 @@ class InferenceEngine {
   /// variable's evidence delta.
   enum class Route { kDelta, kVariableElimination, kJunctionTree, kLoopyBP };
   /// route()'s answer. `ordering` is the signature's, looked up for every
-  /// VE route and every exact kAuto route; null otherwise.
+  /// VE route and every exact kAuto route off the network's compiled
+  /// tree; null otherwise.
   struct Plan {
     Route route = Route::kDelta;
     std::shared_ptr<const EliminationOrdering> ordering;
@@ -250,10 +258,11 @@ class InferenceEngine {
   };
 
   // Key: sorted evidence keys. The cached ordering eliminates *every*
-  // unobserved variable; a VE run skips its kept and barren variables at
-  // execution time, so one plan serves all queries sharing an evidence
-  // signature. The kAuto guard reads it unfiltered, and so does a tree
-  // compiled per signature (when there is no network plan).
+  // unobserved variable; a VE run skips its kept variables and those
+  // outside its CPTs at execution time, so one plan serves all queries
+  // sharing an evidence signature. The kAuto guard reads it unfiltered,
+  // and so does a tree compiled per signature (when there is no network
+  // plan).
   using OrderingKey = std::vector<VariableId>;
   // Key: the full evidence assignment (sorted key/value pairs). Exact —
   // calibrated beliefs depend on evidence values, so signatures that a
@@ -265,13 +274,16 @@ class InferenceEngine {
   std::size_t threads_;                     // sysuq-thread-confined(init)
   // One per variable, built once.  sysuq-thread-confined(init)
   std::vector<Factor> cpt_factors_;
+  // Each variable's children, ascending.  sysuq-thread-confined(init)
+  std::vector<std::vector<VariableId>> children_;
   std::unique_ptr<Pool> pool_;              // sysuq-thread-confined(init)
 
-  // The memos and the lazily built network plan and tree lock
-  // internally; see bayesnet/memo.hpp. The latter two depend only on the
-  // network, so clear_cache() keeps them.
+  // The memos and the lazily built network plan, tree and state table
+  // lock internally; see bayesnet/memo.hpp. The lazy values depend only
+  // on the network, so clear_cache() keeps them.
   mutable Lazy<std::shared_ptr<const EliminationOrdering>> network_plan_;
   mutable Lazy<std::shared_ptr<const JunctionTreeStructure>> network_tree_;
+  mutable Lazy<std::vector<std::vector<char>>> always_possible_;
   mutable Memo<OrderingKey, std::shared_ptr<const EliminationOrdering>>
       orderings_{"bayesnet.engine.ordering_cache"};
   mutable Memo<TreeKey, std::shared_ptr<const JunctionTree>> trees_{
@@ -308,21 +320,36 @@ class InferenceEngine {
   /// (deterministic), keeping whichever converged.
   [[nodiscard]] std::shared_ptr<const LoopyBP> bp_for(
       const Evidence& evidence) const;
-  /// What one VE run executes. A CPT outside the ancestors of `keep`
-  /// and the observed variables is barren: summed over its child it is
-  /// one (Shachter 1986). So a run multiplies only the ancestral CPTs,
-  /// `cpts` (ascending), and eliminates the signature's order filtered
-  /// to them, minus `keep`. Every observed variable's ancestors stay in,
-  /// so impossible evidence still yields zero mass.
+  /// `[v][s]`: state s of v has positive probability under every parent
+  /// row. Built from `cpt_factors_` on first use.
+  [[nodiscard]] const std::vector<std::vector<char>>& always_possible() const;
+  /// What one VE run executes: the CPTs it multiplies, `cpts`
+  /// (ascending), and the signature's order filtered to them, minus
+  /// `keep`. For a non-empty `keep` the CPTs are the requisite ones,
+  /// those Bayes-ball (Shachter 1998) marks on top: summed out, the
+  /// others leave a constant factor, which normalization divides out.
+  /// That factor is positive, so P(e) = 0 exactly when the run's mass is
+  /// 0, unless an observed variable left out has its observed state
+  /// impossible under some parent row. The run then multiplies the
+  /// ancestral CPTs of `keep` and the observed variables, as it does for
+  /// P(e) (`keep = {}`): any other CPT is barren, one when summed over its
+  /// child (Shachter 1986), and every observed variable's ancestors stay
+  /// in, so impossible evidence yields zero mass.
   struct VeRun {
     std::vector<VariableId> cpts;
     std::vector<VariableId> order;
   };
   /// The one helper that computes the set; VE and explain() both use it.
-  /// `keep` ids must be valid.
+  /// `keep` ids must be valid and unobserved.
   [[nodiscard]] VeRun ve_run(const std::vector<VariableId>& keep,
                              const Evidence& evidence,
                              const EliminationOrdering& ordering) const;
+  /// Marks in `in` (all zero) the CPTs Bayes-ball finds requisite for
+  /// `keep` given `evidence`; false, leaving `in` untouched, when an
+  /// observed variable outside them calls for the ancestral set.
+  [[nodiscard]] bool mark_requisite(const std::vector<VariableId>& keep,
+                                    const Evidence& evidence,
+                                    std::vector<char>& in) const;
   /// Scaled elimination of ve_run()'s plan over views of the cached CPT
   /// factors (no per-query deep copies); evidence reductions and all
   /// intermediates live in the per-thread scratch arena. The log

@@ -58,8 +58,8 @@ struct QueryProfile {
   // Variable-elimination plan (empty under the other backends).
   // `induced_width` and `fill_edges` describe the signature's full cached
   // ordering, the one the kAuto guard reads; `steps` is the plan VE ran,
-  // over the query's ancestral CPTs only, so the width can exceed every
-  // listed step's.
+  // over the CPTs it multiplied only (the query's requisite ones, or its
+  // ancestral ones), so the width can exceed every listed step's.
   bool ordering_cache_hit = false;
   std::size_t induced_width = 0;
   std::size_t fill_edges = 0;
@@ -123,9 +123,9 @@ struct QueryProfile {
     const std::vector<VariableId>& order, const std::vector<VariableId>& keep);
 
 /// The same replay starting from the CPTs of `cpts` only. `explain`
-/// prints this form over the plan VE executes: the query's ancestral
-/// CPTs and the signature's order filtered to them, so EXPLAIN lists
-/// exactly the steps that ran.
+/// prints this form over the plan VE executes: the CPTs the run
+/// multiplies and the signature's order filtered to them, so EXPLAIN
+/// lists exactly the steps that ran.
 [[nodiscard]] std::vector<EliminationStepProfile> simulate_elimination(
     const BayesianNetwork& net, const Evidence& evidence,
     const std::vector<VariableId>& order, const std::vector<VariableId>& keep,

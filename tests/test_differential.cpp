@@ -15,7 +15,9 @@
 // certificate, bit for bit, to an in-test copy of the odometer
 // enumeration it replaced. On the same pairs, the
 // bucketed elimination executor is pinned bit for bit to an in-test copy
-// of the live-scan core it replaced.
+// of the live-scan core it replaced. VE's requisite-set pruning is
+// checked against the enumeration oracle and an in-test Bayes-ball on
+// generated networks with and without exact zeros.
 //
 // The generator is seeded from SYSUQ_DIFFERENTIAL_SEED (decimal) so CI
 // can sweep several fixed seeds; unset, it uses a fixed default.
@@ -27,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <queue>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -285,6 +288,81 @@ std::vector<bn::EliminationStepProfile> reference_replay(
     if (!product.empty()) survivors.push_back(std::move(product));
     scopes = std::move(survivors);
   }
+  return steps;
+}
+
+// Reference Bayes-ball, as Shachter (1998) states it: a FIFO schedule of
+// visits, each from a child or from a parent, over parent and child
+// lists, with top and bottom marks. Returns the nodes marked on top: the
+// CPTs P(keep | ev) needs.
+std::vector<char> reference_bayes_ball(const bn::BayesianNetwork& net,
+                                       const std::vector<bn::VariableId>& keep,
+                                       const bn::Evidence& ev) {
+  std::vector<char> top(net.size(), 0), bottom(net.size(), 0);
+  std::queue<std::pair<bn::VariableId, bool>> schedule;  // (node, from a child)
+  for (const bn::VariableId j : keep) schedule.emplace(j, true);
+  while (!schedule.empty()) {
+    const auto [j, from_child] = schedule.front();
+    schedule.pop();
+    const auto visit_parents = [&] {
+      if (std::exchange(top[j], 1) != 0) return;
+      for (const bn::VariableId p : net.parents(j)) schedule.emplace(p, true);
+    };
+    const auto visit_children = [&] {
+      if (std::exchange(bottom[j], 1) != 0) return;
+      for (const bn::VariableId c : net.children(j)) schedule.emplace(c, false);
+    };
+    if (from_child && !ev.contains(j)) {
+      visit_parents();
+      visit_children();
+    } else if (!from_child) {
+      if (ev.contains(j)) visit_parents();
+      else visit_children();
+    }
+  }
+  return top;
+}
+
+// The ancestral set of `keep` and the observed nodes.
+std::vector<char> reference_ancestral(const bn::BayesianNetwork& net,
+                                      const std::vector<bn::VariableId>& keep,
+                                      const bn::Evidence& ev) {
+  std::vector<char> in(net.size(), 0);
+  std::vector<bn::VariableId> stack = keep;
+  for (const auto& [v, _] : ev) stack.push_back(v);
+  while (!stack.empty()) {
+    const bn::VariableId v = stack.back();
+    stack.pop_back();
+    if (std::exchange(in[v], 1) != 0) continue;
+    for (const bn::VariableId p : net.parents(v)) stack.push_back(p);
+  }
+  return in;
+}
+
+// The CPTs a VE run over `keep` multiplies: Bayes-ball's, unless an
+// observed node left out of them has its state impossible under some
+// parent row; then the ancestral set.
+std::vector<char> reference_requisite(const bn::BayesianNetwork& net,
+                                      const std::vector<bn::VariableId>& keep,
+                                      const bn::Evidence& ev) {
+  const std::vector<char> top = reference_bayes_ball(net, keep, ev);
+  for (const auto& [v, state] : ev) {
+    if (top[v]) continue;
+    for (const auto& row : net.cpt_rows(v))
+      if (!(row.p(state) > 0.0)) return reference_ancestral(net, keep, ev);
+  }
+  return top;
+}
+
+// The variables explain() must list for P(q | ev) on `plan`: its order
+// filtered to the reference requisite set, minus q.
+std::vector<bn::VariableId> reference_steps(const bn::BayesianNetwork& net,
+                                            const std::vector<bn::VariableId>& plan,
+                                            bn::VariableId q, const bn::Evidence& ev) {
+  const std::vector<char> in = reference_requisite(net, {q}, ev);
+  std::vector<bn::VariableId> steps;
+  for (const bn::VariableId v : plan)
+    if (in[v] && v != q && !ev.contains(v)) steps.push_back(v);
   return steps;
 }
 
@@ -1055,29 +1133,99 @@ TEST(Differential, OverCeilingNetworkPlanKeepsPerSignatureMinFill) {
     ASSERT_GT(want.max_table_cells, kCeiling);
 
     // explain() prints the signature plan's figures and runs its order
-    // over the ancestors of q and the observed variables, minus q.
+    // over the CPTs requisite for q, minus q.
     const auto profile = ve.explain(q, ev);
     EXPECT_EQ(profile.induced_width, want.induced_width) << "round " << round;
     EXPECT_EQ(profile.fill_edges, want.fill_edges) << "round " << round;
-    std::vector<char> ancestral(net.size(), 0);
-    std::vector<bn::VariableId> stack{q};
-    for (const auto& [v, _] : ev) stack.push_back(v);
-    while (!stack.empty()) {
-      const bn::VariableId v = stack.back();
-      stack.pop_back();
-      if (std::exchange(ancestral[v], 1) != 0) continue;
-      for (const bn::VariableId p : net.parents(v)) stack.push_back(p);
-    }
-    std::vector<bn::VariableId> expected, got;
-    for (const bn::VariableId v : want.order) {
-      if (ancestral[v] != 0 && v != q) expected.push_back(v);
-    }
+    std::vector<bn::VariableId> got;
     for (const auto& step : profile.steps) got.push_back(step.variable);
-    EXPECT_EQ(got, expected) << "round " << round;
+    EXPECT_EQ(got, reference_steps(net, want.order, q, ev)) << "round " << round;
 
     const auto escalated = auto_engine.explain(q, ev);
     EXPECT_EQ(escalated.backend, "loopy_bp") << "round " << round;
   }
+}
+
+// ---- requisite-set VE vs the enumeration oracle ----
+
+TEST(Differential, RequisiteEliminationMatchesOracle) {
+  // Chains, trees and dense DAGs of 2-3 states, dense 3-4-state DAGs, and
+  // 2-3-state DAGs with exact-zero CPT entries (impossible evidence, and
+  // observed states impossible under some row), under 0-3 observed
+  // variables (1-4 on the last family). For every free query and one
+  // joint, VE equals the oracle within kProbSum or throws its
+  // impossible-evidence message, and explain() lists the signature's
+  // order filtered to the reference requisite set.
+  pr::Rng rng(differential_seed() + 11);
+  std::size_t pairs = 0, impossible = 0, pruned = 0, fallbacks = 0;
+  for (std::size_t t = 0; t < 100; ++t) {
+    const std::size_t family = t % 5;
+    const auto net =
+        family < 3    ? random_network(rng, kTopologies[family], 5 + rng.uniform_index(3), 2, 2)
+        : family == 3 ? random_network(rng, Topology::kDense, 4 + rng.uniform_index(2), 3, 2)
+                      : random_network(rng, Topology::kDense, 5 + rng.uniform_index(3), 2, 2, 0.3);
+    const bn::InferenceEngine ve(net, kExact);
+    const auto network = bn::compute_elimination_order(net, {}, {});
+    for (std::size_t ec = 0; ec < 3; ++ec) {
+      const std::size_t observed = rng.uniform_index(4) + (family == 4 ? 1 : 0);
+      const auto ev = random_evidence(rng, net, observed);
+      const std::string at = "net " + std::to_string(t) + " ev " + std::to_string(ec);
+      ++pairs;
+      std::vector<bn::VariableId> free;
+      for (bn::VariableId v = 0; v < net.size(); ++v)
+        if (!ev.contains(v)) free.push_back(v);
+      const bn::VariableId x = free[rng.uniform_index(free.size())];
+      const bn::VariableId y = free[(std::find(free.begin(), free.end(), x) - free.begin() + 1) %
+                                    free.size()];
+      if (!(bn::enumerate_evidence_probability(net, ev) > 0.0)) {
+        ++impossible;
+        const std::string msg = bn::impossible_evidence_message(net, ev);
+        const auto expect_throws = [&](auto&& call, const std::string& what) {
+          try {
+            call();
+            ADD_FAILURE() << what << " did not throw, " << at;
+          } catch (const std::domain_error& e) {
+            EXPECT_EQ(std::string(e.what()), msg) << what << ", " << at;
+          }
+        };
+        for (const bn::VariableId q : free) {
+          expect_throws([&] { (void)ve.query(q, ev); }, "query " + std::to_string(q));
+          expect_throws([&] { (void)ve.explain(q, ev); }, "explain " + std::to_string(q));
+        }
+        if (x != y) expect_throws([&] { (void)ve.joint(x, y, ev); }, "joint");
+        continue;
+      }
+      for (const bn::VariableId q : free) {
+        const auto want = bn::enumerate_posterior(net, q, ev);
+        const auto got = ve.query(q, ev);
+        for (std::size_t s = 0; s < want.size(); ++s)
+          ASSERT_NEAR(got.p(s), want.p(s), tol::kProbSum) << "q " << q << ", " << at;
+        std::vector<bn::VariableId> steps;
+        for (const auto& step : ve.explain(q, ev).steps) steps.push_back(step.variable);
+        ASSERT_EQ(steps, reference_steps(net, network.order, q, ev)) << "q " << q << ", " << at;
+        const auto ball = reference_bayes_ball(net, {q}, ev);
+        if (reference_requisite(net, {q}, ev) != ball) ++fallbacks;
+        else if (ball != reference_ancestral(net, {q}, ev)) ++pruned;
+      }
+      if (x == y) continue;
+      // P(x, y | e) = P(y | e) P(x | e, y), row by row.
+      const auto joint = ve.joint(x, y, ev);
+      const auto py = bn::enumerate_posterior(net, y, ev);
+      for (std::size_t j = 0; j < py.size(); ++j) {
+        bn::Evidence given = ev;
+        given[y] = j;
+        std::vector<double> px(net.variable(x).cardinality(), 0.0);
+        if (py.p(j) > 0.0) px = bn::enumerate_posterior(net, x, given).probs();
+        for (std::size_t i = 0; i < px.size(); ++i)
+          ASSERT_NEAR(joint.p(i, j), py.p(j) * px[i], tol::kProbSum)
+              << "joint " << x << "," << y << ", " << at;
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 300u);
+  EXPECT_GE(impossible, 5u);
+  EXPECT_GE(pruned, 200u);
+  EXPECT_GE(fallbacks, 5u);
 }
 
 // ---- likelihood weighting within sampling tolerance ----

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -424,6 +426,82 @@ TEST(Engine, AncestralSetKeepsEveryContract) {
     EXPECT_NEAR(profile.posterior[st], want.p(st), tol::kTiny);
 }
 
+TEST(Engine, RequisiteSetRunsOnlyTheStagesBetween) {
+  // Table I refined by five noisy 4-state relay stages. Observing stage k
+  // cuts everything above it off a query at stage j > k: Bayes-ball marks
+  // stages k+1..j only, so VE eliminates the j - k - 1 stages between
+  // them and never multiplies Table I's CPTs or their exact zeros.
+  auto net = paper_network();
+  std::vector<bn::VariableId> stage;
+  bn::VariableId prev = net.id_of("perception");
+  for (std::size_t s = 0; s < 5; ++s) {
+    const auto id = net.add_variable("stage" + std::to_string(s),
+                                     {"car", "pedestrian", "ambiguous", "none"});
+    std::vector<pr::Categorical> rows;
+    for (std::size_t in = 0; in < 4; ++in) {
+      std::vector<double> row(4, 0.03);
+      row[in] = 0.91;
+      rows.push_back(pr::Categorical::normalized(std::move(row)));
+    }
+    net.set_cpt(id, {prev}, std::move(rows));
+    stage.push_back(prev = id);
+  }
+  const bn::InferenceEngine engine(net, kExact);
+  for (std::size_t k = 0; k < stage.size(); ++k) {
+    for (std::size_t j = k + 1; j < stage.size(); ++j) {
+      const bn::Evidence ev{{stage[k], (k + j) % 4}};
+      const auto profile = engine.explain(stage[j], ev);
+      std::vector<bn::VariableId> got;
+      for (const auto& step : profile.steps) got.push_back(step.variable);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, std::vector<bn::VariableId>(stage.begin() + k + 1, stage.begin() + j))
+          << "k " << k << " j " << j;
+      const auto want = bn::enumerate_posterior(net, stage[j], ev);
+      for (std::size_t s = 0; s < want.size(); ++s)
+        EXPECT_NEAR(profile.posterior[s], want.p(s), tol::kTiny) << "k " << k << " j " << j;
+    }
+  }
+}
+
+TEST(Engine, RequisiteSetFallsBackOnAnImpossiblePrunedObservation) {
+  // a -> b -> c -> d with b = 1 unreachable. Observed c blocks every ball
+  // from d, so P(d | b, c) needs only d's CPT, yet b = 1 makes P(e) = 0:
+  // the run falls back to the ancestral set, and every entry throws the
+  // unified error.
+  bn::BayesianNetwork net;
+  const auto a = net.add_variable("a", {"0", "1"});
+  const auto b = net.add_variable("b", {"0", "1"});
+  const auto c = net.add_variable("c", {"0", "1"});
+  const auto d = net.add_variable("d", {"0", "1"});
+  net.set_cpt(a, {}, {pr::Categorical({0.5, 0.5})});
+  net.set_cpt(b, {a}, {pr::Categorical({1.0, 0.0}), pr::Categorical({1.0, 0.0})});
+  net.set_cpt(c, {b}, {pr::Categorical({0.75, 0.25}), pr::Categorical({0.25, 0.75})});
+  net.set_cpt(d, {c}, {pr::Categorical({0.5, 0.5}), pr::Categorical({0.25, 0.75})});
+  const bn::Evidence impossible{{b, 1}, {c, 0}};
+  const std::string msg = bn::impossible_evidence_message(net, impossible);
+  for (const auto backend : {bn::Backend::kVariableElimination, bn::Backend::kAuto}) {
+    const bn::InferenceEngine engine(net, {.threads = 1, .backend = backend});
+    for (const auto& call : std::vector<std::function<void()>>{
+             [&] { (void)engine.query(d, impossible); },
+             [&] { (void)engine.explain(d, impossible); },
+             [&] { (void)engine.query_batch({{d, impossible}}); }}) {
+      try {
+        call();
+        ADD_FAILURE() << "impossible evidence did not throw";
+      } catch (const std::domain_error& e) {
+        EXPECT_EQ(std::string(e.what()), msg);
+      }
+    }
+  }
+
+  // With b's observed state possible under every row, b's CPT stays out:
+  // d's posterior is its c = 0 row, and no step runs.
+  const bn::InferenceEngine engine(net, kExact);
+  const auto profile = engine.explain(d, {{b, 0}, {c, 0}});
+  EXPECT_TRUE(profile.steps.empty());
+  EXPECT_EQ(profile.posterior, (std::vector<double>{0.5, 0.5}));
+}
+
 // ---- junction-tree backend ----
 
 TEST(EngineBackends, JunctionTreeStructureOnChain) {
@@ -486,10 +564,9 @@ TEST(EngineBackends, AllMarginalsMatchesPerQueryLoop) {
     bn::InferenceEngine engine(net, {.threads = 1, .backend = backend});
     const bn::Evidence ev{{1, 3}};
     const auto all = engine.all_marginals(ev);
-    // One ordering lookup under VE and kAuto (its guard's); the
-    // kJunctionTree engine calibrates the network's compiled tree and
-    // needs no signature plan.
-    const std::size_t lookups = backend == bn::Backend::kJunctionTree ? 0 : 1;
+    // One ordering lookup under VE; kJunctionTree and kAuto calibrate the
+    // network's compiled tree and need no signature plan.
+    const std::size_t lookups = backend == bn::Backend::kVariableElimination ? 1 : 0;
     EXPECT_EQ(engine.cache_stats().misses, lookups);
     EXPECT_EQ(engine.cache_stats().hits, 0u);
     EXPECT_EQ(engine.cache_stats().entries, lookups);
@@ -1111,6 +1188,76 @@ TEST(EngineCompiledTree, FaultTreeSignaturesFilterTheNetworkPlan) {
       EXPECT_EQ(got, want);
     }
   }
+}
+
+TEST(EngineCompiledTree, AutoAllMarginalsLooksNoSignatureUp) {
+  // Every assignment of {top = failed} plus one to three observed basic
+  // events. Under kAuto, all_marginals calibrates the network's compiled
+  // tree with no signature lookup, exactly as kJunctionTree does.
+  const auto compiled = small_fault_tree();
+  const auto& net = compiled.network;
+  std::vector<bn::VariableId> basic;
+  for (int i = 0; i < 6; ++i) basic.push_back(net.id_of("e" + std::to_string(i)));
+  std::vector<bn::Evidence> assignments;
+  for (unsigned observed = 1; observed < 64; ++observed) {
+    if (std::popcount(observed) > 3) continue;
+    for (unsigned failed = observed;; failed = (failed - 1) & observed) {
+      bn::Evidence ev{{compiled.top, 1}};
+      for (std::size_t i = 0; i < basic.size(); ++i)
+        if ((observed >> i) & 1u) ev[basic[i]] = (failed >> i) & 1u;
+      assignments.push_back(std::move(ev));
+      if (failed == 0) break;
+    }
+  }
+  ASSERT_EQ(assignments.size(), 232u);
+
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  const bn::InferenceEngine jt(net, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+  for (const auto& ev : assignments) {
+    const auto got = engine.all_marginals(ev);
+    const auto want = jt.all_marginals(ev);
+    for (bn::VariableId v = 0; v < net.size(); ++v)
+      ASSERT_EQ(got[v].probs(), want[v].probs()) << net.variable(v).name();
+  }
+  EXPECT_EQ(engine.cache_stats().hits, 0u);
+  EXPECT_EQ(engine.cache_stats().misses, 0u);
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
+  EXPECT_EQ(engine.jt_cache_stats().entries, assignments.size());
+
+  // A ceiling below the network plan's largest clique leaves no network
+  // plan: kAuto looks each signature up again, runs the signatures whose
+  // min-fill plans fit on trees compiled from them, and escalates the
+  // rest to BP, or throws with the escalation disabled.
+  const std::size_t ceiling = bn::compute_elimination_order(net, {}, {}).max_table_cells - 1;
+  const bn::InferenceEngine capped(net, {.threads = 1, .max_exact_table_cells = ceiling});
+  const bn::InferenceEngine strict(
+      net, {.threads = 1, .max_exact_table_cells = ceiling, .enable_bp = false});
+  const bn::InferenceEngine bp(net, {.threads = 1, .backend = bn::Backend::kLoopyBP});
+  std::set<std::vector<bn::VariableId>> signatures;
+  std::size_t escalated = 0;
+  for (const auto& ev : assignments) {
+    const auto keys = bn::evidence_keys(ev);
+    signatures.insert(keys);
+    const auto got = capped.all_marginals(ev);
+    if (bn::compute_elimination_order(net, {}, keys).max_table_cells > ceiling) {
+      ++escalated;
+      const auto want = bp.all_marginals(ev);
+      for (bn::VariableId v = 0; v < net.size(); ++v)
+        ASSERT_EQ(got[v].probs(), want[v].probs()) << net.variable(v).name();
+      EXPECT_THROW((void)strict.all_marginals(ev), sysuq::contracts::ContractViolation);
+      continue;
+    }
+    const auto want = jt.all_marginals(ev);
+    for (bn::VariableId v = 0; v < net.size(); ++v)
+      for (std::size_t s = 0; s < want[v].size(); ++s)
+        ASSERT_NEAR(got[v].p(s), want[v].p(s), tol::kTiny) << net.variable(v).name();
+    EXPECT_NO_THROW((void)strict.all_marginals(ev));
+  }
+  EXPECT_GT(escalated, 0u);
+  EXPECT_LT(escalated, assignments.size());
+  EXPECT_EQ(capped.cache_stats().misses, signatures.size());
+  EXPECT_EQ(capped.cache_stats().hits, assignments.size() - signatures.size());
+  EXPECT_EQ(capped.cache_stats().entries, signatures.size());
 }
 
 TEST(EngineCompiledTree, ConcurrentFirstUseCompilesOnce) {
