@@ -26,7 +26,7 @@ bayesnet::CptLearner run_policy(Policy policy, std::size_t budget,
                                 prob::Rng& rng) {
   const auto truth = perception::table1_network();
   bayesnet::CptLearner learner(truth, 1, 1.0);
-  const auto& prior = truth.cpt_rows(0)[0];
+  const auto prior = truth.cpt_rows(0)[0];
   for (std::size_t n = 0; n < budget; ++n) {
     std::size_t gt = 0;
     switch (policy) {

@@ -189,7 +189,7 @@ BENCHMARK(BM_NBodyVerletStep);
 
 void BM_HmmFilter(benchmark::State& state) {
   const auto net = perception::table1_network();
-  const auto& prior = net.cpt_rows(0)[0];
+  const auto prior = net.cpt_rows(0)[0];
   std::vector<prob::Categorical> trans(3, prior);
   const markov::Hmm hmm(prior, trans, net.cpt_rows(1));
   prob::Rng rng(5);

@@ -18,7 +18,7 @@ using namespace sysuq;
 
 markov::Hmm table1_hmm(double stickiness) {
   const auto net = perception::table1_network();
-  const auto& prior = net.cpt_rows(0)[0];
+  const auto prior = net.cpt_rows(0)[0];
   std::vector<prob::Categorical> trans;
   for (std::size_t i = 0; i < 3; ++i) {
     std::vector<double> row(3, 0.0);
@@ -90,13 +90,13 @@ int main() {
   const auto tr = hmm.sample(5000, rng);
   const auto filt = hmm.filter(tr.observations);
   std::size_t frame_acts = 0, frame_hazard = 0, filt_acts = 0, filt_hazard = 0;
-  const auto net = perception::table1_network();
+  const auto rows = perception::table1_network().cpt_rows(1);
   for (std::size_t t = 0; t < 5000; ++t) {
     // Per-frame policy: trust the single observation's MAP diagnosis.
     const auto single =
-        prob::Categorical::normalized({net.cpt_rows(1)[0].p(tr.observations[t]) * 0.6,
-                                       net.cpt_rows(1)[1].p(tr.observations[t]) * 0.3,
-                                       net.cpt_rows(1)[2].p(tr.observations[t]) * 0.1});
+        prob::Categorical::normalized({rows[0].p(tr.observations[t]) * 0.6,
+                                       rows[1].p(tr.observations[t]) * 0.3,
+                                       rows[2].p(tr.observations[t]) * 0.1});
     if (single.max_prob() > 0.9 && single.argmax() < 2) {
       ++frame_acts;
       frame_hazard += (tr.states[t] != single.argmax()) ? 1 : 0;

@@ -184,10 +184,8 @@ InferenceEngine::InferenceEngine(const BayesianNetwork& net, Options options)
   threads_ = options_.threads != 0
                  ? options_.threads
                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  cpt_factors_.reserve(net_.size());
   children_.resize(net_.size());
   for (VariableId v = 0; v < net_.size(); ++v) {
-    cpt_factors_.push_back(net_.cpt_factor(v));
     for (const VariableId p : net_.parents(v)) children_[p].push_back(v);
   }
   if (threads_ > 1) pool_ = std::make_unique<Pool>(threads_ - 1);
@@ -349,23 +347,17 @@ const std::vector<std::vector<char>>& InferenceEngine::always_possible() const {
     std::vector<std::vector<char>> table;
     table.reserve(net_.size());
     for (VariableId v = 0; v < net_.size(); ++v) {
-      // v's states index blocks of `stride` cells, repeated per row of
-      // the scope variables before it (last variable fastest).
-      const Factor& f = cpt_factors_[v];
+      // Cell c holds v's state c / stride % card (last variable fastest).
+      const Factor& f = net_.cpt_factor(v);
       const auto& scope = f.scope();
       const std::size_t at = static_cast<std::size_t>(
           std::find(scope.begin(), scope.end(), v) - scope.begin());
       const std::size_t card = f.cardinalities()[at];
       std::size_t stride = 1;
       for (std::size_t i = at + 1; i < scope.size(); ++i) stride *= f.cardinalities()[i];
-      const std::vector<double>& values = f.values();
       std::vector<char> possible(card, 1);
-      for (std::size_t base = 0; base < values.size(); base += card * stride) {
-        for (std::size_t s = 0; s < card; ++s) {
-          for (std::size_t k = 0; k < stride; ++k) {
-            if (!(values[base + s * stride + k] > 0.0)) possible[s] = 0;
-          }
-        }
+      for (std::size_t c = 0; c < f.size(); ++c) {
+        if (!(f.values()[c] > 0.0)) possible[c / stride % card] = 0;
       }
       table.push_back(std::move(possible));
     }
@@ -394,7 +386,7 @@ bool InferenceEngine::mark_requisite(const std::vector<VariableId>& keep,
     const bool observed = (m & kObserved) != 0;
     if (from_child != observed && (m & kTop) == 0) {
       m |= kTop;
-      for (const VariableId p : cpt_factors_[v].scope()) {
+      for (const VariableId p : net_.cpt_factor(v).scope()) {
         if (p != v) balls.emplace_back(p, true);
       }
     }
@@ -426,7 +418,7 @@ InferenceEngine::VeRun InferenceEngine::ve_run(
     while (!stack.empty()) {
       const VariableId v = stack.back();
       stack.pop_back();
-      for (const VariableId p : cpt_factors_[v].scope()) {
+      for (const VariableId p : net_.cpt_factor(v).scope()) {
         if (in[p] == 0) {
           in[p] = 1;
           stack.push_back(p);
@@ -456,14 +448,14 @@ kernels::ScaledFactor InferenceEngine::eliminate_all_but(
   EngineMetrics::instance().elimination_width.observe(
       static_cast<double>(ordering.induced_width));
   const VeRun run = ve_run(keep, evidence, ordering);
-  // Cached CPT factors are viewed in place; only evidence-bearing ones
-  // are reduced (into the arena). No per-query deep copies.
+  // The network's CPT tables are viewed in place; only evidence-bearing
+  // ones are reduced (into the arena). No per-query deep copies.
   Arena& arena = kernels::thread_scratch();
   arena.reset();
   std::vector<kernels::View> views;
   views.reserve(run.cpts.size());
   for (const VariableId v : run.cpts) {
-    kernels::View view = kernels::view_of(cpt_factors_[v]);
+    kernels::View view = kernels::view_of(net_.cpt_factor(v));
     for (const auto& [ev, state] : evidence) {
       if (view.contains(ev))
         view = kernels::reduce(view, ev, state, arena).view();

@@ -8,7 +8,8 @@
 // force, with the same error semantics (std::out_of_range for unknown
 // evidence ids or states, std::domain_error with
 // `impossible_evidence_message` when P(e) = 0). How the engine gets there:
-//  * CPT factors and child lists are materialized once, at construction;
+//  * VE views the network's CPT tables in place, and child lists are
+//    built once, at construction;
 //  * a posterior or `joint` VE run multiplies only the CPTs that
 //    Bayes-ball (Shachter 1998) marks requisite for its kept variables
 //    given the observed ones, and eliminates the signature's ordering
@@ -272,8 +273,6 @@ class InferenceEngine {
   const BayesianNetwork& net_;              // sysuq-thread-confined(init)
   Options options_;                         // sysuq-thread-confined(init)
   std::size_t threads_;                     // sysuq-thread-confined(init)
-  // One per variable, built once.  sysuq-thread-confined(init)
-  std::vector<Factor> cpt_factors_;
   // Each variable's children, ascending.  sysuq-thread-confined(init)
   std::vector<std::vector<VariableId>> children_;
   std::unique_ptr<Pool> pool_;              // sysuq-thread-confined(init)
@@ -321,7 +320,7 @@ class InferenceEngine {
   [[nodiscard]] std::shared_ptr<const LoopyBP> bp_for(
       const Evidence& evidence) const;
   /// `[v][s]`: state s of v has positive probability under every parent
-  /// row. Built from `cpt_factors_` on first use.
+  /// row. Read off the network's CPT tables on first use.
   [[nodiscard]] const std::vector<std::vector<char>>& always_possible() const;
   /// What one VE run executes: the CPTs it multiplies, `cpts`
   /// (ascending), and the signature's order filtered to them, minus
@@ -350,8 +349,8 @@ class InferenceEngine {
   [[nodiscard]] bool mark_requisite(const std::vector<VariableId>& keep,
                                     const Evidence& evidence,
                                     std::vector<char>& in) const;
-  /// Scaled elimination of ve_run()'s plan over views of the cached CPT
-  /// factors (no per-query deep copies); evidence reductions and all
+  /// Scaled elimination of ve_run()'s plan over views of the network's
+  /// CPT tables (no per-query deep copies); evidence reductions and all
   /// intermediates live in the per-thread scratch arena. The log
   /// normalizer lets the impossible-evidence checks distinguish genuine
   /// zero mass from deep-chain underflow.

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/tolerance.hpp"
 #include "obs/registry.hpp"
@@ -56,6 +57,33 @@ std::string impossible_evidence_message(const BayesianNetwork& net,
 
 namespace {
 
+// Where v's CPT table holds the row P(v | parents) that a joint `state`
+// selects: v's state s sits at cell first + s * stride.
+std::pair<std::size_t, std::size_t> row_cells(const Factor& cpt, VariableId v,
+                                              const std::vector<std::size_t>& state) {
+  std::size_t first = 0, stride = 1, v_stride = 0;
+  for (std::size_t i = cpt.scope().size(); i-- > 0; stride *= cpt.cardinalities()[i]) {
+    if (cpt.scope()[i] == v) {
+      v_stride = stride;
+    } else {
+      first += state[cpt.scope()[i]] * stride;
+    }
+  }
+  return {first, v_stride};
+}
+
+// Draws v's state from the CPT row that `state` selects, as
+// Categorical::sample would; `row` is reused scratch.
+std::size_t draw(const BayesianNetwork& net, VariableId v,
+                 const std::vector<std::size_t>& state, prob::Rng& rng,
+                 std::vector<double>& row) {
+  const Factor& cpt = net.cpt_factor(v);
+  const auto [first, stride] = row_cells(cpt, v, state);
+  row.resize(net.variable(v).cardinality());
+  for (std::size_t s = 0; s < row.size(); ++s) row[s] = cpt.values()[first + s * stride];
+  return rng.categorical(row);
+}
+
 bool consistent(const std::vector<std::size_t>& state, const Evidence& evidence) {
   for (const auto& [v, s] : evidence) {
     if (state[v] != s) return false;
@@ -83,10 +111,9 @@ void for_each_consistent(const BayesianNetwork& net, const Evidence& evidence,
     if (consistent(state, evidence)) {
       double p = 1.0;
       for (VariableId v : order) {
-        const auto& ps = net.parents(v);
-        std::vector<std::size_t> pstates(ps.size());
-        for (std::size_t i = 0; i < ps.size(); ++i) pstates[i] = state[ps[i]];
-        p *= net.cpt_row(v, pstates).p(state[v]);
+        const Factor& cpt = net.cpt_factor(v);
+        const auto [first, stride] = row_cells(cpt, v, state);
+        p *= cpt.values()[first + state[v] * stride];
         if (p == 0.0) break;  // sysuq-lint-allow(float-eq): zero mass short-circuit
       }
       fn(state, p);
@@ -164,23 +191,22 @@ prob::Categorical likelihood_weighting(const BayesianNetwork& net,
   const auto order = net.topological_order();
   std::vector<double> weights(net.variable(query).cardinality(), 0.0);
   std::vector<std::size_t> state(net.size(), 0);
+  std::vector<double> row;
   double sum_w = 0.0;
   double sum_w2 = 0.0;
   std::uint64_t zero_weight = 0;
   for (std::size_t s = 0; s < samples; ++s) {
     double w = 1.0;
     for (VariableId v : order) {
-      const auto& ps = net.parents(v);
-      std::vector<std::size_t> pstates(ps.size());
-      for (std::size_t i = 0; i < ps.size(); ++i) pstates[i] = state[ps[i]];
-      const auto& row = net.cpt_row(v, pstates);
       const auto it = evidence.find(v);
-      if (it != evidence.end()) {
-        state[v] = it->second;
-        w *= row.p(it->second);
-      } else {
-        state[v] = row.sample(rng);
+      if (it == evidence.end()) {
+        state[v] = draw(net, v, state, rng, row);
+        continue;
       }
+      state[v] = it->second;
+      const Factor& cpt = net.cpt_factor(v);
+      const auto [first, stride] = row_cells(cpt, v, state);
+      w *= cpt.values()[first + it->second * stride];
     }
     weights[state[query]] += w;
     sum_w += w;
@@ -203,6 +229,14 @@ prob::Categorical likelihood_weighting(const BayesianNetwork& net,
   // draws this weighted run is worth.
   metrics.effective_sample_size.set(sum_w * sum_w / sum_w2);
   return prob::Categorical::normalized(std::move(weights));
+}
+
+std::vector<std::size_t> BayesianNetwork::sample(prob::Rng& rng) const {
+  const auto order = topological_order();
+  std::vector<std::size_t> state(nodes_.size(), 0);
+  std::vector<double> row;
+  for (VariableId v : order) state[v] = draw(*this, v, state, rng, row);
+  return state;
 }
 
 prob::Categorical rejection_sampling(const BayesianNetwork& net, VariableId query,

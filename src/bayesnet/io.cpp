@@ -32,7 +32,7 @@ std::string cpt_table(const BayesianNetwork& net, VariableId child) {
   }
   os << "\n";
 
-  const auto& rows = net.cpt_rows(child);
+  const auto rows = net.cpt_rows(child);
   std::vector<std::size_t> pstate(parents.size(), 0);
   for (const auto& row : rows) {
     for (std::size_t i = 0; i < parents.size(); ++i) {

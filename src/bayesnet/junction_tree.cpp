@@ -42,46 +42,15 @@ struct JtMetrics {
   }
 };
 
-// The stride of each dimension of the sorted `scope` in a row-major table
-// over the sorted `table` scope (last variable fastest); 0 where `table`
-// lacks the dimension.
-std::vector<std::size_t> strides_in(const BayesianNetwork& net,
-                                    const std::vector<VariableId>& scope,
-                                    const std::vector<VariableId>& table) {
-  std::vector<std::size_t> out(scope.size(), 0);
-  std::size_t stride = 1;
-  std::size_t d = scope.size();
-  for (std::size_t t = table.size(); t-- > 0;) {
-    while (d > 0 && scope[d - 1] > table[t]) --d;
-    if (d > 0 && scope[d - 1] == table[t]) out[d - 1] = stride;
-    stride *= net.variable(table[t]).cardinality();
-  }
-  return out;
-}
-
 // Calls visit(x, j) for each cell x of a row-major table over `scope`,
 // in order, where j is the cell of a table over `table` that x reads: the
 // sum of x's states times `strides_in(scope, table)`.
 template <class Visit>
 void walk(const BayesianNetwork& net, const std::vector<VariableId>& scope,
           const std::vector<VariableId>& table, Visit&& visit) {
-  const std::vector<std::size_t> strides = strides_in(net, scope, table);
-  std::vector<std::size_t> cards, idx(scope.size(), 0);
-  std::size_t size = 1;
-  for (const VariableId v : scope) {
-    cards.push_back(net.variable(v).cardinality());
-    size *= cards.back();
-  }
-  std::size_t j = 0;
-  for (std::size_t x = 0; x < size; ++x) {
-    visit(x, j);
-    for (std::size_t d = scope.size(); d-- > 0;) {
-      j += strides[d];
-      if (++idx[d] < cards[d]) break;
-      j -= strides[d] * cards[d];
-      idx[d] = 0;
-    }
-  }
+  std::vector<std::size_t> cards;
+  for (const VariableId v : scope) cards.push_back(net.variable(v).cardinality());
+  kernels::walk(cards.data(), strides_in(net, scope, table).data(), cards.size(), 0, visit);
 }
 
 // walk()'s cells as an index map.
@@ -220,11 +189,12 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
   // eliminated spanned family member (that step's scope merged the whole
   // spanned family). A CPT over spanned variables only is multiplied in
   // here, once; one holding an omitted variable waits for the evidence
-  // that fixes its omitted dimensions. A wholly omitted family has no
-  // clique: its entry is a constant factor of P(e).
+  // that fixes its omitted dimensions, reading the network's table. A
+  // wholly omitted family has no clique: its entry is a constant factor
+  // of P(e).
   potentials_.assign(cells, 1.0);
   for (VariableId v = 0; v < n; ++v) {
-    const Factor f = net_.cpt_factor(v);
+    const Factor& f = net_.cpt_factor(v);
     const auto& scope = f.scope();
     std::size_t first = kNone;
     bool spanned = true;
@@ -243,7 +213,7 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
            [&](std::size_t x, std::size_t j) { pot[x] *= values[j]; });
       continue;
     }
-    ReducedCpt r{home, f.values(), {}, {}};
+    ReducedCpt r{home, f.values().data(), {}, {}};
     if (home != kNone) r.cell = index_map(net_, cliques[home], scope);
     const std::vector<std::size_t> strides = strides_in(net_, scope, scope);
     for (std::size_t d = 0; d < scope.size(); ++d) {
@@ -316,7 +286,7 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
   for (const auto& r : s.reduced_) {
     std::size_t at = 0;
     for (const auto& [v, stride] : r.omitted) at += evidence_.at(v) * stride;
-    const double* values = r.values.data() + at;
+    const double* values = r.values + at;
     if (r.clique == JunctionTreeStructure::kNone) {
       if (!(values[0] > 0.0)) return give_up();
       log_evidence_ += std::log(values[0]);

@@ -38,7 +38,8 @@
 //    - on a spanned variable, as a 0/1 indicator in the clique it reads
 //      its marginal from;
 //    - on an omitted variable, by fixing that dimension of each CPT that
-//      holds it, as `BayesianNetwork::cpt_factor(v, evidence)` does.
+//      holds it, as `BayesianNetwork::cpt_factor(v, evidence)` does,
+//      reading the network's table (the structure keeps no copy).
 //
 // `JunctionTree(net, evidence[, ordering])` compiles a structure from the
 // signature's ordering (omitting exactly the observed variables), then
@@ -121,14 +122,14 @@ class JunctionTreeStructure {
     std::size_t stride = 0;
     std::size_t card = 0;
   };
-  /// A CPT holding an omitted variable: its full table, the cell each
-  /// home-clique cell reads with every omitted state 0, and the stride of
-  /// each omitted family member (evidence shifts the read by state x
-  /// stride). `clique` is kNone for a wholly omitted family, whose one
-  /// selected entry is a constant factor of P(e).
+  /// A CPT holding an omitted variable: the network's table, the cell
+  /// each home-clique cell reads with every omitted state 0, and the
+  /// stride of each omitted family member (evidence shifts the read by
+  /// state x stride). `clique` is kNone for a wholly omitted family, whose
+  /// one selected entry is a constant factor of P(e).
   struct ReducedCpt {
     std::size_t clique = kNone;
-    std::vector<double> values;
+    const double* values = nullptr;  ///< into `net_.cpt_factor(v)`
     std::vector<std::uint32_t> cell;
     std::vector<std::pair<VariableId, std::size_t>> omitted;
   };

@@ -525,46 +525,20 @@ void reduce_into(const View& f, std::size_t pos, std::size_t state,
   SYSUQ_EXPECT(state < f.cards[pos], "kernels::reduce_into: state out of range");
   std::size_t strides[kMaxRank];
   own_strides(f.cards, f.rank, strides);
-  if (f.rank == 1) {
-    out[0] = f.values[state];
-    return;
-  }
-  // Output dimensions are the input dimensions minus `pos`; walk the
-  // output in row-major order while tracking the input index
-  // incrementally through the input strides.
+  // Output dimensions are the input dimensions minus `pos`, each read at
+  // its input stride.
   std::size_t ocards[kMaxRank], istr[kMaxRank];
-  std::size_t orank = 0;
+  std::size_t orank = 0, base = 0;
   for (std::size_t i = 0; i < f.rank; ++i) {
-    if (i == pos) continue;
-    ocards[orank] = f.cards[i];
-    istr[orank] = strides[i];
-    ++orank;
-  }
-  const std::size_t out_size = f.size / f.cards[pos];
-  const std::size_t inner = orank - 1;
-  const std::size_t cin = ocards[inner];
-  const std::size_t sin = istr[inner];
-  std::size_t idx[kMaxRank];
-  std::fill(idx, idx + orank, std::size_t{0});
-  std::size_t in = state * strides[pos];
-  const double* v = f.values;
-  const std::size_t blocks = out_size / cin;
-  for (std::size_t blk = 0;;) {
-    const double* pv = v + in;
-    if (sin == 1) {
-      for (std::size_t j = 0; j < cin; ++j) out[j] = pv[j];
+    if (i == pos) {
+      base = state * strides[i];
     } else {
-      for (std::size_t j = 0; j < cin; ++j) out[j] = pv[j * sin];
-    }
-    out += cin;
-    if (++blk == blocks) break;
-    for (std::size_t k = inner; k-- > 0;) {
-      in += istr[k];
-      if (++idx[k] < ocards[k]) break;
-      in -= istr[k] * ocards[k];
-      idx[k] = 0;
+      ocards[orank] = f.cards[i];
+      istr[orank++] = strides[i];
     }
   }
+  walk(ocards, istr, orank, base,
+       [&](std::size_t x, std::size_t j) { out[x] = f.values[j]; });
 }
 
 Table reduce(const View& f, VariableId v, std::size_t state, Arena& arena) {

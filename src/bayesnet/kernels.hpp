@@ -28,6 +28,7 @@
 
 #include "bayesnet/arena.hpp"
 #include "bayesnet/factor.hpp"
+#include "core/contracts.hpp"
 
 namespace sysuq::bayesnet::kernels {
 
@@ -45,6 +46,27 @@ inline constexpr std::size_t kMaxRank = 64;
 [[nodiscard]] std::size_t checked_table_size(const std::size_t* cards,
                                              std::size_t rank,
                                              const char* what);
+
+/// Calls visit(x, j) for each cell x of a row-major table with
+/// cardinalities `cards[0..rank)` (last fastest), in order, where j is
+/// `base` plus the sum of x's states times `strides`: the cell x reads in
+/// a source table (stride 0 where the source lacks the dimension).
+template <class Visit>
+void walk(const std::size_t* cards, const std::size_t* strides,
+          std::size_t rank, std::size_t base, Visit&& visit) {
+  SYSUQ_EXPECT(rank <= kMaxRank, "kernels::walk: rank exceeds kMaxRank");
+  std::size_t idx[kMaxRank] = {}, size = 1;
+  for (std::size_t d = 0; d < rank; ++d) size *= cards[d];
+  for (std::size_t x = 0, j = base; x < size; ++x) {
+    visit(x, j);
+    for (std::size_t d = rank; d-- > 0;) {
+      j += strides[d];
+      if (++idx[d] < cards[d]) break;
+      j -= strides[d] * cards[d];
+      idx[d] = 0;
+    }
+  }
+}
 
 /// Non-owning view of a factor table: sorted scope, parallel
 /// cardinalities, row-major values (last variable fastest).

@@ -5,16 +5,59 @@
 #include <set>
 #include <stdexcept>
 
+#include "bayesnet/kernels.hpp"
 #include "core/contracts.hpp"
 
 namespace sysuq::bayesnet {
+
+namespace {
+
+// Calls visit(r, first, stride) for each row r of a CPT's rows layout, one
+// per configuration of `parents` (as listed, last fastest): child state s
+// of row r sits at cell first + s * stride of the table over `scope`.
+template <class Visit>
+void for_each_row(const BayesianNetwork& net, const std::vector<VariableId>& parents,
+                  VariableId child, const std::vector<VariableId>& scope, Visit&& visit) {
+  std::vector<VariableId> family = parents;
+  family.push_back(child);
+  const std::vector<std::size_t> strides = strides_in(net, family, scope);
+  std::vector<std::size_t> cards;
+  for (const VariableId p : parents) cards.push_back(net.variable(p).cardinality());
+  kernels::walk(cards.data(), strides.data(), cards.size(), 0,
+                [&](std::size_t r, std::size_t first) { visit(r, first, strides.back()); });
+}
+
+// The table of P(child | parents) that `rows` (last parent fastest) hold.
+Factor cpt_table(const BayesianNetwork& net, VariableId child,
+                 const std::vector<VariableId>& parents,
+                 const std::vector<prob::Categorical>& rows) {
+  std::vector<VariableId> scope = parents;
+  scope.push_back(child);
+  std::sort(scope.begin(), scope.end());
+  std::vector<std::size_t> cards;
+  for (const VariableId u : scope) cards.push_back(net.variable(u).cardinality());
+  const std::size_t cells = kernels::checked_table_size(
+      cards.data(), cards.size(), "BayesianNetwork: CPT table size overflows size_t");
+  const std::size_t k = net.variable(child).cardinality();
+  SYSUQ_EXPECT(rows.size() == cells / k,
+               "BayesianNetwork: expected " + std::to_string(cells / k) +
+                   " CPT rows, got " + std::to_string(rows.size()));
+  std::vector<double> values(cells);
+  for_each_row(net, parents, child, scope, [&](std::size_t r, std::size_t first, std::size_t stride) {
+    SYSUQ_EXPECT(rows[r].size() == k, "BayesianNetwork: CPT row size != child cardinality");
+    for (std::size_t s = 0; s < k; ++s) values[first + s * stride] = rows[r].probs()[s];
+  });
+  return Factor(std::move(scope), std::move(cards), std::move(values));
+}
+
+}  // namespace
 
 VariableId BayesianNetwork::add_variable(Variable v) {
   SYSUQ_EXPECT(!by_name_.contains(v.name()),
                "BayesianNetwork: duplicate variable '" + v.name() + "'");
   const VariableId id = nodes_.size();
   by_name_.emplace(v.name(), id);
-  nodes_.push_back(Node{std::move(v), std::nullopt, {}});
+  nodes_.push_back(Node{std::move(v), std::nullopt, Factor::unit()});
   return id;
 }
 
@@ -28,11 +71,10 @@ void BayesianNetwork::check_id(VariableId id) const {
     throw std::out_of_range("BayesianNetwork: bad variable id");
 }
 
-std::size_t BayesianNetwork::parent_config_count(VariableId child) const {
-  std::size_t n = 1;
-  for (VariableId p : *nodes_[child].parents)
-    n *= nodes_[p].var.cardinality();
-  return n;
+void BayesianNetwork::missing_cpt(VariableId id) const {
+  check_id(id);
+  throw std::logic_error("BayesianNetwork: CPT not set for '" +
+                         nodes_[id].var.name() + "'");
 }
 
 void BayesianNetwork::set_cpt(VariableId child, std::vector<VariableId> parents,
@@ -45,20 +87,11 @@ void BayesianNetwork::set_cpt(VariableId child, std::vector<VariableId> parents,
     SYSUQ_EXPECT(seen.insert(p).second,
                  "BayesianNetwork::set_cpt: duplicate parent");
   }
-  // Validate before mutating so a failed set_cpt leaves any previous CPT
-  // assignment intact (strong exception guarantee; the old code reset the
-  // parent list before throwing).
-  std::size_t expect = 1;
-  for (VariableId p : parents) expect *= nodes_[p].var.cardinality();
-  SYSUQ_EXPECT(rows.size() == expect,
-               "BayesianNetwork::set_cpt: expected " + std::to_string(expect) +
-                   " rows, got " + std::to_string(rows.size()));
-  for (const auto& r : rows) {
-    SYSUQ_EXPECT(r.size() == nodes_[child].var.cardinality(),
-                 "BayesianNetwork::set_cpt: row size != child cardinality");
-  }
+  // Build before mutating so a failed set_cpt leaves any previous CPT
+  // assignment intact (strong exception guarantee).
+  Factor cpt = cpt_table(*this, child, parents, rows);
   nodes_[child].parents = std::move(parents);
-  nodes_[child].rows = std::move(rows);
+  nodes_[child].cpt = std::move(cpt);
 }
 
 const Variable& BayesianNetwork::variable(VariableId id) const {
@@ -78,10 +111,7 @@ bool BayesianNetwork::has_variable(const std::string& name) const {
 }
 
 const std::vector<VariableId>& BayesianNetwork::parents(VariableId id) const {
-  check_id(id);
-  if (!nodes_[id].parents)
-    throw std::logic_error("BayesianNetwork: CPT not set for '" +
-                           nodes_[id].var.name() + "'");
+  if (id >= nodes_.size() || !nodes_[id].parents) missing_cpt(id);
   return *nodes_[id].parents;
 }
 
@@ -96,99 +126,69 @@ std::vector<VariableId> BayesianNetwork::children(VariableId id) const {
   return out;
 }
 
-std::size_t BayesianNetwork::row_index(
+prob::Categorical BayesianNetwork::cpt_row(
     VariableId child, const std::vector<std::size_t>& parent_states) const {
   const auto& ps = parents(child);
   if (parent_states.size() != ps.size())
     throw std::invalid_argument("BayesianNetwork: parent state count mismatch");
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const std::size_t card = nodes_[ps[i]].var.cardinality();
-    if (parent_states[i] >= card)
-      throw std::out_of_range("BayesianNetwork: parent state out of range");
-    idx = idx * card + parent_states[i];
-  }
-  return idx;
+  Evidence given;
+  for (std::size_t i = 0; i < ps.size(); ++i) given.emplace(ps[i], parent_states[i]);
+  return prob::Categorical(cpt_factor(child, given).values());
 }
 
-const prob::Categorical& BayesianNetwork::cpt_row(
-    VariableId child, const std::vector<std::size_t>& parent_states) const {
-  return nodes_[child].rows[row_index(child, parent_states)];
-}
-
-const std::vector<prob::Categorical>& BayesianNetwork::cpt_rows(
-    VariableId child) const {
-  check_id(child);
-  if (!nodes_[child].parents)
-    throw std::logic_error("BayesianNetwork: CPT not set for '" +
-                           nodes_[child].var.name() + "'");
-  return nodes_[child].rows;
+std::vector<prob::Categorical> BayesianNetwork::cpt_rows(VariableId child) const {
+  const Factor& table = cpt_factor(child);
+  std::vector<prob::Categorical> rows;
+  for_each_row(*this, *nodes_[child].parents, child, table.scope(),
+               [&](std::size_t, std::size_t first, std::size_t stride) {
+                 std::vector<double> row(nodes_[child].var.cardinality());
+                 for (std::size_t s = 0; s < row.size(); ++s) row[s] = table.values()[first + s * stride];
+                 rows.emplace_back(std::move(row));
+               });
+  return rows;
 }
 
 Factor BayesianNetwork::cpt_factor(VariableId child,
                                    const Evidence& evidence) const {
-  const auto& ps = parents(child);
-  const auto& rows = nodes_[child].rows;
-
-  // The CPT holds entry (row r, child state s) at rows[r].p(s), where r
-  // is the mixed-radix parent index (last parent fastest). A family
-  // member moves r by `row_step` per state and s by `state_step`.
-  struct Member {
-    VariableId id;
-    std::size_t card;
-    std::size_t row_step;
-    std::size_t state_step;
-  };
-  std::vector<Member> family;
-  family.reserve(ps.size() + 1);
-  std::size_t row_step = 1;
-  for (std::size_t i = ps.size(); i-- > 0;) {
-    const std::size_t card = nodes_[ps[i]].var.cardinality();
-    family.push_back({ps[i], card, row_step, 0});
-    row_step *= card;
-  }
-  family.push_back({child, nodes_[child].var.cardinality(), 0, 1});
-  // Factor scopes are sorted by id, last varying fastest.
-  std::sort(family.begin(), family.end(),
-            [](const Member& a, const Member& b) { return a.id < b.id; });
-
+  const Factor& table = cpt_factor(child);
+  const auto& scope = table.scope();
+  const auto& cards = table.cardinalities();
   // Observed members fix the first consistent cell; the open ones span
-  // the factor.
-  std::size_t row = 0, state = 0, total = 1;
-  std::vector<Member> open;
-  std::vector<VariableId> scope;
-  std::vector<std::size_t> cards;
-  for (const Member& m : family) {
-    const auto it = evidence.find(m.id);
+  // the result, each read at its stride in the table.
+  std::vector<VariableId> open;
+  std::vector<std::size_t> open_cards, strides;
+  std::size_t first = 0, stride = table.size(), cells = 1;
+  for (std::size_t i = 0; i < scope.size(); ++i) {
+    stride /= cards[i];
+    const auto it = evidence.find(scope[i]);
     if (it == evidence.end()) {
-      open.push_back(m);
-      scope.push_back(m.id);
-      cards.push_back(m.card);
-      total *= m.card;
-      continue;
-    }
-    if (it->second >= m.card)
+      open.push_back(scope[i]);
+      open_cards.push_back(cards[i]);
+      strides.push_back(stride);
+      cells *= cards[i];
+    } else if (it->second < cards[i]) {
+      first += it->second * stride;
+    } else {
       throw std::out_of_range("BayesianNetwork::cpt_factor: evidence state");
-    row += it->second * m.row_step;
-    state += it->second * m.state_step;
-  }
-
-  // Walk the consistent cells in the factor's row-major order, moving
-  // (row, state) with a mixed-radix counter over the open members.
-  std::vector<double> values(total);
-  std::vector<std::size_t> counter(open.size(), 0);
-  for (double& value : values) {
-    value = rows[row].p(state);
-    for (std::size_t k = open.size(); k-- > 0;) {
-      row += open[k].row_step;
-      state += open[k].state_step;
-      if (++counter[k] < open[k].card) break;
-      row -= open[k].row_step * open[k].card;
-      state -= open[k].state_step * open[k].card;
-      counter[k] = 0;
     }
   }
-  return Factor(std::move(scope), std::move(cards), std::move(values));
+  std::vector<double> values(cells);
+  kernels::walk(open_cards.data(), strides.data(), open.size(), first,
+                [&](std::size_t x, std::size_t j) { values[x] = table.values()[j]; });
+  return Factor(std::move(open), std::move(open_cards), std::move(values));
+}
+
+std::vector<std::size_t> strides_in(const BayesianNetwork& net,
+                                    const std::vector<VariableId>& vars,
+                                    const std::vector<VariableId>& table) {
+  std::vector<std::size_t> out(vars.size(), 0);
+  std::size_t stride = 1;
+  for (std::size_t t = table.size(); t-- > 0;) {
+    const auto it = std::find(vars.begin(), vars.end(), table[t]);
+    if (it != vars.end()) out[static_cast<std::size_t>(it - vars.begin())] = stride;
+    stride *= net.variable(table[t]).cardinality();
+  }
+  return out;
 }
 
 void BayesianNetwork::check_evidence(const Evidence& evidence) const {
@@ -246,7 +246,8 @@ std::size_t BayesianNetwork::parameter_count() const {
   for (VariableId v = 0; v < nodes_.size(); ++v) {
     if (!nodes_[v].parents)
       throw std::logic_error("BayesianNetwork: CPT missing");
-    total += parent_config_count(v) * (nodes_[v].var.cardinality() - 1);
+    const std::size_t k = nodes_[v].var.cardinality();
+    total += nodes_[v].cpt.size() / k * (k - 1);
   }
   return total;
 }
@@ -300,30 +301,9 @@ bool BayesianNetwork::d_separated(VariableId x, VariableId y,
   return true;
 }
 
-std::vector<std::size_t> BayesianNetwork::sample(prob::Rng& rng) const {
-  const auto order = topological_order();
-  std::vector<std::size_t> state(nodes_.size(), 0);
-  for (VariableId v : order) {
-    const auto& ps = *nodes_[v].parents;
-    std::vector<std::size_t> pstates(ps.size());
-    for (std::size_t i = 0; i < ps.size(); ++i) pstates[i] = state[ps[i]];
-    state[v] = cpt_row(v, pstates).sample(rng);
-  }
-  return state;
-}
-
 void BayesianNetwork::update_cpt_rows(VariableId child,
                                       std::vector<prob::Categorical> rows) {
-  check_id(child);
-  SYSUQ_EXPECT(nodes_[child].parents.has_value(),
-               "BayesianNetwork::update_cpt_rows: CPT not set");
-  SYSUQ_EXPECT(rows.size() == nodes_[child].rows.size(),
-               "BayesianNetwork::update_cpt_rows: row count");
-  for (const auto& r : rows) {
-    SYSUQ_EXPECT(r.size() == nodes_[child].var.cardinality(),
-                 "BayesianNetwork::update_cpt_rows: row size");
-  }
-  nodes_[child].rows = std::move(rows);
+  nodes_[child].cpt = cpt_table(*this, child, parents(child), rows);
 }
 
 }  // namespace sysuq::bayesnet

@@ -34,7 +34,9 @@ using Evidence = std::map<VariableId, std::size_t>;
 ///
 /// Build protocol: add all variables, then attach one CPT per variable
 /// with `set_cpt`. The network `validate()`s acyclicity and CPT coverage;
-/// queries require a validated (complete) network.
+/// queries require a validated (complete) network. Each CPT is stored
+/// once, as its table: a `Factor` over the child and its parents (scope
+/// ascending by id, last variable fastest, as the kernels' views read).
 class BayesianNetwork {
  public:
   /// Adds a variable; returns its id. Names must be unique.
@@ -46,8 +48,9 @@ class BayesianNetwork {
 
   /// Attaches the CPT P(child | parents). `rows` holds one categorical
   /// over the child's states per parent configuration, ordered with the
-  /// *last* parent varying fastest (matching Factor layout). A root node
-  /// passes empty `parents` and a single row (its prior).
+  /// *last* parent varying fastest. A root node passes empty `parents`
+  /// and a single row (its prior). A failed call (std::invalid_argument,
+  /// e.g. a table size that overflows size_t) leaves the CPT intact.
   void set_cpt(VariableId child, std::vector<VariableId> parents,
                std::vector<prob::Categorical> rows);
 
@@ -66,24 +69,27 @@ class BayesianNetwork {
   [[nodiscard]] std::vector<VariableId> children(VariableId id) const;
 
   /// The CPT row for a child given a full parent-state assignment
-  /// (parallel to `parents(child)`).
-  [[nodiscard]] const prob::Categorical& cpt_row(
+  /// (parallel to `parents(child)`), copied off the table.
+  [[nodiscard]] prob::Categorical cpt_row(
       VariableId child, const std::vector<std::size_t>& parent_states) const;
 
-  /// All CPT rows of a child (last parent fastest).
-  [[nodiscard]] const std::vector<prob::Categorical>& cpt_rows(
-      VariableId child) const;
+  /// All CPT rows of a child (last parent fastest), copied off the table.
+  [[nodiscard]] std::vector<prob::Categorical> cpt_rows(VariableId child) const;
 
-  /// The CPT of `child` as a factor over {parents, child}, reduced by
-  /// `evidence`: each observed family member is fixed to its state and
-  /// leaves the scope (a wholly observed family gives a scalar), and
-  /// evidence off the family is ignored. Built in one pass over the
-  /// consistent cells, so it equals the full factor reduced one variable
-  /// at a time with `Factor::reduce`, value for value. Throws
-  /// std::out_of_range for an observed family state past its
-  /// variable's cardinality.
+  /// The stored table of `child`'s CPT. Throws like `parents`.
+  [[nodiscard]] const Factor& cpt_factor(VariableId child) const {
+    if (child >= nodes_.size() || !nodes_[child].parents) missing_cpt(child);
+    return nodes_[child].cpt;
+  }
+
+  /// The stored table reduced by `evidence`: each observed family member
+  /// is fixed to its state and leaves the scope (a wholly observed family
+  /// gives a scalar), and evidence off the family is ignored. Copied in
+  /// one pass over the consistent cells, so it equals the table reduced
+  /// one variable at a time with `Factor::reduce`, value for value.
+  /// Throws std::out_of_range for an observed state past its cardinality.
   [[nodiscard]] Factor cpt_factor(VariableId child,
-                                  const Evidence& evidence = {}) const;
+                                  const Evidence& evidence) const;
 
   /// Throws std::logic_error unless every variable has a CPT and the
   /// graph is acyclic. O(V + E): one `topological_order()`.
@@ -112,7 +118,8 @@ class BayesianNetwork {
   [[nodiscard]] bool d_separated(VariableId x, VariableId y,
                                  const std::vector<VariableId>& z) const;
 
-  /// Draws a full joint sample in topological order.
+  /// Draws a full joint sample in topological order (defined with the
+  /// other samplers, in inference.cpp).
   [[nodiscard]] std::vector<std::size_t> sample(prob::Rng& rng) const;
 
   /// Replaces the CPT rows of `child` keeping its parent set. Used by the
@@ -122,17 +129,23 @@ class BayesianNetwork {
  private:
   struct Node {
     Variable var;
-    std::optional<std::vector<VariableId>> parents;
-    std::vector<prob::Categorical> rows;
+    std::optional<std::vector<VariableId>> parents;  ///< set with the CPT
+    Factor cpt;  ///< the CPT's table; meaningful once `parents` is set
   };
 
   std::vector<Node> nodes_;
   std::map<std::string, VariableId> by_name_;
 
-  [[nodiscard]] std::size_t parent_config_count(VariableId child) const;
-  [[nodiscard]] std::size_t row_index(
-      VariableId child, const std::vector<std::size_t>& parent_states) const;
   void check_id(VariableId id) const;
+  /// Throws std::out_of_range or, for a missing CPT, std::logic_error.
+  [[noreturn]] void missing_cpt(VariableId id) const;
 };
+
+/// The stride of each of `vars` in a row-major table laid out over the
+/// variables `table`, in that order (last fastest); 0 where `table` lacks
+/// it.
+[[nodiscard]] std::vector<std::size_t> strides_in(
+    const BayesianNetwork& net, const std::vector<VariableId>& vars,
+    const std::vector<VariableId>& table);
 
 }  // namespace sysuq::bayesnet

@@ -52,7 +52,7 @@ double query_sensitivity(const BayesianNetwork& net, VariableId child,
                          std::size_t qstate, const Evidence& evidence,
                          double delta) {
   SYSUQ_EXPECT(delta > 0.0, "query_sensitivity: delta");
-  const auto& rows = net.cpt_rows(child);
+  const auto rows = net.cpt_rows(child);
   if (row >= rows.size()) throw std::out_of_range("query_sensitivity: row");
   if (state >= rows[row].size())
     throw std::out_of_range("query_sensitivity: state");
@@ -80,7 +80,7 @@ std::vector<ParameterSensitivity> rank_parameters(const BayesianNetwork& net,
   net.validate();
   std::vector<ParameterSensitivity> out;
   for (VariableId child = 0; child < net.size(); ++child) {
-    const auto& rows = net.cpt_rows(child);
+    const auto rows = net.cpt_rows(child);
     for (std::size_t row = 0; row < rows.size(); ++row) {
       for (std::size_t state = 0; state < rows[row].size(); ++state) {
         ParameterSensitivity ps{};

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "bayesnet/kernels.hpp"
+
 namespace sysuq::bayesnet {
 
 namespace {
@@ -100,9 +102,14 @@ BayesianNetwork from_text(const std::string& text) {
       } catch (const std::exception& e) {
         fail(lineno, e.what());
       }
-      std::size_t rows = 1;
-      for (VariableId p : parents) rows *= net.variable(p).cardinality();
+      // Checked in every contracts mode: a wrapped count accepts too few rows.
       const std::size_t card = net.variable(child).cardinality();
+      std::size_t rows = 1;
+      for (VariableId p : parents) {
+        if (kernels::mul_overflows(rows * card, net.variable(p).cardinality()))
+          fail(lineno, "CPT table size overflows size_t");
+        rows *= net.variable(p).cardinality();
+      }
       std::vector<prob::Categorical> cpt;
       for (std::size_t r = 0; r < rows; ++r) {
         if (!next_tokens(tokens)) fail(lineno, "unexpected end of CPT rows");

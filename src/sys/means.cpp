@@ -39,8 +39,8 @@ RemovalLoop::RemovalLoop(const bayesnet::BayesianNetwork& truth,
 }
 
 double RemovalLoop::model_gap() const {
-  const auto& learned = deployed_.cpt_rows(child_);
-  const auto& true_rows = truth_.cpt_rows(child_);
+  const auto learned = deployed_.cpt_rows(child_);
+  const auto true_rows = truth_.cpt_rows(child_);
   if (learned.size() != true_rows.size())
     throw std::logic_error("RemovalLoop: CPT shape mismatch");
   double gap = 0.0;

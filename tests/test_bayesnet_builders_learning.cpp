@@ -151,7 +151,7 @@ TEST(CptLearner, CommitWritesPosteriorMean) {
   const auto truth = paper_network();
   for (int i = 0; i < 30000; ++i) learner.observe(truth.sample(rng));
   learner.commit(net);
-  const auto& prior = net.cpt_rows(0)[0];
+  const auto prior = net.cpt_rows(0)[0];
   EXPECT_NEAR(prior.p(0), 0.6, 0.01);
   EXPECT_NEAR(prior.p(2), 0.1, 0.01);
 }

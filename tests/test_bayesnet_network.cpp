@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bayesnet/io.hpp"
+#include "bayesnet/serialize.hpp"
 #include "perception/table1.hpp"
 #include "prob/rng.hpp"
 
@@ -50,14 +51,18 @@ std::vector<bn::VariableId> reference_topological_order(
 
 // Random DAG of 2-4-state variables whose parents may carry larger ids
 // than the child and are listed in a shuffled order, so a CPT's row
-// layout differs from its factor's sorted scope.
-bn::BayesianNetwork random_shuffled_network(pr::Rng& rng, std::size_t n) {
+// layout differs from its factor's sorted scope. `given[v]`, when asked
+// for, receives the rows passed to set_cpt for v.
+bn::BayesianNetwork random_shuffled_network(
+    pr::Rng& rng, std::size_t n,
+    std::vector<std::vector<pr::Categorical>>* given = nullptr) {
   bn::BayesianNetwork net;
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<std::string> states(2 + rng.uniform_index(3));
     for (std::size_t s = 0; s < states.size(); ++s) states[s] = "s" + std::to_string(s);
     net.add_variable("v" + std::to_string(i), std::move(states));
   }
+  if (given != nullptr) given->assign(n, {});
   // A random topological order: each variable draws parents from those
   // placed before it.
   std::vector<bn::VariableId> topo(n);
@@ -77,6 +82,7 @@ bn::BayesianNetwork random_shuffled_network(pr::Rng& rng, std::size_t n) {
       for (double& x : w) x = rng.uniform() + 0.05;
       cpt.push_back(pr::Categorical::normalized(std::move(w)));
     }
+    if (given != nullptr) (*given)[topo[i]] = cpt;
     net.set_cpt(topo[i], std::move(parents), std::move(cpt));
   }
   return net;
@@ -133,6 +139,17 @@ TEST(Network, CptValidation) {
   EXPECT_NO_THROW(net.set_cpt(y, {x},
                               {pr::Categorical::uniform(3),
                                pr::Categorical::uniform(3)}));
+  // 64 binary parents: 2^64 parent configurations wrap size_t to 0, so
+  // zero rows must not pass for them; the previous CPT stays.
+  bn::BayesianNetwork wide;
+  std::vector<bn::VariableId> parents;
+  for (std::size_t i = 0; i < 64; ++i)
+    parents.push_back(wide.add_variable("p" + std::to_string(i), {"a", "b"}));
+  const auto child = wide.add_variable("c", {"a", "b"});
+  wide.set_cpt(child, {}, {pr::Categorical({0.25, 0.75})});
+  EXPECT_THROW(wide.set_cpt(child, parents, {}), std::invalid_argument);
+  EXPECT_TRUE(wide.parents(child).empty());
+  EXPECT_EQ(wide.cpt_rows(child)[0].probs(), (std::vector<double>{0.25, 0.75}));
 }
 
 TEST(Network, ValidateRequiresAllCpts) {
@@ -225,9 +242,32 @@ TEST(Network, CptFactorMatchesRows) {
 
 TEST(Network, CptFactorUnderEvidenceEqualsStepwiseReduction) {
   pr::Rng rng(20261017ULL);
+  pr::Rng fresh(7);  // the update rows; `rng` draws what it always drew
   std::size_t scalars = 0;
   for (std::size_t t = 0; t < 30; ++t) {
-    const auto net = random_shuffled_network(rng, 4 + rng.uniform_index(4));
+    std::vector<std::vector<pr::Categorical>> given;
+    const auto net = random_shuffled_network(rng, 4 + rng.uniform_index(4), &given);
+    // The rows read back off the table are the doubles given, bit for
+    // bit, before and after an update, and the text form round-trips.
+    const std::string text = bn::to_text(net);
+    EXPECT_EQ(bn::to_text(bn::from_text(text)), text) << "net " << t;
+    auto updated = net;
+    for (bn::VariableId v = 0; v < net.size(); ++v) {
+      const auto rows = net.cpt_rows(v);
+      ASSERT_EQ(rows.size(), given[v].size()) << "net " << t << " var " << v;
+      for (std::size_t r = 0; r < rows.size(); ++r)
+        ASSERT_EQ(rows[r].probs(), given[v][r].probs()) << "net " << t << " var " << v;
+      std::vector<pr::Categorical> next;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::vector<double> w(rows[r].size());
+        for (double& x : w) x = fresh.uniform() + 0.05;
+        next.push_back(pr::Categorical::normalized(std::move(w)));
+      }
+      updated.update_cpt_rows(v, next);
+      const auto back = updated.cpt_rows(v);
+      for (std::size_t r = 0; r < back.size(); ++r)
+        ASSERT_EQ(back[r].probs(), next[r].probs()) << "net " << t << " var " << v;
+    }
     for (bn::VariableId v = 0; v < net.size(); ++v) {
       const auto& parents = net.parents(v);
       // The unreduced factor reads every CPT entry off its row.

@@ -121,17 +121,6 @@ TEST(Engine, MatchesOracleOnTable1) {
   EXPECT_NEAR(prior.p(3), 0.1205, tol::kTiny);
 }
 
-TEST(Engine, AgreesWithLikelihoodWeightingOnTable1) {
-  const auto net = paper_network();
-  bn::InferenceEngine engine(net);
-  const bn::Evidence e{{1, 3}};
-  const auto exact = engine.query(0, e);
-  pr::Rng rng(314);
-  const auto approx = bn::likelihood_weighting(net, 0, e, 200000, rng);
-  for (std::size_t s = 0; s < exact.size(); ++s)
-    EXPECT_NEAR(approx.p(s), exact.p(s), 0.01) << s;
-}
-
 TEST(Engine, MatchesOracleOnRandomNetworks) {
   // Min-fill orderings on nontrivial DAGs stay exact.
   pr::Rng rng(77);

@@ -28,7 +28,7 @@ mk::Hmm weather() {
 // dynamics, Table I rows as the emission model.
 mk::Hmm table1_hmm(double stickiness = 0.95) {
   const auto net = sysuq::perception::table1_network();
-  const auto& prior = net.cpt_rows(0)[0];
+  const auto prior = net.cpt_rows(0)[0];
   std::vector<pr::Categorical> trans;
   for (std::size_t i = 0; i < 3; ++i) {
     std::vector<double> row(3);

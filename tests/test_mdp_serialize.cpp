@@ -178,6 +178,17 @@ TEST(Serialize, MalformedInputsRejectedWithLineNumbers) {
               "short row");
   expect_fail("sysuq-bayesnet 1\nvariable x a b\nfrobnicate\n",
               "unknown directive");
+  // 64 binary parents: 2^64 rows wrap size_t to 0, and zero rows must
+  // not pass for them.
+  std::string wide = "sysuq-bayesnet 1\nvariable c a b\n";
+  std::string roots, parents;
+  for (int i = 0; i < 64; ++i) {
+    const std::string name = "p" + std::to_string(i);
+    wide += "variable " + name + " a b\n";
+    roots += "cpt " + name + " |\n0.5 0.5\n";
+    parents += " " + name;
+  }
+  expect_fail(wide + roots + "cpt c |" + parents + "\n", "wrapped row count");
   // Missing CPT: rejected by the final validation pass.
   EXPECT_THROW((void)bn::from_text("sysuq-bayesnet 1\nvariable x a b\n"),
                std::logic_error);
