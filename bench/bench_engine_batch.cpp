@@ -1,6 +1,6 @@
-// Batched inference throughput: the InferenceEngine (prebuilt CPT
-// factors + cached min-fill orderings + thread pool) against the seed
-// baseline, a single-threaded loop over the seed repository's
+// Batched inference throughput: the InferenceEngine (CPT tables viewed
+// in place + one network-wide elimination plan + thread pool) against the
+// seed baseline, a single-threaded loop over the seed repository's
 // VariableElimination::query.
 //
 // Workload: the Table I perception network refined into a hierarchical
@@ -11,8 +11,10 @@
 // Emits one machine-readable line:
 //   BENCH {"bench":"engine_batch", ...}
 // with queries/sec for the seed loop, the 1-thread engine and the
-// 4-thread engine, the resulting speedups, the ordering-cache hit rate,
-// and whether pooled results were byte-identical to sequential ones.
+// 4-thread engine, the resulting speedups, the ordering-cache hit rate
+// and entries (both 0: the network-wide plan fits, so the engine
+// memoizes no per-signature ordering), and whether pooled results were
+// byte-identical to sequential ones.
 //
 // With `--manifest out.json`, also writes a run manifest: the workload
 // parameters plus a full snapshot of the obs metrics registry (so the

@@ -111,7 +111,7 @@ int main() {
   constexpr std::size_t kQueriesPerSlice = 2000;
   constexpr int kPairs = 45;
 
-  // Warm the ordering cache and the instrument registrations so neither
+  // Warm the engine's plan and the instrument registrations so neither
   // mode pays first-touch costs inside the timed region.
   (void)run_queries(engine, leaf, 16);
 

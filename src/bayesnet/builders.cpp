@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "bayesnet/kernels.hpp"
 #include "core/contracts.hpp"
 #include "prob/special.hpp"
 
@@ -18,7 +19,9 @@ std::vector<prob::Categorical> noisy_or_cpt(
   SYSUQ_ASSERT_PROB(leak, "noisy_or_cpt: leak");
 
   const std::size_t n = link_probabilities.size();
-  const std::size_t rows = std::size_t{1} << n;
+  const std::vector<std::size_t> cards(n, 2);
+  const std::size_t rows = kernels::checked_table_size(
+      cards.data(), n, "noisy_or_cpt: row count overflows size_t");
   std::vector<prob::Categorical> out;
   out.reserve(rows);
   for (std::size_t cfg = 0; cfg < rows; ++cfg) {
@@ -51,8 +54,8 @@ std::vector<prob::Categorical> ranked_node_cpt(
   }
 
   const std::size_t n = parent_cards.size();
-  std::size_t rows = 1;
-  for (std::size_t c : parent_cards) rows *= c;
+  const std::size_t rows = kernels::checked_table_size(
+      parent_cards.data(), n, "ranked_node_cpt: row count overflows size_t");
 
   // Midpoint of rank r on [0, 1] for a k-state ordinal variable.
   const auto midpoint = [](std::size_t r, std::size_t k) {
@@ -96,8 +99,11 @@ std::size_t full_cpt_parameter_count(const std::vector<std::size_t>& parent_card
                                      std::size_t child_card) {
   SYSUQ_EXPECT(child_card >= 1,
                "full_cpt_parameter_count: child cardinality must be >= 1");
-  std::size_t rows = 1;
-  for (std::size_t c : parent_cards) rows *= c;
+  const std::size_t rows = kernels::checked_table_size(
+      parent_cards.data(), parent_cards.size(),
+      "full_cpt_parameter_count: row count overflows size_t");
+  SYSUQ_EXPECT(!kernels::mul_overflows(rows, child_card - 1),
+               "full_cpt_parameter_count: parameter count overflows size_t");
   return rows * (child_card - 1);
 }
 

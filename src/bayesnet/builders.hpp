@@ -16,7 +16,8 @@ namespace sysuq::bayesnet {
 ///   P(child=1 | parents) = 1 - (1 - leak) * prod_{i active} (1 - p_i)
 ///
 /// Parameter count is n + 1 instead of 2^n. Rows are ordered with the last
-/// parent varying fastest; child states are {false, true}.
+/// parent varying fastest; child states are {false, true}. Throws
+/// std::invalid_argument when 2^n overflows size_t.
 [[nodiscard]] std::vector<prob::Categorical> noisy_or_cpt(
     const std::vector<double>& link_probabilities, double leak = 0.0);
 
@@ -30,13 +31,15 @@ namespace sysuq::bayesnet {
 /// `child_card`   — number of child ranks;
 /// `sigma`        — spread of the truncated normal (> 0; small = parents
 ///                  determine the child sharply).
-/// Returns rows ordered with the last parent varying fastest.
+/// Returns rows ordered with the last parent varying fastest. Throws
+/// std::invalid_argument when the row count overflows size_t.
 [[nodiscard]] std::vector<prob::Categorical> ranked_node_cpt(
     const std::vector<std::size_t>& parent_cards,
     const std::vector<double>& weights, std::size_t child_card, double sigma);
 
 /// Parameters a full CPT would need for the same shape (for reporting the
 /// compression factor in the E11 ablation): (#parent configs) * (k - 1).
+/// Throws std::invalid_argument when that count overflows size_t.
 [[nodiscard]] std::size_t full_cpt_parameter_count(
     const std::vector<std::size_t>& parent_cards, std::size_t child_card);
 

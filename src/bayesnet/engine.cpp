@@ -246,15 +246,11 @@ InferenceEngine::Plan InferenceEngine::route(const Ask& ask,
     case Backend::kAuto:
       break;
   }
-  // kAuto: a call bound for the junction tree skips the guard while the
-  // network plan exists. That plan fits the ceiling, and so does every
-  // signature's plan filtered from it; the calibration reads its tree.
+  // kAuto: the feasibility guard runs before any exact work, on the plan
+  // that work then reuses. The network plan always passes it.
   const bool jt_bound =
       ask.kind == Ask::kAllMarginals ||
       (ask.kind == Ask::kBatchGroup && ask.distinct >= options_.jt_batch_threshold);
-  if (jt_bound && network_plan()) return {Route::kJunctionTree, nullptr};
-  // Otherwise the feasibility guard runs before any exact work, on the
-  // signature's cached ordering, which that work then reuses.
   Plan plan = ve();
   const std::size_t cells = plan.ordering->max_table_cells;
   if (cells > options_.max_exact_table_cells) {
@@ -305,12 +301,11 @@ std::shared_ptr<const JunctionTreeStructure> InferenceEngine::network_tree() con
 
 std::shared_ptr<const EliminationOrdering> InferenceEngine::ordering_for(
     const Evidence& evidence) const {
+  if (auto plan = network_plan()) return plan;
   const OrderingKey key = evidence_keys(evidence);
   return orderings_.get(key, [&] {
-    const auto plan = network_plan();
     return std::make_shared<const EliminationOrdering>(
-        plan ? restrict_elimination_order(net_, *plan, key)
-             : compute_elimination_order(net_, /*keep=*/{}, key));
+        compute_elimination_order(net_, /*keep=*/{}, key));
   });
 }
 
@@ -430,10 +425,11 @@ InferenceEngine::VeRun InferenceEngine::ve_run(
   for (VariableId v = 0; v < net_.size(); ++v) {
     if (in[v] != 0) run.cpts.push_back(v);
   }
-  // The cached plan eliminates every unobserved variable; skipping the
-  // kept ones and those outside the set at execution time keeps the kept
-  // ones in the result scope (any suffix-restricted order is still
-  // exact).
+  // The plan names every unobserved variable, and the network plan the
+  // observed ones too: evidence reduction empties their buckets, so the
+  // run and its replay skip them. Skipping the kept ones and those
+  // outside the set as well keeps the kept ones in the result scope (any
+  // suffix-restricted order is still exact).
   run.order.reserve(run.cpts.size());
   for (const VariableId v : ordering.order) {
     if (in[v] != 0 && std::find(keep.begin(), keep.end(), v) == keep.end())
@@ -633,7 +629,7 @@ std::vector<prob::Categorical> InferenceEngine::query_batch(
   metrics.batch_queries.inc(batch.size());
 
   // Route once per evidence assignment, on this thread, so every group's
-  // ordering is cached before any unit runs. A VE group splits into one
+  // plan is built before any unit runs. A VE group splits into one
   // unit per query; a JT or BP group stays one unit, so one calibration
   // or BP run serves all of it. Slots stay fixed per batch index, so
   // scheduling cannot perturb the output.
@@ -718,8 +714,10 @@ QueryProfile InferenceEngine::explain(VariableId query,
   };
   const obs::Span span("bayesnet.engine.explain");
   QueryProfile p;
-  // Peeked before routing, which looks the ordering up for VE and kAuto.
-  const bool ordering_cached = orderings_.peek(evidence_keys(evidence)).has_value();
+  // Peeked before routing, which builds the plan VE runs when it is new.
+  const bool ordering_cached =
+      network_plan_.ready() &&
+      (network_plan() || orderings_.peek(evidence_keys(evidence)).has_value());
   const auto t0 = clock::now();
   const Plan plan = route({Ask::kQuery, query}, evidence, &p.backend_reason);
   const auto t_plan = clock::now();

@@ -12,23 +12,24 @@
 //    built once, at construction;
 //  * a posterior or `joint` VE run multiplies only the CPTs that
 //    Bayes-ball (Shachter 1998) marks requisite for its kept variables
-//    given the observed ones, and eliminates the signature's ordering
-//    filtered to them. It multiplies the ancestral CPTs of its kept and
+//    given the observed ones, and eliminates the engine's plan filtered
+//    to them. It multiplies the ancestral CPTs of its kept and
 //    observed variables instead when an observed variable outside the
 //    requisite set has its state impossible under some parent row, and
 //    always for P(e), so P(e) = 0 still yields zero mass;
 //  * one network-wide plan, `compute_elimination_order(net, {}, {})`,
 //    computed once, on first use. When its largest table is within
-//    `max_exact_table_cells`, every signature's plan is that order
-//    filtered to the signature's unobserved variables (filtering never
-//    grows a clique, so such a plan always fits), and one junction-tree
-//    structure compiled from it, spanning every variable, serves every
-//    calibration. Otherwise each signature runs min-fill, and each
+//    `max_exact_table_cells`, it is the engine's only elimination plan:
+//    every VE run filters it (an observed variable's bucket is empty
+//    after evidence reduction, so no step runs for it), the kAuto guard
+//    reads its largest table, explain() reports its figures, and one
+//    junction-tree structure compiled from it, spanning every variable,
+//    serves every calibration. Otherwise each evidence *keys* signature
+//    (any values, any query variable) runs min-fill once, and each
 //    calibration compiles a tree from its signature's plan;
-//  * three memos (bayesnet/memo.hpp) hold the reusable work: one
-//    elimination ordering per evidence *keys* signature (any values, any
-//    query variable), which VE runs and the kAuto guard reads, and
-//    calibrated junction trees and BP runs per full evidence
+//  * three memos (bayesnet/memo.hpp) hold the reusable work: the
+//    per-signature min-fill plans of an engine without a network plan,
+//    and calibrated junction trees and BP runs per full evidence
 //    *assignment*;
 //  * `query_batch` fans a vector of (query, evidence) pairs across a
 //    fixed thread pool; results are deterministic and independent of the
@@ -51,16 +52,15 @@
 //     compiled tree exists.
 //  4. kAuto sends `all_marginals`, and a batch group once it holds
 //     `jt_batch_threshold` distinct query variables, to JT; everything
-//     else goes to VE. A JT-bound call on the network's compiled tree
-//     looks up no signature plan: the network plan fits
-//     `max_exact_table_cells`, and a filtered plan never has a larger
-//     clique. Every other call first checks the largest elimination
-//     clique of the signature's cached ordering against that ceiling (one
-//     lookup per call). Over the ceiling, posteriors escalate to BP
+//     else goes to VE. Every call first checks the largest elimination
+//     clique of the plan exact inference would run against
+//     `max_exact_table_cells`: the network plan, which fits by
+//     construction, or without one the signature's memoized min-fill
+//     plan. Over the ceiling, posteriors escalate to BP
 //     (ContractViolation when `enable_bp` is false) and P(e) and `joint`,
 //     which BP cannot answer, throw ContractViolation naming the cell
-//     count and the ceiling. Within it, VE runs on the guard's ordering,
-//     and JT on a tree compiled from it.
+//     count and the ceiling. Within it, VE runs on the guard's plan, and
+//     JT on the network's tree or on a tree compiled from that plan.
 // `query_bounded` and `all_marginals_bounded` always run BP.
 //
 // Thread safety: all query methods are const and safe to call from
@@ -116,9 +116,9 @@ class InferenceEngine {
     /// evidence assignment (one calibration then amortizes across them).
     std::size_t jt_batch_threshold = 8;
     /// Under kAuto, the feasibility ceiling for exact inference: when
-    /// the largest elimination clique of the signature's cached min-fill
-    /// ordering — the largest product a VE step sums over, and the
-    /// junction tree's largest clique table — exceeds this many cells, a
+    /// the largest elimination clique of the plan exact inference would
+    /// run — the largest product a VE step sums over, and the junction
+    /// tree's largest clique table — exceeds this many cells, a
     /// posterior escalates to loopy BP instead of running it — or throws a
     /// ContractViolation when `enable_bp` is false, as P(e) and `joint`
     /// always do (BP cannot answer them). The default is 2^24 cells
@@ -209,10 +209,11 @@ class InferenceEngine {
       std::uint64_t seed) const;
 
   /// Ordering-cache statistics since construction / the last clear /
-  /// the last reset_cache_stats(), counting the kAuto guard's lookups and
-  /// those of trees compiled per signature as well as VE's. The
-  /// network-wide plan is held outside this cache, and a call answered
-  /// by its compiled tree looks nothing up.
+  /// the last reset_cache_stats(). The cache holds the per-signature
+  /// min-fill plans of an engine without a network plan, looked up by VE,
+  /// the kAuto guard and trees compiled per signature. The network-wide
+  /// plan is held outside it, so an engine with one reads zero lookups
+  /// and zero entries.
   [[nodiscard]] CacheStats cache_stats() const { return orderings_.stats(); }
 
   /// Calibrated-tree cache statistics (same windowing rules). Unlike the
@@ -243,9 +244,8 @@ class InferenceEngine {
   /// The backend that answers a call; kDelta is an observed query
   /// variable's evidence delta.
   enum class Route { kDelta, kVariableElimination, kJunctionTree, kLoopyBP };
-  /// route()'s answer. `ordering` is the signature's, looked up for every
-  /// VE route and every exact kAuto route off the network's compiled
-  /// tree; null otherwise.
+  /// route()'s answer. `ordering` is ordering_for()'s plan, set for every
+  /// VE route and every exact kAuto route; null otherwise.
   struct Plan {
     Route route = Route::kDelta;
     std::shared_ptr<const EliminationOrdering> ordering;
@@ -258,12 +258,12 @@ class InferenceEngine {
     std::size_t distinct = 0;  ///< kBatchGroup: distinct query variables
   };
 
-  // Key: sorted evidence keys. The cached ordering eliminates *every*
-  // unobserved variable; a VE run skips its kept variables and those
-  // outside its CPTs at execution time, so one plan serves all queries
-  // sharing an evidence signature. The kAuto guard reads it unfiltered,
-  // and so does a tree compiled per signature (when there is no network
-  // plan).
+  // Key: sorted evidence keys; only an engine without a network plan
+  // fills this memo. The cached ordering eliminates *every* unobserved
+  // variable; a VE run skips its kept variables and those outside its
+  // CPTs at execution time, so one plan serves all queries sharing an
+  // evidence signature. The kAuto guard reads it unfiltered, and so does
+  // a tree compiled per signature.
   using OrderingKey = std::vector<VariableId>;
   // Key: the full evidence assignment (sorted key/value pairs). Exact —
   // calibrated beliefs depend on evidence values, so signatures that a
@@ -298,8 +298,8 @@ class InferenceEngine {
   /// when given, receives the one-line why explain() prints for a query.
   [[nodiscard]] Plan route(const Ask& ask, const Evidence& evidence,
                            std::string* reason = nullptr) const;
-  /// The signature's plan, memoized: network_plan() filtered to the
-  /// unobserved variables when there is one, else min-fill.
+  /// The plan VE runs and the kAuto guard reads: network_plan() while
+  /// there is one, else the signature's min-fill plan, memoized.
   [[nodiscard]] std::shared_ptr<const EliminationOrdering> ordering_for(
       const Evidence& evidence) const;
   /// `compute_elimination_order(net, {}, {})`, computed once, on first
@@ -323,8 +323,7 @@ class InferenceEngine {
   /// row. Read off the network's CPT tables on first use.
   [[nodiscard]] const std::vector<std::vector<char>>& always_possible() const;
   /// What one VE run executes: the CPTs it multiplies, `cpts`
-  /// (ascending), and the signature's order filtered to them, minus
-  /// `keep`. For a non-empty `keep` the CPTs are the requisite ones,
+  /// (ascending), and the plan's order filtered to them, minus `keep`. For a non-empty `keep` the CPTs are the requisite ones,
   /// those Bayes-ball (Shachter 1998) marks on top: summed out, the
   /// others leave a constant factor, which normalization divides out.
   /// That factor is positive, so P(e) = 0 exactly when the run's mass is

@@ -84,6 +84,14 @@ std::size_t draw(const BayesianNetwork& net, VariableId v,
   return rng.categorical(row);
 }
 
+// Fills `state` with one ancestral draw along `order`, a topological
+// order of `net`.
+void draw_joint(const BayesianNetwork& net, const std::vector<VariableId>& order,
+                std::vector<std::size_t>& state, prob::Rng& rng,
+                std::vector<double>& row) {
+  for (VariableId v : order) state[v] = draw(net, v, state, rng, row);
+}
+
 bool consistent(const std::vector<std::size_t>& state, const Evidence& evidence) {
   for (const auto& [v, s] : evidence) {
     if (state[v] != s) return false;
@@ -232,10 +240,9 @@ prob::Categorical likelihood_weighting(const BayesianNetwork& net,
 }
 
 std::vector<std::size_t> BayesianNetwork::sample(prob::Rng& rng) const {
-  const auto order = topological_order();
   std::vector<std::size_t> state(nodes_.size(), 0);
   std::vector<double> row;
-  for (VariableId v : order) state[v] = draw(*this, v, state, rng, row);
+  draw_joint(*this, topological_order(), state, rng, row);
   return state;
 }
 
@@ -247,10 +254,15 @@ prob::Categorical rejection_sampling(const BayesianNetwork& net, VariableId quer
   net.check_evidence(evidence);
   auto& metrics = SamplingMetrics::instance();
   const obs::Span span("bayesnet.sampling.rejection_sampling");
+  // The draws of `net.sample`, with one topological order and one state
+  // for the whole run.
+  const auto order = net.topological_order();
+  std::vector<std::size_t> state(net.size(), 0);
+  std::vector<double> row;
   std::vector<double> counts(net.variable(query).cardinality(), 0.0);
   std::size_t acc = 0;
   for (std::size_t s = 0; s < samples; ++s) {
-    const auto state = net.sample(rng);
+    draw_joint(net, order, state, rng, row);
     if (!consistent(state, evidence)) continue;
     counts[state[query]] += 1.0;
     ++acc;

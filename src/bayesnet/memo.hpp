@@ -123,8 +123,15 @@ class Lazy {
     return *value_;
   }
 
+  /// Whether the value is built. Builds nothing, for explain()'s
+  /// cache-hit attribution.
+  [[nodiscard]] bool ready() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return value_.has_value();
+  }
+
  private:
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::optional<Value> value_;  // sysuq-guarded-by(mu_)
 };
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "bayesnet/kernels.hpp"
-#include "bayesnet/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace sysuq::bayesnet {
@@ -59,39 +58,6 @@ Adjacency moral_graph(const BayesianNetwork& net,
     nb.erase(std::unique(nb.begin(), nb.end()), nb.end());
   }
   return adj;
-}
-
-// Edges of the moral graph among the unobserved variables: each
-// variable's distinct unobserved neighbours across the families holding
-// it (its own and its children's), counted once per endpoint.
-std::size_t moral_edge_count(const BayesianNetwork& net,
-                             const std::vector<char>& is_evidence) {
-  const std::size_t n = net.size();
-  std::vector<std::size_t> first_child(n + 1, 0);
-  for (VariableId v = 0; v < n; ++v) {
-    for (VariableId p : net.parents(v)) ++first_child[p + 1];
-  }
-  for (VariableId v = 0; v < n; ++v) first_child[v + 1] += first_child[v];
-  std::vector<VariableId> children(first_child[n]);
-  std::vector<std::size_t> at(first_child.begin(), first_child.end() - 1);
-  for (VariableId v = 0; v < n; ++v) {
-    for (VariableId p : net.parents(v)) children[at[p]++] = v;
-  }
-  constexpr VariableId kNobody = static_cast<VariableId>(-1);
-  std::vector<VariableId> seen_by(n, kNobody);
-  std::size_t degrees = 0;
-  const auto meet = [&](VariableId u, VariableId w) {
-    if (w != u && !is_evidence[w] && std::exchange(seen_by[w], u) != u) ++degrees;
-  };
-  for (VariableId u = 0; u < n; ++u) {
-    if (is_evidence[u]) continue;
-    for (VariableId p : net.parents(u)) meet(u, p);
-    for (std::size_t c = first_child[u]; c < first_child[u + 1]; ++c) {
-      meet(u, children[c]);
-      for (VariableId p : net.parents(children[c])) meet(u, p);
-    }
-  }
-  return degrees / 2;
 }
 
 }  // namespace
@@ -186,33 +152,6 @@ EliminationOrdering compute_elimination_order(
       if (!is_kept[u]) rescore(u, fill_cost(adj, u));
     }
   }
-  return out;
-}
-
-EliminationOrdering restrict_elimination_order(
-    const BayesianNetwork& net, const EliminationOrdering& network_plan,
-    const std::vector<VariableId>& evidence_keys) {
-  const std::size_t n = net.size();
-  std::vector<char> is_evidence(n, 0);
-  Evidence observed;  // the replay reads only its keys
-  for (VariableId v : evidence_keys) {
-    if (v >= n) throw std::out_of_range("restrict_elimination_order: evidence id");
-    is_evidence[v] = 1;
-    observed.emplace(v, 0);
-  }
-  EliminationOrdering out;
-  out.order.reserve(network_plan.order.size());
-  for (VariableId v : network_plan.order) {
-    if (!is_evidence[v]) out.order.push_back(v);
-  }
-  std::size_t widths = 0;
-  for (const auto& step : simulate_elimination(net, observed, out.order, /*keep=*/{})) {
-    const std::size_t width = step.scope.size() - 1;
-    widths += width;
-    out.induced_width = std::max(out.induced_width, width);
-    out.max_table_cells = std::max(out.max_table_cells, step.table_cells);
-  }
-  out.fill_edges = widths - moral_edge_count(net, is_evidence);
   return out;
 }
 

@@ -54,19 +54,4 @@ struct EliminationOrdering {
     const BayesianNetwork& net, const std::vector<VariableId>& keep,
     const std::vector<VariableId>& evidence_keys);
 
-/// The plan of the evidence signature `evidence_keys` read off
-/// `network_plan`, an ordering of every variable of `net`
-/// (`compute_elimination_order(net, {}, {})`): its order without the
-/// observed variables. Deleting observed vertices never adds an edge, so
-/// each elimination clique of the result lies inside one of the network
-/// plan's and `max_table_cells` cannot grow. The figures are the
-/// result's own, exactly: `induced_width` and `max_table_cells` from one
-/// `simulate_elimination` replay, and `fill_edges` as the replay's
-/// Σ(|step scope| − 1) — every edge is deleted once, by its first
-/// eliminated endpoint — minus the moral edges among the unobserved
-/// variables.
-[[nodiscard]] EliminationOrdering restrict_elimination_order(
-    const BayesianNetwork& net, const EliminationOrdering& network_plan,
-    const std::vector<VariableId>& evidence_keys);
-
 }  // namespace sysuq::bayesnet

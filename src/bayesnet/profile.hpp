@@ -56,9 +56,11 @@ struct QueryProfile {
   std::string backend_reason;
 
   // Variable-elimination plan (empty under the other backends).
-  // `induced_width` and `fill_edges` describe the signature's full cached
-  // ordering, the one the kAuto guard reads; `steps` is the plan VE ran,
-  // over the CPTs it multiplied only (the query's requisite ones, or its
+  // `induced_width` and `fill_edges` describe the whole plan VE filtered,
+  // the one the kAuto guard reads: the engine's network-wide plan, or
+  // without one the signature's min-fill plan. `ordering_cache_hit` says
+  // that plan existed before the call. `steps` is the plan VE ran, over
+  // the CPTs it multiplied only (the query's requisite ones, or its
   // ancestral ones), so the width can exceed every listed step's.
   bool ordering_cache_hit = false;
   std::size_t induced_width = 0;

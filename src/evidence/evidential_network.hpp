@@ -45,7 +45,7 @@ namespace sysuq::evidence {
 
 /// Posterior [Bel, Pl] of hypothesis `query` at powerset node `node`,
 /// propagated through a shared InferenceEngine (so repeated evidential
-/// queries reuse the engine's cached elimination orderings). `node` must
+/// queries reuse the engine's elimination plan). `node` must
 /// be a powerset variable of `frame` in the engine's network. Throws
 /// std::domain_error (impossible evidence) if P(evidence) = 0.
 [[nodiscard]] prob::ProbInterval engine_belief_plausibility(

@@ -33,8 +33,8 @@ struct TopEventDiagnosis {
   std::vector<double> posterior_given_top;
 };
 
-/// Runs the diagnosis as one engine batch (one query per node), reusing
-/// the engine's cached elimination ordering across all of them. `engine`
+/// Runs the diagnosis as one engine batch (one query per node), all of
+/// them running the engine's one elimination plan. `engine`
 /// must be constructed over `compiled.network`. Throws std::domain_error
 /// (impossible evidence) if the top event has probability zero.
 [[nodiscard]] TopEventDiagnosis diagnose_top_event(

@@ -67,9 +67,9 @@ struct FusionMetrics {
 /// Naive-Bayes fusion made explicit as a Bayesian network and served by a
 /// shared InferenceEngine: one ground-truth class node (the developer
 /// priors) with one observed-label child per sensor (its confusion rows as
-/// CPT). Every fused encounter observes the same variable set, so the
-/// engine's elimination-ordering cache hits on all queries after the
-/// first; a long fusion campaign pays the planning cost once.
+/// CPT). The engine plans the network once, on the first query, and every
+/// fused encounter runs that plan; a long fusion campaign pays the
+/// planning cost once.
 ///
 /// The decision rule matches FusionRule::kNaiveBayes: argmax of the
 /// posterior if it is decisive (>= 0.5), otherwise abstain ("none", label

@@ -35,6 +35,9 @@ TEST(NoisyOr, Validation) {
   EXPECT_THROW((void)bn::noisy_or_cpt({}), std::invalid_argument);
   EXPECT_THROW((void)bn::noisy_or_cpt({1.2}), std::invalid_argument);
   EXPECT_THROW((void)bn::noisy_or_cpt({0.5}, -0.1), std::invalid_argument);
+  // 2^64 rows overflow size_t (a shift by 64 is undefined behaviour).
+  EXPECT_THROW((void)bn::noisy_or_cpt(std::vector<double>(64, 0.3)),
+               std::invalid_argument);
 }
 
 TEST(NoisyOr, ParameterCompression) {
@@ -44,6 +47,14 @@ TEST(NoisyOr, ParameterCompression) {
   EXPECT_EQ(rows.size(), 1024u);
   EXPECT_EQ(bn::full_cpt_parameter_count(std::vector<std::size_t>(10, 2), 2),
             1024u);
+  // Counts past size_t throw instead of wrapping: 2^64 rows, and 2^63
+  // rows times k - 1 = 2 parameters.
+  EXPECT_THROW((void)bn::full_cpt_parameter_count(std::vector<std::size_t>(64, 2), 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)bn::full_cpt_parameter_count(std::vector<std::size_t>(63, 2), 3),
+               std::invalid_argument);
+  EXPECT_EQ(bn::full_cpt_parameter_count(std::vector<std::size_t>(63, 2), 2),
+            std::size_t{1} << 63);
   // Monotone: more active parents, higher activation.
   EXPECT_LT(rows[0].p(1), rows[1].p(1));
   EXPECT_LT(rows[1].p(1), rows[3].p(1));
@@ -99,6 +110,10 @@ TEST(RankedNode, Validation) {
   EXPECT_THROW((void)bn::ranked_node_cpt({3}, {0.0}, 3, 0.1),
                std::invalid_argument);
   EXPECT_THROW((void)bn::ranked_node_cpt({1}, {1.0}, 3, 0.1),
+               std::invalid_argument);
+  // 64 binary parents: 2^64 rows overflow size_t.
+  EXPECT_THROW((void)bn::ranked_node_cpt(std::vector<std::size_t>(64, 2),
+                                         std::vector<double>(64, 1.0), 3, 0.1),
                std::invalid_argument);
 }
 

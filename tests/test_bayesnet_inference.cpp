@@ -206,6 +206,22 @@ TEST(Inference, RejectionSamplingConvergesAndReportsAcceptance) {
   EXPECT_NEAR(static_cast<double>(accepted) / 300000.0, 0.1205, 0.005);
   for (std::size_t s = 0; s < exact.size(); ++s)
     EXPECT_NEAR(approx.p(s), exact.p(s), 0.02) << s;
+
+  // Draw for draw the samples of `net.sample` under the same seed: the
+  // same accepted count and per-state counts.
+  pr::Rng replay(2718);
+  std::vector<double> counts(exact.size(), 0.0);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < 300000; ++i) {
+    const auto state = net.sample(replay);
+    if (state[1] != 3) continue;
+    counts[state[0]] += 1.0;
+    ++kept;
+  }
+  EXPECT_EQ(accepted, kept);
+  for (std::size_t s = 0; s < exact.size(); ++s)
+    EXPECT_EQ(std::round(approx.p(s) * static_cast<double>(accepted)), counts[s]) << s;
+  EXPECT_EQ(approx.probs(), pr::Categorical::normalized(counts).probs());
 }
 
 TEST(Inference, SamplersRejectZeroSamples) {

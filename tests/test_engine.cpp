@@ -91,6 +91,16 @@ bn::BayesianNetwork unreachable_state_network() {
   return net;
 }
 
+// A 1-thread VE engine whose ceiling sits below the network plan's
+// largest table: it holds no network plan, so each evidence signature
+// runs min-fill once and memoizes its plan.
+bn::InferenceEngine::Options per_signature_plans(const bn::BayesianNetwork& net) {
+  return {.threads = 1,
+          .backend = bn::Backend::kVariableElimination,
+          .max_exact_table_cells =
+              bn::compute_elimination_order(net, {}, {}).max_table_cells - 1};
+}
+
 std::vector<bn::QuerySpec> table1_batch(const bn::BayesianNetwork& net,
                                         std::size_t n) {
   const auto gt = net.id_of("ground_truth");
@@ -194,7 +204,7 @@ TEST(Engine, SampleBatchDeterministicForFixedSeed) {
 
 TEST(Engine, OrderingCacheKeyedByEvidenceSignature) {
   const auto net = paper_network();
-  bn::InferenceEngine engine(net, {.threads = 1});
+  bn::InferenceEngine engine(net, per_signature_plans(net));
   EXPECT_EQ(engine.cache_stats().misses, 0u);
 
   // 16 queries, all with the same (query, evidence-keys) signature but
@@ -222,7 +232,7 @@ TEST(Engine, OrderingCacheKeyedByEvidenceSignature) {
 
 TEST(Engine, ResetCacheStatsWindowsWithoutDroppingPlans) {
   const auto net = paper_network();
-  bn::InferenceEngine engine(net, {.threads = 1});
+  bn::InferenceEngine engine(net, per_signature_plans(net));
   for (std::size_t i = 0; i < 4; ++i) (void)engine.query(0, {{1, i % 4}});
   auto stats = engine.cache_stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -245,25 +255,28 @@ TEST(Engine, ResetCacheStatsWindowsWithoutDroppingPlans) {
 }
 
 TEST(Engine, ResetAndClearWindowEveryCache) {
-  // One row per cache: its entries gauge, the backend whose query makes
-  // exactly one lookup in it, and the accessor that reports it.
+  // One row per cache: its entries gauge, the options whose query makes
+  // exactly one lookup in it, and the accessor that reports it. Only an
+  // engine without a network plan looks orderings up.
   struct Row {
     const char* gauge;
-    bn::Backend backend;
+    bn::InferenceEngine::Options options;
     bn::InferenceEngine::CacheStats (bn::InferenceEngine::*stats)() const;
   };
+  const auto net = paper_network();
   const Row rows[] = {
-      {"bayesnet.engine.ordering_cache.entries",
-       bn::Backend::kVariableElimination, &bn::InferenceEngine::cache_stats},
-      {"bayesnet.jt.cache.entries", bn::Backend::kJunctionTree,
+      {"bayesnet.engine.ordering_cache.entries", per_signature_plans(net),
+       &bn::InferenceEngine::cache_stats},
+      {"bayesnet.jt.cache.entries",
+       {.threads = 1, .backend = bn::Backend::kJunctionTree},
        &bn::InferenceEngine::jt_cache_stats},
-      {"bayesnet.bp.cache.entries", bn::Backend::kLoopyBP,
+      {"bayesnet.bp.cache.entries",
+       {.threads = 1, .backend = bn::Backend::kLoopyBP},
        &bn::InferenceEngine::bp_cache_stats},
   };
-  const auto net = paper_network();
   for (const Row& row : rows) {
     SCOPED_TRACE(row.gauge);
-    bn::InferenceEngine engine(net, {.threads = 1, .backend = row.backend});
+    bn::InferenceEngine engine(net, row.options);
     const auto lookup = [&] { (void)engine.query(0, {{1, 0}}); };
     const auto stats = [&] { return (engine.*row.stats)(); };
     lookup();
@@ -291,6 +304,95 @@ TEST(Engine, ResetAndClearWindowEveryCache) {
     EXPECT_EQ(stats().misses, 1u);
     EXPECT_EQ(stats().entries, 1u);
   }
+}
+
+TEST(Engine, NetworkPlanMemoizesNoSignaturePlan) {
+  // 1024 distinct evidence signatures (every set of at most five of 11
+  // binary variables, observed at a sampled joint state) streamed
+  // through every exact API. An engine whose network plan fits runs that
+  // plan for all of them, under kAuto and under kVariableElimination:
+  // it looks no signature plan up and memoizes none, and every answer is
+  // the oracle's.
+  pr::Rng rng(59);
+  constexpr bn::VariableId kVars = 11;
+  bn::BayesianNetwork net;
+  for (bn::VariableId v = 0; v < kVars; ++v) {
+    net.add_variable("v" + std::to_string(v), {"0", "1"});
+    std::vector<bn::VariableId> parents;
+    for (bn::VariableId p = 0; p < v; ++p)
+      if (parents.size() < 3 && rng.bernoulli(0.4)) parents.push_back(p);
+    std::vector<pr::Categorical> rows;
+    for (std::size_t r = 0; r < (std::size_t{1} << parents.size()); ++r) {
+      const double x = 0.05 + 0.9 * rng.uniform();
+      rows.push_back(pr::Categorical::normalized({x, 1.0 - x}));
+    }
+    net.set_cpt(v, std::move(parents), std::move(rows));
+  }
+  auto& entries = sysuq::obs::Registry::global().gauge(
+      "bayesnet.engine.ordering_cache.entries");
+  entries.set(0.0);  // an ordering-memo insert anywhere raises it again
+  const bn::InferenceEngine auto_engine(net, {.threads = 1});
+  const bn::InferenceEngine ve(net, kExact);
+  const auto expect_near = [](const pr::Categorical& got, const pr::Categorical& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t s = 0; s < want.size(); ++s) EXPECT_NEAR(got.p(s), want.p(s), tol::kProbSum);
+  };
+
+  std::vector<bn::QuerySpec> batch;
+  std::vector<pr::Categorical> batch_want;
+  for (unsigned keys = 0; keys < (1u << kVars); ++keys) {
+    if (std::popcount(keys) > 5) continue;
+    const auto states = net.sample(rng);
+    bn::Evidence ev;
+    std::vector<bn::VariableId> free;
+    for (bn::VariableId v = 0; v < kVars; ++v) {
+      if (((keys >> v) & 1u) != 0) {
+        ev[v] = states[v];
+      } else {
+        free.push_back(v);
+      }
+    }
+    SCOPED_TRACE("signature " + std::to_string(keys));
+    const double pe = bn::enumerate_evidence_probability(net, ev);
+    std::vector<pr::Categorical> marginal(kVars, pr::Categorical::uniform(2));
+    for (const bn::VariableId v : free) marginal[v] = bn::enumerate_posterior(net, v, ev);
+    const bn::VariableId q = free[rng.uniform_index(free.size())];
+    const bn::VariableId a = free.front(), b = free.back();
+    double joint[2][2];
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (std::size_t j = 0; j < 2; ++j) {
+        bn::Evidence with = ev;
+        with[a] = i;
+        with[b] = j;
+        joint[i][j] = bn::enumerate_evidence_probability(net, with) / pe;
+      }
+    }
+    for (const bn::InferenceEngine* engine : {&auto_engine, &ve}) {
+      expect_near(engine->query(q, ev), marginal[q]);
+      const auto profile = engine->explain(q, ev);
+      EXPECT_TRUE(profile.ordering_cache_hit);
+      expect_near(pr::Categorical(profile.posterior), marginal[q]);
+      EXPECT_NEAR(engine->evidence_probability(ev), pe, tol::kProbSum);
+      EXPECT_NEAR(engine->log_evidence_probability(ev), std::log(pe), tol::kProbSum);
+      const auto all = engine->all_marginals(ev);
+      for (const bn::VariableId v : free) expect_near(all[v], marginal[v]);
+      const auto got = engine->joint(a, b, ev);
+      for (std::size_t i = 0; i < 2; ++i)
+        for (std::size_t j = 0; j < 2; ++j) EXPECT_NEAR(got.p(i, j), joint[i][j], tol::kProbSum);
+    }
+    batch.push_back({q, ev});
+    batch_want.push_back(marginal[q]);
+  }
+  ASSERT_EQ(batch.size(), 1024u);
+  for (const bn::InferenceEngine* engine : {&auto_engine, &ve}) {
+    const auto got = engine->query_batch(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) expect_near(got[i], batch_want[i]);
+    const auto stats = engine->cache_stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+  }
+  EXPECT_EQ(entries.value(), 0.0);
 }
 
 namespace {
@@ -553,12 +655,11 @@ TEST(EngineBackends, AllMarginalsMatchesPerQueryLoop) {
     bn::InferenceEngine engine(net, {.threads = 1, .backend = backend});
     const bn::Evidence ev{{1, 3}};
     const auto all = engine.all_marginals(ev);
-    // One ordering lookup under VE; kJunctionTree and kAuto calibrate the
-    // network's compiled tree and need no signature plan.
-    const std::size_t lookups = backend == bn::Backend::kVariableElimination ? 1 : 0;
-    EXPECT_EQ(engine.cache_stats().misses, lookups);
+    // No signature plan is looked up: VE runs the network plan, and
+    // kJunctionTree and kAuto calibrate the tree compiled from it.
+    EXPECT_EQ(engine.cache_stats().misses, 0u);
     EXPECT_EQ(engine.cache_stats().hits, 0u);
-    EXPECT_EQ(engine.cache_stats().entries, lookups);
+    EXPECT_EQ(engine.cache_stats().entries, 0u);
     ASSERT_EQ(all.size(), net.size());
     EXPECT_EQ(all[1].p(3), 1.0);  // observed variable holds its delta
     const auto direct = engine.query(0, ev);
@@ -1051,35 +1152,6 @@ sysuq::fta::CompiledNetwork small_fault_tree() {
   return ft::compile_to_bayesnet(tree);
 }
 
-// Width and fill of eliminating `order` from the moral graph of `net`
-// with `observed` deleted: the former full scan, one pair at a time.
-std::pair<std::size_t, std::size_t> eliminate_in_test(
-    const bn::BayesianNetwork& net, const std::vector<bn::VariableId>& order,
-    const bn::Evidence& observed) {
-  std::vector<std::set<bn::VariableId>> adj(net.size());
-  for (bn::VariableId v = 0; v < net.size(); ++v) {
-    std::vector<bn::VariableId> family = net.parents(v);
-    family.push_back(v);
-    for (const auto a : family)
-      for (const auto b : family)
-        if (a != b && !observed.contains(a) && !observed.contains(b)) adj[a].insert(b);
-  }
-  std::size_t width = 0, fill = 0;
-  for (const bn::VariableId v : order) {
-    const std::set<bn::VariableId> nbrs = adj[v];
-    width = std::max(width, nbrs.size());
-    for (const auto a : nbrs) {
-      adj[a].erase(v);
-      for (const auto b : nbrs)
-        if (a < b && adj[a].insert(b).second) {
-          adj[b].insert(a);
-          ++fill;
-        }
-    }
-  }
-  return {width, fill};
-}
-
 }  // namespace
 
 TEST(EngineCompiledTree, FaultTreeWithZeroOneGatesIsExact) {
@@ -1144,9 +1216,9 @@ TEST(EngineCompiledTree, FaultTreeWithZeroOneGatesIsExact) {
 }
 
 TEST(EngineCompiledTree, FaultTreeSignaturesFilterTheNetworkPlan) {
-  // The plan rule when the network-wide plan fits the ceiling: each
-  // signature's plan is that order without the observed variables, with
-  // the figures of eliminating exactly that order.
+  // The plan rule when the network-wide plan fits the ceiling: every
+  // signature runs that plan, its observed variables get no step, and
+  // explain() reports the plan's own width and fill.
   const auto compiled = small_fault_tree();
   const auto& net = compiled.network;
   const auto network = bn::compute_elimination_order(net, {}, {});
@@ -1162,12 +1234,11 @@ TEST(EngineCompiledTree, FaultTreeSignaturesFilterTheNetworkPlan) {
     std::vector<bn::VariableId> filtered;
     for (const bn::VariableId v : network.order)
       if (!ev.contains(v)) filtered.push_back(v);
-    const auto [width, fill] = eliminate_in_test(net, filtered, ev);
     for (const bn::VariableId q : {id("both"), id("e2")}) {
       const auto profile = engine.explain(q, ev);
       ASSERT_EQ(profile.backend, "variable_elimination");
-      EXPECT_EQ(profile.induced_width, width);
-      EXPECT_EQ(profile.fill_edges, fill);
+      EXPECT_EQ(profile.induced_width, network.induced_width);
+      EXPECT_EQ(profile.fill_edges, network.fill_edges);
       // The top is observed, so every CPT is ancestral: VE runs the
       // filtered order minus the query.
       std::vector<bn::VariableId> want, got;
@@ -1302,11 +1373,11 @@ TEST(EngineWiring, FtaDiagnosisMatchesExactAnalysis) {
         bn::enumerate_posterior(compiled.network, compiled.node_map[i], ev);
     EXPECT_NEAR(diag.posterior_given_top[i], oracle.p(1), tol::kProbSum) << i;
   }
-  // {} and {top} each miss once, on the calling thread; the batch's four
-  // unobserved queries then hit, whichever thread answers them.
-  EXPECT_EQ(engine.cache_stats().misses, 2u);
-  EXPECT_EQ(engine.cache_stats().hits, 4u);
-  EXPECT_EQ(engine.cache_stats().entries, 2u);
+  // {} and {top}, and the batch's four unobserved queries on whichever
+  // thread answers them, all run the network plan: no signature lookup.
+  EXPECT_EQ(engine.cache_stats().misses, 0u);
+  EXPECT_EQ(engine.cache_stats().hits, 0u);
+  EXPECT_EQ(engine.cache_stats().entries, 0u);
 
   bn::BayesianNetwork other;
   other.add_variable("x", {"0", "1"});
@@ -1378,8 +1449,9 @@ TEST(EngineWiring, BnFusionMatchesNaiveBayesRule) {
     }
     ASSERT_EQ(via_bn, expected) << "trial " << trial;
   }
-  // The fusion campaign reuses one cached ordering signature.
+  // The fusion campaign runs the engine's one network plan and memoizes
+  // no signature plan.
   const auto stats = bn_fusion.engine().cache_stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.hit_rate(), 0.9);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, 0u);
 }

@@ -19,6 +19,7 @@
 #include "bayesnet/engine.hpp"
 #include "bayesnet/loopy_bp.hpp"
 #include "bayesnet/network.hpp"
+#include "bayesnet/ordering.hpp"
 #include "core/contracts.hpp"
 #include "obs/context.hpp"
 #include "obs/slo.hpp"
@@ -535,7 +536,13 @@ TEST(ObsExport, RegistryResetZeroesButKeepsRegistrations) {
 TEST(ObsIntegration, EngineQueriesPopulateGlobalRegistry) {
   auto& reg = obs::Registry::global();
   const auto net = tiny_network();
-  bn::InferenceEngine engine(net, {.threads = 1});
+  // A ceiling below the network plan's largest table leaves the engine
+  // no network plan, so its queries look their signature's plan up.
+  bn::InferenceEngine engine(
+      net, {.threads = 1,
+            .backend = bn::Backend::kVariableElimination,
+            .max_exact_table_cells =
+                bn::compute_elimination_order(net, {}, {}).max_table_cells - 1});
   for (std::size_t i = 0; i < 16; ++i) (void)engine.query(1, {{0, i % 2}});
 
   obs::Counter& hits = reg.counter("bayesnet.engine.ordering_cache.hits");
