@@ -765,6 +765,8 @@ QueryProfile InferenceEngine::explain(VariableId query,
       for (const auto& clique : tree->cliques())
         p.clique_sizes.push_back(clique.size());
       p.max_clique_size = tree->max_clique_size();
+      p.cells = tree->cells();
+      p.live_cells = tree->live_cells();
       p.calibration_seconds = tree->calibration_seconds();
       p.arena_high_water_bytes = tree->arena_high_water_bytes();
       const auto posterior = tree->query(query);  // throws when P(e) = 0

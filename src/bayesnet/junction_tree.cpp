@@ -150,7 +150,9 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
   // The last step's clique is the root; the roots of other components
   // attach to it through an empty separator. Walking the steps backward
   // meets every chain top after its parent's: a parents-first order.
-  // Each separator's index maps address it from both of its cliques.
+  // Each separator's index maps address it from both of its cliques;
+  // step 5 keeps their live cells.
+  std::vector<std::vector<std::uint32_t>> to_sep(m), parent_to_sep(m);
   const std::size_t root = m == 0 ? kNone : clique_of[k - 1];
   if (m > 0) order_.push_back(root);
   for (std::size_t i = k; i-- > 0;) {
@@ -163,8 +165,8 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
     Clique& clique = tree_[c];
     clique.parent = p;
     clique.sep_offset = sep_cells_;
-    clique.to_sep = index_map(net_, cliques[c], sep);
-    clique.parent_to_sep = index_map(net_, cliques[p], sep);
+    to_sep[c] = index_map(net_, cliques[c], sep);
+    parent_to_sep[c] = index_map(net_, cliques[p], sep);
     clique.sep_size = 1;
     for (const VariableId v : sep) clique.sep_size *= net_.variable(v).cardinality();
     sep_cells_ += clique.sep_size;
@@ -222,6 +224,46 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
     reduced_.push_back(std::move(r));
   }
 
+  // 5: zeros, by a boolean collect: a cell is live when its potential is
+  // nonzero and, for every child, some live child cell sums onto its
+  // separator cell. The reduced CPTs count as nonzero everywhere. Every
+  // child precedes its parent in the reversed order, so a clique's cells
+  // are final when it sends. A dead cell's potential becomes 0, as the
+  // collect would make it.
+  std::vector<char> live(cells);
+  for (std::size_t x = 0; x < cells; ++x)
+    live[x] = potentials_[x] != 0.0;  // sysuq-lint-allow(float-eq): exact zeros only
+  std::vector<char> sep_live;
+  for (std::size_t idx = m; idx-- > 1;) {
+    const std::size_t c = order_[idx];
+    const Clique& clique = tree_[c];
+    const Clique& parent = tree_[clique.parent];
+    sep_live.assign(clique.sep_size, 0);
+    for (std::size_t x = 0; x < clique.size; ++x)
+      sep_live[to_sep[c][x]] |= live[clique.offset + x];
+    for (std::size_t x = 0; x < parent.size; ++x)
+      live[parent.offset + x] &= sep_live[parent_to_sep[c][x]];
+  }
+  const auto live_links = [&](std::size_t c, const std::vector<std::uint32_t>& map) {
+    const char* own = live.data() + tree_[c].offset;
+    std::vector<Link> links;
+    links.reserve(static_cast<std::size_t>(std::count(own, own + map.size(), char{1})));
+    for (std::size_t x = 0; x < map.size(); ++x) {
+      if (own[x] != 0) links.push_back({static_cast<std::uint32_t>(x), map[x]});
+    }
+    return links;
+  };
+  for (std::size_t c = 0; c < m; ++c) {
+    Clique& clique = tree_[c];
+    if (clique.parent == kNone) continue;
+    clique.to_sep = live_links(c, to_sep[c]);
+    clique.parent_to_sep = live_links(clique.parent, parent_to_sep[c]);
+  }
+  for (std::size_t x = 0; x < cells; ++x) {
+    if (live[x] != 0) ++live_cells_;
+    else potentials_[x] = 0.0;
+  }
+
   cliques_ = std::make_shared<const std::vector<std::vector<VariableId>>>(
       std::move(cliques));
   auto& metrics = JtMetrics::instance();
@@ -243,7 +285,9 @@ JunctionTree::JunctionTree(const JunctionTreeStructure& structure,
     : net_(structure.network()),
       evidence_(evidence),
       cliques_(structure.cliques_),
-      max_clique_size_(structure.max_clique_size()) {
+      max_clique_size_(structure.max_clique_size()),
+      cells_(structure.cells()),
+      live_cells_(structure.live_cells()) {
   net_.check_evidence(evidence_);
   for (VariableId v = 0; v < net_.size(); ++v) {
     if (!structure.spans(v) && !evidence_.contains(v))
@@ -309,10 +353,11 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
 
   if (m > 0) {
     // Collect — leaves toward the root (parents-first order reversed).
-    // Each clique sums onto its separator, the message is normalized and
-    // its log-normalizer accumulated (so P(e) never underflows), and the
-    // parent multiplies it in. An all-zero message means the evidence is
-    // impossible (zeros only propagate outward).
+    // Each clique sums its live cells onto its separator, the message is
+    // normalized and its log-normalizer accumulated (so P(e) never
+    // underflows), and the parent multiplies it into its live cells. An
+    // all-zero message means the evidence is impossible (zeros only
+    // propagate outward).
     double* sep = arena.alloc<double>(s.sep_cells_);
     for (std::size_t idx = m; idx-- > 1;) {
       const auto& c = s.tree_[s.order_[idx]];
@@ -320,13 +365,13 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
       const double* b = belief + c.offset;
       double* u = sep + c.sep_offset;
       std::fill_n(u, c.sep_size, 0.0);
-      for (std::size_t x = 0; x < c.size; ++x) u[c.to_sep[x]] += b[x];
+      for (const auto& [x, j] : c.to_sep) u[j] += b[x];
       const double t = kernels::total(u, c.sep_size);
       if (!(t > 0.0)) return give_up();
       log_evidence_ += std::log(t);
-      kernels::scale(u, c.sep_size, 1.0 / t);
+      kernels::normalize_by(u, c.sep_size, t);
       double* bp = belief + p.offset;
-      for (std::size_t x = 0; x < p.size; ++x) bp[x] *= u[c.parent_to_sep[x]];
+      for (const auto& [x, j] : c.parent_to_sep) bp[x] *= u[j];
     }
     const auto& r = s.tree_[s.order_[0]];
     const double t = kernels::total(belief + r.offset, r.size);
@@ -334,24 +379,25 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
     log_evidence_ += std::log(t);
 
     // Distribute — root toward the leaves (parents-first order). The
-    // parent's calibrated belief, summed onto the separator and
-    // normalized, divided by the collect message, rescales the child
-    // (Hugin). Where the collect message is zero every child cell behind
-    // it is already zero, so 0/0 = 0 keeps exact zeros exact.
+    // parent's calibrated belief, its live cells summed onto the
+    // separator and normalized, divided by the collect message, rescales
+    // the child's live cells (Hugin). Where the collect message is zero
+    // every child cell behind it is already zero, so 0/0 = 0 keeps exact
+    // zeros exact.
     double* msg = arena.alloc<double>(s.max_sep_size_);
     for (std::size_t idx = 1; idx < m; ++idx) {
       const auto& c = s.tree_[s.order_[idx]];
       const auto& p = s.tree_[c.parent];
       const double* bp = belief + p.offset;
       std::fill_n(msg, c.sep_size, 0.0);
-      for (std::size_t x = 0; x < p.size; ++x) msg[c.parent_to_sep[x]] += bp[x];
+      for (const auto& [x, j] : c.parent_to_sep) msg[j] += bp[x];
       const double total = kernels::total(msg, c.sep_size);
       if (!(total > 0.0)) return give_up();  // unreachable when P(e) > 0
       const double* u = sep + c.sep_offset;
       for (std::size_t j = 0; j < c.sep_size; ++j)
         msg[j] = u[j] > 0.0 ? msg[j] / total / u[j] : 0.0;
       double* b = belief + c.offset;
-      for (std::size_t x = 0; x < c.size; ++x) b[x] *= msg[c.to_sep[x]];
+      for (const auto& [x, j] : c.to_sep) b[x] *= msg[j];
     }
   }
 

@@ -23,7 +23,13 @@
 //       each separator's index map into its two cliques;
 //    3. potentials: every CPT over spanned variables only is multiplied
 //       into the clique of its earliest-eliminated variable, once;
-//    4. the clique each variable reads its marginal from (its smallest).
+//    4. the clique each variable reads its marginal from (its smallest);
+//    5. zeros (Jensen & Andersen 1990): a boolean collect marks a cell
+//       *dead* when its potential is 0 or no *live* cell of a child sums
+//       onto its separator cell. Evidence only adds zeros, so a dead cell
+//       is 0 under every assignment; the separators' index maps keep only
+//       live cells, as (cell, separator cell) pairs. CPTs holding an
+//       omitted variable count as nonzero everywhere.
 //   The variables the ordering eliminates are the ones the structure
 //   *spans*; the others are *omitted* and must be observed whenever the
 //   structure is calibrated.
@@ -32,9 +38,11 @@
 //   assignment, numeric passes only: copy the compiled potentials, enter
 //   the evidence, collect toward the root, distribute back (Hugin
 //   division by the collect message, 0/0 = 0, so exact zeros stay exact),
-//   read the marginals. Messages are normalized as they flow and the
-//   log-normalizers accumulated, so P(e) is available in log space
-//   without underflow. Evidence enters in one of two ways:
+//   read the marginals. Collect and distribute skip dead cells: each holds
+//   0.0 wherever they would read it, so the results are those of a pass
+//   over every cell, bit for bit. Messages are normalized as they flow
+//   and the log-normalizers accumulated, so P(e) is available in log
+//   space without underflow. Evidence enters in one of two ways:
 //    - on a spanned variable, as a 0/1 indicator in the clique it reads
 //      its marginal from;
 //    - on an omitted variable, by fixing that dimension of each CPT that
@@ -95,6 +103,11 @@ class JunctionTreeStructure {
   }
   /// Variables in the largest clique (treewidth + 1 of the triangulation).
   [[nodiscard]] std::size_t max_clique_size() const { return max_clique_size_; }
+  /// Cells over every clique table.
+  [[nodiscard]] std::size_t cells() const { return potentials_.size(); }
+  /// Cells that may be nonzero under some evidence (compile step 5): the
+  /// ones collect and distribute visit.
+  [[nodiscard]] std::size_t live_cells() const { return live_cells_; }
   /// True when the ordering eliminates `v` (the structure spans it).
   [[nodiscard]] bool spans(VariableId v) const {
     return v < reader_.size() && reader_[v].clique != kNone;
@@ -104,16 +117,22 @@ class JunctionTreeStructure {
   friend class JunctionTree;
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
+  /// A live cell of a clique and the cell of a separator it maps to.
+  struct Link {
+    std::uint32_t cell;
+    std::uint32_t sep;
+  };
   /// One clique's table in the flat belief array, and its separator with
-  /// the parent in the flat separator array.
+  /// the parent in the flat separator array. The separator's index maps
+  /// list live cells only, in cell order.
   struct Clique {
     std::size_t offset = 0;  ///< first cell in the belief array
     std::size_t size = 0;    ///< cells
     std::size_t parent = kNone;
     std::size_t sep_offset = 0;
     std::size_t sep_size = 1;
-    std::vector<std::uint32_t> to_sep;         ///< own cell -> separator cell
-    std::vector<std::uint32_t> parent_to_sep;  ///< parent cell -> separator cell
+    std::vector<Link> to_sep;         ///< own live cell -> separator cell
+    std::vector<Link> parent_to_sep;  ///< parent's live cell -> separator cell
   };
   /// Where a spanned variable reads its marginal and takes its indicator:
   /// a clique and the variable's stride and cardinality in it.
@@ -140,6 +159,7 @@ class JunctionTreeStructure {
   std::vector<Clique> tree_;         ///< by clique index
   std::vector<std::size_t> order_;   ///< parents first; order_[0] is the root
   std::vector<double> potentials_;   ///< spanned CPT products, flat by clique
+  std::size_t live_cells_ = 0;
   std::vector<ReducedCpt> reduced_;
   std::vector<Reader> reader_;       ///< by variable; kNone clique when omitted
   std::size_t sep_cells_ = 0;
@@ -194,6 +214,10 @@ class JunctionTree {
   [[nodiscard]] std::size_t clique_count() const { return cliques_->size(); }
   /// Variables in the largest clique (treewidth + 1 of the triangulation).
   [[nodiscard]] std::size_t max_clique_size() const { return max_clique_size_; }
+  /// The structure's clique table cells, and those collect and distribute
+  /// visit (see JunctionTreeStructure::live_cells).
+  [[nodiscard]] std::size_t cells() const { return cells_; }
+  [[nodiscard]] std::size_t live_cells() const { return live_cells_; }
   /// Wall seconds this tree's calibration took (compiling the structure
   /// and computing the ordering excluded). Measured directly (not via
   /// obs), so `InferenceEngine::explain` can attribute calibration cost
@@ -210,6 +234,8 @@ class JunctionTree {
   Evidence evidence_;
   std::shared_ptr<const std::vector<std::vector<VariableId>>> cliques_;
   std::size_t max_clique_size_ = 0;
+  std::size_t cells_ = 0;
+  std::size_t live_cells_ = 0;
   std::vector<prob::Categorical> marginals_;  // one per variable
   double log_evidence_ = 0.0;
   bool impossible_ = false;

@@ -210,7 +210,7 @@ ElimOutcome eliminate_core(const std::vector<View>& inputs,
     const double mass = total(t.values, t.size);
     if (!(mass > 0.0)) return false;
     if (mass < tolerance::kRescaleFloor || mass > 1.0 / tolerance::kRescaleFloor) {
-      scale(t.values, t.size, 1.0 / mass);
+      normalize_by(t.values, t.size, mass);
       out.log_scale += std::log(mass);
     }
     return true;
@@ -572,6 +572,14 @@ double total(const double* values, std::size_t n) noexcept {
 
 void scale(double* values, std::size_t n, double s) noexcept {
   for (std::size_t i = 0; i < n; ++i) values[i] *= s;
+}
+
+void normalize_by(double* values, std::size_t n, double total) noexcept {
+  if (const double inverse = 1.0 / total; std::isfinite(inverse)) {
+    scale(values, n, inverse);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) values[i] /= total;
 }
 
 double ScaledFactor::log_total() const {

@@ -155,6 +155,12 @@ void reduce_into(const View& f, std::size_t pos, std::size_t state,
 // sysuq-lint-allow(contract-coverage): total in-place map over any span
 void scale(double* values, std::size_t n, double s) noexcept;
 
+/// Divides every value by `total` in place: `scale` by 1 / total, bit for
+/// bit, when that is finite, and otherwise (a subnormal total, whose
+/// inverse overflows) a division of each value.
+// sysuq-lint-allow(contract-coverage): total in-place map over any span
+void normalize_by(double* values, std::size_t n, double total) noexcept;
+
 // ---------------------------------------------------------------------
 // Scaled elimination: the production path under VE.
 

@@ -457,7 +457,7 @@ void LoopyBP::run_message_passing(FactorGraph& g) {
     for (const auto& e : edges) {
       const double total = kernels::total(staged.data() + e.msg, e.card);
       if (total <= 0.0) return false;
-      kernels::scale(staged.data() + e.msg, e.card, 1.0 / total);
+      kernels::normalize_by(staged.data() + e.msg, e.card, total);
     }
     return true;
   };
@@ -484,7 +484,7 @@ void LoopyBP::run_message_passing(FactorGraph& g) {
           m[i] = (1.0 - options_.damping) * staged[e.msg + i] +
                  options_.damping * m[i];
         }
-        kernels::scale(m, e.card, 1.0 / kernels::total(m, e.card));
+        kernels::normalize_by(m, e.card, kernels::total(m, e.card));
       }
     } else {
       g.to_var.swap(staged);
@@ -505,7 +505,7 @@ void LoopyBP::run_message_passing(FactorGraph& g) {
         impossible_ = true;
         return;
       }
-      kernels::scale(m, e.card, 1.0 / total);
+      kernels::normalize_by(m, e.card, total);
     }
 
     final_residual_ = residual;
@@ -554,7 +554,7 @@ void LoopyBP::extract_marginals(const FactorGraph& g) {
       impossible_ = true;
       return;
     }
-    kernels::scale(belief.data(), belief.size(), 1.0 / total);
+    kernels::normalize_by(belief.data(), belief.size(), total);
     // Guard fp drift so Categorical's normalization contract holds.
     out.point = prob::Categorical::normalized(belief);
     out.lo.assign(belief.size(), 0.0);

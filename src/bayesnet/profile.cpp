@@ -172,6 +172,8 @@ std::string QueryProfile::to_json() const {
       out += std::to_string(c);
     }
     out += "],\"max_clique_size\":" + std::to_string(max_clique_size) +
+           ",\"cells\":" + std::to_string(cells) +
+           ",\"live_cells\":" + std::to_string(live_cells) +
            ",\"calibration_seconds\":" + fmt_double(calibration_seconds);
   } else if (backend == "loopy_bp") {
     out += "\"bp_cache_hit\":";
@@ -231,8 +233,9 @@ std::string QueryProfile::to_plan() const {
     }
   } else if (backend == "junction_tree") {
     out += "plan: " + std::to_string(clique_sizes.size()) +
-           " cliques (max size " + std::to_string(max_clique_size) +
-           "), tree cache " + (jt_cache_hit ? "HIT" : "MISS") +
+           " cliques (max size " + std::to_string(max_clique_size) + "), " +
+           std::to_string(live_cells) + " of " + std::to_string(cells) +
+           " cells live, tree cache " + (jt_cache_hit ? "HIT" : "MISS") +
            ", calibration " + fmt_double(calibration_seconds) + " s\n";
     out += "  clique sizes:";
     for (const std::size_t c : clique_sizes) out += " " + std::to_string(c);

@@ -71,6 +71,8 @@ struct QueryProfile {
   bool jt_cache_hit = false;
   std::vector<std::size_t> clique_sizes;  ///< one per clique, elimination order
   std::size_t max_clique_size = 0;
+  std::size_t cells = 0;       ///< clique table cells
+  std::size_t live_cells = 0;  ///< of those, the ones the calibration visits
   double calibration_seconds = 0.0;  ///< the tree's build cost (0 when unknown)
 
   // Loopy-BP plan (empty under the other backends). Structure and

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "bayesnet/kernels.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
@@ -30,7 +31,10 @@ CompiledNetwork compile_to_bayesnet(const FaultTree& tree) {
     parents.reserve(ch.size());
     for (NodeId c : ch) parents.push_back(out.node_map[c]);
 
-    const std::size_t rows = std::size_t{1} << ch.size();
+    const std::vector<std::size_t> cards(ch.size(), 2);
+    const std::size_t rows = bayesnet::kernels::checked_table_size(
+        cards.data(), cards.size(),
+        "compile_to_bayesnet: gate row count overflows size_t");
     std::vector<prob::Categorical> cpt;
     cpt.reserve(rows);
     for (std::size_t cfg = 0; cfg < rows; ++cfg) {

@@ -17,7 +17,9 @@
 // bucketed elimination executor is pinned bit for bit to an in-test copy
 // of the live-scan core it replaced. VE's requisite-set pruning is
 // checked against the enumeration oracle and an in-test Bayes-ball on
-// generated networks with and without exact zeros.
+// generated networks with and without exact zeros, and so are junction
+// trees whose exact zeros leave dead clique cells (generated fault trees
+// among them). A subnormal P(e) must not read as impossible evidence.
 //
 // The generator is seeded from SYSUQ_DIFFERENTIAL_SEED (decimal) so CI
 // can sweep several fixed seeds; unset, it uses a fixed default.
@@ -48,6 +50,7 @@
 #include "bayesnet/profile.hpp"
 #include "sys/decomposition.hpp"
 #include "core/tolerance.hpp"
+#include "fta/fta_to_bn.hpp"
 #include "perception/table1.hpp"
 #include "prob/rng.hpp"
 #include "tests/legacy_elimination.hpp"
@@ -148,6 +151,41 @@ bn::BayesianNetwork unreachable_state_network() {
 
 constexpr Topology kTopologies[] = {Topology::kChain, Topology::kTree,
                                     Topology::kDense};
+
+// A fault tree compiled to a network: 5-7 basic events under 3-4 AND /
+// OR / k-of-n gates of 2-3 children, drawn from the events and the
+// earlier gates (so events are shared), and an OR top over every gate no
+// other gate consumed. Every gate CPT is a 0/1 table.
+bn::BayesianNetwork random_fault_tree(pr::Rng& rng) {
+  namespace ft = sysuq::fta;
+  ft::FaultTree tree;
+  std::vector<ft::NodeId> nodes;
+  const std::size_t events = 5 + rng.uniform_index(3);
+  for (std::size_t i = 0; i < events; ++i)
+    nodes.push_back(tree.add_basic_event("e" + std::to_string(i), 0.05 + 0.35 * rng.uniform()));
+  std::set<ft::NodeId> open;  // gates no gate consumed yet
+  const std::size_t gates = 3 + rng.uniform_index(2);
+  for (std::size_t g = 0; g < gates; ++g) {
+    std::vector<ft::NodeId> children;
+    const std::size_t width = 2 + rng.uniform_index(2);
+    while (children.size() < width) {
+      const ft::NodeId c = nodes[rng.uniform_index(nodes.size())];
+      if (std::find(children.begin(), children.end(), c) == children.end())
+        children.push_back(c);
+    }
+    for (const ft::NodeId c : children) open.erase(c);
+    const std::string name = "g" + std::to_string(g);
+    const std::size_t type = rng.uniform_index(3);
+    const ft::NodeId id =
+        type == 0   ? tree.add_gate(name, ft::GateType::kAnd, children)
+        : type == 1 ? tree.add_gate(name, ft::GateType::kOr, children)
+                    : tree.add_gate(name, ft::GateType::kKooN, children, width - 1);
+    nodes.push_back(id);
+    open.insert(id);
+  }
+  tree.set_top(tree.add_gate("top", ft::GateType::kOr, {open.begin(), open.end()}));
+  return sysuq::fta::compile_to_bayesnet(tree).network;
+}
 
 // w x h binary grid, parents = left and up neighbors; weakly coupled,
 // strictly positive CPTs. Treewidth grows with min(w, h): by 25x25 the
@@ -1228,6 +1266,76 @@ TEST(Differential, RequisiteEliminationMatchesOracle) {
   EXPECT_GE(fallbacks, 5u);
 }
 
+// ---- junction trees with dead cells vs the enumeration oracle ----
+
+TEST(Differential, ZeroCompressedJunctionTreeMatchesOracle) {
+  // Networks whose exact zeros leave clique cells that are zero under
+  // every evidence, which the calibration skips: generated fault trees
+  // (0/1 gate CPTs) and 2-3-state DAGs with exact-zero CPT entries, under
+  // 0-3 observed variables. The network-wide structure's calibration, the
+  // per-signature JunctionTree(net, ev) and kAuto all_marginals each match
+  // the oracle within kProbSum; on impossible evidence each reports
+  // log P(e) = -inf and throws the identical message.
+  pr::Rng rng(differential_seed() + 13);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t pairs = 0, impossible = 0, with_dead_cells = 0;
+  for (std::size_t t = 0; t < 80; ++t) {
+    const auto net = t % 2 == 0
+                         ? random_fault_tree(rng)
+                         : random_network(rng, Topology::kDense, 5 + rng.uniform_index(3), 2, 2, 0.3);
+    const bn::JunctionTreeStructure compiled(net, bn::compute_elimination_order(net, {}, {}));
+    if (compiled.live_cells() < compiled.cells()) ++with_dead_cells;
+    const bn::InferenceEngine engine(net, {.threads = 1});
+    for (std::size_t ec = 0; ec < 3; ++ec) {
+      const auto ev = random_evidence(rng, net, rng.uniform_index(4));
+      const std::string at = "net " + std::to_string(t) + " ev " + std::to_string(ec);
+      ++pairs;
+      const bn::JunctionTree calibrated(compiled, ev);
+      const bn::JunctionTree per_signature(net, ev);
+      const double pe = bn::enumerate_evidence_probability(net, ev);
+      if (!(pe > 0.0)) {
+        ++impossible;
+        const std::string msg = bn::impossible_evidence_message(net, ev);
+        const auto expect_throws = [&](auto&& call, const char* what) {
+          try {
+            call();
+            ADD_FAILURE() << what << " did not throw, " << at;
+          } catch (const std::domain_error& e) {
+            EXPECT_EQ(std::string(e.what()), msg) << what << ", " << at;
+          }
+        };
+        EXPECT_EQ(calibrated.log_evidence_probability(), -inf) << at;
+        EXPECT_EQ(per_signature.log_evidence_probability(), -inf) << at;
+        EXPECT_EQ(engine.log_evidence_probability(ev), -inf) << at;
+        expect_throws([&] { (void)calibrated.all_marginals(); }, "compiled");
+        expect_throws([&] { (void)per_signature.all_marginals(); }, "per-signature");
+        expect_throws([&] { (void)engine.all_marginals(ev); }, "kAuto");
+        continue;
+      }
+      for (const bn::JunctionTree* tree : {&calibrated, &per_signature}) {
+        ASSERT_NEAR(tree->evidence_probability(), pe, tol::kProbSum) << at;
+        ASSERT_NEAR(tree->log_evidence_probability(), std::log(pe), tol::kProbSum) << at;
+      }
+      const auto& compiled_marginals = calibrated.all_marginals();
+      const auto& per_signature_marginals = per_signature.all_marginals();
+      const auto all = engine.all_marginals(ev);
+      for (bn::VariableId v = 0; v < net.size(); ++v) {
+        if (ev.contains(v)) continue;
+        const auto want = bn::enumerate_posterior(net, v, ev);
+        for (std::size_t s = 0; s < want.size(); ++s) {
+          ASSERT_NEAR(compiled_marginals[v].p(s), want.p(s), tol::kProbSum) << "compiled " << at;
+          ASSERT_NEAR(per_signature_marginals[v].p(s), want.p(s), tol::kProbSum)
+              << "per-signature " << at;
+          ASSERT_NEAR(all[v].p(s), want.p(s), tol::kProbSum) << "kAuto " << at;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 240u);
+  EXPECT_GE(impossible, 20u);
+  EXPECT_GE(with_dead_cells, 40u);  // every fault tree, and some DAGs
+}
+
 // ---- likelihood weighting within sampling tolerance ----
 
 TEST(Differential, LikelihoodWeightingWithinSamplingTolerance) {
@@ -1371,6 +1479,63 @@ TEST(Differential, DeepEvidenceChainIsNotSpuriouslyImpossible) {
   const bn::InferenceEngine hard_ve(hard, kExact);
   EXPECT_THROW((void)hard_ve.query(0, bn::Evidence{{1, 1}}),
                std::domain_error);
+}
+
+// ---- subnormal normalizer regression ----
+
+TEST(Differential, SubnormalEvidenceProbabilityAnswersOnEveryBackend) {
+  // P(e) near 1e-310 is subnormal: its inverse overflows to inf, so a
+  // normalizer that multiplies by 1 / total turned every table it scaled
+  // into infinities (VE's rescale, the junction tree's collect, BP's
+  // messages) and answered "impossible" or threw. Shape 1 observes b = 1
+  // on a -> b -> c with P(b = 1 | a) = 1e-310, 3e-310 (P(e) = 2.4e-310);
+  // shape 2 observes a = 1 with P(a = 1) = 1e-310. Every backend and
+  // query_bounded must match the oracle.
+  const auto chain = [](double a1, double b1_given_a0, double b1_given_a1) {
+    bn::BayesianNetwork net;
+    for (const char* name : {"a", "b", "c"}) net.add_variable(name, {"0", "1"});
+    net.set_cpt(0, {}, {pr::Categorical({1.0 - a1, a1})});
+    net.set_cpt(1, {0}, {pr::Categorical({1.0 - b1_given_a0, b1_given_a0}),
+                         pr::Categorical({1.0 - b1_given_a1, b1_given_a1})});
+    net.set_cpt(2, {1}, {pr::Categorical({0.6, 0.4}), pr::Categorical({0.2, 0.8})});
+    return net;
+  };
+  const double tiny = 1e-310;  // sysuq-lint-allow(magic-epsilon): a subnormal probability, not slack
+  const std::vector<std::pair<bn::BayesianNetwork, bn::Evidence>> shapes = {
+      {chain(0.7, tiny, 3 * tiny), {{1, 1}}},
+      {chain(tiny, 0.25, 0.5), {{0, 1}}},
+  };
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    const auto& [net, ev] = shapes[k];
+    const double pe = bn::enumerate_evidence_probability(net, ev);
+    ASSERT_NEAR(pe / tiny, k == 0 ? 2.4 : 1.0, tol::kProbSum);
+    ASSERT_LT(pe, std::numeric_limits<double>::min());  // subnormal
+    const double log_pe = std::log(pe);
+    if (k == 0) {
+      ASSERT_NEAR(bn::enumerate_posterior(net, 0, ev).p(1), 0.875, tol::kProbSum);
+    }
+    for (const auto backend : {bn::Backend::kVariableElimination, bn::Backend::kJunctionTree,
+                               bn::Backend::kAuto, bn::Backend::kLoopyBP}) {
+      const bn::InferenceEngine engine(net, {.threads = 1, .backend = backend});
+      const std::string at =
+          "shape " + std::to_string(k) + " backend " + std::to_string(static_cast<int>(backend));
+      EXPECT_NEAR(engine.log_evidence_probability(ev), log_pe, tol::kProbSum) << at;
+      const auto all = engine.all_marginals(ev);
+      for (bn::VariableId v = 0; v < net.size(); ++v) {
+        if (ev.contains(v)) continue;
+        const auto want = bn::enumerate_posterior(net, v, ev);
+        const auto got = engine.query(v, ev);
+        const auto bounded = engine.query_bounded(v, ev);
+        for (std::size_t s = 0; s < want.size(); ++s) {
+          EXPECT_NEAR(got.p(s), want.p(s), tol::kProbSum) << at << " query " << v;
+          EXPECT_NEAR(all[v].p(s), want.p(s), tol::kProbSum) << at << " all " << v;
+          EXPECT_NEAR(bounded.point.p(s), want.p(s), tol::kProbSum) << at << " bounded " << v;
+          EXPECT_LE(bounded.lo[s], want.p(s) + tol::kProbSum) << at << " bounded " << v;
+          EXPECT_GE(bounded.hi[s], want.p(s) - tol::kProbSum) << at << " bounded " << v;
+        }
+      }
+    }
+  }
 }
 
 // ---- Table I golden regression, both exact backends ----

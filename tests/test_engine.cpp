@@ -848,7 +848,7 @@ TEST(EngineExplain, JunctionTreeJsonGolden) {
             "\"state\":\"a0\"}],\"backend\":\"junction_tree\","
             "\"reason\":\"Backend::kJunctionTree routes every query through "
             "the calibrated clique tree\",\"plan\":{\"jt_cache_hit\":false,"
-            "\"cliques\":[2,2],\"max_clique_size\":2,"
+            "\"cliques\":[2,2],\"max_clique_size\":2,\"cells\":8,\"live_cells\":6,"
             "\"calibration_seconds\":0},"
             "\"cost\":{\"arena_high_water_bytes\":0,\"stages\":["
             "{\"stage\":\"calibrate\",\"seconds\":0},"
@@ -1213,6 +1213,36 @@ TEST(EngineCompiledTree, FaultTreeWithZeroOneGatesIsExact) {
     const auto all = engine.all_marginals(ev);
     for (bn::VariableId v = 0; v < net.size(); ++v) EXPECT_EQ(all[v].p(states[v]), 1.0);
   }
+}
+
+TEST(EngineCompiledTree, ZeroOneGatesLeaveDeadCells) {
+  // The gates' 0/1 CPTs leave clique cells that are zero under every
+  // evidence, which the calibration skips; the tree and explain() report
+  // the structure's counts. A strictly positive network has none.
+  const auto compiled = small_fault_tree();
+  const auto& net = compiled.network;
+  const bn::JunctionTreeStructure structure(net, bn::compute_elimination_order(net, {}, {}));
+  std::size_t cells = 0;
+  for (const auto& clique : structure.cliques()) cells += std::size_t{1} << clique.size();
+  EXPECT_EQ(structure.cells(), cells);
+  EXPECT_EQ(structure.cells(), 56u);
+  EXPECT_EQ(structure.live_cells(), 30u);
+  const bn::Evidence top_failed{{compiled.top, 1}};
+  const bn::JunctionTree tree(structure, top_failed);
+  EXPECT_EQ(tree.cells(), structure.cells());
+  EXPECT_EQ(tree.live_cells(), structure.live_cells());
+  const bn::InferenceEngine jt(net, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+  const auto profile = jt.explain(net.id_of("e0"), top_failed);
+  EXPECT_EQ(profile.cells, structure.cells());
+  EXPECT_EQ(profile.live_cells, structure.live_cells());
+  EXPECT_NE(profile.to_plan().find(", 30 of 56 cells live,"), std::string::npos) << profile.to_plan();
+
+  pr::Rng rng(67);
+  const auto positive = random_network(rng, 9);
+  const bn::JunctionTreeStructure dense(positive,
+                                        bn::compute_elimination_order(positive, {}, {}));
+  EXPECT_GT(dense.cells(), 0u);
+  EXPECT_EQ(dense.live_cells(), dense.cells());
 }
 
 TEST(EngineCompiledTree, FaultTreeSignaturesFilterTheNetworkPlan) {

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bayesnet/engine.hpp"
 #include "fta/fta_to_bn.hpp"
@@ -296,6 +299,19 @@ TEST(FtaToBn, KooNAndNotGatesCompile) {
   const auto compiled = ft::compile_to_bayesnet(t);
   const bn::InferenceEngine ve(compiled.network, kExact);
   EXPECT_NEAR(ve.query(compiled.top).p(1), ft::exact_top_probability(t), tol::kTiny);
+}
+
+TEST(FtaToBn, GatesOf64OrMoreChildrenThrow) {
+  // A gate's CPT has 2^children rows, which overflows size_t from 64
+  // children on: the compiler rejects the gate before building any row.
+  for (const std::size_t width : {64u, 65u}) {
+    ft::FaultTree t;
+    std::vector<ft::NodeId> events;
+    for (std::size_t i = 0; i < width; ++i)
+      events.push_back(t.add_basic_event("e" + std::to_string(i), 0.01));
+    t.set_top(t.add_gate("top", ft::GateType::kOr, events));
+    EXPECT_THROW((void)ft::compile_to_bayesnet(t), std::invalid_argument) << width;
+  }
 }
 
 TEST(FaultTree, PraEpistemicPropagation) {
