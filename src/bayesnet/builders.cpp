@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "bayesnet/kernels.hpp"
@@ -32,7 +33,8 @@ std::vector<prob::Categorical> noisy_or_cpt(
       const bool active = ((cfg >> (n - 1 - i)) & 1u) != 0;
       if (active) not_fire *= 1.0 - link_probabilities[i];
     }
-    out.emplace_back(std::vector<double>{not_fire, 1.0 - not_fire});
+    const double row[] = {not_fire, 1.0 - not_fire};
+    out.emplace_back(std::span<const double>(row));
   }
   return out;
 }

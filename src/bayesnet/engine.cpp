@@ -528,18 +528,19 @@ std::vector<prob::Categorical> InferenceEngine::all_marginals(
   const obs::Span span("bayesnet.engine.all_marginals");
   auto& metrics = EngineMetrics::instance();
   std::vector<prob::Categorical> out;
-  out.reserve(net_.size());
   const Plan plan = route({Ask::kAllMarginals}, evidence);
   switch (plan.route) {
-    case Route::kJunctionTree:
+    case Route::kJunctionTree:  // the tree's marginals, copied; `out` stays unallocated
       metrics.jt_queries.inc(net_.size());
       return calibrated_tree_for(evidence, plan.ordering)->all_marginals();
     case Route::kLoopyBP:
       metrics.bp_queries.inc(net_.size());
+      out.reserve(net_.size());
       for (const auto& b : bp_for(evidence)->all_marginals())
         out.push_back(b.point);
       return out;
     default:  // one elimination per unobserved variable, one ordering
+      out.reserve(net_.size());
       for (VariableId v = 0; v < net_.size(); ++v) {
         const std::size_t card = net_.variable(v).cardinality();
         out.push_back(evidence.contains(v)
@@ -753,7 +754,8 @@ QueryProfile InferenceEngine::explain(VariableId query,
       const auto t_read = clock::now();
       p.stages.push_back({"propagate", since(t_prop0, t_prop1)});
       p.stages.push_back({"read_marginal", since(t_prop1, t_read)});
-      p.posterior = posterior.point.probs();
+      const auto probs = posterior.point.probs();
+      p.posterior.assign(probs.begin(), probs.end());
       break;
     }
     case Route::kJunctionTree: {
@@ -773,7 +775,8 @@ QueryProfile InferenceEngine::explain(VariableId query,
       const auto t_read = clock::now();
       p.stages.push_back({"calibrate", since(t_cal0, t_cal1)});
       p.stages.push_back({"read_marginal", since(t_cal1, t_read)});
-      p.posterior = posterior.probs();
+      const auto probs = posterior.probs();
+      p.posterior.assign(probs.begin(), probs.end());
       break;
     }
     case Route::kVariableElimination: {
@@ -793,7 +796,8 @@ QueryProfile InferenceEngine::explain(VariableId query,
       p.stages.push_back({"plan", since(t0, t_plan)});  // routing's lookup
       p.stages.push_back({"analyze", since(t_plan, t_sim)});
       p.stages.push_back({"execute", since(t_sim, t_exec)});
-      p.posterior = posterior.probs();
+      const auto probs = posterior.probs();
+      p.posterior.assign(probs.begin(), probs.end());
       break;
     }
   }

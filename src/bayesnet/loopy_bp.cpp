@@ -362,7 +362,7 @@ double BoundedPosterior::width() const {
   return w;
 }
 
-bool BoundedPosterior::contains(const std::vector<double>& probs,
+bool BoundedPosterior::contains(std::span<const double> probs,
                                 double slack) const {
   if (probs.size() != lo.size()) return false;
   for (std::size_t i = 0; i < probs.size(); ++i) {
@@ -540,8 +540,9 @@ void LoopyBP::extract_marginals(const FactorGraph& g) {
     if (const auto it = evidence_.find(v); it != evidence_.end()) {
       out.point = prob::Categorical::delta(it->second,
                                            net_.variable(v).cardinality());
-      out.lo = out.point.probs();
-      out.hi = out.point.probs();
+      const auto point = out.point.probs();
+      out.lo.assign(point.begin(), point.end());
+      out.hi = out.lo;
       continue;
     }
     belief.assign(net_.variable(v).cardinality(), 1.0);

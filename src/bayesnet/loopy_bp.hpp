@@ -84,6 +84,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,7 @@ namespace sysuq::bayesnet {
 struct BoundedPosterior {
   /// The BP marginal estimate (default: a trivial one-state mass, so
   /// the struct is default-constructible for container use).
-  prob::Categorical point{std::vector<double>{1.0}};
+  prob::Categorical point = prob::Categorical::delta(0, 1);
   std::vector<double> lo;   ///< certified lower bound per state
   std::vector<double> hi;   ///< certified upper bound per state
   bool converged = false;   ///< message passing reached tolerance
@@ -108,7 +109,7 @@ struct BoundedPosterior {
 
   /// True when every probs[i] lies inside [lo[i], hi[i]] (inclusive,
   /// within `slack` for floating-point edges).
-  [[nodiscard]] bool contains(const std::vector<double>& probs,
+  [[nodiscard]] bool contains(std::span<const double> probs,
                               double slack = tolerance::kTiny) const;
 };
 

@@ -60,14 +60,14 @@ bool is_probability(double p) noexcept {
   return std::isfinite(p) && p >= 0.0 && p <= 1.0;
 }
 
-bool is_finite_nonneg(const std::vector<double>& v) noexcept {
+bool is_finite_nonneg(std::span<const double> v) noexcept {
   for (double x : v) {
     if (!std::isfinite(x) || x < 0.0) return false;
   }
   return true;
 }
 
-bool is_normalized(const std::vector<double>& v, double tol) noexcept {
+bool is_normalized(std::span<const double> v, double tol) noexcept {
   if (v.empty() || !is_finite_nonneg(v)) return false;
   double sum = 0.0;
   for (double x : v) sum += x;
@@ -81,7 +81,7 @@ void check_probability(double p, const char* what) {
              .c_str());
 }
 
-void check_prob_vec(const std::vector<double>& v, const char* what) {
+void check_prob_vec(std::span<const double> v, const char* what) {
   if (v.empty()) {
     fail("precondition", "!v.empty()", (std::string(what) + ": empty").c_str());
     return;

@@ -21,9 +21,9 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "core/tolerance.hpp"
 
@@ -72,11 +72,11 @@ void fail(const char* kind, const char* expr, const std::string& what);
 [[nodiscard]] bool is_probability(double p) noexcept;
 
 /// Every element finite and non-negative.
-[[nodiscard]] bool is_finite_nonneg(const std::vector<double>& v) noexcept;
+[[nodiscard]] bool is_finite_nonneg(std::span<const double> v) noexcept;
 
 /// Non-empty, every element finite and non-negative, and the sum within
 /// `tol` of 1.
-[[nodiscard]] bool is_normalized(const std::vector<double>& v,
+[[nodiscard]] bool is_normalized(std::span<const double> v,
                                  double tol = tolerance::kProbSum) noexcept;
 
 /// Checks `p` with is_probability and reports "<what>: probability must
@@ -86,7 +86,7 @@ void check_probability(double p, const char* what);
 /// Checks that `v` is a probability vector (non-empty; finite,
 /// non-negative entries; sum within tolerance::kProbSum of 1) and
 /// reports a violation naming the failed clause.
-void check_prob_vec(const std::vector<double>& v, const char* what);
+void check_prob_vec(std::span<const double> v, const char* what);
 
 }  // namespace sysuq::contracts
 

@@ -13,70 +13,90 @@ namespace sysuq::prob {
 
 // ------------------------------------------------------------ Categorical
 
-Categorical::Categorical(std::vector<double> probs) : p_(std::move(probs)) {
-  SYSUQ_ASSERT_PROB_VEC(p_, "Categorical");
+Categorical::Categorical(std::size_t k) : size_(k), store_{} {
+  if (!is_inline()) store_.heap = new double[k]();
 }
 
-Categorical Categorical::normalized(std::vector<double> weights) {
+Categorical::Categorical(std::span<const double> probs) : Categorical(probs.size()) {
+  SYSUQ_ASSERT_PROB_VEC(probs, "Categorical");
+  std::copy(probs.begin(), probs.end(), data());
+}
+
+Categorical Categorical::normalized(std::span<const double> weights) {
   SYSUQ_EXPECT(contracts::is_finite_nonneg(weights),
                "Categorical::normalized: weights must be finite and "
                "non-negative");
   const double sum = std::accumulate(weights.begin(), weights.end(), 0.0);
   SYSUQ_EXPECT(sum > 0.0, "Categorical::normalized: all weights zero");
   SYSUQ_EXPECT(std::isfinite(sum), "Categorical::normalized: weight sum overflow");
-  for (double& v : weights) v /= sum;
-  return Categorical(std::move(weights));
+  Categorical c(weights.size());
+  std::transform(weights.begin(), weights.end(), c.data(),
+                 [sum](double v) { return v / sum; });
+  SYSUQ_ASSERT_PROB_VEC(c.probs(), "Categorical");
+  return c;
 }
 
 Categorical Categorical::uniform(std::size_t k) {
   SYSUQ_EXPECT(k != 0, "Categorical::uniform: k == 0");
-  return Categorical(std::vector<double>(k, 1.0 / static_cast<double>(k)));
+  Categorical c(k);
+  std::fill_n(c.data(), k, 1.0 / static_cast<double>(k));
+  SYSUQ_ASSERT_PROB_VEC(c.probs(), "Categorical");
+  return c;
 }
 
 Categorical Categorical::delta(std::size_t i, std::size_t k) {
   SYSUQ_EXPECT(i < k, "Categorical::delta: i >= k");
-  std::vector<double> p(k, 0.0);
-  p[i] = 1.0;
-  return Categorical(std::move(p));
+  Categorical c(k);
+  c.data()[i] = 1.0;
+  return c;
 }
 
 double Categorical::p(std::size_t i) const {
-  if (i >= p_.size()) throw std::out_of_range("Categorical::p: index");
-  return p_[i];
+  if (i >= size_) throw std::out_of_range("Categorical::p: index");
+  return data()[i];
 }
 
 double Categorical::entropy() const {
   double h = 0.0;
-  for (double v : p_) {
+  for (double v : probs()) {
     if (v > 0.0) h -= v * std::log(v);
   }
   return h;
 }
 
 std::size_t Categorical::argmax() const {
+  const auto p = probs();
   return static_cast<std::size_t>(
-      std::distance(p_.begin(), std::max_element(p_.begin(), p_.end())));
+      std::distance(p.begin(), std::max_element(p.begin(), p.end())));
 }
 
-double Categorical::max_prob() const { return *std::max_element(p_.begin(), p_.end()); }
+double Categorical::max_prob() const {
+  const auto p = probs();
+  return *std::max_element(p.begin(), p.end());
+}
 
-std::size_t Categorical::sample(Rng& rng) const { return rng.categorical(p_); }
+std::size_t Categorical::sample(Rng& rng) const { return rng.categorical(probs()); }
 
 double Categorical::total_variation(const Categorical& other) const {
   SYSUQ_EXPECT(other.size() == size(),
                "Categorical::total_variation: size mismatch");
+  const double* a = data();
+  const double* b = other.data();
   double tv = 0.0;
-  for (std::size_t i = 0; i < p_.size(); ++i) tv += std::fabs(p_[i] - other.p_[i]);
+  for (std::size_t i = 0; i < size_; ++i) tv += std::fabs(a[i] - b[i]);
   return 0.5 * tv;
 }
 
 Categorical Categorical::mixed(const Categorical& other, double w) const {
   SYSUQ_EXPECT(other.size() == size(), "Categorical::mixed: size mismatch");
   SYSUQ_ASSERT_PROB(w, "Categorical::mixed: w");
-  std::vector<double> m(p_.size());
-  for (std::size_t i = 0; i < p_.size(); ++i)
-    m[i] = (1.0 - w) * p_[i] + w * other.p_[i];
-  return Categorical(std::move(m));
+  const double* a = data();
+  const double* b = other.data();
+  Categorical m(size_);
+  double* out = m.data();
+  for (std::size_t i = 0; i < size_; ++i) out[i] = (1.0 - w) * a[i] + w * b[i];
+  SYSUQ_ASSERT_PROB_VEC(m.probs(), "Categorical");
+  return m;
 }
 
 // -------------------------------------------------------------- Bernoulli

@@ -5,7 +5,9 @@
 // CPT row is a categorical) and of the paper's Table I example.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,13 +20,33 @@ namespace sysuq::prob {
 /// Invariant: probabilities are non-negative and sum to 1 within
 /// tolerance::kProbSum (a contract checked at construction; `normalized`
 /// relaxes the input).
+///
+/// Up to kInline probabilities live inside the object, so copying or
+/// moving a small distribution never touches the allocator; larger ones
+/// own a heap array. A moved-from Categorical is empty (size 0) until it
+/// is assigned to.
 class Categorical {
  public:
   /// Constructs from probabilities that must already sum to one.
-  explicit Categorical(std::vector<double> probs);
+  explicit Categorical(std::span<const double> probs);
+
+  /// As above; also takes a braced list, `Categorical({0.9, 0.1})`.
+  explicit Categorical(const std::vector<double>& probs)
+      : Categorical(std::span<const double>(probs)) {}
+
+  Categorical(const Categorical& other);
+  Categorical(Categorical&& other) noexcept;
+  Categorical& operator=(const Categorical& other);
+  Categorical& operator=(Categorical&& other) noexcept;
+  ~Categorical() { release(); }
 
   /// Constructs by normalizing non-negative weights (at least one > 0).
-  [[nodiscard]] static Categorical normalized(std::vector<double> weights);
+  [[nodiscard]] static Categorical normalized(std::span<const double> weights);
+
+  /// As above; also takes a braced list.
+  [[nodiscard]] static Categorical normalized(const std::vector<double>& weights) {
+    return normalized(std::span<const double>(weights));
+  }
 
   /// Uniform distribution over k categories.
   [[nodiscard]] static Categorical uniform(std::size_t k);
@@ -33,13 +55,18 @@ class Categorical {
   [[nodiscard]] static Categorical delta(std::size_t i, std::size_t k);
 
   /// Number of categories.
-  [[nodiscard]] std::size_t size() const { return p_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// P(X = i).
   [[nodiscard]] double p(std::size_t i) const;
 
-  /// Full probability vector.
-  [[nodiscard]] const std::vector<double>& probs() const { return p_; }
+  /// Full probability vector: a view into this object when called on an
+  /// lvalue, an owning copy when called on an rvalue, so
+  /// `auto p = f().probs();` holds its own data instead of dangling.
+  [[nodiscard]] std::span<const double> probs() const& { return {data(), size_}; }
+  [[nodiscard]] std::vector<double> probs() const&& {
+    return std::vector<double>(data(), data() + size_);
+  }
 
   /// Shannon entropy in nats.
   [[nodiscard]] double entropy() const;
@@ -60,8 +87,57 @@ class Categorical {
   [[nodiscard]] Categorical mixed(const Categorical& other, double w) const;
 
  private:
-  std::vector<double> p_;
+  /// Distributions of at most this many categories are stored inline:
+  /// fault-tree events (2 states) and Table I's variables (3 and 4) fit.
+  static constexpr std::size_t kInline = 4;
+
+  /// k probabilities, all zero.
+  explicit Categorical(std::size_t k);
+
+  [[nodiscard]] bool is_inline() const { return size_ <= kInline; }
+  [[nodiscard]] const double* data() const { return is_inline() ? store_.local : store_.heap; }
+  [[nodiscard]] double* data() { return is_inline() ? store_.local : store_.heap; }
+  void release() noexcept {
+    if (!is_inline()) delete[] store_.heap;
+  }
+
+  union Storage {
+    double local[kInline];
+    double* heap;
+  };
+  std::size_t size_;
+  Storage store_;
 };
+
+inline Categorical::Categorical(const Categorical& other)
+    : size_(other.size_), store_(other.store_) {
+  if (!is_inline()) {
+    store_.heap = new double[size_];
+    std::copy_n(other.store_.heap, size_, store_.heap);
+  }
+}
+
+// Taking the storage bytes moves either the inline probabilities or the
+// heap pointer; the source is left empty, which owns nothing.
+inline Categorical::Categorical(Categorical&& other) noexcept
+    : size_(other.size_), store_(other.store_) {
+  other.size_ = 0;
+}
+
+inline Categorical& Categorical::operator=(const Categorical& other) {
+  if (this != &other) *this = Categorical(other);
+  return *this;
+}
+
+inline Categorical& Categorical::operator=(Categorical&& other) noexcept {
+  if (this != &other) {
+    release();
+    size_ = other.size_;
+    store_ = other.store_;
+    other.size_ = 0;
+  }
+  return *this;
+}
 
 /// Bernoulli(p) over {0, 1}.
 class Bernoulli {

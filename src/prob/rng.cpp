@@ -65,7 +65,10 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
+namespace {
+
+// Sum of `weights`, which must be non-negative with a positive total.
+double weight_total(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) {
     if (w < 0.0) throw std::invalid_argument("Rng::categorical: negative weight");
@@ -73,12 +76,34 @@ std::size_t Rng::categorical(const std::vector<double>& weights) {
   }
   if (!(total > 0.0))
     throw std::invalid_argument("Rng::categorical: all weights zero");
-  double u = uniform() * total;
+  return total;
+}
+
+std::size_t pick(std::span<const double> weights, double total, double u) {
+  u *= total;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     u -= weights[i];
     if (u < 0.0) return i;
   }
-  return weights.size() - 1;  // numerical edge: fall into the last bucket
+  // Numerical edge: rounding left u >= 0 after every bucket. The draw
+  // belongs to the last bucket that has mass, never to a trailing
+  // zero-weight one; total > 0 guarantees there is such a bucket.
+  std::size_t last = weights.size() - 1;
+  while (!(weights[last] > 0.0)) --last;
+  return last;
+}
+
+}  // namespace
+
+std::size_t Rng::categorical(std::span<const double> weights) {
+  const double total = weight_total(weights);
+  return pick(weights, total, uniform());
+}
+
+std::size_t categorical_index(std::span<const double> weights, double u) {
+  if (!(u >= 0.0 && u < 1.0))
+    throw std::invalid_argument("categorical_index: u outside [0, 1)");
+  return pick(weights, weight_total(weights), u);
 }
 
 Rng Rng::split(std::uint64_t salt) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace sysuq::prob {
@@ -46,8 +47,14 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p);
 
   /// Draws an index according to (non-negative, not necessarily
-  /// normalized) weights. Throws if all weights are zero.
-  [[nodiscard]] std::size_t categorical(const std::vector<double>& weights);
+  /// normalized) weights. Throws if all weights are zero. Never draws a
+  /// zero-weight index (see categorical_index).
+  [[nodiscard]] std::size_t categorical(std::span<const double> weights);
+
+  /// As above; also takes a braced list.
+  [[nodiscard]] std::size_t categorical(const std::vector<double>& weights) {
+    return categorical(std::span<const double>(weights));
+  }
 
   /// Derives an independent child stream. Children with distinct salts are
   /// decorrelated from each other and from the parent.
@@ -63,6 +70,13 @@ class Rng {
   std::uint64_t seed_;
   std::mt19937_64 engine_;
 };
+
+/// The index `Rng::categorical(weights)` draws when its uniform draw is
+/// `u` in [0, 1): the first i whose running weight sum exceeds u times
+/// the total. When rounding leaves u * total at or above every running
+/// sum (u within a few ulps of 1), the last index of positive weight.
+/// Throws as `Rng::categorical` does, and on u outside [0, 1).
+[[nodiscard]] std::size_t categorical_index(std::span<const double> weights, double u);
 
 /// SplitMix64 step — a high-quality 64-bit mixer, used for seed derivation.
 // sysuq-lint-allow(contract-coverage): pure bit mixer, total over uint64 state

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "bayesnet/engine.hpp"
 #include "perception/table1.hpp"
@@ -19,6 +20,12 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// The probabilities as a vector, so an exact comparison prints them.
+std::vector<double> probs_of(const pr::Categorical& c) {
+  const auto p = c.probs();
+  return std::vector<double>(p.begin(), p.end());
+}
 
 // Exact answers on one thread: never escalates to BP, starts no pool.
 const bn::InferenceEngine::Options kExact{
@@ -221,7 +228,7 @@ TEST(Inference, RejectionSamplingConvergesAndReportsAcceptance) {
   EXPECT_EQ(accepted, kept);
   for (std::size_t s = 0; s < exact.size(); ++s)
     EXPECT_EQ(std::round(approx.p(s) * static_cast<double>(accepted)), counts[s]) << s;
-  EXPECT_EQ(approx.probs(), pr::Categorical::normalized(counts).probs());
+  EXPECT_EQ(probs_of(approx), pr::Categorical::normalized(counts).probs());
 }
 
 TEST(Inference, SamplersRejectZeroSamples) {

@@ -20,6 +20,12 @@ namespace pr = sysuq::prob;
 
 namespace {
 
+// The probabilities as a vector, so an exact comparison prints them.
+std::vector<double> probs_of(const pr::Categorical& c) {
+  const auto p = c.probs();
+  return std::vector<double>(p.begin(), p.end());
+}
+
 // The paper's Fig. 4 / Table I network (default repair: deficit -> none).
 bn::BayesianNetwork paper_network() {
   return sysuq::perception::table1_network();
@@ -149,7 +155,7 @@ TEST(Network, CptValidation) {
   wide.set_cpt(child, {}, {pr::Categorical({0.25, 0.75})});
   EXPECT_THROW(wide.set_cpt(child, parents, {}), std::invalid_argument);
   EXPECT_TRUE(wide.parents(child).empty());
-  EXPECT_EQ(wide.cpt_rows(child)[0].probs(), (std::vector<double>{0.25, 0.75}));
+  EXPECT_EQ(probs_of(wide.cpt_rows(child)[0]), (std::vector<double>{0.25, 0.75}));
 }
 
 TEST(Network, ValidateRequiresAllCpts) {
@@ -256,7 +262,7 @@ TEST(Network, CptFactorUnderEvidenceEqualsStepwiseReduction) {
       const auto rows = net.cpt_rows(v);
       ASSERT_EQ(rows.size(), given[v].size()) << "net " << t << " var " << v;
       for (std::size_t r = 0; r < rows.size(); ++r)
-        ASSERT_EQ(rows[r].probs(), given[v][r].probs()) << "net " << t << " var " << v;
+        ASSERT_EQ(probs_of(rows[r]), probs_of(given[v][r])) << "net " << t << " var " << v;
       std::vector<pr::Categorical> next;
       for (std::size_t r = 0; r < rows.size(); ++r) {
         std::vector<double> w(rows[r].size());
@@ -266,7 +272,7 @@ TEST(Network, CptFactorUnderEvidenceEqualsStepwiseReduction) {
       updated.update_cpt_rows(v, next);
       const auto back = updated.cpt_rows(v);
       for (std::size_t r = 0; r < back.size(); ++r)
-        ASSERT_EQ(back[r].probs(), next[r].probs()) << "net " << t << " var " << v;
+        ASSERT_EQ(probs_of(back[r]), probs_of(next[r])) << "net " << t << " var " << v;
     }
     for (bn::VariableId v = 0; v < net.size(); ++v) {
       const auto& parents = net.parents(v);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,8 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+using Probs = std::vector<double>;
 
 // Restores the enforcement mode even when an assertion fails mid-test.
 class ModeGuard {
@@ -86,21 +89,62 @@ TEST(Contracts, ProbabilityPredicate) {
 }
 
 TEST(Contracts, FiniteNonnegPredicate) {
-  EXPECT_TRUE(contracts::is_finite_nonneg({0.0, 2.5, 1e6}));
-  EXPECT_FALSE(contracts::is_finite_nonneg({0.5, -tol::kTiny}));
-  EXPECT_FALSE(contracts::is_finite_nonneg({0.5, kNaN}));
-  EXPECT_FALSE(contracts::is_finite_nonneg({0.5, kInf}));
+  EXPECT_TRUE(contracts::is_finite_nonneg(Probs{0.0, 2.5, 1e6}));
+  EXPECT_FALSE(contracts::is_finite_nonneg(Probs{0.5, -tol::kTiny}));
+  EXPECT_FALSE(contracts::is_finite_nonneg(Probs{0.5, kNaN}));
+  EXPECT_FALSE(contracts::is_finite_nonneg(Probs{0.5, kInf}));
 }
 
 TEST(Contracts, NormalizedPredicateUsesSharedEpsilon) {
-  EXPECT_TRUE(contracts::is_normalized({0.25, 0.75}));
-  EXPECT_TRUE(contracts::is_normalized({0.25 + 0.5 * tolerance::kProbSum, 0.75}));
-  EXPECT_FALSE(contracts::is_normalized({0.25 + 10.0 * tolerance::kProbSum, 0.75}));
+  EXPECT_TRUE(contracts::is_normalized(Probs{0.25, 0.75}));
+  EXPECT_TRUE(contracts::is_normalized(Probs{0.25 + 0.5 * tolerance::kProbSum, 0.75}));
+  EXPECT_FALSE(contracts::is_normalized(Probs{0.25 + 10.0 * tolerance::kProbSum, 0.75}));
   EXPECT_FALSE(contracts::is_normalized({}));
-  EXPECT_FALSE(contracts::is_normalized({0.5, 0.6}));
+  EXPECT_FALSE(contracts::is_normalized(Probs{0.5, 0.6}));
 }
 
 // --- Violations through real entry points -----------------------------
+
+TEST(Contracts, CategoricalRejectsBadProbabilitiesThroughSpanAndVector) {
+  // Inline (2 states) and heap (5 states) sizes, through both the span
+  // and the vector entry points of the constructor and `normalized`.
+  ModeGuard guard(contracts::Mode::kThrow);
+  const std::vector<Probs> bad{{},
+                               {-0.25, 1.25},
+                               {kNaN, 1.0},
+                               {kInf, 1.0},
+                               {0.5, 0.6},
+                               {-0.2, 0.3, 0.3, 0.3, 0.3},
+                               {kNaN, 0.25, 0.25, 0.25, 0.25},
+                               {kInf, 0.0, 0.0, 0.0, 0.0},
+                               {0.3, 0.3, 0.3, 0.3, 0.3}};
+  for (const auto& p : bad) {
+    EXPECT_THROW((void)prob::Categorical(p), contracts::ContractViolation) << p.size();
+    EXPECT_THROW((void)prob::Categorical(std::span<const double>(p)),
+                 contracts::ContractViolation)
+        << p.size();
+  }
+  // `normalized` takes unnormalized weights; it rejects the other four
+  // kinds, and all-zero weights.
+  const std::vector<Probs> bad_weights{{},
+                                       {-0.25, 1.25},
+                                       {kNaN, 1.0},
+                                       {kInf, 1.0},
+                                       {0.0, 0.0},
+                                       {-0.2, 0.3, 0.3, 0.3, 0.3},
+                                       {kNaN, 1.0, 1.0, 1.0, 1.0},
+                                       {kInf, 0.0, 0.0, 0.0, 0.0},
+                                       {0.0, 0.0, 0.0, 0.0, 0.0}};
+  for (const auto& w : bad_weights) {
+    EXPECT_THROW((void)prob::Categorical::normalized(w), contracts::ContractViolation)
+        << w.size();
+    EXPECT_THROW((void)prob::Categorical::normalized(std::span<const double>(w)),
+                 contracts::ContractViolation)
+        << w.size();
+  }
+  EXPECT_NO_THROW((void)prob::Categorical::normalized(Probs{0.3, 0.3, 0.3, 0.3, 0.3}));
+  EXPECT_NO_THROW((void)prob::Categorical(std::span<const double>(Probs{0.2, 0.2, 0.2, 0.2, 0.2})));
+}
 
 TEST(Contracts, NaNPriorThrows) {
   EXPECT_THROW(prob::Categorical({kNaN, 1.0}), contracts::ContractViolation);

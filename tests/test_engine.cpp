@@ -19,6 +19,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "bayesnet/inference.hpp"
 #include "bayesnet/junction_tree.hpp"
@@ -39,6 +40,12 @@ namespace bn = sysuq::bayesnet;
 namespace pr = sysuq::prob;
 
 namespace {
+
+// The probabilities as a vector, so an exact comparison prints them.
+std::vector<double> probs_of(const pr::Categorical& c) {
+  const auto p = c.probs();
+  return std::vector<double>(p.begin(), p.end());
+}
 
 // Exact answers on one thread: never escalates to BP, starts no pool.
 const bn::InferenceEngine::Options kExact{
@@ -1307,7 +1314,7 @@ TEST(EngineCompiledTree, AutoAllMarginalsLooksNoSignatureUp) {
     const auto got = engine.all_marginals(ev);
     const auto want = jt.all_marginals(ev);
     for (bn::VariableId v = 0; v < net.size(); ++v)
-      ASSERT_EQ(got[v].probs(), want[v].probs()) << net.variable(v).name();
+      ASSERT_EQ(probs_of(got[v]), probs_of(want[v])) << net.variable(v).name();
   }
   EXPECT_EQ(engine.cache_stats().hits, 0u);
   EXPECT_EQ(engine.cache_stats().misses, 0u);
@@ -1333,7 +1340,7 @@ TEST(EngineCompiledTree, AutoAllMarginalsLooksNoSignatureUp) {
       ++escalated;
       const auto want = bp.all_marginals(ev);
       for (bn::VariableId v = 0; v < net.size(); ++v)
-        ASSERT_EQ(got[v].probs(), want[v].probs()) << net.variable(v).name();
+        ASSERT_EQ(probs_of(got[v]), probs_of(want[v])) << net.variable(v).name();
       EXPECT_THROW((void)strict.all_marginals(ev), sysuq::contracts::ContractViolation);
       continue;
     }
@@ -1348,6 +1355,53 @@ TEST(EngineCompiledTree, AutoAllMarginalsLooksNoSignatureUp) {
   EXPECT_EQ(capped.cache_stats().misses, signatures.size());
   EXPECT_EQ(capped.cache_stats().hits, assignments.size() - signatures.size());
   EXPECT_EQ(capped.cache_stats().entries, signatures.size());
+}
+
+TEST(EngineCompiledTree, HotAllMarginalsReadIsTheCalibrationBitForBit) {
+  // A hot all_marginals read copies the memoized tree's marginals: 2- to
+  // 4-state variables (stored inline) and 5- and 6-state ones (on the
+  // heap) equal the fresh calibration's, and a JunctionTree calibrated on
+  // the network plan's structure, bit for bit.
+  pr::Rng rng(71);
+  bn::BayesianNetwork net;
+  const std::vector<std::size_t> cards{2, 5, 3, 6, 4, 2};
+  for (std::size_t i = 0; i < cards.size(); ++i) {
+    std::vector<std::string> states;
+    for (std::size_t s = 0; s < cards[i]; ++s) states.push_back("s" + std::to_string(s));
+    net.add_variable("v" + std::to_string(i), std::move(states));
+  }
+  for (bn::VariableId v = 0; v < cards.size(); ++v) {
+    std::vector<bn::VariableId> parents;
+    if (v > 0) parents.push_back(v - 1);
+    if (v > 1) parents.push_back(v / 2 - 1);
+    std::size_t rows = 1;
+    for (const auto p : parents) rows *= cards[p];
+    std::vector<pr::Categorical> cpt;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::vector<double> w(cards[v]);
+      for (double& x : w) x = rng.uniform() + 0.05;
+      cpt.push_back(pr::Categorical::normalized(w));
+    }
+    net.set_cpt(v, std::move(parents), std::move(cpt));
+  }
+  const bn::JunctionTreeStructure structure(net, bn::compute_elimination_order(net, {}, {}));
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  for (const bn::Evidence& ev : {bn::Evidence{}, bn::Evidence{{0, 1}},
+                                 bn::Evidence{{1, 4}, {5, 0}}, bn::Evidence{{3, 5}}}) {
+    const auto fresh = engine.all_marginals(ev);
+    const auto hits = engine.jt_cache_stats().hits;
+    const auto hot = engine.all_marginals(ev);
+    EXPECT_EQ(engine.jt_cache_stats().hits, hits + 1);
+    const bn::JunctionTree tree(structure, ev);
+    const auto& want = tree.all_marginals();
+    ASSERT_EQ(fresh.size(), net.size());
+    ASSERT_EQ(hot.size(), net.size());
+    for (bn::VariableId v = 0; v < net.size(); ++v) {
+      EXPECT_EQ(hot[v].size(), cards[v]);
+      EXPECT_EQ(probs_of(hot[v]), probs_of(fresh[v])) << v;
+      EXPECT_EQ(probs_of(hot[v]), probs_of(want[v])) << v;
+    }
+  }
 }
 
 TEST(EngineCompiledTree, ConcurrentFirstUseCompilesOnce) {
@@ -1372,7 +1426,7 @@ TEST(EngineCompiledTree, ConcurrentFirstUseCompilesOnce) {
   const bn::InferenceEngine single(net, {.threads = 1, .jt_batch_threshold = 4});
   const auto want = single.query_batch(batch);
   ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i].probs(), want[i].probs()) << i;
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(probs_of(got[i]), probs_of(want[i])) << i;
 }
 
 // ---- module wiring ----

@@ -290,7 +290,7 @@ TEST(LoopyBP, UnlimitedBlanketCapFallsBackOnOverflow) {
   const auto& got = uncapped.query(root);
   EXPECT_EQ(got.lo, want.lo);
   EXPECT_EQ(got.hi, want.hi);
-  EXPECT_TRUE(got.contains({0.3, 0.7}));
+  EXPECT_TRUE(got.contains(std::vector<double>{0.3, 0.7}));
 }
 
 TEST(LoopyBP, OptionContractsAreEnforced) {

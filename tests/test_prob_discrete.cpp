@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "prob/statistics.hpp"
 #include "core/tolerance.hpp"
@@ -11,6 +15,23 @@
 namespace tol = sysuq::tolerance;
 
 namespace pr = sysuq::prob;
+
+namespace {
+
+// Weights 1, 2, .., k normalized: distinct probabilities, k states.
+std::vector<double> ramp(std::size_t k) {
+  std::vector<double> p(k);
+  const double sum = static_cast<double>(k * (k + 1) / 2);
+  for (std::size_t i = 0; i < k; ++i) p[i] = static_cast<double>(i + 1) / sum;
+  return p;
+}
+
+std::vector<double> probs_of(const pr::Categorical& c) {
+  const auto p = c.probs();
+  return std::vector<double>(p.begin(), p.end());
+}
+
+}  // namespace
 
 TEST(Categorical, ConstructionValidation) {
   EXPECT_NO_THROW(pr::Categorical({0.5, 0.5}));
@@ -70,6 +91,99 @@ TEST(Categorical, SamplingFrequenciesConverge) {
   for (std::size_t i = 0; i < n; ++i) ++counts[c.sample(rng)];
   for (std::size_t k = 0; k < 3; ++k) {
     EXPECT_NEAR(static_cast<double>(counts[k]) / n, c.p(k), 0.01) << k;
+  }
+}
+
+TEST(Categorical, CopiesAndMovesAcrossInlineAndHeapStorage) {
+  // Up to 4 states live inside the object, 5 or more on the heap; every
+  // copy, move and assignment, across that boundary too, keeps the
+  // probabilities, and a moved-from object is empty but reusable.
+  for (std::size_t k = 1; k <= 7; ++k) {
+    const pr::Categorical a(ramp(k));
+    ASSERT_EQ(a.size(), k);
+    EXPECT_EQ(probs_of(a), ramp(k)) << k;
+
+    pr::Categorical copy(a);
+    EXPECT_EQ(probs_of(copy), ramp(k)) << k;
+    EXPECT_NE(copy.probs().data(), a.probs().data()) << k;
+
+    pr::Categorical moved(std::move(copy));
+    EXPECT_EQ(probs_of(moved), ramp(k)) << k;
+    EXPECT_EQ(copy.size(), 0u) << k;  // NOLINT(bugprone-use-after-move)
+    copy = a;
+    EXPECT_EQ(probs_of(copy), ramp(k)) << k;
+
+    pr::Categorical& alias = moved;
+    moved = alias;
+    EXPECT_EQ(probs_of(moved), ramp(k)) << k;
+    moved = std::move(alias);
+    EXPECT_EQ(probs_of(moved), ramp(k)) << k;
+
+    for (std::size_t j = 1; j <= 7; ++j) {
+      const pr::Categorical b(ramp(j));
+      pr::Categorical assigned(a);
+      assigned = b;
+      EXPECT_EQ(probs_of(assigned), ramp(j)) << k << " <- " << j;
+      pr::Categorical source(b);
+      pr::Categorical taken(a);
+      taken = std::move(source);
+      EXPECT_EQ(probs_of(taken), ramp(j)) << k << " <- " << j;
+      EXPECT_EQ(source.size(), 0u);  // NOLINT(bugprone-use-after-move)
+      source = a;
+      EXPECT_EQ(probs_of(source), ramp(k)) << k << " <- " << j;
+      pr::Categorical dropped(b);
+      { const pr::Categorical sink(std::move(dropped)); }
+    }
+  }
+}
+
+TEST(Categorical, ProbsViewsAnLvalueAndOwnsAnRvalueCopy) {
+  static_assert(std::is_same_v<decltype(std::declval<const pr::Categorical&>().probs()),
+                               std::span<const double>>);
+  static_assert(std::is_same_v<decltype(pr::Categorical::uniform(2).probs()),
+                               std::vector<double>>);
+  static_assert(std::is_nothrow_move_constructible_v<pr::Categorical>);
+  static_assert(std::is_nothrow_move_assignable_v<pr::Categorical>);
+  for (std::size_t k = 1; k <= 7; ++k) {
+    const std::vector<double> owned = pr::Categorical(ramp(k)).probs();
+    EXPECT_EQ(owned, ramp(k)) << k;
+    const pr::Categorical c{std::span<const double>(owned)};
+    const auto view = c.probs();
+    EXPECT_EQ(view.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(view[i], owned[i]) << k;
+      EXPECT_EQ(c.p(i), owned[i]) << k;
+    }
+    EXPECT_THROW((void)c.p(k), std::out_of_range) << k;
+  }
+}
+
+TEST(Categorical, SampleDrawsTheSameSequenceForAFixedSeed) {
+  // Pinned draws for seed 7 (3 states inline, then 6 on the heap); a copy
+  // and a moved-to object draw the same sequence as the original.
+  const auto small = pr::Categorical::normalized({1.0, 2.0, 7.0});
+  const auto large = pr::Categorical::normalized({5.0, 1.0, 0.0, 3.0, 1.0, 2.0});
+  const std::vector<std::size_t> want_small{2, 2, 2, 2, 1, 1, 1, 2, 2, 2,
+                                            2, 1, 0, 0, 2, 1, 1, 2, 2, 2};
+  const std::vector<std::size_t> want_large{0, 0, 3, 0, 0, 3, 3, 0, 4, 0,
+                                            3, 0, 5, 3, 3, 3, 0, 5, 1, 3};
+  pr::Rng rng(7);
+  std::vector<std::size_t> got_small, got_large;
+  for (std::size_t i = 0; i < want_small.size(); ++i) got_small.push_back(small.sample(rng));
+  for (std::size_t i = 0; i < want_large.size(); ++i) got_large.push_back(large.sample(rng));
+  EXPECT_EQ(got_small, want_small);
+  EXPECT_EQ(got_large, want_large);
+
+  for (const auto* c : {&small, &large}) {
+    const pr::Categorical copy(*c);
+    pr::Categorical tmp(*c);
+    const pr::Categorical moved(std::move(tmp));
+    pr::Rng r0(13), r1(13), r2(13);
+    for (int i = 0; i < 200; ++i) {
+      const std::size_t x = c->sample(r0);
+      EXPECT_EQ(copy.sample(r1), x);
+      EXPECT_EQ(moved.sample(r2), x);
+    }
   }
 }
 

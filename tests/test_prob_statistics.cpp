@@ -218,6 +218,27 @@ TEST(Rng, CategoricalValidation) {
   EXPECT_EQ(rng.categorical({0.0, 5.0, 0.0}), 1u);
 }
 
+TEST(Rng, CategoricalNeverDrawsAZeroWeightCategory) {
+  // At u = 1 - 2^-53, u * total rounds above every running sum of these
+  // weights, so the subtraction loop falls through; the draw belongs to
+  // the last category with mass (2), not the trailing zero-weight one.
+  const std::vector<double> w{0.25365578249561005, 0.11128590160513678,
+                              0.6350583158992531, 0.0};
+  EXPECT_EQ(pr::categorical_index(w, 1.0 - 0x1p-53), 2u);
+  EXPECT_EQ(pr::categorical_index(w, 1.0 - 0x1p-52), 2u);
+  EXPECT_EQ(pr::categorical_index(w, 0.0), 0u);
+  EXPECT_EQ(pr::categorical_index(std::vector<double>{0.0, 1.0, 0.0}, 1.0 - 0x1p-53), 1u);
+  EXPECT_THROW((void)pr::categorical_index(w, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)pr::categorical_index(w, -0.25), std::invalid_argument);
+  EXPECT_THROW((void)pr::categorical_index(std::vector<double>{0.0, 0.0}, 0.5),
+               std::invalid_argument);
+  EXPECT_THROW((void)pr::categorical_index(std::vector<double>{-1.0, 2.0}, 0.5),
+               std::invalid_argument);
+  // Rng::categorical draws categorical_index of its uniform draw.
+  pr::Rng a(11), b(11);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(a.categorical(w), pr::categorical_index(w, b.uniform()));
+}
+
 TEST(Rng, BernoulliExtremes) {
   pr::Rng rng(2);
   for (int i = 0; i < 20; ++i) {
