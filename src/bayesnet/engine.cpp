@@ -322,15 +322,21 @@ std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
 }
 
 std::shared_ptr<const LoopyBP> InferenceEngine::bp_for(
-    const Evidence& evidence) const {
-  return bp_runs_.get(assignment(evidence), [&] {
+    const Evidence& evidence, Certify need, VariableId v) const {
+  const auto serves = [&](const std::shared_ptr<const LoopyBP>& bp) {
+    return need == Certify::kNothing ||
+           (need == Certify::kOne ? bp->certified(v) : !bp->certify_only());
+  };
+  return bp_runs_.get(assignment(evidence), serves, [&](bool stale) {
+    const std::optional<VariableId> only =
+        need == Certify::kOne && !stale ? std::optional(v) : std::nullopt;
     // A run that oscillates undamped gets one deterministic retry at
     // damping 0.5 — the standard fix for flooding-schedule limit cycles
     // — and the converged run is kept.
-    auto bp = std::make_shared<const LoopyBP>(net_, evidence);
+    auto bp = std::make_shared<const LoopyBP>(net_, evidence, LoopyBP::Options{}, only);
     if (!bp->converged()) {
       auto retry = std::make_shared<const LoopyBP>(
-          net_, evidence, LoopyBP::Options{.damping = 0.5});
+          net_, evidence, LoopyBP::Options{.damping = 0.5}, only);
       if (retry->converged()) bp = std::move(retry);
     }
     return bp;
@@ -513,14 +519,14 @@ BoundedPosterior InferenceEngine::query_bounded(VariableId query,
   EngineMetrics::instance().bp_queries.inc();
   if (query >= net_.size())
     throw std::out_of_range("InferenceEngine::query: variable id");
-  return bp_for(evidence)->query(query);
+  return bp_for(evidence, Certify::kOne, query)->query(query);
 }
 
 std::vector<BoundedPosterior> InferenceEngine::all_marginals_bounded(
     const Evidence& evidence) const {
   const obs::Span span("bayesnet.engine.all_marginals_bounded");
   EngineMetrics::instance().bp_queries.inc(net_.size());
-  return bp_for(evidence)->all_marginals();
+  return bp_for(evidence, Certify::kAll)->all_marginals();
 }
 
 std::vector<prob::Categorical> InferenceEngine::all_marginals(
@@ -738,9 +744,10 @@ QueryProfile InferenceEngine::explain(VariableId query,
       break;
     case Route::kLoopyBP: {
       p.backend = "loopy_bp";
-      p.bp_cache_hit = bp_runs_.peek(assignment(evidence)).has_value();
+      const auto cached = bp_runs_.peek(assignment(evidence));
+      p.bp_cache_hit = cached && !(*cached)->certify_only();
       const auto t_prop0 = clock::now();
-      const auto bp = bp_for(evidence);
+      const auto bp = bp_for(evidence, Certify::kAll);
       const auto t_prop1 = clock::now();
       p.schedule = LoopyBP::schedule();
       p.bp_iterations = bp->iterations();

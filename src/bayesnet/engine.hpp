@@ -174,13 +174,17 @@ class InferenceEngine {
 
   /// Bounded posterior of one query via loopy BP: the point estimate
   /// plus a certified interval containing the true P(query | evidence).
-  /// Available under every backend (the BP run is cached by evidence
-  /// assignment); throws like `query` on impossible evidence.
+  /// Available under every backend; throws like `query` on impossible
+  /// evidence. The BP run is cached by evidence assignment. A fresh one
+  /// certifies `query` alone (`LoopyBP`'s `certify_only`); a cached run
+  /// that did not certify `query` is rebuilt certifying every variable
+  /// and replaces the entry, so an assignment is built at most twice.
   [[nodiscard]] BoundedPosterior query_bounded(
       VariableId query, const Evidence& evidence = {}) const;
 
   /// Bounded posteriors of every variable via loopy BP, indexed by
-  /// VariableId (observed variables hold zero-width deltas).
+  /// VariableId (observed variables hold zero-width deltas), from a run
+  /// that certified every variable.
   [[nodiscard]] std::vector<BoundedPosterior> all_marginals_bounded(
       const Evidence& evidence = {}) const;
 
@@ -223,7 +227,9 @@ class InferenceEngine {
   [[nodiscard]] CacheStats jt_cache_stats() const { return trees_.stats(); }
 
   /// Loopy-BP run cache statistics (same windowing rules; keyed by the
-  /// full evidence assignment like the junction-tree cache).
+  /// full evidence assignment like the junction-tree cache). A run
+  /// rebuilt because the cached one did not certify what a call reads
+  /// counts as a miss and replaces the entry.
   [[nodiscard]] CacheStats bp_cache_stats() const { return bp_runs_.stats(); }
 
   /// Zeroes the hit/miss counters of all three caches without dropping
@@ -314,11 +320,20 @@ class InferenceEngine {
   [[nodiscard]] std::shared_ptr<const JunctionTree> calibrated_tree_for(
       const Evidence& evidence,
       const std::shared_ptr<const EliminationOrdering>& ordering) const;
-  /// The loopy-BP run for `evidence`, built on a miss and memoized. A
-  /// run that fails to converge undamped is retried once at damping 0.5
-  /// (deterministic), keeping whichever converged.
+  /// What a BP run must certify to serve a call: nothing (point reads),
+  /// one variable (`query_bounded`), or every variable
+  /// (`all_marginals_bounded`, `explain`).
+  enum class Certify { kNothing, kOne, kAll };
+  /// The loopy-BP run for `evidence`, memoized. A cached run serves the
+  /// call when it certifies what `need` asks (`kOne`: variable `v`). A
+  /// miss builds a run certifying `v` alone for `kOne` and every variable
+  /// otherwise; a cached run that falls short is rebuilt certifying every
+  /// variable and overwritten. A run that fails to converge undamped is
+  /// retried once at damping 0.5 (deterministic), keeping whichever
+  /// converged.
   [[nodiscard]] std::shared_ptr<const LoopyBP> bp_for(
-      const Evidence& evidence) const;
+      const Evidence& evidence, Certify need = Certify::kNothing,
+      VariableId v = 0) const;
   /// `[v][s]`: state s of v has positive probability under every parent
   /// row. Read off the network's CPT tables on first use.
   [[nodiscard]] const std::vector<std::vector<char>>& always_possible() const;

@@ -53,13 +53,15 @@ void walk(const BayesianNetwork& net, const std::vector<VariableId>& scope,
   kernels::walk(cards.data(), strides_in(net, scope, table).data(), cards.size(), 0, visit);
 }
 
-// walk()'s cells as an index map.
+// walk()'s cells as an index map, sized before the walk.
 std::vector<std::uint32_t> index_map(const BayesianNetwork& net,
                                      const std::vector<VariableId>& scope,
                                      const std::vector<VariableId>& table) {
-  std::vector<std::uint32_t> map;
+  std::size_t cells = 1;
+  for (const VariableId v : scope) cells *= net.variable(v).cardinality();
+  std::vector<std::uint32_t> map(cells);
   walk(net, scope, table,
-       [&](std::size_t, std::size_t j) { map.push_back(static_cast<std::uint32_t>(j)); });
+       [&](std::size_t x, std::size_t j) { map[x] = static_cast<std::uint32_t>(j); });
   return map;
 }
 

@@ -51,18 +51,38 @@ inline constexpr std::size_t kMaxRank = 64;
 /// cardinalities `cards[0..rank)` (last fastest), in order, where j is
 /// `base` plus the sum of x's states times `strides`: the cell x reads in
 /// a source table (stride 0 where the source lacks the dimension).
+/// Adjacent dimensions the source stores contiguously
+/// (strides[d - 1] == strides[d] * cards[d], 0 = 0 * c included) merge
+/// into one, and the innermost merged dimension runs as a plain loop;
+/// the visits and their order are the same as one dimension at a time.
 template <class Visit>
 void walk(const std::size_t* cards, const std::size_t* strides,
           std::size_t rank, std::size_t base, Visit&& visit) {
   SYSUQ_EXPECT(rank <= kMaxRank, "kernels::walk: rank exceeds kMaxRank");
-  std::size_t idx[kMaxRank] = {}, size = 1;
-  for (std::size_t d = 0; d < rank; ++d) size *= cards[d];
-  for (std::size_t x = 0, j = base; x < size; ++x) {
-    visit(x, j);
-    for (std::size_t d = rank; d-- > 0;) {
-      j += strides[d];
-      if (++idx[d] < cards[d]) break;
-      j -= strides[d] * cards[d];
+  std::size_t mcards[kMaxRank], mstrides[kMaxRank], idx[kMaxRank] = {};
+  std::size_t merged = 0, size = 1;
+  for (std::size_t d = 0; d < rank; ++d) {
+    size *= cards[d];
+    if (merged > 0 && mstrides[merged - 1] == strides[d] * cards[d]) {
+      mcards[merged - 1] *= cards[d];
+      mstrides[merged - 1] = strides[d];
+    } else {
+      mcards[merged] = cards[d];
+      mstrides[merged++] = strides[d];
+    }
+  }
+  if (merged == 0) {  // rank 0: the one cell
+    mcards[0] = 1;
+    mstrides[0] = 0;
+    merged = 1;
+  }
+  const std::size_t run = mcards[merged - 1], step = mstrides[merged - 1];
+  for (std::size_t x = 0, j = base; x < size; x += run) {
+    for (std::size_t k = 0; k < run; ++k) visit(x + k, j + k * step);
+    for (std::size_t d = merged - 1; d-- > 0;) {
+      j += mstrides[d];
+      if (++idx[d] < mcards[d]) break;
+      j -= mstrides[d] * mcards[d];
       idx[d] = 0;
     }
   }

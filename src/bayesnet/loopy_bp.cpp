@@ -156,6 +156,26 @@ struct BlanketWalk {
   /// Envelopes the run's configurations into lo/hi and returns the
   /// any-feasible flag; see blanket_envelope.
   bool envelope(double* lo, double* hi);
+
+  /// The any-feasible flag alone: true at the first configuration and
+  /// state whose product (1.0 times each touching factor's cell, left to
+  /// right, as in blanket_envelope) is positive. A sum of non-negative
+  /// terms is positive exactly when one term is, so this is the
+  /// envelope's wsum > 0 test, bit for bit.
+  bool feasible();
+
+  /// Moves `off` (one offset per touching factor; `n` is nt, passed so
+  /// an instantiation can fix it) to the next outer configuration, last
+  /// run fastest.
+  void next_block(std::size_t* off, std::size_t n) {
+    for (std::size_t r = cards.size(); r-- > 0;) {
+      const std::size_t* s = strides.data() + r * n;
+      for (std::size_t t = 0; t < n; ++t) off[t] += s[t];
+      if (++idx[r] < cards[r]) break;
+      for (std::size_t t = 0; t < n; ++t) off[t] -= s[t] * cards[r];
+      idx[r] = 0;
+    }
+  }
 };
 
 /// Envelopes P(v = i | B = b, e) over every blanket configuration b of
@@ -215,14 +235,7 @@ bool blanket_envelope(BlanketWalk& walk, double* lo_out, double* hi_out) {
       }
     }
     if (++blk == blocks) break;
-    // Next outer configuration.
-    for (std::size_t r = walk.cards.size(); r-- > 0;) {
-      const std::size_t* s = walk.strides.data() + r * nt;
-      for (std::size_t t = 0; t < nt; ++t) off[t] += s[t];
-      if (++walk.idx[r] < walk.cards[r]) break;
-      for (std::size_t t = 0; t < nt; ++t) off[t] -= s[t] * walk.cards[r];
-      walk.idx[r] = 0;
-    }
+    walk.next_block(off, nt);
   }
   if constexpr (C != 0) {
     std::copy(lo, lo + C, lo_out);
@@ -272,6 +285,24 @@ bool BlanketWalk::envelope(double* lo, double* hi) {
   off.resize(nt);
   w.resize(card);
   return blanket_envelope<0, 0>(*this, lo, hi);
+}
+
+bool BlanketWalk::feasible() {
+  off.assign(nt, 0);
+  std::fill(idx.begin(), idx.end(), std::size_t{0});
+  for (std::size_t blk = 0, blocks = configs / len;;) {
+    for (std::size_t j = 0; j < len; ++j) {
+      for (std::size_t i = 0; i < card; ++i) {
+        double prod = 1.0;
+        for (std::size_t t = 0; t < nt; ++t) {
+          prod *= tables[t][off[t] + j * inner[t] + i * vstride[t]];
+        }
+        if (prod > 0.0) return true;
+      }
+    }
+    if (++blk == blocks) return false;
+    next_block(off.data(), nt);
+  }
 }
 
 }  // namespace
@@ -375,8 +406,9 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence)
     : LoopyBP(net, evidence, Options{}) {}
 
 LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
-                 Options options)
-    : net_(net), evidence_(evidence), options_(options) {
+                 Options options, std::optional<VariableId> certify_only)
+    : net_(net), evidence_(evidence), options_(options),
+      certify_only_(certify_only) {
   SYSUQ_EXPECT(options_.max_iterations >= 1,
                "LoopyBP: max_iterations must be >= 1");
   SYSUQ_EXPECT(options_.damping >= 0.0 && options_.damping < 1.0,
@@ -386,6 +418,8 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
                "LoopyBP: max_blanket_configs must be >= 1");
   net_.validate();
   net_.check_evidence(evidence_);
+  if (certify_only_ && *certify_only_ >= net_.size())
+    throw std::out_of_range("LoopyBP: certify_only variable id");
 
   const obs::Span span("bayesnet.bp.run");
   const auto t0 = std::chrono::steady_clock::now();
@@ -629,6 +663,8 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
   }
 
   // --- Per-variable certified intervals -------------------------------
+  // Every unobserved variable's blanket is tested for a feasible
+  // configuration; only the certified ones get an interval.
   max_bound_width_ = 0.0;
   std::vector<double> w_lo, w_hi;
   std::vector<std::size_t> touching, step, blanket_cards;
@@ -637,6 +673,7 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
   std::uint64_t enumerated = 0, relaxed = 0;
   for (VariableId v = 0; v < net_.size(); ++v) {
     if (evidence_.contains(v)) continue;
+    const bool certify = !certify_only_ || *certify_only_ == v;
     BoundedPosterior& out = marginals_[v];
     const std::size_t card = net_.variable(v).cardinality();
 
@@ -679,8 +716,6 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
       // step[k * nt + t] (0 when t does not hold k); the walk coalesces
       // those dimensions into runs.
       const std::size_t nt = touching.size(), nb = blanket.size();
-      out.lo.assign(card, 1.0);
-      out.hi.assign(card, 0.0);
       walk.card = card;
       walk.nt = nt;
       walk.configs = configs;
@@ -709,13 +744,19 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
         blanket_cards[k] = net_.variable(blanket[k]).cardinality();
       }
       walk.coalesce(step, blanket_cards);
-      any_feasible = walk.envelope(out.lo.data(), out.hi.data());
-      enumerated += configs;
+      if (certify) {
+        out.lo.assign(card, 1.0);
+        out.hi.assign(card, 0.0);
+        any_feasible = walk.envelope(out.lo.data(), out.hi.data());
+        enumerated += configs;
+      } else {
+        any_feasible = walk.feasible();
+      }
     } else {
       // Relaxation: per state i, bound the weight each factor can
       // contribute by its min/max over all blanket completions; the
       // worst-case mixture of those envelopes bounds the conditional.
-      ++relaxed;
+      if (certify) ++relaxed;
       w_lo.assign(card, 1.0);
       w_hi.assign(card, 1.0);
       for (const std::size_t fi : touching) {
@@ -743,12 +784,10 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
           w_hi[i] *= fmax;
         }
       }
-      out.lo.assign(card, 0.0);
-      out.hi.assign(card, 1.0);
       double hi_total = 0.0;
       for (const double x : w_hi) hi_total += x;
       if (hi_total > 0.0) any_feasible = true;
-      for (std::size_t i = 0; i < card; ++i) {
+      for (std::size_t i = 0; certify && i < card; ++i) {
         if (w_hi[i] <= 0.0) {
           out.lo[i] = 0.0;
           out.hi[i] = 0.0;
@@ -770,8 +809,10 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
       // is impossible. Message passing normally catches this first; the
       // envelope is the backstop.
       impossible_ = true;
+      max_bound_width_ = 0.0;
       break;
     }
+    if (!certify) continue;
 
     // Contraction box: on an acyclic factor graph the BP fixpoint is
     // the true posterior, so the certified fixpoint distance becomes a
@@ -830,6 +871,11 @@ const BoundedPosterior& LoopyBP::query(VariableId v) const {
   if (v >= net_.size()) throw std::out_of_range("LoopyBP: variable id");
   if (impossible_) throw_impossible();
   return marginals_[v];
+}
+
+bool LoopyBP::certified(VariableId v) const {
+  return !certify_only_ || *certify_only_ == v || impossible_ ||
+         evidence_.contains(v);
 }
 
 const std::vector<BoundedPosterior>& LoopyBP::all_marginals() const {

@@ -63,6 +63,16 @@
 // The final interval is hulled with the point estimate, so the BP
 // point always lies inside its own certified interval by construction.
 //
+// What a run certifies: by default every unobserved variable. A run
+// built with `certify_only = v` certifies v alone — what the engine's
+// `query_bounded(v, e)` reads — and leaves every other unobserved
+// variable at the trivially sound [0, 1] (`certified()` tells the two
+// apart). It still runs the any-feasible test of every unobserved
+// variable's blanket: an enumerated blanket stops at its first
+// configuration with positive mass, and one past the cap takes the
+// relaxation's per-state maxima. So its impossible-evidence verdict,
+// its messages and v's interval equal the full run's bit for bit.
+//
 // Schedule and determinism: one iteration updates every factor->var
 // message from the previous iteration's var->factor messages (in
 // factor-index, then scope-position order), then every var->factor
@@ -84,6 +94,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -130,18 +141,22 @@ class LoopyBP {
   };
 
   /// Runs message passing and bound extraction for `net` under
-  /// `evidence`. Throws std::out_of_range for unknown evidence ids or
-  /// states; evidence with probability zero surfaces as
+  /// `evidence`, certifying every unobserved variable, or only
+  /// `certify_only` when given (see the file comment). Throws
+  /// std::out_of_range for unknown evidence ids or states and an unknown
+  /// `certify_only`; evidence with probability zero surfaces as
   /// std::domain_error from the posterior accessors.
   explicit LoopyBP(const BayesianNetwork& net, const Evidence& evidence = {});
   LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
-          Options options);
+          Options options,
+          std::optional<VariableId> certify_only = std::nullopt);
 
   [[nodiscard]] const BayesianNetwork& network() const { return net_; }
   [[nodiscard]] const Evidence& evidence() const { return evidence_; }
 
   /// Bounded posterior of `v` (an observed variable returns its delta
-  /// with a zero-width interval). Throws std::domain_error with
+  /// with a zero-width interval; one this run did not certify, its point
+  /// in [0, 1]). Throws std::domain_error with
   /// `impossible_evidence_message` if P(evidence) = 0.
   [[nodiscard]] const BoundedPosterior& query(VariableId v) const;
 
@@ -160,8 +175,17 @@ class LoopyBP {
   [[nodiscard]] double final_residual() const { return final_residual_; }
   /// The damping factor this run used (Options::damping).
   [[nodiscard]] double damping() const { return options_.damping; }
-  /// Largest certified interval width over all unobserved variables
-  /// (0 when the evidence is impossible).
+  /// The one variable this run certified; std::nullopt when it
+  /// certified every unobserved variable.
+  [[nodiscard]] std::optional<VariableId> certify_only() const {
+    return certify_only_;
+  }
+  /// True when query(v) is a certificate or throws: v is observed, this
+  /// run certified it, or the evidence is impossible. False for an
+  /// unobserved variable a `certify_only` run left at [0, 1].
+  [[nodiscard]] bool certified(VariableId v) const;
+  /// Largest interval width over the certified unobserved variables (0
+  /// when the evidence is impossible).
   [[nodiscard]] double max_bound_width() const { return max_bound_width_; }
   /// True when the evidence-reduced factor graph is acyclic (BP exact).
   [[nodiscard]] bool acyclic() const { return acyclic_; }
@@ -184,6 +208,7 @@ class LoopyBP {
   const BayesianNetwork& net_;
   Evidence evidence_;
   Options options_;
+  std::optional<VariableId> certify_only_;
   std::vector<BoundedPosterior> marginals_;  // one per variable
   bool impossible_ = false;
   bool converged_ = false;

@@ -7,8 +7,10 @@
 // heuristic, a junction-tree calibration, a BP run) never serializes
 // lookups of other keys. Two callers racing on one key both build and
 // the first insert is kept; every builder the engine passes is
-// deterministic, so the copies agree. `peek` reads without counting, for
-// explain()'s cache-hit attribution.
+// deterministic, so the copies agree. A lookup may also reject the value
+// stored (a BP run that did not certify what the caller reads): that
+// counts as a miss, and the value built then overwrites the rejected one.
+// `peek` reads without counting, for explain()'s cache-hit attribution.
 #pragma once
 
 #include <cstddef>
@@ -52,19 +54,38 @@ class Memo {
   /// either way the first insert is returned.
   template <class Build>
   Value get(const Key& key, Build&& build) {
+    return get(
+        key, [](const Value&) { return true; },
+        [&](bool) { return std::forward<Build>(build)(); });
+  }
+
+  /// The value stored for `key` when `accept(value)` holds (called under
+  /// the lock: keep it O(1)). Otherwise — no entry, or one `accept`
+  /// rejects — the lookup counts as a miss and `build(stale)` runs
+  /// outside the lock, `stale` telling whether a rejected entry is
+  /// there. Its result is stored, overwriting a rejected entry, unless a
+  /// racing caller stored an accepted value first; the stored value is
+  /// returned.
+  template <class Accept, class Build>
+  Value get(const Key& key, Accept&& accept, Build&& build) {
+    bool stale = false;
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (const auto it = map_.find(key); it != map_.end()) {
-        ++hits_;
-        hits_metric_.inc();
-        return it->second;
+        if (accept(it->second)) {
+          ++hits_;
+          hits_metric_.inc();
+          return it->second;
+        }
+        stale = true;
       }
       ++misses_;
       misses_metric_.inc();
     }
-    Value value = std::forward<Build>(build)();
+    Value value = std::forward<Build>(build)(stale);
     std::lock_guard<std::mutex> lk(mu_);
-    const auto it = map_.emplace(key, std::move(value)).first;
+    const auto [it, inserted] = map_.try_emplace(key, std::move(value));
+    if (!inserted && !accept(it->second)) it->second = std::move(value);
     entries_metric_.set(static_cast<double>(map_.size()));
     return it->second;
   }

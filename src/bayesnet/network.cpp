@@ -34,17 +34,25 @@ Factor cpt_table(const BayesianNetwork& net, VariableId child,
   std::vector<VariableId> scope = parents;
   scope.push_back(child);
   std::sort(scope.begin(), scope.end());
+  // Hard throws, not contracts: compiled out, a wrapped table size would
+  // pass zero rows for an empty table, and a row-count or row-size
+  // mismatch would index past `rows` or a row.
   std::vector<std::size_t> cards;
-  for (const VariableId u : scope) cards.push_back(net.variable(u).cardinality());
-  const std::size_t cells = kernels::checked_table_size(
-      cards.data(), cards.size(), "BayesianNetwork: CPT table size overflows size_t");
+  std::size_t cells = 1;
+  for (const VariableId u : scope) {
+    cards.push_back(net.variable(u).cardinality());
+    if (kernels::mul_overflows(cells, cards.back()))
+      throw std::invalid_argument("BayesianNetwork: CPT table size overflows size_t");
+    cells *= cards.back();
+  }
   const std::size_t k = net.variable(child).cardinality();
-  SYSUQ_EXPECT(rows.size() == cells / k,
-               "BayesianNetwork: expected " + std::to_string(cells / k) +
-                   " CPT rows, got " + std::to_string(rows.size()));
+  if (rows.size() != cells / k)
+    throw std::invalid_argument("BayesianNetwork: expected " + std::to_string(cells / k) +
+                                " CPT rows, got " + std::to_string(rows.size()));
   std::vector<double> values(cells);
   for_each_row(net, parents, child, scope, [&](std::size_t r, std::size_t first, std::size_t stride) {
-    SYSUQ_EXPECT(rows[r].size() == k, "BayesianNetwork: CPT row size != child cardinality");
+    if (rows[r].size() != k)
+      throw std::invalid_argument("BayesianNetwork: CPT row size != child cardinality");
     for (std::size_t s = 0; s < k; ++s) values[first + s * stride] = rows[r].probs()[s];
   });
   return Factor(std::move(scope), std::move(cards), std::move(values));

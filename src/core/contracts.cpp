@@ -86,14 +86,20 @@ void check_prob_vec(std::span<const double> v, const char* what) {
     fail("precondition", "!v.empty()", (std::string(what) + ": empty").c_str());
     return;
   }
-  if (!is_finite_nonneg(v)) {
-    fail("precondition", "is_finite_nonneg(v)",
-         (std::string(what) +
-          ": probabilities must be finite and non-negative")
-             .c_str());
-    return;
+  // One pass: each entry is checked as it joins the sum, which adds left
+  // to right from 0.0 as is_normalized does.
+  double sum = 0.0;
+  for (const double x : v) {
+    if (!std::isfinite(x) || x < 0.0) {
+      fail("precondition", "is_finite_nonneg(v)",
+           (std::string(what) +
+            ": probabilities must be finite and non-negative")
+               .c_str());
+      return;
+    }
+    sum += x;
   }
-  if (!is_normalized(v)) {
+  if (!(std::fabs(sum - 1.0) <= tolerance::kProbSum)) {
     fail("precondition", "is_normalized(v)",
          (std::string(what) + ": probabilities must sum to 1").c_str());
   }

@@ -99,7 +99,9 @@ std::size_t fuse_dempster(const RedundantArchitecture& arch,
 FusionOutcome fuse_once(const RedundantArchitecture& arch,
                         const TrueWorld& world, const Encounter& encounter,
                         prob::Rng& rng) {
-  SYSUQ_EXPECT(!arch.sensors.empty(), "fuse_once: no sensors");
+  // A hard throw, not a contract: compiled out, sensors[0] would read
+  // past the end.
+  if (arch.sensors.empty()) throw std::invalid_argument("fuse_once: no sensors");
   const std::size_t k = arch.sensors[0].modeled_classes();
   for (const auto& s : arch.sensors) {
     SYSUQ_EXPECT(s.modeled_classes() == k, "fuse_once: sensor shape mismatch");
@@ -138,7 +140,7 @@ FusionOutcome fuse_once(const RedundantArchitecture& arch,
 }
 
 BnFusion::BnFusion(const RedundantArchitecture& arch, const TrueWorld& world) {
-  SYSUQ_EXPECT(!arch.sensors.empty(), "BnFusion: no sensors");
+  if (arch.sensors.empty()) throw std::invalid_argument("BnFusion: no sensors");
   classes_ = arch.sensors[0].modeled_classes();
   sensors_ = arch.sensors.size();
   for (const auto& s : arch.sensors) {

@@ -13,7 +13,8 @@
 // pair and on the grid, loopy BP's one-sweep messages to an in-test
 // copy of the per-edge update they replaced, and its coalesced blanket
 // certificate, bit for bit, to an in-test copy of the odometer
-// enumeration it replaced. On the same pairs, the
+// enumeration it replaced; a run certifying one variable matches the
+// full run on that variable bit for bit. On the same pairs, the
 // bucketed elimination executor is pinned bit for bit to an in-test copy
 // of the live-scan core it replaced. VE's requisite-set pruning is
 // checked against the enumeration oracle and an in-test Bayes-ball on
@@ -710,6 +711,56 @@ ReferenceBox reference_blanket_box(const bn::BayesianNetwork& net, const bn::Evi
   return ::testing::AssertionSuccess();
 }
 
+// A run built with certify_only = v against the full run on the same
+// inputs: the same messages and impossible-evidence verdict; v's point
+// and interval bit for bit; every other unobserved variable uncertified,
+// at [0, 1] around the same point. `impossible` counts the throws.
+::testing::AssertionResult matches_full_run(const bn::LoopyBP& full, const bn::LoopyBP& one,
+                                            bn::VariableId v, const bn::Evidence& ev,
+                                            std::size_t& impossible) {
+  const auto same = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  if (one.iterations() != full.iterations() || one.converged() != full.converged())
+    return ::testing::AssertionFailure() << "the messages differ";
+  std::string full_throw, one_throw;
+  try {
+    (void)full.all_marginals();
+  } catch (const std::domain_error& e) {
+    full_throw = e.what();
+  }
+  try {
+    (void)one.query(v);
+  } catch (const std::domain_error& e) {
+    one_throw = e.what();
+  }
+  if (full_throw != one_throw)
+    return ::testing::AssertionFailure() << "verdicts differ: '" << full_throw << "' vs '"
+                                         << one_throw << "'";
+  if (!full_throw.empty()) {
+    ++impossible;
+    return ::testing::AssertionSuccess();
+  }
+  const auto& want = full.all_marginals();
+  const auto& got = one.all_marginals();
+  for (bn::VariableId u = 0; u < want.size(); ++u) {
+    const bool certified = u == v || ev.contains(u);
+    if (one.certified(u) != certified)
+      return ::testing::AssertionFailure() << "var " << u << ": certified() is " << !certified;
+    for (std::size_t s = 0; s < want[u].lo.size(); ++s) {
+      const double lo = certified ? want[u].lo[s] : 0.0;
+      const double hi = certified ? want[u].hi[s] : 1.0;
+      if (!same(got[u].point.p(s), want[u].point.p(s)) || !same(got[u].lo[s], lo) ||
+          !same(got[u].hi[s], hi))
+        return ::testing::AssertionFailure()
+               << "var " << u << " state " << s << ": " << got[u].point.p(s) << " ["
+               << got[u].lo[s] << ", " << got[u].hi[s] << "] vs " << want[u].point.p(s) << " ["
+               << lo << ", " << hi << "]";
+    }
+  }
+  if (!same(one.max_bound_width(), got[v].width()))
+    return ::testing::AssertionFailure() << "max_bound_width covers more than var " << v;
+  return ::testing::AssertionSuccess();
+}
+
 // Two noisy-OR children sharing parents 0 and 1 of `parents` binary
 // causes (each further cause joins each child with probability 1/2),
 // plus a root r whose only child o is always observed, so r's touching
@@ -1056,6 +1107,49 @@ TEST(Differential, BlanketBoxMatchesOdometerEnumeration) {
     ASSERT_TRUE(matches_reference_box(bp, net, ev, kCap, enumerated)) << "dense " << t;
   }
   EXPECT_GE(enumerated, 300u);
+}
+
+TEST(Differential, SingleVariableCertificateMatchesTheFullRun) {
+  // Every unobserved variable of the 207 pairs of
+  // LoopyBpCertifiedAndBandedAgainstExactBackends (same seed, same
+  // generator calls), then of 2-state dense DAGs with exact zeros, some
+  // of whose evidence is impossible, also capped at 2 blanket
+  // configurations so most blankets relax.
+  std::size_t runs = 0, impossible = 0;
+  const auto check = [&](const bn::BayesianNetwork& net, const bn::Evidence& ev,
+                         const bn::LoopyBP::Options& options, const std::string& at) {
+    const bn::LoopyBP full(net, ev, options);
+    for (bn::VariableId v = 0; v < net.size(); ++v) {
+      if (ev.contains(v)) continue;
+      ++runs;
+      ASSERT_TRUE(matches_full_run(full, bn::LoopyBP(net, ev, options, v), v, ev, impossible))
+          << at << " var " << v;
+    }
+  };
+  pr::Rng rng(differential_seed());
+  for (const Topology topo : kTopologies) {
+    for (std::size_t t = 0; t < 23; ++t) {
+      const std::size_t n = topo == Topology::kDense ? 5 + rng.uniform_index(3)
+                                                     : 6 + rng.uniform_index(5);
+      const auto net = random_network(rng, topo, n);
+      for (std::size_t ec = 0; ec < 3; ++ec) {
+        const auto ev = random_evidence(rng, net, ec);
+        check(net, ev, {},
+              "topo " + std::to_string(static_cast<int>(topo)) + " net " + std::to_string(t));
+      }
+    }
+  }
+  pr::Rng zeros(differential_seed() + 13);
+  bn::LoopyBP::Options capped;
+  capped.max_blanket_configs = 2;
+  for (std::size_t t = 0; t < 60; ++t) {
+    const auto net = random_network(zeros, Topology::kDense, 6 + zeros.uniform_index(3), 2, 2, 0.3);
+    const auto ev = random_evidence(zeros, net, 1 + zeros.uniform_index(3));
+    check(net, ev, {}, "zeros " + std::to_string(t));
+    check(net, ev, capped, "zeros capped " + std::to_string(t));
+  }
+  EXPECT_GE(runs, 1500u) << impossible;
+  EXPECT_GE(impossible, 20u) << runs;
 }
 
 TEST(Differential, EngineBackendsAgreeOnBatches) {

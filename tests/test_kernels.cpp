@@ -3,7 +3,8 @@
 // an in-test copy of the legacy mixed-radix factor algebra over
 // randomized scopes (cardinalities 2-6), evidence reductions, and
 // scaled elimination, and the bucketed elimination executor against an
-// in-test copy of the live-scan core it replaced, bit for bit. Also
+// in-test copy of the live-scan core it replaced, bit for bit, and
+// kernels::walk's merged runs against the odometer they replaced. Also
 // carries the factor-algebra bug-sweep
 // regressions: checked table-size overflow in the Factor constructor
 // and pairwise (cascade) summation in Factor::total().
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "bayesnet/arena.hpp"
@@ -223,6 +225,53 @@ void expect_factors_equal(const bn::Factor& got, const bn::Factor& want,
 }  // namespace
 
 // ---- strided kernels vs the legacy mixed-radix algebra ----
+
+TEST(Kernels, WalkVisitsLikeTheOneDimensionOdometer) {
+  // kernels::walk merges the dimensions a source stores contiguously
+  // into plain inner loops; it must visit the same (x, j) pairs in the
+  // same order as the former odometer, which moved one dimension at a
+  // time. Sources: sub-tables of a random table (contiguous runs, the
+  // others strided), with some dimensions missing (stride 0) and some
+  // transposed, so every merge case and its breaks occur.
+  pr::Rng rng(differential_seed());
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t rank = rng.uniform_index(7);
+    std::vector<std::size_t> cards(rank), strides(rank);
+    for (auto& c : cards) c = 1 + rng.uniform_index(4);
+    // The source: the walked dimensions in a random order, plus extra
+    // dimensions around them, last fastest.
+    std::vector<std::size_t> layout(rank);
+    std::iota(layout.begin(), layout.end(), std::size_t{0});
+    if (rank > 1 && rng.bernoulli(0.3)) std::swap(layout[0], layout[rng.uniform_index(rank)]);
+    std::size_t stride = 1 + rng.uniform_index(2);
+    for (std::size_t k = rank; k-- > 0;) {
+      const std::size_t d = layout[k];
+      if (rng.bernoulli(0.2)) {
+        strides[d] = 0;
+        continue;
+      }
+      strides[d] = stride;
+      stride *= cards[d] * (rng.bernoulli(0.2) ? 2 : 1);
+    }
+    const std::size_t base = rng.uniform_index(5);
+    std::vector<std::pair<std::size_t, std::size_t>> got, want;
+    kn::walk(cards.data(), strides.data(), rank, base,
+             [&](std::size_t x, std::size_t j) { got.emplace_back(x, j); });
+    std::vector<std::size_t> idx(rank, 0);
+    std::size_t size = 1;
+    for (const std::size_t c : cards) size *= c;
+    for (std::size_t x = 0, j = base; x < size; ++x) {
+      want.emplace_back(x, j);
+      for (std::size_t d = rank; d-- > 0;) {
+        j += strides[d];
+        if (++idx[d] < cards[d]) break;
+        j -= strides[d] * cards[d];
+        idx[d] = 0;
+      }
+    }
+    ASSERT_EQ(got, want) << "trial " << trial << " rank " << rank;
+  }
+}
 
 TEST(Kernels, ProductMatchesLegacyOverRandomScopes) {
   pr::Rng rng(differential_seed());

@@ -5,9 +5,10 @@
 // elimination to tolerance::kProbSum), damping / convergence / iteration-cap behavior,
 // the deterministic message schedule (byte-identical posteriors across
 // runs and engine thread counts), impossible-evidence parity with the
-// unified domain_error message, and the kAuto checked-table-size guard
-// that escalates to BP — or throws a clear ContractViolation when the
-// escalation is disabled.
+// unified domain_error message, runs that certify one variable (their
+// feasibility backstop, and the engine's cache of them, also across
+// threads), and the kAuto checked-table-size guard that escalates to BP —
+// or throws a clear ContractViolation when the escalation is disabled.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -125,6 +127,36 @@ bn::BayesianNetwork unreachable_state_network() {
   net.set_cpt(b, {a},
               {pr::Categorical({1.0, 0.0}), pr::Categorical({1.0, 0.0})});
   return net;
+}
+
+// u ~ (0.3, 0.7), a a copy of u, c = 1 exactly when u != a, and an
+// independent z: P(c = 1) = 0. The factor graph has the cycle u - a - c,
+// and every single message stays feasible; only the blanket envelopes of
+// u and a find no configuration of positive mass.
+bn::BayesianNetwork contradiction_network() {
+  bn::BayesianNetwork net;
+  const auto u = net.add_variable("u", {"0", "1"});
+  const auto a = net.add_variable("a", {"0", "1"});
+  const auto c = net.add_variable("c", {"0", "1"});
+  const auto z = net.add_variable("z", {"0", "1"});
+  net.set_cpt(u, {}, {pr::Categorical({0.3, 0.7})});
+  net.set_cpt(a, {u}, {pr::Categorical({1.0, 0.0}), pr::Categorical({0.0, 1.0})});
+  net.set_cpt(c, {u, a},
+              {pr::Categorical({1.0, 0.0}), pr::Categorical({0.0, 1.0}),
+               pr::Categorical({0.0, 1.0}), pr::Categorical({1.0, 0.0})});
+  net.set_cpt(z, {}, {pr::Categorical({0.4, 0.6})});
+  return net;
+}
+
+// Point and interval of `got` equal `want`'s, state by state.
+void expect_same_bounds(const bn::BoundedPosterior& got, const bn::BoundedPosterior& want,
+                        const std::string& at) {
+  ASSERT_EQ(got.lo.size(), want.lo.size()) << at;
+  for (std::size_t s = 0; s < want.lo.size(); ++s) {
+    EXPECT_EQ(got.point.p(s), want.point.p(s)) << at << " state " << s;
+    EXPECT_EQ(got.lo[s], want.lo[s]) << at << " state " << s;
+    EXPECT_EQ(got.hi[s], want.hi[s]) << at << " state " << s;
+  }
 }
 
 }  // namespace
@@ -402,6 +434,32 @@ TEST(LoopyBP, ImpossibleEvidenceThrowsTheUnifiedMessage) {
                 "all_marginals_bounded");
 }
 
+TEST(LoopyBP, CertifyingOneVariableKeepsTheFeasibilityBackstop) {
+  const auto net = contradiction_network();
+  const bn::VariableId z = 3;
+  const bn::Evidence ev{{2, 1}};
+  const std::string expected = bn::impossible_evidence_message(net, ev);
+  // Messages and relaxed blankets do not see the contradiction: capped at
+  // one configuration, every blanket but z's (empty) relaxes, and the run
+  // answers.
+  bn::LoopyBP::Options relaxed;
+  relaxed.max_blanket_configs = 1;
+  EXPECT_NO_THROW((void)bn::LoopyBP(net, ev, relaxed).query(z));
+  // z's own blanket is feasible, so only the test of u's and a's
+  // blankets, which a run certifying z still makes, throws.
+  const auto expect_impossible = [&](auto&& fn, const char* tag) {
+    try {
+      fn();
+      ADD_FAILURE() << tag << ": expected std::domain_error";
+    } catch (const std::domain_error& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << tag;
+    }
+  };
+  expect_impossible([&] { (void)bn::LoopyBP(net, ev, {}, z).query(z); }, "LoopyBP");
+  const bn::InferenceEngine engine(net, {.threads = 1});
+  expect_impossible([&] { (void)engine.query_bounded(z, ev); }, "query_bounded");
+}
+
 // ---- engine integration: kLoopyBP backend and bounded queries ----
 
 TEST(LoopyBP, EngineBackendMatchesDirectConstruction) {
@@ -424,6 +482,74 @@ TEST(LoopyBP, EngineBackendMatchesDirectConstruction) {
   ASSERT_EQ(all.size(), net.size());
   EXPECT_TRUE(all[4].converged);
   EXPECT_EQ(all[4].width(), 0.0);  // observed variable holds a delta
+}
+
+TEST(LoopyBP, EngineWidensAOneVariableRunAtMostOnce) {
+  // query_bounded(1) builds a run certifying variable 1 alone. Point reads
+  // and query_bounded(1) reuse it; query_bounded(2) rebuilds it
+  // certifying every variable, in place, which then serves
+  // all_marginals_bounded and explain(): one entry, two misses.
+  const auto net = diamond_network();
+  const bn::Evidence ev{{4, 1}};
+  const bn::InferenceEngine engine(
+      net, {.threads = 1, .backend = bn::Backend::kLoopyBP});
+  const bn::LoopyBP direct(net, ev);
+  const auto stats = [&] { return engine.bp_cache_stats(); };
+
+  expect_same_bounds(engine.query_bounded(1, ev), direct.query(1), "query_bounded(1)");
+  EXPECT_EQ(stats().misses, 1u);
+  const auto point = engine.query(2, ev);
+  for (std::size_t s = 0; s < point.size(); ++s)
+    EXPECT_EQ(point.p(s), direct.query(2).point.p(s)) << s;
+  expect_same_bounds(engine.query_bounded(1, ev), direct.query(1), "query_bounded(1) again");
+  EXPECT_EQ(stats().misses, 1u);
+  EXPECT_EQ(stats().hits, 2u);
+
+  expect_same_bounds(engine.query_bounded(2, ev), direct.query(2), "query_bounded(2)");
+  EXPECT_EQ(stats().misses, 2u);
+  const auto all = engine.all_marginals_bounded(ev);
+  ASSERT_EQ(all.size(), net.size());
+  for (bn::VariableId v = 0; v < net.size(); ++v)
+    expect_same_bounds(all[v], direct.query(v), "all_marginals_bounded var " + std::to_string(v));
+  const auto profile = engine.explain(3, ev);
+  EXPECT_TRUE(profile.bp_cache_hit);
+  EXPECT_EQ(profile.bound_width, direct.max_bound_width());
+  EXPECT_EQ(profile.bp_iterations, direct.iterations());
+  expect_same_bounds(engine.query_bounded(1, ev), direct.query(1), "query_bounded(1) last");
+  EXPECT_EQ(stats().misses, 2u);
+  EXPECT_EQ(stats().hits, 5u);
+  EXPECT_EQ(stats().entries, 1u);
+}
+
+TEST(LoopyBP, ConcurrentQueryBoundedOnOneFreshAssignment) {
+  // Threads ask for different variables of one assignment no run exists
+  // for yet: whichever run each lookup finds or builds, every answer
+  // equals the full run's. Run under the tsan preset.
+  pr::Rng rng(314ULL);
+  const auto net = random_tree(rng, 9);
+  const bn::Evidence ev{{4, 1}};
+  const bn::LoopyBP direct(net, ev);
+  constexpr std::size_t kThreads = 4;
+  for (int round = 0; round < 8; ++round) {
+    const bn::InferenceEngine engine(net, {.threads = 1});
+    std::vector<std::vector<bn::BoundedPosterior>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (bn::VariableId k = 0; k < net.size(); ++k)
+          got[t].push_back(engine.query_bounded((t * 2 + k) % net.size(), ev));
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (bn::VariableId k = 0; k < net.size(); ++k) {
+        const bn::VariableId v = (t * 2 + k) % net.size();
+        expect_same_bounds(got[t][k], direct.query(v),
+                           "thread " + std::to_string(t) + " var " + std::to_string(v));
+      }
+    }
+    EXPECT_EQ(engine.bp_cache_stats().entries, 1u);
+  }
 }
 
 TEST(LoopyBP, QueryBoundedWorksUnderExactBackends) {
