@@ -184,10 +184,6 @@ InferenceEngine::InferenceEngine(const BayesianNetwork& net, Options options)
   threads_ = options_.threads != 0
                  ? options_.threads
                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  children_.resize(net_.size());
-  for (VariableId v = 0; v < net_.size(); ++v) {
-    for (const VariableId p : net_.parents(v)) children_[p].push_back(v);
-  }
   if (threads_ > 1) pool_ = std::make_unique<Pool>(threads_ - 1);
 }
 
@@ -369,40 +365,17 @@ const std::vector<std::vector<char>>& InferenceEngine::always_possible() const {
 bool InferenceEngine::mark_requisite(const std::vector<VariableId>& keep,
                                      const Evidence& evidence,
                                      std::vector<char>& in) const {
-  // Bayes-ball: a ball enters each kept variable as if from a child. An
-  // unobserved variable passes a ball from a child up to its parents
-  // (marking its top) and down to its children (marking its bottom), and
-  // one from a parent down only; an observed variable bounces a ball from
-  // a parent up to its parents and blocks one from a child. Each mark is
-  // set once, so each edge is walked at most twice.
-  enum : char { kObserved = 1, kTop = 2, kBottom = 4 };
   std::vector<char> mark(net_.size(), 0);
-  for (const auto& [v, _] : evidence) mark[v] = kObserved;
-  std::vector<std::pair<VariableId, bool>> balls;  // (variable, from a child)
-  for (const VariableId v : keep) balls.emplace_back(v, true);
-  while (!balls.empty()) {
-    const auto [v, from_child] = balls.back();
-    balls.pop_back();
-    char& m = mark[v];
-    const bool observed = (m & kObserved) != 0;
-    if (from_child != observed && (m & kTop) == 0) {
-      m |= kTop;
-      for (const VariableId p : net_.cpt_factor(v).scope()) {
-        if (p != v) balls.emplace_back(p, true);
-      }
-    }
-    if (!observed && (m & kBottom) == 0) {
-      m |= kBottom;
-      for (const VariableId c : children_[v]) balls.emplace_back(c, false);
-    }
-  }
+  for (const auto& [v, _] : evidence) mark[v] = BayesianNetwork::kObserved;
+  net_.bayes_ball(keep, mark);
   const std::vector<std::vector<char>>* possible = nullptr;
   for (const auto& [v, state] : evidence) {
-    if ((mark[v] & kTop) != 0) continue;
+    if ((mark[v] & BayesianNetwork::kTop) != 0) continue;
     if (possible == nullptr) possible = &always_possible();
     if ((*possible)[v][state] == 0) return false;
   }
-  for (VariableId v = 0; v < net_.size(); ++v) in[v] = (mark[v] & kTop) != 0;
+  for (VariableId v = 0; v < net_.size(); ++v)
+    in[v] = (mark[v] & BayesianNetwork::kTop) != 0;
   return true;
 }
 

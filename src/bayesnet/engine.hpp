@@ -8,15 +8,15 @@
 // force, with the same error semantics (std::out_of_range for unknown
 // evidence ids or states, std::domain_error with
 // `impossible_evidence_message` when P(e) = 0). How the engine gets there:
-//  * VE views the network's CPT tables in place, and child lists are
-//    built once, at construction;
-//  * a posterior or `joint` VE run multiplies only the CPTs that
-//    Bayes-ball (Shachter 1998) marks requisite for its kept variables
-//    given the observed ones, and eliminates the engine's plan filtered
-//    to them. It multiplies the ancestral CPTs of its kept and
-//    observed variables instead when an observed variable outside the
-//    requisite set has its state impossible under some parent row, and
-//    always for P(e), so P(e) = 0 still yields zero mass;
+//  * VE views the network's CPT tables in place;
+//  * a posterior or `joint` VE run multiplies only the CPTs that the
+//    network's Bayes-ball (Shachter 1998, `BayesianNetwork::bayes_ball`)
+//    marks requisite for its kept variables given the observed ones,
+//    and eliminates the engine's plan filtered to them. It multiplies
+//    the ancestral CPTs of its kept and observed variables instead when
+//    an observed variable outside the requisite set has its state
+//    impossible under some parent row, and always for P(e), so P(e) = 0
+//    still yields zero mass;
 //  * one network-wide plan, `compute_elimination_order(net, {}, {})`,
 //    computed once, on first use. When its largest table is within
 //    `max_exact_table_cells`, it is the engine's only elimination plan:
@@ -279,8 +279,6 @@ class InferenceEngine {
   const BayesianNetwork& net_;              // sysuq-thread-confined(init)
   Options options_;                         // sysuq-thread-confined(init)
   std::size_t threads_;                     // sysuq-thread-confined(init)
-  // Each variable's children, ascending.  sysuq-thread-confined(init)
-  std::vector<std::vector<VariableId>> children_;
   std::unique_ptr<Pool> pool_;              // sysuq-thread-confined(init)
 
   // The memos and the lazily built network plan, tree and state table
@@ -357,9 +355,10 @@ class InferenceEngine {
   [[nodiscard]] VeRun ve_run(const std::vector<VariableId>& keep,
                              const Evidence& evidence,
                              const EliminationOrdering& ordering) const;
-  /// Marks in `in` (all zero) the CPTs Bayes-ball finds requisite for
-  /// `keep` given `evidence`; false, leaving `in` untouched, when an
-  /// observed variable outside them calls for the ancestral set.
+  /// Marks in `in` (all zero) the CPTs `BayesianNetwork::bayes_ball`
+  /// marks on top for `keep` given `evidence`; false, leaving `in`
+  /// untouched, when an observed variable outside them calls for the
+  /// ancestral set.
   [[nodiscard]] bool mark_requisite(const std::vector<VariableId>& keep,
                                     const Evidence& evidence,
                                     std::vector<char>& in) const;

@@ -65,25 +65,6 @@ std::vector<std::uint32_t> index_map(const BayesianNetwork& net,
   return map;
 }
 
-// The structure of a per-signature tree: `ordering` must eliminate
-// exactly the unobserved variables, which the structure then spans.
-JunctionTreeStructure compile_for(
-    const BayesianNetwork& net, const Evidence& evidence,
-    const EliminationOrdering& ordering) {
-  net.validate();
-  net.check_evidence(evidence);
-  std::vector<char> seen(net.size(), 0);
-  for (const auto& [v, _] : evidence) seen[v] = 1;
-  bool exact = ordering.order.size() + evidence.size() == net.size();
-  for (const VariableId v : ordering.order)
-    exact = exact && v < net.size() && std::exchange(seen[v], 1) == 0;
-  if (!exact)
-    throw std::invalid_argument(
-        "JunctionTree: the ordering must eliminate exactly the unobserved "
-        "variables");
-  return JunctionTreeStructure(net, ordering);
-}
-
 }  // namespace
 
 JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
@@ -275,12 +256,9 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
 }
 
 JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
-    : JunctionTree(net, evidence,
-                   compute_elimination_order(net, /*keep=*/{}, evidence_keys(evidence))) {}
-
-JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
-                           const EliminationOrdering& ordering)
-    : JunctionTree(compile_for(net, evidence, ordering), evidence) {}
+    : JunctionTree(JunctionTreeStructure(net, compute_elimination_order(
+                                                  net, /*keep=*/{}, evidence_keys(evidence))),
+                   evidence) {}
 
 JunctionTree::JunctionTree(const JunctionTreeStructure& structure,
                            const Evidence& evidence)

@@ -49,13 +49,14 @@
 //      holds it, as `BayesianNetwork::cpt_factor(v, evidence)` does,
 //      reading the network's table (the structure keeps no copy).
 //
-// `JunctionTree(net, evidence[, ordering])` compiles a structure from the
-// signature's ordering (omitting exactly the observed variables), then
-// calibrates it. `InferenceEngine` compiles one structure per network
-// from its network-wide plan, which spans every variable, and calibrates
-// it per assignment. A calibrated tree keeps its marginals and shares the
-// structure's clique list; it keeps none of the structure's tables, so a
-// structure compiled for one calibration is freed once it is built.
+// `JunctionTree(net, evidence)` compiles a structure from the min-fill
+// ordering of the evidence keys (omitting exactly the observed
+// variables), then calibrates it. `InferenceEngine` compiles one
+// structure per network from its network-wide plan, which spans every
+// variable, and calibrates it per assignment. A calibrated tree keeps its
+// marginals and shares the structure's clique list; it keeps none of the
+// structure's tables, so a structure compiled for one calibration is
+// freed once it is built.
 //
 // Impossible evidence (P(e) = 0) is detected during collect; the tree
 // then reports `log_evidence_probability() == -inf` and every marginal
@@ -174,12 +175,6 @@ class JunctionTree {
   /// probability zero is absorbed silently here and surfaces as
   /// std::domain_error from the marginal accessors.
   explicit JunctionTree(const BayesianNetwork& net, const Evidence& evidence = {});
-
-  /// Same, triangulating with `ordering`, which must eliminate exactly the
-  /// unobserved variables (`compute_elimination_order(net, {}, keys)`);
-  /// throws std::invalid_argument otherwise.
-  JunctionTree(const BayesianNetwork& net, const Evidence& evidence,
-               const EliminationOrdering& ordering);
 
   /// Calibrates a compiled `structure` under `evidence`. Throws
   /// std::out_of_range for unknown evidence ids or states, and

@@ -99,7 +99,7 @@ void multiply_sum_loop(const double* const* vals, const std::size_t* sv,
 // scope minus `v`. Each output cell multiplies the operands left to
 // right and adds v's states in index order, starting from 0.0: the
 // arithmetic of a left-to-right product() fold followed by
-// marginalize_keep, bit for bit, without the intermediate table. The
+// marginalize_keep_into, bit for bit, without the intermediate table. The
 // checks are folded into few contracts: this runs once per step of
 // every VE query.
 Table multiply_sum_out(const View* ops, std::size_t k, VariableId v,
@@ -501,21 +501,6 @@ void marginalize_keep_into(const View& f, const VariableId* keep,
       idx[k] = 0;
     }
   }
-}
-
-Table marginalize_keep(const View& f, const VariableId* keep,
-                       std::size_t nkeep, Arena& arena) {
-  std::size_t kcards[kMaxRank];
-  std::size_t pos = 0;
-  for (std::size_t i = 0; i < f.rank && pos < nkeep; ++i) {
-    if (f.scope[i] == keep[pos]) kcards[pos++] = f.cards[i];
-  }
-  SYSUQ_EXPECT(pos == nkeep,
-               "kernels::marginalize_keep: keep must be a sorted subset of "
-               "the scope");
-  Table t = make_table(keep, kcards, nkeep, arena);
-  marginalize_keep_into(f, keep, nkeep, t.values);
-  return t;
 }
 
 void reduce_into(const View& f, std::size_t pos, std::size_t state,

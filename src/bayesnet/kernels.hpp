@@ -152,10 +152,6 @@ void marginalize_into(const View& f, std::size_t drop_pos, double* out);
 void marginalize_keep_into(const View& f, const VariableId* keep,
                            std::size_t nkeep, double* out);
 
-/// Arena-allocated multi-variable marginalization.
-[[nodiscard]] Table marginalize_keep(const View& f, const VariableId* keep,
-                                     std::size_t nkeep, Arena& arena);
-
 /// Restricts the scope variable at position `pos` to `state`; the
 /// variable leaves the scope. `out` must hold f.size / f.cards[pos]
 /// values.
@@ -223,7 +219,7 @@ struct ScaledFactor {
 /// operand array first folds its leading factors with `product`, in
 /// order). Factors with nothing left to eliminate are multiplied left to
 /// right at the end, each pairwise product rescaled. The arithmetic is
-/// therefore that of pairwise `product` calls and `marginalize_keep`,
+/// therefore that of pairwise `product` calls and `marginalize_keep_into`,
 /// bit for bit, as long as the compiler does not contract a multiply and
 /// the following add into an FMA; the library build compiles kernels.cpp
 /// with `-ffp-contract=off` for that reason.

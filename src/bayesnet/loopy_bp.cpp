@@ -317,10 +317,6 @@ struct LoopyBP::FactorGraph {
     std::size_t pos = 0;
     std::size_t msg = 0;
     std::size_t card = 0;
-    // The final undamped update's log-range residual, and the certified
-    // log-range distance to the fixpoint: the contraction system's terms.
-    double residual_log_range = 0.0;
-    double fixpoint_eps = 0.0;
   };
 
   std::vector<Factor> factors;  // evidence-reduced, scalars dropped
@@ -331,6 +327,9 @@ struct LoopyBP::FactorGraph {
   std::vector<std::vector<std::size_t>> edges_of_var;  // var -> edge ids
   std::vector<double> to_var;     // m_{factor -> var}, normalized
   std::vector<double> to_factor;  // m_{var -> factor}, normalized
+  // The latest undamped factor->var update (to_var's layout): after the
+  // run, one more sweep from the resting messages, normalized.
+  std::vector<double> staged;
   // Sweep scratch: the prefix-product tables and the suffix sums.
   std::vector<double> prefix, suffix;
 
@@ -384,6 +383,75 @@ struct LoopyBP::FactorGraph {
         at -= n;
       }
     }
+  }
+
+  /// Per edge e = (f -> v), a certified bound on the log-range distance
+  /// from its resting message to the BP fixpoint, from the contraction
+  /// system below; run after the extra sweep has filled `staged`.
+  [[nodiscard]] std::vector<double> fixpoint_distances() const {
+    // Per factor: dynamic range D = max psi / min psi, Dobrushin-style
+    // contraction rate (D-1)/(D+1), and an absolute log-range cap log D
+    // (a single factor cannot skew any message by more than its own
+    // dynamic range). A factor with zero entries has D = inf: rate 1,
+    // no cap.
+    std::vector<double> rate(factors.size()), cap(factors.size());
+    for (std::size_t fi = 0; fi < factors.size(); ++fi) {
+      const auto& vals = factors[fi].values();
+      double vmin = kInf, vmax = 0.0;
+      for (const double x : vals) {
+        vmin = std::min(vmin, x);
+        vmax = std::max(vmax, x);
+      }
+      if (vmin <= 0.0) {
+        rate[fi] = 1.0;
+        cap[fi] = kInf;
+      } else {
+        const double d = vmax / vmin;
+        rate[fi] = (d - 1.0) / (d + 1.0);
+        cap[fi] = std::log(d);
+      }
+    }
+
+    // eps_e bounds the log-range distance from the resting message on
+    // edge e to the fixpoint,
+    //   eps_e = b_e + min(cap_f, rate_f * sum of upstream eps),
+    // where b_e is the log-range residual of the extra undamped update.
+    // Seeded from the sound overestimate b_e + cap_f and iterated
+    // monotonically downward (every iterate stays a valid bound).
+    std::vector<double> residual(edges.size()), eps(edges.size());
+    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+      const Edge& e = edges[eid];
+      residual[eid] = log_range_between(staged.data() + e.msg,
+                                        to_var.data() + e.msg, e.card);
+      eps[eid] = residual[eid] + cap[e.factor];
+    }
+    std::vector<double> next_eps(edges.size());
+    for (std::size_t pass = 0; pass < 100; ++pass) {
+      double change = 0.0;
+      for (std::size_t eid = 0; eid < edges.size(); ++eid) {
+        const Edge& e = edges[eid];
+        double upstream = 0.0;
+        const auto& scope = factors[e.factor].scope();
+        for (std::size_t pos = 0; pos < scope.size(); ++pos) {
+          if (pos == e.pos) continue;
+          for (const std::size_t in : edges_of_var[scope[pos]]) {
+            if (edges[in].factor == e.factor) continue;
+            upstream += eps[in];
+          }
+        }
+        // sysuq-lint-allow(log-domain): contraction rate scaling a log-range magnitude — the Ihler bound, not a domain mixup
+        const double contracted = rate[e.factor] == 0.0  // sysuq-lint-allow(float-eq): guard 0 * inf when a uniform factor meets an unbounded upstream
+                                      ? 0.0
+                                      : rate[e.factor] * upstream;
+        next_eps[eid] = residual[eid] + std::min(cap[e.factor], contracted);
+        if (std::isfinite(next_eps[eid]) || std::isfinite(eps[eid])) {
+          change = std::max(change, std::abs(eps[eid] - next_eps[eid]));
+        }
+      }
+      eps.swap(next_eps);
+      if (change < tolerance::kFixpoint) break;
+    }
+    return eps;
   }
 };
 
@@ -496,7 +564,8 @@ void LoopyBP::run_message_passing(FactorGraph& g) {
     return true;
   };
 
-  std::vector<double> staged(g.to_var.size());
+  std::vector<double>& staged = g.staged;
+  staged.resize(g.to_var.size());
   for (std::size_t iter = 1; iter <= options_.max_iterations; ++iter) {
     iterations_ = iter;
 
@@ -551,18 +620,12 @@ void LoopyBP::run_message_passing(FactorGraph& g) {
 
   // One extra undamped sweep measures how far the resting messages are
   // from a single application of the update operator — the residual
-  // input b_e of the contraction system.
+  // input b_e of the contraction system, read only on acyclic graphs —
+  // and, on every graph, flags impossible evidence as zero mass.
   for (std::size_t fi = 0; fi < g.factors.size(); ++fi) {
     g.sweep(fi, staged.data());
   }
-  if (!normalize_all(staged)) {
-    impossible_ = true;
-    return;
-  }
-  for (auto& e : g.edges) {
-    e.residual_log_range = log_range_between(staged.data() + e.msg,
-                                             g.to_var.data() + e.msg, e.card);
-  }
+  if (!normalize_all(staged)) impossible_ = true;
 }
 
 void LoopyBP::extract_marginals(const FactorGraph& g) {
@@ -597,70 +660,13 @@ void LoopyBP::extract_marginals(const FactorGraph& g) {
   }
 }
 
-void LoopyBP::certify_bounds(FactorGraph& g) {
-  auto& edges = g.edges;
+void LoopyBP::certify_bounds(const FactorGraph& g) {
+  const auto& edges = g.edges;
   const auto& factors = g.factors;
-  // --- Contraction system over the factor-graph edges -----------------
-  // Per factor: dynamic range D = max psi / min psi, Dobrushin-style
-  // contraction rate (D-1)/(D+1), and an absolute log-range cap log D
-  // (a single factor cannot skew any message by more than its own
-  // dynamic range). A factor with zero entries has D = inf: rate 1,
-  // no cap.
-  std::vector<double> rate(factors.size()), cap(factors.size());
-  for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-    const auto& vals = factors[fi].values();
-    double vmin = kInf, vmax = 0.0;
-    for (const double x : vals) {
-      vmin = std::min(vmin, x);
-      vmax = std::max(vmax, x);
-    }
-    if (vmin <= 0.0) {
-      rate[fi] = 1.0;
-      cap[fi] = kInf;
-    } else {
-      const double d = vmax / vmin;
-      rate[fi] = (d - 1.0) / (d + 1.0);
-      cap[fi] = std::log(d);
-    }
-  }
-
-  // Fixpoint-distance system: eps_e bounds the log-range distance from
-  // the resting message on edge e = (f -> v) to the BP fixpoint,
-  //   eps_e = b_e + min(cap_f, rate_f * sum of upstream eps),
-  // seeded from the sound overestimate b_e + cap_f and iterated
-  // monotonically downward (every iterate stays a valid bound).
-  for (auto& e : edges) {
-    e.fixpoint_eps = e.residual_log_range + cap[e.factor];
-  }
-  std::vector<double> next_eps(edges.size());
-  for (std::size_t sweep = 0; sweep < 100; ++sweep) {
-    double change = 0.0;
-    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
-      const auto& e = edges[eid];
-      double upstream = 0.0;
-      const auto& scope = factors[e.factor].scope();
-      for (std::size_t pos = 0; pos < scope.size(); ++pos) {
-        if (pos == e.pos) continue;
-        for (const std::size_t in : g.edges_of_var[scope[pos]]) {
-          if (edges[in].factor == e.factor) continue;
-          upstream += edges[in].fixpoint_eps;
-        }
-      }
-      // sysuq-lint-allow(log-domain): contraction rate scaling a log-range magnitude — the Ihler bound, not a domain mixup
-      const double contracted = rate[e.factor] == 0.0  // sysuq-lint-allow(float-eq): guard 0 * inf when a uniform factor meets an unbounded upstream
-                                    ? 0.0
-                                    : rate[e.factor] * upstream;
-      next_eps[eid] =
-          e.residual_log_range + std::min(cap[e.factor], contracted);
-      if (std::isfinite(next_eps[eid]) || std::isfinite(e.fixpoint_eps)) {
-        change = std::max(change, std::abs(e.fixpoint_eps - next_eps[eid]));
-      }
-    }
-    for (std::size_t eid = 0; eid < edges.size(); ++eid) {
-      edges[eid].fixpoint_eps = next_eps[eid];
-    }
-    if (change < tolerance::kFixpoint) break;
-  }
+  // Each edge's fixpoint distance; only the contraction box below reads
+  // it, and only on an acyclic graph.
+  const std::vector<double> eps =
+      acyclic_ ? g.fixpoint_distances() : std::vector<double>{};
 
   // --- Per-variable certified intervals -------------------------------
   // Every unobserved variable's blanket is tested for a feasible
@@ -822,7 +828,7 @@ void LoopyBP::certify_bounds(FactorGraph& g) {
     if (acyclic_) {
       double belief_log_range = 0.0;
       for (const std::size_t eid : g.edges_of_var[v]) {
-        belief_log_range += edges[eid].fixpoint_eps;
+        belief_log_range += eps[eid];
       }
       for (std::size_t i = 0; i < card; ++i) {
         const double p = out.point.p(i);

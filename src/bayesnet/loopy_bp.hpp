@@ -221,7 +221,7 @@ class LoopyBP {
   void build_factor_graph(FactorGraph& g);
   void run_message_passing(FactorGraph& g);
   void extract_marginals(const FactorGraph& g);
-  void certify_bounds(FactorGraph& g);
+  void certify_bounds(const FactorGraph& g);
   [[noreturn]] void throw_impossible() const;
 };
 

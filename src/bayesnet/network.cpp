@@ -1,9 +1,9 @@
 #include "bayesnet/network.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "bayesnet/kernels.hpp"
 #include "core/contracts.hpp"
@@ -65,7 +65,7 @@ VariableId BayesianNetwork::add_variable(Variable v) {
                "BayesianNetwork: duplicate variable '" + v.name() + "'");
   const VariableId id = nodes_.size();
   by_name_.emplace(v.name(), id);
-  nodes_.push_back(Node{std::move(v), std::nullopt, Factor::unit()});
+  nodes_.push_back(Node{std::move(v), std::nullopt, Factor::unit(), {}});
   return id;
 }
 
@@ -96,10 +96,21 @@ void BayesianNetwork::set_cpt(VariableId child, std::vector<VariableId> parents,
                  "BayesianNetwork::set_cpt: duplicate parent");
   }
   // Build before mutating so a failed set_cpt leaves any previous CPT
-  // assignment intact (strong exception guarantee).
+  // assignment and the child lists intact (strong exception guarantee).
   Factor cpt = cpt_table(*this, child, parents, rows);
-  nodes_[child].parents = std::move(parents);
-  nodes_[child].cpt = std::move(cpt);
+  Node& node = nodes_[child];
+  if (node.parents) {
+    for (const VariableId p : *node.parents) {
+      auto& list = nodes_[p].children;
+      list.erase(std::lower_bound(list.begin(), list.end(), child));
+    }
+  }
+  for (const VariableId p : parents) {
+    auto& list = nodes_[p].children;
+    list.insert(std::upper_bound(list.begin(), list.end(), child), child);
+  }
+  node.parents = std::move(parents);
+  node.cpt = std::move(cpt);
 }
 
 const Variable& BayesianNetwork::variable(VariableId id) const {
@@ -123,15 +134,9 @@ const std::vector<VariableId>& BayesianNetwork::parents(VariableId id) const {
   return *nodes_[id].parents;
 }
 
-std::vector<VariableId> BayesianNetwork::children(VariableId id) const {
+const std::vector<VariableId>& BayesianNetwork::children(VariableId id) const {
   check_id(id);
-  std::vector<VariableId> out;
-  for (VariableId c = 0; c < nodes_.size(); ++c) {
-    if (!nodes_[c].parents) continue;
-    const auto& ps = *nodes_[c].parents;
-    if (std::find(ps.begin(), ps.end(), id) != ps.end()) out.push_back(c);
-  }
-  return out;
+  return nodes_[id].children;
 }
 
 prob::Categorical BayesianNetwork::cpt_row(
@@ -219,29 +224,24 @@ void BayesianNetwork::validate() const {
 }
 
 std::vector<VariableId> BayesianNetwork::topological_order() const {
-  // Children are filed in id order, so each list is ascending.
   const std::size_t n = nodes_.size();
   std::vector<std::size_t> indegree(n, 0);
-  std::vector<std::vector<VariableId>> children(n);
   for (VariableId c = 0; c < n; ++c) {
     if (!nodes_[c].parents)
       throw std::logic_error("BayesianNetwork: CPT missing for '" +
                              nodes_[c].var.name() + "'");
     indegree[c] = nodes_[c].parents->size();
-    for (VariableId p : *nodes_[c].parents) children[p].push_back(c);
   }
-  std::queue<VariableId> ready;
-  for (VariableId v = 0; v < n; ++v) {
-    if (indegree[v] == 0) ready.push(v);
-  }
+  // `order` is the FIFO queue too: a variable leaves it in the order it
+  // became ready.
   std::vector<VariableId> order;
   order.reserve(n);
-  while (!ready.empty()) {
-    const VariableId v = ready.front();
-    ready.pop();
-    order.push_back(v);
-    for (VariableId c : children[v]) {
-      if (--indegree[c] == 0) ready.push(c);
+  for (VariableId v = 0; v < n; ++v) {
+    if (indegree[v] == 0) order.push_back(v);
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (const VariableId c : nodes_[order[i]].children) {
+      if (--indegree[c] == 0) order.push_back(c);
     }
   }
   if (order.size() != n)
@@ -264,49 +264,38 @@ bool BayesianNetwork::d_separated(VariableId x, VariableId y,
                                   const std::vector<VariableId>& z) const {
   check_id(x);
   check_id(y);
+  for (const VariableId v : z) check_id(v);
   if (x == y) return false;
-  std::set<VariableId> zset(z.begin(), z.end());
+  std::vector<char> marks(nodes_.size(), 0);
+  for (const VariableId v : z) marks[v] = kObserved;
+  bayes_ball({x}, marks);
+  return (marks[y] & kVisited) == 0;
+}
 
-  // Bayes-ball: compute ancestors of Z, then BFS over (node, direction).
-  std::set<VariableId> z_ancestors = zset;
-  {
-    std::queue<VariableId> q;
-    for (VariableId v : zset) q.push(v);
-    while (!q.empty()) {
-      const VariableId v = q.front();
-      q.pop();
-      for (VariableId p : parents(v)) {
-        if (z_ancestors.insert(p).second) q.push(p);
-      }
+void BayesianNetwork::bayes_ball(const std::vector<VariableId>& sources,
+                                 std::vector<char>& marks) const {
+  if (marks.size() != nodes_.size())
+    throw std::invalid_argument("BayesianNetwork::bayes_ball: one mark per variable");
+  std::vector<std::pair<VariableId, bool>> balls;  // (variable, from a child)
+  for (const VariableId v : sources) {
+    check_id(v);
+    balls.emplace_back(v, true);
+  }
+  while (!balls.empty()) {
+    const auto [v, from_child] = balls.back();
+    balls.pop_back();
+    char& m = marks[v];
+    m |= kVisited;
+    const bool observed = (m & kObserved) != 0;
+    if (from_child != observed && (m & kTop) == 0) {
+      m |= kTop;
+      for (const VariableId p : parents(v)) balls.emplace_back(p, true);
+    }
+    if (!observed && (m & kBottom) == 0) {
+      m |= kBottom;
+      for (const VariableId c : nodes_[v].children) balls.emplace_back(c, false);
     }
   }
-
-  // direction: true = visiting from a child (upward), false = from parent.
-  std::set<std::pair<VariableId, bool>> visited;
-  std::queue<std::pair<VariableId, bool>> q;
-  q.push({x, true});
-  while (!q.empty()) {
-    const auto [v, up] = q.front();
-    q.pop();
-    if (!visited.insert({v, up}).second) continue;
-    if (v == y) return false;  // active path reaches y
-
-    if (up && !zset.contains(v)) {
-      // Arrived from a child; can continue up to parents and down to children.
-      for (VariableId p : parents(v)) q.push({p, true});
-      for (VariableId c : children(v)) q.push({c, false});
-    } else if (!up) {
-      if (!zset.contains(v)) {
-        // Arrived from a parent via a chain; continue to children.
-        for (VariableId c : children(v)) q.push({c, false});
-      }
-      if (z_ancestors.contains(v)) {
-        // v is (an ancestor of) evidence: collider path may open upward.
-        for (VariableId p : parents(v)) q.push({p, true});
-      }
-    }
-  }
-  return true;
 }
 
 void BayesianNetwork::update_cpt_rows(VariableId child,

@@ -37,6 +37,11 @@ using Evidence = std::map<VariableId, std::size_t>;
 /// queries require a validated (complete) network. Each CPT is stored
 /// once, as its table: a `Factor` over the child and its parents (scope
 /// ascending by id, last variable fastest, as the kernels' views read).
+/// Each variable also keeps its children, ascending, which `set_cpt`
+/// updates. Engines, junction trees and BP runs hold a reference to the
+/// network and read its lists and tables, an engine from every worker
+/// thread: the network must outlive them and must not be mutated while
+/// they are in use.
 class BayesianNetwork {
  public:
   /// Adds a variable; returns its id. Names must be unique.
@@ -50,7 +55,9 @@ class BayesianNetwork {
   /// over the child's states per parent configuration, ordered with the
   /// *last* parent varying fastest. A root node passes empty `parents`
   /// and a single row (its prior). A failed call (std::invalid_argument,
-  /// e.g. a table size that overflows size_t) leaves the CPT intact.
+  /// e.g. a table size that overflows size_t) leaves the CPT and the
+  /// child lists intact; a successful one moves `child` from its old
+  /// parents' child lists to the new ones'.
   void set_cpt(VariableId child, std::vector<VariableId> parents,
                std::vector<prob::Categorical> rows);
 
@@ -65,8 +72,9 @@ class BayesianNetwork {
   /// Parents of a node (empty for roots); requires a CPT to be set.
   [[nodiscard]] const std::vector<VariableId>& parents(VariableId id) const;
 
-  /// Children of a node.
-  [[nodiscard]] std::vector<VariableId> children(VariableId id) const;
+  /// Children of a node, ascending: the variables whose CPT lists it as
+  /// a parent.
+  [[nodiscard]] const std::vector<VariableId>& children(VariableId id) const;
 
   /// The CPT row for a child given a full parent-state assignment
   /// (parallel to `parents(child)`), copied off the table.
@@ -102,9 +110,9 @@ class BayesianNetwork {
 
   /// Topological order (parents before children); throws
   /// std::logic_error on a missing CPT or a cycle. Kahn's algorithm over
-  /// child lists built once, O(V + E); ready variables leave in FIFO order
-  /// and each releases its children in ascending id, so the order (and
-  /// every seeded `sample`) is fixed.
+  /// the stored child lists, O(V + E); ready variables leave in FIFO
+  /// order and each releases its children in ascending id, so the order
+  /// (and every seeded `sample`) is fixed.
   [[nodiscard]] std::vector<VariableId> topological_order() const;
 
   /// Total number of free parameters: sum over nodes of
@@ -114,9 +122,33 @@ class BayesianNetwork {
   [[nodiscard]] std::size_t parameter_count() const;
 
   /// d-separation: true if X and Y are conditionally independent given Z
-  /// in the graph structure (Bayes-ball algorithm).
+  /// in the graph structure, i.e. a `bayes_ball` from x with z observed
+  /// never visits y; false for x == y. Throws std::out_of_range for an
+  /// unknown x, y or z id, and std::logic_error like `bayes_ball`.
   [[nodiscard]] bool d_separated(VariableId x, VariableId y,
                                  const std::vector<VariableId>& z) const;
+
+  /// `bayes_ball`'s per-variable flags.
+  enum BallMark : char { kObserved = 1, kVisited = 2, kTop = 4, kBottom = 8 };
+
+  /// Bayes-ball (Shachter 1998) over the parent and child lists.
+  /// `marks` holds one byte per variable, kObserved set on the observed
+  /// ones and no other flag. A ball enters each of `sources` as if from
+  /// a child. An unobserved variable passes a ball from a child up to its
+  /// parents (setting kTop) and down to its children (setting kBottom),
+  /// and one from a parent down only; an observed variable bounces a
+  /// ball from a parent up to its parents (kTop) and blocks one from a
+  /// child. Every variable a ball reaches gets kVisited, blocked visits
+  /// included. kTop and kBottom are each set once, so each edge is walked
+  /// at most twice, and the marks do not depend on the visiting order.
+  /// The kTop variables are the CPTs P(sources | observed) depends on;
+  /// the unvisited ones are d-separated from `sources`. Throws
+  /// std::out_of_range for an unknown source id, std::invalid_argument
+  /// unless `marks` has one byte per variable, and std::logic_error when
+  /// a ball must pass up through a variable whose CPT is not set (its
+  /// parents are unknown).
+  void bayes_ball(const std::vector<VariableId>& sources,
+                  std::vector<char>& marks) const;
 
   /// Draws a full joint sample in topological order (defined with the
   /// other samplers, in inference.cpp).
@@ -131,6 +163,7 @@ class BayesianNetwork {
     Variable var;
     std::optional<std::vector<VariableId>> parents;  ///< set with the CPT
     Factor cpt;  ///< the CPT's table; meaningful once `parents` is set
+    std::vector<VariableId> children;  ///< ascending; kept by set_cpt
   };
 
   std::vector<Node> nodes_;

@@ -1,7 +1,7 @@
 // In-test copy of the elimination core that kernels::eliminate_scaled
 // ran before bucket elimination: every step scans all live views with
 // `contains`, multiplies the matches pairwise with kernels::product,
-// sums the variable out with kernels::marginalize_keep, and applies the
+// sums the variable out with `marginalize_keep` (below), and applies the
 // same rescale and zero-mass short circuit. The bucketed, fused
 // executor must reproduce it bit for bit (`bit_identical`).
 #pragma once
@@ -17,9 +17,29 @@
 #include "bayesnet/arena.hpp"
 #include "bayesnet/factor.hpp"
 #include "bayesnet/kernels.hpp"
+#include "core/contracts.hpp"
 #include "core/tolerance.hpp"
 
 namespace legacy {
+
+/// Sums out every scope variable of `f` not in `keep` (sorted, a subset
+/// of the scope) into a fresh arena table, through
+/// kernels::marginalize_keep_into.
+inline sysuq::bayesnet::kernels::Table marginalize_keep(
+    const sysuq::bayesnet::kernels::View& f, const sysuq::bayesnet::VariableId* keep,
+    std::size_t nkeep, sysuq::bayesnet::Arena& arena) {
+  namespace kn = sysuq::bayesnet::kernels;
+  std::size_t kcards[kn::kMaxRank];
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < f.rank && pos < nkeep; ++i) {
+    if (f.scope[i] == keep[pos]) kcards[pos++] = f.cards[i];
+  }
+  SYSUQ_EXPECT(pos == nkeep,
+               "legacy::marginalize_keep: keep must be a sorted subset of the scope");
+  kn::Table t = kn::make_table(keep, kcards, nkeep, arena);
+  kn::marginalize_keep_into(f, keep, nkeep, t.values);
+  return t;
+}
 
 inline sysuq::bayesnet::kernels::ScaledFactor eliminate_scaled(
     std::vector<sysuq::bayesnet::kernels::View> live,
@@ -59,7 +79,7 @@ inline sysuq::bayesnet::kernels::ScaledFactor eliminate_scaled(
     for (std::size_t i = 0; i < acc.rank; ++i) {
       if (acc.scope[i] != v) keep.push_back(acc.scope[i]);
     }
-    kn::Table m = kn::marginalize_keep(acc, keep.data(), keep.size(), arena);
+    kn::Table m = marginalize_keep(acc, keep.data(), keep.size(), arena);
     if (!rescale(m)) return impossible;
     live.push_back(m.view());
   }

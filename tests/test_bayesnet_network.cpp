@@ -210,6 +210,48 @@ TEST(Network, TopologicalOrderRespectsEdges) {
   const auto kahn = shuffled.topological_order();
   EXPECT_EQ(kahn, reference_topological_order(shuffled));
   EXPECT_EQ(kahn, (std::vector<bn::VariableId>{1, 4, 7, 2, 5, 3, 0, 6}));
+
+  // set_cpt keeps the child lists: each equals a scan of the parent
+  // lists (so it is exact and ascending), and Kahn's order over them is
+  // the reference order, whatever order the CPTs are set in.
+  const auto check_child_lists = [](const bn::BayesianNetwork& g) {
+    for (bn::VariableId v = 0; v < g.size(); ++v) {
+      std::vector<bn::VariableId> scan;
+      for (bn::VariableId c = 0; c < g.size(); ++c) {
+        const auto& ps = g.parents(c);
+        if (std::find(ps.begin(), ps.end(), v) != ps.end()) scan.push_back(c);
+      }
+      EXPECT_EQ(g.children(v), scan) << "children of " << v;
+    }
+    EXPECT_EQ(g.topological_order(), reference_topological_order(g));
+  };
+  const auto rows_for = [](std::size_t parent_count) {
+    return std::vector<pr::Categorical>(std::size_t{1} << parent_count,
+                                        pr::Categorical::uniform(2));
+  };
+  check_child_lists(shuffled);
+  // CPTs set out of id order (descending).
+  bn::BayesianNetwork reversed;
+  for (std::size_t i = 0; i < 8; ++i)
+    reversed.add_variable("v" + std::to_string(i), {"0", "1"});
+  for (bn::VariableId v = parents.size(); v-- > 0;)
+    reversed.set_cpt(v, parents[v], rows_for(parents[v].size()));
+  check_child_lists(reversed);
+  EXPECT_EQ(reversed.topological_order(), kahn);
+  EXPECT_EQ(reversed.children(1), (std::vector<bn::VariableId>{2, 5}));
+
+  // One child re-parented by a second set_cpt: 3 leaves the lists of 2
+  // and 7 and joins those of 4 and 1, in the middle of 1's. A failed
+  // call (wrong row count) changes no list.
+  EXPECT_THROW(reversed.set_cpt(3, {4, 1}, rows_for(1)), std::invalid_argument);
+  check_child_lists(reversed);
+  EXPECT_EQ(reversed.children(2), (std::vector<bn::VariableId>{3}));
+  reversed.set_cpt(3, {4, 1}, rows_for(2));
+  check_child_lists(reversed);
+  EXPECT_TRUE(reversed.children(2).empty());
+  EXPECT_TRUE(reversed.children(7).empty());
+  EXPECT_EQ(reversed.children(1), (std::vector<bn::VariableId>{2, 3, 5}));
+  EXPECT_EQ(reversed.children(4), (std::vector<bn::VariableId>{3, 5}));
 }
 
 TEST(Network, PaperNetworkBasics) {
@@ -345,6 +387,13 @@ TEST(Network, DSeparationChainForkCollider) {
   net.set_cpt(c, {b}, rows2);
   EXPECT_FALSE(net.d_separated(a, c, {}));
   EXPECT_TRUE(net.d_separated(a, c, {b}));
+  // Unknown ids throw, z's included, and so do bayes_ball's bad inputs.
+  EXPECT_THROW((void)net.d_separated(a, 3, {}), std::out_of_range);
+  EXPECT_THROW((void)net.d_separated(a, c, {b, 3}), std::out_of_range);
+  std::vector<char> marks(net.size() - 1, 0);
+  EXPECT_THROW(net.bayes_ball({a}, marks), std::invalid_argument);
+  marks.push_back(0);
+  EXPECT_THROW(net.bayes_ball({3}, marks), std::out_of_range);
 
   // Fork: b <- a -> c.
   bn::BayesianNetwork fork;
@@ -386,6 +435,22 @@ TEST(Network, DSeparationDescendantOfCollider) {
   net.set_cpt(d, {c}, rows2);
   EXPECT_TRUE(net.d_separated(a, b, {}));
   EXPECT_FALSE(net.d_separated(a, b, {d}));
+}
+
+TEST(Network, DSeparationNeedsTheParentsItPassesThrough) {
+  // a -> b, with a's CPT not set: a ball from b, or from a itself, must
+  // pass up through a, whose parents are unknown. Observed, a blocks the
+  // ball from its child, so its parents do not matter.
+  bn::BayesianNetwork net;
+  const auto a = net.add_variable("a", {"0", "1"});
+  const auto b = net.add_variable("b", {"0", "1"});
+  const auto c = net.add_variable("c", {"0", "1"});
+  net.set_cpt(b, {a}, std::vector<pr::Categorical>(2, pr::Categorical::uniform(2)));
+  net.set_cpt(c, {}, {pr::Categorical::uniform(2)});
+  EXPECT_THROW((void)net.d_separated(b, c, {}), std::logic_error);
+  EXPECT_THROW((void)net.d_separated(a, c, {}), std::logic_error);
+  EXPECT_TRUE(net.d_separated(b, c, {a}));
+  EXPECT_FALSE(net.d_separated(b, b, {}));
 }
 
 TEST(Network, SampleMatchesMarginals) {

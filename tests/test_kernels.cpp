@@ -341,7 +341,7 @@ TEST(Kernels, MultiVariableMarginalizeMatchesRepeatedSingle) {
     for (const bn::VariableId v : drop) want = ref_marginalize(want, v);
 
     const kn::Table got =
-        kn::marginalize_keep(kn::view_of(f), keep.data(), keep.size(), arena);
+        legacy::marginalize_keep(kn::view_of(f), keep.data(), keep.size(), arena);
     ASSERT_EQ(got.size, want.size());
     for (std::size_t i = 0; i < got.size; ++i) {
       EXPECT_NEAR(got.values[i], want.values()[i],
