@@ -182,9 +182,6 @@ class JunctionTree {
   /// observed.
   JunctionTree(const JunctionTreeStructure& structure, const Evidence& evidence);
 
-  [[nodiscard]] const BayesianNetwork& network() const { return net_; }
-  [[nodiscard]] const Evidence& evidence() const { return evidence_; }
-
   /// Posterior marginal P(v | evidence) off the calibrated beliefs; an
   /// observed variable returns its delta. Throws std::domain_error with
   /// `impossible_evidence_message` if P(evidence) = 0.

@@ -151,9 +151,6 @@ class LoopyBP {
           Options options,
           std::optional<VariableId> certify_only = std::nullopt);
 
-  [[nodiscard]] const BayesianNetwork& network() const { return net_; }
-  [[nodiscard]] const Evidence& evidence() const { return evidence_; }
-
   /// Bounded posterior of `v` (an observed variable returns its delta
   /// with a zero-width interval; one this run did not certify, its point
   /// in [0, 1]). Throws std::domain_error with

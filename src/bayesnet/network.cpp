@@ -61,8 +61,10 @@ Factor cpt_table(const BayesianNetwork& net, VariableId child,
 }  // namespace
 
 VariableId BayesianNetwork::add_variable(Variable v) {
-  SYSUQ_EXPECT(!by_name_.contains(v.name()),
-               "BayesianNetwork: duplicate variable '" + v.name() + "'");
+  // Structural checks are hard throws in every build mode: compiled out,
+  // a duplicate name would leave by_name_ pointing at the first id.
+  if (by_name_.contains(v.name()))
+    throw std::invalid_argument("BayesianNetwork: duplicate variable '" + v.name() + "'");
   const VariableId id = nodes_.size();
   by_name_.emplace(v.name(), id);
   nodes_.push_back(Node{std::move(v), std::nullopt, Factor::unit(), {}});
@@ -91,9 +93,11 @@ void BayesianNetwork::set_cpt(VariableId child, std::vector<VariableId> parents,
   std::set<VariableId> seen;
   for (VariableId p : parents) {
     check_id(p);
-    SYSUQ_EXPECT(p != child, "BayesianNetwork::set_cpt: self-parent");
-    SYSUQ_EXPECT(seen.insert(p).second,
-                 "BayesianNetwork::set_cpt: duplicate parent");
+    // Hard throws: a self-loop or a duplicate parent would corrupt the
+    // DAG and the CPT's scope.
+    if (p == child) throw std::invalid_argument("BayesianNetwork::set_cpt: self-parent");
+    if (!seen.insert(p).second)
+      throw std::invalid_argument("BayesianNetwork::set_cpt: duplicate parent");
   }
   // Build before mutating so a failed set_cpt leaves any previous CPT
   // assignment and the child lists intact (strong exception guarantee).

@@ -44,7 +44,8 @@ using Evidence = std::map<VariableId, std::size_t>;
 /// they are in use.
 class BayesianNetwork {
  public:
-  /// Adds a variable; returns its id. Names must be unique.
+  /// Adds a variable; returns its id. Names must be unique
+  /// (std::invalid_argument otherwise, in every build mode).
   VariableId add_variable(Variable v);
 
   /// Convenience: adds a variable from name + state labels.
@@ -55,9 +56,10 @@ class BayesianNetwork {
   /// over the child's states per parent configuration, ordered with the
   /// *last* parent varying fastest. A root node passes empty `parents`
   /// and a single row (its prior). A failed call (std::invalid_argument,
-  /// e.g. a table size that overflows size_t) leaves the CPT and the
-  /// child lists intact; a successful one moves `child` from its old
-  /// parents' child lists to the new ones'.
+  /// e.g. a table size that overflows size_t, `child` among `parents`
+  /// or a repeated parent) leaves the CPT and the child lists intact; a
+  /// successful one moves `child` from its old parents' child lists to
+  /// the new ones'.
   void set_cpt(VariableId child, std::vector<VariableId> parents,
                std::vector<prob::Categorical> rows);
 

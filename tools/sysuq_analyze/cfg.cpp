@@ -8,13 +8,6 @@ namespace {
 
 constexpr std::size_t kDead = static_cast<std::size_t>(-1);
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-bool is_ident(const Token& t, const char* s) {
-  return t.kind == TokKind::kIdent && t.text == s;
-}
-
 class CfgBuilder {
  public:
   CfgBuilder(const LexedFile& file, Cfg& cfg, std::vector<Stmt>* linear)
@@ -58,19 +51,6 @@ class CfgBuilder {
     if (linear_ != nullptr) linear_->push_back(s);
   }
 
-  // Index one past the bracket pair opening at i (paren or brace; only
-  // the named pair is counted, so `;` and other brackets inside are
-  // transparent). Bounded by `e`.
-  [[nodiscard]] std::size_t match(std::size_t i, std::size_t e,
-                                  const char* open, const char* close) const {
-    int depth = 0;
-    for (; i < e; ++i) {
-      if (is_punct(toks()[i], open)) ++depth;
-      else if (is_punct(toks()[i], close) && --depth == 0) return i + 1;
-    }
-    return e;
-  }
-
   // One past the ';' terminating a simple statement starting at i: the
   // scan is transparent to (), {}, [] nesting (lambda bodies and brace
   // initializers do not end the statement).
@@ -103,7 +83,7 @@ class CfgBuilder {
 
     if (is_punct(tok, ";")) return i + 1;
     if (is_punct(tok, "{")) {
-      const std::size_t close = match(i, e, "{", "}");
+      const std::size_t close = match_bracket(toks(), i, e, "{", "}");
       parse_range(i + 1, close > i ? close - 1 : e, depth + 1);
       return close;
     }
@@ -118,7 +98,7 @@ class CfgBuilder {
       std::size_t j = i + 1;
       while (j < e && !is_punct(toks()[j], "{")) ++j;
       if (j >= e) return e;
-      const std::size_t close = match(j, e, "{", "}");
+      const std::size_t close = match_bracket(toks(), j, e, "{", "}");
       parse_range(j + 1, close > j ? close - 1 : e, depth + 1);
       return close;
     }
@@ -156,7 +136,7 @@ class CfgBuilder {
   // Sub-statement of a control construct: one brace block or one step.
   std::size_t parse_sub(std::size_t i, std::size_t e, std::size_t depth) {
     if (i < e && is_punct(toks()[i], "{")) {
-      const std::size_t close = match(i, e, "{", "}");
+      const std::size_t close = match_bracket(toks(), i, e, "{", "}");
       parse_range(i + 1, close > i ? close - 1 : e, depth + 1);
       return close;
     }
@@ -168,7 +148,7 @@ class CfgBuilder {
     std::size_t j = i + 1;
     if (j < e && is_ident(toks()[j], "constexpr")) ++j;
     if (j >= e || !is_punct(toks()[j], "(")) return i + 1;
-    const std::size_t cond_end = match(j, e, "(", ")");
+    const std::size_t cond_end = match_bracket(toks(), j, e, "(", ")");
     append(i, cond_end, depth);
     const std::size_t head = cur_;
 
@@ -197,7 +177,7 @@ class CfgBuilder {
   std::size_t parse_while(std::size_t i, std::size_t e, std::size_t depth) {
     std::size_t j = i + 1;
     if (j >= e || !is_punct(toks()[j], "(")) return i + 1;
-    const std::size_t cond_end = match(j, e, "(", ")");
+    const std::size_t cond_end = match_bracket(toks(), j, e, "(", ")");
     const std::size_t header = new_block();
     edge(cur_, header);
     cur_ = header;
@@ -220,7 +200,7 @@ class CfgBuilder {
   std::size_t parse_for(std::size_t i, std::size_t e, std::size_t depth) {
     std::size_t j = i + 1;
     if (j >= e || !is_punct(toks()[j], "(")) return i + 1;
-    const std::size_t head_end = match(j, e, "(", ")");
+    const std::size_t head_end = match_bracket(toks(), j, e, "(", ")");
     const std::size_t header = new_block();
     edge(cur_, header);
     cur_ = header;
@@ -249,7 +229,7 @@ class CfgBuilder {
     if (next < e && is_ident(toks()[next], "while")) {
       std::size_t j = next + 1;
       if (j < e && is_punct(toks()[j], "(")) {
-        const std::size_t cond_end = match(j, e, "(", ")");
+        const std::size_t cond_end = match_bracket(toks(), j, e, "(", ")");
         append(next, cond_end, depth);
         next = cond_end < e && is_punct(toks()[cond_end], ";") ? cond_end + 1
                                                               : cond_end;
@@ -267,10 +247,10 @@ class CfgBuilder {
   std::size_t parse_switch(std::size_t i, std::size_t e, std::size_t depth) {
     std::size_t j = i + 1;
     if (j >= e || !is_punct(toks()[j], "(")) return i + 1;
-    const std::size_t cond_end = match(j, e, "(", ")");
+    const std::size_t cond_end = match_bracket(toks(), j, e, "(", ")");
     append(i, cond_end, depth);
     if (cond_end >= e || !is_punct(toks()[cond_end], "{")) return cond_end;
-    const std::size_t close = match(cond_end, e, "{", "}");
+    const std::size_t close = match_bracket(toks(), cond_end, e, "{", "}");
     const std::size_t head = cur_;
     const std::size_t after = new_block();
     loops_.push_back({after, loops_.empty() ? after : loops_.back().cont});

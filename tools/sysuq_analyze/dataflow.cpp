@@ -73,8 +73,7 @@ CallGraph build_call_graph(const Project& project) {
     for (const auto& def : af.model.defs) {
       auto& callees = per_root[def.name];
       for (std::size_t i = def.body_begin; i + 1 < def.body_end; ++i) {
-        if (t[i].kind != TokKind::kIdent) continue;
-        if (t[i + 1].kind == TokKind::kPunct && t[i + 1].text == "(")
+        if (t[i].kind == TokKind::kIdent && is_punct(t[i + 1], "("))
           callees.insert(t[i].text);
       }
     }
@@ -84,32 +83,14 @@ CallGraph build_call_graph(const Project& project) {
 
 std::size_t lambda_end(const LexedFile& f, std::size_t i, std::size_t limit) {
   const auto& t = f.tokens;
-  if (i >= limit || t[i].kind != TokKind::kPunct || t[i].text != "[")
-    return i;
-  // Match the introducer brackets.
-  int depth = 0;
-  std::size_t j = i;
-  for (; j < limit; ++j) {
-    if (t[j].kind != TokKind::kPunct) continue;
-    if (t[j].text == "[") ++depth;
-    else if (t[j].text == "]" && --depth == 0) break;
-  }
-  if (j >= limit) return i;
-  ++j;  // one past ']'
-  // Optional parameter list.
-  if (j < limit && t[j].kind == TokKind::kPunct && t[j].text == "(") {
-    int pd = 0;
-    for (; j < limit; ++j) {
-      if (t[j].kind != TokKind::kPunct) continue;
-      if (t[j].text == "(") ++pd;
-      else if (t[j].text == ")" && --pd == 0) { ++j; break; }
-    }
-  }
+  if (i >= limit || !is_punct(t[i], "[")) return i;
+  // The introducer brackets, then an optional parameter list.
+  std::size_t k = match_bracket(t, i, limit, "[", "]");
+  if (k < limit && is_punct(t[k], "("))
+    k = match_bracket(t, k, limit, "(", ")");
   // Optional specifiers (mutable, noexcept, -> ret) up to the body '{'.
-  std::size_t k = j;
-  while (k < limit && !(t[k].kind == TokKind::kPunct && t[k].text == "{")) {
-    if (t[k].kind == TokKind::kPunct &&
-        (t[k].text == ";" || t[k].text == ")" || t[k].text == ","))
+  while (k < limit && !is_punct(t[k], "{")) {
+    if (is_punct(t[k], ";") || is_punct(t[k], ")") || is_punct(t[k], ","))
       return i;  // not a lambda (array subscript etc.)
     ++k;
   }
@@ -117,11 +98,25 @@ std::size_t lambda_end(const LexedFile& f, std::size_t i, std::size_t limit) {
   // Body braces.
   int bd = 0;
   for (; k < limit; ++k) {
-    if (t[k].kind != TokKind::kPunct) continue;
-    if (t[k].text == "{") ++bd;
-    else if (t[k].text == "}" && --bd == 0) return k + 1;
+    if (is_punct(t[k], "{")) ++bd;
+    else if (is_punct(t[k], "}") && --bd == 0) return k + 1;
   }
   return i;
+}
+
+std::vector<std::size_t> effective_tokens(const LexedFile& f,
+                                          std::size_t begin,
+                                          std::size_t end) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = begin; i < end && i < f.tokens.size(); ++i) {
+    const std::size_t past = lambda_end(f, i, end);
+    if (past != i) {
+      i = past - 1;
+      continue;
+    }
+    out.push_back(i);
+  }
+  return out;
 }
 
 std::vector<LambdaRange> find_lambdas(const LexedFile& f, std::size_t begin,
@@ -129,14 +124,13 @@ std::vector<LambdaRange> find_lambdas(const LexedFile& f, std::size_t begin,
   std::vector<LambdaRange> out;
   const auto& t = f.tokens;
   for (std::size_t i = begin; i < end; ++i) {
-    if (t[i].kind != TokKind::kPunct || t[i].text != "[") continue;
     const std::size_t past = lambda_end(f, i, end);
     if (past == i) continue;
     // Body range: tokens between the body braces.
     std::size_t open = i;
     int bd = 0;
     for (std::size_t k = i; k < past; ++k) {
-      if (t[k].kind == TokKind::kPunct && t[k].text == "{") {
+      if (is_punct(t[k], "{")) {
         open = k;
         bd = 1;
         break;

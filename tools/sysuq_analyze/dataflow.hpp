@@ -86,6 +86,14 @@ struct CallGraph {
 [[nodiscard]] std::size_t lambda_end(const LexedFile& f, std::size_t i,
                                      std::size_t limit);
 
+/// Token indices of `[begin, end)` with every lambda removed, introducer
+/// included: the "effective" tokens a statement-level walk looks at (a
+/// lambda's effects belong to its call sites, and a guard it declares
+/// scopes to the lambda).
+[[nodiscard]] std::vector<std::size_t> effective_tokens(const LexedFile& f,
+                                                        std::size_t begin,
+                                                        std::size_t end);
+
 /// All lambda body ranges `[begin, end)` (tokens between the braces)
 /// inside `[begin, end)`, outermost only, in order.
 struct LambdaRange {

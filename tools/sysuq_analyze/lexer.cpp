@@ -343,6 +343,17 @@ bool lex_file(const std::filesystem::path& path, LexedFile& out) {
   return true;
 }
 
+std::size_t match_bracket(const std::vector<Token>& t, std::size_t i,
+                          std::size_t limit, const char* open,
+                          const char* close) {
+  int depth = 0;
+  for (; i < limit; ++i) {
+    if (is_punct(t[i], open)) ++depth;
+    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
+  }
+  return limit;
+}
+
 bool is_float_literal(const Token& t) {
   if (t.kind != TokKind::kNumber) return false;
   const std::string& s = t.text;

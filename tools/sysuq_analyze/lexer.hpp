@@ -33,6 +33,23 @@ struct Token {
   std::size_t col = 0;   ///< 0-based byte offset within the line
 };
 
+/// True when `t` is the punctuator `s`.
+[[nodiscard]] inline bool is_punct(const Token& t, const char* s) {
+  return t.kind == TokKind::kPunct && t.text == s;
+}
+
+/// True when `t` is the identifier (or keyword) `s`.
+[[nodiscard]] inline bool is_ident(const Token& t, const char* s) {
+  return t.kind == TokKind::kIdent && t.text == s;
+}
+
+/// One past the `close` that balances the `open` at token `i`, or
+/// `limit` when the pair does not close before `limit`. Only the named
+/// pair is counted; other brackets inside are transparent.
+[[nodiscard]] std::size_t match_bracket(const std::vector<Token>& t,
+                                        std::size_t i, std::size_t limit,
+                                        const char* open, const char* close);
+
 /// One #include directive.
 struct IncludeDirective {
   std::string path;

@@ -8,10 +8,6 @@ namespace sysuq_analyze {
 
 namespace {
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
 bool is_assign_op(const Token& t) {
   if (t.kind != TokKind::kPunct) return false;
   const std::string& p = t.text;
@@ -27,14 +23,8 @@ bool is_mutating_call(const std::string& name) {
          name == "assign";
 }
 
-std::size_t skip_balanced_tokens(const LexedFile& f, std::size_t i,
-                                 const char* open, const char* close) {
-  int depth = 0;
-  for (; i < f.tokens.size(); ++i) {
-    if (is_punct(f.tokens[i], open)) ++depth;
-    else if (is_punct(f.tokens[i], close) && --depth == 0) return i + 1;
-  }
-  return i;
+bool lock_tag(const std::string& word) {
+  return word == "adopt_lock" || word == "defer_lock" || word == "try_to_lock";
 }
 
 /// One held lock on the scope stack.
@@ -108,6 +98,82 @@ std::string canonical_annotation(const Project& project,
   return spelled;
 }
 
+LockReader::LockReader(const Project& project, const AnalyzedFile& af,
+                       const std::string& class_name)
+    : project_(project), af_(af), class_name_(class_name) {}
+
+std::string LockReader::mutex_named_at(std::size_t i) const {
+  const auto g = guards_.find(af_.lex.tokens[i].text);
+  return g != guards_.end() ? g->second
+                            : canonical_mutex_at(project_, af_, class_name_, i);
+}
+
+std::optional<LockEvent> LockReader::read(std::size_t i, std::size_t end) {
+  const auto& t = af_.lex.tokens;
+  const Token& tok = t[i];
+  if (tok.kind != TokKind::kIdent) return std::nullopt;
+
+  // X.lock() / X.unlock() on a guard variable or a mutex chain.
+  if ((tok.text == "lock" || tok.text == "unlock") && i >= 2 &&
+      (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->")) &&
+      i + 1 < end && is_punct(t[i + 1], "(")) {
+    LockEvent ev;
+    ev.last = i;
+    ev.scoped = guards_.count(t[i - 2].text) != 0;
+    const std::string mu = mutex_named_at(i - 2);
+    if (mu.empty()) return ev;
+    if (tok.text == "lock") ev.acquired.push_back(mu);
+    else ev.released = mu;
+    return ev;
+  }
+
+  // Guard declaration: Type[<...>] name(args).
+  if (!guard_type_name(tok.text)) return std::nullopt;
+  std::size_t j = i + 1;
+  if (j < end && is_punct(t[j], "<")) j = match_bracket(t, j, end, "<", ">");
+  if (j + 1 >= end || t[j].kind != TokKind::kIdent ||
+      !is_punct(t[j + 1], "("))
+    return std::nullopt;
+  // Arguments: a top-level comma split; each argument's trailing
+  // identifier is a lock tag or ends the chain naming a mutex.
+  LockEvent ev;
+  ev.last = end - 1;
+  std::vector<std::size_t> arg_ends;
+  int d = 0;
+  std::size_t arg_last = 0;
+  bool have_arg = false;
+  for (std::size_t a = j + 1; a < end; ++a) {
+    const Token& at = t[a];
+    if (is_punct(at, "(")) {
+      ++d;
+    } else if (is_punct(at, ")")) {
+      if (--d == 0) {
+        if (have_arg) arg_ends.push_back(arg_last);
+        ev.last = a;
+        break;
+      }
+    } else if (is_punct(at, ",") && d == 1) {
+      if (have_arg) arg_ends.push_back(arg_last);
+      have_arg = false;
+    } else if (d == 1 && at.kind == TokKind::kIdent) {
+      arg_last = a;
+      have_arg = true;
+    }
+  }
+  // The tag follows the mutex, so look for defer_lock before acquiring.
+  const bool deferred =
+      std::any_of(arg_ends.begin(), arg_ends.end(),
+                  [&](std::size_t a) { return t[a].text == "defer_lock"; });
+  for (const std::size_t a : arg_ends) {
+    if (lock_tag(t[a].text)) continue;
+    const std::string mu = canonical_mutex_at(project_, af_, class_name_, a);
+    if (mu.empty()) continue;
+    guards_[t[j].text] = mu;
+    if (!deferred) ev.acquired.push_back(mu);
+  }
+  return ev;
+}
+
 void walk_lock_scopes(
     const Project& project, const AnalyzedFile& af,
     const std::string& class_name, std::size_t begin, std::size_t end,
@@ -115,141 +181,35 @@ void walk_lock_scopes(
     const std::function<void(std::size_t, const std::set<std::string>&)>&
         visit) {
   const auto& t = af.lex.tokens;
+  LockReader reader(project, af, class_name);
   std::vector<HeldLock> held;
   for (const std::string& mu : entry_held)
     held.push_back({mu, 0, /*scoped=*/false});
-  std::map<std::string, std::string> guards;  // guard variable -> mutex
   int depth = 0;
   std::set<std::string> cur = entry_held;
-  const auto rebuild = [&] {
+  const auto release = [&](const auto& pred) {
+    const auto gone = std::remove_if(held.begin(), held.end(), pred);
+    if (gone == held.end()) return;
+    held.erase(gone, held.end());
     cur.clear();
     for (const HeldLock& h : held) cur.insert(h.mutex);
   };
   for (std::size_t i = begin; i < end && i < t.size(); ++i) {
-    const Token& tok = t[i];
-    if (tok.kind == TokKind::kPunct) {
-      if (tok.text == "{") {
-        ++depth;
-      } else if (tok.text == "}") {
-        --depth;
-        const std::size_t before = held.size();
-        held.erase(std::remove_if(held.begin(), held.end(),
-                                  [&](const HeldLock& h) {
-                                    return h.scoped && h.depth > depth;
-                                  }),
-                   held.end());
-        if (held.size() != before) rebuild();
-      }
-      visit(i, cur);
+    if (const std::optional<LockEvent> ev = reader.read(i, end)) {
+      for (std::size_t v = i; v <= ev->last; ++v) visit(v, cur);
+      i = ev->last;
+      for (const std::string& mu : ev->acquired)
+        if (cur.insert(mu).second) held.push_back({mu, depth, ev->scoped});
+      if (!ev->released.empty())
+        release([&](const HeldLock& h) { return h.mutex == ev->released; });
       continue;
     }
-    if (tok.kind != TokKind::kIdent) {
-      visit(i, cur);
-      continue;
+    if (is_punct(t[i], "{")) {
+      ++depth;
+    } else if (is_punct(t[i], "}")) {
+      --depth;
+      release([&](const HeldLock& h) { return h.scoped && h.depth > depth; });
     }
-
-    // Guard declaration: lock_guard<...> name(mu, ...). The declaration
-    // tokens themselves are visited with the pre-acquisition state.
-    if (guard_type_name(tok.text)) {
-      std::size_t j = i + 1;
-      if (j < end && is_punct(t[j], "<")) {
-        int d = 0;
-        for (; j < end; ++j) {
-          if (is_punct(t[j], "<")) ++d;
-          else if (is_punct(t[j], ">") && --d == 0) {
-            ++j;
-            break;
-          }
-        }
-      }
-      if (j + 1 >= end || t[j].kind != TokKind::kIdent ||
-          !is_punct(t[j + 1], "(")) {
-        visit(i, cur);
-        continue;
-      }
-      const std::string guard_name = t[j].text;
-      int d = 0;
-      std::size_t arg_last = 0;
-      bool have_arg = false, deferred = false;
-      std::vector<std::size_t> arg_ends;
-      std::size_t close = end - 1;
-      for (std::size_t a = j + 1; a < end; ++a) {
-        const Token& at = t[a];
-        if (at.kind == TokKind::kPunct) {
-          if (at.text == "(") {
-            ++d;
-            continue;
-          }
-          if (at.text == ")") {
-            if (--d == 0) {
-              if (have_arg) arg_ends.push_back(arg_last);
-              close = a;
-              break;
-            }
-            continue;
-          }
-          if (at.text == "," && d == 1) {
-            if (have_arg) arg_ends.push_back(arg_last);
-            have_arg = false;
-            continue;
-          }
-        }
-        if (d == 1 && at.kind == TokKind::kIdent) {
-          arg_last = a;
-          have_arg = true;
-        }
-      }
-      for (std::size_t v = i; v <= close && v < end; ++v) visit(v, cur);
-      for (const std::size_t a : arg_ends) {
-        const std::string& word = t[a].text;
-        if (word == "defer_lock") {
-          deferred = true;
-          continue;
-        }
-        if (word == "adopt_lock" || word == "try_to_lock") continue;
-        const std::string mu =
-            canonical_mutex_at(project, af, class_name, a);
-        if (mu.empty()) continue;
-        guards[guard_name] = mu;
-        if (!deferred && cur.count(mu) == 0) {
-          held.push_back({mu, depth, /*scoped=*/true});
-          cur.insert(mu);
-        }
-      }
-      i = close;
-      continue;
-    }
-
-    // X.lock() / X.unlock() on a guard variable or a raw mutex chain.
-    const bool methodish = i >= 2 && t[i - 1].kind == TokKind::kPunct &&
-                           (t[i - 1].text == "." || t[i - 1].text == "->") &&
-                           i + 1 < end && is_punct(t[i + 1], "(");
-    if (methodish && (tok.text == "lock" || tok.text == "unlock")) {
-      const std::string recv = t[i - 2].text;
-      const auto g = guards.find(recv);
-      const std::string mu =
-          g != guards.end()
-              ? g->second
-              : canonical_mutex_at(project, af, class_name, i - 2);
-      if (!mu.empty()) {
-        if (tok.text == "lock") {
-          if (cur.count(mu) == 0) {
-            held.push_back({mu, depth, /*scoped=*/g != guards.end()});
-            cur.insert(mu);
-          }
-        } else {
-          const std::size_t before = held.size();
-          held.erase(
-              std::remove_if(held.begin(), held.end(),
-                             [&](const HeldLock& h) { return h.mutex == mu; }),
-              held.end());
-          if (held.size() != before) rebuild();
-        }
-      }
-      visit(i, cur);
-      continue;
-    }
-
     visit(i, cur);
   }
 }
@@ -315,7 +275,7 @@ bool member_write_at(const LexedFile& f, std::size_t i) {
     return true;  // pre-increment
   std::size_t j = i + 1;
   if (j < t.size() && is_punct(t[j], "["))
-    j = skip_balanced_tokens(f, j, "[", "]");
+    j = match_bracket(t, j, t.size(), "[", "]");
   if (j >= t.size()) return false;
   if (is_assign_op(t[j])) return true;
   if ((is_punct(t[j], ".") || is_punct(t[j], "->")) && j + 1 < t.size() &&

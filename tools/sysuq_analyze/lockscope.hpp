@@ -1,21 +1,24 @@
-// Shared lock-scope machinery for the thread-safety passes
-// (guard-consistency, thread-escape).
+// Lock acquisition for the thread-safety passes: the one place the
+// analyzer reads which mutex a token takes or drops.
 //
-// lock-order walks statements through cfg.hpp's linear view; the
-// annotation passes instead need the held-lock set at every *token* of
-// a body (or of a worker lambda walked in isolation), so this layer
-// provides a token-level walker: RAII guard lifetimes follow brace
-// depth, .lock()/.unlock() pairs are unscoped, and mutex names
-// canonicalize to `Class::member_` exactly like lock-order's graph
-// nodes so annotations, guard declarations and requires-contracts all
-// spell the same lock identically.
+// `LockReader` parses guard declarations and `.lock()` / `.unlock()`
+// calls and names each mutex with `canonical_mutex_at`, so annotations,
+// guard declarations and requires-contracts all spell the same lock
+// `Class::member_`. Two walkers keep the held set on top of it:
+// `walk_lock_scopes` walks tokens, with RAII guard lifetimes following
+// brace depth, and serves guard-consistency, thread-escape and
+// lock-discipline, which need the held set at every token of a body (or
+// of a worker lambda walked in isolation); lock-order walks cfg.hpp's
+// statements instead.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "sysuq_analyze/lexer.hpp"
 #include "sysuq_analyze/model.hpp"
@@ -34,7 +37,7 @@ namespace sysuq_analyze {
 /// at token index `last` (inclusive): walks back through `a.b` /
 /// `a->b` / `A::b` links. Members of `class_name` (or trailing-`_`
 /// names) resolve to `Class::name`; other chains keep their joined
-/// spelling. Mirrors lock-order's canonicalization.
+/// spelling.
 [[nodiscard]] std::string canonical_mutex_at(const Project& project,
                                              const AnalyzedFile& af,
                                              const std::string& class_name,
@@ -48,14 +51,56 @@ namespace sysuq_analyze {
                                                const std::string& class_name,
                                                const std::string& spelled);
 
+/// One lock acquisition or release, read at its keyword: the guard type
+/// of a declaration, or the `lock` / `unlock` of a call.
+struct LockEvent {
+  std::size_t last = 0;  ///< index of the event's last token
+  /// Canonical mutexes taken, in argument order.
+  std::vector<std::string> acquired;
+  /// Canonical mutex dropped; empty when none.
+  std::string released;
+  /// True for a guard's lock, which its brace scope releases; false for
+  /// `.lock()` on a raw mutex chain, which only `.unlock()` releases.
+  bool scoped = true;
+};
+
+/// Reads lock events off the tokens of one walk:
+///   - a guard declaration `Type[<...>] name(args)`, Type one of
+///     `guard_type_name`: each argument's trailing identifier chain
+///     names a mutex, except the `adopt_lock` / `defer_lock` /
+///     `try_to_lock` tags. A guard constructed with `defer_lock` holds
+///     nothing; it only records its mutex for a later `name.lock()`.
+///   - `X.lock()` / `X.unlock()`, where X is a guard variable declared
+///     earlier in the walk or a mutex chain.
+class LockReader {
+ public:
+  LockReader(const Project& project, const AnalyzedFile& af,
+             const std::string& class_name);
+
+  /// The event whose keyword is token `i` and whose tokens end before
+  /// `end`; nullopt when there is none.
+  [[nodiscard]] std::optional<LockEvent> read(std::size_t i, std::size_t end);
+
+  /// The mutex named by the identifier (chain) ending at token `i`: a
+  /// guard variable's mutex, else `canonical_mutex_at`.
+  [[nodiscard]] std::string mutex_named_at(std::size_t i) const;
+
+ private:
+  const Project& project_;
+  const AnalyzedFile& af_;
+  std::string class_name_;
+  std::map<std::string, std::string> guards_;  ///< guard variable -> mutex
+};
+
 /// Walks tokens [begin, end) maintaining the set of held canonical
 /// mutex names, calling `visit(i, held)` for every token index in
-/// order. `entry_held` seeds the set (a function's sysuq-requires
-/// contract) and is never popped by scope exits. Lambda bodies are
-/// walked inline: a lambda executing on this thread sees the enclosing
-/// locks, and a guard it declares scopes to its own braces — callers
-/// that dispatch a lambda to another thread must walk that range
-/// separately with an empty entry set.
+/// order; a lock event's own tokens see the set before it. `entry_held`
+/// seeds the set (a function's sysuq-requires contract) and is never
+/// popped by scope exits. Lambda bodies are walked inline: a lambda
+/// executing on this thread sees the enclosing locks, and a guard it
+/// declares scopes to its own braces — callers that dispatch a lambda
+/// to another thread must walk that range separately with an empty
+/// entry set.
 void walk_lock_scopes(
     const Project& project, const AnalyzedFile& af,
     const std::string& class_name, std::size_t begin, std::size_t end,
@@ -88,7 +133,10 @@ struct LockContracts {
 
 /// True when the identifier at token `i` is written to: assignment or
 /// compound assignment (through an optional [index] subscript),
-/// pre/post increment/decrement, or a mutating container call.
+/// pre/post increment/decrement, or a mutating container call. With
+/// `plain_member_access` this is the member-write test of
+/// lock-discipline, validate-before-mutate and the thread-safety
+/// passes.
 [[nodiscard]] bool member_write_at(const LexedFile& f, std::size_t i);
 
 }  // namespace sysuq_analyze

@@ -9,13 +9,6 @@ namespace sysuq_analyze {
 
 namespace {
 
-bool is_ident(const Token& t, const char* s) {
-  return t.kind == TokKind::kIdent && t.text == s;
-}
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
 constexpr std::array<const char*, 4> kMutexTypes = {
     "mutex", "shared_mutex", "recursive_mutex", "timed_mutex"};
 
@@ -81,19 +74,6 @@ class Parser {
     if (!scopes_.empty() && scopes_.back().kind == Scope::Kind::kClass)
       return &scopes_.back();
     return nullptr;
-  }
-
-  // Advances j past a balanced pair starting at j (which must hold
-  // `open`). Returns one past the matching closer, or tokens.size().
-  [[nodiscard]] std::size_t skip_balanced(std::size_t j, const char* open,
-                                          const char* close) const {
-    int depth = 0;
-    const auto& t = toks();
-    for (; j < t.size(); ++j) {
-      if (is_punct(t[j], open)) ++depth;
-      else if (is_punct(t[j], close) && --depth == 0) return j + 1;
-    }
-    return j;
   }
 
   // Skips to one past the next ';' at brace/paren/bracket depth 0 —
@@ -166,7 +146,8 @@ class Parser {
     if (is_ident(tok, "enum")) {
       std::size_t j = i_ + 1;
       while (j < t.size() && !is_punct(t[j], "{") && !is_punct(t[j], ";")) ++j;
-      if (j < t.size() && is_punct(t[j], "{")) j = skip_balanced(j, "{", "}");
+      if (j < t.size() && is_punct(t[j], "{"))
+        j = match_bracket(t, j, t.size(), "{", "}");
       i_ = skip_to_semi(j);
       return true;
     }
@@ -193,7 +174,8 @@ class Parser {
   bool parse_class(bool is_struct) {
     const auto& t = toks();
     std::size_t j = i_ + 1;
-    while (j < t.size() && is_punct(t[j], "[")) j = skip_balanced(j, "[", "]");
+    while (j < t.size() && is_punct(t[j], "["))
+      j = match_bracket(t, j, t.size(), "[", "]");
     std::string name;
     if (j < t.size() && t[j].kind == TokKind::kIdent) {
       name = t[j].text;
@@ -264,7 +246,7 @@ class Parser {
       if (tk.kind != TokKind::kPunct) continue;
       const std::string& p = tk.text;
       if (p == "[") {
-        j = skip_balanced(j, "[", "]") - 1;
+        j = match_bracket(t, j, t.size(), "[", "]") - 1;
         continue;
       }
       if (p == "<") {
@@ -348,7 +330,7 @@ class Parser {
       }
     }
     if (term == '{') {
-      std::size_t j = skip_balanced(terminator, "{", "}");
+      std::size_t j = match_bracket(t, terminator, t.size(), "{", "}");
       i_ = skip_to_semi(j);
     } else {
       i_ = skip_to_semi(terminator);
@@ -380,7 +362,7 @@ class Parser {
       }
     }
 
-    std::size_t j = skip_balanced(paren, "(", ")");
+    std::size_t j = match_bracket(t, paren, t.size(), "(", ")");
     // Trailer: cv, ref-qualifiers, noexcept(...), attributes, trailing
     // return; ends at '{' (definition), ';' (declaration) or '='
     // (default/delete/pure).
@@ -404,11 +386,11 @@ class Parser {
         continue;
       }
       if (is_punct(tk, "(")) {
-        j = skip_balanced(j, "(", ")");
+        j = match_bracket(t, j, t.size(), "(", ")");
         continue;
       }
       if (is_punct(tk, "[")) {
-        j = skip_balanced(j, "[", "]");
+        j = match_bracket(t, j, t.size(), "[", "]");
         continue;
       }
       if (is_punct(tk, "<")) {
@@ -437,9 +419,9 @@ class Parser {
       def.name = name;
       def.line = name_line;
       def.body_begin = j;
-      def.body_end = skip_balanced(j, "{", "}");
+      def.body_end = match_bracket(t, j, t.size(), "{", "}");
       def.params_begin = paren;
-      def.params_end = skip_balanced(paren, "(", ")");
+      def.params_end = match_bracket(t, paren, t.size(), "(", ")");
       def.is_ctor = is_ctor;
       def.is_dtor = is_dtor;
       def.in_header = f_.is_header;
@@ -498,8 +480,8 @@ class Parser {
       while (j < t.size() && !is_punct(t[j], "(") && !is_punct(t[j], "{"))
         ++j;
       if (j >= t.size()) return j;
-      if (is_punct(t[j], "(")) j = skip_balanced(j, "(", ")");
-      else j = skip_balanced(j, "{", "}");
+      if (is_punct(t[j], "(")) j = match_bracket(t, j, t.size(), "(", ")");
+      else j = match_bracket(t, j, t.size(), "{", "}");
       if (j < t.size() && is_punct(t[j], ",")) {
         ++j;
         continue;

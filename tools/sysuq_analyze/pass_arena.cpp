@@ -39,6 +39,7 @@
 #include "sysuq_analyze/cfg.hpp"
 #include "sysuq_analyze/dataflow.hpp"
 #include "sysuq_analyze/lexer.hpp"
+#include "sysuq_analyze/lockscope.hpp"
 #include "sysuq_analyze/model.hpp"
 #include "sysuq_analyze/passes.hpp"
 
@@ -52,10 +53,6 @@ constexpr unsigned kStale = 4u;
 constexpr unsigned kOwning = 8u;
 
 constexpr const char* kRule = "arena-escape";
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
 
 /// Types whose values own their storage: initializing or assigning one
 /// copies out of the arena, laundering the taint.
@@ -73,26 +70,6 @@ bool owning_type_word(const std::string& w) {
 /// declared type of a variable.
 bool viewish_type_word(const std::string& w) {
   return w == "View" || w == "Table";
-}
-
-/// Token indices of `[begin, end)` with lambda bodies removed — the
-/// "effective" tokens a transfer function looks at.
-std::vector<std::size_t> effective_tokens(const LexedFile& f,
-                                          std::size_t begin,
-                                          std::size_t end) {
-  std::vector<std::size_t> out;
-  const auto& t = f.tokens;
-  for (std::size_t i = begin; i < end && i < t.size(); ++i) {
-    if (t[i].kind == TokKind::kPunct && t[i].text == "[") {
-      const std::size_t past = lambda_end(f, i, end);
-      if (past != i) {
-        i = past - 1;  // skip the whole lambda, introducer included
-        continue;
-      }
-    }
-    out.push_back(i);
-  }
-  return out;
 }
 
 /// True when any effective token is an unqualified identifier carrying
@@ -135,7 +112,7 @@ bool produces_view(const LexedFile& f, const std::vector<std::size_t>& eff,
       if (to > from && is_punct(t[eff[to - 1]], ")")) --to;
       continue;
     }
-    if (t[i].kind == TokKind::kIdent && t[i].text == "std" &&
+    if (is_ident(t[i], "std") &&
         from + 3 < to && is_punct(t[eff[from + 1]], "::") &&
         t[eff[from + 2]].text == "move" && is_punct(t[eff[from + 3]], "(")) {
       from += 4;
@@ -214,7 +191,7 @@ unsigned classify_type(const LexedFile& f, const std::vector<std::size_t>& eff,
   bool viewish = false, handle = false, owning = false, vec = false;
   for (std::size_t k = from; k < to; ++k) {
     const Token& t = f.tokens[eff[k]];
-    if (t.kind == TokKind::kPunct && t.text == "*") viewish = true;
+    if (is_punct(t, "*")) viewish = true;
     if (t.kind != TokKind::kIdent) continue;
     if (viewish_type_word(t.text)) viewish = true;
     else if (t.text == "Arena") handle = true;
@@ -276,7 +253,7 @@ StmtShape parse_stmt(const LexedFile& f, const std::vector<std::size_t>& eff) {
       if (d2 != 0 || tok.kind != TokKind::kIdent) continue;
       if (k > 0) {
         const Token& prev = t[eff[k - 1]];
-        if (prev.kind == TokKind::kPunct && prev.text == "::") continue;
+        if (is_punct(prev, "::")) continue;
       }
       ++words;
       last_word = k;
@@ -293,7 +270,7 @@ StmtShape parse_stmt(const LexedFile& f, const std::vector<std::size_t>& eff) {
     }
     // Assignment: target is the head of the access chain.
     std::size_t head = 0;
-    if (t[eff[0]].kind == TokKind::kIdent && t[eff[0]].text == "this" &&
+    if (is_ident(t[eff[0]], "this") &&
         eq >= 2 && is_punct(t[eff[1]], "->")) {
       head = 2;
       shape.via_this = true;
@@ -390,8 +367,7 @@ bool resets_arena(const LexedFile& f, const std::vector<std::size_t>& eff,
     } else if (is_punct(recv, ")")) {
       // thread_scratch().reset() — look for the call name.
       for (std::size_t j = 0; j < k; ++j)
-        if (t[eff[j]].kind == TokKind::kIdent &&
-            t[eff[j]].text == "thread_scratch")
+        if (is_ident(t[eff[j]], "thread_scratch"))
           return true;
     }
   }
@@ -449,7 +425,7 @@ void transfer_stmt(const LexedFile& f, const Stmt& s, VarState& state,
   if (eff.empty()) return;
   const auto& t = f.tokens;
 
-  if (t[eff[0]].kind == TokKind::kIdent && t[eff[0]].text == "return") {
+  if (is_ident(t[eff[0]], "return")) {
     if (returns_view_out != nullptr &&
         produces_view(f, eff, 1, eff.size(), state, summary))
       returns_view_out->insert(def_name);
@@ -541,22 +517,12 @@ void check_pool_captures(const Project& project, const AnalyzedFile& af,
     if (dot.kind != TokKind::kPunct || (dot.text != "." && dot.text != "->"))
       continue;
     const Token& meth = t[i + 2];
-    if (meth.kind != TokKind::kIdent ||
-        (meth.text != "run" && meth.text != "submit" &&
-         meth.text != "enqueue" && meth.text != "post" &&
-         meth.text != "dispatch"))
+    if (meth.kind != TokKind::kIdent || !dispatch_method_name(meth.text))
       continue;
     if (!is_punct(t[i + 3], "(")) continue;
-    // Argument range.
-    int depth = 0;
-    std::size_t arg_end = def.body_end;
-    for (std::size_t j = i + 3; j < def.body_end; ++j) {
-      if (is_punct(t[j], "(")) ++depth;
-      else if (is_punct(t[j], ")") && --depth == 0) {
-        arg_end = j;
-        break;
-      }
-    }
+    // Argument range: up to the call's `)` (the body's `}` if unclosed).
+    const std::size_t arg_end =
+        match_bracket(t, i + 3, def.body_end, "(", ")") - 1;
     // Candidate lambdas: defined inside the args, or bound names used.
     std::vector<const LambdaRange*> cands;
     for (const LambdaRange& lr : lambdas)

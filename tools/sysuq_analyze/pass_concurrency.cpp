@@ -2,10 +2,11 @@
 //
 // lock-discipline — in classes owning a std::mutex (wherever the class
 // body lives: the header, or a .cpp for file-local helpers), a member
-// function must not write a non-atomic member outside the scope of a
-// lock_guard / unique_lock / scoped_lock, and must not call .load() /
-// .store() on an atomic member with a memory order stricter than the
-// member's declared ceiling (default: relaxed; raise it with
+// function must not write a non-atomic member while it holds no lock
+// (the held set of lockscope.hpp's walker, which the function's
+// sysuq-requires contract seeds), and must not call .load() / .store()
+// on an atomic member with a memory order stricter than the member's
+// declared ceiling (default: relaxed; raise it with
 // `// sysuq-atomic-order(<order>)` on the member's declaration line).
 // A bare .load()/.store() defaults to seq_cst and is therefore flagged
 // — the point is that accidental seq_cst on a statistics counter is a
@@ -19,75 +20,14 @@
 #include "sysuq_analyze/passes.hpp"
 
 #include <cstddef>
+#include <set>
 #include <string>
-#include <vector>
 
 #include "sysuq_analyze/lockscope.hpp"
 
 namespace sysuq_analyze {
 
 namespace {
-
-bool is_punct_tok(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
-bool is_assign_op(const Token& t) {
-  if (t.kind != TokKind::kPunct) return false;
-  const std::string& p = t.text;
-  return p == "=" || p == "+=" || p == "-=" || p == "*=" || p == "/=" ||
-         p == "%=" || p == "&=" || p == "|=" || p == "^=" || p == "<<=" ||
-         p == ">>=" || p == "++" || p == "--";
-}
-
-bool is_mutating_call(const std::string& name) {
-  return name == "clear" || name == "insert" || name == "erase" ||
-         name == "emplace" || name == "emplace_back" || name == "push_back" ||
-         name == "pop_back" || name == "resize" || name == "reserve" ||
-         name == "assign";
-}
-
-// Token index one past a balanced bracket pair starting at i.
-std::size_t skip_balanced(const LexedFile& f, std::size_t i, const char* open,
-                          const char* close) {
-  int depth = 0;
-  for (; i < f.tokens.size(); ++i) {
-    if (is_punct_tok(f.tokens[i], open)) ++depth;
-    else if (is_punct_tok(f.tokens[i], close) && --depth == 0) return i + 1;
-  }
-  return i;
-}
-
-// Is token i (an identifier naming a member) written to here? Looks
-// through an optional [index] subscript for the assignment operator and
-// recognizes mutating container calls.
-bool is_member_write(const LexedFile& f, std::size_t i) {
-  const auto& t = f.tokens;
-  // Not a plain member reference when qualified or accessed off another
-  // object (other.x_ = ... is that object's business; this->x_ counts).
-  if (i > 0 && t[i - 1].kind == TokKind::kPunct) {
-    const std::string& p = t[i - 1].text;
-    if (p == "." || p == "::") return false;
-    if (p == "->" && !(i > 1 && t[i - 2].text == "this")) return false;
-    if (p == "++" || p == "--") return true;  // pre-increment
-  }
-  std::size_t j = i + 1;
-  if (j < t.size() && is_punct_tok(t[j], "["))
-    j = skip_balanced(f, j, "[", "]");
-  if (j >= t.size()) return false;
-  if (is_assign_op(t[j])) {
-    // `==`/`!=` already excluded by is_assign_op; `=` inside a
-    // comparison like <= is a distinct token, so this is a real write.
-    return true;
-  }
-  if ((is_punct_tok(t[j], ".") || is_punct_tok(t[j], "->")) &&
-      j + 1 < t.size() && t[j + 1].kind == TokKind::kIdent &&
-      is_mutating_call(t[j + 1].text) && j + 2 < t.size() &&
-      is_punct_tok(t[j + 2], "(")) {
-    return true;
-  }
-  return false;
-}
 
 int order_rank(const std::string& order) {
   if (order == "relaxed") return 0;
@@ -103,7 +43,8 @@ int order_rank(const std::string& order) {
 // last match wins — a nested `x.load(acquire)` inside a store's value
 // expression must not be mistaken for the store's own order.
 std::string call_order(const LexedFile& f, std::size_t paren) {
-  const std::size_t end = skip_balanced(f, paren, "(", ")");
+  const std::size_t end =
+      match_bracket(f.tokens, paren, f.tokens.size(), "(", ")");
   std::string order;
   for (std::size_t k = paren; k < end; ++k) {
     const Token& t = f.tokens[k];
@@ -111,81 +52,63 @@ std::string call_order(const LexedFile& f, std::size_t paren) {
     static const std::string kPrefix = "memory_order_";
     if (t.text.rfind(kPrefix, 0) == 0) order = t.text.substr(kPrefix.size());
     else if (t.text == "memory_order" && k + 2 < end &&
-             is_punct_tok(f.tokens[k + 1], "::"))
+             is_punct(f.tokens[k + 1], "::"))
       order = f.tokens[k + 2].text;
   }
   return order;
 }
 
-bool is_lock_decl(const Token& t) {
-  return t.kind == TokKind::kIdent &&
-         (t.text == "lock_guard" || t.text == "unique_lock" ||
-          t.text == "scoped_lock" || t.text == "shared_lock");
-}
-
-void check_lock_discipline(const LexedFile& f, const FunctionDef& def,
-                           const ClassInfo& ci, bool entry_held,
+void check_lock_discipline(const Project& project, const AnalyzedFile& af,
+                           const FunctionDef& def, const ClassInfo& ci,
                            Reporter& rep) {
+  const LexedFile& f = af.lex;
   const auto& t = f.tokens;
-  int depth = 0;
-  std::vector<int> lock_depths;  // scope depth at each active lock
-  // A sysuq-requires contract means the caller already holds a lock:
-  // the whole body is a lock scope (depth -1 never pops).
-  if (entry_held) lock_depths.push_back(-1);
-  for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
-    const Token& tok = t[i];
-    if (tok.kind == TokKind::kPunct) {
-      if (tok.text == "{") ++depth;
-      else if (tok.text == "}") {
-        --depth;
-        while (!lock_depths.empty() && lock_depths.back() > depth)
-          lock_depths.pop_back();
-      }
-      continue;
-    }
-    if (tok.kind != TokKind::kIdent) continue;
-    if (is_lock_decl(tok)) {
-      lock_depths.push_back(depth);
-      continue;
-    }
-    const MemberVar* m = ci.member(tok.text);
-    if (m == nullptr) continue;
+  walk_lock_scopes(
+      project, af, def.class_name, def.body_begin, def.body_end,
+      entry_locks(project, af, def),
+      [&](std::size_t i, const std::set<std::string>& held) {
+        const Token& tok = t[i];
+        if (tok.kind != TokKind::kIdent) return;
+        const MemberVar* m = ci.member(tok.text);
+        if (m == nullptr) return;
 
-    // Stricter-than-declared .load()/.store() on an atomic member.
-    if (m->is_atomic) {
-      std::size_t j = i + 1;
-      if (j < t.size() && is_punct_tok(t[j], "["))
-        j = skip_balanced(f, j, "[", "]");
-      if (j + 1 < t.size() && is_punct_tok(t[j], ".") &&
-          t[j + 1].kind == TokKind::kIdent &&
-          (t[j + 1].text == "load" || t[j + 1].text == "store") &&
-          j + 2 < t.size() && is_punct_tok(t[j + 2], "(")) {
-        const std::string declared =
-            m->declared_order.empty() ? "relaxed" : m->declared_order;
-        const std::string used = call_order(f, j + 2);
-        const std::string used_name = used.empty() ? "seq_cst (default)" : used;
-        if (order_rank(used) > order_rank(declared)) {
-          rep.report(f, t[j + 1].line, "lock-discipline",
-                     "atomic member '" + m->name + "'." + t[j + 1].text +
-                         " uses memory order " + used_name +
-                         ", stricter than its declared ceiling '" + declared +
-                         "' (raise it with // sysuq-atomic-order(...) on the "
-                         "member, or relax the call)");
+        // Stricter-than-declared .load()/.store() on an atomic member.
+        if (m->is_atomic) {
+          std::size_t j = i + 1;
+          if (j < t.size() && is_punct(t[j], "["))
+            j = match_bracket(t, j, t.size(), "[", "]");
+          if (j + 1 < t.size() && is_punct(t[j], ".") &&
+              t[j + 1].kind == TokKind::kIdent &&
+              (t[j + 1].text == "load" || t[j + 1].text == "store") &&
+              j + 2 < t.size() && is_punct(t[j + 2], "(")) {
+            const std::string declared =
+                m->declared_order.empty() ? "relaxed" : m->declared_order;
+            const std::string used = call_order(f, j + 2);
+            const std::string used_name =
+                used.empty() ? "seq_cst (default)" : used;
+            if (order_rank(used) > order_rank(declared)) {
+              rep.report(f, t[j + 1].line, "lock-discipline",
+                         "atomic member '" + m->name + "'." + t[j + 1].text +
+                             " uses memory order " + used_name +
+                             ", stricter than its declared ceiling '" +
+                             declared +
+                             "' (raise it with // sysuq-atomic-order(...) on "
+                             "the member, or relax the call)");
+            }
+          }
+          return;
         }
-      }
-      continue;
-    }
 
-    // Non-atomic member write outside any lock scope.
-    if (!def.is_ctor && !def.is_dtor && lock_depths.empty() &&
-        is_member_write(f, i)) {
-      rep.report(f, tok.line, "lock-discipline",
-                 "write to non-atomic member '" + m->name + "' of '" +
-                     ci.name +
-                     "' (a mutex-owning class) outside a lock_guard/"
-                     "unique_lock scope");
-    }
-  }
+        // Non-atomic member write while no lock is held.
+        if (!def.is_ctor && !def.is_dtor && held.empty() &&
+            plain_member_access(f, i) && member_write_at(f, i)) {
+          rep.report(f, tok.line, "lock-discipline",
+                     "write to non-atomic member '" + m->name + "' of '" +
+                         ci.name +
+                         "' (a mutex-owning class) outside a lock_guard/"
+                         "unique_lock scope");
+        }
+      });
 }
 
 void check_validate_before_mutate(const LexedFile& f, const FunctionDef& def,
@@ -214,7 +137,7 @@ void check_validate_before_mutate(const LexedFile& f, const FunctionDef& def,
             : name.size() > 1 && name.back() == '_';  // repo style: foo_
     if (!member_name) continue;
     if (ci != nullptr && ci->member(name)->is_mutex) continue;
-    if (is_member_write(f, i)) {
+    if (plain_member_access(f, i) && member_write_at(f, i)) {
       rep.report(f, t[i].line, "validate-before-mutate",
                  "member '" + name +
                      "' is mutated before the function's last precondition "
@@ -233,8 +156,7 @@ void pass_locks(const Project& project, Reporter& rep) {
       if (def.class_name.empty()) continue;
       const ClassInfo* ci = project.find_class(af, def.class_name);
       if (ci == nullptr || !ci->owns_mutex) continue;
-      check_lock_discipline(af.lex, def, *ci,
-                            !entry_locks(project, af, def).empty(), rep);
+      check_lock_discipline(project, af, def, *ci, rep);
     }
   }
 }

@@ -77,8 +77,7 @@ void check_def(const Project& project, const AnalyzedFile& af,
 
         // Call to a function that excludes a held lock.
         const bool called = i + 1 < t.size() &&
-                            t[i + 1].kind == TokKind::kPunct &&
-                            t[i + 1].text == "(" && tok.text != def.name;
+                            is_punct(t[i + 1], "(") && tok.text != def.name;
         if (called) {
           const auto e = excludes.find(tok.text);
           if (e != excludes.end()) {

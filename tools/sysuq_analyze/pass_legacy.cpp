@@ -83,7 +83,7 @@ void check_tokens(const LexedFile& f, Reporter& rep) {
     if (!is_rng && tok.kind == TokKind::kIdent) {
       const bool is_rand =
           (tok.text == "rand" || tok.text == "srand") && i + 1 < t.size() &&
-          t[i + 1].kind == TokKind::kPunct && t[i + 1].text == "(";
+          is_punct(t[i + 1], "(");
       const bool is_mt =
           tok.text == "mt19937" || tok.text == "mt19937_64";
       // Exclude member access: foo.rand(), foo->srand().
@@ -101,8 +101,7 @@ void check_tokens(const LexedFile& f, Reporter& rep) {
         (tok.text == "==" || tok.text == "!=")) {
       const bool lhs_float = i > 0 && is_float_literal(t[i - 1]);
       std::size_t rhs = i + 1;
-      if (rhs < t.size() && t[rhs].kind == TokKind::kPunct &&
-          t[rhs].text == "-")
+      if (rhs < t.size() && is_punct(t[rhs], "-"))
         ++rhs;  // == -1.0
       const bool rhs_float = rhs < t.size() && is_float_literal(t[rhs]);
       if (lhs_float || rhs_float) {
@@ -139,8 +138,8 @@ void check_tokens(const LexedFile& f, Reporter& rep) {
         // one variable name between Span and the '('.
         std::size_t j = i + 1;
         if (j < t.size() && t[j].kind == TokKind::kIdent) ++j;
-        if (j + 1 < t.size() && t[j].kind == TokKind::kPunct &&
-            t[j].text == "(" && t[j + 1].kind == TokKind::kString) {
+        if (j + 1 < t.size() && is_punct(t[j], "(") &&
+            t[j + 1].kind == TokKind::kString) {
           name = t[j + 1].text;
           name_line = t[j + 1].line;
         }

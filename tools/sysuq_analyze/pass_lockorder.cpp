@@ -13,7 +13,9 @@
 // Unlike arena-escape/log-domain this pass does not run on the CFG:
 // RAII guard lifetimes follow brace scopes, so a linear statement walk
 // with a scope stack (statement depths from cfg.hpp's
-// linear_statements) models exactly when a lock_guard releases.
+// linear_statements) models exactly when a lock_guard releases. The
+// guard declarations and .lock()/.unlock() calls it sees are read by
+// lockscope.hpp's LockReader, which the token-level walker shares.
 // Acquisition edges are interprocedural through per-root transitive
 // acquires-summaries over the name-granular call graph, so
 // `lock(a); f();` with `f` locking `b` still yields the edge a -> b.
@@ -28,6 +30,7 @@
 #include "sysuq_analyze/cfg.hpp"
 #include "sysuq_analyze/dataflow.hpp"
 #include "sysuq_analyze/lexer.hpp"
+#include "sysuq_analyze/lockscope.hpp"
 #include "sysuq_analyze/model.hpp"
 #include "sysuq_analyze/passes.hpp"
 
@@ -37,88 +40,6 @@ namespace {
 
 constexpr const char* kRule = "lock-order";
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
-bool guard_type(const std::string& n) {
-  return n == "lock_guard" || n == "unique_lock" || n == "scoped_lock" ||
-         n == "shared_lock";
-}
-
-bool dispatch_method(const std::string& n) {
-  return n == "run" || n == "submit" || n == "enqueue" || n == "post" ||
-         n == "dispatch";
-}
-
-/// Effective token indices of [b, e) with lambda bodies skipped — a
-/// guard declared inside a callback is scoped to the callback, not to
-/// the enclosing function's walk.
-std::vector<std::size_t> effective(const LexedFile& f, std::size_t b,
-                                   std::size_t e) {
-  std::vector<std::size_t> out;
-  const auto& t = f.tokens;
-  for (std::size_t i = b; i < e && i < t.size(); ++i) {
-    if (t[i].kind == TokKind::kPunct && t[i].text == "[") {
-      const std::size_t past = lambda_end(f, i, e);
-      if (past != i) {
-        i = past - 1;
-        continue;
-      }
-    }
-    out.push_back(i);
-  }
-  return out;
-}
-
-/// Canonical name of the mutex spelled by the identifier chain that
-/// ENDS at effective index `last` (inclusive): walks back through
-/// `a.b`/`a->b`/`A::b` links. Members resolve to `Class::name` so the
-/// same mutex spells identically from every method; anything else
-/// keeps its joined chain.
-std::string canonical_mutex(const Project& project, const AnalyzedFile& af,
-                            const FunctionDef& def, const LexedFile& f,
-                            const std::vector<std::size_t>& eff,
-                            std::size_t last) {
-  const auto& t = f.tokens;
-  std::vector<std::string> chain;
-  std::ptrdiff_t k = static_cast<std::ptrdiff_t>(last);
-  while (k >= 0) {
-    const Token& tok = t[eff[static_cast<std::size_t>(k)]];
-    if (tok.kind != TokKind::kIdent) break;
-    chain.push_back(tok.text);
-    if (k < 2) break;
-    const Token& link = t[eff[static_cast<std::size_t>(k - 1)]];
-    if (link.kind != TokKind::kPunct ||
-        (link.text != "." && link.text != "->" && link.text != "::"))
-      break;
-    k -= 2;
-  }
-  std::reverse(chain.begin(), chain.end());
-  if (!chain.empty() && chain.front() == "this") chain.erase(chain.begin());
-  if (chain.empty()) return "";
-  const std::string& name = chain.back();
-  if (chain.size() == 1) {
-    std::string cls = def.class_name;
-    const bool memberish =
-        (!cls.empty() &&
-         [&] {
-           const ClassInfo* ci = project.find_class(af, cls);
-           return ci != nullptr && ci->member(name) != nullptr;
-         }()) ||
-        (!name.empty() && name.back() == '_');
-    if (memberish && !cls.empty()) return cls + "::" + name;
-    if (memberish) return f.module_name + "::" + name;
-    return name;
-  }
-  std::string joined;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    if (i != 0) joined += ".";
-    joined += chain[i];
-  }
-  return joined;
-}
-
 struct Witness {
   const LexedFile* file = nullptr;
   std::size_t line = 0;
@@ -126,9 +47,8 @@ struct Witness {
 
 struct Held {
   std::string mutex;
-  std::size_t depth = 0;     ///< statement depth of the acquisition
-  std::string guard;         ///< guard variable name, "" for .lock()
-  bool scoped = true;        ///< pops when the brace scope closes
+  std::size_t depth = 0;  ///< statement depth of the acquisition
+  bool scoped = true;     ///< pops when the brace scope closes
 };
 
 struct WalkCtx {
@@ -155,12 +75,12 @@ void add_edges(WalkCtx& ctx, const std::vector<Held>& held,
   }
 }
 
-/// One statement of the scope walk. Returns via `held` / `guards`.
-void walk_stmt(WalkCtx& ctx, const Stmt& s, std::vector<Held>& held,
-               std::map<std::string, std::string>& guards) {
+/// One statement of the scope walk. Returns via `held`.
+void walk_stmt(WalkCtx& ctx, LockReader& locks, const Stmt& s,
+               std::vector<Held>& held) {
   const LexedFile& f = ctx.af->lex;
   const auto& t = f.tokens;
-  const std::vector<std::size_t> eff = effective(f, s.begin, s.end);
+  const std::vector<std::size_t> eff = effective_tokens(f, s.begin, s.end);
   if (eff.empty()) return;
   const std::size_t line = t[eff[0]].line;
 
@@ -171,128 +91,42 @@ void walk_stmt(WalkCtx& ctx, const Stmt& s, std::vector<Held>& held,
                             }),
              held.end());
 
-  const auto hold = [&](const std::string& mu, const std::string& guard,
-                        bool scoped) {
+  const auto hold = [&](const std::string& mu, bool scoped) {
     add_edges(ctx, held, mu, f, line);
     if (ctx.direct != nullptr) ctx.direct->insert(mu);
     for (const Held& h : held)
       if (h.mutex == mu) return;  // re-entrant spelling; keep one
-    held.push_back(Held{mu, s.depth, guard, scoped});
+    held.push_back(Held{mu, s.depth, scoped});
   };
 
   for (std::size_t k = 0; k < eff.size(); ++k) {
     const Token& tok = t[eff[k]];
     if (tok.kind != TokKind::kIdent) continue;
 
-    // Guard declaration: lock_guard<...> name(mu, ...).
-    if (guard_type(tok.text)) {
-      std::size_t j = k + 1;
-      if (j < eff.size() && is_punct(t[eff[j]], "<")) {
-        int d = 0;
-        for (; j < eff.size(); ++j) {
-          if (is_punct(t[eff[j]], "<")) ++d;
-          else if (is_punct(t[eff[j]], ">") && --d == 0) {
-            ++j;
-            break;
-          }
-        }
-      }
-      if (j + 1 >= eff.size() || t[eff[j]].kind != TokKind::kIdent ||
-          !is_punct(t[eff[j + 1]], "("))
-        continue;
-      const std::string guard_name = t[eff[j]].text;
-      // Arguments: top-level comma split; each argument's trailing
-      // identifier chain names a mutex.
-      int d = 0;
-      std::size_t arg_last = 0;
-      bool have_arg = false, deferred = false;
-      std::vector<std::size_t> arg_ends;
-      std::size_t close = eff.size();
-      for (std::size_t a = j + 1; a < eff.size(); ++a) {
-        const Token& at = t[eff[a]];
-        if (at.kind == TokKind::kPunct) {
-          if (at.text == "(") {
-            ++d;
-            continue;
-          }
-          if (at.text == ")") {
-            if (--d == 0) {
-              if (have_arg) arg_ends.push_back(arg_last);
-              close = a;
-              break;
-            }
-            continue;
-          }
-          if (at.text == "," && d == 1) {
-            if (have_arg) arg_ends.push_back(arg_last);
-            have_arg = false;
-            continue;
-          }
-        }
-        if (d == 1 && at.kind == TokKind::kIdent) {
-          arg_last = a;
-          have_arg = true;
-        }
-      }
-      for (const std::size_t a : arg_ends) {
-        const std::string& word = t[eff[a]].text;
-        if (word == "defer_lock") {
-          deferred = true;
-          continue;
-        }
-        if (word == "adopt_lock" || word == "try_to_lock") continue;
-        const std::string mu = canonical_mutex(*ctx.project, *ctx.af,
-                                               *ctx.def, f, eff, a);
-        if (mu.empty()) continue;
-        guards[guard_name] = mu;
-        if (!deferred) hold(mu, guard_name, /*scoped=*/true);
-      }
-      k = close;
+    // Guard declarations and X.lock() / X.unlock().
+    if (const auto ev = locks.read(eff[k], s.end)) {
+      for (const std::string& mu : ev->acquired) hold(mu, ev->scoped);
+      held.erase(std::remove_if(held.begin(), held.end(),
+                                [&](const Held& h) {
+                                  return h.mutex == ev->released;
+                                }),
+                 held.end());
+      while (k + 1 < eff.size() && eff[k + 1] <= ev->last) ++k;
       continue;
     }
 
-    // Method calls on an identifier chain: X.lock() / X.unlock() /
-    // cv.wait(lk) / pool->run(...) / t.join().
+    // Method calls on an identifier chain: cv.wait(lk) / pool->run(...) /
+    // t.join().
     const bool methodish = k >= 2 && t[eff[k - 1]].kind == TokKind::kPunct &&
                            (t[eff[k - 1]].text == "." ||
                             t[eff[k - 1]].text == "->") &&
                            k + 1 < eff.size() && is_punct(t[eff[k + 1]], "(");
-    if (methodish && tok.text == "lock") {
-      const std::string recv = t[eff[k - 2]].text;
-      const auto g = guards.find(recv);
-      const std::string mu =
-          g != guards.end()
-              ? g->second
-              : canonical_mutex(*ctx.project, *ctx.af, *ctx.def, f, eff,
-                                k - 2);
-      if (!mu.empty())
-        hold(mu, g != guards.end() ? recv : "", /*scoped=*/g != guards.end());
-      continue;
-    }
-    if (methodish && tok.text == "unlock") {
-      const std::string recv = t[eff[k - 2]].text;
-      const auto g = guards.find(recv);
-      const std::string mu = g != guards.end()
-                                 ? g->second
-                                 : canonical_mutex(*ctx.project, *ctx.af,
-                                                   *ctx.def, f, eff, k - 2);
-      held.erase(std::remove_if(held.begin(), held.end(),
-                                [&](const Held& h) { return h.mutex == mu; }),
-                 held.end());
-      continue;
-    }
     if (methodish && (tok.text == "wait" || tok.text == "wait_for" ||
                       tok.text == "wait_until")) {
       // First argument: the unique_lock the wait releases.
       std::string released;
-      if (k + 2 < eff.size() && t[eff[k + 2]].kind == TokKind::kIdent) {
-        const std::string& arg = t[eff[k + 2]].text;
-        const auto g = guards.find(arg);
-        released = g != guards.end()
-                       ? g->second
-                       : canonical_mutex(*ctx.project, *ctx.af, *ctx.def, f,
-                                         eff, k + 2);
-      }
+      if (k + 2 < eff.size() && t[eff[k + 2]].kind == TokKind::kIdent)
+        released = locks.mutex_named_at(eff[k + 2]);
       if (ctx.rep != nullptr) {
         for (const Held& h : held) {
           if (h.mutex == released) continue;
@@ -316,7 +150,7 @@ void walk_stmt(WalkCtx& ctx, const Stmt& s, std::vector<Held>& held,
       }
       continue;
     }
-    if (methodish && dispatch_method(tok.text)) {
+    if (methodish && dispatch_method_name(tok.text)) {
       const std::string recv = t[eff[k - 2]].text;
       if (recv.find("pool") != std::string::npos && ctx.rep != nullptr &&
           !held.empty()) {
@@ -332,9 +166,8 @@ void walk_stmt(WalkCtx& ctx, const Stmt& s, std::vector<Held>& held,
     // std::thread t(...) / async(...) construction under a lock.
     if ((tok.text == "thread" || tok.text == "async" || tok.text == "jthread")
         && ctx.rep != nullptr && !held.empty()) {
-      const bool std_qualified =
-          k >= 2 && is_punct(t[eff[k - 1]], "::") &&
-          t[eff[k - 2]].kind == TokKind::kIdent && t[eff[k - 2]].text == "std";
+      const bool std_qualified = k >= 2 && is_punct(t[eff[k - 1]], "::") &&
+                                 is_ident(t[eff[k - 2]], "std");
       if (std_qualified) {
         ctx.rep->report(f, line, kRule,
                         "'" + held.front().mutex +
@@ -347,8 +180,7 @@ void walk_stmt(WalkCtx& ctx, const Stmt& s, std::vector<Held>& held,
 
     // Interprocedural edges through the acquires-summary.
     const bool called = k + 1 < eff.size() && is_punct(t[eff[k + 1]], "(") &&
-                        !(k >= 1 && t[eff[k - 1]].kind == TokKind::kPunct &&
-                          t[eff[k - 1]].text == "::" && k >= 2 &&
+                        !(k >= 2 && is_punct(t[eff[k - 1]], "::") &&
                           t[eff[k - 2]].text == "std");
     if (called && ctx.summary != nullptr && !held.empty() &&
         tok.text != ctx.def->name) {
@@ -360,11 +192,10 @@ void walk_stmt(WalkCtx& ctx, const Stmt& s, std::vector<Held>& held,
 }
 
 void walk_def(WalkCtx& ctx) {
+  LockReader locks(*ctx.project, *ctx.af, ctx.def->class_name);
   std::vector<Held> held;
-  std::map<std::string, std::string> guards;
-  for (const Stmt& s :
-       linear_statements(ctx.af->lex, *ctx.def))
-    walk_stmt(ctx, s, held, guards);
+  for (const Stmt& s : linear_statements(ctx.af->lex, *ctx.def))
+    walk_stmt(ctx, locks, s, held);
 }
 
 }  // namespace

@@ -41,10 +41,6 @@ constexpr unsigned kAcc = 2u;  ///< scalar accumulator initialized to 0
 
 constexpr const char* kRule = "log-domain";
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
 /// Functions whose result is a log-domain value.
 bool log_fn(const std::string& n) {
   static const std::set<std::string> kFns = {
@@ -75,24 +71,6 @@ bool type_word(const std::string& w) {
       "auto",   "size_t", "short", "char",   "bool",     "signed",
   };
   return kTypes.count(w) > 0;
-}
-
-/// Skips lambda bodies, returning effective token indices of [b, e).
-std::vector<std::size_t> effective(const LexedFile& f, std::size_t b,
-                                   std::size_t e) {
-  std::vector<std::size_t> out;
-  const auto& t = f.tokens;
-  for (std::size_t i = b; i < e && i < t.size(); ++i) {
-    if (t[i].kind == TokKind::kPunct && t[i].text == "[") {
-      const std::size_t past = lambda_end(f, i, e);
-      if (past != i) {
-        i = past - 1;
-        continue;
-      }
-    }
-    out.push_back(i);
-  }
-  return out;
 }
 
 /// Does the expression over effective indices [from, to) produce a
@@ -265,10 +243,10 @@ void transfer_log(const LexedFile& f, const Stmt& s, VarState& state,
                   const std::set<std::string>& summary,
                   const std::string& def_name,
                   std::set<std::string>* summary_out) {
-  const std::vector<std::size_t> eff = effective(f, s.begin, s.end);
+  const std::vector<std::size_t> eff = effective_tokens(f, s.begin, s.end);
   if (eff.empty()) return;
   const auto& t = f.tokens;
-  if (t[eff[0]].kind == TokKind::kIdent && t[eff[0]].text == "return") {
+  if (is_ident(t[eff[0]], "return")) {
     if (summary_out != nullptr &&
         produces_log(f, eff, 1, eff.size(), state, summary))
       summary_out->insert(def_name);
@@ -362,8 +340,7 @@ bool operand_log(const LexedFile& f, const std::vector<std::size_t>& eff,
   bool via_member = false;
   while (tok != nullptr && tok->kind == TokKind::kIdent) {
     const Token* next = tok_at(k + 1);
-    const bool called = next != nullptr && next->kind == TokKind::kPunct &&
-                        next->text == "(";
+    const bool called = next != nullptr && is_punct(*next, "(");
     if (called && (exp_fn(tok->text) || log_fn(tok->text))) return false;
     if (called && !via_member && summary.count(tok->text) > 0) return true;
     if (log_name(tok->text)) return true;
@@ -466,7 +443,7 @@ void pass_logdomain(const Project& project, Reporter& rep) {
     }
 
     fa.replay([&](const Stmt& s, const VarState& state) {
-      const std::vector<std::size_t> eff = effective(f, s.begin, s.end);
+      const std::vector<std::size_t> eff = effective_tokens(f, s.begin, s.end);
       if (eff.empty()) return;
       const std::size_t line = t[eff[0]].line;
 

@@ -18,14 +18,6 @@
 
 namespace sysuq_analyze {
 
-namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
-}  // namespace
-
 void pass_obscontext(const Project& project, Reporter& rep) {
   for (const auto& af : project.files) {
     const auto& toks = af.lex.tokens;
@@ -45,7 +37,7 @@ void pass_obscontext(const Project& project, Reporter& rep) {
             t.text.find("pool") != std::string::npos &&
             i + 3 < def.body_end &&
             (is_punct(toks[i + 1], "->") || is_punct(toks[i + 1], ".")) &&
-            toks[i + 2].kind == TokKind::kIdent && toks[i + 2].text == "run" &&
+            is_ident(toks[i + 2], "run") &&
             is_punct(toks[i + 3], "(")) {
           dispatch_line = toks[i + 2].line;
         }

@@ -40,10 +40,6 @@ namespace {
 
 constexpr const char* kRule = "thread-escape";
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
 std::string lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
@@ -57,21 +53,10 @@ struct WorkerLambda {
   DispatchKind kind = DispatchKind::kPool;
 };
 
-/// One past the matching close for the bracket at `i`.
-std::size_t match_forward(const LexedFile& f, std::size_t i, const char* open,
-                          const char* close, std::size_t end) {
-  int depth = 0;
-  for (; i < end; ++i) {
-    if (is_punct(f.tokens[i], open)) ++depth;
-    else if (is_punct(f.tokens[i], close) && --depth == 0) return i + 1;
-  }
-  return end;
-}
-
 /// True when the lambda introducer at `intro` captures anything by
 /// reference (`[&]`, `[&x]`, `[=, &x]`...).
 bool captures_by_ref(const LexedFile& f, std::size_t intro, std::size_t end) {
-  const std::size_t close = match_forward(f, intro, "[", "]", end);
+  const std::size_t close = match_bracket(f.tokens, intro, end, "[", "]");
   for (std::size_t i = intro + 1; i + 1 < close; ++i)
     if (is_punct(f.tokens[i], "&")) return true;
   return false;
@@ -135,7 +120,7 @@ std::vector<WorkerLambda> find_worker_lambdas(const LexedFile& f,
           (tok.text == "emplace_back" || tok.text == "push_back") &&
           recv.find("thread") != std::string::npos;
       if (pool_dispatch || thread_store) {
-        mark(i + 1, match_forward(f, i + 1, "(", ")", def.body_end),
+        mark(i + 1, match_bracket(t, i + 1, def.body_end, "(", ")"),
              pool_dispatch ? DispatchKind::kPool : DispatchKind::kThread);
       }
       continue;
@@ -149,8 +134,8 @@ std::vector<WorkerLambda> find_worker_lambdas(const LexedFile& f,
                        : is_punct(t[open], "{") ? "{"
                                                 : nullptr;
       if (ob == nullptr) continue;
-      mark(open, match_forward(f, open, ob, ob[0] == '(' ? ")" : "}",
-                               def.body_end),
+      mark(open,
+           match_bracket(t, open, def.body_end, ob, ob[0] == '(' ? ")" : "}"),
            DispatchKind::kThread);
     }
   }

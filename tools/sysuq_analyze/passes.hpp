@@ -11,9 +11,10 @@
 //   contracts    — every non-inline public function declared in a
 //                  module header executes a SYSUQ_EXPECT /
 //                  SYSUQ_ASSERT_PROB* / SYSUQ_ENSURE in its definition.
-//   locks        — in files owning a std::mutex: non-atomic member
-//                  writes outside a lock scope, and .load/.store with a
-//                  stricter-than-declared memory order.
+//   locks        — in classes owning a std::mutex: non-atomic member
+//                  writes while lockscope.hpp's walker holds no lock,
+//                  and .load/.store with a stricter-than-declared
+//                  memory order.
 //   mutate       — member mutations preceding the last precondition
 //                  check in a function (the PR-2 set_cpt bug class).
 //   arena        — arena-escape dataflow: thread_scratch()/Arena views
