@@ -30,7 +30,9 @@
 //  * three memos (bayesnet/memo.hpp) hold the reusable work: the
 //    per-signature min-fill plans of an engine without a network plan,
 //    and calibrated junction trees and BP runs per full evidence
-//    *assignment*;
+//    *assignment*. Each is a hash map whose hash mixes every variable id
+//    (and state) of its key, so a repeated call costs one hash and one
+//    key comparison; no memo evicts yet;
 //  * `query_batch` fans a vector of (query, evidence) pairs across a
 //    fixed thread pool; results are deterministic and independent of the
 //    thread count because every query's slot and arithmetic are fixed up
@@ -272,8 +274,8 @@ class InferenceEngine {
   // a tree compiled per signature.
   using OrderingKey = std::vector<VariableId>;
   // Key: the full evidence assignment (sorted key/value pairs). Exact —
-  // calibrated beliefs depend on evidence values, so signatures that a
-  // lossy hash would conflate stay distinct by construction.
+  // calibrated beliefs depend on evidence values, and the memo's hash
+  // only picks a bucket, so two assignments never share an entry.
   using TreeKey = std::vector<std::pair<VariableId, std::size_t>>;
 
   const BayesianNetwork& net_;              // sysuq-thread-confined(init)

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -29,6 +30,7 @@ struct BpMetrics {
   obs::Counter& nonconverged;
   obs::Counter& blanket_configs;
   obs::Counter& relaxed_blankets;
+  obs::Counter& sweeps_reused;
   obs::Histogram& iterations;
   obs::Histogram& residual;
   obs::Histogram& bound_width;
@@ -40,6 +42,7 @@ struct BpMetrics {
         reg.counter("bayesnet.bp.nonconverged"),
         reg.counter("bayesnet.bp.blanket_configs"),
         reg.counter("bayesnet.bp.relaxed_blankets"),
+        reg.counter("bayesnet.bp.sweeps_reused"),
         reg.histogram("bayesnet.bp.iterations", obs::count_buckets()),
         reg.histogram(
             "bayesnet.bp.residual",
@@ -333,6 +336,65 @@ struct LoopyBP::FactorGraph {
   // Sweep scratch: the prefix-product tables and the suffix sums.
   std::vector<double> prefix, suffix;
 
+  // Sweep reuse. A sweep is a deterministic function of the factor's
+  // table and the var->factor messages it reads, so a tracked factor that
+  // reads bitwise the messages of its last sweep writes that sweep's
+  // outputs again (update()). A factor is tracked when its table has at
+  // least kReuseCells times as many cells as it reads message entries;
+  // below that, comparing and copying cost about what the sweep does
+  // (no factor of a binary grid is tracked).
+  static constexpr std::size_t kReuseCells = 4;
+  enum class Reuse : std::uint8_t { kUntracked, kEmpty, kReady };
+  std::vector<Reuse> reuse;  // per factor
+  // What each tracked factor read and wrote at its last sweep, in
+  // to_factor's and to_var's layout; allocated at the first tracked sweep.
+  std::vector<double> last_read, last_sent;
+  std::size_t sweeps_reused = 0;
+
+  /// Marks the factors worth tracking; run once the edges are laid out.
+  void track_reuse() {
+    reuse.assign(factors.size(), Reuse::kUntracked);
+    for (std::size_t fi = 0; fi < factors.size(); ++fi) {
+      if (factors[fi].values().size() >= kReuseCells * message_entries(fi))
+        reuse[fi] = Reuse::kEmpty;
+    }
+  }
+
+  /// The entries of factor fi's messages, which sit back to back from
+  /// its first edge's offset in to_var and to_factor alike.
+  [[nodiscard]] std::size_t message_entries(std::size_t fi) const {
+    const Edge& last = edges[first_edge[fi] + factors[fi].scope().size() - 1];
+    return last.msg + last.card - edges[first_edge[fi]].msg;
+  }
+
+  /// sweep(fi, out), or, when factor fi is tracked and every
+  /// var->factor message it reads is bitwise the one its last sweep
+  /// read, that sweep's outputs written to `out` again.
+  void update(std::size_t fi, double* out) {
+    if (reuse[fi] == Reuse::kUntracked) return sweep(fi, out);
+    update_tracked(fi, out);
+  }
+
+  // Out of line, so an untracked factor pays one load and one branch
+  // (inlined, the tracked path cost ~1% per 25x25 grid run, 4-vCPU VM).
+  [[gnu::noinline]] void update_tracked(std::size_t fi, double* out) {
+    const std::size_t at = edges[first_edge[fi]].msg;
+    const std::size_t n = message_entries(fi);
+    const double* in = to_factor.data() + at;
+    if (reuse[fi] == Reuse::kReady &&
+        std::memcmp(in, last_read.data() + at, n * sizeof(double)) == 0) {
+      std::copy_n(last_sent.data() + at, n, out + at);
+      ++sweeps_reused;
+      return;
+    }
+    sweep(fi, out);
+    last_read.resize(to_factor.size());
+    last_sent.resize(to_var.size());
+    std::copy_n(in, n, last_read.data() + at);
+    std::copy_n(out + at, n, last_sent.data() + at);
+    reuse[fi] = Reuse::kReady;
+  }
+
   /// Writes the undamped update of every message factor `fi` sends into
   /// `out` (same layout as to_var, not normalized), from the current
   /// var->factor messages; see the file comment of loopy_bp.hpp.
@@ -505,6 +567,7 @@ LoopyBP::LoopyBP(const BayesianNetwork& net, const Evidence& evidence,
 
   auto& metrics = BpMetrics::instance();
   metrics.runs.inc();
+  metrics.sweeps_reused.inc(graph.sweeps_reused);
   if (!impossible_ && !converged_) metrics.nonconverged.inc();
   metrics.iterations.observe(static_cast<double>(iterations_));
   if (std::isfinite(final_residual_)) metrics.residual.observe(final_residual_);
@@ -549,6 +612,7 @@ void LoopyBP::build_factor_graph(FactorGraph& g) {
                 1.0 / static_cast<double>(e.card));
   }
   g.to_factor = g.to_var;
+  g.track_reuse();
 }
 
 void LoopyBP::run_message_passing(FactorGraph& g) {
@@ -571,7 +635,7 @@ void LoopyBP::run_message_passing(FactorGraph& g) {
 
     // Phase 1: every factor->var message from the old var->factor set.
     for (std::size_t fi = 0; fi < g.factors.size(); ++fi) {
-      g.sweep(fi, staged.data());
+      g.update(fi, staged.data());
     }
     if (!normalize_all(staged)) {
       impossible_ = true;
@@ -623,7 +687,7 @@ void LoopyBP::run_message_passing(FactorGraph& g) {
   // input b_e of the contraction system, read only on acyclic graphs —
   // and, on every graph, flags impossible evidence as zero mass.
   for (std::size_t fi = 0; fi < g.factors.size(); ++fi) {
-    g.sweep(fi, staged.data());
+    g.update(fi, staged.data());
   }
   if (!normalize_all(staged)) impossible_ = true;
 }

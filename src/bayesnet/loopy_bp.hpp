@@ -80,6 +80,16 @@
 // m' = (1-lambda)*update + lambda*m applies to the factor->var half.
 // The schedule is sequential and fixed, so posteriors are
 // byte-identical across runs and independent of any thread count.
+// A factor's sweep is a deterministic function of its table and the
+// var->factor messages it reads, so a factor whose table has at least 4x
+// as many cells as it reads message entries keeps what it read and wrote
+// at its last sweep, and when every message it reads is bitwise the same
+// again, it writes those outputs instead of sweeping (counter
+// `bayesnet.bp.sweeps_reused`). Every message, residual, iteration count,
+// flag and interval is the one the sweep would give, damped or not. A
+// noisy-OR fan-in's child factor reuses its sweep at iteration 3, where
+// the run converges, and in the closing sweep; no factor of a binary
+// grid has that many cells, so grids run the plain sweeps.
 //
 // Impossible evidence (P(e) = 0) is detected when a message or belief
 // normalizes to zero mass (generalized arc consistency — sound, since

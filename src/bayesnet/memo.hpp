@@ -1,7 +1,14 @@
-// Memo: the inference engine's one cache type — a thread-safe map from a
-// key to a value built on first use, with per-instance hit/miss/entry
-// counts and their process-wide obs mirrors. Lazy, below, holds one
-// unkeyed value built once.
+// Memo: the inference engine's one cache type — a thread-safe hash map
+// from a key to a value built on first use, with per-instance
+// hit/miss/entry counts and their process-wide obs mirrors. Lazy, below,
+// holds one unkeyed value built once.
+//
+// Keys are sequences — an evidence signature (variable ids) or an
+// evidence assignment ((id, state) pairs) — and KeyHash mixes every
+// element of one, in order. The hash only picks a bucket: keys still
+// compare whole, so two assignments never share an entry. A memo keeps
+// every entry until clear(); bounding it (an entry or byte budget with
+// eviction) is still open.
 //
 // A miss builds its value outside the lock, so a slow build (an ordering
 // heuristic, a junction-tree calibration, a BP run) never serializes
@@ -14,12 +21,14 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/registry.hpp"
 
@@ -36,6 +45,29 @@ struct CacheStats {
     const std::size_t lookups = hits + misses;
     if (lookups == 0) return 0.0;
     return static_cast<double>(hits) / static_cast<double>(lookups);
+  }
+};
+
+/// Memo's hash of a sequence key: every element (both members of a
+/// pair) joins the state by one multiply, in order, and a splitmix64
+/// finalizer spreads the result over the bucket index.
+struct KeyHash {
+  template <class T>
+  std::size_t operator()(const std::vector<T>& key) const noexcept {
+    std::uint64_t h = key.size();
+    for (const T& x : key) h = mix(h, x);
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<std::size_t>(h ^ (h >> 31));
+  }
+
+ private:
+  static std::uint64_t mix(std::uint64_t h, std::uint64_t x) noexcept {
+    return (h ^ x) * 0x9e3779b97f4a7c15ULL;
+  }
+  template <class A, class B>
+  static std::uint64_t mix(std::uint64_t h, const std::pair<A, B>& x) noexcept {
+    return mix(mix(h, x.first), x.second);
   }
 };
 
@@ -120,7 +152,7 @@ class Memo {
 
  private:
   mutable std::mutex mu_;
-  std::map<Key, Value> map_;  // sysuq-guarded-by(mu_)
+  std::unordered_map<Key, Value, KeyHash> map_;  // sysuq-guarded-by(mu_)
   std::size_t hits_ = 0;      // sysuq-guarded-by(mu_)
   std::size_t misses_ = 0;    // sysuq-guarded-by(mu_)
   // Registry mirrors.  sysuq-thread-confined(init)

@@ -45,12 +45,16 @@ NodeId FaultTree::add_gate(const std::string& name, GateType type,
     if (n.name == name)
       throw std::invalid_argument("FaultTree: duplicate name '" + name + "'");
   }
-  SYSUQ_EXPECT(!children.empty(), "FaultTree: gate with no children");
+  // The gate's shape is checked in every build mode: evaluation reads a
+  // NOT gate's first child, and the cut-set expansion indexes k of the
+  // children and would never finish at k = 0.
+  if (children.empty())
+    throw std::invalid_argument("FaultTree: gate with no children");
   for (NodeId c : children) check_id(c);  // children precede gate: acyclic
-  SYSUQ_EXPECT(type != GateType::kNot || children.size() == 1,
-               "FaultTree: NOT gate needs exactly one child");
-  SYSUQ_EXPECT(type != GateType::kKooN || (k >= 1 && k <= children.size()),
-               "FaultTree: KooN needs 1 <= k <= n");
+  if (type == GateType::kNot && children.size() != 1)
+    throw std::invalid_argument("FaultTree: NOT gate needs exactly one child");
+  if (type == GateType::kKooN && (k < 1 || k > children.size()))
+    throw std::invalid_argument("FaultTree: KooN needs 1 <= k <= n");
   Node n;
   n.name = name;
   n.is_basic = false;

@@ -35,7 +35,9 @@ class FaultTree {
   NodeId add_basic_event(const std::string& name, double probability);
 
   /// Adds a gate over existing nodes. For kKooN, `k` must satisfy
-  /// 1 <= k <= children.size(); for kNot exactly one child.
+  /// 1 <= k <= children.size(); for kNot exactly one child. A gate
+  /// without children or breaking either rule throws
+  /// std::invalid_argument in every build mode.
   NodeId add_gate(const std::string& name, GateType type,
                   std::vector<NodeId> children, std::size_t k = 0);
 

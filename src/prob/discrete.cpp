@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -23,10 +22,18 @@ Categorical::Categorical(std::span<const double> probs) : Categorical(probs.size
 }
 
 Categorical Categorical::normalized(std::span<const double> weights) {
-  SYSUQ_EXPECT(contracts::is_finite_nonneg(weights),
+  // One left-to-right pass checks each weight as it joins the sum, which
+  // starts at 0.0; a bad weight is reported before a zero or overflowing
+  // sum.
+  bool finite_nonneg = true;
+  double sum = 0.0;
+  for (const double w : weights) {
+    finite_nonneg = finite_nonneg && std::isfinite(w) && w >= 0.0;
+    sum += w;
+  }
+  SYSUQ_EXPECT(finite_nonneg,
                "Categorical::normalized: weights must be finite and "
                "non-negative");
-  const double sum = std::accumulate(weights.begin(), weights.end(), 0.0);
   SYSUQ_EXPECT(sum > 0.0, "Categorical::normalized: all weights zero");
   SYSUQ_EXPECT(std::isfinite(sum), "Categorical::normalized: weight sum overflow");
   Categorical c(weights.size());

@@ -14,7 +14,9 @@
 // copy of the per-edge update they replaced, and its coalesced blanket
 // certificate, bit for bit, to an in-test copy of the odometer
 // enumeration it replaced; a run certifying one variable matches the
-// full run on that variable bit for bit. On the same pairs, the
+// full run on that variable bit for bit. A noisy-OR fan-in's run reuses
+// its child factor's last two sweeps, and a grid's run reuses none, each
+// still matching the per-edge reference. On the same pairs, the
 // bucketed elimination executor is pinned bit for bit to an in-test copy
 // of the live-scan core it replaced. VE's requisite-set pruning is
 // checked against the enumeration oracle and an in-test Bayes-ball on
@@ -49,6 +51,7 @@
 #include "bayesnet/loopy_bp.hpp"
 #include "bayesnet/ordering.hpp"
 #include "bayesnet/profile.hpp"
+#include "obs/registry.hpp"
 #include "sys/decomposition.hpp"
 #include "core/tolerance.hpp"
 #include "fta/fta_to_bn.hpp"
@@ -789,6 +792,24 @@ bn::BayesianNetwork noisy_or_pair(pr::Rng& rng, std::size_t parents, double leak
   return net;
 }
 
+// A noisy-OR child of `parents` binary causes, each with its own prior:
+// the shape of perfbench's bounded_bp_fanin, on fewer parents.
+bn::BayesianNetwork noisy_or_fan_in(pr::Rng& rng, std::size_t parents) {
+  bn::BayesianNetwork net;
+  std::vector<bn::VariableId> causes;
+  std::vector<double> links;
+  for (std::size_t i = 0; i < parents; ++i) {
+    const auto id = net.add_variable("p" + std::to_string(i), {"off", "on"});
+    const double p = 0.05 + 0.45 * rng.uniform();
+    net.set_cpt(id, {}, {pr::Categorical({1.0 - p, p})});
+    causes.push_back(id);
+    links.push_back(0.2 + 0.7 * rng.uniform());
+  }
+  const auto child = net.add_variable("child", {"false", "true"});
+  net.set_cpt(child, std::move(causes), bn::noisy_or_cpt(links, 0.01));
+  return net;
+}
+
 }  // namespace
 
 // ---- VE vs JT over generated network/evidence pairs ----
@@ -1150,6 +1171,67 @@ TEST(Differential, SingleVariableCertificateMatchesTheFullRun) {
   }
   EXPECT_GE(runs, 1500u) << impossible;
   EXPECT_GE(impossible, 20u) << runs;
+}
+
+TEST(Differential, FanInRunReusesItsLastTwoSweeps) {
+  // The child's factor reads the unobserved parents' prior messages, fixed
+  // from iteration 1 on, and a uniform message from the child, so at
+  // iteration 3 it reads bitwise what it read at iteration 2: the run
+  // converges there and writes the child factor's outputs again instead
+  // of sweeping, at iteration 3 and in the closing sweep. With u >= 5
+  // parents unobserved the factor's 2^(u+1) cells are at least 4x the
+  // 2(u+1) message entries it reads, so it is tracked. Damped or not,
+  // every run matches the reference per-edge update.
+  auto& reused = sysuq::obs::Registry::global().counter("bayesnet.bp.sweeps_reused");
+  const std::uint64_t on = sysuq::obs::metrics_enabled() ? 1 : 0;
+  pr::Rng rng(differential_seed() + 29);
+  for (std::size_t t = 0; t < 20; ++t) {
+    const std::size_t parents = 9 + rng.uniform_index(4);  // 9..12
+    const auto net = noisy_or_fan_in(rng, parents);
+    bn::Evidence ev;
+    const std::size_t observed = 2 + rng.uniform_index(3);  // 2..4
+    while (ev.size() < observed) ev[rng.uniform_index(parents)] = rng.uniform_index(2);
+    const std::string at = "fan-in " + std::to_string(t);
+
+    auto before = reused.value();
+    const bn::LoopyBP bp(net, ev);
+    EXPECT_EQ(reused.value() - before, on * 2) << at;
+    EXPECT_EQ(bp.iterations(), 3u) << at;
+    ASSERT_TRUE(matches_reference_bp(bp, net, ev, {})) << at;
+
+    bn::LoopyBP::Options damped;
+    damped.damping = 0.5;
+    ASSERT_TRUE(matches_reference_bp(bn::LoopyBP(net, ev, damped), net, ev, damped))
+        << at << " (damped)";
+
+    // The engine's fresh query_bounded runs the same messages.
+    before = reused.value();
+    const bn::InferenceEngine engine(net, {.threads = 1});
+    const auto bounded = engine.query_bounded(parents, ev);
+    EXPECT_EQ(reused.value() - before, on * 2) << at;
+    EXPECT_EQ(bounded.point.p(1), bp.query(parents).point.p(1)) << at;
+  }
+}
+
+TEST(Differential, GridRunReusesNoSweepAndMatchesTheReference) {
+  // A binary grid's factors read as many message entries as their tables
+  // have cells, or more than a quarter of them, so none is tracked: no
+  // sweep is reused, and the messages still match the reference per-edge
+  // update, damped or not.
+  auto& reused = sysuq::obs::Registry::global().counter("bayesnet.bp.sweeps_reused");
+  const auto net = grid_network(12, 12);
+  pr::Rng rng(differential_seed() + 31);
+  for (std::size_t t = 0; t < 3; ++t) {
+    bn::Evidence ev;
+    while (ev.size() < 6) ev[rng.uniform_index(net.size())] = rng.uniform_index(2);
+    const auto before = reused.value();
+    ASSERT_TRUE(matches_reference_bp(bn::LoopyBP(net, ev), net, ev, {})) << "grid " << t;
+    bn::LoopyBP::Options damped;
+    damped.damping = 0.5;
+    ASSERT_TRUE(matches_reference_bp(bn::LoopyBP(net, ev, damped), net, ev, damped))
+        << "grid " << t << " (damped)";
+    EXPECT_EQ(reused.value(), before) << "grid " << t;
+  }
 }
 
 TEST(Differential, EngineBackendsAgreeOnBatches) {

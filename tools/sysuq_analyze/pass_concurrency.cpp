@@ -105,8 +105,9 @@ void check_lock_discipline(const Project& project, const AnalyzedFile& af,
           rep.report(f, tok.line, "lock-discipline",
                      "write to non-atomic member '" + m->name + "' of '" +
                          ci.name +
-                         "' (a mutex-owning class) outside a lock_guard/"
-                         "unique_lock scope");
+                         "' (a mutex-owning class) while no lock is held "
+                         "(take one with a lock_guard, unique_lock, "
+                         "scoped_lock or shared_lock)");
         }
       });
 }

@@ -23,9 +23,10 @@ constexpr std::array<RuleDoc, 15> kRules = {{
      "execute SYSUQ_EXPECT / SYSUQ_ASSERT_PROB* / SYSUQ_ENSURE in its "
      "definition."},
     {"lock-discipline",
-     "In classes owning a std::mutex: no non-atomic member writes outside "
-     "a lock_guard/unique_lock scope, and no .load()/.store() with a "
-     "memory order stricter than the member's declared ceiling."},
+     "In classes owning a std::mutex: no non-atomic member write while no "
+     "lock is held by a lock_guard, unique_lock, scoped_lock or "
+     "shared_lock, and no .load()/.store() with a memory order stricter "
+     "than the member's declared ceiling."},
     {"validate-before-mutate",
      "No member mutation may precede the function's last precondition "
      "check; a throwing contract must not leave the object half-mutated."},
