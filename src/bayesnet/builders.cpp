@@ -43,8 +43,9 @@ std::vector<prob::Categorical> ranked_node_cpt(
     const std::vector<std::size_t>& parent_cards,
     const std::vector<double>& weights, std::size_t child_card, double sigma) {
   SYSUQ_EXPECT(!parent_cards.empty(), "ranked_node_cpt: no parents");
-  SYSUQ_EXPECT(weights.size() == parent_cards.size(),
-               "ranked_node_cpt: weight count mismatch");
+  // A hard throw in every build mode: each row reads one weight per parent.
+  if (weights.size() != parent_cards.size())
+    throw std::invalid_argument("ranked_node_cpt: weight count mismatch");
   SYSUQ_EXPECT(child_card >= 2, "ranked_node_cpt: child_card < 2");
   SYSUQ_EXPECT(sigma > 0.0, "ranked_node_cpt: sigma <= 0");
   SYSUQ_EXPECT(contracts::is_finite_nonneg(weights),

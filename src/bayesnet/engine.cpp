@@ -312,7 +312,7 @@ std::shared_ptr<const JunctionTree> InferenceEngine::calibrated_tree_for(
     if (const auto structure = network_tree())
       return std::make_shared<const JunctionTree>(*structure, evidence);
     return std::make_shared<const JunctionTree>(
-        JunctionTreeStructure(net_, ordering ? *ordering : *ordering_for(evidence)),
+        JunctionTreeStructure(net_, ordering ? *ordering : *ordering_for(evidence), evidence),
         evidence);
   });
 }

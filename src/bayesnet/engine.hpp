@@ -26,7 +26,8 @@
 //    junction-tree structure compiled from it, spanning every variable,
 //    serves every calibration. Otherwise each evidence *keys* signature
 //    (any values, any query variable) runs min-fill once, and each
-//    calibration compiles a tree from its signature's plan;
+//    calibration compiles a tree from its signature's plan with the
+//    assignment's observed states compiled in;
 //  * three memos (bayesnet/memo.hpp) hold the reusable work: the
 //    per-signature min-fill plans of an engine without a network plan,
 //    and calibrated junction trees and BP runs per full evidence
@@ -316,7 +317,8 @@ class InferenceEngine {
   [[nodiscard]] std::shared_ptr<const JunctionTreeStructure> network_tree() const;
   /// The calibrated tree for `evidence`, built on a miss and memoized: a
   /// calibration of network_tree(), or, without one, of a structure
-  /// compiled from `ordering` (the signature's cached one when null).
+  /// compiled from `ordering` (the signature's cached one when null) and
+  /// `evidence`.
   [[nodiscard]] std::shared_ptr<const JunctionTree> calibrated_tree_for(
       const Evidence& evidence,
       const std::shared_ptr<const EliminationOrdering>& ordering) const;

@@ -68,12 +68,12 @@ std::vector<std::uint32_t> index_map(const BayesianNetwork& net,
 }  // namespace
 
 JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
-                                             const EliminationOrdering& ordering)
+                                             const EliminationOrdering& ordering,
+                                             const Evidence& evidence)
     : net_(net) {
   const obs::Span span("bayesnet.jt.compile");
   const std::size_t n = net_.size();
   reader_.resize(n);
-  Evidence omitted;  // the replay reads only its keys
   {
     std::vector<char> named(n, 0);
     for (const VariableId v : ordering.order) {
@@ -83,9 +83,15 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
             "each at most once");
     }
     for (VariableId v = 0; v < n; ++v) {
-      if (named[v] == 0) omitted.emplace_hint(omitted.end(), v, 0);
+      if (named[v] != 0) continue;
+      const auto it = evidence.find(v);
+      if (it == evidence.end())
+        throw std::invalid_argument(
+            "JunctionTreeStructure: every variable the ordering omits must be observed");
+      omitted_.emplace_hint(omitted_.end(), v, it->second);
     }
   }
+  net_.check_evidence(omitted_);
 
   // 1: the ordering's replay has one step per spanned variable, and its
   // elimination tree is a clique tree (Blair & Peyton 1993): step i's
@@ -94,7 +100,7 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
   // child's is that child's scope minus the child's variable — not
   // maximal — and joins the child's clique; every non-maximal step has
   // such a child, so the rest are the maximal cliques, in step order.
-  const auto steps = simulate_elimination(net_, omitted, ordering.order, /*keep=*/{});
+  const auto steps = simulate_elimination(net_, omitted_, ordering.order, /*keep=*/{});
   std::vector<std::vector<VariableId>> cliques;
   const std::size_t k = steps.size();
   std::vector<std::size_t> step_of(n, kNone);
@@ -172,47 +178,45 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
 
   // 4: potentials. Every CPT lands in the clique of its earliest-
   // eliminated spanned family member (that step's scope merged the whole
-  // spanned family). A CPT over spanned variables only is multiplied in
-  // here, once; one holding an omitted variable waits for the evidence
-  // that fixes its omitted dimensions, reading the network's table. A
-  // wholly omitted family has no clique: its entry is a constant factor
-  // of P(e).
+  // spanned family) and is multiplied in once: the stored table, or, when
+  // the family holds an omitted variable, the table reduced by the
+  // omitted states. The stored tables go first, then the reduced ones,
+  // each in id order. A wholly omitted family has no clique: its one
+  // entry is a constant factor of P(e), and `log_constant_` sums the logs
+  // of those entries in id order (-inf once one is 0).
   potentials_.assign(cells, 1.0);
+  const auto multiply = [&](const Factor& f) {
+    std::size_t first = kNone;
+    for (const VariableId u : f.scope()) first = std::min(first, step_of[u]);
+    const std::size_t home = clique_of[first];
+    double* pot = potentials_.data() + tree_[home].offset;
+    const double* values = f.values().data();
+    walk(net_, cliques[home], f.scope(),
+         [&](std::size_t x, std::size_t j) { pot[x] *= values[j]; });
+  };
+  std::vector<VariableId> reduced;
   for (VariableId v = 0; v < n; ++v) {
     const Factor& f = net_.cpt_factor(v);
-    const auto& scope = f.scope();
-    std::size_t first = kNone;
-    bool spanned = true;
-    for (const VariableId u : scope) {
-      if (omitted.contains(u)) {
-        spanned = false;
-      } else {
-        first = std::min(first, step_of[u]);
-      }
+    if (std::ranges::any_of(f.scope(), [&](VariableId u) { return omitted_.contains(u); }))
+      reduced.push_back(v);
+    else
+      multiply(f);
+  }
+  for (const VariableId v : reduced) {
+    const Factor f = net_.cpt_factor(v, omitted_);
+    if (!f.scope().empty()) {
+      multiply(f);
+    } else {
+      const double p = f.values()[0];
+      log_constant_ += p > 0.0 ? std::log(p) : -std::numeric_limits<double>::infinity();
     }
-    const std::size_t home = first == kNone ? kNone : clique_of[first];
-    if (spanned) {
-      double* pot = potentials_.data() + tree_[home].offset;
-      const double* values = f.values().data();
-      walk(net_, cliques[home], scope,
-           [&](std::size_t x, std::size_t j) { pot[x] *= values[j]; });
-      continue;
-    }
-    ReducedCpt r{home, f.values().data(), {}, {}};
-    if (home != kNone) r.cell = index_map(net_, cliques[home], scope);
-    const std::vector<std::size_t> strides = strides_in(net_, scope, scope);
-    for (std::size_t d = 0; d < scope.size(); ++d) {
-      if (omitted.contains(scope[d])) r.omitted.emplace_back(scope[d], strides[d]);
-    }
-    reduced_.push_back(std::move(r));
   }
 
   // 5: zeros, by a boolean collect: a cell is live when its potential is
   // nonzero and, for every child, some live child cell sums onto its
-  // separator cell. The reduced CPTs count as nonzero everywhere. Every
-  // child precedes its parent in the reversed order, so a clique's cells
-  // are final when it sends. A dead cell's potential becomes 0, as the
-  // collect would make it.
+  // separator cell. Every child precedes its parent in the reversed
+  // order, so a clique's cells are final when it sends. A dead cell's
+  // potential becomes 0, as the collect would make it.
   std::vector<char> live(cells);
   for (std::size_t x = 0; x < cells; ++x)
     live[x] = potentials_[x] != 0.0;  // sysuq-lint-allow(float-eq): exact zeros only
@@ -256,8 +260,10 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
 }
 
 JunctionTree::JunctionTree(const BayesianNetwork& net, const Evidence& evidence)
-    : JunctionTree(JunctionTreeStructure(net, compute_elimination_order(
-                                                  net, /*keep=*/{}, evidence_keys(evidence))),
+    : JunctionTree(JunctionTreeStructure(net,
+                                         compute_elimination_order(
+                                             net, /*keep=*/{}, evidence_keys(evidence)),
+                                         evidence),
                    evidence) {}
 
 JunctionTree::JunctionTree(const JunctionTreeStructure& structure,
@@ -269,10 +275,12 @@ JunctionTree::JunctionTree(const JunctionTreeStructure& structure,
       cells_(structure.cells()),
       live_cells_(structure.live_cells()) {
   net_.check_evidence(evidence_);
-  for (VariableId v = 0; v < net_.size(); ++v) {
-    if (!structure.spans(v) && !evidence_.contains(v))
+  for (const auto& [v, state] : structure.omitted_) {
+    const auto it = evidence_.find(v);
+    if (it == evidence_.end() || it->second != state)
       throw std::invalid_argument(
-          "JunctionTree: every variable the structure omits must be observed");
+          "JunctionTree: every variable the structure omits must be observed "
+          "at its compiled state");
   }
   const obs::Span span("bayesnet.jt.calibrate");
   auto& metrics = JtMetrics::instance();
@@ -302,23 +310,14 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
     arena.reset();
   };
 
-  // Potentials: the compiled products, times the CPTs that hold an
-  // omitted variable with that dimension fixed by its evidence, times a
-  // 0/1 indicator per observed spanned variable.
+  // log P(e) starts from the wholly omitted families' constant.
+  log_evidence_ = s.log_constant_;
+  if (std::isinf(log_evidence_)) return give_up();
+
+  // Potentials: the compiled products times a 0/1 indicator per observed
+  // spanned variable.
   double* belief = arena.alloc<double>(s.potentials_.size());
   std::copy(s.potentials_.begin(), s.potentials_.end(), belief);
-  for (const auto& r : s.reduced_) {
-    std::size_t at = 0;
-    for (const auto& [v, stride] : r.omitted) at += evidence_.at(v) * stride;
-    const double* values = r.values + at;
-    if (r.clique == JunctionTreeStructure::kNone) {
-      if (!(values[0] > 0.0)) return give_up();
-      log_evidence_ += std::log(values[0]);
-      continue;
-    }
-    double* b = belief + s.tree_[r.clique].offset;
-    for (std::size_t x = 0; x < r.cell.size(); ++x) b[x] *= values[r.cell[x]];
-  }
   for (const auto& [v, state] : evidence_) {
     const auto& at = s.reader_[v];
     if (at.clique == JunctionTreeStructure::kNone) continue;
@@ -399,6 +398,8 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
       for (std::size_t st = 0; st < at.card; ++st) {
         const double* cell = b + o + st * at.stride;
         double sum = 0.0;
+        // sysuq-lint-allow(log-domain): short per-block sums in a fixed
+        // order; a compensated total would move every marginal by ulps
         for (std::size_t j = 0; j < at.stride; ++j) sum += cell[j];
         acc[st] += sum;
       }

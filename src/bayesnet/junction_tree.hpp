@@ -12,8 +12,8 @@
 //
 // A tree has two halves (Lauritzen & Spiegelhalter 1988):
 //
-// * `JunctionTreeStructure` — compiled once from an elimination ordering,
-//   independent of evidence values:
+// * `JunctionTreeStructure` — compiled once from an elimination ordering
+//   and the states of the variables it omits:
 //    1. elimination cliques: the step scopes of `simulate_elimination`
 //       replaying the ordering with `keep = {}`; a step one variable
 //       smaller than an elimination-tree child joins that child's clique,
@@ -21,18 +21,20 @@
 //    2. clique tree: the elimination tree over those cliques (Blair &
 //       Peyton 1993), other components' roots joined to the root, and
 //       each separator's index map into its two cliques;
-//    3. potentials: every CPT over spanned variables only is multiplied
-//       into the clique of its earliest-eliminated variable, once;
-//    4. the clique each variable reads its marginal from (its smallest);
+//    3. the clique each variable reads its marginal from (its smallest);
+//    4. potentials: every CPT is multiplied into the clique of its
+//       earliest-eliminated variable, once. A CPT holding an omitted
+//       variable is first reduced by the omitted states, as
+//       `BayesianNetwork::cpt_factor(v, evidence)` reduces it; a wholly
+//       omitted family's one entry is a constant factor of P(e);
 //    5. zeros (Jensen & Andersen 1990): a boolean collect marks a cell
 //       *dead* when its potential is 0 or no *live* cell of a child sums
 //       onto its separator cell. Evidence only adds zeros, so a dead cell
 //       is 0 under every assignment; the separators' index maps keep only
-//       live cells, as (cell, separator cell) pairs. CPTs holding an
-//       omitted variable count as nonzero everywhere.
+//       live cells, as (cell, separator cell) pairs.
 //   The variables the ordering eliminates are the ones the structure
-//   *spans*; the others are *omitted* and must be observed whenever the
-//   structure is calibrated.
+//   *spans*; the others are *omitted*, and every calibration must observe
+//   them at the states the structure was compiled with.
 //
 // * `JunctionTree` — one calibration of a structure under one evidence
 //   assignment, numeric passes only: copy the compiled potentials, enter
@@ -42,21 +44,19 @@
 //   0.0 wherever they would read it, so the results are those of a pass
 //   over every cell, bit for bit. Messages are normalized as they flow
 //   and the log-normalizers accumulated, so P(e) is available in log
-//   space without underflow. Evidence enters in one of two ways:
-//    - on a spanned variable, as a 0/1 indicator in the clique it reads
-//      its marginal from;
-//    - on an omitted variable, by fixing that dimension of each CPT that
-//      holds it, as `BayesianNetwork::cpt_factor(v, evidence)` does,
-//      reading the network's table (the structure keeps no copy).
+//   space without underflow. Evidence enters one way: on a spanned
+//   variable, as a 0/1 indicator in the clique it reads its marginal
+//   from. Evidence on an omitted variable is already compiled in, so the
+//   calibration only checks it.
 //
 // `JunctionTree(net, evidence)` compiles a structure from the min-fill
 // ordering of the evidence keys (omitting exactly the observed
-// variables), then calibrates it. `InferenceEngine` compiles one
-// structure per network from its network-wide plan, which spans every
-// variable, and calibrates it per assignment. A calibrated tree keeps its
-// marginals and shares the structure's clique list; it keeps none of the
-// structure's tables, so a structure compiled for one calibration is
-// freed once it is built.
+// variables, at their observed states), then calibrates it once.
+// `InferenceEngine` compiles one structure per network from its
+// network-wide plan, which spans every variable, and calibrates it per
+// assignment. A calibrated tree keeps its marginals and shares the
+// structure's clique list; it keeps none of the structure's tables, so a
+// structure compiled for one calibration is freed once it is built.
 //
 // Impossible evidence (P(e) = 0) is detected during collect; the tree
 // then reports `log_evidence_probability() == -inf` and every marginal
@@ -74,7 +74,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "bayesnet/network.hpp"
@@ -88,12 +87,16 @@ namespace sysuq::bayesnet {
 /// `bayesnet.jt.compile` span and counts `bayesnet.jt.compiles`.
 class JunctionTreeStructure {
  public:
-  /// Compiles the clique tree that eliminating `ordering.order` induces
-  /// with every variable it does not name omitted. Throws
-  /// std::invalid_argument when the order names an unknown variable or
-  /// one variable twice.
+  /// Compiles the clique tree that eliminating `ordering.order` induces.
+  /// Every variable the order does not name is omitted and fixed at its
+  /// state in `evidence`; evidence on the variables it names is ignored.
+  /// Throws std::invalid_argument when the order names an unknown
+  /// variable or one variable twice, or when an omitted variable is not
+  /// observed, and std::out_of_range when an omitted state is past its
+  /// variable's cardinality.
   JunctionTreeStructure(const BayesianNetwork& net,
-                        const EliminationOrdering& ordering);
+                        const EliminationOrdering& ordering,
+                        const Evidence& evidence = {});
 
   [[nodiscard]] const BayesianNetwork& network() const { return net_; }
 
@@ -109,10 +112,6 @@ class JunctionTreeStructure {
   /// Cells that may be nonzero under some evidence (compile step 5): the
   /// ones collect and distribute visit.
   [[nodiscard]] std::size_t live_cells() const { return live_cells_; }
-  /// True when the ordering eliminates `v` (the structure spans it).
-  [[nodiscard]] bool spans(VariableId v) const {
-    return v < reader_.size() && reader_[v].clique != kNone;
-  }
 
  private:
   friend class JunctionTree;
@@ -142,26 +141,15 @@ class JunctionTreeStructure {
     std::size_t stride = 0;
     std::size_t card = 0;
   };
-  /// A CPT holding an omitted variable: the network's table, the cell
-  /// each home-clique cell reads with every omitted state 0, and the
-  /// stride of each omitted family member (evidence shifts the read by
-  /// state x stride). `clique` is kNone for a wholly omitted family, whose
-  /// one selected entry is a constant factor of P(e).
-  struct ReducedCpt {
-    std::size_t clique = kNone;
-    const double* values = nullptr;  ///< into `net_.cpt_factor(v)`
-    std::vector<std::uint32_t> cell;
-    std::vector<std::pair<VariableId, std::size_t>> omitted;
-  };
-
   const BayesianNetwork& net_;
   std::shared_ptr<const std::vector<std::vector<VariableId>>> cliques_;
   std::size_t max_clique_size_ = 0;
   std::vector<Clique> tree_;         ///< by clique index
   std::vector<std::size_t> order_;   ///< parents first; order_[0] is the root
-  std::vector<double> potentials_;   ///< spanned CPT products, flat by clique
+  std::vector<double> potentials_;   ///< CPT products, flat by clique
   std::size_t live_cells_ = 0;
-  std::vector<ReducedCpt> reduced_;
+  Evidence omitted_;                 ///< the omitted variables' states
+  double log_constant_ = 0.0;        ///< log of the wholly omitted families' entries
   std::vector<Reader> reader_;       ///< by variable; kNone clique when omitted
   std::size_t sep_cells_ = 0;
   std::size_t max_sep_size_ = 0;
@@ -179,7 +167,7 @@ class JunctionTree {
   /// Calibrates a compiled `structure` under `evidence`. Throws
   /// std::out_of_range for unknown evidence ids or states, and
   /// std::invalid_argument when a variable the structure omits is not
-  /// observed.
+  /// observed at the state it was compiled with.
   JunctionTree(const JunctionTreeStructure& structure, const Evidence& evidence);
 
   /// Posterior marginal P(v | evidence) off the calibrated beliefs; an

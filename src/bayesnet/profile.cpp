@@ -1,38 +1,20 @@
 #include "bayesnet/profile.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <numeric>
 #include <utility>
 
 #include "bayesnet/kernels.hpp"
 #include "core/contracts.hpp"
+#include "core/json.hpp"
 
 namespace sysuq::bayesnet {
 
 namespace {
 
-// Shortest decimal representation that round-trips, matching the obs
-// exporters so manifests embedding both stay stylistically consistent.
-std::string fmt_double(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-}
+using json::append_escaped;
+using json::fmt_double;
 
 std::string quoted(const std::string& s) {
   std::string out = "\"";

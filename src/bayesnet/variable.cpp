@@ -11,8 +11,10 @@ namespace sysuq::bayesnet {
 Variable::Variable(std::string name, std::vector<std::string> states)
     : name_(std::move(name)), states_(std::move(states)) {
   SYSUQ_EXPECT(!name_.empty(), "Variable: empty name");
-  SYSUQ_EXPECT(states_.size() >= 2,
-               "Variable '" + name_ + "': need >= 2 states");
+  // A hard throw in every build mode: a CPT divides its table size by
+  // the cardinality.
+  if (states_.size() < 2)
+    throw std::invalid_argument("Variable '" + name_ + "': need >= 2 states");
   std::unordered_set<std::string> seen;
   for (const auto& s : states_) {
     SYSUQ_EXPECT(!s.empty(), "Variable '" + name_ + "': empty state label");

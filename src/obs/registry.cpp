@@ -3,22 +3,16 @@
 #if !defined(SYSUQ_OBS_OFF)
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "core/contracts.hpp"
+#include "core/json.hpp"
 
 namespace sysuq::obs {
 
 namespace {
 
-// Shortest decimal representation that round-trips (so "1.5" stays
-// "1.5", not "1.5000000000000000"), for exporters and goldens.
-std::string fmt_double(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
+using json::fmt_double;
 
 bool strictly_increasing_finite(const std::vector<double>& b) {
   if (b.empty()) return false;

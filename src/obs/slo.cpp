@@ -2,22 +2,16 @@
 
 #if !defined(SYSUQ_OBS_OFF)
 
-#include <charconv>
 #include <cstdint>
 
 #include "core/contracts.hpp"
+#include "core/json.hpp"
 
 namespace sysuq::obs {
 
 namespace {
 
-// Shortest round-trip decimal, matching the registry exporters so the
-// report is byte-deterministic for pinned inputs.
-std::string fmt_double(double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
+using json::fmt_double;
 
 std::uint64_t sub_clamped(std::uint64_t later, std::uint64_t earlier) {
   return later > earlier ? later - earlier : 0;

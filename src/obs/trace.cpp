@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "core/contracts.hpp"
+#include "core/json.hpp"
 
 namespace sysuq::obs {
 
@@ -17,21 +18,6 @@ thread_local std::uint32_t t_span_depth = 0;
 
 std::uint64_t current_tid() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id());
-}
-
-// Minimal JSON string escaping; span names are code-controlled literals,
-// so only the characters that would break the document are handled.
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -53,24 +39,6 @@ TraceSink::TraceSink(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   SYSUQ_EXPECT(capacity != 0, "obs::TraceSink: zero capacity");
   ring_.resize(capacity_);
-}
-
-void TraceSink::record(std::string_view name, std::uint64_t start_us,
-                       std::uint64_t dur_us, std::uint32_t depth) {
-  record(name, start_us, dur_us, depth, current_tid());
-}
-
-void TraceSink::record(std::string_view name, std::uint64_t start_us,
-                       std::uint64_t dur_us, std::uint32_t depth,
-                       std::uint64_t tid) {
-  if (!enabled()) return;  // skip building the event, not just storing it
-  TraceEvent e;
-  e.name.assign(name);
-  e.start_us = start_us;
-  e.dur_us = dur_us;
-  e.depth = depth;
-  e.tid = tid;
-  record(e);
 }
 
 void TraceSink::record(const TraceEvent& proto) {
@@ -156,7 +124,7 @@ std::string TraceSink::to_chrome_json() const {
   for (const auto& e : events) {
     sep();
     out += "{\"name\":\"";
-    append_escaped(out, e.name);
+    json::append_escaped(out, e.name);
     out += "\",\"cat\":\"sysuq\",\"ph\":\"X\",\"pid\":" +
            std::to_string(pid_of(e.trace_id)) +
            ",\"tid\":" + std::to_string(e.tid) +

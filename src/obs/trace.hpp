@@ -71,21 +71,10 @@ class TraceSink {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Records one completed span on behalf of the calling thread.
-  /// Ignored while the sink is disabled.
-  // sysuq-lint-allow(contract-coverage): hot path gated by enabled(); any name/timing is recordable
-  void record(std::string_view name, std::uint64_t start_us,
-              std::uint64_t dur_us, std::uint32_t depth);
-
-  /// As above with an explicit thread id — for replaying events into a
-  /// sink deterministically (exporter goldens, merging foreign traces).
-  // sysuq-lint-allow(contract-coverage): hot path gated by enabled(); any name/timing is recordable
-  void record(std::string_view name, std::uint64_t start_us,
-              std::uint64_t dur_us, std::uint32_t depth, std::uint64_t tid);
-
-  /// Full-control record: every field except `seq` (assigned by the
-  /// sink) is taken from `proto`. Used by `Span` to carry trace/span
-  /// ids, and by tests replaying pinned events.
+  /// Records one completed span: every field except `seq` (assigned by
+  /// the sink) is taken from `proto`. Ignored while the sink is
+  /// disabled. `Span` records through it; replaying pinned events into a
+  /// sink (exporter goldens, merging foreign traces) does too.
   // sysuq-lint-allow(contract-coverage): hot path gated by enabled(); any event is recordable
   void record(const TraceEvent& proto);
 
@@ -163,10 +152,6 @@ class TraceSink {
   TraceSink& operator=(const TraceSink&) = delete;
   void set_enabled(bool) noexcept {}
   [[nodiscard]] bool enabled() const noexcept { return false; }
-  void record(std::string_view, std::uint64_t, std::uint64_t,
-              std::uint32_t) noexcept {}
-  void record(std::string_view, std::uint64_t, std::uint64_t, std::uint32_t,
-              std::uint64_t) noexcept {}
   void record(const TraceEvent&) noexcept {}
   [[nodiscard]] std::vector<TraceEvent> snapshot() const { return {}; }
   [[nodiscard]] std::size_t capacity() const noexcept { return 0; }

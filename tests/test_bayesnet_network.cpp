@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bayesnet/builders.hpp"
 #include "bayesnet/io.hpp"
 #include "bayesnet/serialize.hpp"
 #include "perception/table1.hpp"
@@ -112,6 +113,25 @@ TEST(Variable, StateLookup) {
   EXPECT_FALSE(v.has_state("bike"));
   EXPECT_THROW((void)v.state_index("bike"), std::invalid_argument);
   EXPECT_THROW((void)v.state_name(3), std::out_of_range);
+}
+
+TEST(Network, ShapeChecksThrowInEveryBuildMode) {
+  // Compiled out, a variable with fewer than two states would reach a
+  // division by its cardinality in set_cpt, and a ranked node with fewer
+  // weights than parents would read past them: both checks are hard
+  // throws with their contract messages, contracts on or off.
+  const auto message = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(message([] { (void)bn::Variable("x", {}); }), "Variable 'x': need >= 2 states");
+  EXPECT_EQ(message([] { (void)bn::Variable("x", {"a"}); }), "Variable 'x': need >= 2 states");
+  EXPECT_EQ(message([] { (void)bn::ranked_node_cpt({3, 3}, {1.0}, 3, 0.1); }),
+            "ranked_node_cpt: weight count mismatch");
 }
 
 TEST(Network, DuplicateNameRejected) {

@@ -620,18 +620,23 @@ TEST(EngineBackends, JunctionTreeStructureOnChain) {
   const bn::JunctionTree again(net);
   EXPECT_EQ(jt.cliques(), again.cliques());
 
-  // A structure compiled from the signature's ordering calibrates to the
-  // tree the two-argument constructor builds; one that omits an
-  // unobserved variable is rejected.
+  // A structure compiled from the signature's ordering and its evidence
+  // calibrates to the tree the two-argument constructor builds. The
+  // compile rejects an omitted variable the evidence leaves unobserved;
+  // the calibration rejects evidence that leaves an omitted variable
+  // unobserved or observes it at another state.
   const bn::Evidence ev{{2, 1}};
   const bn::JunctionTree computed(net, ev);
-  const bn::JunctionTreeStructure structure(net, bn::compute_elimination_order(net, {}, {2}));
+  const bn::JunctionTreeStructure structure(net, bn::compute_elimination_order(net, {}, {2}), ev);
   const bn::JunctionTree given(structure, ev);
   EXPECT_EQ(given.cliques(), computed.cliques());
   for (bn::VariableId v = 0; v < n; ++v)
     EXPECT_EQ(given.query(v).probs(), computed.query(v).probs()) << v;
-  const bn::JunctionTreeStructure omits_4(net, bn::compute_elimination_order(net, {}, {2, 4}));
-  EXPECT_THROW((void)bn::JunctionTree(omits_4, ev), std::invalid_argument);
+  EXPECT_THROW(
+      (void)bn::JunctionTreeStructure(net, bn::compute_elimination_order(net, {}, {2, 4}), ev),
+      std::invalid_argument);
+  EXPECT_THROW((void)bn::JunctionTree(structure, {{2, 0}}), std::invalid_argument);
+  EXPECT_THROW((void)bn::JunctionTree(structure, {}), std::invalid_argument);
 }
 
 TEST(EngineBackends, JunctionTreeBackendMatchesDefaultEngine) {
@@ -1225,7 +1230,9 @@ TEST(EngineCompiledTree, FaultTreeWithZeroOneGatesIsExact) {
 TEST(EngineCompiledTree, ZeroOneGatesLeaveDeadCells) {
   // The gates' 0/1 CPTs leave clique cells that are zero under every
   // evidence, which the calibration skips; the tree and explain() report
-  // the structure's counts. A strictly positive network has none.
+  // the structure's counts. A per-signature tree compiles its observed
+  // states in, so the zeros of the CPTs they reduce kill cells too. A
+  // strictly positive network has none.
   const auto compiled = small_fault_tree();
   const auto& net = compiled.network;
   const bn::JunctionTreeStructure structure(net, bn::compute_elimination_order(net, {}, {}));
@@ -1243,6 +1250,14 @@ TEST(EngineCompiledTree, ZeroOneGatesLeaveDeadCells) {
   EXPECT_EQ(profile.cells, structure.cells());
   EXPECT_EQ(profile.live_cells, structure.live_cells());
   EXPECT_NE(profile.to_plan().find(", 30 of 56 cells live,"), std::string::npos) << profile.to_plan();
+
+  // Under {top = 0} the reduced top gate admits only all-zero inputs: 18
+  // of 48 cells stay live, and log P(e) is that of a pass over every
+  // cell, bit for bit.
+  const bn::JunctionTree per_signature(net, {{compiled.top, 0}});
+  EXPECT_EQ(per_signature.cells(), 48u);
+  EXPECT_EQ(per_signature.live_cells(), 18u);
+  EXPECT_EQ(per_signature.log_evidence_probability(), -0.30595617215769311);
 
   pr::Rng rng(67);
   const auto positive = random_network(rng, 9);

@@ -248,7 +248,7 @@ TEST(ObsTrace, DisabledSinkRecordsNothingAndIsCheap) {
   {
     const obs::Span span("test.ignored", sink);
   }
-  sink.record("test.direct", 0, 1, 1);
+  sink.record(obs::TraceEvent{.name = "test.direct", .dur_us = 1, .depth = 1});
   EXPECT_EQ(sink.recorded(), 0u);
   EXPECT_TRUE(sink.snapshot().empty());
 }
@@ -257,7 +257,8 @@ TEST(ObsTrace, RingBufferDropsOldestEvents) {
   obs::TraceSink sink(4);
   sink.set_enabled(true);
   for (std::uint64_t i = 0; i < 6; ++i)
-    sink.record("test.event", i * 10, 5, 1, /*tid=*/7);
+    sink.record(obs::TraceEvent{
+        .name = "test.event", .start_us = i * 10, .dur_us = 5, .depth = 1, .tid = 7});
   EXPECT_EQ(sink.recorded(), 6u);
   EXPECT_EQ(sink.dropped(), 2u);
   const auto events = sink.snapshot();
@@ -310,8 +311,9 @@ TEST(ObsExport, JsonGolden) {
 TEST(ObsExport, ChromeTraceGolden) {
   obs::TraceSink sink(8);
   sink.set_enabled(true);
-  sink.record("alpha", 10, 5, 1, /*tid=*/1);
-  sink.record("beta \"quoted\"", 12, 2, 2, /*tid=*/1);
+  sink.record(obs::TraceEvent{.name = "alpha", .start_us = 10, .dur_us = 5, .depth = 1, .tid = 1});
+  sink.record(obs::TraceEvent{
+      .name = "beta \"quoted\"", .start_us = 12, .dur_us = 2, .depth = 2, .tid = 1});
   // Replayed events carry no trace/span ids, so both slices land in the
   // pid-1 "untraced" group.
   EXPECT_EQ(sink.to_chrome_json(),
@@ -715,7 +717,7 @@ TEST(ObsOffMode, TracingIsInert) {
   {
     const obs::Span span("test.off.span", sink);
   }
-  sink.record("test.off.direct", 0, 1, 1);
+  sink.record(obs::TraceEvent{.name = "test.off.direct", .dur_us = 1, .depth = 1});
   EXPECT_EQ(sink.recorded(), 0u);
   EXPECT_TRUE(sink.snapshot().empty());
   EXPECT_EQ(sink.to_chrome_json(), "{}");
