@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 #include "core/contracts.hpp"
 
@@ -14,8 +15,10 @@ Arena::Arena(std::size_t initial_bytes) {
 Arena::~Arena() = default;
 
 std::size_t Arena::checked_array_bytes(std::size_t n, std::size_t elem_size) {
-  SYSUQ_EXPECT(elem_size == 0 || n <= SIZE_MAX / elem_size,
-               "Arena::alloc: element count overflows size_t");
+  // A hard throw, not a contract: compiled out, a wrapped byte count
+  // would hand out a block smaller than the array.
+  if (elem_size != 0 && n > SIZE_MAX / elem_size)
+    throw std::invalid_argument("Arena::alloc: element count overflows size_t");
   return n * elem_size;
 }
 

@@ -42,7 +42,7 @@ class Arena {
 
   /// Typed allocation of `n` uninitialized T (T must be trivially
   /// destructible — the arena never runs destructors). The element
-  /// count is overflow-checked against SIZE_MAX / sizeof(T).
+  /// count is checked against SIZE_MAX / sizeof(T) (std::invalid_argument).
   template <typename T>
   [[nodiscard]] T* alloc(std::size_t n) {
     static_assert(std::is_trivially_destructible_v<T>,
@@ -68,7 +68,7 @@ class Arena {
     std::size_t offset = 0;
   };
 
-  /// n * elem_size with an overflow contract (SYSUQ_EXPECT).
+  /// n * elem_size; throws std::invalid_argument when it overflows.
   [[nodiscard]] static std::size_t checked_array_bytes(std::size_t n,
                                                        std::size_t elem_size);
 

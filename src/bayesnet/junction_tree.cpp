@@ -24,6 +24,7 @@ namespace {
 struct JtMetrics {
   obs::Counter& builds;
   obs::Counter& compiles;
+  obs::Counter& collects_reused;
   obs::Histogram& calibration_seconds;
   obs::Histogram& cliques;
   obs::Histogram& max_clique_size;
@@ -33,6 +34,7 @@ struct JtMetrics {
     static JtMetrics m{
         reg.counter("bayesnet.jt.builds"),
         reg.counter("bayesnet.jt.compiles"),
+        reg.counter("bayesnet.jt.collects_reused"),
         reg.histogram("bayesnet.jt.calibration_seconds", obs::seconds_buckets()),
         reg.histogram("bayesnet.jt.cliques", obs::count_buckets()),
         reg.histogram("bayesnet.jt.max_clique_size",
@@ -251,6 +253,21 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
     else potentials_[x] = 0.0;
   }
 
+  // 6: the evidence-free collect, every clique sending. A calibration
+  // takes these beliefs, messages and log-normalizers for the cliques
+  // with no spanned evidence below them.
+  if (m > 0) {
+    std::vector<double> belief = potentials_;
+    std::vector<double> sep(sep_cells_);
+    std::vector<double> log_norms(m);
+    const std::vector<Mark> rebuilt(m, Mark::kRebuilt);
+    if (collect(belief.data(), sep.data(), log_norms.data(), rebuilt.data())) {
+      collected_ = std::move(belief);
+      messages_ = std::move(sep);
+      log_norms_ = std::move(log_norms);
+    }
+  }
+
   cliques_ = std::make_shared<const std::vector<std::vector<VariableId>>>(
       std::move(cliques));
   auto& metrics = JtMetrics::instance();
@@ -296,7 +313,42 @@ JunctionTree::JunctionTree(const JunctionTreeStructure& structure,
   metrics.builds.inc();
 }
 
+bool JunctionTreeStructure::collect(double* belief, double* sep, double* log_norms,
+                                    const Mark* mark) const {
+  // Each sending clique sums its live cells onto its separator, the
+  // message is normalized and its log-normalizer kept (so P(e) never
+  // underflows), and the parent multiplies it into its live cells. An
+  // all-zero message means the evidence is impossible (zeros only
+  // propagate outward).
+  for (std::size_t idx = order_.size(); idx-- > 1;) {
+    const std::size_t ci = order_[idx];
+    const Clique& c = tree_[ci];
+    double* u = sep + c.sep_offset;
+    double* bp = belief + tree_[c.parent].offset;
+    if (mark[ci] == Mark::kReused) {
+      if (mark[c.parent] == Mark::kRebuilt)
+        for (const auto& [x, j] : c.parent_to_sep) bp[x] *= u[j];
+      continue;
+    }
+    const double* b = belief + c.offset;
+    std::fill_n(u, c.sep_size, 0.0);
+    for (const auto& [x, j] : c.to_sep) u[j] += b[x];
+    const double t = kernels::total(u, c.sep_size);
+    if (!(t > 0.0)) return false;
+    log_norms[ci] = std::log(t);
+    kernels::normalize_by(u, c.sep_size, t);
+    for (const auto& [x, j] : c.parent_to_sep) bp[x] *= u[j];
+  }
+  const std::size_t root = order_[0];
+  if (mark[root] == Mark::kReused) return true;
+  const double t = kernels::total(belief + tree_[root].offset, tree_[root].size);
+  if (!(t > 0.0)) return false;
+  log_norms[root] = std::log(t);
+  return true;
+}
+
 void JunctionTree::calibrate(const JunctionTreeStructure& s) {
+  using Mark = JunctionTreeStructure::Mark;
   const std::size_t n = net_.size();
   const std::size_t m = s.tree_.size();
   // Every table lives in the thread's scratch arena, one frame per
@@ -314,10 +366,34 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
   log_evidence_ = s.log_constant_;
   if (std::isinf(log_evidence_)) return give_up();
 
-  // Potentials: the compiled products times a 0/1 indicator per observed
+  // Marks: the cliques on the paths from the spanned evidence's reader
+  // cliques to the root are recollected, the reader at a path's foot
+  // from its stored belief and every clique above it from its potential.
+  // Without a stored collect every clique is rebuilt.
+  const bool stored = !s.collected_.empty();
+  Mark* mark = arena.alloc<Mark>(m);
+  std::fill_n(mark, m, stored ? Mark::kReused : Mark::kRebuilt);
+  if (stored) {
+    for (const auto& observed : evidence_) {
+      std::size_t c = s.reader_[observed.first].clique;
+      if (c == JunctionTreeStructure::kNone || mark[c] != Mark::kReused) continue;
+      mark[c] = Mark::kEntered;
+      for (c = s.tree_[c].parent; c != JunctionTreeStructure::kNone; c = s.tree_[c].parent) {
+        if (std::exchange(mark[c], Mark::kRebuilt) != Mark::kReused) break;
+      }
+    }
+  }
+
+  // Beliefs: a rebuilt clique's compiled product, every other clique's
+  // belief after the stored collect, times a 0/1 indicator per observed
   // spanned variable.
   double* belief = arena.alloc<double>(s.potentials_.size());
-  std::copy(s.potentials_.begin(), s.potentials_.end(), belief);
+  for (std::size_t c = 0; c < m; ++c) {
+    const auto& clique = s.tree_[c];
+    const auto& from = mark[c] == Mark::kRebuilt ? s.potentials_ : s.collected_;
+    std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(clique.offset), clique.size,
+                belief + clique.offset);
+  }
   for (const auto& [v, state] : evidence_) {
     const auto& at = s.reader_[v];
     if (at.clique == JunctionTreeStructure::kNone) continue;
@@ -331,31 +407,21 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
   }
 
   if (m > 0) {
-    // Collect — leaves toward the root (parents-first order reversed).
-    // Each clique sums its live cells onto its separator, the message is
-    // normalized and its log-normalizer accumulated (so P(e) never
-    // underflows), and the parent multiplies it into its live cells. An
-    // all-zero message means the evidence is impossible (zeros only
-    // propagate outward).
+    // Collect — leaves toward the root, from the stored messages; then
+    // log P(e) sums the log-normalizers in the pass's clique order.
+    JtMetrics::instance().collects_reused.inc(static_cast<std::uint64_t>(
+        std::count_if(s.order_.begin() + 1, s.order_.end(),
+                      [&](std::size_t c) { return mark[c] == Mark::kReused; })));
     double* sep = arena.alloc<double>(s.sep_cells_);
-    for (std::size_t idx = m; idx-- > 1;) {
-      const auto& c = s.tree_[s.order_[idx]];
-      const auto& p = s.tree_[c.parent];
-      const double* b = belief + c.offset;
-      double* u = sep + c.sep_offset;
-      std::fill_n(u, c.sep_size, 0.0);
-      for (const auto& [x, j] : c.to_sep) u[j] += b[x];
-      const double t = kernels::total(u, c.sep_size);
-      if (!(t > 0.0)) return give_up();
-      log_evidence_ += std::log(t);
-      kernels::normalize_by(u, c.sep_size, t);
-      double* bp = belief + p.offset;
-      for (const auto& [x, j] : c.parent_to_sep) bp[x] *= u[j];
+    double* log_norms = arena.alloc<double>(m);
+    if (stored) {
+      std::copy(s.messages_.begin(), s.messages_.end(), sep);
+      std::copy(s.log_norms_.begin(), s.log_norms_.end(), log_norms);
     }
-    const auto& r = s.tree_[s.order_[0]];
-    const double t = kernels::total(belief + r.offset, r.size);
-    if (!(t > 0.0)) return give_up();
-    log_evidence_ += std::log(t);
+    if (!s.collect(belief, sep, log_norms, mark)) return give_up();
+    double log_p = log_evidence_;
+    for (std::size_t idx = m; idx-- > 0;) log_p += log_norms[s.order_[idx]];
+    log_evidence_ = log_p;
 
     // Distribute — root toward the leaves (parents-first order). The
     // parent's calibrated belief, its live cells summed onto the

@@ -31,27 +31,43 @@
 //       *dead* when its potential is 0 or no *live* cell of a child sums
 //       onto its separator cell. Evidence only adds zeros, so a dead cell
 //       is 0 under every assignment; the separators' index maps keep only
-//       live cells, as (cell, separator cell) pairs.
+//       live cells, as (cell, separator cell) pairs;
+//    6. the evidence-free collect: each clique's belief after collect,
+//       its normalized collect message and that message's log-normalizer
+//       (the root's: the log of its total). A subtree holding no spanned
+//       evidence sends this message under every assignment. When a total
+//       is zero (the omitted states are impossible), nothing is stored.
 //   The variables the ordering eliminates are the ones the structure
 //   *spans*; the others are *omitted*, and every calibration must observe
 //   them at the states the structure was compiled with.
 //
 // * `JunctionTree` — one calibration of a structure under one evidence
-//   assignment, numeric passes only: copy the compiled potentials, enter
-//   the evidence, collect toward the root, distribute back (Hugin
-//   division by the collect message, 0/0 = 0, so exact zeros stay exact),
-//   read the marginals. Collect and distribute skip dead cells: each holds
+//   assignment, numeric passes only: enter the evidence, collect toward
+//   the root, distribute back (Hugin division by the collect message,
+//   0/0 = 0, so exact zeros stay exact), read the marginals. Collect
+//   recomputes only the cliques on the paths from the spanned evidence's
+//   reader cliques to the root. A clique off those paths starts from its
+//   stored belief and sends its stored message and log-normalizer. A
+//   path clique with a path child is rebuilt from its potential and
+//   receives every child's message, stored or fresh, where the full pass
+//   sends it; one without a path child starts from its stored belief.
+//   The indicators enter before the pass, and log P(e) sums the
+//   log-normalizers in clique order: the arithmetic and its order are
+//   those of a collect over every clique, so every answer is
+//   bit-identical to one (with no stored collect, every clique is
+//   rebuilt). Collect and distribute skip dead cells: each holds
 //   0.0 wherever they would read it, so the results are those of a pass
 //   over every cell, bit for bit. Messages are normalized as they flow
-//   and the log-normalizers accumulated, so P(e) is available in log
-//   space without underflow. Evidence enters one way: on a spanned
+//   and the log-normalizers summed in clique order, so P(e) is available
+//   in log space without underflow. Evidence enters one way: on a spanned
 //   variable, as a 0/1 indicator in the clique it reads its marginal
 //   from. Evidence on an omitted variable is already compiled in, so the
-//   calibration only checks it.
+//   calibration only checks it, and takes every message from the compile.
 //
 // `JunctionTree(net, evidence)` compiles a structure from the min-fill
 // ordering of the evidence keys (omitting exactly the observed
-// variables, at their observed states), then calibrates it once.
+// variables, at their observed states), then calibrates it once; it spans
+// no observed variable, so that calibration runs no collect of its own.
 // `InferenceEngine` compiles one structure per network from its
 // network-wide plan, which spans every variable, and calibrates it per
 // assignment. A calibrated tree keeps its marginals and shares the
@@ -141,12 +157,31 @@ class JunctionTreeStructure {
     std::size_t stride = 0;
     std::size_t card = 0;
   };
+  /// How a calibration's collect treats a clique (see the file comment).
+  enum class Mark : std::uint8_t {
+    kReused,   ///< off the evidence's paths: stored belief and message
+    kEntered,  ///< on a path, no path child: stored belief, evidence, resent
+    kRebuilt,  ///< a path child: rebuilt from its potential, resent
+  };
+
+  /// Collects toward the root (parents-first order reversed) over
+  /// `belief` (flat by clique) into `sep` (flat by separator) and each
+  /// clique's log-normalizer into `log_norms` (by clique). A kReused
+  /// clique's message is already in `sep`; it multiplies in only where
+  /// the parent is kRebuilt. Returns false at the first zero total (the
+  /// evidence is impossible).
+  bool collect(double* belief, double* sep, double* log_norms, const Mark* mark) const;
+
   const BayesianNetwork& net_;
   std::shared_ptr<const std::vector<std::vector<VariableId>>> cliques_;
   std::size_t max_clique_size_ = 0;
   std::vector<Clique> tree_;         ///< by clique index
   std::vector<std::size_t> order_;   ///< parents first; order_[0] is the root
   std::vector<double> potentials_;   ///< CPT products, flat by clique
+  // Step 6, all empty when its collect met a zero total.
+  std::vector<double> collected_;    ///< beliefs after collect, flat by clique
+  std::vector<double> messages_;     ///< collect messages, flat by separator
+  std::vector<double> log_norms_;    ///< their log-normalizers, by clique
   std::size_t live_cells_ = 0;
   Evidence omitted_;                 ///< the omitted variables' states
   double log_constant_ = 0.0;        ///< log of the wholly omitted families' entries

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "core/contracts.hpp"
 #include "core/tolerance.hpp"
@@ -295,10 +296,11 @@ bool mul_overflows(std::size_t a, std::size_t b) noexcept {
 
 std::size_t checked_table_size(const std::size_t* cards, std::size_t rank,
                                const char* what) {
+  // Hard throws, not contracts: compiled out, a wrapped size would pass
+  // for a small table.
   std::size_t size = 1;
   for (std::size_t i = 0; i < rank; ++i) {
-    SYSUQ_EXPECT(cards[i] != 0, what);
-    SYSUQ_EXPECT(!mul_overflows(size, cards[i]), what);
+    if (cards[i] == 0 || mul_overflows(size, cards[i])) throw std::invalid_argument(what);
     size *= cards[i];
   }
   return size;

@@ -41,8 +41,9 @@ inline constexpr std::size_t kMaxRank = 64;
 // sysuq-lint-allow(contract-coverage): total predicate over any two sizes
 [[nodiscard]] bool mul_overflows(std::size_t a, std::size_t b) noexcept;
 
-/// Product of `cards[0..rank)` with an overflow contract: SYSUQ_EXPECT
-/// fires (naming `what`) instead of silently wrapping size_t.
+/// Product of `cards[0..rank)`. Throws std::invalid_argument (`what`) on
+/// a zero cardinality or a product that overflows size_t, in every build
+/// mode.
 [[nodiscard]] std::size_t checked_table_size(const std::size_t* cards,
                                              std::size_t rank,
                                              const char* what);

@@ -38,13 +38,9 @@ Factor cpt_table(const BayesianNetwork& net, VariableId child,
   // pass zero rows for an empty table, and a row-count or row-size
   // mismatch would index past `rows` or a row.
   std::vector<std::size_t> cards;
-  std::size_t cells = 1;
-  for (const VariableId u : scope) {
-    cards.push_back(net.variable(u).cardinality());
-    if (kernels::mul_overflows(cells, cards.back()))
-      throw std::invalid_argument("BayesianNetwork: CPT table size overflows size_t");
-    cells *= cards.back();
-  }
+  for (const VariableId u : scope) cards.push_back(net.variable(u).cardinality());
+  const std::size_t cells = kernels::checked_table_size(
+      cards.data(), cards.size(), "BayesianNetwork: CPT table size overflows size_t");
   const std::size_t k = net.variable(child).cardinality();
   if (rows.size() != cells / k)
     throw std::invalid_argument("BayesianNetwork: expected " + std::to_string(cells / k) +

@@ -1419,6 +1419,125 @@ TEST(EngineCompiledTree, HotAllMarginalsReadIsTheCalibrationBitForBit) {
   }
 }
 
+TEST(EngineCompiledTree, RecollectedPathsKeepEveryAnswerBitForBit) {
+  // A calibration recollects only the cliques on the paths from its
+  // evidence's reader cliques to the root and takes every other clique's
+  // message from the structure's evidence-free collect. log P(e) and
+  // every marginal (flattened by variable) are pinned, bit for bit, at
+  // the values a collect over every clique gives (%.17g), with the count
+  // of messages taken. A strictly positive network has no impossible
+  // evidence, so only the fault tree has that case.
+  struct Case {
+    bn::Evidence evidence;
+    std::uint64_t reused;
+    double log_p;
+    std::vector<double> marginals;  // empty: impossible evidence
+  };
+  auto& reused = sysuq::obs::Registry::global().counter("bayesnet.jt.collects_reused");
+  const auto check = [&](const bn::BayesianNetwork& net, const std::vector<Case>& cases) {
+    const bn::JunctionTreeStructure structure(net, bn::compute_elimination_order(net, {}, {}));
+    ASSERT_EQ(structure.cliques().size(), 5u);
+    for (const auto& c : cases) {
+      const std::uint64_t before = reused.value();
+      const bn::JunctionTree tree(structure, c.evidence);
+      EXPECT_EQ(reused.value() - before, sysuq::obs::metrics_enabled() ? c.reused : 0u);
+      EXPECT_EQ(tree.log_evidence_probability(), c.log_p);
+      if (c.marginals.empty()) {
+        EXPECT_THROW((void)tree.all_marginals(), std::domain_error);
+        continue;
+      }
+      std::vector<double> got;
+      for (const auto& marginal : tree.all_marginals())
+        for (const double p : marginal.probs()) got.push_back(p);
+      EXPECT_EQ(got, c.marginals);
+    }
+  };
+
+  // Cliques: {e0 e1 both} and {e3 either vote} under the root {both
+  // either vote top}; {e2 e3 either} and {e3 e4 e5 vote} under
+  // {e3 either vote}.
+  const auto compiled = small_fault_tree();
+  const auto& net = compiled.network;
+  const auto id = [&](const char* name) { return net.id_of(name); };
+  const double inf = std::numeric_limits<double>::infinity();
+  check(net, {
+      {{}, 4, 0,
+       {0.94999999999999996, 0.050000000000000003, 0.92000000000000004, 0.080000000000000002,
+        0.89000000000000001, 0.10999999999999999, 0.85999999999999999, 0.14000000000000001,
+        0.83000000000000007, 0.16999999999999996, 0.79999999999999993, 0.19999999999999998,
+        0.996, 0.0039999999999999992, 0.76539999999999997, 0.2346, 0.9237200000000001,
+        0.076279999999999973, 0.73641889440000008, 0.26358110560000003}},
+      // A leaf clique: {e3 e4 e5 vote} and its two ancestors recollect.
+      {{{id("e4"), 1}}, 2, -1.7719568419318752,
+       {0.94999999999999996, 0.050000000000000003, 0.92000000000000004, 0.080000000000000002,
+        0.89000000000000001, 0.10999999999999999, 0.85999999999999999, 0.14000000000000001,
+        0, 1, 0.80000000000000004, 0.20000000000000001, 0.996, 0.0040000000000000001,
+        0.76539999999999997, 0.2346, 0.68799999999999994, 0.312, 0.60987071999999998,
+        0.39012928000000002}},
+      // The root clique alone.
+      {{{compiled.top, 1}}, 4, -1.3333941572232522,
+       {0.93934054732942895, 0.060659452670571094, 0.90967716162428902, 0.090322838375710937,
+        0.58267114879269255, 0.41732885120730751, 0.46885418937251772, 0.53114581062748234,
+        0.7483811388945022, 0.25161886110549786, 0.72133121821156831, 0.2786687817884318,
+        0.98482440541064331, 0.015175594589356634, 0.10995137733423328, 0.89004862266576668,
+        0.71060141118096909, 0.28939858881903097, 0, 1}},
+      // Two leaves whose paths merge at {e3 either vote}.
+      {{{id("e2"), 1}, {id("e5"), 0}}, 1, -2.4304184645039304,
+       {0.94999999999999996, 0.05000000000000001, 0.92000000000000004, 0.080000000000000002,
+        0, 1, 0.85999999999999999, 0.14000000000000001, 0.83000000000000007,
+        0.16999999999999996, 1, 0, 0.996, 0.004000000000000001, 0, 1, 0.97619999999999996,
+        0.023799999999999995, 0, 1}},
+      // Each pair is possible; the zero first appears at {e3 either
+      // vote}, rebuilt from its potential: either = 0 forces e3 = 0, and
+      // vote = 1 then needs e4 = 1.
+      {{{id("either"), 0}, {id("e4"), 0}, {id("vote"), 1}}, 1, -inf, {}},
+  });
+  // A structure compiled for one calibration spans no observed variable:
+  // that calibration takes every message.
+  const std::uint64_t before = reused.value();
+  const bn::JunctionTree per_signature(net, {{compiled.top, 1}, {id("e4"), 1}});
+  EXPECT_EQ(reused.value() - before,
+            sysuq::obs::metrics_enabled() ? per_signature.clique_count() - 1 : 0u);
+
+  // Cliques: the root {v4 v5 v9} has one child, {v0 v2 v4 v5 v7}, whose
+  // children are {v0 v5 v7 v8} (v8 reads here) and {v0 v1 v2 v4 v5 v6},
+  // whose child {v0 v1 v2 v3 v5} reads v1.
+  pr::Rng rng(97);
+  check(random_network(rng, 10), {
+      // sysuq-lint-allow(magic-epsilon): a pinned log P(e), not a tolerance
+      {{}, 4, -8.8817841970012523e-16,
+       {0.076184229975947176, 0.73087085831367438, 0.19294491171037839, 0.48240666606949528,
+        0.51759333393050477, 0.14283802286640473, 0.46741961980787056, 0.38974235732572465,
+        0.31747568906412305, 0.39912906439216733, 0.28339524654370973, 0.50552102408268906,
+        0.49447897591731094, 0.55094781502843126, 0.44905218497156874, 0.54049720823395908,
+        0.45950279176604103, 0.58856078171676329, 0.41143921828323671, 0.27016403410676021,
+        0.42833267025151706, 0.30150329564172262, 0.71008263944337491, 0.28991736055662509}},
+      // The deepest leaf: three ancestors recollect.
+      {{{1, 1}}, 1, -0.65856541468343166,
+       {0.076184229975947176, 0.73087085831367438, 0.19294491171037845, 0, 1,
+        0.14283802286640473, 0.46741961980787067, 0.3897423573257246, 0.3174756890641231,
+        0.39912906439216722, 0.28339524654370973, 0.50552102408268917, 0.49447897591731094,
+        0.52149809418224458, 0.47850190581775554, 0.49894495075164524, 0.50105504924835464,
+        0.58856078171676329, 0.41143921828323676, 0.27265246413630295, 0.43195557987778371,
+        0.29539195598591333, 0.71014930153906319, 0.28985069846093692}},
+      {{{9, 0}}, 4, -0.34237392213776607,
+       {0.071437748991004066, 0.73712070926959794, 0.19144154173939792, 0.48235807474443326,
+        0.51764192525556685, 0.14337058858087298, 0.50031802556573945, 0.35631138585338762,
+        0.31586686487876042, 0.40432538312967953, 0.27980775199156011, 0.5734160842133742,
+        0.42658391578662569, 0.55421839185603805, 0.44578160814396189, 0.55702183145328754,
+        0.4429781685467124, 0.5912569599921097, 0.40874304000789025, 0.26976836411857863,
+        0.42864096870462487, 0.30159066717679656, 1, 0}},
+      // The two paths merge at {v0 v2 v4 v5 v7}: every clique recollects.
+      {{{1, 0}, {8, 1}}, 0, -1.5859394684198191,
+       {0.061618554611239655, 0.75679882793526376, 0.18158261745349666, 1, 0,
+        0.1505394991727414, 0.44802560633395383, 0.40143489449330477, 0.33731900631563783,
+        0.36897667757478408, 0.29370431610957809, 0.5053754992323044, 0.49462450076769571,
+        0.43900000365129266, 0.56099999634870745, 0.53774403445135255, 0.46225596554864745,
+        0.60397233445109344, 0.39602766554890662, 0, 1, 0, 0.71027464881227331,
+        0.28972535118772669}},
+  });
+}
+
 TEST(EngineCompiledTree, ConcurrentFirstUseCompilesOnce) {
   // A fresh 4-thread engine whose first call is a batch of six groups
   // that each run on the junction tree: the workers race to the network
