@@ -537,6 +537,7 @@ double InferenceEngine::evidence_probability(const Evidence& evidence) const {
   const kernels::ScaledFactor sf = eliminate_all_but({}, evidence, *plan.ordering);
   // exp(log_scale) is exactly 1 unless a rescale fired, so the common
   // case returns the unscaled total bit for bit.
+  // sysuq-lint-allow(log-domain): the left operand is sf.factor's linear total; sf is log-tagged only through its log_scale member, which std::exp converts
   return sf.factor.total() * std::exp(sf.log_scale);
 }
 

@@ -491,6 +491,7 @@ void marginalize_keep_into(const View& f, const VariableId* keep,
       for (std::size_t j = 0; j < cin; ++j) po[j] += v[j];
     } else {
       double s = 0.0;
+      // sysuq-lint-allow(log-domain): a plain left fold on purpose; the bucket kernel must match the legacy scan bit for bit
       for (std::size_t j = 0; j < cin; ++j) s += v[j];
       out[o] += s;
     }

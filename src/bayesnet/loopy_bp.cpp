@@ -498,6 +498,7 @@ struct LoopyBP::FactorGraph {
           if (pos == e.pos) continue;
           for (const std::size_t in : edges_of_var[scope[pos]]) {
             if (edges[in].factor == e.factor) continue;
+            // sysuq-lint-allow(log-domain): eps holds log-range distances (Ihler bounds), not probabilities
             upstream += eps[in];
           }
         }
@@ -892,6 +893,7 @@ void LoopyBP::certify_bounds(const FactorGraph& g) {
     if (acyclic_) {
       double belief_log_range = 0.0;
       for (const std::size_t eid : g.edges_of_var[v]) {
+        // sysuq-lint-allow(log-domain): eps holds log-range distances (Ihler bounds), not probabilities
         belief_log_range += eps[eid];
       }
       for (std::size_t i = 0; i < card; ++i) {

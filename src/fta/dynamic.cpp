@@ -32,6 +32,7 @@ double Ctmc::exit_rate(std::size_t s) const {
   if (s >= size()) throw std::out_of_range("Ctmc::exit_rate");
   double total = 0.0;
   for (std::size_t j = 0; j < size(); ++j) {
+    // sysuq-lint-allow(log-domain): q_ holds transition rates, not probabilities; the row sum is the exit rate
     if (j != s) total += q_[s][j];
   }
   return total;
@@ -360,6 +361,7 @@ std::vector<double> DynamicFaultTree::unreliability_curve(
     const auto dist = compiled.chain.transient(compiled.initial, t);
     double p = 0.0;
     for (std::size_t s = 0; s < dist.size(); ++s) {
+      // sysuq-lint-allow(log-domain): a masked sum over the failed states of a transient that is itself accurate only to its truncation tolerance
       if (compiled.failed_state[s]) p += dist[s];
     }
     out.push_back(p);

@@ -167,6 +167,7 @@ HmmFit Hmm::baum_welch_step(const std::vector<std::size_t>& obs,
     double norm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       gamma[t][i] = fwd.filtered[t].p(i) * beta[t][i];
+      // sysuq-lint-allow(log-domain): a per-step normalizer over the n states, divided straight back out below
       norm += gamma[t][i];
     }
     for (double& v : gamma[t]) v /= norm;
@@ -188,6 +189,7 @@ HmmFit Hmm::baum_welch_step(const std::vector<std::size_t>& obs,
       for (std::size_t j = 0; j < n; ++j) {
         xi[i][j] = fwd.filtered[t].p(i) * trans_[i].p(j) *
                    emit_[j].p(obs[t + 1]) * beta[t + 1][j];
+        // sysuq-lint-allow(log-domain): a per-step normalizer over the n x n transitions, divided straight back out below
         norm += xi[i][j];
       }
     }

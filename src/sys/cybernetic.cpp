@@ -63,6 +63,7 @@ double CyberneticLoop::policy_cost(
     double total = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
       post[c] = priors.p(c) * model_rows[c].p(o);
+      // sysuq-lint-allow(log-domain): the Bayes normalizer of k class posteriors, read once against the action threshold
       total += post[c];
     }
     if (!(total > 0.0)) continue;  // abstain on impossible outputs

@@ -3,14 +3,19 @@
 // keys. Hits, misses and entries; a rejected entry that is rebuilt and
 // overwritten; peek counting nothing; reset_stats, clear and the registry
 // mirrors; 10^4 distinct assignments with exact counts; and concurrent
-// get/peek over overlapping keys, where the first insert wins.
+// get/peek over overlapping keys, where the first insert wins. Then Lazy,
+// which holds the engine's network plan, compiled tree and state table:
+// a throwing build stores nothing, ready() waits for a successful build,
+// and racing first callers share one build.
 #include "bayesnet/memo.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -224,4 +229,62 @@ TEST(Memo, ConcurrentGetAndPeekKeepTheFirstInsert) {
   EXPECT_EQ(s.entries, kKeys);
   EXPECT_EQ(s.hits + s.misses, gets.load());
   EXPECT_GE(s.misses, kKeys);
+}
+
+TEST(Lazy, ThrowingBuildStoresNothingAndTheNextGetBuildsAgain) {
+  bn::Lazy<std::size_t> lazy;
+  std::size_t calls = 0;
+  EXPECT_THROW(lazy.get([&]() -> std::size_t {
+    ++calls;
+    throw std::runtime_error("build failed");
+  }),
+               std::runtime_error);
+  EXPECT_FALSE(lazy.ready());
+  EXPECT_EQ(lazy.get([&] { return ++calls; }), 2u);
+  // Built: later build functions are never called.
+  EXPECT_EQ(lazy.get([&] { return ++calls; }), 2u);
+  EXPECT_EQ(calls, 2u);
+}
+
+TEST(Lazy, ReadyOnlyAfterASuccessfulBuild) {
+  bn::Lazy<std::size_t> lazy;
+  EXPECT_FALSE(lazy.ready());
+  EXPECT_FALSE(lazy.ready());  // asking builds nothing
+  EXPECT_THROW(lazy.get([]() -> std::size_t { throw std::logic_error("no"); }),
+               std::logic_error);
+  EXPECT_FALSE(lazy.ready());
+  EXPECT_EQ(lazy.get([] { return std::size_t{7}; }), 7u);
+  EXPECT_TRUE(lazy.ready());
+}
+
+TEST(Lazy, RacingFirstGetsBuildOnceAndShareTheValue) {
+  // Every thread calls get at once; the first builds under the lock and
+  // the rest wait for that build. Run under the tsan preset.
+  constexpr std::size_t kThreads = 8;
+  bn::Lazy<std::vector<std::size_t>> lazy;
+  std::atomic<std::size_t> builds{0};
+  std::atomic<std::size_t> waiting{0};
+  std::vector<const std::vector<std::size_t>*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_add(1);
+      while (waiting.load() < kThreads) std::this_thread::yield();
+      seen[t] = &lazy.get([&] {
+        builds.fetch_add(1);
+        // A slow build: a get that built outside the lock would be
+        // joined by every other thread here.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::vector<std::size_t>{1, 2, 3};
+      });
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(builds.load(), 1u);
+  EXPECT_TRUE(lazy.ready());
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(seen[t], nullptr);
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    EXPECT_EQ(*seen[t], (std::vector<std::size_t>{1, 2, 3}));
+  }
 }

@@ -1,8 +1,8 @@
 // Deferred-guard fixture: ledger.cpp constructs a unique_lock with
 // std::defer_lock and writes a guarded member before locking it. A
-// deferred guard holds nothing until its lock() call, so both
-// guard-consistency and lock-discipline flag that write — two
-// violations. Never compiled.
+// deferred guard holds nothing until its lock() call, so
+// guard-consistency flags that write — one violation (lock-discipline,
+// also run, checks only atomic orders). Never compiled.
 #pragma once
 
 #include <mutex>

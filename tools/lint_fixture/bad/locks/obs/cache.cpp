@@ -1,6 +1,6 @@
-// Lock-discipline fixture: one unlocked non-atomic write, one bare
-// (seq_cst) load on an atomic whose declared ceiling is relaxed, one
-// explicit acquire load — three violations. Never compiled.
+// Lock-discipline fixture: one bare (seq_cst) load on an atomic whose
+// declared ceiling is relaxed and one explicit acquire load; the
+// unlocked write to `last_` is guard-consistency's. Never compiled.
 #include "obs/cache.hpp"
 
 namespace sysuq::obs {

@@ -1,6 +1,6 @@
-// Lock-discipline fixture: Cache owns a std::mutex, so unlocked writes
-// to its non-atomic members and stricter-than-declared atomic orders in
-// cache.cpp must be flagged. Never compiled.
+// Lock-discipline fixture: Cache owns a std::mutex, so stricter-than-
+// declared atomic orders in cache.cpp are flagged, and guard-consistency
+// flags `last_`, unannotated and written unlocked. Never compiled.
 #pragma once
 
 #include <atomic>

@@ -42,4 +42,16 @@ double lin(const std::vector<double>& p) {
   return j / static_cast<double>(p.size());
 }
 
+// The early return reaches the rest of the body with no facts yet: the
+// solver must still visit it, or the accumulator it declares is never
+// seen and the naive loop goes unflagged.
+double early_mass(const std::vector<double>& p, bool skip) {
+  if (skip) return 0.0;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    acc += p[i];
+  }
+  return acc;
+}
+
 }  // namespace sysuq::prob

@@ -1,7 +1,8 @@
 // log-domain fixture: log_misuse.cpp multiplies log-domain values with
 // linear `*`, feeds a log value to SYSUQ_ASSERT_PROB, accumulates a
-// probability array with a naive `+=` loop, and leaks log-ness through
-// a helper's return value into a `/`. Never compiled.
+// probability array with a naive `+=` loop (twice: once behind an early
+// return), and leaks log-ness through a helper's return value into a
+// `/`. Never compiled.
 #pragma once
 
 #include <cstddef>
@@ -20,5 +21,6 @@ class LogModel {
 
 double joint(const std::vector<double>& p);
 double lin(const std::vector<double>& p);
+double early_mass(const std::vector<double>& p, bool skip);
 
 }  // namespace sysuq::prob

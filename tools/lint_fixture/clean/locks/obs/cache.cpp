@@ -4,6 +4,7 @@
 namespace sysuq::obs {
 
 void Cache::put(int v) {
+  ++puts_;  // owner-confined: no lock needed
   const std::lock_guard<std::mutex> lock(mu_);
   last_ = v;
   hits_.store(hits_.load(std::memory_order_relaxed) + 1,

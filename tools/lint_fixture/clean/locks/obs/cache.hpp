@@ -1,5 +1,7 @@
-// Lock-discipline fixture, clean twin: writes happen under a
-// lock_guard, loads stay within each member's declared memory-order
+// Lock-discipline fixture, clean twin: guarded writes happen under a
+// lock_guard, the owner-confined `puts_` is written with no lock held
+// (guard-consistency owns unlocked writes, and a confined member needs
+// no lock), and loads stay within each member's declared memory-order
 // ceiling (relaxed by default; `ready_` raises its ceiling to acquire
 // with a sysuq-atomic-order marker). Never compiled.
 #pragma once
@@ -21,6 +23,7 @@ class Cache {
  private:
   mutable std::mutex mu_;
   int last_ = 0;  // sysuq-guarded-by(mu_)
+  int puts_ = 0;  // sysuq-thread-confined(owner)
   std::atomic<long> hits_{0};
   std::atomic<bool> ready_{false};  // sysuq-atomic-order(acquire)
 };

@@ -1,7 +1,7 @@
 #include "sysuq_analyze/dataflow.hpp"
 
-#include <algorithm>
 #include <deque>
+#include <utility>
 
 namespace sysuq_analyze {
 
@@ -24,8 +24,12 @@ ForwardAnalysis::ForwardAnalysis(const Cfg& cfg, VarState entry,
   in_[0] = std::move(entry);
   std::deque<std::size_t> worklist;
   std::vector<char> queued(cfg_.blocks.size(), 0);
+  // A block is processed the first time an edge reaches it, even when
+  // that edge brings no facts: the facts it generates must flow on.
+  std::vector<char> reached(cfg_.blocks.size(), 0);
   worklist.push_back(0);
   queued[0] = 1;
+  reached[0] = 1;
   while (!worklist.empty()) {
     const std::size_t b = worklist.front();
     worklist.pop_front();
@@ -33,10 +37,12 @@ ForwardAnalysis::ForwardAnalysis(const Cfg& cfg, VarState entry,
     VarState out = in_[b];
     for (const Stmt& s : cfg_.blocks[b].stmts) transfer_(s, out);
     for (const std::size_t succ : cfg_.blocks[b].succs) {
-      if (join_states(in_[succ], out) && !queued[succ]) {
+      const bool grew = join_states(in_[succ], out);
+      if ((grew || !reached[succ]) && !queued[succ]) {
         worklist.push_back(succ);
         queued[succ] = 1;
       }
+      reached[succ] = 1;
     }
   }
 }
@@ -65,20 +71,84 @@ VarState ForwardAnalysis::anywhere() const {
   return all;
 }
 
+void solve_with_summaries(const Project& project, SummaryTransfer transfer,
+                          EntryState entry, const SummaryReport& report) {
+  struct Unit {
+    const AnalyzedFile* af;
+    const FunctionDef* def;
+    Cfg cfg;
+    VarState entry;
+  };
+  std::vector<Unit> units;
+  for (const auto& af : project.files)
+    for (const auto& def : af.model.defs)
+      units.push_back({&af, &def, build_cfg(af.lex, def),
+                       entry != nullptr ? entry(af.lex, def) : VarState{}});
+
+  const auto solve = [transfer](const Unit& u,
+                                const std::set<std::string>& summary,
+                                std::set<std::string>* summary_out) {
+    return ForwardAnalysis(
+        u.cfg, u.entry, [transfer, &u, &summary, summary_out](
+                            const Stmt& s, VarState& st) {
+          transfer(u.af->lex, s, st, summary, u.def->name, summary_out);
+        });
+  };
+
+  // Per-root summaries to their fixpoint: callees defined later, or in
+  // other files of the root, still propagate.
+  std::map<std::string, std::set<std::string>> summaries;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const Unit& u : units) {
+      std::set<std::string>& summary = summaries[u.af->lex.root];
+      const std::size_t before = summary.size();
+      solve(u, summary, &summary);
+      grew = grew || summary.size() != before;
+    }
+  }
+
+  for (const Unit& u : units) {
+    const std::set<std::string>& summary = summaries[u.af->lex.root];
+    report(*u.af, *u.def, summary, solve(u, summary, nullptr));
+  }
+}
+
+const CallGraph::Edges& CallGraph::root(const std::string& root) const {
+  static const Edges kNone;
+  const auto it = by_root.find(root);
+  return it != by_root.end() ? it->second : kNone;
+}
+
 CallGraph build_call_graph(const Project& project) {
   CallGraph cg;
   for (const auto& af : project.files) {
-    auto& per_root = cg.callees_by_root[af.lex.root];
+    auto& edges = cg.by_root[af.lex.root];
     const auto& t = af.lex.tokens;
     for (const auto& def : af.model.defs) {
-      auto& callees = per_root[def.name];
+      auto& callees = edges.callees[def.name];
       for (std::size_t i = def.body_begin; i + 1 < def.body_end; ++i) {
-        if (t[i].kind == TokKind::kIdent && is_punct(t[i + 1], "("))
+        if (t[i].kind == TokKind::kIdent && is_punct(t[i + 1], "(")) {
           callees.insert(t[i].text);
+          edges.callers[t[i].text].insert(def.name);
+        }
       }
     }
   }
   return cg;
+}
+
+std::set<std::string> reachable(const NameGraph& edges,
+                                std::set<std::string> seeds) {
+  std::vector<std::string> todo(seeds.begin(), seeds.end());
+  while (!todo.empty()) {
+    const auto it = edges.find(todo.back());
+    todo.pop_back();
+    if (it == edges.end()) continue;
+    for (const std::string& next : it->second)
+      if (seeds.insert(next).second) todo.push_back(next);
+  }
+  return seeds;
 }
 
 std::size_t lambda_end(const LexedFile& f, std::size_t i, std::size_t limit) {
@@ -140,21 +210,6 @@ std::vector<LambdaRange> find_lambdas(const LexedFile& f, std::size_t begin,
     i = past - 1;  // outermost only
   }
   return out;
-}
-
-bool mentions_fact(const LexedFile& f, std::size_t begin, std::size_t end,
-                   const VarState& state, unsigned mask) {
-  const auto& t = f.tokens;
-  for (std::size_t i = begin; i < end && i < t.size(); ++i) {
-    if (t[i].kind != TokKind::kIdent) continue;
-    if (i > begin && t[i - 1].kind == TokKind::kPunct &&
-        (t[i - 1].text == "." || t[i - 1].text == "->" ||
-         t[i - 1].text == "::"))
-      continue;
-    const auto it = state.find(t[i].text);
-    if (it != state.end() && (it->second & mask) != 0) return true;
-  }
-  return false;
 }
 
 }  // namespace sysuq_analyze

@@ -1,4 +1,5 @@
-// Forward dataflow framework for sysuq_analyze.
+// Forward dataflow framework for sysuq_analyze, and the analyzer's one
+// copy of each fixpoint.
 //
 // The abstract domain is a powerset lattice per named local: each
 // variable maps to a bitmask of pass-defined facts (arena-handle,
@@ -6,9 +7,10 @@
 // bitwise OR — so every analysis built on it is a may-analysis and a
 // fixpoint always exists (finite facts, monotone transfer). The solver
 // runs a worklist over a function's CFG (cfg.hpp); interprocedural
-// facts travel through per-root name-granular function summaries the
-// passes iterate to their own fixpoint, exactly like contract-coverage
-// already does for its covered set.
+// facts travel through per-root name-granular function summaries that
+// `solve_with_summaries` iterates to their fixpoint. Closures over the
+// call graph (contract coverage, transitive lock acquisition, worker
+// roles) are one `reachable` search over the graph built once per scan.
 #pragma once
 
 #include <cstddef>
@@ -33,17 +35,14 @@ bool join_states(VarState& into, const VarState& from);
 /// Forward worklist solver over one function's CFG. `transfer` mutates
 /// the state through one statement (gen/kill); it must be monotone in
 /// the OR lattice (only ever add bits for a given input) for the
-/// fixpoint to terminate, which every pass here satisfies.
+/// fixpoint to terminate, which every pass here satisfies. Every block
+/// an edge reaches is processed at least once, even when the edge
+/// brings no facts. Constructed only by `solve_with_summaries`.
 class ForwardAnalysis {
  public:
   using Transfer = std::function<void(const Stmt&, VarState&)>;
 
   ForwardAnalysis(const Cfg& cfg, VarState entry, Transfer transfer);
-
-  /// Fixpoint state at entry of block `b`.
-  [[nodiscard]] const VarState& block_in(std::size_t b) const {
-    return in_[b];
-  }
 
   /// Replays the fixpoint: for every statement of every block calls
   /// `visit(stmt, state-before)` then applies the transfer. Blocks are
@@ -63,17 +62,62 @@ class ForwardAnalysis {
   std::vector<VarState> in_;
 };
 
-/// Name-granular call graph: for each scan root, function name ->
-/// callee names (every identifier followed by '(' in the body).
-/// Name-granular on purpose, matching contract-coverage: a precise
-/// call graph is front-end territory, and over-approximation feeds
-/// may-analyses, which stay sound for "might this happen" questions.
+/// A summary pass's transfer: applies statement `s` of function
+/// `def_name` in `f` to `state`, reading `summary` (the names of the
+/// root's functions whose returns carry the pass's fact). When
+/// `summary_out` is non-null, a `return` that yields the fact records
+/// `def_name` there.
+using SummaryTransfer = void (*)(const LexedFile& f, const Stmt& s,
+                                 VarState& state,
+                                 const std::set<std::string>& summary,
+                                 const std::string& def_name,
+                                 std::set<std::string>* summary_out);
+
+/// A definition's entry state (facts of its parameters).
+using EntryState = VarState (*)(const LexedFile& f, const FunctionDef& def);
+
+/// Receives one definition's analysis, solved against its root's final
+/// summary, for the pass to replay and report.
+using SummaryReport = std::function<void(
+    const AnalyzedFile& af, const FunctionDef& def,
+    const std::set<std::string>& summary, const ForwardAnalysis& fa)>;
+
+/// The one interprocedural fixpoint (arena-escape, log-domain): builds
+/// every definition's CFG once, solves each definition in project order
+/// with `transfer` until no root's summary grows (a run sees the names
+/// recorded so far, its own included), then solves each once more
+/// against the final summary and hands it to `report`. A null `entry`
+/// starts every definition from the empty state.
+void solve_with_summaries(const Project& project, SummaryTransfer transfer,
+                          EntryState entry, const SummaryReport& report);
+
+/// Names to the names they point at.
+using NameGraph = std::map<std::string, std::set<std::string>>;
+
+/// Name-granular call graph, built once per scan: per scan root,
+/// function name -> callee names (every identifier followed by '(' in
+/// the body), and the same edges reversed. Name-granular on purpose: a
+/// precise call graph is front-end territory, and over-approximation
+/// feeds may-analyses, which stay sound for "might this happen"
+/// questions.
 struct CallGraph {
-  std::map<std::string, std::map<std::string, std::set<std::string>>>
-      callees_by_root;
+  struct Edges {
+    NameGraph callees;  ///< function -> names it calls
+    NameGraph callers;  ///< name -> functions that call it
+  };
+  std::map<std::string, Edges> by_root;
+
+  /// The edges of scan root `root`; empty for a root without functions.
+  [[nodiscard]] const Edges& root(const std::string& root) const;
 };
 
 [[nodiscard]] CallGraph build_call_graph(const Project& project);
+
+/// Every name reachable from `seeds` along `edges`, seeds included: the
+/// one call-graph closure. Over callees it finds what the seeds may
+/// call; over callers, every function that may reach a seed.
+[[nodiscard]] std::set<std::string> reachable(const NameGraph& edges,
+                                              std::set<std::string> seeds);
 
 // ---------------------------------------------------------------------
 // Shared token utilities for the dataflow passes.
@@ -104,12 +148,5 @@ struct LambdaRange {
 [[nodiscard]] std::vector<LambdaRange> find_lambdas(const LexedFile& f,
                                                     std::size_t begin,
                                                     std::size_t end);
-
-/// True when any identifier token in `[begin, end)` (lambda bodies
-/// included) equals a key of `state` carrying any bit of `mask`, and is
-/// not a member access off another object (`x.name` / `ns::name`).
-[[nodiscard]] bool mentions_fact(const LexedFile& f, std::size_t begin,
-                                 std::size_t end, const VarState& state,
-                                 unsigned mask);
 
 }  // namespace sysuq_analyze

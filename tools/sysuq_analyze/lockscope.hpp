@@ -6,10 +6,10 @@
 // guard declarations and requires-contracts all spell the same lock
 // `Class::member_`. Two walkers keep the held set on top of it:
 // `walk_lock_scopes` walks tokens, with RAII guard lifetimes following
-// brace depth, and serves guard-consistency, thread-escape and
-// lock-discipline, which need the held set at every token of a body (or
-// of a worker lambda walked in isolation); lock-order walks cfg.hpp's
-// statements instead.
+// brace depth, and serves guard-consistency (whose walk also checks
+// lock-discipline's atomic-order ceiling) and thread-escape, which need
+// the held set at every token of a body (or of a worker lambda walked
+// in isolation); lock-order walks cfg.hpp's statements instead.
 #pragma once
 
 #include <cstddef>
@@ -135,8 +135,7 @@ struct LockContracts {
 /// compound assignment (through an optional [index] subscript),
 /// pre/post increment/decrement, or a mutating container call. With
 /// `plain_member_access` this is the member-write test of
-/// lock-discipline, validate-before-mutate and the thread-safety
-/// passes.
+/// validate-before-mutate and the thread-safety passes.
 [[nodiscard]] bool member_write_at(const LexedFile& f, std::size_t i);
 
 }  // namespace sysuq_analyze

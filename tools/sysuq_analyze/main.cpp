@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "sysuq_analyze/dataflow.hpp"
 #include "sysuq_analyze/lexer.hpp"
 #include "sysuq_analyze/model.hpp"
 #include "sysuq_analyze/passes.hpp"
@@ -267,17 +268,17 @@ int main(int argc, char** argv) {
   }
   if (failed.load()) return 2;
   project.index();
+  const CallGraph calls = build_call_graph(project);
 
   pass_layering(project, rep);
-  pass_contracts(project, rep);
-  pass_locks(project, rep);
+  pass_contracts(project, calls, rep);
   pass_mutate(project, rep);
   pass_legacy(project, rep);
   pass_arena(project, rep);
-  pass_lockorder(project, rep);
+  pass_lockorder(project, calls, rep);
   pass_logdomain(project, rep);
   pass_obscontext(project, rep);
-  pass_threadescape(project, rep);
+  pass_threadescape(project, calls, rep);
   pass_guards(project, rep);
 
   std::sort(rep.violations.begin(), rep.violations.end(),

@@ -22,8 +22,9 @@
 // Taint is *production-based*, not mention-based: a right-hand side
 // produces a view only when it is a tainted variable chain or a
 // depth-0 call to a function whose own return statements were proven
-// to produce views (per-root summary iterated to a fixpoint, like
-// contract-coverage). `ScaledFactor out = eliminate_scaled(.., arena)`
+// to produce views (a per-root summary, which dataflow.hpp's
+// solve_with_summaries iterates to its fixpoint). `ScaledFactor out =
+// eliminate_scaled(.., arena)`
 // therefore stays clean — the callee materializes — while
 // `auto* p = arena.alloc<double>(n)` and `x = product(a, b, arena)`
 // taint. Lambda bodies are skipped by the transfer: a lambda's effects
@@ -407,13 +408,6 @@ VarState entry_from_params(const LexedFile& f, const FunctionDef& def) {
   return entry;
 }
 
-struct DefUnit {
-  const AnalyzedFile* af = nullptr;
-  const FunctionDef* def = nullptr;
-  Cfg cfg;
-  VarState entry;
-};
-
 /// The transfer function: applies one statement's gen/kill to `state`.
 /// When `returns_view_out` is non-null, a `return` of a view-producing
 /// expression records the enclosing function name there.
@@ -490,10 +484,8 @@ bool is_member_name(const Project& project, const AnalyzedFile& af,
 }
 
 /// Pool-dispatch capture check, flow-insensitive over the whole body.
-void check_pool_captures(const Project& project, const AnalyzedFile& af,
-                         const FunctionDef& def, const VarState& anywhere,
-                         Reporter& rep) {
-  const LexedFile& f = af.lex;
+void check_pool_captures(const LexedFile& f, const FunctionDef& def,
+                         const VarState& anywhere, Reporter& rep) {
   const auto& t = f.tokens;
   const std::vector<LambdaRange> lambdas =
       find_lambdas(f, def.body_begin, def.body_end);
@@ -561,8 +553,6 @@ void check_pool_captures(const Project& project, const AnalyzedFile& af,
                      "views must not cross a dispatch boundary");
     }
   }
-  (void)project;
-  (void)def;
 }
 
 }  // namespace
@@ -570,47 +560,11 @@ void check_pool_captures(const Project& project, const AnalyzedFile& af,
 void pass_arena(const Project& project, Reporter& rep) {
   if (!rep.enabled(kRule)) return;
 
-  // Build CFGs once per definition.
-  std::vector<DefUnit> units;
-  for (const auto& af : project.files) {
-    for (const auto& def : af.model.defs) {
-      DefUnit u;
-      u.af = &af;
-      u.def = &def;
-      u.cfg = build_cfg(af.lex, def);
-      u.entry = entry_from_params(af.lex, def);
-      units.push_back(std::move(u));
-    }
-  }
-
-  // Per-root returns-a-view summaries, iterated to a fixpoint: callees
-  // defined later (or in other files of the root) still propagate.
-  std::map<std::string, std::set<std::string>> summaries;
-  for (bool grew = true; grew;) {
-    grew = false;
-    for (const DefUnit& u : units) {
-      std::set<std::string>& summary = summaries[u.af->lex.root];
-      const std::size_t before = summary.size();
-      const LexedFile& f = u.af->lex;
-      const std::string name = u.def->name;
-      ForwardAnalysis fa(u.cfg, u.entry,
-                         [&f, &summary, &name](const Stmt& s, VarState& st) {
-                           transfer_stmt(f, s, st, summary, name, &summary);
-                         });
-      (void)fa;
-      if (summary.size() != before) grew = true;
-    }
-  }
-
-  // Final pass: replay the fixpoint and report.
-  for (const DefUnit& u : units) {
-    const LexedFile& f = u.af->lex;
-    const std::set<std::string>& summary = summaries[u.af->lex.root];
-    const std::string name = u.def->name;
-    ForwardAnalysis fa(u.cfg, u.entry,
-                       [&f, &summary, &name](const Stmt& s, VarState& st) {
-                         transfer_stmt(f, s, st, summary, name, nullptr);
-                       });
+  solve_with_summaries(project, transfer_stmt, entry_from_params,
+                       [&](const AnalyzedFile& af, const FunctionDef& def,
+                           const std::set<std::string>& summary,
+                           const ForwardAnalysis& fa) {
+    const LexedFile& f = af.lex;
     fa.replay([&](const Stmt& s, const VarState& state) {
       const std::vector<std::size_t> eff =
           effective_tokens(f, s.begin, s.end);
@@ -630,8 +584,7 @@ void pass_arena(const Project& project, Reporter& rep) {
       const StmtShape shape = parse_stmt(f, eff);
       if ((shape.kind == StmtShape::kAssign ||
            shape.kind == StmtShape::kAppend) &&
-          is_member_name(project, *u.af, *u.def, shape.target,
-                         shape.via_this) &&
+          is_member_name(project, af, def, shape.target, shape.via_this) &&
           produces_view(f, eff, shape.rhs_from, shape.rhs_to, state,
                         summary)) {
         rep.report(f, line, kRule,
@@ -641,8 +594,8 @@ void pass_arena(const Project& project, Reporter& rep) {
       }
     });
     // 3. Pool captures.
-    check_pool_captures(project, *u.af, *u.def, fa.anywhere(), rep);
-  }
+    check_pool_captures(f, def, fa.anywhere(), rep);
+  });
 }
 
 }  // namespace sysuq_analyze

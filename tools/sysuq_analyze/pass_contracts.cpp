@@ -11,9 +11,9 @@
 //   - parameterless functions are exempt — with no inputs there is no
 //     precondition to state;
 //   - coverage is transitive: a definition that calls a function whose
-//     own definition executes a contract is covered (computed to a
-//     fixpoint project-wide, so `query -> query_impl -> SYSUQ_EXPECT`
-//     chains of any depth count).
+//     own definition executes a contract is covered (one search over
+//     the call graph's reversed edges, so `query -> query_impl ->
+//     SYSUQ_EXPECT` chains of any depth count).
 //
 // The check is definition-driven: a (class, name) declared without a
 // body in a module header is looked up among the module's .cpp
@@ -28,6 +28,8 @@
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "sysuq_analyze/dataflow.hpp"
 
 namespace sysuq_analyze {
 
@@ -49,22 +51,10 @@ bool has_direct_contract(const LexedFile& f, const FunctionDef& def) {
   return false;
 }
 
-// Does the body call (ident followed by '(') any name in `covered`?
-bool calls_covered(const LexedFile& f, const FunctionDef& def,
-                   const std::set<std::string>& covered) {
-  for (std::size_t i = def.body_begin; i + 1 < def.body_end; ++i) {
-    const Token& t = f.tokens[i];
-    if (t.kind != TokKind::kIdent) continue;
-    const Token& next = f.tokens[i + 1];
-    if (next.kind != TokKind::kPunct || next.text != "(") continue;
-    if (covered.count(t.text) > 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
-void pass_contracts(const Project& project, Reporter& rep) {
+void pass_contracts(const Project& project, const CallGraph& calls,
+                    Reporter& rep) {
   if (!rep.enabled("contract-coverage")) return;
 
   // (root, module, class, name) -> declaration sites in headers.
@@ -92,13 +82,13 @@ void pass_contracts(const Project& project, Reporter& rep) {
     }
   }
 
-  // Transitive coverage to a fixpoint: seed with the names of functions
-  // whose definitions execute a contract directly, then fold in any
-  // function that calls a covered name. Name-granular on purpose — a
-  // precise call graph is front-end territory, and over-approximating
-  // coverage only ever silences the rule, never false-fires it.
+  // Transitive coverage: seed with the names of functions whose
+  // definitions execute a contract directly, then cover every function
+  // that reaches a covered name over the call graph. Name-granular on
+  // purpose — a precise call graph is front-end territory, and
+  // over-approximating coverage only ever silences the rule, never
+  // false-fires it.
   std::map<std::string, std::set<std::string>> covered_by_root;
-  bool grew = true;
   for (const auto& af : project.files) {
     // `.at()` and `.value()` are checked accesses (they throw on a bad
     // index / empty optional), so calling them counts as validating.
@@ -109,19 +99,8 @@ void pass_contracts(const Project& project, Reporter& rep) {
         covered_by_root[af.lex.root].insert(def.name);
     }
   }
-  while (grew) {
-    grew = false;
-    for (const auto& af : project.files) {
-      auto& covered = covered_by_root[af.lex.root];
-      for (const auto& def : af.model.defs) {
-        if (covered.count(def.name) > 0) continue;
-        if (calls_covered(af.lex, def, covered)) {
-          covered.insert(def.name);
-          grew = true;
-        }
-      }
-    }
-  }
+  for (auto& [root, covered] : covered_by_root)
+    covered = reachable(calls.root(root).callers, std::move(covered));
 
   for (const auto& af : project.files) {
     const LexedFile& f = af.lex;
@@ -134,7 +113,6 @@ void pass_contracts(const Project& project, Reporter& rep) {
           {f.root, f.module_name, def.class_name, def.name});
       if (it == declared.end()) continue;
       if (covered.count(def.name) > 0) continue;
-      if (calls_covered(f, def, covered)) continue;
       std::vector<const LexedFile*> extra_files;
       std::vector<std::size_t> extra_lines;
       for (const auto& site : it->second) {

@@ -14,6 +14,21 @@
 //      are findings, so an annotation sweep is forced to completion
 //      rather than silently stalling at "the easy ones".
 //
+// Together these own every unlocked write to a member of a mutex-owning
+// class: a guarded member is flagged at the access, an unannotated one
+// at its declaration, and a thread-confined one is thread-escape's to
+// police.
+//
+// The same lock-scope walk checks lock-discipline, the atomic-order
+// ceiling: in a class owning a std::mutex, a .load() / .store() on an
+// atomic member must not use a memory order stricter than the member's
+// declared ceiling (default: relaxed; raise it with
+// `// sysuq-atomic-order(<order>)` on the member's declaration line). A
+// bare .load()/.store() defaults to seq_cst and is therefore flagged —
+// accidental seq_cst on a statistics counter is a performance bug and,
+// worse, can hide a missing lock by providing ordering the design never
+// promised.
+//
 // Cross-thread reachability (which code runs on which thread role) is
 // thread-escape's job; this pass is the purely lexical half the
 // annotations make checkable per function.
@@ -30,6 +45,62 @@ namespace sysuq_analyze {
 namespace {
 
 constexpr const char* kRule = "guard-consistency";
+constexpr const char* kCeilingRule = "lock-discipline";
+
+int order_rank(const std::string& order) {
+  if (order == "relaxed") return 0;
+  if (order == "consume") return 1;
+  if (order == "acquire" || order == "release") return 2;
+  if (order == "acq_rel") return 3;
+  return 4;  // seq_cst and anything unrecognized
+}
+
+// The memory order named in a .load(...)/.store(...) argument list
+// starting at the '(' token; "" when no order argument is present
+// (which means seq_cst). The order is the call's LAST argument, so the
+// last match wins — a nested `x.load(acquire)` inside a store's value
+// expression must not be mistaken for the store's own order.
+std::string call_order(const LexedFile& f, std::size_t paren) {
+  const std::size_t end =
+      match_bracket(f.tokens, paren, f.tokens.size(), "(", ")");
+  std::string order;
+  for (std::size_t k = paren; k < end; ++k) {
+    const Token& t = f.tokens[k];
+    if (t.kind != TokKind::kIdent) continue;
+    static const std::string kPrefix = "memory_order_";
+    if (t.text.rfind(kPrefix, 0) == 0) order = t.text.substr(kPrefix.size());
+    else if (t.text == "memory_order" && k + 2 < end &&
+             is_punct(f.tokens[k + 1], "::"))
+      order = f.tokens[k + 2].text;
+  }
+  return order;
+}
+
+// lock-discipline: a .load()/.store() at token `i` (an atomic member
+// of a mutex-owning class) stricter than the member's declared ceiling.
+void check_atomic_order(const LexedFile& f, std::size_t i, const MemberVar& m,
+                        Reporter& rep) {
+  const auto& t = f.tokens;
+  std::size_t j = i + 1;
+  if (j < t.size() && is_punct(t[j], "["))
+    j = match_bracket(t, j, t.size(), "[", "]");
+  if (j + 2 >= t.size() || !is_punct(t[j], ".") ||
+      t[j + 1].kind != TokKind::kIdent ||
+      (t[j + 1].text != "load" && t[j + 1].text != "store") ||
+      !is_punct(t[j + 2], "("))
+    return;
+  const std::string declared =
+      m.declared_order.empty() ? "relaxed" : m.declared_order;
+  const std::string used = call_order(f, j + 2);
+  if (order_rank(used) <= order_rank(declared)) return;
+  const std::string used_name = used.empty() ? "seq_cst (default)" : used;
+  rep.report(f, t[j + 1].line, kCeilingRule,
+             "atomic member '" + m.name + "'." + t[j + 1].text +
+                 " uses memory order " + used_name +
+                 ", stricter than its declared ceiling '" + declared +
+                 "' (raise it with // sysuq-atomic-order(...) on the member, "
+                 "or relax the call)");
+}
 
 bool exempt_member(const MemberVar& m) {
   if (m.is_mutex || m.is_atomic) return true;
@@ -58,6 +129,12 @@ void check_def(const Project& project, const AnalyzedFile& af,
       [&](std::size_t i, const std::set<std::string>& held) {
         const Token& tok = t[i];
         if (tok.kind != TokKind::kIdent) return;
+
+        // Atomic member used with a stricter order than its ceiling.
+        if (ci.owns_mutex) {
+          const MemberVar* m = ci.member(tok.text);
+          if (m != nullptr && m->is_atomic) check_atomic_order(f, i, *m, rep);
+        }
 
         // Guarded member touched without its guard.
         if (!def.is_ctor && !def.is_dtor) {
@@ -97,7 +174,7 @@ void check_def(const Project& project, const AnalyzedFile& af,
 }  // namespace
 
 void pass_guards(const Project& project, Reporter& rep) {
-  if (!rep.enabled(kRule)) return;
+  if (!rep.enabled(kRule) && !rep.enabled(kCeilingRule)) return;
 
   // 1. Annotation completeness over mutex-owning classes.
   for (const auto& af : project.files) {

@@ -25,6 +25,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sysuq_analyze/cfg.hpp"
@@ -200,7 +201,8 @@ void walk_def(WalkCtx& ctx) {
 
 }  // namespace
 
-void pass_lockorder(const Project& project, Reporter& rep) {
+void pass_lockorder(const Project& project, const CallGraph& calls,
+                    Reporter& rep) {
   if (!rep.enabled(kRule)) return;
 
   // Phase 1: per-function direct acquisitions, per root.
@@ -217,25 +219,17 @@ void pass_lockorder(const Project& project, Reporter& rep) {
     }
   }
 
-  // Phase 2: transitive closure over the name-granular call graph.
-  const CallGraph cg = build_call_graph(project);
+  // Phase 2: transitive closure over the name-granular call graph. A
+  // function acquires each mutex that any function it reaches acquires:
+  // one search per mutex, from its direct acquirers over the callers.
   for (auto& [root, per_fn] : acquires) {
-    const auto cg_it = cg.callees_by_root.find(root);
-    if (cg_it == cg.callees_by_root.end()) continue;
-    for (bool grew = true; grew;) {
-      grew = false;
-      for (auto& [fn, mus] : per_fn) {
-        const auto callees = cg_it->second.find(fn);
-        if (callees == cg_it->second.end()) continue;
-        for (const std::string& callee : callees->second) {
-          if (callee == fn) continue;
-          const auto c = per_fn.find(callee);
-          if (c == per_fn.end()) continue;
-          for (const std::string& mu : c->second)
-            if (mus.insert(mu).second) grew = true;
-        }
-      }
-    }
+    const NameGraph& callers = calls.root(root).callers;
+    std::map<std::string, std::set<std::string>> acquirers;  // mutex -> fns
+    for (const auto& [fn, mus] : per_fn)
+      for (const std::string& mu : mus) acquirers[mu].insert(fn);
+    for (auto& [mu, fns] : acquirers)
+      for (const std::string& fn : reachable(callers, std::move(fns)))
+        per_fn[fn].insert(mu);
   }
 
   // Phase 3: edge collection + local violations (waits, dispatches).

@@ -18,8 +18,8 @@
 // and through names — identifiers with a `log_` prefix / `_log` suffix
 // (members like log_scale_, log_evidence_) are log-domain by
 // convention, which catches flows through members that a local-only
-// lattice cannot see. Function return summaries iterate per root like
-// the other dataflow passes.
+// lattice cannot see. Function return summaries iterate per root in
+// dataflow.hpp's solve_with_summaries, as arena-escape's do.
 #include <cstddef>
 #include <map>
 #include <set>
@@ -382,52 +382,21 @@ bool binary_mul_context(const LexedFile& f,
   return lhs_value && rhs_value;
 }
 
-struct LogUnit {
-  const AnalyzedFile* af = nullptr;
-  const FunctionDef* def = nullptr;
-  Cfg cfg;
-};
-
 }  // namespace
 
 void pass_logdomain(const Project& project, Reporter& rep) {
   if (!rep.enabled(kRule)) return;
 
-  std::vector<LogUnit> units;
-  for (const auto& af : project.files)
-    for (const auto& def : af.model.defs)
-      units.push_back({&af, &def, build_cfg(af.lex, def)});
-
-  std::map<std::string, std::set<std::string>> summaries;
-  for (bool grew = true; grew;) {
-    grew = false;
-    for (const LogUnit& u : units) {
-      std::set<std::string>& summary = summaries[u.af->lex.root];
-      const std::size_t before = summary.size();
-      const LexedFile& f = u.af->lex;
-      const std::string name = u.def->name;
-      ForwardAnalysis fa(u.cfg, {},
-                         [&f, &summary, &name](const Stmt& s, VarState& st) {
-                           transfer_log(f, s, st, summary, name, &summary);
-                         });
-      (void)fa;
-      if (summary.size() != before) grew = true;
-    }
-  }
-
-  for (const LogUnit& u : units) {
-    const LexedFile& f = u.af->lex;
+  solve_with_summaries(project, transfer_log, nullptr,
+                       [&](const AnalyzedFile& af, const FunctionDef& def,
+                           const std::set<std::string>& summary,
+                           const ForwardAnalysis& fa) {
+    const LexedFile& f = af.lex;
     const auto& t = f.tokens;
-    const std::set<std::string>& summary = summaries[u.af->lex.root];
-    const std::string name = u.def->name;
-    ForwardAnalysis fa(u.cfg, {},
-                       [&f, &summary, &name](const Stmt& s, VarState& st) {
-                         transfer_log(f, s, st, summary, name, nullptr);
-                       });
 
     // Loop nesting by source order: a `for`/`while`/`do` header at
     // depth d puts subsequent deeper statements inside a loop.
-    const std::vector<Stmt> linear = linear_statements(f, *u.def);
+    const std::vector<Stmt> linear = linear_statements(f, def);
     std::map<std::size_t, char> in_loop;  // stmt.begin -> inside-loop?
     {
       std::vector<std::size_t> loop_depths;
@@ -526,7 +495,7 @@ void pass_logdomain(const Project& project, Reporter& rep) {
         }
       }
     });
-  }
+  });
 }
 
 }  // namespace sysuq_analyze

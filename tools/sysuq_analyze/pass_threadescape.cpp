@@ -28,6 +28,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sysuq_analyze/dataflow.hpp"
@@ -344,10 +345,10 @@ void check_escapes(const Project& project, const AnalyzedFile& af,
 
 }  // namespace
 
-void pass_threadescape(const Project& project, Reporter& rep) {
+void pass_threadescape(const Project& project, const CallGraph& calls,
+                       Reporter& rep) {
   if (!rep.enabled(kRule)) return;
 
-  const CallGraph cg = build_call_graph(project);
   const LockContracts contracts = collect_lock_contracts(project);
 
   // Worker lambdas per definition, and worker function roots: names
@@ -370,20 +371,8 @@ void pass_threadescape(const Project& project, Reporter& rep) {
       workers_of.emplace(&def, std::move(w));
     }
   }
-  for (auto& [root, fns] : worker_fns) {
-    const auto cg_it = cg.callees_by_root.find(root);
-    if (cg_it == cg.callees_by_root.end()) continue;
-    bool grew = true;
-    while (grew) {
-      grew = false;
-      for (const std::string& fn : std::set<std::string>(fns)) {
-        const auto it = cg_it->second.find(fn);
-        if (it == cg_it->second.end()) continue;
-        for (const std::string& callee : it->second)
-          grew = fns.insert(callee).second || grew;
-      }
-    }
-  }
+  for (auto& [root, fns] : worker_fns)
+    fns = reachable(calls.root(root).callees, std::move(fns));
 
   // Walk every definition in its inferred role; worker lambdas are
   // excluded from the enclosing walk and re-walked as worker code with

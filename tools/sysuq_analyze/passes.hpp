@@ -10,21 +10,20 @@
 //                  includable by everyone but including only core.
 //   contracts    — every non-inline public function declared in a
 //                  module header executes a SYSUQ_EXPECT /
-//                  SYSUQ_ASSERT_PROB* / SYSUQ_ENSURE in its definition.
-//   locks        — in classes owning a std::mutex: non-atomic member
-//                  writes while lockscope.hpp's walker holds no lock,
-//                  and .load/.store with a stricter-than-declared
-//                  memory order.
+//                  SYSUQ_ASSERT_PROB* / SYSUQ_ENSURE in its definition,
+//                  directly or through the call graph's closure.
 //   mutate       — member mutations preceding the last precondition
 //                  check in a function (the PR-2 set_cpt bug class).
 //   arena        — arena-escape dataflow: thread_scratch()/Arena views
 //                  used after reset(), stored into members, or captured
-//                  by thread-pool callbacks (cfg.hpp + dataflow.hpp).
+//                  by thread-pool callbacks (cfg.hpp + dataflow.hpp's
+//                  solve_with_summaries).
 //   lockorder    — global lock-acquisition graph with cycle detection,
 //                  plus no-mutex-across-cv-wait/dispatch/join.
 //   logdomain    — log-domain values flowing into linear arithmetic or
 //                  SYSUQ_ASSERT_PROB* without exp()/from_log(), and
-//                  naive += accumulation over probability arrays.
+//                  naive += accumulation over probability arrays
+//                  (through solve_with_summaries, as arena).
 //   obscontext   — a function opening an obs::Span and dispatching onto
 //                  a thread pool must hand the TraceContext to the
 //                  tasks (current_context() + ContextScope), so worker
@@ -37,7 +36,13 @@
 //   guards       — lexical annotation checking: sysuq-guarded-by
 //                  accesses against the held-lock scope stack,
 //                  sysuq-excludes at call sites, and unannotated
-//                  members of mutex-owning classes.
+//                  members of mutex-owning classes (which owns every
+//                  unlocked member write); its lock-scope walk also
+//                  checks lock-discipline, the .load/.store memory
+//                  order against each atomic member's declared ceiling.
+//
+// contracts, lockorder and threadescape share one CallGraph
+// (dataflow.hpp), built once per scan.
 #pragma once
 
 #include <cstddef>
@@ -112,16 +117,20 @@ class Project {
       by_name_;
 };
 
+struct CallGraph;
+
 void pass_legacy(const Project& project, Reporter& rep);
 void pass_layering(const Project& project, Reporter& rep);
-void pass_contracts(const Project& project, Reporter& rep);
-void pass_locks(const Project& project, Reporter& rep);
+void pass_contracts(const Project& project, const CallGraph& calls,
+                    Reporter& rep);
 void pass_mutate(const Project& project, Reporter& rep);
 void pass_arena(const Project& project, Reporter& rep);
-void pass_lockorder(const Project& project, Reporter& rep);
+void pass_lockorder(const Project& project, const CallGraph& calls,
+                    Reporter& rep);
 void pass_logdomain(const Project& project, Reporter& rep);
 void pass_obscontext(const Project& project, Reporter& rep);
-void pass_threadescape(const Project& project, Reporter& rep);
+void pass_threadescape(const Project& project, const CallGraph& calls,
+                       Reporter& rep);
 void pass_guards(const Project& project, Reporter& rep);
 
 /// Display path for a file (root-joined, generic separators).

@@ -23,10 +23,10 @@ constexpr std::array<RuleDoc, 15> kRules = {{
      "execute SYSUQ_EXPECT / SYSUQ_ASSERT_PROB* / SYSUQ_ENSURE in its "
      "definition."},
     {"lock-discipline",
-     "In classes owning a std::mutex: no non-atomic member write while no "
-     "lock is held by a lock_guard, unique_lock, scoped_lock or "
-     "shared_lock, and no .load()/.store() with a memory order stricter "
-     "than the member's declared ceiling."},
+     "In classes owning a std::mutex: no .load()/.store() on an atomic "
+     "member with a memory order stricter than the member's declared "
+     "ceiling (relaxed unless raised with // sysuq-atomic-order(...)); "
+     "guard-consistency owns unlocked writes to non-atomic members."},
     {"validate-before-mutate",
      "No member mutation may precede the function's last precondition "
      "check; a throwing contract must not leave the object half-mutated."},
