@@ -11,9 +11,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
+
+#include "core/contracts.hpp"
 
 namespace sysuq::bayesnet {
 
@@ -37,8 +41,22 @@ class Arena {
 
   /// Allocates `bytes` aligned to `align` (a power of two no larger
   /// than alignof(std::max_align_t)). The storage is uninitialized and
-  /// lives until reset() or destruction.
-  [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align);
+  /// lives until reset() or destruction. The bump is inline, since a VE
+  /// query makes dozens of allocations; only a request the current
+  /// chunk cannot hold leaves it, for grow().
+  [[nodiscard]] void* allocate(std::size_t bytes, std::size_t align) {
+    SYSUQ_EXPECT(align != 0 && (align & (align - 1)) == 0 &&
+                     align <= alignof(std::max_align_t),
+                 "Arena::allocate: alignment must be a power of two no larger "
+                 "than max_align_t");
+    Chunk& chunk = chunks_.back();
+    const std::size_t offset = (chunk.offset + align - 1) & ~(align - 1);
+    if (bytes > chunk.size || offset > chunk.size - bytes) [[unlikely]]
+      return grow(bytes, align);
+    chunk.offset = offset + bytes;
+    used_ += bytes;
+    return chunk.data.get() + offset;
+  }
 
   /// Typed allocation of `n` uninitialized T (T must be trivially
   /// destructible — the arena never runs destructors). The element
@@ -68,10 +86,19 @@ class Arena {
     std::size_t offset = 0;
   };
 
-  /// n * elem_size; throws std::invalid_argument when it overflows.
+  /// n * elem_size; throws std::invalid_argument when it overflows (a
+  /// hard throw, not a contract: compiled out, a wrapped byte count would
+  /// hand out a block smaller than the array).
   [[nodiscard]] static std::size_t checked_array_bytes(std::size_t n,
-                                                       std::size_t elem_size);
+                                                       std::size_t elem_size) {
+    if (elem_size != 0 && n > SIZE_MAX / elem_size)
+      throw std::invalid_argument("Arena::alloc: element count overflows size_t");
+    return n * elem_size;
+  }
 
+  /// allocate()'s slow path: adds a chunk that holds the request and
+  /// allocates from it.
+  [[nodiscard]] void* grow(std::size_t bytes, std::size_t align);
   void add_chunk(std::size_t min_bytes);
 
   std::vector<Chunk> chunks_;

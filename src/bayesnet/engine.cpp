@@ -7,10 +7,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
+#include <numeric>
 #include <optional>
-#include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -59,6 +59,21 @@ std::vector<std::pair<VariableId, std::size_t>> assignment(
     const Evidence& evidence) {
   return {evidence.begin(), evidence.end()};  // map: sorted pairs
 }
+
+// One frame of the thread's scratch arena: reset on entry and on every
+// exit, throws included, so nothing held in it outlives the frame.
+class ScratchFrame {
+ public:
+  ScratchFrame() : arena_(kernels::thread_scratch()) { arena_.reset(); }
+  ~ScratchFrame() { arena_.reset(); }
+  ScratchFrame(const ScratchFrame&) = delete;
+  ScratchFrame& operator=(const ScratchFrame&) = delete;
+
+  [[nodiscard]] Arena& arena() const { return arena_; }
+
+ private:
+  Arena& arena_;
+};
 
 }  // namespace
 
@@ -362,98 +377,101 @@ const std::vector<std::vector<char>>& InferenceEngine::always_possible() const {
   });
 }
 
-bool InferenceEngine::mark_requisite(const std::vector<VariableId>& keep,
-                                     const Evidence& evidence,
-                                     std::vector<char>& in) const {
-  std::vector<char> mark(net_.size(), 0);
-  for (const auto& [v, _] : evidence) mark[v] = BayesianNetwork::kObserved;
-  net_.bayes_ball(keep, mark);
+bool InferenceEngine::mark_requisite(std::span<const VariableId> keep,
+                                     const Evidence& evidence, std::span<char> in,
+                                     Arena& scratch) const {
+  for (const auto& [v, _] : evidence) in[v] = BayesianNetwork::kObserved;
+  net_.bayes_ball(keep, in, scratch);
   const std::vector<std::vector<char>>* possible = nullptr;
   for (const auto& [v, state] : evidence) {
-    if ((mark[v] & BayesianNetwork::kTop) != 0) continue;
+    if ((in[v] & BayesianNetwork::kTop) != 0) continue;
     if (possible == nullptr) possible = &always_possible();
-    if ((*possible)[v][state] == 0) return false;
+    if ((*possible)[v][state] == 0) {
+      std::fill(in.begin(), in.end(), 0);
+      return false;
+    }
   }
-  for (VariableId v = 0; v < net_.size(); ++v)
-    in[v] = (mark[v] & BayesianNetwork::kTop) != 0;
+  for (char& m : in) m = (m & BayesianNetwork::kTop) != 0;
   return true;
 }
 
 InferenceEngine::VeRun InferenceEngine::ve_run(
-    const std::vector<VariableId>& keep, const Evidence& evidence,
-    const EliminationOrdering& ordering) const {
-  std::vector<char> in(net_.size(), 0);
-  if (keep.empty() || !mark_requisite(keep, evidence, in)) {
+    std::span<const VariableId> keep, const Evidence& evidence,
+    const EliminationOrdering& ordering, Arena& scratch) const {
+  const std::size_t n = net_.size();
+  char* const in = scratch.alloc<char>(n);
+  std::fill(in, in + n, 0);
+  if (keep.empty() || !mark_requisite(keep, evidence, {in, n}, scratch)) {
     // The ancestral set, by a walk up the CPT scopes (a CPT's scope is
-    // its variable and its parents).
-    std::vector<VariableId> stack = keep;
-    for (const auto& [v, _] : evidence) stack.push_back(v);
-    for (const VariableId v : stack) in[v] = 1;
-    while (!stack.empty()) {
-      const VariableId v = stack.back();
-      stack.pop_back();
-      for (const VariableId p : net_.cpt_factor(v).scope()) {
-        if (in[p] == 0) {
-          in[p] = 1;
-          stack.push_back(p);
-        }
+    // its variable and its parents); each variable enters the stack once.
+    VariableId* const stack = scratch.alloc<VariableId>(n);
+    std::size_t top = 0;
+    const auto enter = [&](VariableId v) {
+      if (in[v] == 0) {
+        in[v] = 1;
+        stack[top++] = v;
       }
+    };
+    for (const VariableId v : keep) enter(v);
+    for (const auto& [v, _] : evidence) enter(v);
+    while (top > 0) {
+      for (const VariableId p : net_.cpt_factor(stack[--top]).scope()) enter(p);
     }
   }
-  VeRun run;
-  for (VariableId v = 0; v < net_.size(); ++v) {
-    if (in[v] != 0) run.cpts.push_back(v);
+  VariableId* const cpts = scratch.alloc<VariableId>(n);
+  std::size_t ncpts = 0;
+  for (VariableId v = 0; v < n; ++v) {
+    if (in[v] != 0) cpts[ncpts++] = v;
   }
   // The plan names every unobserved variable, and the network plan the
   // observed ones too: evidence reduction empties their buckets, so the
   // run and its replay skip them. Skipping the kept ones and those
   // outside the set as well keeps the kept ones in the result scope (any
   // suffix-restricted order is still exact).
-  run.order.reserve(run.cpts.size());
+  VariableId* const order = scratch.alloc<VariableId>(ordering.order.size());
+  std::size_t norder = 0;
   for (const VariableId v : ordering.order) {
     if (in[v] != 0 && std::find(keep.begin(), keep.end(), v) == keep.end())
-      run.order.push_back(v);
+      order[norder++] = v;
   }
-  return run;
+  return {{cpts, ncpts}, {order, norder}};
 }
 
-kernels::ScaledFactor InferenceEngine::eliminate_all_but(
-    const std::vector<VariableId>& keep, const Evidence& evidence,
-    const EliminationOrdering& ordering) const {
+kernels::ScaledTable InferenceEngine::eliminate_all_but(
+    std::span<const VariableId> keep, const Evidence& evidence,
+    const EliminationOrdering& ordering, Arena& scratch) const {
   EngineMetrics::instance().elimination_width.observe(
       static_cast<double>(ordering.induced_width));
-  const VeRun run = ve_run(keep, evidence, ordering);
+  const VeRun run = ve_run(keep, evidence, ordering, scratch);
   // The network's CPT tables are viewed in place; only evidence-bearing
   // ones are reduced (into the arena). No per-query deep copies.
-  Arena& arena = kernels::thread_scratch();
-  arena.reset();
-  std::vector<kernels::View> views;
-  views.reserve(run.cpts.size());
-  for (const VariableId v : run.cpts) {
-    kernels::View view = kernels::view_of(net_.cpt_factor(v));
+  kernels::View* const views = scratch.alloc<kernels::View>(run.cpts.size());
+  for (std::size_t i = 0; i < run.cpts.size(); ++i) {
+    kernels::View view = kernels::view_of(net_.cpt_factor(run.cpts[i]));
     for (const auto& [ev, state] : evidence) {
       if (view.contains(ev))
-        view = kernels::reduce(view, ev, state, arena).view();
+        view = kernels::reduce(view, ev, state, scratch).view();
     }
-    views.push_back(view);
+    views[i] = view;
   }
-  kernels::ScaledFactor out =
-      kernels::eliminate_scaled(std::move(views), run.order, arena);
-  last_ve_arena_high_water_.store(arena.bytes_used(),
+  const kernels::ScaledTable out =
+      kernels::eliminate({views, run.cpts.size()}, run.order, scratch);
+  last_ve_arena_high_water_.store(scratch.bytes_used(),
                                   std::memory_order_relaxed);
-  arena.reset();
   return out;
 }
 
 prob::Categorical InferenceEngine::query_ve(VariableId query, const Evidence& evidence,
                                             const EliminationOrdering& ordering) const {
-  const kernels::ScaledFactor sf = eliminate_all_but({query}, evidence, ordering);
-  if (sf.impossible())
+  const ScratchFrame frame;
+  const kernels::ScaledTable out =
+      eliminate_all_but({&query, 1}, evidence, ordering, frame.arena());
+  if (out.impossible())
     throw std::domain_error(impossible_evidence_message(net_, evidence));
-  const Factor& f = sf.factor;
-  if (f.scope().size() != 1 || f.scope()[0] != query)
+  if (out.table.rank != 1 || out.table.scope[0] != query)
     throw std::logic_error("InferenceEngine: unexpected result scope");
-  return prob::Categorical::normalized(f.values());
+  return prob::Categorical::normalized(
+      std::span<const double>(out.table.values, out.table.size));
 }
 
 prob::Categorical InferenceEngine::query(VariableId query,
@@ -534,11 +552,13 @@ double InferenceEngine::evidence_probability(const Evidence& evidence) const {
   const Plan plan = route({Ask::kEvidence}, evidence);
   if (plan.route == Route::kJunctionTree)
     return calibrated_tree_for(evidence, plan.ordering)->evidence_probability();
-  const kernels::ScaledFactor sf = eliminate_all_but({}, evidence, *plan.ordering);
+  const ScratchFrame frame;
+  const kernels::ScaledTable out =
+      eliminate_all_but({}, evidence, *plan.ordering, frame.arena());
   // exp(log_scale) is exactly 1 unless a rescale fired, so the common
   // case returns the unscaled total bit for bit.
-  // sysuq-lint-allow(log-domain): the left operand is sf.factor's linear total; sf is log-tagged only through its log_scale member, which std::exp converts
-  return sf.factor.total() * std::exp(sf.log_scale);
+  // sysuq-lint-allow(log-domain): the left operand is out.table's linear total; out is log-tagged only through its log_scale member, which std::exp converts
+  return kernels::total(out.table.values, out.table.size) * std::exp(out.log_scale);
 }
 
 double InferenceEngine::log_evidence_probability(
@@ -548,7 +568,8 @@ double InferenceEngine::log_evidence_probability(
     return calibrated_tree_for(evidence, plan.ordering)->log_evidence_probability();
   // The scaled path keeps log P(e) finite even when the linear value
   // underflows a double (deep evidence chains).
-  return eliminate_all_but({}, evidence, *plan.ordering).log_total();
+  const ScratchFrame frame;
+  return eliminate_all_but({}, evidence, *plan.ordering, frame.arena()).log_total();
 }
 
 prob::JointTable InferenceEngine::joint(VariableId a, VariableId b,
@@ -561,11 +582,17 @@ prob::JointTable InferenceEngine::joint(VariableId a, VariableId b,
         "InferenceEngine::joint: query variable in evidence");
   // Always VE; routing still validates the evidence and runs the guard.
   const Plan plan = route({Ask::kJoint}, evidence);
-  const kernels::ScaledFactor sf =
-      eliminate_all_but({a, b}, evidence, *plan.ordering);
-  if (sf.impossible())
+  const ScratchFrame frame;
+  const VariableId keep[] = {a, b};
+  const kernels::ScaledTable out =
+      eliminate_all_but(keep, evidence, *plan.ordering, frame.arena());
+  if (out.impossible())
     throw std::domain_error(impossible_evidence_message(net_, evidence));
-  const Factor f = sf.factor.normalized();
+  const kernels::View& t = out.table;
+  const Factor f = Factor(std::vector<VariableId>(t.scope, t.scope + t.rank),
+                          std::vector<std::size_t>(t.cards, t.cards + t.rank),
+                          std::vector<double>(t.values, t.values + t.size))
+                       .normalized();
   const std::size_t ca = net_.variable(a).cardinality();
   const std::size_t cb = net_.variable(b).cardinality();
   const bool a_first = a < b;
@@ -610,23 +637,42 @@ std::vector<prob::Categorical> InferenceEngine::query_batch(
   metrics.batch_queries.inc(batch.size());
 
   // Route once per evidence assignment, on this thread, so every group's
-  // plan is built before any unit runs. A VE group splits into one
-  // unit per query; a JT or BP group stays one unit, so one calibration
-  // or BP run serves all of it. Slots stay fixed per batch index, so
-  // scheduling cannot perturb the output.
+  // plan is built before any unit runs. The batch indices are
+  // stable-sorted by evidence, so the groups come in assignment order and
+  // each group's indices ascend; a group's distinct query variables are
+  // counted by sorting its query ids in one reused buffer. A VE group
+  // splits into one unit per query; a JT or BP group stays one unit, so
+  // one calibration or BP run serves all of it. Slots stay fixed per
+  // batch index, so scheduling cannot perturb the output.
   Slots slots(batch.size());
-  std::map<TreeKey, std::vector<std::size_t>> by_evidence;
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    by_evidence[assignment(batch[i].evidence)].push_back(i);
+  std::vector<std::size_t> by_evidence(batch.size());
+  std::iota(by_evidence.begin(), by_evidence.end(), std::size_t{0});
+  std::stable_sort(by_evidence.begin(), by_evidence.end(),
+                   [&](std::size_t i, std::size_t j) {
+                     return batch[i].evidence < batch[j].evidence;
+                   });
   std::vector<std::size_t> ve;
-  std::vector<std::pair<Plan, std::vector<std::size_t>>> groups;
-  for (auto& [key, indices] : by_evidence) {
-    std::set<VariableId> distinct;
-    for (const std::size_t i : indices) distinct.insert(batch[i].query);
+  ve.reserve(batch.size());
+  struct Group {
+    Plan plan;
+    std::span<const std::size_t> indices;  // into by_evidence
+  };
+  std::vector<Group> groups;
+  std::vector<VariableId> queries;
+  queries.reserve(batch.size());
+  for (std::size_t begin = 0, end = 0; begin < batch.size(); begin = end) {
+    const Evidence& evidence = batch[by_evidence[begin]].evidence;
+    queries.clear();
+    for (end = begin; end < batch.size() && batch[by_evidence[end]].evidence == evidence;
+         ++end)
+      queries.push_back(batch[by_evidence[end]].query);
+    std::sort(queries.begin(), queries.end());
+    const auto distinct = static_cast<std::size_t>(
+        std::unique(queries.begin(), queries.end()) - queries.begin());
+    const std::span<const std::size_t> indices(by_evidence.data() + begin, end - begin);
     Plan plan;
     try {
-      plan = route({Ask::kBatchGroup, 0, distinct.size()},
-                   batch[indices.front()].evidence);
+      plan = route({Ask::kBatchGroup, 0, distinct}, evidence);
     } catch (...) {
       for (const std::size_t i : indices) slots.errors[i] = std::current_exception();
       continue;
@@ -634,7 +680,7 @@ std::vector<prob::Categorical> InferenceEngine::query_batch(
     if (plan.route == Route::kVariableElimination) {
       ve.insert(ve.end(), indices.begin(), indices.end());
     } else {
-      groups.emplace_back(std::move(plan), std::move(indices));
+      groups.push_back({std::move(plan), indices});
     }
   }
 
@@ -766,9 +812,14 @@ QueryProfile InferenceEngine::explain(VariableId query,
       const EliminationOrdering& ordering = *plan.ordering;
       p.induced_width = ordering.induced_width;
       p.fill_edges = ordering.fill_edges;
-      // The plan that runs: ve_run's CPTs only, the order filtered to them.
-      const VeRun run = ve_run({query}, evidence, ordering);
-      p.steps = simulate_elimination(net_, evidence, run.order, {query}, run.cpts);
+      {
+        // The plan that runs: ve_run's CPTs only, the order filtered to them.
+        const ScratchFrame frame;
+        const VeRun run = ve_run({&query, 1}, evidence, ordering, frame.arena());
+        p.steps = simulate_elimination(
+            net_, evidence, {run.order.begin(), run.order.end()}, {query},
+            {run.cpts.begin(), run.cpts.end()});
+      }
       const auto t_sim = clock::now();
       const auto posterior = query_ve(query, evidence, ordering);  // throws when P(e) = 0
       const auto t_exec = clock::now();

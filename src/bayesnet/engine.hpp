@@ -8,7 +8,9 @@
 // force, with the same error semantics (std::out_of_range for unknown
 // evidence ids or states, std::domain_error with
 // `impossible_evidence_message` when P(e) = 0). How the engine gets there:
-//  * VE views the network's CPT tables in place;
+//  * VE views the network's CPT tables in place, and plans, reduces,
+//    eliminates and normalizes inside one frame of the thread's scratch
+//    arena, so a warm VE query makes no heap allocation;
 //  * a posterior or `joint` VE run multiplies only the CPTs that the
 //    network's Bayes-ball (Shachter 1998, `BayesianNetwork::bayes_ball`)
 //    marks requisite for its kept variables given the observed ones,
@@ -77,6 +79,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -296,9 +299,10 @@ class InferenceEngine {
       "bayesnet.jt.cache"};
   mutable Memo<TreeKey, std::shared_ptr<const LoopyBP>> bp_runs_{
       "bayesnet.bp.cache"};
-  // Arena bytes live at the peak of the most recent VE elimination on
-  // any thread (captured before the final arena reset). Relaxed: a
-  // diagnostic figure for explain(), not synchronization.
+  // Arena bytes live at the peak of the most recent VE run on any thread:
+  // its plan, views, intermediates and result, captured when its
+  // elimination ends. Relaxed: a diagnostic figure for explain(), not
+  // synchronization.
   mutable std::atomic<std::size_t> last_ve_arena_high_water_{0};
 
   /// The routing rule of the class comment, throws included. `reason`,
@@ -340,40 +344,50 @@ class InferenceEngine {
   /// row. Read off the network's CPT tables on first use.
   [[nodiscard]] const std::vector<std::vector<char>>& always_possible() const;
   /// What one VE run executes: the CPTs it multiplies, `cpts`
-  /// (ascending), and the plan's order filtered to them, minus `keep`. For a non-empty `keep` the CPTs are the requisite ones,
-  /// those Bayes-ball (Shachter 1998) marks on top: summed out, the
-  /// others leave a constant factor, which normalization divides out.
-  /// That factor is positive, so P(e) = 0 exactly when the run's mass is
-  /// 0, unless an observed variable left out has its observed state
+  /// (ascending), and the plan's order filtered to them, minus `keep`.
+  /// For a non-empty `keep` the CPTs are the requisite ones, those
+  /// Bayes-ball (Shachter 1998) marks on top: summed out, the others
+  /// leave a constant factor, which normalization divides out. That
+  /// factor is positive, so P(e) = 0 exactly when the run's mass is 0,
+  /// unless an observed variable left out has its observed state
   /// impossible under some parent row. The run then multiplies the
   /// ancestral CPTs of `keep` and the observed variables, as it does for
   /// P(e) (`keep = {}`): any other CPT is barren, one when summed over its
   /// child (Shachter 1986), and every observed variable's ancestors stay
-  /// in, so impossible evidence yields zero mass.
+  /// in, so impossible evidence yields zero mass. Both lists live in the
+  /// arena the run was planned in.
   struct VeRun {
-    std::vector<VariableId> cpts;
-    std::vector<VariableId> order;
+    std::span<const VariableId> cpts;
+    std::span<const VariableId> order;
   };
   /// The one helper that computes the set; VE and explain() both use it.
-  /// `keep` ids must be valid and unobserved.
-  [[nodiscard]] VeRun ve_run(const std::vector<VariableId>& keep,
+  /// `keep` ids must be valid and unobserved. The marks, both lists and
+  /// Bayes-ball's ball stack are allocated in `scratch`, the caller's
+  /// frame of the thread's scratch arena, so planning a run allocates
+  /// no heap memory.
+  [[nodiscard]] VeRun ve_run(std::span<const VariableId> keep,
                              const Evidence& evidence,
-                             const EliminationOrdering& ordering) const;
-  /// Marks in `in` (all zero) the CPTs `BayesianNetwork::bayes_ball`
-  /// marks on top for `keep` given `evidence`; false, leaving `in`
-  /// untouched, when an observed variable outside them calls for the
+                             const EliminationOrdering& ordering,
+                             Arena& scratch) const;
+  /// Marks in `in` (all zero, one byte per variable) the CPTs
+  /// `BayesianNetwork::bayes_ball` marks on top for `keep` given
+  /// `evidence`, with its ball stack in `scratch`; false, with `in` all
+  /// zero again, when an observed variable outside them calls for the
   /// ancestral set.
-  [[nodiscard]] bool mark_requisite(const std::vector<VariableId>& keep,
-                                    const Evidence& evidence,
-                                    std::vector<char>& in) const;
+  [[nodiscard]] bool mark_requisite(std::span<const VariableId> keep,
+                                    const Evidence& evidence, std::span<char> in,
+                                    Arena& scratch) const;
   /// Scaled elimination of ve_run()'s plan over views of the network's
-  /// CPT tables (no per-query deep copies); evidence reductions and all
-  /// intermediates live in the per-thread scratch arena. The log
-  /// normalizer lets the impossible-evidence checks distinguish genuine
-  /// zero mass from deep-chain underflow.
-  [[nodiscard]] kernels::ScaledFactor eliminate_all_but(
-      const std::vector<VariableId>& keep, const Evidence& evidence,
-      const EliminationOrdering& ordering) const;
+  /// CPT tables (no per-query deep copies). The plan, the evidence
+  /// reductions, every intermediate and the result live in `scratch`, the
+  /// caller's frame of the thread's scratch arena, which the caller reads
+  /// the result from before the frame ends; a warm VE query therefore
+  /// allocates no heap memory. The log normalizer lets the
+  /// impossible-evidence checks distinguish genuine zero mass from
+  /// deep-chain underflow.
+  [[nodiscard]] kernels::ScaledTable eliminate_all_but(
+      std::span<const VariableId> keep, const Evidence& evidence,
+      const EliminationOrdering& ordering, Arena& scratch) const;
   [[nodiscard]] prob::Categorical query_ve(VariableId query, const Evidence& evidence,
                                            const EliminationOrdering& ordering) const;
   /// Runs `unit(0..units-1)` across the pool under the caller's trace

@@ -13,6 +13,7 @@ namespace sysuq::bayesnet::kernels {
 namespace {
 
 constexpr double kUnitValue[1] = {1.0};
+constexpr double kZeroValue[1] = {0.0};
 
 // Row-major strides of a table (last dimension fastest → stride 1).
 void own_strides(const std::size_t* cards, std::size_t rank,
@@ -123,7 +124,7 @@ Table multiply_sum_out(const View* ops, std::size_t k, VariableId v,
     cur = 1 - cur;
     fits = rank <= kMaxRank;
   }
-  SYSUQ_EXPECT(fits, "kernels::eliminate_scaled: step rank exceeds kMaxRank");
+  SYSUQ_EXPECT(fits, "kernels::eliminate: step rank exceeds kMaxRank");
   const VariableId* scope = sbuf[cur];
   const std::size_t* cards = cbuf[cur];
   std::size_t pv = rank;
@@ -135,7 +136,7 @@ Table multiply_sum_out(const View* ops, std::size_t k, VariableId v,
     size *= cards[d];
   }
   SYSUQ_EXPECT(pv < rank && sized,
-               "kernels::eliminate_scaled: eliminated variable not in the step "
+               "kernels::eliminate: eliminated variable not in the step "
                "scope, or step table size overflows");
 
   // The output: the merged dimensions minus v's, pv.
@@ -186,15 +187,11 @@ Table multiply_sum_out(const View* ops, std::size_t k, VariableId v,
   return out;
 }
 
-struct ElimOutcome {
-  View result;
-  double log_scale = 0.0;
-  bool impossible = false;
-};
+}  // namespace
 
-// Core of eliminate_scaled: bucket elimination (Dechter 1996). Each view
-// waits in the bucket of its earliest-eliminated variable, so a step
-// multiplies exactly its bucket and files its message the same way;
+// Bucket elimination (Dechter 1996). Each view waits in the bucket of
+// its earliest-eliminated variable, so a step multiplies exactly its
+// bucket and files its message the same way;
 // views with nothing left to eliminate wait in a final bucket for the
 // closing product. Buckets are singly linked lists appended at the tail:
 // inputs are filed by index before any message, messages as they are
@@ -204,9 +201,14 @@ struct ElimOutcome {
 // renormalized and the log of the factored-out total accumulated; an
 // exactly-zero table short-circuits as impossible (zeros only propagate
 // outward in a product of non-negative factors).
-ElimOutcome eliminate_core(const std::vector<View>& inputs,
-                           const std::vector<VariableId>& order, Arena& arena) {
-  ElimOutcome out;
+ScaledTable eliminate(std::span<const View> inputs,
+                      std::span<const VariableId> order, Arena& arena) {
+  ScaledTable out;
+  const auto impossible = [&] {
+    out.table = View{nullptr, nullptr, kZeroValue, 0, 1};
+    out.log_scale = -std::numeric_limits<double>::infinity();
+    return out;
+  };
   const auto rescale_table = [&](Table& t) -> bool {
     const double mass = total(t.values, t.size);
     if (!(mass > 0.0)) return false;
@@ -263,32 +265,24 @@ ElimOutcome eliminate_core(const std::vector<View>& inputs,
     }
     for (; it != kNone; it = next[it]) ops[k++] = items[it];
     Table m = multiply_sum_out(ops, k, order[i], arena);
-    if (!rescale_table(m)) {
-      out.impossible = true;
-      return out;
-    }
+    if (!rescale_table(m)) return impossible();
     file(m.view());
   }
 
   std::size_t it = head[steps];
   if (it == kNone) {
-    out.result = unit_view();
+    out.table = unit_view();
     return out;
   }
   View acc = items[it];
   for (it = next[it]; it != kNone; it = next[it]) {
     Table t = product(acc, items[it], arena);
-    if (!rescale_table(t)) {
-      out.impossible = true;
-      return out;
-    }
+    if (!rescale_table(t)) return impossible();
     acc = t.view();
   }
-  out.result = acc;
+  out.table = acc;
   return out;
 }
-
-}  // namespace
 
 bool mul_overflows(std::size_t a, std::size_t b) noexcept {
   return b != 0 && a > SIZE_MAX / b;
@@ -570,6 +564,10 @@ void normalize_by(double* values, std::size_t n, double total) noexcept {
   for (std::size_t i = 0; i < n; ++i) values[i] /= total;
 }
 
+double ScaledTable::log_total() const noexcept {
+  return log_scale + std::log(total(table.values, table.size));
+}
+
 double ScaledFactor::log_total() const {
   return log_scale + std::log(factor.total());
 }
@@ -577,12 +575,8 @@ double ScaledFactor::log_total() const {
 ScaledFactor eliminate_scaled(std::vector<View> factors,
                               const std::vector<VariableId>& order,
                               Arena& arena) {
-  ElimOutcome outcome = eliminate_core(factors, order, arena);
-  if (outcome.impossible) {
-    return ScaledFactor{Factor({}, {}, {0.0}),
-                        -std::numeric_limits<double>::infinity()};
-  }
-  return ScaledFactor{materialize(outcome.result), outcome.log_scale};
+  const ScaledTable out = eliminate(factors, order, arena);
+  return ScaledFactor{materialize(out.table), out.log_scale};
 }
 
 Arena& thread_scratch() {

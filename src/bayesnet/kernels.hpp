@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "bayesnet/arena.hpp"
@@ -181,13 +182,31 @@ void normalize_by(double* values, std::size_t n, double total) noexcept;
 // ---------------------------------------------------------------------
 // Scaled elimination: the production path under VE.
 
-/// Result of a scaled elimination run: `factor` is the eliminated
-/// table with `log_scale` = log of the total mass factored out by the
-/// per-round renormalizations, so the true (linear) result is
-/// factor * exp(log_scale). Rescaling triggers only when an
-/// intermediate total leaves [kRescaleFloor, 1/kRescaleFloor], so
-/// ordinary queries reproduce the unscaled arithmetic bit for bit while
-/// deep-evidence chains cannot underflow to exact zero.
+/// Result of a scaled elimination run, in the arena it ran in (valid
+/// until that arena is reset): `table` is the eliminated table and
+/// `log_scale` the log of the total mass factored out by the per-round
+/// renormalizations, so the true (linear) result is
+/// table * exp(log_scale). Rescaling triggers only when an intermediate
+/// total leaves [kRescaleFloor, 1/kRescaleFloor], so ordinary queries
+/// reproduce the unscaled arithmetic bit for bit while deep-evidence
+/// chains cannot underflow to exact zero.
+struct ScaledTable {
+  View table;
+  double log_scale = 0.0;
+
+  /// log of the true total mass: log_scale + log(total(table)).
+  [[nodiscard]] double log_total() const noexcept;
+
+  /// True when the evidence baked into the eliminated factors has
+  /// exactly zero probability (a genuinely all-zero message, not
+  /// underflow): log_total() == -inf.
+  [[nodiscard]] bool impossible() const noexcept {
+    return !(log_total() > -std::numeric_limits<double>::infinity());
+  }
+};
+
+/// A ScaledTable materialized as an owning Factor; log_total() and
+/// impossible() read it the same way.
 struct ScaledFactor {
   Factor factor;
   double log_scale = 0.0;
@@ -195,19 +214,17 @@ struct ScaledFactor {
   /// log of the true total mass: log_scale + log(factor.total()).
   [[nodiscard]] double log_total() const;
 
-  /// True when the evidence baked into the eliminated factors has
-  /// exactly zero probability (a genuinely all-zero message, not
-  /// underflow): log_total() == -inf.
+  /// As ScaledTable::impossible().
   [[nodiscard]] bool impossible() const {
     return !(log_total() > -std::numeric_limits<double>::infinity());
   }
 };
 
 /// Runs variable elimination over `factors` following `order` with
-/// per-round rescaling (see ScaledFactor). Views must outlive the call;
-/// intermediates live in `arena` (caller resets it afterwards). An
-/// all-zero intermediate short-circuits to an impossible result (a zero
-/// scalar factor with log_scale = -inf).
+/// per-round rescaling (see ScaledTable). Views must outlive the call;
+/// intermediates and the result live in `arena` (the caller resets it
+/// once it has read the result). An all-zero intermediate short-circuits
+/// to an impossible result (a zero scalar table with log_scale = -inf).
 ///
 /// Bucket elimination (Dechter 1996): each factor waits in the bucket of
 /// its earliest-eliminated variable, so no step scans the live factors.
@@ -224,6 +241,14 @@ struct ScaledFactor {
 /// bit for bit, as long as the compiler does not contract a multiply and
 /// the following add into an FMA; the library build compiles kernels.cpp
 /// with `-ffp-contract=off` for that reason.
+[[nodiscard]] ScaledTable eliminate(std::span<const View> factors,
+                                    std::span<const VariableId> order,
+                                    Arena& arena);
+
+/// eliminate() with its result materialized as an owning Factor, the
+/// same arithmetic bit for bit. The engine reads eliminate()'s table in
+/// the arena instead; this wrapper serves the tests, the benches and
+/// perfbench.
 [[nodiscard]] ScaledFactor eliminate_scaled(std::vector<View> factors,
                                             const std::vector<VariableId>& order,
                                             Arena& arena);

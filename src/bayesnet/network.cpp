@@ -268,32 +268,42 @@ bool BayesianNetwork::d_separated(VariableId x, VariableId y,
   if (x == y) return false;
   std::vector<char> marks(nodes_.size(), 0);
   for (const VariableId v : z) marks[v] = kObserved;
-  bayes_ball({x}, marks);
+  Arena scratch(1024);
+  bayes_ball({&x, 1}, marks, scratch);
   return (marks[y] & kVisited) == 0;
 }
 
-void BayesianNetwork::bayes_ball(const std::vector<VariableId>& sources,
-                                 std::vector<char>& marks) const {
+void BayesianNetwork::bayes_ball(std::span<const VariableId> sources,
+                                 std::span<char> marks, Arena& scratch) const {
   if (marks.size() != nodes_.size())
     throw std::invalid_argument("BayesianNetwork::bayes_ball: one mark per variable");
-  std::vector<std::pair<VariableId, bool>> balls;  // (variable, from a child)
+  // Each variable sends balls to its parents once (kTop) and to its
+  // children once (kBottom), so the stack never holds more than every
+  // edge twice plus the sources.
+  struct Ball {
+    VariableId v;
+    bool from_child;
+  };
+  std::size_t edges = 0;
+  for (const Node& node : nodes_) edges += node.children.size();
+  Ball* const balls = scratch.alloc<Ball>(2 * edges + sources.size());
+  std::size_t top = 0;
   for (const VariableId v : sources) {
     check_id(v);
-    balls.emplace_back(v, true);
+    balls[top++] = {v, true};
   }
-  while (!balls.empty()) {
-    const auto [v, from_child] = balls.back();
-    balls.pop_back();
+  while (top > 0) {
+    const auto [v, from_child] = balls[--top];
     char& m = marks[v];
     m |= kVisited;
     const bool observed = (m & kObserved) != 0;
     if (from_child != observed && (m & kTop) == 0) {
       m |= kTop;
-      for (const VariableId p : parents(v)) balls.emplace_back(p, true);
+      for (const VariableId p : parents(v)) balls[top++] = {p, true};
     }
     if (!observed && (m & kBottom) == 0) {
       m |= kBottom;
-      for (const VariableId c : nodes_[v].children) balls.emplace_back(c, false);
+      for (const VariableId c : nodes_[v].children) balls[top++] = {c, false};
     }
   }
 }

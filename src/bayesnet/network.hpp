@@ -9,6 +9,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "prob/rng.hpp"
 
 namespace sysuq::bayesnet {
+
+class Arena;
 
 /// Evidence: observed states for a subset of variables.
 using Evidence = std::map<VariableId, std::size_t>;
@@ -148,9 +151,10 @@ class BayesianNetwork {
   /// std::out_of_range for an unknown source id, std::invalid_argument
   /// unless `marks` has one byte per variable, and std::logic_error when
   /// a ball must pass up through a variable whose CPT is not set (its
-  /// parents are unknown).
-  void bayes_ball(const std::vector<VariableId>& sources,
-                  std::vector<char>& marks) const;
+  /// parents are unknown). The balls in flight, at most
+  /// 2·|edges| + |sources|, live in `scratch` until the caller resets it.
+  void bayes_ball(std::span<const VariableId> sources, std::span<char> marks,
+                  Arena& scratch) const;
 
   /// Draws a full joint sample in topological order (defined with the
   /// other samplers, in inference.cpp).

@@ -113,7 +113,7 @@ struct QueryProfile {
 /// reduced away, each `order` variable not in `keep` is eliminated —
 /// every live scope containing it merges into the step's product factor
 /// — and the step's scope and table size are recorded. This
-/// mirrors the buckets `kernels::eliminate_scaled` multiplies out, without
+/// mirrors the buckets `kernels::eliminate` multiplies out, without
 /// touching any factor data; with `keep = {}` the step scopes are the
 /// elimination cliques a `JunctionTree` is built from.
 ///

@@ -1,36 +1,11 @@
 #include "core/contracts.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 namespace sysuq::contracts {
-namespace {
-
-constexpr Mode startup_mode() noexcept {
-#if defined(SYSUQ_CONTRACTS_ABORT)
-  return Mode::kAbort;
-#else
-  return Mode::kThrow;
-#endif
-}
-
-std::atomic<Mode>& mode_flag() noexcept {
-  static std::atomic<Mode> flag{startup_mode()};
-  return flag;
-}
-
-}  // namespace
-
-Mode mode() noexcept { return mode_flag().load(std::memory_order_relaxed); }
-
-void set_mode(Mode m) noexcept {
-  mode_flag().store(m, std::memory_order_relaxed);
-}
-
-bool enforced() noexcept { return mode() != Mode::kOff; }
 
 void fail(const char* kind, const char* expr, const char* what) {
   switch (mode()) {

@@ -20,6 +20,7 @@
 // (invalid_argument, logic_error) continue to hold for callers.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <span>
 #include <stdexcept>
@@ -44,16 +45,37 @@ class ContractViolation : public std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+namespace detail {
+
+/// The process-wide mode flag, constant-initialized to the build's
+/// startup mode (see SYSUQ_CONTRACTS in CMake). Inline, so every check
+/// reads it without a call.
+inline std::atomic<Mode> mode_flag{
+#if defined(SYSUQ_CONTRACTS_ABORT)
+    Mode::kAbort
+#else
+    Mode::kThrow
+#endif
+};
+
+}  // namespace detail
+
 /// Current enforcement mode (startup value set by the build
 /// configuration; see SYSUQ_CONTRACTS in CMake).
-[[nodiscard]] Mode mode() noexcept;
+[[nodiscard]] inline Mode mode() noexcept {
+  return detail::mode_flag.load(std::memory_order_relaxed);
+}
 
 /// Overrides the enforcement mode process-wide. Thread-safe; intended
 /// for tests and embedding hosts, not for per-call toggling.
-void set_mode(Mode m) noexcept;
+inline void set_mode(Mode m) noexcept {
+  detail::mode_flag.store(m, std::memory_order_relaxed);
+}
 
-/// True when contract conditions are evaluated (mode() != kOff).
-[[nodiscard]] bool enforced() noexcept;
+/// True when contract conditions are evaluated (mode() != kOff). Inline
+/// over one relaxed load, since the hot kernels evaluate checks on every
+/// call.
+[[nodiscard]] inline bool enforced() noexcept { return mode() != Mode::kOff; }
 
 /// Reports a violation according to mode(): throws ContractViolation in
 /// kThrow, writes a diagnostic to stderr and aborts in kAbort, returns

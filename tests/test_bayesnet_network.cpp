@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bayesnet/arena.hpp"
 #include "bayesnet/builders.hpp"
 #include "bayesnet/io.hpp"
 #include "bayesnet/serialize.hpp"
@@ -411,9 +412,12 @@ TEST(Network, DSeparationChainForkCollider) {
   EXPECT_THROW((void)net.d_separated(a, 3, {}), std::out_of_range);
   EXPECT_THROW((void)net.d_separated(a, c, {b, 3}), std::out_of_range);
   std::vector<char> marks(net.size() - 1, 0);
-  EXPECT_THROW(net.bayes_ball({a}, marks), std::invalid_argument);
+  bn::Arena scratch;
+  EXPECT_THROW(net.bayes_ball(std::vector<bn::VariableId>{a}, marks, scratch),
+               std::invalid_argument);
   marks.push_back(0);
-  EXPECT_THROW(net.bayes_ball({3}, marks), std::out_of_range);
+  EXPECT_THROW(net.bayes_ball(std::vector<bn::VariableId>{3}, marks, scratch),
+               std::out_of_range);
 
   // Fork: b <- a -> c.
   bn::BayesianNetwork fork;

@@ -33,6 +33,7 @@
 #include "perception/fusion.hpp"
 #include "perception/table1.hpp"
 #include "core/tolerance.hpp"
+#include "tests/relay_network.hpp"
 
 namespace tol = sysuq::tolerance;
 
@@ -186,6 +187,42 @@ TEST(Engine, BatchByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(b[i].p(s), ref.p(s)) << i;
       EXPECT_EQ(c[i].p(s), ref.p(s)) << i;
     }
+  }
+
+  // A batch whose groups the engine must sort out: Table I plus eight
+  // relay stages (ids 2-9), four assignments interleaved and repeated.
+  // `to_jt` holds 8 distinct query variables (jt_batch_threshold), so
+  // its group reads the calibrated tree; `seven` holds 9 queries but 7
+  // distinct ones and stays on VE, like the rest; `few` asks for its own
+  // observed variable (the evidence delta).
+  const auto chain = relay::network(8);
+  const bn::Evidence to_jt{{4, 2}}, seven{{6, 1}}, few{{3, 0}, {8, 3}},
+      prior{};
+  std::vector<std::pair<bn::Evidence, std::vector<bn::VariableId>>> groups = {
+      {to_jt, {0, 1, 2, 3, 5, 6, 7, 9, 5}},
+      {seven, {0, 9, 1, 2, 3, 4, 5, 9, 0}},
+      {few, {9, 3, 0, 9}},
+      {prior, {5, 5, 1}}};
+  std::vector<bn::QuerySpec> mixed;
+  for (std::size_t round = 0; round < 9; ++round) {
+    for (const auto& [ev, queries] : groups) {
+      if (round < queries.size()) mixed.push_back({queries[round], ev});
+    }
+  }
+  // A JT group's slots match a kJunctionTree engine's query(), every
+  // other slot the kAuto engine's (VE, or the delta).
+  const bn::InferenceEngine jt(chain, {.threads = 1, .backend = bn::Backend::kJunctionTree});
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const bn::InferenceEngine engine(chain, {.threads = threads});
+    const auto got = engine.query_batch(mixed);
+    ASSERT_EQ(got.size(), mixed.size());
+    for (std::size_t i = 0; i < mixed.size(); ++i) {
+      const auto& [q, ev] = mixed[i];
+      const auto ref = ev == to_jt ? jt.query(q, ev) : engine.query(q, ev);
+      EXPECT_EQ(probs_of(got[i]), probs_of(ref)) << i;
+    }
+    EXPECT_EQ(engine.jt_cache_stats().misses, 1u);  // to_jt alone
   }
 }
 
@@ -529,21 +566,9 @@ TEST(Engine, RequisiteSetRunsOnlyTheStagesBetween) {
   // cuts everything above it off a query at stage j > k: Bayes-ball marks
   // stages k+1..j only, so VE eliminates the j - k - 1 stages between
   // them and never multiplies Table I's CPTs or their exact zeros.
-  auto net = paper_network();
+  const auto net = relay::network(5);
   std::vector<bn::VariableId> stage;
-  bn::VariableId prev = net.id_of("perception");
-  for (std::size_t s = 0; s < 5; ++s) {
-    const auto id = net.add_variable("stage" + std::to_string(s),
-                                     {"car", "pedestrian", "ambiguous", "none"});
-    std::vector<pr::Categorical> rows;
-    for (std::size_t in = 0; in < 4; ++in) {
-      std::vector<double> row(4, 0.03);
-      row[in] = 0.91;
-      rows.push_back(pr::Categorical::normalized(std::move(row)));
-    }
-    net.set_cpt(id, {prev}, std::move(rows));
-    stage.push_back(prev = id);
-  }
+  for (std::size_t s = 0; s < 5; ++s) stage.push_back(net.id_of("stage" + std::to_string(s)));
   const bn::InferenceEngine engine(net, kExact);
   for (std::size_t k = 0; k < stage.size(); ++k) {
     for (std::size_t j = k + 1; j < stage.size(); ++j) {
@@ -944,7 +969,14 @@ TEST(EngineErrors, OutOfRangeEvidenceThrowsOutOfRangeOnEveryBackend) {
         EXPECT_THROW((void)engine.query(b, ev), std::out_of_range);
         EXPECT_THROW((void)engine.explain(a, ev), std::out_of_range);
         EXPECT_THROW((void)engine.all_marginals(ev), std::out_of_range);
-        EXPECT_THROW((void)engine.query_batch({{a, ev}}), std::out_of_range);
+        // Mid-batch, among groups that answer.
+        EXPECT_THROW((void)engine.query_batch({{a, {}},
+                                               {c, {{a, 1}}},
+                                               {b, {{c, 0}}},
+                                               {a, ev},
+                                               {c, {}},
+                                               {b, {{a, 0}}}}),
+                     std::out_of_range);
         EXPECT_THROW((void)engine.evidence_probability(ev), std::out_of_range);
         EXPECT_THROW((void)engine.log_evidence_probability(ev),
                      std::out_of_range);

@@ -10,8 +10,10 @@
 //      (in log space, multiply is `+`; a naked `*` almost always means
 //      a forgotten conversion),
 //   3. naive `acc += p[i]` accumulation over a probability array in a
-//      loop — directs toward kernels' Neumaier-compensated total()
-//      (the PR-3 bug class: mass drift on long summations).
+//      loop — directs toward kernels::total(), a pairwise sum (a plain
+//      left fold up to 32 terms, the two halves summed recursively above
+//      that) whose error grows O(log n) in the term count, not O(n): the
+//      bug class is mass drift on long summations.
 //
 // Log-ness travels two ways: through the dataflow lattice (kLog bit,
 // strong updates on plain assignment so `x = std::exp(x)` launders),
@@ -490,8 +492,9 @@ void pass_logdomain(const Project& project, Reporter& rep) {
           rep.report(f, line, kRule,
                      "naive `" + tg.name +
                          " +=` accumulation over a probability array; "
-                         "use the Neumaier-compensated kernels::total() "
-                         "(PR-3 mass-drift bug class)");
+                         "use kernels::total(), a pairwise sum whose "
+                         "error grows O(log n), not O(n) (mass drift on "
+                         "long summations)");
         }
       }
     });

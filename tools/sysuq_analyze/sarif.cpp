@@ -57,8 +57,9 @@ constexpr std::array<RuleDoc, 15> kRules = {{
     {"log-domain",
      "Log-domain values (log_total, to_log, std::log, log_* names) must "
      "not reach SYSUQ_ASSERT_PROB* or linear `*`/`/` arithmetic without "
-     "an explicit exp()/from_log() conversion; prefer the "
-     "Neumaier-compensated kernels::total() over naive `+=` loops."},
+     "an explicit exp()/from_log() conversion; prefer kernels::total(), "
+     "a pairwise sum (a plain left fold up to 32 terms), over naive `+=` "
+     "loops."},
     {"obs-context",
      "A function that opens an obs::Span and dispatches work onto a "
      "thread pool must hand the TraceContext to the tasks: capture "
