@@ -444,28 +444,23 @@ kernels::ScaledTable InferenceEngine::eliminate_all_but(
       static_cast<double>(ordering.induced_width));
   const VeRun run = ve_run(keep, evidence, ordering, scratch);
   // The network's CPT tables are viewed in place; only evidence-bearing
-  // ones are reduced (into the arena). No per-query deep copies.
+  // ones are reduced, each by one call, into the arena. No per-query
+  // deep copies.
   kernels::View* const views = scratch.alloc<kernels::View>(run.cpts.size());
   for (std::size_t i = 0; i < run.cpts.size(); ++i) {
-    kernels::View view = kernels::view_of(net_.cpt_factor(run.cpts[i]));
-    for (const auto& [ev, state] : evidence) {
-      if (view.contains(ev))
-        view = kernels::reduce(view, ev, state, scratch).view();
-    }
-    views[i] = view;
+    const kernels::View cpt = kernels::view_of(net_.cpt_factor(run.cpts[i]));
+    views[i] = kernels::reduce(cpt, evidence, scratch);
   }
-  const kernels::ScaledTable out =
-      kernels::eliminate({views, run.cpts.size()}, run.order, scratch);
-  last_ve_arena_high_water_.store(scratch.bytes_used(),
-                                  std::memory_order_relaxed);
-  return out;
+  return kernels::eliminate({views, run.cpts.size()}, run.order, scratch);
 }
 
 prob::Categorical InferenceEngine::query_ve(VariableId query, const Evidence& evidence,
-                                            const EliminationOrdering& ordering) const {
+                                            const EliminationOrdering& ordering,
+                                            std::size_t* arena_bytes) const {
   const ScratchFrame frame;
   const kernels::ScaledTable out =
       eliminate_all_but({&query, 1}, evidence, ordering, frame.arena());
+  if (arena_bytes != nullptr) *arena_bytes = frame.arena().bytes_used();
   if (out.impossible())
     throw std::domain_error(impossible_evidence_message(net_, evidence));
   if (out.table.rank != 1 || out.table.scope[0] != query)
@@ -821,10 +816,9 @@ QueryProfile InferenceEngine::explain(VariableId query,
             {run.cpts.begin(), run.cpts.end()});
       }
       const auto t_sim = clock::now();
-      const auto posterior = query_ve(query, evidence, ordering);  // throws when P(e) = 0
+      // Throws when P(e) = 0.
+      const auto posterior = query_ve(query, evidence, ordering, &p.arena_high_water_bytes);
       const auto t_exec = clock::now();
-      p.arena_high_water_bytes =
-          last_ve_arena_high_water_.load(std::memory_order_relaxed);
       p.stages.push_back({"plan", since(t0, t_plan)});  // routing's lookup
       p.stages.push_back({"analyze", since(t_plan, t_sim)});
       p.stages.push_back({"execute", since(t_sim, t_exec)});

@@ -74,7 +74,6 @@
 // the engine and must not be mutated while queries run.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -299,11 +298,6 @@ class InferenceEngine {
       "bayesnet.jt.cache"};
   mutable Memo<TreeKey, std::shared_ptr<const LoopyBP>> bp_runs_{
       "bayesnet.bp.cache"};
-  // Arena bytes live at the peak of the most recent VE run on any thread:
-  // its plan, views, intermediates and result, captured when its
-  // elimination ends. Relaxed: a diagnostic figure for explain(), not
-  // synchronization.
-  mutable std::atomic<std::size_t> last_ve_arena_high_water_{0};
 
   /// The routing rule of the class comment, throws included. `reason`,
   /// when given, receives the one-line why explain() prints for a query.
@@ -388,8 +382,12 @@ class InferenceEngine {
   [[nodiscard]] kernels::ScaledTable eliminate_all_but(
       std::span<const VariableId> keep, const Evidence& evidence,
       const EliminationOrdering& ordering, Arena& scratch) const;
+  /// The posterior of `query` by one eliminate_all_but() in a frame of
+  /// its own; `arena_bytes`, when given, receives the bytes that frame
+  /// holds at the run's peak (its plan, views, intermediates and result).
   [[nodiscard]] prob::Categorical query_ve(VariableId query, const Evidence& evidence,
-                                           const EliminationOrdering& ordering) const;
+                                           const EliminationOrdering& ordering,
+                                           std::size_t* arena_bytes = nullptr) const;
   /// Runs `unit(0..units-1)` across the pool under the caller's trace
   /// context, then rethrows the first failed slot's exception or returns
   /// every slot's posterior in slot order.

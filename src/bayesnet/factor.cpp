@@ -47,36 +47,11 @@ double Factor::at(const std::vector<std::size_t>& states) const {
 }
 
 Factor Factor::product(const Factor& other) const {
-  // Merge scopes (both sorted). Kept here rather than delegated to
-  // kernels::merge_scopes so the documented std::invalid_argument on a
-  // cardinality mismatch holds even with contracts compiled out.
-  std::vector<VariableId> merged;
-  std::vector<std::size_t> merged_cards;
-  merged.reserve(scope_.size() + other.scope_.size());
-  merged_cards.reserve(merged.capacity());
-  {
-    std::size_t i = 0, j = 0;
-    while (i < scope_.size() || j < other.scope_.size()) {
-      if (j == other.scope_.size() ||
-          (i < scope_.size() && scope_[i] < other.scope_[j])) {
-        merged.push_back(scope_[i]);
-        merged_cards.push_back(cards_[i]);
-        ++i;
-      } else if (i == scope_.size() || other.scope_[j] < scope_[i]) {
-        merged.push_back(other.scope_[j]);
-        merged_cards.push_back(other.cards_[j]);
-        ++j;
-      } else {  // shared variable
-        if (cards_[i] != other.cards_[j])
-          throw std::invalid_argument("Factor::product: cardinality mismatch");
-        merged.push_back(scope_[i]);
-        merged_cards.push_back(cards_[i]);
-        ++i;
-        ++j;
-      }
-    }
-  }
-
+  std::vector<VariableId> merged(scope_.size() + other.scope_.size());
+  std::vector<std::size_t> merged_cards(merged.size());
+  merged.resize(kernels::merge_scopes(kernels::view_of(*this), kernels::view_of(other),
+                                      merged.data(), merged_cards.data()));
+  merged_cards.resize(merged.size());
   const std::size_t total_size = kernels::checked_table_size(
       merged_cards.data(), merged_cards.size(),
       "Factor::product: table size overflows size_t");
@@ -101,28 +76,17 @@ Factor Factor::marginalize(VariableId v) const {
     new_cards.push_back(cards_[i]);
   }
   std::vector<double> out(values_.size() / cards_[pos]);
-  kernels::marginalize_into(kernels::view_of(*this), pos, out.data());
+  kernels::marginalize_keep_into(kernels::view_of(*this), new_scope.data(),
+                                 new_scope.size(), out.data());
   return Factor(std::move(new_scope), std::move(new_cards), std::move(out));
 }
 
 Factor Factor::reduce(VariableId v, std::size_t state) const {
-  const auto it = std::lower_bound(scope_.begin(), scope_.end(), v);
-  if (it == scope_.end() || *it != v)
-    throw std::invalid_argument("Factor::reduce: variable not in scope");
-  const auto pos = static_cast<std::size_t>(it - scope_.begin());
-  if (state >= cards_[pos])
-    throw std::out_of_range("Factor::reduce: state out of range");
+  return kernels::reduce(kernels::view_of(*this), v, state);
+}
 
-  std::vector<VariableId> new_scope;
-  std::vector<std::size_t> new_cards;
-  for (std::size_t i = 0; i < scope_.size(); ++i) {
-    if (i == pos) continue;
-    new_scope.push_back(scope_[i]);
-    new_cards.push_back(cards_[i]);
-  }
-  std::vector<double> out(values_.size() / cards_[pos]);
-  kernels::reduce_into(kernels::view_of(*this), pos, state, out.data());
-  return Factor(std::move(new_scope), std::move(new_cards), std::move(out));
+Factor Factor::reduce(const Evidence& evidence) const {
+  return kernels::reduce(kernels::view_of(*this), evidence);
 }
 
 Factor Factor::normalized() const {

@@ -1,5 +1,7 @@
 // Factors (potentials) over sets of discrete variables, with the algebra
 // needed by variable elimination: product, marginalization, reduction.
+// A Factor owns its table and validates its arguments; the algebra itself
+// is the flat kernels' (bayesnet/kernels.hpp), which every method calls.
 #pragma once
 
 #include <cstddef>
@@ -38,14 +40,22 @@ class Factor {
   /// to scope order).
   [[nodiscard]] double at(const std::vector<std::size_t>& states) const;
 
-  /// Pointwise product; scopes are merged (union).
+  /// Pointwise product; scopes are merged (union). Throws
+  /// std::invalid_argument when a shared variable's cardinalities differ.
   [[nodiscard]] Factor product(const Factor& other) const;
 
-  /// Sums out one variable from the scope.
+  /// Sums out one variable from the scope (std::invalid_argument unless
+  /// it is in the scope).
   [[nodiscard]] Factor marginalize(VariableId v) const;
 
-  /// Restricts one scope variable to a fixed state (evidence); the
-  /// variable leaves the scope.
+  /// Fixes every scope variable `evidence` observes at its state; those
+  /// variables leave the scope, and evidence off the scope is ignored
+  /// (`kernels::reduce`). Throws std::out_of_range for an observed state
+  /// past its cardinality.
+  [[nodiscard]] Factor reduce(const Evidence& evidence) const;
+
+  /// reduce() by one observation, with no map built; throws
+  /// std::invalid_argument unless `v` is in the scope.
   [[nodiscard]] Factor reduce(VariableId v, std::size_t state) const;
 
   /// Normalizes so all values sum to 1; throws if the sum is zero

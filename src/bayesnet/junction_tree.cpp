@@ -205,7 +205,7 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
       multiply(f);
   }
   for (const VariableId v : reduced) {
-    const Factor f = net_.cpt_factor(v, omitted_);
+    const Factor f = net_.cpt_factor(v).reduce(omitted_);
     if (!f.scope().empty()) {
       multiply(f);
     } else {
@@ -255,17 +255,16 @@ JunctionTreeStructure::JunctionTreeStructure(const BayesianNetwork& net,
 
   // 6: the evidence-free collect, every clique sending. A calibration
   // takes these beliefs, messages and log-normalizers for the cliques
-  // with no spanned evidence below them.
+  // with no spanned evidence below them. A zero total means the omitted
+  // states are impossible, and spanned evidence only adds zeros, so every
+  // calibration would meet one: log_constant_ records it as -inf.
   if (m > 0) {
-    std::vector<double> belief = potentials_;
-    std::vector<double> sep(sep_cells_);
-    std::vector<double> log_norms(m);
+    collected_ = potentials_;
+    messages_.resize(sep_cells_);
+    log_norms_.resize(m);
     const std::vector<Mark> rebuilt(m, Mark::kRebuilt);
-    if (collect(belief.data(), sep.data(), log_norms.data(), rebuilt.data())) {
-      collected_ = std::move(belief);
-      messages_ = std::move(sep);
-      log_norms_ = std::move(log_norms);
-    }
+    if (!collect(collected_.data(), messages_.data(), log_norms_.data(), rebuilt.data()))
+      log_constant_ = -std::numeric_limits<double>::infinity();
   }
 
   cliques_ = std::make_shared<const std::vector<std::vector<VariableId>>>(
@@ -369,18 +368,14 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
   // Marks: the cliques on the paths from the spanned evidence's reader
   // cliques to the root are recollected, the reader at a path's foot
   // from its stored belief and every clique above it from its potential.
-  // Without a stored collect every clique is rebuilt.
-  const bool stored = !s.collected_.empty();
   Mark* mark = arena.alloc<Mark>(m);
-  std::fill_n(mark, m, stored ? Mark::kReused : Mark::kRebuilt);
-  if (stored) {
-    for (const auto& observed : evidence_) {
-      std::size_t c = s.reader_[observed.first].clique;
-      if (c == JunctionTreeStructure::kNone || mark[c] != Mark::kReused) continue;
-      mark[c] = Mark::kEntered;
-      for (c = s.tree_[c].parent; c != JunctionTreeStructure::kNone; c = s.tree_[c].parent) {
-        if (std::exchange(mark[c], Mark::kRebuilt) != Mark::kReused) break;
-      }
+  std::fill_n(mark, m, Mark::kReused);
+  for (const auto& observed : evidence_) {
+    std::size_t c = s.reader_[observed.first].clique;
+    if (c == JunctionTreeStructure::kNone || mark[c] != Mark::kReused) continue;
+    mark[c] = Mark::kEntered;
+    for (c = s.tree_[c].parent; c != JunctionTreeStructure::kNone; c = s.tree_[c].parent) {
+      if (std::exchange(mark[c], Mark::kRebuilt) != Mark::kReused) break;
     }
   }
 
@@ -414,10 +409,8 @@ void JunctionTree::calibrate(const JunctionTreeStructure& s) {
                       [&](std::size_t c) { return mark[c] == Mark::kReused; })));
     double* sep = arena.alloc<double>(s.sep_cells_);
     double* log_norms = arena.alloc<double>(m);
-    if (stored) {
-      std::copy(s.messages_.begin(), s.messages_.end(), sep);
-      std::copy(s.log_norms_.begin(), s.log_norms_.end(), log_norms);
-    }
+    std::copy(s.messages_.begin(), s.messages_.end(), sep);
+    std::copy(s.log_norms_.begin(), s.log_norms_.end(), log_norms);
     if (!s.collect(belief, sep, log_norms, mark)) return give_up();
     double log_p = log_evidence_;
     for (std::size_t idx = m; idx-- > 0;) log_p += log_norms[s.order_[idx]];

@@ -24,9 +24,9 @@
 //    3. the clique each variable reads its marginal from (its smallest);
 //    4. potentials: every CPT is multiplied into the clique of its
 //       earliest-eliminated variable, once. A CPT holding an omitted
-//       variable is first reduced by the omitted states, as
-//       `BayesianNetwork::cpt_factor(v, evidence)` reduces it; a wholly
-//       omitted family's one entry is a constant factor of P(e);
+//       variable is first reduced by the omitted states
+//       (`Factor::reduce(evidence)`); a wholly omitted family's one entry
+//       is a constant factor of P(e);
 //    5. zeros (Jensen & Andersen 1990): a boolean collect marks a cell
 //       *dead* when its potential is 0 or no *live* cell of a child sums
 //       onto its separator cell. Evidence only adds zeros, so a dead cell
@@ -35,8 +35,10 @@
 //    6. the evidence-free collect: each clique's belief after collect,
 //       its normalized collect message and that message's log-normalizer
 //       (the root's: the log of its total). A subtree holding no spanned
-//       evidence sends this message under every assignment. When a total
-//       is zero (the omitted states are impossible), nothing is stored.
+//       evidence sends this message under every assignment. A zero total
+//       means the omitted states are impossible; spanned evidence only
+//       adds zeros, so every calibration would meet one, and the
+//       structure records P(e) = 0 for all of them.
 //   The variables the ordering eliminates are the ones the structure
 //   *spans*; the others are *omitted*, and every calibration must observe
 //   them at the states the structure was compiled with.
@@ -54,10 +56,9 @@
 //   The indicators enter before the pass, and log P(e) sums the
 //   log-normalizers in clique order: the arithmetic and its order are
 //   those of a collect over every clique, so every answer is
-//   bit-identical to one (with no stored collect, every clique is
-//   rebuilt). Collect and distribute skip dead cells: each holds
-//   0.0 wherever they would read it, so the results are those of a pass
-//   over every cell, bit for bit. Messages are normalized as they flow
+//   bit-identical to one. Collect and distribute skip dead cells: each
+//   holds 0.0 wherever they would read it, so the results are those of a
+//   pass over every cell, bit for bit. Messages are normalized as they flow
 //   and the log-normalizers summed in clique order, so P(e) is available
 //   in log space without underflow. Evidence enters one way: on a spanned
 //   variable, as a 0/1 indicator in the clique it reads its marginal
@@ -178,13 +179,15 @@ class JunctionTreeStructure {
   std::vector<Clique> tree_;         ///< by clique index
   std::vector<std::size_t> order_;   ///< parents first; order_[0] is the root
   std::vector<double> potentials_;   ///< CPT products, flat by clique
-  // Step 6, all empty when its collect met a zero total.
+  // Step 6, read only while log_constant_ is finite.
   std::vector<double> collected_;    ///< beliefs after collect, flat by clique
   std::vector<double> messages_;     ///< collect messages, flat by separator
   std::vector<double> log_norms_;    ///< their log-normalizers, by clique
   std::size_t live_cells_ = 0;
   Evidence omitted_;                 ///< the omitted variables' states
-  double log_constant_ = 0.0;        ///< log of the wholly omitted families' entries
+  /// log of the wholly omitted families' entries; -inf when they or
+  /// step 6's collect meet a zero (the omitted states are impossible).
+  double log_constant_ = 0.0;
   std::vector<Reader> reader_;       ///< by variable; kNone clique when omitted
   std::size_t sep_cells_ = 0;
   std::size_t max_sep_size_ = 0;

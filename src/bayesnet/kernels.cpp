@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "core/contracts.hpp"
@@ -49,6 +50,79 @@ Factor materialize(const View& v) {
                 std::vector<std::size_t>(v.cards, v.cards + v.rank),
                 std::vector<double>(v.values, v.values + v.size));
 }
+
+// The one evidence reduction. `state_of(v)` is scope member v's observed
+// state, if any. One walk over the scope places the first consistent
+// cell at `base` and lists the open members, each read at its stride in
+// `f`; `make(scope, cards, rank, size)` returns where the result's values
+// go, and `walk` copies the consistent cells there. Returns false, with
+// `make` uncalled, when no member is observed.
+template <class StateOf, class Make>
+bool reduce_by(const View& f, StateOf&& state_of, Make&& make) {
+  SYSUQ_EXPECT(f.rank <= kMaxRank, "kernels::reduce: rank exceeds kMaxRank");
+  VariableId scope[kMaxRank];
+  std::size_t cards[kMaxRank], strides[kMaxRank];
+  std::size_t rank = 0, size = 1, base = 0, stride = f.size;
+  for (std::size_t d = 0; d < f.rank; ++d) {
+    stride /= f.cards[d];
+    const std::optional<std::size_t> state = state_of(f.scope[d]);
+    if (!state) {
+      scope[rank] = f.scope[d];
+      cards[rank] = f.cards[d];
+      strides[rank++] = stride;
+      size *= f.cards[d];
+    } else if (*state < f.cards[d]) {
+      base += *state * stride;
+    } else {  // a hard throw: compiled out, it would read past the table
+      throw std::out_of_range("kernels::reduce: observed state past its cardinality");
+    }
+  }
+  if (rank == f.rank) return false;
+  double* out = make(scope, cards, rank, size);
+  walk(cards, strides, rank, base,
+       [&](std::size_t x, std::size_t j) { out[x] = f.values[j]; });
+  return true;
+}
+
+// reduce_by's lookups: an evidence map, or one observation.
+auto in_evidence(const Evidence& evidence) {
+  return [&evidence](VariableId v) -> std::optional<std::size_t> {
+    const auto it = evidence.find(v);
+    if (it == evidence.end()) return std::nullopt;
+    return it->second;
+  };
+}
+
+auto one_observation(VariableId v, std::size_t state) {
+  return [=](VariableId u) { return u == v ? std::optional(state) : std::nullopt; };
+}
+
+// reduce_by's outputs: a table in `arena`, or the vectors of an owning
+// Factor.
+auto into_arena(Arena& arena, Table& t) {
+  return [&](const VariableId* scope, const std::size_t* cards, std::size_t rank,
+             std::size_t) {
+    t = make_table(scope, cards, rank, arena);
+    return t.values;
+  };
+}
+
+struct Owned {
+  std::vector<VariableId> scope;
+  std::vector<std::size_t> cards;
+  std::vector<double> values;
+
+  double* operator()(const VariableId* s, const std::size_t* c, std::size_t rank,
+                     std::size_t size) {
+    scope.assign(s, s + rank);
+    cards.assign(c, c + rank);
+    values.resize(size);
+    return values.data();
+  }
+  Factor factor() && {
+    return Factor(std::move(scope), std::move(cards), std::move(values));
+  }
+};
 
 // Operands a fused step multiplies directly. A larger bucket first folds
 // its leading operands with product(), in order.
@@ -338,9 +412,11 @@ std::size_t merge_scopes(const View& a, const View& b, VariableId* scope,
       cards[k] = b.cards[j];
       ++j;
     } else {
-      SYSUQ_EXPECT(a.cards[i] == b.cards[j],
-                   "kernels::merge_scopes: cardinality mismatch on shared "
-                   "variable");
+      // A hard throw: compiled out, a mismatch would size the merged
+      // table by one operand and index past the other.
+      if (a.cards[i] != b.cards[j])
+        throw std::invalid_argument(
+            "kernels::merge_scopes: cardinality mismatch on shared variable");
       scope[k] = a.scope[i];
       cards[k] = a.cards[i];
       ++i;
@@ -425,16 +501,6 @@ Table product(const View& a, const View& b, Arena& arena) {
   return t;
 }
 
-void marginalize_into(const View& f, std::size_t drop_pos, double* out) {
-  SYSUQ_EXPECT(drop_pos < f.rank, "kernels::marginalize_into: position");
-  VariableId keep[kMaxRank];
-  std::size_t nkeep = 0;
-  for (std::size_t i = 0; i < f.rank; ++i) {
-    if (i != drop_pos) keep[nkeep++] = f.scope[i];
-  }
-  marginalize_keep_into(f, keep, nkeep, out);
-}
-
 void marginalize_keep_into(const View& f, const VariableId* keep,
                            std::size_t nkeep, double* out) {
   SYSUQ_EXPECT(f.rank <= kMaxRank,
@@ -500,46 +566,28 @@ void marginalize_keep_into(const View& f, const VariableId* keep,
   }
 }
 
-void reduce_into(const View& f, std::size_t pos, std::size_t state,
-                 double* out) {
-  SYSUQ_EXPECT(pos < f.rank && f.rank <= kMaxRank,
-               "kernels::reduce_into: position out of range");
-  SYSUQ_EXPECT(state < f.cards[pos], "kernels::reduce_into: state out of range");
-  std::size_t strides[kMaxRank];
-  own_strides(f.cards, f.rank, strides);
-  // Output dimensions are the input dimensions minus `pos`, each read at
-  // its input stride.
-  std::size_t ocards[kMaxRank], istr[kMaxRank];
-  std::size_t orank = 0, base = 0;
-  for (std::size_t i = 0; i < f.rank; ++i) {
-    if (i == pos) {
-      base = state * strides[i];
-    } else {
-      ocards[orank] = f.cards[i];
-      istr[orank++] = strides[i];
-    }
-  }
-  walk(ocards, istr, orank, base,
-       [&](std::size_t x, std::size_t j) { out[x] = f.values[j]; });
+View reduce(const View& f, const Evidence& evidence, Arena& arena) {
+  Table t;
+  return reduce_by(f, in_evidence(evidence), into_arena(arena, t)) ? t.view() : f;
+}
+
+Factor reduce(const View& f, const Evidence& evidence) {
+  Owned out;
+  return reduce_by(f, in_evidence(evidence), out) ? std::move(out).factor() : materialize(f);
 }
 
 Table reduce(const View& f, VariableId v, std::size_t state, Arena& arena) {
-  const VariableId* it = std::lower_bound(f.scope, f.scope + f.rank, v);
-  SYSUQ_EXPECT(it != f.scope + f.rank && *it == v,
-               "kernels::reduce: variable not in scope");
-  const auto pos = static_cast<std::size_t>(it - f.scope);
-  VariableId nscope[kMaxRank];
-  std::size_t ncards[kMaxRank];
-  std::size_t orank = 0;
-  for (std::size_t i = 0; i < f.rank; ++i) {
-    if (i == pos) continue;
-    nscope[orank] = f.scope[i];
-    ncards[orank] = f.cards[i];
-    ++orank;
-  }
-  Table t = make_table(nscope, ncards, orank, arena);
-  reduce_into(f, pos, state, t.values);
+  Table t;
+  if (!reduce_by(f, one_observation(v, state), into_arena(arena, t)))
+    throw std::invalid_argument("kernels::reduce: variable not in scope");
   return t;
+}
+
+Factor reduce(const View& f, VariableId v, std::size_t state) {
+  Owned out;
+  if (!reduce_by(f, one_observation(v, state), out))
+    throw std::invalid_argument("kernels::reduce: variable not in scope");
+  return std::move(out).factor();
 }
 
 double total(const double* values, std::size_t n) noexcept {

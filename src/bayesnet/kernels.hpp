@@ -1,12 +1,18 @@
 // Flat strided factor kernels.
 //
 // Factor product / marginalize / reduce is the hot path under every
-// inference backend. The Factor class keeps its safe, owning API; the
-// kernels here are the engine room it delegates to: contiguous tables
-// addressed through precomputed stride tables, so the inner loops touch
-// memory linearly with no per-cell index recomputation and no per-cell
-// bounds checks. Scopes are validated once at kernel entry
-// (SYSUQ_EXPECT), never per cell.
+// inference backend, and these kernels are the only code that knows how
+// a table is reduced by evidence, how two scopes merge and how a table
+// is marginalized: the Factor class keeps its safe, owning API and
+// forwards each method here, and VE, BP, the junction-tree compile and
+// the network's row reads condition a CPT through the one `reduce`.
+// Tables are contiguous and addressed through precomputed stride tables,
+// so the inner loops touch memory linearly with no per-cell index
+// recomputation and no per-cell bounds checks. Scopes are validated once
+// at kernel entry, never per cell; a check whose violation would index
+// out of bounds (a state past its cardinality, a cardinality mismatch on
+// a shared variable, a table size that overflows) throws in every build
+// mode, the rest are contracts (SYSUQ_EXPECT).
 //
 // Layout contract (same as Factor): a table over a sorted scope is
 // row-major with the *last* scope variable varying fastest. Because
@@ -131,8 +137,9 @@ struct Table {
                                Arena& arena);
 
 /// Merges two sorted scopes into `scope`/`cards` (caller buffers of
-/// capacity a.rank + b.rank); returns the merged rank. SYSUQ_EXPECT on
-/// cardinality mismatch of shared variables.
+/// capacity a.rank + b.rank); returns the merged rank. Throws
+/// std::invalid_argument, in every build mode, when a shared variable's
+/// cardinalities differ.
 [[nodiscard]] std::size_t merge_scopes(const View& a, const View& b,
                                        VariableId* scope, std::size_t* cards);
 
@@ -144,25 +151,32 @@ void product_into(const View& a, const View& b, const VariableId* scope,
 /// Arena-allocated product (merged scope computed internally).
 [[nodiscard]] Table product(const View& a, const View& b, Arena& arena);
 
-/// Sums out the scope variable at position `drop_pos`; `out` must hold
-/// f.size / f.cards[drop_pos] values (zero-initialized by the kernel).
-void marginalize_into(const View& f, std::size_t drop_pos, double* out);
-
 /// Sums out every scope variable NOT in `keep` (sorted, a subset of the
 /// scope) in one pass; `out` must hold prod(kept cards) values
 /// (zero-initialized by the kernel).
 void marginalize_keep_into(const View& f, const VariableId* keep,
                            std::size_t nkeep, double* out);
 
-/// Restricts the scope variable at position `pos` to `state`; the
-/// variable leaves the scope. `out` must hold f.size / f.cards[pos]
-/// values.
-void reduce_into(const View& f, std::size_t pos, std::size_t state,
-                 double* out);
+/// The evidence reduction: every scope member `evidence` observes is
+/// fixed at its state and leaves the scope (all of them: a rank-0
+/// table), and evidence off the scope is ignored. One walk over the
+/// scope places the first consistent cell, and `walk` copies the
+/// consistent cells, in order. Returns `f` itself, with no copy, when no
+/// member is observed, and otherwise a table in `arena`. Throws
+/// std::out_of_range, in every build mode, for an observed state past
+/// its variable's cardinality.
+[[nodiscard]] View reduce(const View& f, const Evidence& evidence, Arena& arena);
 
-/// Arena-allocated reduction by VariableId (must be in the scope).
+/// reduce() into an owning Factor: the same cells, or a copy of `f` when
+/// no member is observed.
+[[nodiscard]] Factor reduce(const View& f, const Evidence& evidence);
+
+/// reduce() by the one observation `v = state`, with no map built, into a
+/// table in `arena` or an owning Factor. Throws std::invalid_argument,
+/// in every build mode, unless `v` is in the scope.
 [[nodiscard]] Table reduce(const View& f, VariableId v, std::size_t state,
                            Arena& arena);
+[[nodiscard]] Factor reduce(const View& f, VariableId v, std::size_t state);
 
 /// Sum of `n` values by pairwise (cascade) summation: error grows
 /// O(log n) in the term count instead of O(n) for a naive left fold.

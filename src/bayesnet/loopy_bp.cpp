@@ -579,7 +579,7 @@ void LoopyBP::build_factor_graph(FactorGraph& g) {
   g.edges_of_var.assign(net_.size(), {});
   g.factors.reserve(net_.size());
   for (VariableId child = 0; child < net_.size(); ++child) {
-    Factor f = net_.cpt_factor(child, evidence_);
+    Factor f = net_.cpt_factor(child).reduce(evidence_);
     if (f.scope().empty()) {
       // Fully observed family: a constant multiplying P(e). Zero means
       // the evidence directly contradicts this CPT.

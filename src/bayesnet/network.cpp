@@ -146,7 +146,7 @@ prob::Categorical BayesianNetwork::cpt_row(
     throw std::invalid_argument("BayesianNetwork: parent state count mismatch");
   Evidence given;
   for (std::size_t i = 0; i < ps.size(); ++i) given.emplace(ps[i], parent_states[i]);
-  return prob::Categorical(cpt_factor(child, given).values());
+  return prob::Categorical(cpt_factor(child).reduce(given).values());
 }
 
 std::vector<prob::Categorical> BayesianNetwork::cpt_rows(VariableId child) const {
@@ -159,36 +159,6 @@ std::vector<prob::Categorical> BayesianNetwork::cpt_rows(VariableId child) const
                  rows.emplace_back(std::move(row));
                });
   return rows;
-}
-
-Factor BayesianNetwork::cpt_factor(VariableId child,
-                                   const Evidence& evidence) const {
-  const Factor& table = cpt_factor(child);
-  const auto& scope = table.scope();
-  const auto& cards = table.cardinalities();
-  // Observed members fix the first consistent cell; the open ones span
-  // the result, each read at its stride in the table.
-  std::vector<VariableId> open;
-  std::vector<std::size_t> open_cards, strides;
-  std::size_t first = 0, stride = table.size(), cells = 1;
-  for (std::size_t i = 0; i < scope.size(); ++i) {
-    stride /= cards[i];
-    const auto it = evidence.find(scope[i]);
-    if (it == evidence.end()) {
-      open.push_back(scope[i]);
-      open_cards.push_back(cards[i]);
-      strides.push_back(stride);
-      cells *= cards[i];
-    } else if (it->second < cards[i]) {
-      first += it->second * stride;
-    } else {
-      throw std::out_of_range("BayesianNetwork::cpt_factor: evidence state");
-    }
-  }
-  std::vector<double> values(cells);
-  kernels::walk(open_cards.data(), strides.data(), open.size(), first,
-                [&](std::size_t x, std::size_t j) { values[x] = table.values()[j]; });
-  return Factor(std::move(open), std::move(open_cards), std::move(values));
 }
 
 std::vector<std::size_t> strides_in(const BayesianNetwork& net,

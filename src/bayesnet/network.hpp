@@ -22,9 +22,6 @@ namespace sysuq::bayesnet {
 
 class Arena;
 
-/// Evidence: observed states for a subset of variables.
-using Evidence = std::map<VariableId, std::size_t>;
-
 /// The observed variable ids of `evidence`, ascending: its signature.
 [[nodiscard]] inline std::vector<VariableId> evidence_keys(const Evidence& evidence) {
   std::vector<VariableId> keys;
@@ -94,15 +91,6 @@ class BayesianNetwork {
     if (child >= nodes_.size() || !nodes_[child].parents) missing_cpt(child);
     return nodes_[child].cpt;
   }
-
-  /// The stored table reduced by `evidence`: each observed family member
-  /// is fixed to its state and leaves the scope (a wholly observed family
-  /// gives a scalar), and evidence off the family is ignored. Copied in
-  /// one pass over the consistent cells, so it equals the table reduced
-  /// one variable at a time with `Factor::reduce`, value for value.
-  /// Throws std::out_of_range for an observed state past its cardinality.
-  [[nodiscard]] Factor cpt_factor(VariableId child,
-                                  const Evidence& evidence) const;
 
   /// Throws std::logic_error unless every variable has a CPT and the
   /// graph is acyclic. O(V + E): one `topological_order()`.

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,9 @@ namespace sysuq::bayesnet {
 
 /// Index of a variable within a network (dense, 0-based).
 using VariableId = std::size_t;
+
+/// Evidence: observed states for a subset of variables.
+using Evidence = std::map<VariableId, std::size_t>;
 
 /// A named discrete variable with named states.
 ///

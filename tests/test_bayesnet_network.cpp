@@ -374,7 +374,7 @@ TEST(Network, CptFactorUnderEvidenceEqualsStepwiseReduction) {
         bn::Factor want = full;
         for (const auto& [u, state] : cases[c])
           if (want.contains(u)) want = want.reduce(u, state);
-        const bn::Factor got = net.cpt_factor(v, cases[c]);
+        const bn::Factor got = net.cpt_factor(v).reduce(cases[c]);
         ASSERT_EQ(got.scope(), want.scope()) << "net " << t << " var " << v << " case " << c;
         ASSERT_EQ(got.cardinalities(), want.cardinalities()) << "net " << t << " var " << v;
         ASSERT_EQ(got.values(), want.values()) << "net " << t << " var " << v << " case " << c;
@@ -387,11 +387,11 @@ TEST(Network, CptFactorUnderEvidenceEqualsStepwiseReduction) {
 
 TEST(Network, CptFactorRejectsAnOutOfRangeEvidenceState) {
   const auto net = paper_network();  // 0: ground truth (3 states) -> 1: perception (4)
-  EXPECT_THROW((void)net.cpt_factor(1, {{0, 3}}), std::out_of_range);
-  EXPECT_THROW((void)net.cpt_factor(1, {{1, 4}}), std::out_of_range);
-  EXPECT_THROW((void)net.cpt_factor(0, {{0, 3}}), std::out_of_range);
+  EXPECT_THROW((void)net.cpt_factor(1).reduce({{0, 3}}), std::out_of_range);
+  EXPECT_THROW((void)net.cpt_factor(1).reduce({{1, 4}}), std::out_of_range);
+  EXPECT_THROW((void)net.cpt_factor(0).reduce({{0, 3}}), std::out_of_range);
   // Evidence off the family is not the factor's business.
-  EXPECT_EQ(net.cpt_factor(0, {{1, 0}}).values(), net.cpt_factor(0).values());
+  EXPECT_EQ(net.cpt_factor(0).reduce({{1, 0}}).values(), net.cpt_factor(0).values());
 }
 
 TEST(Network, DSeparationChainForkCollider) {

@@ -605,7 +605,7 @@ ReferenceBox reference_blanket_box(const bn::BayesianNetwork& net, const bn::Evi
   ReferenceBox out;
   std::vector<bn::Factor> touching;
   for (bn::VariableId u = 0; u < net.size(); ++u) {
-    bn::Factor f = net.cpt_factor(u, ev);
+    bn::Factor f = net.cpt_factor(u).reduce(ev);
     if (f.contains(v)) touching.push_back(std::move(f));
   }
   std::vector<bn::VariableId> blanket;
@@ -944,7 +944,7 @@ TEST(Differential, BucketEliminationMatchesLegacyScanOnGeneratedPairs) {
         ++pairs;
         std::vector<bn::Factor> cpts;
         for (bn::VariableId v = 0; v < net.size(); ++v)
-          cpts.push_back(net.cpt_factor(v, ev));
+          cpts.push_back(net.cpt_factor(v).reduce(ev));
         std::vector<bn::kernels::View> views;
         for (const bn::Factor& f : cpts) views.push_back(bn::kernels::view_of(f));
         const auto full =

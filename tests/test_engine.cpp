@@ -1299,6 +1299,59 @@ TEST(EngineCompiledTree, ZeroOneGatesLeaveDeadCells) {
   EXPECT_EQ(dense.live_cells(), dense.cells());
 }
 
+TEST(EngineCompiledTree, JointlyImpossibleOmittedStatesMakeEveryCalibrationImpossible) {
+  // A structure whose omitted states are impossible together, though no
+  // family is impossible on its own: the compile's evidence-free collect
+  // is the first to meet a zero total. Every calibration of the
+  // structure, whatever spanned evidence it adds, reports log P(e) = -inf
+  // and throws the impossible-evidence message from every read.
+  const auto check = [](const bn::BayesianNetwork& net, const bn::Evidence& omitted,
+                        const std::vector<bn::Evidence>& spanned) {
+    EXPECT_EQ(bn::enumerate_evidence_probability(net, omitted), 0.0);
+    const bn::JunctionTreeStructure structure(
+        net, bn::compute_elimination_order(net, {}, bn::evidence_keys(omitted)), omitted);
+    for (bn::Evidence ev : spanned) {
+      ev.insert(omitted.begin(), omitted.end());
+      const std::string msg = bn::impossible_evidence_message(net, ev);
+      const auto expect_impossible = [&](const bn::JunctionTree& tree) {
+        EXPECT_EQ(tree.log_evidence_probability(), -std::numeric_limits<double>::infinity());
+        EXPECT_EQ(tree.evidence_probability(), 0.0);
+        const auto throws_msg = [&](const std::function<void()>& read) {
+          try {
+            read();
+            ADD_FAILURE() << "impossible evidence did not throw";
+          } catch (const std::domain_error& e) {
+            EXPECT_EQ(std::string(e.what()), msg);
+          }
+        };
+        throws_msg([&] { (void)tree.all_marginals(); });
+        for (bn::VariableId v = 0; v < net.size(); ++v) throws_msg([&] { (void)tree.query(v); });
+      };
+      expect_impossible(bn::JunctionTree(structure, ev));
+      expect_impossible(bn::JunctionTree(net, ev));
+    }
+  };
+
+  // b = 1 needs a = 1 and c = 1 needs a = 0; the structure spans a alone,
+  // in one clique, whose compiled potential is all zero.
+  bn::BayesianNetwork fork;
+  const auto a = fork.add_variable("a", {"0", "1"});
+  const auto b = fork.add_variable("b", {"0", "1"});
+  const auto c = fork.add_variable("c", {"0", "1"});
+  fork.set_cpt(a, {}, {pr::Categorical({0.5, 0.5})});
+  fork.set_cpt(b, {a}, {pr::Categorical({1.0, 0.0}), pr::Categorical({0.3, 0.7})});
+  fork.set_cpt(c, {a}, {pr::Categorical({0.4, 0.6}), pr::Categorical({1.0, 0.0})});
+  check(fork, {{b, 1}, {c, 1}}, {{}, {{a, 1}}});
+
+  // On the fault tree, either = 0 needs e3 = 0, and vote = 1 with e4 = 0
+  // needs e3 = 1.
+  const auto compiled = small_fault_tree();
+  const auto& net = compiled.network;
+  const auto id = [&](const char* name) { return net.id_of(name); };
+  check(net, {{id("either"), 0}, {id("e4"), 0}, {id("vote"), 1}},
+        {{}, {{id("e0"), 1}}, {{compiled.top, 1}, {id("e3"), 1}}});
+}
+
 TEST(EngineCompiledTree, FaultTreeSignaturesFilterTheNetworkPlan) {
   // The plan rule when the network-wide plan fits the ceiling: every
   // signature runs that plan, its observed variables get no step, and

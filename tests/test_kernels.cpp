@@ -1,13 +1,15 @@
 // Kernel differential tests (label: kernels): the flat strided kernels
 // (bayesnet/kernels) and the arena they allocate from are pinned against
 // an in-test copy of the legacy mixed-radix factor algebra over
-// randomized scopes (cardinalities 2-6), evidence reductions, and
-// scaled elimination, and the bucketed elimination executor against an
-// in-test copy of the live-scan core it replaced, bit for bit, and
-// kernels::walk's merged runs against the odometer they replaced. Also
-// carries the factor-algebra bug-sweep
-// regressions: checked table-size overflow in the Factor constructor
-// and pairwise (cascade) summation in Factor::total().
+// randomized scopes (cardinalities 2-6), evidence reductions (one
+// variable and whole assignments) and scaled elimination, and the
+// bucketed elimination executor against an in-test copy of the
+// live-scan core it replaced, bit for bit, and kernels::walk's merged
+// runs against the odometer they replaced. Also carries the hard throws
+// that guard an index (checked with contracts off) and the
+// factor-algebra bug-sweep regressions: checked table-size overflow in
+// the Factor constructor and pairwise (cascade) summation in
+// Factor::total().
 //
 // Seeded via SYSUQ_DIFFERENTIAL_SEED like the differential suite.
 #include <gtest/gtest.h>
@@ -323,6 +325,90 @@ TEST(Kernels, ReduceMatchesLegacyOverRandomEvidence) {
     const std::size_t state = rng.uniform_index(f.cardinalities()[pos]);
     expect_factors_equal(f.reduce(v, state), ref_reduce(f, v, state));
   }
+
+  // The assignment form, in an arena and owning, against ref_reduce one
+  // variable at a time: factors of rank 0-5 over 2-4 states, and
+  // assignments that observe members of the scope, variables off it, or
+  // every member (a rank-0 table), value for value.
+  std::size_t off_scope = 0, whole = 0;
+  for (int round = 0; round < 400; ++round) {
+    bn::Arena arena(1024);
+    Universe u;
+    for (int i = 0; i < 7; ++i) u.cards.push_back(2 + rng.uniform_index(3));
+    const bn::Factor f = random_factor(rng, u, rng.uniform_index(6), /*with_zeros=*/true);
+    const double p = round % 5 == 0 ? 1.0 : 0.4;
+    bn::Evidence ev;
+    for (bn::VariableId v = 0; v < u.cards.size(); ++v)
+      if (rng.bernoulli(p)) ev[v] = rng.uniform_index(u.cards[v]);
+    bn::Factor want = f;
+    for (const auto& [v, state] : ev) {
+      if (want.contains(v)) want = ref_reduce(want, v, state);
+      else if (!f.contains(v)) ++off_scope;
+    }
+    if (!f.scope().empty() && want.scope().empty()) ++whole;
+    expect_factors_equal(f.reduce(ev), want);
+    const kn::View got = kn::reduce(kn::view_of(f), ev, arena);
+    ASSERT_EQ(std::vector<bn::VariableId>(got.scope, got.scope + got.rank), want.scope());
+    ASSERT_EQ(std::vector<std::size_t>(got.cards, got.cards + got.rank), want.cardinalities());
+    ASSERT_EQ(std::vector<double>(got.values, got.values + got.size), want.values())
+        << "round " << round;
+  }
+  EXPECT_GT(off_scope, 0u);
+  EXPECT_GT(whole, 0u);
+}
+
+TEST(Kernels, ReduceWithNoMemberObservedReturnsTheInputView) {
+  // Evidence that observes no member of the scope (none at all, or only
+  // variables off it) leaves the table as it is: the call returns the
+  // view it was given and allocates nothing.
+  const bn::Factor f({1, 3}, {2, 3}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
+  const kn::View in = kn::view_of(f);
+  bn::Arena arena;
+  for (const bn::Evidence& ev : {bn::Evidence{}, bn::Evidence{{0, 1}, {2, 0}, {4, 5}}}) {
+    const kn::View got = kn::reduce(in, ev, arena);
+    EXPECT_EQ(got.values, in.values);
+    EXPECT_EQ(got.scope, in.scope);
+    EXPECT_EQ(got.rank, in.rank);
+    EXPECT_EQ(arena.bytes_used(), 0u);
+    EXPECT_EQ(f.reduce(ev).values(), f.values());
+  }
+  // A rank-0 table is never reduced.
+  const bn::Factor scalar = bn::Factor::unit();
+  EXPECT_EQ(kn::reduce(kn::view_of(scalar), {{0, 0}}, arena).values, scalar.values().data());
+  EXPECT_EQ(arena.bytes_used(), 0u);
+}
+
+TEST(Kernels, ReduceRejectsAStatePastItsCardinalityInEveryBuildMode) {
+  // A hard throw, not a contract: with contracts off the reduction would
+  // otherwise read past the table.
+  const auto saved = sysuq::contracts::mode();
+  sysuq::contracts::set_mode(sysuq::contracts::Mode::kOff);
+  const bn::Factor f({1, 3}, {2, 3}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
+  const kn::View view = kn::view_of(f);
+  bn::Arena arena;
+  EXPECT_THROW((void)kn::reduce(view, {{3, 3}}, arena), std::out_of_range);
+  EXPECT_THROW((void)kn::reduce(view, {{1, 0}, {3, 7}}, arena), std::out_of_range);
+  EXPECT_THROW((void)kn::reduce(view, 1, 2, arena), std::out_of_range);
+  EXPECT_THROW((void)f.reduce(bn::Evidence{{1, 2}}), std::out_of_range);
+  EXPECT_THROW((void)f.reduce(3, 3), std::out_of_range);
+  // The one-observation forms reject a variable off the scope.
+  EXPECT_THROW((void)kn::reduce(view, 2, 0, arena), std::invalid_argument);
+  EXPECT_THROW((void)f.reduce(2, 0), std::invalid_argument);
+  sysuq::contracts::set_mode(saved);
+}
+
+TEST(Kernels, ProductRejectsACardinalityMismatchInEveryBuildMode) {
+  // merge_scopes' check is a hard throw: with contracts off the product
+  // would otherwise size its table by one operand and index past the
+  // other.
+  const auto saved = sysuq::contracts::mode();
+  sysuq::contracts::set_mode(sysuq::contracts::Mode::kOff);
+  const bn::Factor a({0, 1}, {2, 2}, {0.1, 0.2, 0.3, 0.4});
+  const bn::Factor b({1, 2}, {3, 2}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6});
+  bn::Arena arena;
+  EXPECT_THROW((void)kn::product(kn::view_of(a), kn::view_of(b), arena), std::invalid_argument);
+  EXPECT_THROW((void)a.product(b), std::invalid_argument);
+  sysuq::contracts::set_mode(saved);
 }
 
 TEST(Kernels, MultiVariableMarginalizeMatchesRepeatedSingle) {
